@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lintdocs verify bench benchguard clean
+.PHONY: build vet test race lintdocs benchharness verify goldens bench benchguard clean
 
 build:
 	$(GO) build ./...
@@ -11,9 +11,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# The parallel runner, the kernel handoff discipline, the client's two
-# execution engines, the federation backbone (exercised concurrently by
-# fleet cells), the live serving layer (concurrent HTTP handlers over
+# The parallel runner (sweep configs and fleet cells fan out over a worker
+# pool, each on its own single-threaded kernel, client machines and
+# federation mirror), the live serving layer (concurrent HTTP handlers over
 # shared sessions), and the storage engine (group-commit flushers and the
 # background compactor against concurrent readers) are the places
 # concurrency lives; keep them race-clean.
@@ -24,8 +24,24 @@ race:
 lintdocs:
 	scripts/lintdocs.sh
 
+# The benchmark harness is its own module (bench/go.mod), so ./... does not
+# see it; it compiles against internal/*, so an API deletion must not break
+# it.
+benchharness:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
+
 # Tier-1 verify: what every PR must keep green.
-verify: build vet test race lintdocs
+verify: build vet test race lintdocs benchharness
+
+# Replay the committed Experiment 1-11 quick manifests (recorded on the
+# retired goroutine engine) and check every archived table hash still
+# reproduces (~3 min).
+goldens:
+	for m in internal/experiment/testdata/manifests/*.json; do \
+		$(GO) run ./cmd/mcsim run -config $$m > /dev/null || exit 1; \
+		echo "ok $$m"; \
+	done
 
 # Kernel micro-benchmarks + the parallel sweep benchmark + the replacement
 # model suite + the fleet engine + the storage engine, with allocation
@@ -36,7 +52,7 @@ verify: build vet test race lintdocs
 bench:
 	scripts/bench.sh
 
-# Regression gate: re-run the KernelHoldLoop-class per-event benchmarks
+# Regression gate: re-run the KernelStateMachine* per-event benchmarks
 # and the storage-engine benchmarks, failing if any runs >2x slower than
 # its entry in the committed BENCH_kernel.json / BENCH_storage.json
 # (REGRESSION_FACTOR overrides the threshold).

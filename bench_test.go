@@ -439,35 +439,12 @@ func BenchmarkFleet(b *testing.B) {
 		cfg.RelayObjects = 200
 		fleetRun(b, cfg)
 	})
-}
-
-// BenchmarkFleetEngines races the two execution engines on the same fleet:
-// the Proc engine holds one goroutine + resume channel per client, the SM
-// engine one inline state machine dispatched straight off the event heap.
-// Results are byte-identical (TestEngineLockstep); only ns/event and
-// allocations may differ. The 1000-client points are the scaling story —
-// the gap widens with fleet size as goroutine stacks and channel
-// rendezvous start to dominate the Proc engine's cost.
-func BenchmarkFleetEngines(b *testing.B) {
-	for _, engine := range []experiment.Engine{experiment.EngineProcs, experiment.EngineSM} {
-		for _, clients := range []int{100, 1000} {
-			engine, clients := engine, clients
-			b.Run(fmt.Sprintf("engine=%s/clients=%d/cells=4", engine, clients), func(b *testing.B) {
-				cfg := benchBase()
-				cfg.NumClients = clients
-				cfg.Cells = 4
-				cfg.Engine = engine
-				var res experiment.Result
-				var events uint64
-				for i := 0; i < b.N; i++ {
-					res = experiment.RunFleet(cfg)
-					events += res.Events
-				}
-				b.ReportMetric(100*res.HitRatio, "hit%")
-				if events > 0 {
-					b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(events), "ns/event")
-				}
-			})
-		}
-	}
+	// The scaling point: ten times the fleet on four cells (continues the
+	// trajectory BENCH_fleet.json recorded as FleetEngines/engine=sm).
+	b.Run("clients=1000/cells=4", func(b *testing.B) {
+		cfg := benchBase()
+		cfg.NumClients = 1000
+		cfg.Cells = 4
+		fleetRun(b, cfg)
+	})
 }

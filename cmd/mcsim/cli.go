@@ -24,7 +24,6 @@ type simOpts struct {
 	dbsize   int
 	bufratio float64
 	storage  string
-	engine   string
 
 	granularity string
 	policy      string
@@ -67,7 +66,6 @@ func (o *simOpts) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.dbsize, "dbsize", 0, "database size in objects (alias of -objects; Experiment #11's knob)")
 	fs.Float64Var(&o.bufratio, "bufratio", 0, "server buffer as a fraction of the database, 0 < r <= 1 (0 = default 25%)")
 	fs.StringVar(&o.storage, "storage", "", "persistent server tier DSN: file:<dir>[?sync=group|always|none] (empty = modeled disk only)")
-	fs.StringVar(&o.engine, "engine", "", "execution engine: procs|sm (default procs; identical results)")
 
 	fs.StringVar(&o.granularity, "granularity", "hc", "caching granularity: nc|ac|oc|hc")
 	fs.StringVar(&o.policy, "policy", "ewma-0.5", "replacement policy spec")
@@ -127,14 +125,6 @@ func (o *simOpts) config() (experiment.Config, error) {
 	}
 	cfg.ServerBufferRatio = o.bufratio
 	cfg.StorageDSN = o.storage
-	if o.engine != "" {
-		switch experiment.Engine(o.engine) {
-		case experiment.EngineProcs, experiment.EngineSM:
-			cfg.Engine = experiment.Engine(o.engine)
-		default:
-			return cfg, fmt.Errorf("unknown engine %q (want procs|sm)", o.engine)
-		}
-	}
 	cfg.ShedThreshold = o.shed
 	cfg.FixedLease = o.fixedLease
 	cfg.SharedHotObjects = o.sharedHot

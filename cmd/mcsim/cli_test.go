@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,6 +160,69 @@ func TestReplayExpManifest(t *testing.T) {
 	if err := replayManifest(man, ""); err == nil ||
 		!strings.Contains(err.Error(), "does not reproduce") {
 		t.Fatalf("doctored table hash passed replay: %v", err)
+	}
+}
+
+// TestReplayRetiredEngineField: manifests archived while Config still had
+// an Engine field ("procs"|"sm") keep replaying — the field is ignored and
+// the recorded hashes still reproduce. The exp manifest was written at the
+// last commit that carried the goroutine engine, on "procs".
+func TestReplayRetiredEngineField(t *testing.T) {
+	const archived = "../../internal/experiment/testdata/manifests/exp10-quick.json"
+	raw, err := os.ReadFile(archived)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"Engine": "procs"`) {
+		t.Fatalf("%s no longer carries the retired field; the test is vacuous", archived)
+	}
+	man, dir, err := readManifest(archived)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replayManifest(man, ""); err != nil {
+		t.Fatalf("run -config on a parent-commit manifest: %v", err)
+	}
+	if err := verifyManifest(dir, man); err != nil {
+		t.Fatalf("report -verify on a parent-commit manifest: %v", err)
+	}
+
+	// A run manifest with the field: report.md must still reproduce.
+	runDir := t.TempDir()
+	cfg := experiment.Config{Seed: 5, Days: 0.02, NumClients: 2, NumObjects: 200}
+	if _, err := instrumentedReport(runDir, "run", runCommand(cfg), nil, cfg, false); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(runDir, "manifest.json")
+	raw, err = os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(raw), `"config": {`, `"config": {"Engine": "sm",`, 1)
+	if old == string(raw) {
+		t.Fatal("manifest layout changed; could not plant the retired field")
+	}
+	if err := os.WriteFile(file, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, _, err = readManifest(runDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyManifest(runDir, man); err != nil {
+		t.Fatalf("report -verify on a run manifest with the retired field: %v", err)
+	}
+}
+
+// TestEngineFlagRetired: -engine is an unknown flag now.
+func TestEngineFlagRetired(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var o simOpts
+	o.register(fs)
+	if err := fs.Parse([]string{"-engine", "sm"}); err == nil ||
+		!strings.Contains(err.Error(), "not defined") {
+		t.Fatalf("-engine accepted: %v", err)
 	}
 }
 

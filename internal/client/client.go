@@ -44,8 +44,9 @@ const (
 // database server (*server.Server) or a federation contact server that
 // relays to remote cells (federation.ContactServer).
 type Backend interface {
-	// Process evaluates one request inside process p.
-	Process(p *sim.Proc, req server.Request) server.Reply
+	// NewCall returns a resumable request invocation the client owns and
+	// reuses across its queries.
+	NewCall() server.RequestCall
 	// Oracle exposes the perfect-knowledge error oracle.
 	Oracle() *coherence.Oracle
 }
@@ -296,29 +297,6 @@ func New(cfg Config) *Client {
 	}
 }
 
-// Start spawns the client's simulation process.
-func (c *Client) Start() *sim.Proc {
-	return c.kernel.Spawn(c.name(), c.run)
-}
-
-func (c *Client) name() string { return "client" }
-
-// run is the client's open-loop query pump.
-func (c *Client) run(p *sim.Proc) {
-	scheduled := 0.0
-	for {
-		scheduled = c.arrival.Next(c.rnd, scheduled)
-		if scheduled >= c.horizon {
-			return
-		}
-		if p.Now() < scheduled {
-			p.HoldUntil(scheduled)
-		}
-		c.gen.NextInto(c.rnd, &c.scratchQuery)
-		c.processQuery(p, &c.scratchQuery, scheduled)
-	}
-}
-
 // Store exposes the storage cache (nil under NC) for diagnostics.
 func (c *Client) Store() *core.Cache { return c.store }
 
@@ -431,151 +409,6 @@ func (c *Client) ApplyInvalidationReport(now float64, seq uint64) {
 // MemBuffer exposes the memory buffer for diagnostics.
 func (c *Client) MemBuffer() *buffer.LRU[oodb.Item, core.Entry] { return c.membuf }
 
-// processQuery runs one query end to end. q aliases the client's query
-// scratch and is only valid for the duration of the call.
-func (c *Client) processQuery(p *sim.Proc, q *workload.Query, issuedAt float64) {
-	connected := c.sched.Connected(p.Now())
-	need := c.scratchNeed[:0]
-	existent := 0
-
-	rec := trace.QueryRecord{
-		ClientID:     c.id,
-		Index:        q.Index,
-		IssuedAt:     issuedAt,
-		Reads:        len(q.Reads),
-		Disconnected: !connected,
-	}
-
-	localDelay := 0.0
-	for _, rd := range q.Reads {
-		item := core.CoverItem(c.granularity, rd.OID, rd.Attr)
-		entry, state, delay := c.probeLocal(p.Now(), item)
-		localDelay += delay
-		now := p.Now()
-		switch {
-		case state == core.Hit:
-			// Served by a locally unexpired item: a cache hit. The read
-			// may still be erroneous if a write landed inside the lease.
-			isErr := c.oracle.IsError(item, entry.Version)
-			c.m.RecordAccess(now, true)
-			c.m.RecordError(now, isErr)
-			existent++
-			rec.Hits++
-			if isErr {
-				rec.Errors++
-			}
-		case state == core.Stale && !connected:
-			// Disconnected operation (§5.6): continue on the expired
-			// copy. Not a hit (the item is expired), frequently an error.
-			isErr := c.oracle.IsError(item, entry.Version)
-			c.m.RecordAccess(now, false)
-			c.m.RecordError(now, isErr)
-			rec.Stale++
-			if isErr {
-				rec.Errors++
-			}
-		case !connected:
-			// Disconnected miss: the read is unsatisfiable.
-			c.m.RecordAccess(now, false)
-			c.m.RecordUnavailable(now)
-			rec.Unavailable++
-		default:
-			// Connected miss or expired copy: fetch from the server.
-			need = append(need, rd)
-		}
-	}
-
-	// Local accesses are microseconds each; charge them in one hold so the
-	// kernel dispatches one event per query instead of one per read.
-	if localDelay > 0 {
-		p.Hold(localDelay)
-	}
-
-	// Reads covered by the broadcast program are answered from the air;
-	// only the rest go point-to-point.
-	fromAir := c.scratchAir[:0]
-	if c.bcast != nil && connected {
-		pull := need[:0] // in-place filter: pull lags the read cursor
-		for _, rd := range need {
-			item := core.CoverItem(c.granularity, rd.OID, rd.Attr)
-			if c.bcast.Covers(item) {
-				if !containsItem(fromAir, item) {
-					fromAir = append(fromAir, item)
-				}
-				c.bcastReads++
-				c.m.RecordAccess(p.Now(), false)
-				c.m.RecordError(p.Now(), false)
-				continue
-			}
-			pull = append(pull, rd)
-		}
-		need = pull
-	}
-
-	// Cooperative lookup: ask cell peers for valid copies before paying
-	// the server round trip.
-	peerRadio := false
-	if c.peerScan > 0 && connected && len(need) > 0 {
-		need, peerRadio = c.fetchFromPeers(p, need, &rec)
-	}
-
-	remote := connected && len(need) > 0
-	if remote {
-		if c.faulted() {
-			var retries int
-			var delivered bool
-			rec.RequestBytes, rec.ReplyBytes, retries, delivered =
-				c.fetchRemoteFaulty(p, q, need, existent)
-			rec.Retries = retries
-			if !delivered {
-				rec.TimedOut = true
-				c.serveDegraded(p.Now(), need, &rec)
-			}
-		} else {
-			rec.RequestBytes, rec.ReplyBytes = c.fetchRemote(p, q, need, existent)
-		}
-	}
-	if len(fromAir) > 0 {
-		c.receiveBroadcast(p, fromAir)
-	}
-	// Hand the (possibly grown) scratch backing arrays back for reuse.
-	c.scratchNeed = need[:0]
-	c.scratchAir = fromAir[:0]
-
-	rec.Remote = remote || len(fromAir) > 0 || peerRadio
-	rec.CompletedAt = p.Now()
-	c.m.RecordQuery(issuedAt, p.Now(), remote, !connected)
-	if c.tracer != nil {
-		c.tracer.Query(rec)
-	}
-}
-
-// receiveBroadcast waits for each item's next slot on the broadcast
-// channel (in delivery order, so the total wait is at most one revolution)
-// and caches the copies. A broadcast copy is valid for one cycle: the next
-// revolution would refresh it.
-func (c *Client) receiveBroadcast(p *sim.Proc, items []oodb.Item) {
-	sort.Slice(items, func(i, j int) bool {
-		return c.bcast.NextDelivery(items[i], p.Now()) < c.bcast.NextDelivery(items[j], p.Now())
-	})
-	for _, item := range items {
-		p.HoldUntil(c.bcast.NextDelivery(item, p.Now()))
-		c.energyJoules += network.RxEnergy(c.bcast.SlotBytes())
-		entry := core.Entry{
-			Version:   c.oracle.CurrentVersion(item),
-			ExpiresAt: p.Now() + c.bcast.Cycle(),
-			FetchedAt: p.Now(),
-		}
-		if reportCoherence(c.coherenceMode) {
-			entry.ExpiresAt = coherence.NoExpiry
-		}
-		if c.store != nil {
-			c.store.Insert(item, entry, p.Now())
-		}
-		c.membuf.Put(item, entry)
-	}
-}
-
 // reportCoherence reports whether the strategy maintains validity through
 // invalidation reports (cached entries carry no lease of their own).
 func reportCoherence(s coherence.Strategy) bool {
@@ -622,51 +455,8 @@ func containsItem(items []oodb.Item, it oodb.Item) bool {
 	return false
 }
 
-// fetchRemote performs the round trip: existent list upstream, server
-// processing, reply downstream, then caches the returned items. It returns
-// the request and reply wire sizes for tracing.
-func (c *Client) fetchRemote(p *sim.Proc, q *workload.Query, need []workload.ReadOp, existent int) (reqBytes, replyBytes int) {
-	req := server.Request{
-		ClientID:        c.id,
-		Granularity:     c.granularity,
-		Accesses:        q.Reads,
-		Need:            need,
-		ExistentEntries: existent,
-	}
-	reqBytes = req.WireSize()
-	c.up.Send(p, reqBytes)
-	c.energyJoules += network.TxEnergy(reqBytes)
-	reply := c.srv.Process(p, req)
-
-	// Deliver the reply over the shared downlink. With the timeout
-	// heuristic enabled, a reply that queued beyond the threshold sheds
-	// its prefetched items at delivery time, shortening the transfer the
-	// whole cell is waiting behind.
-	items := reply.Items
-	c.down.SendDeferred(p, func(waited float64) int {
-		if c.shedThreshold > 0 && waited > c.shedThreshold {
-			kept := c.scratchKept[:0]
-			for _, it := range items {
-				if !it.Prefetched {
-					kept = append(kept, it)
-				}
-			}
-			c.shedItems += uint64(len(items) - len(kept))
-			c.scratchKept = kept
-			items = kept
-		}
-		replyBytes = server.WireSizeItems(items)
-		c.energyJoules += network.RxEnergy(replyBytes)
-		return replyBytes
-	})
-
-	c.installReply(p.Now(), need, items)
-	return reqBytes, replyBytes
-}
-
 // installReply caches a delivered reply's items and records the served
-// reads. Shared by the perfect-channel and reliability-layer round trips on
-// both execution engines (hence the plain timestamp instead of a process).
+// reads. Shared by the perfect-channel and reliability-layer round trips.
 func (c *Client) installReply(now float64, need []workload.ReadOp, items []server.ReplyItem) {
 	batch := c.scratchBatch[:0]
 	for _, item := range items {

@@ -63,18 +63,67 @@ func query(idx uint64, oids ...int) *workload.Query {
 	return q
 }
 
-// exec runs fn as a simulation process to completion.
-func (r *rig) exec(fn func(p *sim.Proc)) {
-	r.k.Spawn("test", fn)
+// op is one statement of a test script. It is re-entered at every wake of
+// the script's machine until it reports done.
+type op func(m *sim.Machine) (done bool)
+
+// script is a machine that runs its statements in order.
+type script struct{ ops []op }
+
+func (s *script) Step(m *sim.Machine) {
+	for len(s.ops) > 0 {
+		if !s.ops[0](m) {
+			return
+		}
+		s.ops = s.ops[1:]
+	}
+	m.Finish()
+}
+
+// exec runs the statements as one simulated process to completion.
+func (r *rig) exec(ops ...op) {
+	r.k.SpawnMachine("test", &script{ops: ops})
 	r.k.RunAll()
+}
+
+// ask runs the hand-built query q through the client's query path, issued
+// at the time the statement is reached (in place of the pump's generated
+// query and arrival).
+func (r *rig) ask(q *workload.Query) op {
+	var cm *clientMachine
+	return func(m *sim.Machine) bool {
+		if cm == nil {
+			cm = r.client.newMachine()
+			r.client.scratchQuery = *q
+			cm.scheduled = m.Now()
+			cm.pc = cmProbe
+		}
+		return cm.processQuery(m)
+	}
+}
+
+func hold(d float64) op {
+	held := false
+	return func(m *sim.Machine) bool {
+		if held {
+			return true
+		}
+		held = true
+		m.Hold(d)
+		return false
+	}
+}
+
+func do(fn func()) op {
+	return func(*sim.Machine) bool { fn(); return true }
 }
 
 func TestMissThenHit(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-		r.client.processQuery(p, query(1, 1, 2, 3), p.Now())
-	})
+	r.exec(
+		r.ask(query(0, 1, 2, 3)),
+		r.ask(query(1, 1, 2, 3)),
+	)
 	if r.m.Accesses() != 6 {
 		t.Fatalf("accesses = %d, want 6", r.m.Accesses())
 	}
@@ -94,9 +143,7 @@ func TestMissThenHit(t *testing.T) {
 func TestStorePopulatedPerGranularity(t *testing.T) {
 	for _, g := range []core.Granularity{core.AttributeCaching, core.ObjectCaching, core.HybridCaching} {
 		r := newRig(t, g, 0)
-		r.exec(func(p *sim.Proc) {
-			r.client.processQuery(p, query(0, 7), p.Now())
-		})
+		r.exec(r.ask(query(0, 7)))
 		want := core.CoverItem(g, 7, 0)
 		if !r.client.Store().Contains(want) {
 			t.Errorf("%v: store missing %v", g, want)
@@ -106,10 +153,10 @@ func TestStorePopulatedPerGranularity(t *testing.T) {
 
 func TestNCHasNoStore(t *testing.T) {
 	r := newRig(t, core.NoCache, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-		r.client.processQuery(p, query(1, 1), p.Now())
-	})
+	r.exec(
+		r.ask(query(0, 1)),
+		r.ask(query(1, 1)),
+	)
 	if r.client.Store() != nil {
 		t.Fatal("NC client has a storage cache")
 	}
@@ -121,14 +168,13 @@ func TestNCHasNoStore(t *testing.T) {
 
 func TestNCMemoryBufferEvicts(t *testing.T) {
 	r := newRig(t, core.NoCache, 0)
-	r.exec(func(p *sim.Proc) {
-		// Touch 40 distinct objects: the 30-object buffer must evict.
-		for i := 0; i < 40; i++ {
-			r.client.processQuery(p, query(uint64(i), i+1), p.Now())
-		}
-		// Object 1 was evicted (LRU): this is a miss.
-		r.client.processQuery(p, query(40, 1), p.Now())
-	})
+	// Touch 40 distinct objects: the 30-object buffer must evict.
+	var ops []op
+	for i := 0; i < 40; i++ {
+		ops = append(ops, r.ask(query(uint64(i), i+1)))
+	}
+	// Object 1 was evicted (LRU): this is a miss.
+	r.exec(append(ops, r.ask(query(40, 1)))...)
 	if r.m.Errors() != 0 {
 		t.Fatal("errors in read-only run")
 	}
@@ -142,18 +188,16 @@ func TestNCMemoryBufferEvicts(t *testing.T) {
 
 func TestResponseTimeDominatedByWireless(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-	})
+	r.exec(r.ask(query(0, 1, 2, 3)))
 	// 3 attr entries + headers at 19.2kbps is ~0.1s; local would be µs.
 	if rt := r.m.MeanResponse(); rt < 0.05 {
 		t.Fatalf("remote response %v suspiciously fast", rt)
 	}
 	r2 := newRig(t, core.AttributeCaching, 0)
-	r2.exec(func(p *sim.Proc) {
-		r2.client.processQuery(p, query(0, 1), p.Now())
-		r2.client.processQuery(p, query(1, 1), p.Now())
-	})
+	r2.exec(
+		r2.ask(query(0, 1)),
+		r2.ask(query(1, 1)),
+	)
 	sum := r2.m.ResponseSummary()
 	if sum.Max() == sum.Min() {
 		t.Fatal("local hit should be much faster than remote miss")
@@ -164,9 +208,7 @@ func TestOCResponseSlowerThanAC(t *testing.T) {
 	times := map[core.Granularity]float64{}
 	for _, g := range []core.Granularity{core.AttributeCaching, core.ObjectCaching} {
 		r := newRig(t, g, 0)
-		r.exec(func(p *sim.Proc) {
-			r.client.processQuery(p, query(0, 1, 2, 3, 4, 5), p.Now())
-		})
+		r.exec(r.ask(query(0, 1, 2, 3, 4, 5)))
 		times[g] = r.m.MeanResponse()
 	}
 	if times[core.ObjectCaching] <= times[core.AttributeCaching] {
@@ -180,15 +222,15 @@ func TestOCHitsAcrossAttributes(t *testing.T) {
 	// of the same object hits. Under AC it misses.
 	probe := func(g core.Granularity) float64 {
 		r := newRig(t, g, 0)
-		r.exec(func(p *sim.Proc) {
-			r.client.processQuery(p, query(0, 1), p.Now()) // reads attr 0
-			q2 := workload.Query{
-				Index:   1,
-				Objects: []oodb.OID{1},
-				Reads:   []workload.ReadOp{{OID: 1, Attr: 5}},
-			}
-			r.client.processQuery(p, &q2, p.Now())
-		})
+		q2 := workload.Query{
+			Index:   1,
+			Objects: []oodb.OID{1},
+			Reads:   []workload.ReadOp{{OID: 1, Attr: 5}},
+		}
+		r.exec(
+			r.ask(query(0, 1)), // reads attr 0
+			r.ask(&q2),
+		)
 		return r.m.HitRatio()
 	}
 	if hrOC := probe(core.ObjectCaching); hrOC != 0.5 {
@@ -204,9 +246,7 @@ func TestDisconnectedMissUnavailable(t *testing.T) {
 	sched := &network.Schedule{}
 	sched.AddOutage(network.Outage{Start: 0, End: 1000})
 	r.client.sched = sched
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2), p.Now())
-	})
+	r.exec(r.ask(query(0, 1, 2)))
 	if r.m.Unavailable() != 2 {
 		t.Fatalf("unavailable = %d, want 2", r.m.Unavailable())
 	}
@@ -221,14 +261,13 @@ func TestDisconnectedMissUnavailable(t *testing.T) {
 
 func TestDisconnectedServesStale(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 1 /* every access updates */)
-	r.exec(func(p *sim.Proc) {
-		// Build a write history so leases become finite, and cache attr 0
-		// of object 1.
-		for i := 0; i < 6; i++ {
-			r.client.processQuery(p, query(uint64(i), 1), p.Now())
-			p.Hold(50)
-		}
-	})
+	// Build a write history so leases become finite, and cache attr 0 of
+	// object 1.
+	var ops []op
+	for i := 0; i < 6; i++ {
+		ops = append(ops, r.ask(query(uint64(i), 1)), hold(50))
+	}
+	r.exec(ops...)
 	// Now disconnect far in the future so the lease has expired, and read.
 	sched := &network.Schedule{}
 	sched.AddOutage(network.Outage{Start: r.k.Now(), End: r.k.Now() + 1e6})
@@ -236,10 +275,10 @@ func TestDisconnectedServesStale(t *testing.T) {
 	// A foreign write makes the stale copy erroneous.
 	r.db.Write(1, 0)
 	errsBefore := r.m.Errors()
-	r.exec(func(p *sim.Proc) {
-		p.Hold(1e5) // let the lease lapse
-		r.client.processQuery(p, query(99, 1), p.Now())
-	})
+	r.exec(
+		hold(1e5), // let the lease lapse
+		r.ask(query(99, 1)),
+	)
 	if r.m.Unavailable() != 0 {
 		t.Fatalf("cached stale read counted unavailable")
 	}
@@ -250,19 +289,17 @@ func TestDisconnectedServesStale(t *testing.T) {
 
 func TestErrorsRequireForeignWrite(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-		r.client.processQuery(p, query(1, 1), p.Now())
-	})
+	r.exec(
+		r.ask(query(0, 1)),
+		r.ask(query(1, 1)),
+	)
 	if r.m.Errors() != 0 {
 		t.Fatalf("read-only run produced %d errors", r.m.Errors())
 	}
 	// Foreign write; lease is infinite (no write history at fetch time) so
 	// the next read is a hit AND an error.
 	r.db.Write(1, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(2, 1), p.Now())
-	})
+	r.exec(r.ask(query(2, 1)))
 	if r.m.Errors() != 1 {
 		t.Fatalf("errors = %d, want 1", r.m.Errors())
 	}
@@ -271,13 +308,14 @@ func TestErrorsRequireForeignWrite(t *testing.T) {
 func TestExistentListSizesRequest(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
 	var sizes []uint64
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2), p.Now())
-		sizes = append(sizes, r.up.BytesSent())
+	sent := do(func() { sizes = append(sizes, r.up.BytesSent()) })
+	r.exec(
+		r.ask(query(0, 1, 2)),
+		sent,
 		// Second query: 2 hits + 1 new miss -> existent list of 2 entries.
-		r.client.processQuery(p, query(1, 1, 2, 3), p.Now())
-		sizes = append(sizes, r.up.BytesSent())
-	})
+		r.ask(query(1, 1, 2, 3)),
+		sent,
+	)
 	first := sizes[0]
 	second := sizes[1] - sizes[0]
 	if second != first+2*(network.OIDSize+network.AttrRefSize) {
@@ -287,23 +325,22 @@ func TestExistentListSizesRequest(t *testing.T) {
 
 func TestLeaseExpiryForcesRefresh(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 1)
-	var hitsAfterExpiry bool
-	r.exec(func(p *sim.Proc) {
-		// Build write history: every query updates, inter-write ~100s.
-		for i := 0; i < 8; i++ {
-			r.client.processQuery(p, query(uint64(i), 1), p.Now())
-			p.Hold(100)
-		}
-		// Far beyond the ~100s lease: the cached copy must be stale, so
-		// the read goes remote (not a hit).
-		p.Hold(10000)
-		accBefore := r.m.Accesses()
-		hitsB := uint64(float64(accBefore)*r.m.HitRatio() + 0.5)
-		r.client.processQuery(p, query(99, 1), p.Now())
-		hitsA := uint64(float64(r.m.Accesses())*r.m.HitRatio() + 0.5)
-		hitsAfterExpiry = hitsA > hitsB
-	})
-	if hitsAfterExpiry {
+	// Build write history: every query updates, inter-write ~100s.
+	var ops []op
+	for i := 0; i < 8; i++ {
+		ops = append(ops, r.ask(query(uint64(i), 1)), hold(100))
+	}
+	// Far beyond the ~100s lease: the cached copy must be stale, so the
+	// read goes remote (not a hit).
+	hits := func() uint64 { return uint64(float64(r.m.Accesses())*r.m.HitRatio() + 0.5) }
+	var hitsB, hitsA uint64
+	r.exec(append(ops,
+		hold(10000),
+		do(func() { hitsB = hits() }),
+		r.ask(query(99, 1)),
+		do(func() { hitsA = hits() }),
+	)...)
+	if hitsA > hitsB {
 		t.Fatal("expired item served as a hit instead of refreshing")
 	}
 }
@@ -320,8 +357,8 @@ func TestRunLoopIssuesQueries(t *testing.T) {
 	if r.m.Accesses() == 0 {
 		t.Fatal("no accesses recorded")
 	}
-	if r.k.LiveProcs() != 0 {
-		t.Fatalf("client proc still live: %d", r.k.LiveProcs())
+	if r.k.LiveMachines() != 0 {
+		t.Fatalf("client machine still live: %d", r.k.LiveMachines())
 	}
 }
 
@@ -407,9 +444,7 @@ func newIRRig(t *testing.T) *rig {
 
 func TestIREntriesNeverExpire(t *testing.T) {
 	r := newIRRig(t)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-	})
+	r.exec(r.ask(query(0, 1)))
 	e, ok := r.client.Store().Peek(oodb.AttrItem(1, 0))
 	if !ok {
 		t.Fatal("item not cached")
@@ -421,9 +456,7 @@ func TestIREntriesNeverExpire(t *testing.T) {
 
 func TestIRIncrementalInvalidation(t *testing.T) {
 	r := newIRRig(t)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2), p.Now())
-	})
+	r.exec(r.ask(query(0, 1, 2)))
 	// A foreign write lands on (1, 0); report 1 then report 2 arrive.
 	r.db.Write(1, 0)
 	r.client.ApplyInvalidationReport(100, 1)
@@ -444,9 +477,7 @@ func TestIRIncrementalInvalidation(t *testing.T) {
 
 func TestIRMissedReportDropsCache(t *testing.T) {
 	r := newIRRig(t)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-	})
+	r.exec(r.ask(query(0, 1, 2, 3)))
 	r.client.ApplyInvalidationReport(60, 1)
 	if r.client.Store().Len() == 0 {
 		t.Fatal("first report should not drop anything")
@@ -476,9 +507,7 @@ func TestIRReportToLeaseClientPanics(t *testing.T) {
 
 func TestShedThresholdDisabledByDefault(t *testing.T) {
 	r := newRig(t, core.HybridCaching, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-	})
+	r.exec(r.ask(query(0, 1, 2, 3)))
 	if r.client.ShedItems() != 0 {
 		t.Fatalf("ShedItems = %d with heuristic disabled", r.client.ShedItems())
 	}
@@ -493,11 +522,8 @@ func TestFixedLeaseStrategy(t *testing.T) {
 		Metrics: r.m, Seed: 1, Horizon: 1e6,
 		Coherence: coherence.FixedLeaseStrategy, FixedLease: 50,
 	})
-	var fetchedAt float64
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-		fetchedAt = p.Now()
-	})
+	r.exec(r.ask(query(0, 1)))
+	fetchedAt := r.k.Now()
 	e, ok := r.client.Store().Peek(oodb.AttrItem(1, 0))
 	if !ok {
 		t.Fatal("item not cached")
@@ -527,10 +553,10 @@ func TestTracerReceivesConsistentRecords(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
 	collector := &trace.Collector{}
 	r.client.tracer = collector
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-		r.client.processQuery(p, query(1, 1, 2, 3), p.Now())
-	})
+	r.exec(
+		r.ask(query(0, 1, 2, 3)),
+		r.ask(query(1, 1, 2, 3)),
+	)
 	if collector.Len() != 2 {
 		t.Fatalf("records = %d, want 2", collector.Len())
 	}
@@ -577,10 +603,10 @@ func newBroadcastRig(t *testing.T) (*rig, *broadcast.Program) {
 
 func TestBroadcastServesCoveredReads(t *testing.T) {
 	r, prog := newBroadcastRig(t)
-	r.exec(func(p *sim.Proc) {
+	r.exec(
 		// Object 1 attr 0 is on the air; object 50 is not.
-		r.client.processQuery(p, query(0, 1, 50), p.Now())
-	})
+		r.ask(query(0, 1, 50)),
+	)
 	if r.client.BroadcastReads() != 1 {
 		t.Fatalf("BroadcastReads = %d, want 1", r.client.BroadcastReads())
 	}
@@ -599,9 +625,7 @@ func TestBroadcastServesCoveredReads(t *testing.T) {
 
 func TestBroadcastOnlyQuerySendsNothing(t *testing.T) {
 	r, _ := newBroadcastRig(t)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-	})
+	r.exec(r.ask(query(0, 1, 2, 3)))
 	if r.up.Messages() != 0 || r.down.Messages() != 0 {
 		t.Fatalf("broadcast-covered query used point-to-point channels (%d/%d)",
 			r.up.Messages(), r.down.Messages())
@@ -610,9 +634,7 @@ func TestBroadcastOnlyQuerySendsNothing(t *testing.T) {
 		t.Fatalf("BroadcastReads = %d", r.client.BroadcastReads())
 	}
 	// Subsequent identical reads hit the cache within the lease.
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(1, 1, 2, 3), p.Now())
-	})
+	r.exec(r.ask(query(1, 1, 2, 3)))
 	if r.client.BroadcastReads() != 3 {
 		t.Fatal("cached broadcast items re-fetched from the air")
 	}
@@ -620,13 +642,10 @@ func TestBroadcastOnlyQuerySendsNothing(t *testing.T) {
 
 func TestBroadcastWaitBoundedByCycle(t *testing.T) {
 	r, prog := newBroadcastRig(t)
-	r.exec(func(p *sim.Proc) {
-		start := p.Now()
-		r.client.processQuery(p, query(0, 1, 2, 3, 4, 5), p.Now())
-		if wait := p.Now() - start; wait > prog.Cycle()+5*prog.MeanWait() {
-			t.Errorf("broadcast wait %v too long for cycle %v", wait, prog.Cycle())
-		}
-	})
+	r.exec(r.ask(query(0, 1, 2, 3, 4, 5)))
+	if wait := r.k.Now(); wait > prog.Cycle()+5*prog.MeanWait() {
+		t.Errorf("broadcast wait %v too long for cycle %v", wait, prog.Cycle())
+	}
 }
 
 func TestBroadcastIgnoredWhileDisconnected(t *testing.T) {
@@ -634,9 +653,7 @@ func TestBroadcastIgnoredWhileDisconnected(t *testing.T) {
 	sched := &network.Schedule{}
 	sched.AddOutage(network.Outage{Start: 0, End: 1e6})
 	r.client.sched = sched
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-	})
+	r.exec(r.ask(query(0, 1)))
 	if r.client.BroadcastReads() != 0 {
 		t.Fatal("disconnected client read from the air")
 	}

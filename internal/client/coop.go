@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/oodb"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -70,8 +69,7 @@ func (c *Client) peekValid(item oodb.Item, now float64) (core.Entry, bool) {
 
 // planPeerFetch scans up to peerScan peers for valid copies covering the
 // needed reads and stages the exchange plan (served reads, wire sizes).
-// It mutates no counters and touches no channels, so both execution
-// engines can call it at their peer-stage entry; it reports whether any
+// It mutates no counters and touches no channels; it reports whether any
 // read is peer-servable.
 func (c *Client) planPeerFetch(now float64, need []workload.ReadOp) bool {
 	got := c.peerGot[:0]
@@ -165,36 +163,6 @@ func (c *Client) commitPeerFetch(now float64, need []workload.ReadOp, rec *trace
 func (c *Client) abortPeerFetch(need []workload.ReadOp) {
 	c.peerGot = c.peerGot[:0]
 	c.peerMisses += uint64(len(need))
-}
-
-// fetchFromPeers is the Proc-engine peer stage: plan, then pay for the
-// probe/reply exchange on the shared channels under the attached fault
-// models (single attempt — a failed exchange falls back to the server,
-// the reliability layer's retries apply only to the server round trip).
-// It returns the remaining need and whether the radio was used.
-func (c *Client) fetchFromPeers(p *sim.Proc, need []workload.ReadOp, rec *trace.QueryRecord) ([]workload.ReadOp, bool) {
-	if !c.planPeerFetch(p.Now(), need) {
-		c.peerMisses += uint64(len(need))
-		return need, false
-	}
-	c.up.Send(p, c.peerProbeBytes)
-	c.energyJoules += network.TxEnergy(c.peerProbeBytes)
-	if transmit(c.upFaults, p.Now()) != network.FrameDelivered {
-		c.abortPeerFetch(need)
-		return need, true
-	}
-	c.down.Send(p, c.peerReplyBytes)
-	outcome := transmit(c.downFaults, p.Now())
-	if outcome != network.FrameLost {
-		// The frame was received (and, if corrupted, rejected after the
-		// fact): the radio energy is spent either way.
-		c.energyJoules += network.RxEnergy(c.peerReplyBytes)
-	}
-	if outcome != network.FrameDelivered {
-		c.abortPeerFetch(need)
-		return need, true
-	}
-	return c.commitPeerFetch(p.Now(), need, rec), true
 }
 
 // PeerHits reports reads served from a peer's cache.

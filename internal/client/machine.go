@@ -14,30 +14,23 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the state-machine face of the client: clientMachine is
-// run/processQuery/fetchRemote/fetchRemoteFaulty/receiveBroadcast
-// re-expressed as one resumable event callback scheduled directly on the
-// kernel's event heap — no goroutine, no channel rendezvous, and no
-// allocation on the resume path. Every wait point (arrival, local-access
-// hold, uplink, server staging, downlink, retry timeout and backoff,
-// broadcast slots) performs the same schedule calls in the same order as
-// the Proc path, and every counter, cache, and RNG mutation happens at the
-// same point in the event order, so a simulation is byte-identical
-// whichever engine runs the client population.
-
-// machineBackend is the backend contract the state-machine engine needs on
-// top of Backend: a resumable counterpart of Process. Both *server.Server
-// and *federation.ContactServer satisfy it.
-type machineBackend interface {
-	Backend
-	NewCall() server.RequestCall
-}
+// This file is the client's query loop: clientMachine is the open-loop
+// query pump and the whole request path — arrival, local probe, broadcast
+// air, peer probe, server round trip (perfect channel or reliability
+// layer), reply install — as one resumable sim.Stepper scheduled directly
+// on the kernel's event heap. The wait points are the arrival, the
+// local-access hold, the uplink, server staging, the downlink, the retry
+// timeout and backoff, and the broadcast slots; the order of schedule
+// calls at those points, and of every counter, cache, and RNG mutation
+// between them, is what testdata/golden_scenarios.json in
+// internal/experiment pins.
 
 // clientMachine phases. Each wait point records the phase to re-enter; the
 // Step loop advances inline through phases that did not actually wait.
 const (
 	cmArrive       uint8 = iota // draw next arrival; wait for it
-	cmQuery                     // generate the query; probe the local caches
+	cmQuery                     // generate the query
+	cmProbe                     // probe the local caches
 	cmLocalDone                 // local holds paid; split air/pull/peer
 	cmPeerUp                    // cooperative lookup: probe frame on the uplink
 	cmPeerDown                  // cooperative lookup: batched reply downlink
@@ -57,9 +50,9 @@ const (
 	cmDone                      // finish the query record; loop to cmArrive
 )
 
-// clientMachine is one mobile host on the state-machine engine. All state
-// that must survive a wait lives here; the struct is allocated once per
-// client at StartMachine and never again.
+// clientMachine is one mobile host's execution state. All state that must
+// survive a wait lives here; the struct is allocated once per client at
+// Start and never again.
 type clientMachine struct {
 	c    *Client
 	pc   uint8
@@ -91,23 +84,23 @@ type clientMachine struct {
 	delivered int
 }
 
-// StartMachine spawns the client on the state-machine engine. The backend
-// must implement NewCall (machineBackend); both the single server and the
-// federation contact server do.
-func (c *Client) StartMachine() *sim.Machine {
-	mb, ok := c.srv.(machineBackend)
-	if !ok {
-		panic("client: backend does not support the state-machine engine")
-	}
-	cm := &clientMachine{c: c, call: mb.NewCall()}
-	cm.shedPlainFn = cm.shedPlain
-	cm.shedFaultyFn = cm.shedFaulty
-	return c.kernel.SpawnMachine(c.name(), cm)
+// Start spawns the client's simulation machine.
+func (c *Client) Start() *sim.Machine {
+	return c.kernel.SpawnMachine("client", c.newMachine())
 }
 
-// shedPlain is fetchRemote's deferred-size hook: shed prefetched items past
-// the threshold, account the receive energy, record the reply size.
-func (cm *clientMachine) shedPlain(waited float64) int {
+func (c *Client) newMachine() *clientMachine {
+	cm := &clientMachine{c: c, call: c.srv.NewCall()}
+	cm.shedPlainFn = cm.shedPlain
+	cm.shedFaultyFn = cm.shedFaulty
+	return cm
+}
+
+// shed applies the timeout heuristic (§5.3) at the moment a reply reaches
+// the head of the downlink queue: one that queued beyond the threshold
+// sheds its prefetched items, shortening the transfer the whole cell is
+// waiting behind. It returns the wire size of what is left.
+func (cm *clientMachine) shed(waited float64) int {
 	c := cm.c
 	if c.shedThreshold > 0 && waited > c.shedThreshold {
 		kept := c.scratchKept[:0]
@@ -120,32 +113,25 @@ func (cm *clientMachine) shedPlain(waited float64) int {
 		c.scratchKept = kept
 		cm.items = kept
 	}
-	cm.replyBytes = server.WireSizeItems(cm.items)
-	c.energyJoules += network.RxEnergy(cm.replyBytes)
+	return server.WireSizeItems(cm.items)
+}
+
+// shedPlain is the perfect-channel downlink's deferred-size hook: shed,
+// account the receive energy, record the reply size.
+func (cm *clientMachine) shedPlain(waited float64) int {
+	cm.replyBytes = cm.shed(waited)
+	cm.c.energyJoules += network.RxEnergy(cm.replyBytes)
 	return cm.replyBytes
 }
 
-// shedFaulty is fetchRemoteFaulty's hook: same shedding, but the energy is
-// charged by the caller according to the frame's fate.
+// shedFaulty is the reliability layer's hook: same shedding, but the
+// energy is charged by the caller according to the frame's fate.
 func (cm *clientMachine) shedFaulty(waited float64) int {
-	c := cm.c
-	if c.shedThreshold > 0 && waited > c.shedThreshold {
-		kept := c.scratchKept[:0]
-		for _, it := range cm.items {
-			if !it.Prefetched {
-				kept = append(kept, it)
-			}
-		}
-		c.shedItems += uint64(len(cm.items) - len(kept))
-		c.scratchKept = kept
-		cm.items = kept
-	}
-	cm.delivered = server.WireSizeItems(cm.items)
+	cm.delivered = cm.shed(waited)
 	return cm.delivered
 }
 
-// Step advances the client; see the Proc twins in client.go and retry.go
-// for the flow this mirrors statement for statement.
+// Step is the client's open-loop query pump.
 func (cm *clientMachine) Step(m *sim.Machine) {
 	c := cm.c
 	for {
@@ -163,6 +149,25 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 
 		case cmQuery:
 			c.gen.NextInto(c.rnd, &c.scratchQuery)
+			cm.pc = cmProbe
+
+		default:
+			if !cm.processQuery(m) {
+				return
+			}
+		}
+	}
+}
+
+// processQuery advances the query in c.scratchQuery, issued at
+// cm.scheduled, from cmProbe to the end of cmDone. It returns true when the
+// query is complete (the pump is back at cmArrive) and false when the
+// machine is waiting and must call it again from its next wake.
+func (cm *clientMachine) processQuery(m *sim.Machine) bool {
+	c := cm.c
+	for {
+		switch cm.pc {
+		case cmProbe:
 			q := &c.scratchQuery
 			cm.connected = c.sched.Connected(m.Now())
 			need := c.scratchNeed[:0]
@@ -182,6 +187,9 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 				now := m.Now()
 				switch {
 				case state == core.Hit:
+					// Served by a locally unexpired item: a cache hit. The
+					// read may still be erroneous if a write landed inside
+					// the lease.
 					isErr := c.oracle.IsError(item, entry.Version)
 					c.m.RecordAccess(now, true)
 					c.m.RecordError(now, isErr)
@@ -191,6 +199,9 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 						cm.rec.Errors++
 					}
 				case state == core.Stale && !cm.connected:
+					// Disconnected operation (§5.6): continue on the expired
+					// copy. Not a hit (the item is expired), frequently an
+					// error.
 					isErr := c.oracle.IsError(item, entry.Version)
 					c.m.RecordAccess(now, false)
 					c.m.RecordError(now, isErr)
@@ -199,21 +210,28 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 						cm.rec.Errors++
 					}
 				case !cm.connected:
+					// Disconnected miss: the read is unsatisfiable.
 					c.m.RecordAccess(now, false)
 					c.m.RecordUnavailable(now)
 					cm.rec.Unavailable++
 				default:
+					// Connected miss or expired copy: fetch from the server.
 					need = append(need, rd)
 				}
 			}
 			cm.need = need
 			cm.pc = cmLocalDone
+			// Local accesses are microseconds each; charge them in one hold
+			// so the kernel dispatches one event per query instead of one
+			// per read.
 			if localDelay > 0 {
 				m.Hold(localDelay)
-				return
+				return false
 			}
 
 		case cmLocalDone:
+			// Reads covered by the broadcast program are answered from the
+			// air; only the rest go point-to-point.
 			fromAir := c.scratchAir[:0]
 			if c.bcast != nil && cm.connected {
 				pull := cm.need[:0] // in-place filter: pull lags the read cursor
@@ -233,6 +251,11 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 				cm.need = pull
 			}
 			cm.fromAir = fromAir
+			// Cooperative lookup: ask cell peers for valid copies before
+			// paying the server round trip — one probe/reply exchange on the
+			// shared channels under the attached fault models, single
+			// attempt (a failed exchange falls back to the server; the
+			// reliability layer's retries apply only to the server trip).
 			cm.peerRadio = false
 			if c.peerScan > 0 && cm.connected && len(cm.need) > 0 {
 				if c.planPeerFetch(m.Now(), cm.need) {
@@ -246,7 +269,7 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 
 		case cmPeerUp:
 			if !c.up.SendStep(m, &cm.send, c.peerProbeBytes) {
-				return
+				return false
 			}
 			c.energyJoules += network.TxEnergy(c.peerProbeBytes)
 			if transmit(c.upFaults, m.Now()) != network.FrameDelivered {
@@ -258,7 +281,7 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 
 		case cmPeerDown:
 			if !c.down.SendStep(m, &cm.send, c.peerReplyBytes) {
-				return
+				return false
 			}
 			outcome := transmit(c.downFaults, m.Now())
 			if outcome != network.FrameLost {
@@ -296,9 +319,11 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 			}
 			cm.pc = cmUpSend
 
+		// Perfect channel: existent list upstream, server processing, reply
+		// downstream, then cache the returned items.
 		case cmUpSend:
 			if !c.up.SendStep(m, &cm.send, cm.reqBytes) {
-				return
+				return false
 			}
 			c.energyJoules += network.TxEnergy(cm.reqBytes)
 			cm.call.Begin(cm.req)
@@ -307,26 +332,35 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 		case cmSrv:
 			rep, done := cm.call.Step(m)
 			if !done {
-				return
+				return false
 			}
 			cm.items = rep.Items
 			cm.pc = cmDown
 
 		case cmDown:
 			if !c.down.SendDeferredStep(m, &cm.send, cm.shedPlainFn) {
-				return
+				return false
 			}
 			c.installReply(m.Now(), cm.need, cm.items)
 			cm.rec.ReplyBytes = cm.replyBytes
 			cm.pc = cmAir
 
+		// Reliability layer: the round trip is attempted up to 1+MaxRetries
+		// times; frames lost or corrupted on either channel cost the
+		// attempt, the client waits out the remainder of its timeout, backs
+		// off exponentially with jitter, and retransmits. The whole request
+		// is retried, so a reply lost downstream makes the server process
+		// (and possibly update) the same query again — retransmission is
+		// not idempotent, just like a real stateless datagram exchange.
+		// When every attempt fails the query is served from stale cache
+		// copies via serveDegraded.
 		case cmFaultAttempt:
 			cm.deadline = m.Now() + c.requestTimeout(cm.reqBytes)
 			cm.pc = cmFaultUp
 
 		case cmFaultUp:
 			if !c.up.SendStep(m, &cm.send, cm.reqBytes) {
-				return
+				return false
 			}
 			c.energyJoules += network.TxEnergy(cm.reqBytes)
 			if transmit(c.upFaults, m.Now()) == network.FrameDelivered {
@@ -339,7 +373,7 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 		case cmFaultSrv:
 			rep, done := cm.call.Step(m)
 			if !done {
-				return
+				return false
 			}
 			cm.items = rep.Items
 			cm.delivered = 0
@@ -347,7 +381,7 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 
 		case cmFaultDown:
 			if !c.down.SendDeferredStep(m, &cm.send, cm.shedFaultyFn) {
-				return
+				return false
 			}
 			switch transmit(c.downFaults, m.Now()) {
 			case network.FrameDelivered:
@@ -367,9 +401,12 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 			cm.pc = cmFaultTimeout
 
 		case cmFaultTimeout:
+			// The attempt failed somewhere; the client detects it when its
+			// timeout expires (or immediately, if the exchange already
+			// overran the timeout while queueing).
 			cm.pc = cmFaultExpired
 			if m.Now() < cm.deadline && m.HoldUntil(cm.deadline) {
-				return
+				return false
 			}
 
 		case cmFaultExpired:
@@ -394,8 +431,12 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 			// Jitter in [0.5, 1.5)× the nominal delay decorrelates the
 			// retransmissions of clients that lost frames in the same burst.
 			m.Hold(backoff * (0.5 + c.retryRnd.Float64()))
-			return
+			return false
 
+		// Broadcast air: wait for each item's next slot on the broadcast
+		// channel (in delivery order, so the total wait is at most one
+		// revolution) and cache the copies. A broadcast copy is valid for
+		// one cycle: the next revolution would refresh it.
 		case cmAir:
 			if len(cm.fromAir) == 0 {
 				cm.pc = cmDone
@@ -415,7 +456,7 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 			}
 			cm.pc = cmAirRecv
 			if m.HoldUntil(c.bcast.NextDelivery(cm.fromAir[cm.airIdx], m.Now())) {
-				return
+				return false
 			}
 
 		case cmAirRecv:
@@ -447,6 +488,7 @@ func (cm *clientMachine) Step(m *sim.Machine) {
 				c.tracer.Query(cm.rec)
 			}
 			cm.pc = cmArrive
+			return true
 		}
 	}
 }

@@ -1,13 +1,9 @@
 package client
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/oodb"
-	"repro/internal/server"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -86,89 +82,6 @@ func transmit(m *network.FaultModel, now float64) network.FaultOutcome {
 func (c *Client) requestTimeout(reqBytes int) float64 {
 	return c.retry.TimeoutSlack *
 		(c.up.TransferTime(reqBytes) + c.down.TransferTime(c.replyEstimate))
-}
-
-// fetchRemoteFaulty is fetchRemote under the reliability layer: the round
-// trip is attempted up to 1+MaxRetries times; frames lost or corrupted on
-// either channel cost the attempt, the client waits out the remainder of
-// its timeout, backs off exponentially with jitter, and retransmits. The
-// whole request is retried, so a reply lost downstream makes the server
-// process (and possibly update) the same query again — retransmission is
-// not idempotent, just like a real stateless datagram exchange.
-//
-// Returns ok = false when every attempt failed; the caller then serves the
-// query from stale cache copies via serveDegraded.
-func (c *Client) fetchRemoteFaulty(p *sim.Proc, q *workload.Query, need []workload.ReadOp,
-	existent int) (reqBytes, replyBytes, retries int, ok bool) {
-
-	req := server.Request{
-		ClientID:        c.id,
-		Granularity:     c.granularity,
-		Accesses:        q.Reads,
-		Need:            need,
-		ExistentEntries: existent,
-	}
-	reqBytes = req.WireSize()
-
-	for attempt := 0; ; attempt++ {
-		deadline := p.Now() + c.requestTimeout(reqBytes)
-
-		c.up.Send(p, reqBytes)
-		c.energyJoules += network.TxEnergy(reqBytes)
-		if transmit(c.upFaults, p.Now()) == network.FrameDelivered {
-			reply := c.srv.Process(p, req)
-			items := reply.Items
-			delivered := 0
-			c.down.SendDeferred(p, func(waited float64) int {
-				if c.shedThreshold > 0 && waited > c.shedThreshold {
-					kept := c.scratchKept[:0]
-					for _, it := range items {
-						if !it.Prefetched {
-							kept = append(kept, it)
-						}
-					}
-					c.shedItems += uint64(len(items) - len(kept))
-					c.scratchKept = kept
-					items = kept
-				}
-				delivered = server.WireSizeItems(items)
-				return delivered
-			})
-			switch transmit(c.downFaults, p.Now()) {
-			case network.FrameDelivered:
-				c.energyJoules += network.RxEnergy(delivered)
-				c.replyEstimate = delivered
-				c.installReply(p.Now(), need, items)
-				return reqBytes, delivered, retries, true
-			case network.FrameCorrupted:
-				// The frame arrived and was received in full before the CRC
-				// check rejected it: the radio energy is spent.
-				c.energyJoules += network.RxEnergy(delivered)
-			}
-			// FrameLost: nothing arrived, nothing received.
-		}
-
-		// The attempt failed somewhere; the client detects it when its
-		// timeout expires (or immediately, if the exchange already overran
-		// the timeout while queueing).
-		if p.Now() < deadline {
-			p.HoldUntil(deadline)
-		}
-		c.timeouts++
-		c.m.RecordTimeout(p.Now())
-		if attempt >= c.retry.MaxRetries {
-			return reqBytes, 0, retries, false
-		}
-		retries++
-		c.m.RecordRetry(p.Now())
-		backoff := c.retry.BackoffBase * math.Pow(2, float64(attempt))
-		if backoff > c.retry.BackoffMax {
-			backoff = c.retry.BackoffMax
-		}
-		// Jitter in [0.5, 1.5)× the nominal delay decorrelates the
-		// retransmissions of clients that lost frames in the same burst.
-		p.Hold(backoff * (0.5 + c.retryRnd.Float64()))
-	}
 }
 
 // serveDegraded answers the reads of a failed round trip from whatever the

@@ -49,34 +49,11 @@ const (
 	BurstyArrival
 )
 
-// Engine selects the execution engine for the client population. Both
-// engines produce byte-identical results (enforced by the differential
-// tests in engine_test.go); they differ only in mechanics and cost: procs
-// suspend a goroutine per client at every wait, the state-machine engine
-// re-enters a callback from the event heap with no goroutine, no channel
-// rendezvous, and no per-resume allocation — the difference between
-// thousands and millions of feasible clients.
-type Engine string
-
-const (
-	// EngineProcs runs each client as a goroutine-backed sim.Proc — the
-	// original engine and the default.
-	EngineProcs Engine = "procs"
-	// EngineSM runs each client as an inline state machine (sim.Machine)
-	// scheduled directly on the kernel's event heap.
-	EngineSM Engine = "sm"
-)
-
 // Config fully describes one simulation run. The zero value is completed by
 // Defaults to the paper's Table 1 settings.
 type Config struct {
 	Label string
 	Seed  uint64
-
-	// Engine selects how clients execute: EngineProcs (default) or
-	// EngineSM. Genuinely concurrent actors — server disk queues, channels,
-	// the invalidation broadcaster, fault models — are engine-independent.
-	Engine Engine
 
 	// Population and horizon.
 	NumObjects int
@@ -232,9 +209,6 @@ func ratioBuffer(ratio float64, n int) int {
 
 // Defaults returns cfg with every unset field filled from Table 1.
 func Defaults(cfg Config) Config {
-	if cfg.Engine == "" {
-		cfg.Engine = EngineProcs
-	}
 	if cfg.NumObjects == 0 {
 		cfg.NumObjects = oodb.DefaultNumObjects
 	}
@@ -718,14 +692,7 @@ func buildClients(env clientEnv, lo, hi int) ([]*client.Client, []*metrics.Clien
 			},
 		})
 		clients = append(clients, cl)
-		switch cfg.Engine {
-		case EngineSM:
-			cl.StartMachine()
-		case EngineProcs, "":
-			cl.Start()
-		default:
-			panic(fmt.Sprintf("experiment: unknown engine %q", cfg.Engine))
-		}
+		cl.Start()
 	}
 	// Cooperative lookup scopes to the cell: a client's peer group is
 	// exactly the clients sharing its channel pair.
@@ -737,7 +704,54 @@ func buildClients(env clientEnv, lo, hi int) ([]*client.Client, []*metrics.Clien
 	return clients, clientMetrics
 }
 
-// startBroadcaster spawns the invalidation-report broadcast process: every
+// reporter is the loop both invalidation-report broadcasters share: every
+// interval seconds, until the horizon, it calls report for the frame's
+// wire size, pays for the frame's airtime on ch, and then calls deliver at
+// the time the frame has been received.
+type reporter struct {
+	interval, horizon float64
+	ch                *network.Channel
+	report            func(now float64) (bytes int)
+	deliver           func(now float64)
+
+	pc    uint8
+	send  network.SendState
+	bytes int
+}
+
+// reporter phases.
+const (
+	rpWait   uint8 = iota // wait out the period
+	rpReport              // past the horizon? else assemble the frame
+	rpSend                // frame on the air; then deliver
+)
+
+// Step implements sim.Stepper.
+func (r *reporter) Step(m *sim.Machine) {
+	for {
+		switch r.pc {
+		case rpWait:
+			r.pc = rpReport
+			m.Hold(r.interval)
+			return
+		case rpReport:
+			if m.Now() > r.horizon {
+				m.Finish()
+				return
+			}
+			r.bytes = r.report(m.Now())
+			r.pc = rpSend
+		case rpSend:
+			if !r.ch.SendStep(m, &r.send, r.bytes) {
+				return
+			}
+			r.deliver(m.Now())
+			r.pc = rpWait
+		}
+	}
+}
+
+// startBroadcaster spawns the invalidation-report broadcast machine: every
 // ReportInterval seconds the server pushes a report over the shared
 // downlink (header plus one item reference per update since the previous
 // report) and every *connected* client applies it; disconnected clients
@@ -745,27 +759,23 @@ func buildClients(env clientEnv, lo, hi int) ([]*client.Client, []*metrics.Clien
 func startBroadcaster(k *sim.Kernel, cfg Config, srv *server.Server,
 	down *network.Channel, clients []*client.Client, schedules []*network.Schedule) {
 
-	horizon := cfg.Horizon()
-	k.Spawn("ir-broadcast", func(p *sim.Proc) {
-		var seq, lastUpdates uint64
-		for {
-			p.Hold(cfg.ReportInterval)
-			if p.Now() > horizon {
-				return
-			}
+	var seq, lastUpdates uint64
+	k.SpawnMachine("ir-broadcast", &reporter{
+		interval: cfg.ReportInterval, horizon: cfg.Horizon(), ch: down,
+		report: func(float64) int {
 			seq++
 			updates := srv.Stats().UpdatesApplied
 			delta := int(updates - lastUpdates)
 			lastUpdates = updates
-			size := network.HeaderSize + delta*(network.OIDSize+network.AttrRefSize)
-			down.Send(p, size)
-			now := p.Now()
+			return network.HeaderSize + delta*(network.OIDSize+network.AttrRefSize)
+		},
+		deliver: func(now float64) {
 			for i, cl := range clients {
 				if schedules[i].Connected(now) {
 					cl.ApplyInvalidationReport(now, seq)
 				}
 			}
-		}
+		},
 	})
 }
 
@@ -776,7 +786,7 @@ type irbState struct {
 	reportBytes uint64
 }
 
-// startIRBBroadcaster spawns the IR-over-broadcast process for one cell:
+// startIRBBroadcaster spawns the IR-over-broadcast machine for one cell:
 // every ReportInterval seconds it assembles the report naming the items
 // written during the trailing IRWindow (fed by the server's write
 // observer), pays for its airtime on the dedicated broadcast channel, and
@@ -784,26 +794,25 @@ type irbState struct {
 // per client against the channel's fault model in client order — a lost
 // or corrupted frame becomes MissIRBroadcast, the forced-revalidation
 // trigger. Disconnected clients simply have their radios off. All draws
-// happen inside the kernel process, so delivery outcomes are independent
-// of the execution engine and of -parallel.
+// happen inside the kernel's event loop, so delivery outcomes are
+// independent of -parallel.
 func startIRBBroadcaster(k *sim.Kernel, cfg Config, window *broadcast.UpdateWindow,
 	ch *network.Channel, faults *network.FaultModel,
 	clients []*client.Client, schedules []*network.Schedule) *irbState {
 
 	st := &irbState{}
-	horizon := cfg.Horizon()
-	k.Spawn("irb-broadcast", func(p *sim.Proc) {
-		for {
-			p.Hold(cfg.ReportInterval)
-			if p.Now() > horizon {
-				return
-			}
-			items := window.Report(p.Now())
-			size := broadcast.ReportBytes(len(items))
-			ch.Send(p, size)
+	var items []oodb.Item
+	var size int
+	k.SpawnMachine("irb-broadcast", &reporter{
+		interval: cfg.ReportInterval, horizon: cfg.Horizon(), ch: ch,
+		report: func(now float64) int {
+			items = window.Report(now)
+			size = broadcast.ReportBytes(len(items))
+			return size
+		},
+		deliver: func(now float64) {
 			st.reports++
 			st.reportBytes += uint64(size)
-			now := p.Now()
 			for i, cl := range clients {
 				if !schedules[i].Connected(now) {
 					continue
@@ -822,7 +831,7 @@ func startIRBBroadcaster(k *sim.Kernel, cfg Config, window *broadcast.UpdateWind
 					cl.MissIRBroadcast(now, cfg.ReportInterval, 0)
 				}
 			}
-		}
+		},
 	})
 	return st
 }

@@ -36,17 +36,14 @@ func exp10Schemes() []exp10Scheme {
 }
 
 // Exp10 — beyond the paper: coherence schemes head-to-head (lazy leases vs
-// broadcast invalidation reports vs cooperative caching). Three panels:
+// broadcast invalidation reports vs cooperative caching). Two panels:
 //
-//  1. engine parity under 10% frame loss — every scheme run on the Proc
-//     engine and the SM engine, printed as adjacent rows that must be
-//     identical (the TestEngineLockstep guarantee made visible);
-//  2. scheme x frame-loss sweep on a single cell. Lost report frames
+//  1. scheme x frame-loss sweep on a single cell. Lost report frames
 //     force broadcast-IR clients to revalidate whole caches; lost probe
 //     or reply frames make cooperative lookups fall back to the server —
 //     the loss axis is where the schemes differentiate;
-//  3. scheme x fleet size on the SM engine, with the IR air traffic and
-//     peer-hit rate the schemes buy their coherence with.
+//  2. scheme x fleet size, with the IR air traffic and peer-hit rate the
+//     schemes buy their coherence with.
 //
 // The lease rows are the paper's baseline control: every panel reads as
 // "what does each push/peer scheme add over §3.2 leases".
@@ -99,30 +96,7 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 		return pct(float64(res.PeerHits) / float64(probes))
 	}
 
-	// Panel 1: engine parity per scheme under loss. Identical row pairs are
-	// the acceptance criterion: both engines walk the same kernel heap with
-	// the same draws, including the IR reception and peer-exchange faults.
-	const parityLoss = 0.1
-	tblP := NewTable(
-		fmt.Sprintf("Experiment #10 — engine parity per scheme (HC, loss=%g)", parityLoss),
-		"scheme", "engine", "hit %", "resp (s)", "err %", "revals", "peer hit %")
-	rep.Tables = append(rep.Tables, tblP)
-	for _, sch := range exp10Schemes() {
-		for _, engine := range []Engine{EngineProcs, EngineSM} {
-			cfg := merge(base, func(c *Config) {
-				prep(c)
-				sch.apply(c)
-				c.Label = fmt.Sprintf("exp10/parity/%s/engine=%s", sch.name, engine)
-				c.LossRate = parityLoss
-				c.Engine = engine
-			})
-			res := run(cfg)
-			tblP.Add(sch.name, string(engine), pct(res.HitRatio), secs(res.MeanResponse),
-				pct(res.ErrorRate), revals(res), peerPct(res))
-		}
-	}
-
-	// Panel 2: scheme x frame loss, single cell.
+	// Panel 1: scheme x frame loss, single cell.
 	tblL := NewTable(
 		"Experiment #10 — coherence schemes under frame loss (HC, single cell)",
 		"scheme", "loss %", "hit %", "resp (s)", "err %", "access err %", "revals", "peer hit %")
@@ -142,8 +116,9 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 		}
 	}
 
-	// Panel 3: scheme x fleet size on the SM engine. Broadcast IR runs one
-	// report channel per cell; cooperation scans cell-local peers only.
+	// Panel 2: scheme x fleet size. Broadcast IR runs one report channel per
+	// cell; cooperation scans cell-local peers only. The title keeps the
+	// engine's historical name ("SM"): archived manifests pin it.
 	tblF := NewTable(
 		"Experiment #10 — coherence schemes across fleet sizes (HC, SM engine)",
 		"scheme", "clients x cells", "hit %", "resp (s)", "err %", "IR MB", "peer hit %")
@@ -157,7 +132,6 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 				c.Label = fmt.Sprintf("exp10/%s/fleet=%dx%d", sch.name, clientsN, cells)
 				c.NumClients = clientsN
 				c.Cells = cells
-				c.Engine = EngineSM
 			})
 			res := run(cfg)
 			irMB := "-"

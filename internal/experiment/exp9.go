@@ -30,18 +30,10 @@ const (
 	exp9ThinMemBufObjects  = 4
 )
 
-// Exp9 — beyond the paper: million-client fleets on the state-machine
-// engine (ISSUE #7 tentpole payoff). Two panels:
-//
-//  1. engine parity at the smallest fleet — the same config run on the
-//     Proc engine and the SM engine, printed as adjacent rows. The rows
-//     must be identical; this is the differential guarantee
-//     (TestEngineLockstep) made visible in the report itself;
-//  2. fleet size sweep {10k, 100k, 1M} on the SM engine, which holds one
-//     inline state machine per client instead of one goroutine + resume
-//     channel per client. The Proc engine cannot reach the 1M point on
-//     one box (≈ millions of goroutine stacks plus channel rendezvous on
-//     every hold); the SM engine makes it a batch job.
+// Exp9 — beyond the paper: million-client fleets. One panel: fleet size
+// sweep {10k, 100k, 1M}. The engine holds one inline state machine per
+// client — a few dozen bytes of suspended state, no goroutine stack — which
+// is what makes the 1M point a batch job on one box.
 //
 // Wall-clock throughput is intentionally not a table column (same policy
 // as Exp8): tables carry only deterministic quantities, and mcsim reports
@@ -86,29 +78,8 @@ func exp9(base Config, fleets []int, cells int) *Report {
 	mb := func(bytes uint64) string { return fmt.Sprintf("%.4g", float64(bytes)/1e6) }
 	millions := func(n uint64) string { return fmt.Sprintf("%.4g", float64(n)/1e6) }
 
-	// Panel 1: engine parity at the smallest fleet. Identical rows are the
-	// acceptance criterion, not a hope: both engines schedule through the
-	// same kernel heap with the same sequence numbers.
-	parityFleet := fleets[0]
-	tblP := NewTable(
-		fmt.Sprintf("Experiment #9 — engine parity (%d clients, %d cells, HC)",
-			parityFleet, cells),
-		"engine", "hit %", "resp (s)", "err %", "backbone MB", "events (M)")
-	rep.Tables = append(rep.Tables, tblP)
-	for _, engine := range []Engine{EngineProcs, EngineSM} {
-		engine := engine
-		cfg := merge(base, func(c *Config) {
-			prep(c)
-			c.Label = fmt.Sprintf("exp9/engine=%s/fleet=%d", engine, parityFleet)
-			c.NumClients = parityFleet
-			c.Engine = engine
-		})
-		res := run(cfg)
-		tblP.Add(string(engine), pct(res.HitRatio), secs(res.MeanResponse),
-			pct(res.ErrorRate), mb(res.BackboneBytes), millions(res.Events))
-	}
-
-	// Panel 2: fleet size on the SM engine.
+	// The title keeps the engine's historical name ("SM"): archived
+	// manifests pin it.
 	tbl := NewTable(
 		fmt.Sprintf("Experiment #9 — fleet size on the SM engine (%d cells, HC)", cells),
 		"clients", "hit %", "resp (s)", "err %", "backbone MB", "events (M)")
@@ -119,7 +90,6 @@ func exp9(base Config, fleets []int, cells int) *Report {
 			prep(c)
 			c.Label = fmt.Sprintf("exp9/fleet=%d", fleet)
 			c.NumClients = fleet
-			c.Engine = EngineSM
 		})
 		res := run(cfg)
 		tbl.Add(fmt.Sprint(fleet), pct(res.HitRatio), secs(res.MeanResponse),

@@ -1,38 +1,9 @@
 package experiment
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// TestExp9ParityPanel runs a miniature Exp9 grid and checks the report's
-// own acceptance criterion: the engine-parity panel's two rows must be
-// identical in every column except the engine name.
-func TestExp9ParityPanel(t *testing.T) {
-	base := Config{Seed: 3, NumObjects: 400, Days: 0.02}
-	rep := exp9(base, []int{8, 16}, 2)
-
-	if len(rep.Tables) != 2 {
-		t.Fatalf("exp9 produced %d tables, want 2", len(rep.Tables))
-	}
-	parity := rep.Tables[0]
-	if len(parity.Rows) != 2 {
-		t.Fatalf("parity panel has %d rows, want 2", len(parity.Rows))
-	}
-	proc, sm := parity.Rows[0], parity.Rows[1]
-	if proc[0] != string(EngineProcs) || sm[0] != string(EngineSM) {
-		t.Fatalf("parity rows mislabeled: %q, %q", proc[0], sm[0])
-	}
-	if !reflect.DeepEqual(proc[1:], sm[1:]) {
-		t.Fatalf("engines disagree in the parity panel:\nproc: %v\nsm:   %v", proc, sm)
-	}
-	if len(rep.Tables[1].Rows) != 2 {
-		t.Fatalf("fleet panel has %d rows, want 2", len(rep.Tables[1].Rows))
-	}
-}
-
-// TestExp9ParallelInvariance extends the Exp8 guarantee to the SM engine:
-// identical rendered tables with 1 worker and with 8.
+// TestExp9ParallelInvariance extends the Exp8 guarantee to the thin-client
+// fleet sweep: identical rendered tables with 1 worker and with 8.
 func TestExp9ParallelInvariance(t *testing.T) {
 	base := Config{Seed: 4, NumObjects: 400, Days: 0.02}
 	prev := SetDefaultWorkers(1)

@@ -1,0 +1,231 @@
+package experiment
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+
+	"repro/internal/coherence"
+	"repro/internal/core"
+	"repro/internal/trace"
+)
+
+// These goldens are the correctness gate for the execution engine. They
+// were recorded on the goroutine (Proc) engine at the last commit that
+// carried it — this file compiles there unchanged and `-update`
+// regenerates the identical testdata/golden_scenarios.json — and pin, per
+// scenario, the SHA-256 of every Result field except Config (metrics,
+// per-client snapshots, server stats with every oracle-checked error
+// count, channel utilizations, the kernel's event count) and of the query
+// trace CSV. They carry the proof the Proc-vs-machine lockstep suite used
+// to (hence the test's name): any change to the order of schedule calls on
+// the request path moves a hash.
+
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/golden_scenarios.json")
+
+const goldenFile = "testdata/golden_scenarios.json"
+
+// goldenHashes is one scenario's pinned fingerprint.
+type goldenHashes struct {
+	Result string `json:"result"`
+	Trace  string `json:"trace"`
+}
+
+type goldenCase struct {
+	name string
+	cfg  Config
+}
+
+// fuzzShape is the scenario family the retired engine fuzzer drew from;
+// its three seed tuples stay as golden cases.
+func fuzzShape(seed uint64, gran, disrupt uint8, shed, fleet bool) Config {
+	cfg := Config{
+		Seed: seed, Days: 0.02, NumClients: 4,
+		Granularity: core.Granularity(gran % 4),
+		UpdateProb:  0.2,
+	}
+	if shed {
+		cfg.ShedThreshold = 0.5
+	}
+	switch disrupt % 3 {
+	case 1:
+		cfg.LossRate = 0.2
+		cfg.CorruptRate = 0.05
+	case 2:
+		cfg.DisconnectedClients = 2
+		cfg.DisconnectHours = 6
+	}
+	if fleet {
+		cfg.Cells = 2
+	}
+	return cfg
+}
+
+// goldenCases sweeps the feature matrix: every wait point the client owns
+// (local holds, uplink, server staging, downlink with shedding, retry
+// timeouts and backoff, broadcast slots, peer probes, fleet backbone
+// relays) appears in at least one case.
+func goldenCases() []goldenCase {
+	return []goldenCase{
+		{"defaults-oc", Config{
+			Seed: 1, Days: 0.05, NumClients: 8,
+			Granularity: core.ObjectCaching, UpdateProb: 0.2,
+		}},
+		{"nc-no-store", Config{
+			Seed: 2, Days: 0.05, NumClients: 6,
+			Granularity: core.NoCache, UpdateProb: 0.5,
+		}},
+		{"hc-prefetch-shed", Config{
+			Seed: 3, Days: 0.05, NumClients: 8,
+			Granularity: core.HybridCaching, UpdateProb: 0.2,
+			ShedThreshold: 0.5, Arrival: BurstyArrival,
+		}},
+		{"faults-retry", Config{
+			Seed: 4, Days: 0.05, NumClients: 8,
+			Granularity: core.AttributeCaching, UpdateProb: 0.2,
+			LossRate: 0.15, CorruptRate: 0.05,
+			BurstFraction: 0.1, MeanBadSeconds: 30,
+		}},
+		{"invalidation-reports", Config{
+			Seed: 5, Days: 0.05, NumClients: 6,
+			Granularity: core.ObjectCaching, UpdateProb: 0.5,
+			Coherence:           coherence.InvalidationReportStrategy,
+			DisconnectedClients: 2, DisconnectHours: 6,
+		}},
+		{"broadcast-air", Config{
+			Seed: 6, Days: 0.05, NumClients: 8,
+			Granularity: core.AttributeCaching, UpdateProb: 0.2,
+			SharedHotObjects: 100, SharedHotProb: 0.7, BroadcastAttrs: 4,
+		}},
+		{"fixed-lease-disconnect", Config{
+			Seed: 7, Days: 0.05, NumClients: 8,
+			Granularity: core.ObjectCaching, UpdateProb: 0.2,
+			Coherence:           coherence.FixedLeaseStrategy,
+			FixedLease:          120,
+			DisconnectedClients: 3, DisconnectHours: 8,
+		}},
+		{"fleet-relay", Config{
+			Seed: 8, Days: 0.05, NumClients: 12, Cells: 4,
+			Granularity: core.HybridCaching, UpdateProb: 0.2,
+			RelayObjects: 50,
+		}},
+		{"fleet-faults", Config{
+			Seed: 9, Days: 0.05, NumClients: 8, Cells: 2,
+			Granularity: core.ObjectCaching, UpdateProb: 0.2,
+			LossRate: 0.1,
+		}},
+		{"irb-coherence", Config{
+			Seed: 10, Days: 0.05, NumClients: 8,
+			Granularity: core.HybridCaching, UpdateProb: 0.5,
+			Coherence: coherence.IRBroadcastStrategy,
+			LossRate:  0.2, CorruptRate: 0.05,
+		}},
+		{"irb-fleet-disconnect", Config{
+			Seed: 11, Days: 0.05, NumClients: 12, Cells: 3,
+			Granularity: core.ObjectCaching, UpdateProb: 0.5,
+			Coherence:           coherence.IRBroadcastStrategy,
+			DisconnectedClients: 4, DisconnectHours: 8,
+		}},
+		{"cooperative", Config{
+			Seed: 12, Days: 0.05, NumClients: 8,
+			Granularity: core.HybridCaching, UpdateProb: 0.2,
+			CoopPeers: 3,
+		}},
+		{"cooperative-faults", Config{
+			Seed: 13, Days: 0.05, NumClients: 10, Cells: 2,
+			Granularity: core.AttributeCaching, UpdateProb: 0.2,
+			CoopPeers: 4, LossRate: 0.15, CorruptRate: 0.05,
+		}},
+		{"irb-coop-combined", Config{
+			Seed: 14, Days: 0.05, NumClients: 8,
+			Granularity: core.HybridCaching, UpdateProb: 0.3,
+			Coherence: coherence.IRBroadcastStrategy, CoopPeers: 3,
+			LossRate: 0.1,
+		}},
+		// TestIRBroadcastMissedUnderBursts's scenario: outages longer than
+		// the IR window, so the forced-revalidation path fires.
+		{"irb-burst-outages", Config{
+			Seed: 9, Days: 0.2, NumClients: 6,
+			Granularity: core.ObjectCaching, UpdateProb: 0.5,
+			Coherence:     coherence.IRBroadcastStrategy,
+			BurstFraction: 0.3, MeanBadSeconds: 400,
+		}},
+		{"fuzz-seed-1", fuzzShape(1, 2, 0, false, false)},
+		{"fuzz-seed-42", fuzzShape(42, 3, 1, true, false)},
+		{"fuzz-seed-7", fuzzShape(7, 1, 2, false, true)},
+	}
+}
+
+// runGolden executes cfg with a CSV tracer attached and fingerprints the
+// outcome. Config is left out of the Result digest field by field (not
+// zeroed in place), so the digest does not depend on which fields Config
+// has.
+func runGolden(t *testing.T, cfg Config) goldenHashes {
+	t.Helper()
+	var buf bytes.Buffer
+	tr := trace.NewCSV(&buf)
+	cfg.Tracer = tr
+	res := RunFleet(cfg)
+	tr.Flush()
+	if res.QueriesIssued == 0 {
+		t.Fatal("golden run issued no queries — the scenario is vacuous")
+	}
+	h := sha256.New()
+	v := reflect.ValueOf(res)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "Config" {
+			fmt.Fprintf(h, "%s:%+v\n", name, v.Field(i).Interface())
+		}
+	}
+	return goldenHashes{
+		Result: fmt.Sprintf("%x", h.Sum(nil)),
+		Trace:  fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())),
+	}
+}
+
+// TestEngineLockstep holds the engine in lockstep with the fingerprints
+// recorded on the retired goroutine engine.
+func TestEngineLockstep(t *testing.T) {
+	if *updateGoldens {
+		got := make(map[string]goldenHashes)
+		for _, tc := range goldenCases() {
+			got[tc.name] = runGolden(t, tc.cfg)
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatalf("read goldens (run with -update to create): %v", err)
+	}
+	var want map[string]goldenHashes
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", goldenFile, err)
+	}
+	if len(want) != len(goldenCases()) {
+		t.Fatalf("%s pins %d scenarios, the table has %d", goldenFile, len(want), len(goldenCases()))
+	}
+	for _, tc := range goldenCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			w, ok := want[tc.name]
+			if !ok {
+				t.Fatalf("no golden for %q (run with -update)", tc.name)
+			}
+			if got := runGolden(t, tc.cfg); got != w {
+				t.Errorf("fingerprint moved:\n got  %+v\n want %+v", got, w)
+			}
+		})
+	}
+}

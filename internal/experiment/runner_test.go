@@ -146,8 +146,8 @@ func TestParallelSerialEquivalenceReplicate(t *testing.T) {
 
 // TestNoGoroutineLeakPerConfig runs one simulation from every config
 // family of the evaluation and checks the goroutine count returns to
-// baseline after Run (which ends with Kernel.Drain) — no process goroutine
-// may outlive its run.
+// baseline after Run — the kernel starts none, and nothing else a run
+// touches (storage tier, observability) may leave one behind.
 func TestNoGoroutineLeakPerConfig(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"default":      func(c *Config) {},

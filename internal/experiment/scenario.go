@@ -177,21 +177,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithEngine selects the client execution engine: "procs" (goroutine
-// processes, the default) or "sm" (inline state machines on the event
-// heap). The two are byte-identical in results; "sm" is what makes
-// million-client fleets feasible.
-func WithEngine(engine string) Option {
-	return func(s *Scenario) error {
-		switch Engine(engine) {
-		case EngineProcs, EngineSM:
-			s.cfg.Engine = Engine(engine)
-			return nil
-		}
-		return fmt.Errorf("WithEngine(%q): %w", engine, ErrOutOfRange)
-	}
-}
-
 // WithHorizonDays sets the simulated duration in days (default 4, §5).
 func WithHorizonDays(days float64) Option {
 	return func(s *Scenario) error {

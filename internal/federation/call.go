@@ -8,17 +8,14 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the state-machine face of the contact server: contactCall
-// is Process/processRemote re-expressed as a resumable invocation for
-// clients running on the sim.Machine engine. Every wait point — the home
-// and remote servers' staging (via server.Call), the backbone latency
-// holds, and the two backbone link transfers — performs the same schedule
-// calls in the same order as the Proc path, so a fleet simulation is
-// byte-identical whichever face serves the cell.
+// This file is the contact server's request path: the home partition is
+// served locally, remote partitions through the relay cache and the
+// backbone. The wait points are the home and remote servers' staging (via
+// server.Call), the backbone latency holds, and the two backbone link
+// transfers.
 
 // contactCall phases. The remote-partition loop (fcNext → fcLink →
-// fcRemote → fcBack → fcNext) visits owners in node order, exactly like
-// processRemote's caller.
+// fcRemote → fcBack → fcNext) visits owners in node order (determinism).
 const (
 	fcStart  uint8 = iota // split the request; arm the home sub-call
 	fcSingle              // single-node cluster: stepping the home call
@@ -29,17 +26,17 @@ const (
 	fcBack                // return-link transfer; fill relay; collect
 )
 
-// remotePart is one node's share of a split request (Process's local
-// `part`), kept as a field so its backing arrays persist across queries.
+// remotePart is one node's share of a split request, kept as a field so
+// its backing arrays persist across queries.
 type remotePart struct {
 	accesses []workload.ReadOp
 	need     []workload.ReadOp
 }
 
-// contactCall is the resumable form of (*ContactServer).Process. One call
-// is owned by one client and reused across its queries; the part/forward/
-// item buffers are recycled, which is safe because a client consumes each
-// reply before issuing its next request.
+// contactCall serves one client request at a cell's contact server. One
+// call is owned by one client and reused across its queries; the
+// part/forward/item buffers are recycled, which is safe because a client
+// consumes each reply before issuing its next request.
 type contactCall struct {
 	cs  *ContactServer
 	req server.Request
@@ -146,8 +143,9 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 				cc.pc = fcStart
 				return cc.out, true
 			}
-			// Relay cache scan for node cc.o — synchronous, before the
-			// backbone latency, mirroring processRemote's prologue.
+			// Relay cache: serve valid remote copies from the cell,
+			// forwarding only the rest. Prefetch decisions stay with the
+			// owner, so the relay only answers exact reads.
 			home := cs.home
 			need := cc.parts[cc.o].need
 			now := m.Now()
@@ -171,6 +169,8 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 				}
 				forward = cc.fwdBuf
 			}
+			// The owner must still see every access for its update model
+			// and heat tracking, even when the relay answered the reads.
 			cc.forward = forward
 			home.relayed += uint64(len(forward))
 			cc.pc = fcLink

@@ -11,6 +11,29 @@ import (
 	"repro/internal/workload"
 )
 
+// twice is a client machine that serves one request two times over.
+type twice struct {
+	call  server.RequestCall
+	req   server.Request
+	done  int
+	armed bool
+}
+
+func (c *twice) Step(m *sim.Machine) {
+	for c.done < 2 {
+		if !c.armed {
+			c.call.Begin(c.req)
+			c.armed = true
+		}
+		if _, done := c.call.Step(m); !done {
+			return // waiting on a disk, a backbone link, ...
+		}
+		c.armed = false
+		c.done++
+	}
+	m.Finish()
+}
+
 // A two-cell federation over a range-partitioned database: the contact
 // server in cell 0 owns OIDs 0..49, so a read of OID 90 is relayed over
 // the backbone to node 1 and the reply is kept (with its lease) in the
@@ -33,10 +56,9 @@ func Example() {
 		Accesses:    []workload.ReadOp{{OID: 90, Attr: 0}},
 		Need:        []workload.ReadOp{{OID: 90, Attr: 0}},
 	}
-	k.Spawn("client", func(p *sim.Proc) {
-		contact.Process(p, req) // cold: forwarded to the owner
-		contact.Process(p, req) // warm: answered by the relay cache
-	})
+	// Serve the request twice — cold (forwarded to the owner), then warm
+	// (answered by the relay cache).
+	k.SpawnMachine("client", &twice{call: contact.NewCall(), req: req})
 	k.RunAll()
 
 	hits, misses, relayed := cluster.RelayStats(0)

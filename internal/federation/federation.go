@@ -23,7 +23,6 @@ import (
 	"repro/internal/replacement"
 	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Backbone defaults: a fixed inter-server network is orders of magnitude
@@ -256,123 +255,5 @@ type ContactServer struct {
 	home    *node
 }
 
-var _ interface {
-	Process(p *sim.Proc, req server.Request) server.Reply
-	Oracle() *coherence.Oracle
-	NewCall() server.RequestCall
-} = (*ContactServer)(nil)
-
 // Oracle exposes the global perfect-knowledge oracle.
 func (cs *ContactServer) Oracle() *coherence.Oracle { return cs.cluster.oracle }
-
-// Process serves one client request: the home partition locally, remote
-// partitions through the relay cache and backbone.
-func (cs *ContactServer) Process(p *sim.Proc, req server.Request) server.Reply {
-	c := cs.cluster
-	if len(c.nodes) == 1 {
-		return cs.home.srv.Process(p, req)
-	}
-
-	// Split the request by owning node.
-	type part struct {
-		accesses []workload.ReadOp
-		need     []workload.ReadOp
-	}
-	parts := make([]part, len(c.nodes))
-	for _, rd := range req.Accesses {
-		o := c.Owner(rd.OID)
-		parts[o].accesses = append(parts[o].accesses, rd)
-	}
-	for _, rd := range req.Need {
-		o := c.Owner(rd.OID)
-		parts[o].need = append(parts[o].need, rd)
-	}
-
-	var out server.Reply
-
-	// Home partition: evaluated exactly as the single-server system.
-	homeReq := req
-	homeReq.Accesses = parts[cs.home.id].accesses
-	homeReq.Need = parts[cs.home.id].need
-	if len(homeReq.Accesses) > 0 || len(homeReq.Need) > 0 {
-		rep := cs.home.srv.Process(p, homeReq)
-		out.Items = append(out.Items, rep.Items...)
-	}
-
-	// Remote partitions, in node order (determinism).
-	for o := range parts {
-		if o == cs.home.id {
-			continue
-		}
-		pt := parts[o]
-		if len(pt.accesses) == 0 && len(pt.need) == 0 {
-			continue
-		}
-		out.Items = append(out.Items, cs.processRemote(p, req, o, pt.accesses, pt.need)...)
-	}
-	return out
-}
-
-// processRemote serves the portion of a request owned by remote node o.
-func (cs *ContactServer) processRemote(p *sim.Proc, req server.Request, o int,
-	accesses, need []workload.ReadOp) []server.ReplyItem {
-
-	c := cs.cluster
-	home, remote := cs.home, c.nodes[o]
-	now := p.Now()
-
-	// Relay cache: serve valid remote copies from the cell, forwarding
-	// only the rest. Prefetch decisions stay with the owner, so the relay
-	// only answers exact reads.
-	var served []server.ReplyItem
-	forward := need
-	if home.relay != nil {
-		forward = need[:0:0]
-		for _, rd := range need {
-			it := core.CoverItem(req.Granularity, rd.OID, rd.Attr)
-			if e, st := home.relay.Lookup(it, now); st == core.Hit {
-				home.relayHits++
-				served = append(served, server.ReplyItem{
-					Item:    it,
-					Version: e.Version,
-					Refresh: e.ExpiresAt - now,
-				})
-				continue
-			}
-			home.relayMisses++
-			forward = append(forward, rd)
-		}
-	}
-
-	// The owner must still see every access for its update model and heat
-	// tracking, even when the relay answered the reads.
-	home.relayed += uint64(len(forward))
-	link, back := home.links[o], remote.links[cs.home.id]
-
-	// Relay request over the backbone.
-	p.Hold(c.latency)
-	link.Send(p, network.RequestSize(len(accesses)-len(forward)))
-	remoteReq := req
-	remoteReq.Accesses = accesses
-	remoteReq.Need = forward
-	rep := remote.srv.Process(p, remoteReq)
-	p.Hold(c.latency)
-	back.Send(p, rep.WireSize())
-
-	// Fill the relay cache with what came back (leases included).
-	if home.relay != nil && len(rep.Items) > 0 {
-		batch := make([]core.BatchEntry, 0, len(rep.Items))
-		for _, item := range rep.Items {
-			batch = append(batch, core.BatchEntry{
-				Item: item.Item,
-				Entry: core.Entry{
-					Version:   item.Version,
-					ExpiresAt: p.Now() + item.Refresh,
-					FetchedAt: p.Now(),
-				},
-			})
-		}
-		home.relay.InsertBatch(batch, p.Now())
-	}
-	return append(served, rep.Items...)
-}

@@ -24,9 +24,71 @@ func newCluster(t *testing.T, servers, relayObjects int) (*sim.Kernel, *oodb.Dat
 	return k, db, c
 }
 
-func exec(k *sim.Kernel, fn func(p *sim.Proc)) {
-	k.Spawn("test", fn)
+// op is one statement of a test script. It is re-entered at every wake of
+// the script's machine until it reports done.
+type op func(m *sim.Machine) (done bool)
+
+// script is a machine that runs its statements in order.
+type script struct{ ops []op }
+
+func (s *script) Step(m *sim.Machine) {
+	for len(s.ops) > 0 {
+		if !s.ops[0](m) {
+			return
+		}
+		s.ops = s.ops[1:]
+	}
+	m.Finish()
+}
+
+// exec runs the statements as one simulated client until the kernel is
+// idle.
+func exec(k *sim.Kernel, ops ...op) {
+	k.SpawnMachine("test", &script{ops: ops})
 	k.RunAll()
+}
+
+// outcome is what one request statement observed.
+type outcome struct {
+	items int     // reply items
+	took  float64 // virtual seconds from Begin to the reply
+}
+
+// request serves req through call and, when out is non-nil, records what
+// came back.
+func request(call server.RequestCall, req server.Request, out *outcome) op {
+	armed, start := false, 0.0
+	return func(m *sim.Machine) bool {
+		if !armed {
+			armed, start = true, m.Now()
+			call.Begin(req)
+		}
+		rep, done := call.Step(m)
+		if done && out != nil {
+			*out = outcome{items: len(rep.Items), took: m.Now() - start}
+		}
+		return done
+	}
+}
+
+func hold(d float64) op {
+	held := false
+	return func(m *sim.Machine) bool {
+		if held {
+			return true
+		}
+		held = true
+		m.Hold(d)
+		return false
+	}
+}
+
+func holdUntil(t float64) op {
+	return func(m *sim.Machine) bool { return !m.HoldUntil(t) }
+}
+
+func do(fn func()) op {
+	return func(*sim.Machine) bool { fn(); return true }
 }
 
 func readsOn(oids ...int) []workload.ReadOp {
@@ -63,34 +125,28 @@ func TestOwnerPartition(t *testing.T) {
 
 func TestSingleNodeDelegates(t *testing.T) {
 	k, _, c := newCluster(t, 1, 0)
-	cs := c.Contact(0)
-	var rep server.Reply
-	exec(k, func(p *sim.Proc) {
-		rep = cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(1, 2),
-			Need:        readsOn(1, 2),
-		})
-	})
-	if len(rep.Items) != 2 {
-		t.Fatalf("reply items = %d", len(rep.Items))
+	var rep outcome
+	exec(k, request(c.Contact(0).NewCall(), server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(1, 2),
+		Need:        readsOn(1, 2),
+	}, &rep))
+	if rep.items != 2 {
+		t.Fatalf("reply items = %d", rep.items)
 	}
 }
 
 func TestRemoteReadsAreRelayed(t *testing.T) {
 	k, _, c := newCluster(t, 4, 0)
-	cs := c.Contact(0)
-	var rep server.Reply
-	exec(k, func(p *sim.Proc) {
-		// OIDs 1 (home) and 80 (node 3).
-		rep = cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(1, 80),
-			Need:        readsOn(1, 80),
-		})
-	})
-	if len(rep.Items) != 2 {
-		t.Fatalf("reply items = %d, want 2", len(rep.Items))
+	var rep outcome
+	// OIDs 1 (home) and 80 (node 3).
+	exec(k, request(c.Contact(0).NewCall(), server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(1, 80),
+		Need:        readsOn(1, 80),
+	}, &rep))
+	if rep.items != 2 {
+		t.Fatalf("reply items = %d, want 2", rep.items)
 	}
 	if c.Node(0).Stats().QueriesServed != 1 || c.Node(3).Stats().QueriesServed != 1 {
 		t.Fatal("home and owner nodes should each have served one request")
@@ -107,18 +163,13 @@ func TestRemoteReadsAreRelayed(t *testing.T) {
 func TestRemoteCostsBackboneTime(t *testing.T) {
 	run := func(oid int) float64 {
 		k, _, c := newCluster(t, 4, 0)
-		cs := c.Contact(0)
-		var elapsed float64
-		exec(k, func(p *sim.Proc) {
-			start := p.Now()
-			cs.Process(p, server.Request{
-				Granularity: core.AttributeCaching,
-				Accesses:    readsOn(oid),
-				Need:        readsOn(oid),
-			})
-			elapsed = p.Now() - start
-		})
-		return elapsed
+		var rep outcome
+		exec(k, request(c.Contact(0).NewCall(), server.Request{
+			Granularity: core.AttributeCaching,
+			Accesses:    readsOn(oid),
+			Need:        readsOn(oid),
+		}, &rep))
+		return rep.took
 	}
 	local := run(1)
 	remote := run(80)
@@ -132,30 +183,23 @@ func TestRemoteCostsBackboneTime(t *testing.T) {
 
 func TestRelayCacheServesRepeats(t *testing.T) {
 	k, _, c := newCluster(t, 2, 10)
-	cs := c.Contact(0)
+	call := c.Contact(0).NewCall()
 	req := server.Request{
 		Granularity: core.AttributeCaching,
 		Accesses:    readsOn(90),
 		Need:        readsOn(90),
 	}
-	var first, second float64
-	exec(k, func(p *sim.Proc) {
-		start := p.Now()
-		cs.Process(p, req)
-		first = p.Now() - start
-		start = p.Now()
-		rep := cs.Process(p, req)
-		second = p.Now() - start
-		if len(rep.Items) != 1 {
-			t.Errorf("second reply items = %d", len(rep.Items))
-		}
-	})
+	var first, second outcome
+	exec(k, request(call, req, &first), request(call, req, &second))
+	if second.items != 1 {
+		t.Errorf("second reply items = %d", second.items)
+	}
 	hits, misses, _ := c.RelayStats(0)
 	if hits != 1 || misses != 1 {
 		t.Fatalf("relay hits/misses = %d/%d, want 1/1", hits, misses)
 	}
-	if second >= first {
-		t.Fatalf("relay-cached read (%v) not faster than cold (%v)", second, first)
+	if second.took >= first.took {
+		t.Fatalf("relay-cached read (%v) not faster than cold (%v)", second.took, first.took)
 	}
 	// The owner still saw both requests (update model/heat), but the
 	// second shipped nothing.
@@ -167,30 +211,28 @@ func TestRelayCacheServesRepeats(t *testing.T) {
 func TestRelayCacheRespectsLeases(t *testing.T) {
 	k, db, c := newCluster(t, 2, 10)
 	// Give object 90's attribute 0 a write history so leases are short.
-	cs := c.Contact(0)
-	exec(k, func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			db.Write(90, 0)
-			c.Node(1).Process(p, server.Request{
+	owner, contact := c.Node(1).NewCall(), c.Contact(0).NewCall()
+	var ops []op
+	for i := 0; i < 4; i++ {
+		ops = append(ops,
+			do(func() { db.Write(90, 0) }),
+			request(owner, server.Request{
 				Granularity: core.AttributeCaching,
 				Accesses:    readsOn(90),
-			})
-			p.Hold(10)
-		}
-		// Prime the relay cache.
-		cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(90),
-			Need:        readsOn(90),
-		})
+			}, nil),
+			hold(10))
+	}
+	fetch := server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(90),
+		Need:        readsOn(90),
+	}
+	ops = append(ops,
+		request(contact, fetch, nil), // prime the relay cache
 		// Far past the ~10s lease, the relay must refetch, not serve stale.
-		p.Hold(1000)
-		cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(90),
-			Need:        readsOn(90),
-		})
-	})
+		hold(1000),
+		request(contact, fetch, nil))
+	exec(k, ops...)
 	hits, _, _ := c.RelayStats(0)
 	if hits != 0 {
 		t.Fatalf("relay served %d stale hits", hits)
@@ -224,14 +266,11 @@ func TestUpdatesApplyAtOwner(t *testing.T) {
 	k = sim.NewKernel()
 	db = oodb.New(oodb.Config{NumObjects: 100, RelSeed: 1})
 	c = New(Config{Kernel: k, DB: db, NumServers: 2, Seed: 3, UpdateProb: 1})
-	cs := c.Contact(0)
-	exec(k, func(p *sim.Proc) {
-		cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(1, 90),
-			Need:        readsOn(1, 90),
-		})
-	})
+	exec(k, request(c.Contact(0).NewCall(), server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(1, 90),
+		Need:        readsOn(1, 90),
+	}, nil))
 	if db.AttrVersion(1, 0) != 1 || db.AttrVersion(90, 0) != 1 {
 		t.Fatalf("updates not applied at both partitions: v1=%d v90=%d",
 			db.AttrVersion(1, 0), db.AttrVersion(90, 0))

@@ -84,12 +84,36 @@ func (c *Cluster) NewRoamer(m *MobilitySchedule) *Roamer {
 // Oracle exposes the global perfect-knowledge oracle.
 func (r *Roamer) Oracle() *coherence.Oracle { return r.cluster.oracle }
 
-// Process routes the request via the current cell's contact server.
-func (r *Roamer) Process(p *sim.Proc, req server.Request) server.Reply {
-	cell := r.mobility.CellAt(p.Now())
-	r.served[cell]++
-	return r.cluster.Contact(cell).Process(p, req)
+// NewCall returns a resumable call that routes each request via the
+// contact server of the cell the client occupies when the request starts;
+// see server.RequestCall.
+func (r *Roamer) NewCall() server.RequestCall {
+	rc := &roamingCall{roamer: r, cells: make([]server.RequestCall, len(r.cluster.nodes))}
+	for i := range rc.cells {
+		rc.cells[i] = r.cluster.Contact(i).NewCall()
+	}
+	return rc
 }
+
+// roamingCall holds one contact-server call per cell and steps the one
+// the current request started in.
+type roamingCall struct {
+	roamer *Roamer
+	cells  []server.RequestCall
+	cur    server.RequestCall
+}
+
+// Begin arms the call for one request at the client's current cell; see
+// server.RequestCall.
+func (rc *roamingCall) Begin(req server.Request) {
+	cell := rc.roamer.mobility.CellAt(rc.roamer.cluster.kernel.Now())
+	rc.roamer.served[cell]++
+	rc.cur = rc.cells[cell]
+	rc.cur.Begin(req)
+}
+
+// Step advances request processing; see server.RequestCall.Step.
+func (rc *roamingCall) Step(m *sim.Machine) (server.Reply, bool) { return rc.cur.Step(m) }
 
 // ServedByCell reports how many requests each cell's contact server
 // handled for this client.

@@ -4,9 +4,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/network"
+	"repro/internal/replacement"
 	"repro/internal/server"
-	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestMobilityCellAt(t *testing.T) {
@@ -60,11 +64,12 @@ func TestRoamerRoutesByTime(t *testing.T) {
 		Accesses:    readsOn(1), // owned by node 0
 		Need:        readsOn(1),
 	}
-	exec(k, func(p *sim.Proc) {
-		roamer.Process(p, req) // t≈0: cell 0, local read
-		p.HoldUntil(2000)
-		roamer.Process(p, req) // t=2000: cell 1, relayed read
-	})
+	call := roamer.NewCall()
+	exec(k,
+		request(call, req, nil), // t≈0: cell 0, local read
+		holdUntil(2000),
+		request(call, req, nil), // t=2000: cell 1, relayed read
+	)
 	served := roamer.ServedByCell()
 	if served[0] != 1 || served[1] != 1 {
 		t.Fatalf("ServedByCell = %v", served)
@@ -86,18 +91,39 @@ func TestRoamerHandoffChangesCost(t *testing.T) {
 		Accesses:    readsOn(2),
 		Need:        readsOn(2),
 	}
-	var before, after float64
-	exec(k, func(p *sim.Proc) {
-		start := p.Now()
-		roamer.Process(p, req)
-		before = p.Now() - start
-		p.HoldUntil(5000)
-		start = p.Now()
-		roamer.Process(p, req)
-		after = p.Now() - start
-	})
-	if after <= before {
-		t.Fatalf("post-handoff read (%v) not slower than home read (%v)", after, before)
+	var before, after outcome
+	call := roamer.NewCall()
+	exec(k, request(call, req, &before), holdUntil(5000), request(call, req, &after))
+	if after.took <= before.took {
+		t.Fatalf("post-handoff read (%v) not slower than home read (%v)", after.took, before.took)
+	}
+}
+
+// TestRoamingClient runs a whole mobile client against a Roamer backend:
+// its requests reach cell 0's contact server before the handoff and cell
+// 1's after it.
+func TestRoamingClient(t *testing.T) {
+	k, db, c := newCluster(t, 2, 0)
+	roamer := c.NewRoamer(NewMobilitySchedule(0, []float64{5000}, []int{1}))
+	m := &metrics.Client{}
+	client.New(client.Config{
+		Kernel: k, Server: roamer,
+		Up:          network.NewChannel(k, "up", network.WirelessBandwidthBps),
+		Down:        network.NewChannel(k, "down", network.WirelessBandwidthBps),
+		Granularity: core.AttributeCaching, Policy: replacement.NewLRU(),
+		Gen: workload.NewQueryGen(workload.QueryGenConfig{
+			Kind: workload.Associative, Heat: workload.NewSkewedHeat(100, 1), DB: db, Selectivity: 5,
+		}),
+		Arrival: workload.NewPoisson(0.01),
+		Metrics: m, Seed: 1, Horizon: 10000,
+	}).Start()
+	k.RunAll()
+	served := roamer.ServedByCell()
+	if served[0] == 0 || served[1] == 0 {
+		t.Fatalf("ServedByCell = %v, want requests in both cells", served)
+	}
+	if _, _, remote, _ := m.Queries(); served[0]+served[1] != remote {
+		t.Fatalf("roamer served %d requests, client made %d round trips", served[0]+served[1], remote)
 	}
 }
 

@@ -89,27 +89,59 @@ func (c *Channel) TransferTime(bytes int) float64 {
 	return float64(bytes) * 8 / c.bandwidth
 }
 
-// Send occupies the channel for the transfer duration of a message of the
-// given size, queueing FCFS behind other senders.
-func (c *Channel) Send(p *sim.Proc, bytes int) {
-	c.res.Use(p, c.TransferTime(bytes))
-	c.bytesSent += uint64(bytes)
-	c.messages++
+// SendState holds the progress of one resumable channel send. The zero
+// value is ready to use; a completed send resets it so the same state can
+// drive the next transfer. Callers embed one per concurrently-outstanding
+// send (a client has at most one).
+type SendState struct {
+	pc    uint8
+	bytes int
+	start float64
 }
 
-// SendDeferred queues for the channel and, once at the head of the queue,
-// calls sizeFn with the time spent waiting to learn the message size —
-// then transfers it. It implements the paper's timeout heuristic (§5.3):
-// a reply that has queued too long can be shrunk (prefetched items shed)
-// at the moment delivery begins.
-func (c *Channel) SendDeferred(p *sim.Proc, sizeFn func(waited float64) int) {
-	start := p.Now()
-	c.res.Acquire(p)
-	bytes := sizeFn(p.Now() - start)
-	p.Hold(c.TransferTime(bytes))
-	c.res.Release()
-	c.bytesSent += uint64(bytes)
-	c.messages++
+const (
+	sendAcquire uint8 = iota // next: acquire the channel
+	sendHold                 // acquired; next: hold the transfer time
+	sendDone                 // transfer done; next: release and account
+)
+
+// SendStep occupies the channel for the transfer duration of a message of
+// the given size, queueing FCFS behind other senders. It returns true when
+// the message has been fully delivered; false means the machine is waiting
+// (queued for the channel or mid-transfer) and must call SendStep again
+// from the Step that its wake triggers.
+func (c *Channel) SendStep(m *sim.Machine, st *SendState, bytes int) bool {
+	return c.SendDeferredStep(m, st, func(float64) int { return bytes })
+}
+
+// SendDeferredStep queues for the channel and, once at the head of the
+// queue, calls sizeFn with the time spent waiting to learn the message
+// size — then transfers it. It implements the paper's timeout heuristic
+// (§5.3): a reply that has queued too long can be shrunk (prefetched items
+// shed) at the moment delivery begins. Returns true when delivered; false
+// while waiting.
+func (c *Channel) SendDeferredStep(m *sim.Machine, st *SendState, sizeFn func(waited float64) int) bool {
+	for {
+		switch st.pc {
+		case sendAcquire:
+			st.start = m.Now()
+			st.pc = sendHold
+			if !c.res.AcquireCall(m) {
+				return false
+			}
+		case sendHold:
+			st.bytes = sizeFn(m.Now() - st.start)
+			st.pc = sendDone
+			m.Hold(c.TransferTime(st.bytes))
+			return false
+		case sendDone:
+			c.res.Release()
+			c.bytesSent += uint64(st.bytes)
+			c.messages++
+			st.pc = sendAcquire
+			return true
+		}
+	}
 }
 
 // Register wires the channel into an observability registry under the

@@ -33,15 +33,39 @@ func TestObjectTransferIsSlow(t *testing.T) {
 	}
 }
 
+// sendOnce is a machine that ships one message over c — bytes long, or
+// sized by sizeFn at delivery time when that is set — then calls done.
+type sendOnce struct {
+	c      *Channel
+	st     SendState
+	bytes  int
+	sizeFn func(waited float64) int
+	done   func(now float64)
+}
+
+func (s *sendOnce) Step(m *sim.Machine) {
+	var sent bool
+	if s.sizeFn != nil {
+		sent = s.c.SendDeferredStep(m, &s.st, s.sizeFn)
+	} else {
+		sent = s.c.SendStep(m, &s.st, s.bytes)
+	}
+	if !sent {
+		return
+	}
+	if s.done != nil {
+		s.done(m.Now())
+	}
+	m.Finish()
+}
+
 func TestChannelQueueing(t *testing.T) {
 	k := sim.NewKernel()
 	c := NewChannel(k, "down", 8) // 1 byte per second
 	var done []float64
 	for i := 0; i < 3; i++ {
-		k.Spawn("sender", func(p *sim.Proc) {
-			c.Send(p, 10)
-			done = append(done, p.Now())
-		})
+		k.SpawnMachine("sender", &sendOnce{c: c, bytes: 10,
+			done: func(now float64) { done = append(done, now) }})
 	}
 	k.RunAll()
 	want := []float64{10, 20, 30}
@@ -293,12 +317,10 @@ func TestSendDeferredNoWaitKeepsSize(t *testing.T) {
 	k := sim.NewKernel()
 	c := NewChannel(k, "down", 8) // 1 byte/sec
 	var gotWait float64 = -1
-	k.Spawn("p", func(p *sim.Proc) {
-		c.SendDeferred(p, func(waited float64) int {
-			gotWait = waited
-			return 10
-		})
-	})
+	k.SpawnMachine("p", &sendOnce{c: c, sizeFn: func(waited float64) int {
+		gotWait = waited
+		return 10
+	}})
 	k.RunAll()
 	if gotWait != 0 {
 		t.Fatalf("waited = %v, want 0 on an idle channel", gotWait)
@@ -316,12 +338,10 @@ func TestSendDeferredReportsQueueWait(t *testing.T) {
 	c := NewChannel(k, "down", 8)
 	var waits []float64
 	for i := 0; i < 3; i++ {
-		k.Spawn("p", func(p *sim.Proc) {
-			c.SendDeferred(p, func(waited float64) int {
-				waits = append(waits, waited)
-				return 10 // 10s transfer each
-			})
-		})
+		k.SpawnMachine("p", &sendOnce{c: c, sizeFn: func(waited float64) int {
+			waits = append(waits, waited)
+			return 10 // 10s transfer each
+		}})
 	}
 	k.RunAll()
 	want := []float64{0, 10, 20}
@@ -339,15 +359,14 @@ func TestSendDeferredShrinksTransfer(t *testing.T) {
 	c := NewChannel(k, "down", 8)
 	var done []float64
 	for i := 0; i < 2; i++ {
-		k.Spawn("p", func(p *sim.Proc) {
-			c.SendDeferred(p, func(waited float64) int {
+		k.SpawnMachine("p", &sendOnce{c: c,
+			sizeFn: func(waited float64) int {
 				if waited > 5 {
 					return 2 // shed: 2s transfer
 				}
 				return 10
-			})
-			done = append(done, p.Now())
-		})
+			},
+			done: func(now float64) { done = append(done, now) }})
 	}
 	k.RunAll()
 	if math.Abs(done[0]-10) > 1e-9 || math.Abs(done[1]-12) > 1e-9 {

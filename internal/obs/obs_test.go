@@ -113,6 +113,11 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// mutator adapts a closure to sim.Stepper.
+type mutator func(m *sim.Machine)
+
+func (f mutator) Step(m *sim.Machine) { f(m) }
+
 func TestSamplerOnVirtualTime(t *testing.T) {
 	k := sim.NewKernel()
 	r := New(10)
@@ -120,14 +125,19 @@ func TestSamplerOnVirtualTime(t *testing.T) {
 	r.Gauge("g", func() float64 { return v })
 	c := r.Counter("c")
 
-	// A process that bumps the observed state between ticks.
-	k.Spawn("mutator", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			p.Hold(10)
-			v = p.Now()
+	// A machine that bumps the observed state between ticks: ten times, 10 s
+	// apart.
+	k.SpawnMachine("mutator", mutator(func(m *sim.Machine) {
+		if m.Now() > 0 {
+			v = m.Now()
 			c.Add(1)
 		}
-	})
+		if m.Now() == 100 {
+			m.Finish()
+			return
+		}
+		m.Hold(10)
+	}))
 	r.Attach(k, 100)
 	k.RunAll()
 	k.Drain()

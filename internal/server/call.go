@@ -2,20 +2,19 @@ package server
 
 import "repro/internal/sim"
 
-// This file is the state-machine face of the server: Call is Process
-// re-expressed as a resumable invocation for clients running on the
-// sim.Machine engine. Every wait point of Process — the per-object memory
-// hold and the disk acquire/hold/release of stageObject — performs the
-// same schedule calls in the same order, and every counter and scratch
-// mutation happens at the same point in the event order, so a simulation
-// is byte-identical whichever face serves the request.
+// This file is the server's request path. Evaluating a request takes
+// simulated time — a memory hold per buffered object, a disk
+// acquire/hold/release per miss — so it is a resumable Call that a client
+// machine arms with Begin and advances with Step from its own wakes.
+// Transfer of request and reply over the wireless channels is the
+// caller's (client's) responsibility, matching the paper's point-to-point
+// flow.
 
-// RequestCall is a resumable request invocation for state-machine
-// clients. Begin arms the call with a request; Step advances it from the
-// machine's Step callback until it reports completion. A call is owned by
-// one client and reused across its requests (no per-query allocation
-// beyond what the Proc path itself performs). Both *Server (via NewCall)
-// and the federation contact server implement it.
+// RequestCall is a resumable request invocation. Begin arms the call with
+// a request; Step advances it from the machine's Step callback until it
+// reports completion. A call is owned by one client and reused across its
+// requests. Both *Server (via NewCall) and the federation contact server
+// implement it.
 type RequestCall interface {
 	// Begin arms the call for one request. The previous request's reply
 	// must have been consumed.
@@ -27,9 +26,10 @@ type RequestCall interface {
 	Step(m *sim.Machine) (Reply, bool)
 }
 
-// Call is the resumable form of (*Server).Process. The zero value is not
-// usable; obtain one from NewCall (fixed server) or drive it with Reset
-// (per-partition reuse, as the federation does).
+// Call evaluates one request against a server: stage the needed objects
+// through buffer/disk, apply the update model, and assemble the reply. The
+// zero value is not usable; obtain one from NewCall (fixed server) or
+// drive it with Reset (per-partition reuse, as the federation does).
 type Call struct {
 	srv *Server
 	req Request
@@ -66,11 +66,11 @@ func (c *Call) Reset(s *Server, req Request) {
 	c.pc = callStart
 }
 
-// Step advances request processing; see RequestCall.Step. The body mirrors
-// Process statement for statement: queriesServed/recordHeat/collectDistinct
-// up front, then stageObject per distinct OID (buffer hit → memory hold;
-// miss → disk acquire, hold, release, buffer insert), then applyUpdates
-// and assembleReply, which never wait.
+// Step advances request processing; see RequestCall.Step.
+// queriesServed/recordHeat/collectDistinct run up front; then every
+// distinct OID is brought into the memory buffer (buffer hit → memory
+// hold; miss → tier mirror, disk acquire, hold, release, buffer insert);
+// then applyUpdates and assembleReply, which never wait.
 func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 	s := c.srv
 	for {
@@ -86,6 +86,10 @@ func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 				sc = &reqScratch{}
 				s.scratch[c.req.ClientID] = sc
 			}
+			// Stage every object the query evaluates over. The server must
+			// read each qualified object to evaluate predicates and project
+			// attributes, whether or not the client ended up needing it
+			// shipped.
 			sc.order = s.collectDistinct(c.req.Accesses, sc.order[:0])
 			c.sc = sc
 			c.idx = 0
@@ -93,6 +97,9 @@ func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 
 		case callStage:
 			if c.idx >= len(c.sc.order) {
+				// Update model (§4, sixth dimension): each object accessed
+				// by the query is updated with probability U; all attributes
+				// the query selected on that object are modified.
 				s.applyUpdates(m.Now(), c.req, c.sc.order)
 				rep := s.assembleReply(c.req, c.sc)
 				c.pc = callStart
@@ -106,6 +113,9 @@ func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 				return Reply{}, false
 			}
 			s.diskReads++
+			if s.store != nil {
+				s.stageDurable(oid)
+			}
 			c.pc = callDiskHold
 			if !s.disk.AcquireCall(m) {
 				return Reply{}, false

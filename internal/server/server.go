@@ -152,28 +152,28 @@ type Server struct {
 	heat map[int]*clientHeat // per-client attribute access profile
 
 	// scratch holds per-client request buffers. Each client has at most one
-	// outstanding request, but Process yields at disk/memory Holds, so
-	// buffers that live across a yield (the staging order, the reply items)
-	// must not be shared between clients.
+	// outstanding request, but a Call waits at disk/memory holds, so buffers
+	// that live across a wait (the staging order, the reply items) must not
+	// be shared between clients.
 	scratch map[int]*reqScratch
 	// oidStamp/oidGen implement an O(1)-reset "seen" set for distinct-OID
 	// collection; oidIdx records each OID's position in the latest
 	// collected order (valid only while oidStamp[oid] == oidGen). The maps
-	// are only touched between yields, so sharing them across clients is
+	// are only touched between waits, so sharing them across clients is
 	// safe.
 	oidStamp map[oodb.OID]uint64
 	oidIdx   map[oodb.OID]int32
 	oidGen   uint64
 	// attrBits holds per-distinct-OID shipped/updated attribute bitmaps,
 	// indexed in step with the current distinct-OID order (used only
-	// between yields).
+	// between waits).
 	attrBits []uint16
 	// prefetchBuf backs prefetchSet's result; consumed before the next call.
 	prefetchBuf []oodb.AttrID
 
 	// Persistent tier (nil when the run has none). storeKey/storeVal are
 	// reusable buffers for key rendering and lazy payload materialization;
-	// touched only between yields.
+	// touched only between waits.
 	store       StorageTier
 	storeKey    []byte
 	storeVal    []byte
@@ -267,55 +267,6 @@ func (s *Server) SetWriteObserver(fn func(it oodb.Item, now float64)) { s.writeL
 
 // DB exposes the underlying database (read-only use by the harness).
 func (s *Server) DB() *oodb.Database { return s.db }
-
-// Process evaluates one request inside process p: stage the needed objects
-// through buffer/disk, apply the update model, and assemble the reply.
-// Transfer of request and reply over the wireless channels is the caller's
-// (client's) responsibility, matching the paper's point-to-point flow.
-func (s *Server) Process(p *sim.Proc, req Request) Reply {
-	if !req.Granularity.Valid() {
-		panic("server: request with invalid granularity")
-	}
-	s.queriesServed++
-	s.recordHeat(req)
-
-	sc := s.scratch[req.ClientID]
-	if sc == nil {
-		sc = &reqScratch{}
-		s.scratch[req.ClientID] = sc
-	}
-
-	// Stage every object the query evaluates over. The server must read
-	// each qualified object to evaluate predicates and project attributes,
-	// whether or not the client ended up needing it shipped.
-	sc.order = s.collectDistinct(req.Accesses, sc.order[:0])
-	for _, oid := range sc.order {
-		s.stageObject(p, oid)
-	}
-
-	// Update model (§4, sixth dimension): each object accessed by the
-	// query is updated with probability U; all attributes the query
-	// selected on that object are modified.
-	s.applyUpdates(p.Now(), req, sc.order)
-
-	return s.assembleReply(req, sc)
-}
-
-// stageObject brings oid into the memory buffer, paying disk or memory
-// time.
-func (s *Server) stageObject(p *sim.Proc, oid oodb.OID) {
-	if _, hit := s.buf.Get(oid); hit {
-		s.bufferHits++
-		p.Hold(s.memSecPerObject)
-		return
-	}
-	s.diskReads++
-	if s.store != nil {
-		s.stageDurable(oid)
-	}
-	s.disk.Use(p, s.diskSecPerObject)
-	s.buf.Put(oid, struct{}{})
-}
 
 // stageDurable mirrors a buffer miss onto the persistent tier: read the
 // object's record, writing it on first touch (the tier fills lazily with
@@ -524,7 +475,7 @@ func (s *Server) PrefetchSet(clientID int) []oodb.AttrID { return s.prefetchSet(
 // collectDistinct appends the distinct OIDs in reads to out, preserving
 // first-seen order (determinism for update application and reply layout).
 // It bumps oidGen, so at most one collected order is "current" at a time;
-// callers that need the order across a yield keep the returned slice.
+// callers that need the order across a wait keep the returned slice.
 func (s *Server) collectDistinct(reads []workload.ReadOp, out []oodb.OID) []oodb.OID {
 	s.oidGen++
 	for _, rd := range reads {

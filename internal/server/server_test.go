@@ -27,10 +27,58 @@ func newTestServer(t *testing.T, cfg Config) (*sim.Kernel, *Server) {
 	return cfg.Kernel, New(cfg)
 }
 
-// run executes fn inside a simulation process and returns after RunAll.
-func run(k *sim.Kernel, fn func(p *sim.Proc)) {
-	k.Spawn("test", fn)
+// caller is a machine that serves reqs through one RequestCall in order,
+// idling gap seconds after each, and keeps a copy of every reply (a
+// reply's Items alias per-client scratch the next request overwrites).
+type caller struct {
+	call    RequestCall
+	reqs    []Request
+	gap     float64
+	replies []Reply
+	armed   bool
+}
+
+func (c *caller) Step(m *sim.Machine) {
+	for len(c.replies) < len(c.reqs) {
+		if !c.armed {
+			c.call.Begin(c.reqs[len(c.replies)])
+			c.armed = true
+		}
+		rep, done := c.call.Step(m)
+		if !done {
+			return
+		}
+		c.armed = false
+		c.replies = append(c.replies, Reply{Items: append([]ReplyItem(nil), rep.Items...)})
+		if c.gap > 0 {
+			m.Hold(c.gap)
+			return
+		}
+	}
+	m.Finish()
+}
+
+// serve runs reqs against s, one after the other, until the kernel is
+// idle, and returns the replies.
+func serve(k *sim.Kernel, s *Server, reqs ...Request) []Reply {
+	return serveEvery(k, s, 0, reqs...)
+}
+
+// serveEvery is serve with gap seconds of idle time after each request.
+func serveEvery(k *sim.Kernel, s *Server, gap float64, reqs ...Request) []Reply {
+	c := &caller{call: s.NewCall(), reqs: reqs, gap: gap}
+	k.SpawnMachine("test", c)
 	k.RunAll()
+	return c.replies
+}
+
+// repeat returns n copies of req.
+func repeat(req Request, n int) []Request {
+	out := make([]Request, n)
+	for i := range out {
+		out[i] = req
+	}
+	return out
 }
 
 func reads(oids ...int) []workload.ReadOp {
@@ -43,17 +91,14 @@ func reads(oids ...int) []workload.ReadOp {
 
 func TestACReplyOnlyNeededAttrs(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	var reply Reply
-	run(k, func(p *sim.Proc) {
-		reply = s.Process(p, Request{
-			ClientID:    1,
-			Granularity: core.AttributeCaching,
-			Accesses: []workload.ReadOp{
-				{OID: 1, Attr: 0}, {OID: 1, Attr: 1}, {OID: 2, Attr: 3},
-			},
-			Need: []workload.ReadOp{{OID: 2, Attr: 3}},
-		})
-	})
+	reply := serve(k, s, Request{
+		ClientID:    1,
+		Granularity: core.AttributeCaching,
+		Accesses: []workload.ReadOp{
+			{OID: 1, Attr: 0}, {OID: 1, Attr: 1}, {OID: 2, Attr: 3},
+		},
+		Need: []workload.ReadOp{{OID: 2, Attr: 3}},
+	})[0]
 	if len(reply.Items) != 1 {
 		t.Fatalf("reply has %d items, want 1", len(reply.Items))
 	}
@@ -65,19 +110,16 @@ func TestACReplyOnlyNeededAttrs(t *testing.T) {
 
 func TestOCReplyWholeObjects(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	var reply Reply
-	run(k, func(p *sim.Proc) {
-		reply = s.Process(p, Request{
-			ClientID:    1,
-			Granularity: core.ObjectCaching,
-			Accesses: []workload.ReadOp{
-				{OID: 1, Attr: 0}, {OID: 1, Attr: 5}, {OID: 2, Attr: 1},
-			},
-			Need: []workload.ReadOp{
-				{OID: 1, Attr: 0}, {OID: 1, Attr: 5}, {OID: 2, Attr: 1},
-			},
-		})
-	})
+	reply := serve(k, s, Request{
+		ClientID:    1,
+		Granularity: core.ObjectCaching,
+		Accesses: []workload.ReadOp{
+			{OID: 1, Attr: 0}, {OID: 1, Attr: 5}, {OID: 2, Attr: 1},
+		},
+		Need: []workload.ReadOp{
+			{OID: 1, Attr: 0}, {OID: 1, Attr: 5}, {OID: 2, Attr: 1},
+		},
+	})[0]
 	if len(reply.Items) != 2 {
 		t.Fatalf("reply has %d items, want 2 distinct objects", len(reply.Items))
 	}
@@ -93,17 +135,13 @@ func TestOCReplyBiggerThanAC(t *testing.T) {
 	var acSize, ocSize int
 	{
 		k, s := newTestServer(t, Config{})
-		run(k, func(p *sim.Proc) {
-			acSize = s.Process(p, Request{Granularity: core.AttributeCaching,
-				Accesses: need, Need: need}).WireSize()
-		})
+		acSize = serve(k, s, Request{Granularity: core.AttributeCaching,
+			Accesses: need, Need: need})[0].WireSize()
 	}
 	{
 		k, s := newTestServer(t, Config{})
-		run(k, func(p *sim.Proc) {
-			ocSize = s.Process(p, Request{Granularity: core.ObjectCaching,
-				Accesses: need, Need: need}).WireSize()
-		})
+		ocSize = serve(k, s, Request{Granularity: core.ObjectCaching,
+			Accesses: need, Need: need})[0].WireSize()
 	}
 	if ocSize <= acSize {
 		t.Fatalf("OC reply %dB <= AC reply %dB", ocSize, acSize)
@@ -112,13 +150,10 @@ func TestOCReplyBiggerThanAC(t *testing.T) {
 
 func TestEmptyNeedEmptyReply(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	var reply Reply
-	run(k, func(p *sim.Proc) {
-		reply = s.Process(p, Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    reads(1, 2),
-		})
-	})
+	reply := serve(k, s, Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    reads(1, 2),
+	})[0]
 	if len(reply.Items) != 0 {
 		t.Fatalf("reply items %v, want none", reply.Items)
 	}
@@ -127,14 +162,12 @@ func TestEmptyNeedEmptyReply(t *testing.T) {
 func TestUpdatesApplied(t *testing.T) {
 	db := oodb.New(oodb.Config{NumObjects: 50})
 	k, s := newTestServer(t, Config{DB: db, UpdateProb: 1, Seed: 3})
-	run(k, func(p *sim.Proc) {
-		s.Process(p, Request{
-			Granularity: core.AttributeCaching,
-			Accesses: []workload.ReadOp{
-				{OID: 7, Attr: 2}, {OID: 7, Attr: 4}, {OID: 9, Attr: 1},
-			},
-			Need: []workload.ReadOp{{OID: 7, Attr: 2}},
-		})
+	serve(k, s, Request{
+		Granularity: core.AttributeCaching,
+		Accesses: []workload.ReadOp{
+			{OID: 7, Attr: 2}, {OID: 7, Attr: 4}, {OID: 9, Attr: 1},
+		},
+		Need: []workload.ReadOp{{OID: 7, Attr: 2}},
 	})
 	if db.AttrVersion(7, 2) != 1 || db.AttrVersion(7, 4) != 1 {
 		t.Fatal("accessed attributes not updated with U=1")
@@ -153,12 +186,10 @@ func TestUpdatesApplied(t *testing.T) {
 func TestNoUpdatesWhenProbZero(t *testing.T) {
 	db := oodb.New(oodb.Config{NumObjects: 50})
 	k, s := newTestServer(t, Config{DB: db, UpdateProb: 0})
-	run(k, func(p *sim.Proc) {
-		s.Process(p, Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    reads(1, 2, 3),
-			Need:        reads(1),
-		})
+	serve(k, s, Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    reads(1, 2, 3),
+		Need:        reads(1),
 	})
 	if db.TotalWrites() != 0 {
 		t.Fatalf("writes applied with U=0: %d", db.TotalWrites())
@@ -168,19 +199,13 @@ func TestNoUpdatesWhenProbZero(t *testing.T) {
 func TestRefreshTimesShippedWithWrites(t *testing.T) {
 	db := oodb.New(oodb.Config{NumObjects: 50})
 	k, s := newTestServer(t, Config{DB: db, UpdateProb: 1, Seed: 1, Beta: 0})
-	var last Reply
-	run(k, func(p *sim.Proc) {
-		// Repeated queries on the same attr create a write stream; later
-		// replies must carry finite expiry.
-		for i := 0; i < 5; i++ {
-			last = s.Process(p, Request{
-				Granularity: core.AttributeCaching,
-				Accesses:    []workload.ReadOp{{OID: 3, Attr: 1}},
-				Need:        []workload.ReadOp{{OID: 3, Attr: 1}},
-			})
-			p.Hold(100)
-		}
-	})
+	// Repeated queries on the same attr create a write stream; later
+	// replies must carry finite expiry.
+	last := serveEvery(k, s, 100, repeat(Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    []workload.ReadOp{{OID: 3, Attr: 1}},
+		Need:        []workload.ReadOp{{OID: 3, Attr: 1}},
+	}, 5)...)[4]
 	if len(last.Items) != 1 {
 		t.Fatalf("items %v", last.Items)
 	}
@@ -196,15 +221,12 @@ func TestRefreshTimesShippedWithWrites(t *testing.T) {
 
 func TestBufferAndDiskAccounting(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	run(k, func(p *sim.Proc) {
-		req := Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    reads(1, 2),
-			Need:        reads(1, 2),
-		}
-		s.Process(p, req)
-		s.Process(p, req) // same objects: buffer hits
-	})
+	req := Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    reads(1, 2),
+		Need:        reads(1, 2),
+	}
+	serve(k, s, req, req) // second time, same objects: buffer hits
 	st := s.Stats()
 	if st.DiskReads != 2 {
 		t.Fatalf("DiskReads = %d, want 2", st.DiskReads)
@@ -219,16 +241,12 @@ func TestBufferAndDiskAccounting(t *testing.T) {
 
 func TestDiskTimeCharged(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	var elapsed float64
-	run(k, func(p *sim.Proc) {
-		start := p.Now()
-		s.Process(p, Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    reads(1),
-			Need:        reads(1),
-		})
-		elapsed = p.Now() - start
+	serve(k, s, Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    reads(1),
+		Need:        reads(1),
 	})
+	elapsed := k.Now()
 	want := float64(oodb.ObjectSize) * 8 / 40e6
 	if math.Abs(elapsed-want) > 1e-12 {
 		t.Fatalf("elapsed %v, want %v (one disk read)", elapsed, want)
@@ -237,15 +255,12 @@ func TestDiskTimeCharged(t *testing.T) {
 
 func TestHCPrefetchColdStart(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	var reply Reply
-	run(k, func(p *sim.Proc) {
-		reply = s.Process(p, Request{
-			ClientID:    1,
-			Granularity: core.HybridCaching,
-			Accesses:    []workload.ReadOp{{OID: 1, Attr: 0}},
-			Need:        []workload.ReadOp{{OID: 1, Attr: 0}},
-		})
-	})
+	reply := serve(k, s, Request{
+		ClientID:    1,
+		Granularity: core.HybridCaching,
+		Accesses:    []workload.ReadOp{{OID: 1, Attr: 0}},
+		Need:        []workload.ReadOp{{OID: 1, Attr: 0}},
+	})[0]
 	// Below prefetchMinSamples the prefetch set is empty: HC behaves as AC.
 	if len(reply.Items) != 1 || reply.Items[0].Prefetched {
 		t.Fatalf("cold-start HC reply %+v", reply.Items)
@@ -254,26 +269,20 @@ func TestHCPrefetchColdStart(t *testing.T) {
 
 func TestHCPrefetchAfterWarmup(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	var reply Reply
-	run(k, func(p *sim.Proc) {
-		// Warm the heat profile: client 1 hammers attributes 0 and 1.
-		warm := Request{
-			ClientID:    1,
-			Granularity: core.HybridCaching,
-			Accesses: []workload.ReadOp{
-				{OID: 1, Attr: 0}, {OID: 2, Attr: 0}, {OID: 3, Attr: 1},
-			},
-		}
-		for i := 0; i < 60; i++ {
-			s.Process(p, warm)
-		}
-		reply = s.Process(p, Request{
-			ClientID:    1,
-			Granularity: core.HybridCaching,
-			Accesses:    []workload.ReadOp{{OID: 9, Attr: 0}},
-			Need:        []workload.ReadOp{{OID: 9, Attr: 0}},
-		})
-	})
+	// Warm the heat profile: client 1 hammers attributes 0 and 1.
+	warm := Request{
+		ClientID:    1,
+		Granularity: core.HybridCaching,
+		Accesses: []workload.ReadOp{
+			{OID: 1, Attr: 0}, {OID: 2, Attr: 0}, {OID: 3, Attr: 1},
+		},
+	}
+	reply := serve(k, s, append(repeat(warm, 60), Request{
+		ClientID:    1,
+		Granularity: core.HybridCaching,
+		Accesses:    []workload.ReadOp{{OID: 9, Attr: 0}},
+		Need:        []workload.ReadOp{{OID: 9, Attr: 0}},
+	})...)[60]
 	set := s.PrefetchSet(1)
 	if len(set) == 0 {
 		t.Fatal("prefetch set empty after warmup")
@@ -306,17 +315,15 @@ func TestHCPrefetchAfterWarmup(t *testing.T) {
 
 func TestHCKappaControlsPrefetchBreadth(t *testing.T) {
 	warm := func(s *Server, k *sim.Kernel) {
-		run(k, func(p *sim.Proc) {
-			// Skewed profile: attr0 80%, attr1 20%.
-			var acc []workload.ReadOp
-			for i := 0; i < 80; i++ {
-				acc = append(acc, workload.ReadOp{OID: oodb.OID(i % 20), Attr: 0})
-			}
-			for i := 0; i < 20; i++ {
-				acc = append(acc, workload.ReadOp{OID: oodb.OID(i % 20), Attr: 1})
-			}
-			s.Process(p, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
-		})
+		// Skewed profile: attr0 80%, attr1 20%.
+		var acc []workload.ReadOp
+		for i := 0; i < 80; i++ {
+			acc = append(acc, workload.ReadOp{OID: oodb.OID(i % 20), Attr: 0})
+		}
+		for i := 0; i < 20; i++ {
+			acc = append(acc, workload.ReadOp{OID: oodb.OID(i % 20), Attr: 1})
+		}
+		serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
 	}
 	kLow, sLow := newTestServer(t, Config{PrefetchKappa: -2})
 	warm(sLow, kLow)
@@ -334,13 +341,11 @@ func TestHCKappaControlsPrefetchBreadth(t *testing.T) {
 
 func TestHeatIsolatedPerClient(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	run(k, func(p *sim.Proc) {
-		var acc []workload.ReadOp
-		for i := 0; i < 200; i++ {
-			acc = append(acc, workload.ReadOp{OID: 1, Attr: 0})
-		}
-		s.Process(p, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
-	})
+	var acc []workload.ReadOp
+	for i := 0; i < 200; i++ {
+		acc = append(acc, workload.ReadOp{OID: 1, Attr: 0})
+	}
+	serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
 	if set := s.PrefetchSet(2); set != nil {
 		t.Fatalf("client 2 inherited client 1's heat: %v", set)
 	}
@@ -367,17 +372,12 @@ func TestValidationPanics(t *testing.T) {
 	}
 	k := sim.NewKernel()
 	s := New(Config{Kernel: k, DB: oodb.New(oodb.Config{NumObjects: 10})})
-	k.Spawn("bad", func(p *sim.Proc) {
-		panicked := false
-		func() {
-			defer func() { panicked = recover() != nil }()
-			s.Process(p, Request{Granularity: core.Granularity(42)})
-		}()
-		if !panicked {
+	defer func() {
+		if recover() == nil {
 			t.Error("invalid granularity did not panic")
 		}
-	})
-	k.RunAll()
+	}()
+	serve(k, s, Request{Granularity: core.Granularity(42)})
 }
 
 func TestRequestWireSize(t *testing.T) {
@@ -389,14 +389,11 @@ func TestRequestWireSize(t *testing.T) {
 
 func TestNCReplyShipsWholeObjects(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	var reply Reply
-	run(k, func(p *sim.Proc) {
-		reply = s.Process(p, Request{
-			Granularity: core.NoCache,
-			Accesses:    reads(1, 2),
-			Need:        reads(1, 2),
-		})
-	})
+	reply := serve(k, s, Request{
+		Granularity: core.NoCache,
+		Accesses:    reads(1, 2),
+		Need:        reads(1, 2),
+	})[0]
 	if len(reply.Items) != 2 {
 		t.Fatalf("%d items", len(reply.Items))
 	}
@@ -409,16 +406,14 @@ func TestNCReplyShipsWholeObjects(t *testing.T) {
 
 func TestHeatIgnoresRelationshipAttrs(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	run(k, func(p *sim.Proc) {
-		var acc []workload.ReadOp
-		for i := 0; i < 200; i++ {
-			// Relationship slots (>= NumPrimAttrs) must not pollute the
-			// prefetch profile.
-			acc = append(acc, workload.ReadOp{OID: 1, Attr: oodb.NumPrimAttrs})
-			acc = append(acc, workload.ReadOp{OID: 1, Attr: 0})
-		}
-		s.Process(p, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
-	})
+	var acc []workload.ReadOp
+	for i := 0; i < 200; i++ {
+		// Relationship slots (>= NumPrimAttrs) must not pollute the
+		// prefetch profile.
+		acc = append(acc, workload.ReadOp{OID: 1, Attr: oodb.NumPrimAttrs})
+		acc = append(acc, workload.ReadOp{OID: 1, Attr: 0})
+	}
+	serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
 	for _, a := range s.PrefetchSet(1) {
 		if a >= oodb.NumPrimAttrs {
 			t.Fatalf("prefetch set contains relationship attr %d", a)
@@ -431,20 +426,16 @@ func TestHeatIgnoresRelationshipAttrs(t *testing.T) {
 
 func TestPrefetchMinSamplesBoundary(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	run(k, func(p *sim.Proc) {
-		acc := make([]workload.ReadOp, prefetchMinSamples-1)
-		for i := range acc {
-			acc[i] = workload.ReadOp{OID: oodb.OID(i % 50), Attr: 0}
-		}
-		s.Process(p, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
-	})
+	acc := make([]workload.ReadOp, prefetchMinSamples-1)
+	for i := range acc {
+		acc[i] = workload.ReadOp{OID: oodb.OID(i % 50), Attr: 0}
+	}
+	serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
 	if set := s.PrefetchSet(1); set != nil {
 		t.Fatalf("prefetch active below min samples: %v", set)
 	}
-	run(k, func(p *sim.Proc) {
-		s.Process(p, Request{ClientID: 1, Granularity: core.HybridCaching,
-			Accesses: []workload.ReadOp{{OID: 1, Attr: 0}}})
-	})
+	serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching,
+		Accesses: []workload.ReadOp{{OID: 1, Attr: 0}}})
 	if set := s.PrefetchSet(1); len(set) == 0 {
 		t.Fatal("prefetch still inactive at min samples")
 	}
@@ -455,14 +446,14 @@ func TestUpdateDeterminism(t *testing.T) {
 	runOnce := func() uint64 {
 		db := oodb.New(oodb.Config{NumObjects: 50})
 		k, s := newTestServer(t, Config{DB: db, UpdateProb: 0.5, Seed: 42})
-		run(k, func(p *sim.Proc) {
-			for i := 0; i < 20; i++ {
-				s.Process(p, Request{
-					Granularity: core.AttributeCaching,
-					Accesses:    reads(i%7, (i+1)%7),
-				})
-			}
-		})
+		var reqs []Request
+		for i := 0; i < 20; i++ {
+			reqs = append(reqs, Request{
+				Granularity: core.AttributeCaching,
+				Accesses:    reads(i%7, (i+1)%7),
+			})
+		}
+		serve(k, s, reqs...)
 		return db.TotalWrites()
 	}
 	if a, b := runOnce(), runOnce(); a != b || a == 0 {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/oodb"
-	"repro/internal/sim"
 )
 
 // fakeTier records the staging traffic the server sends to its persistent
@@ -44,20 +43,18 @@ func (f *fakeTier) Put(key string, value []byte) error {
 func TestStorageTierStaging(t *testing.T) {
 	tier := &fakeTier{data: map[string][]byte{}}
 	k, s := newTestServer(t, Config{BufferObjects: 1, Storage: tier})
-	run(k, func(p *sim.Proc) {
-		// Alternate two objects through a one-object buffer: every access
-		// is a buffer miss, so each object is staged twice.
-		for i := 0; i < 2; i++ {
-			for _, oid := range []int{1, 2} {
-				s.Process(p, Request{
-					ClientID:    1,
-					Granularity: core.ObjectCaching,
-					Accesses:    reads(oid),
-					Need:        reads(oid),
-				})
-			}
-		}
-	})
+	// Alternate two objects through a one-object buffer: every access is a
+	// buffer miss, so each object is staged twice.
+	var reqs []Request
+	for _, oid := range []int{1, 2, 1, 2} {
+		reqs = append(reqs, Request{
+			ClientID:    1,
+			Granularity: core.ObjectCaching,
+			Accesses:    reads(oid),
+			Need:        reads(oid),
+		})
+	}
+	serve(k, s, reqs...)
 	st := s.Stats()
 	if st.StoragePuts != 2 {
 		t.Fatalf("StoragePuts = %d, want 2 (one materialization per object)", st.StoragePuts)
@@ -89,11 +86,9 @@ func TestStorageTierPayloadDeterministic(t *testing.T) {
 	payload := func() []byte {
 		tier := &fakeTier{data: map[string][]byte{}}
 		k, s := newTestServer(t, Config{BufferObjects: 1, Storage: tier})
-		run(k, func(p *sim.Proc) {
-			s.Process(p, Request{
-				ClientID: 1, Granularity: core.ObjectCaching,
-				Accesses: reads(7), Need: reads(7),
-			})
+		serve(k, s, Request{
+			ClientID: 1, Granularity: core.ObjectCaching,
+			Accesses: reads(7), Need: reads(7),
 		})
 		return tier.data["o:7"]
 	}
@@ -108,13 +103,10 @@ func TestStorageTierPayloadDeterministic(t *testing.T) {
 func TestStorageTierErrorsCounted(t *testing.T) {
 	tier := &fakeTier{data: map[string][]byte{}, fail: errors.New("disk full")}
 	k, s := newTestServer(t, Config{BufferObjects: 1, Storage: tier})
-	var reply Reply
-	run(k, func(p *sim.Proc) {
-		reply = s.Process(p, Request{
-			ClientID: 1, Granularity: core.ObjectCaching,
-			Accesses: reads(3), Need: reads(3),
-		})
-	})
+	reply := serve(k, s, Request{
+		ClientID: 1, Granularity: core.ObjectCaching,
+		Accesses: reads(3), Need: reads(3),
+	})[0]
 	if len(reply.Items) != 1 {
 		t.Fatalf("request failed under tier error: %+v", reply)
 	}
@@ -128,11 +120,9 @@ func TestStorageTierErrorsCounted(t *testing.T) {
 // stay silent, preserving the paper-exact serving path.
 func TestNoStorageTierByDefault(t *testing.T) {
 	k, s := newTestServer(t, Config{})
-	run(k, func(p *sim.Proc) {
-		s.Process(p, Request{
-			ClientID: 1, Granularity: core.ObjectCaching,
-			Accesses: reads(1), Need: reads(1),
-		})
+	serve(k, s, Request{
+		ClientID: 1, Granularity: core.ObjectCaching,
+		Accesses: reads(1), Need: reads(1),
 	})
 	st := s.Stats()
 	if st.StorageGets != 0 || st.StoragePuts != 0 || st.StorageErrors != 0 {

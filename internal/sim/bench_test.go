@@ -10,8 +10,8 @@ import "testing"
 const benchEvents = 1024
 
 // BenchmarkKernelTimerWheel measures the pure future-event-list cost: one
-// callback event scheduled and dispatched per loop turn, no process
-// handoffs. This isolates heap push/pop and event storage.
+// callback event scheduled and dispatched per loop turn, no machine
+// steps. This isolates heap push/pop and event storage.
 func BenchmarkKernelTimerWheel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -30,7 +30,7 @@ func BenchmarkKernelTimerWheel(b *testing.B) {
 }
 
 // BenchmarkKernelTimerFanout schedules a full wave of timers up front and
-// drains them: worst-case heap depth, still no handoffs.
+// drains them: worst-case heap depth, still no machine steps.
 func BenchmarkKernelTimerFanout(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -46,72 +46,18 @@ func BenchmarkKernelTimerFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelHoldHandoff measures the full process-resume cost: one
-// goroutine handoff (kernel -> proc -> kernel) per event.
-func BenchmarkKernelHoldHandoff(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := NewKernel()
-		k.Spawn("p", func(p *Proc) {
-			for j := 0; j < benchEvents; j++ {
-				p.Hold(1)
-			}
-		})
-		k.RunAll()
-	}
-}
-
-// BenchmarkKernelManyProcs interleaves many short-lived processes — the
-// spawn/terminate path plus same-time FIFO ordering pressure.
-func BenchmarkKernelManyProcs(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := NewKernel()
-		for j := 0; j < 64; j++ {
-			k.SpawnAt(float64(j%7), "p", func(p *Proc) {
-				for h := 0; h < 16; h++ {
-					p.Hold(1)
-				}
-			})
-		}
-		k.RunAll()
-	}
-}
-
-// BenchmarkKernelResourceContention is the simulation's dominant pattern:
-// processes contending FCFS for a capacity-1 facility (the wireless
-// channel), with queueing statistics accruing.
+// BenchmarkKernelResourceFCFS is a finite contention episode, set-up
+// included: 32 staggered machines each taking a capacity-1 facility 8
+// times, with queueing statistics accruing.
 func BenchmarkKernelResourceFCFS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := NewKernel()
 		r := NewResource(k, "chan", 1)
 		for j := 0; j < 32; j++ {
-			k.SpawnAt(float64(j), "p", func(p *Proc) {
-				for h := 0; h < 8; h++ {
-					r.Use(p, 0.5)
-					p.Hold(0.1)
-				}
-			})
+			round := cat(use(r, 0.5), hold(0.1))
+			k.SpawnMachineAt(float64(j), "p", seq(round, round, round, round, round, round, round, round))
 		}
 		k.RunAll()
-	}
-}
-
-// BenchmarkKernelDrain measures Run-to-horizon plus Drain of suspended
-// processes — the per-run teardown cost the experiment sweep pays.
-func BenchmarkKernelDrain(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := NewKernel()
-		for j := 0; j < 64; j++ {
-			k.Spawn("p", func(p *Proc) {
-				for {
-					p.Hold(1)
-				}
-			})
-		}
-		k.Run(50)
-		k.Drain()
 	}
 }

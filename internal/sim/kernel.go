@@ -1,18 +1,19 @@
-// Package sim is a process-oriented discrete-event simulation kernel.
+// Package sim is a discrete-event simulation kernel.
 //
 // It is the substitute for CSIM, the proprietary simulation library the
 // paper's evaluation is built on. The modelling primitives mirror CSIM's:
 //
 //   - a Kernel owns the virtual clock and the future event list;
-//   - a Proc is a simulated process (one goroutine) that advances virtual
-//     time with Hold and contends for facilities with Resource;
+//   - a Machine is a simulated actor: a resumable state machine whose
+//     Step callback runs inline on the dispatch loop each time its wake
+//     event fires, advancing virtual time with Hold and contending for
+//     facilities with Resource;
 //   - a Resource is a FCFS facility (wireless channel, disk arm, ...) with
 //     fixed capacity, utilization accounting, and queue statistics.
 //
-// Determinism: although each process is a goroutine, exactly one goroutine
-// runs at any instant — the kernel resumes a process and then blocks until
-// that process yields (by holding, queueing on a resource, or terminating).
-// Events at equal timestamps are dispatched in schedule order. Simulations
+// Determinism: the kernel is single-threaded. Every actor step and timer
+// callback runs on the stack of whoever called Run, one at a time, and
+// events at equal timestamps are dispatched in schedule order. Simulations
 // are therefore exactly reproducible for a given seed, which the tests and
 // EXPERIMENTS.md rely on.
 //
@@ -22,24 +23,20 @@
 // interface conversion per event). The heap's backing array doubles as the
 // event free-list: pops only shrink the length, so the storage of retired
 // events is reused by subsequent pushes, and Drain keeps the capacity for
-// kernels that are reused across Run calls. Process handoffs use cap-1
-// channels; the strict alternation discipline means at most one token is
-// ever in flight per channel, so sends never block and each kernel<->proc
-// switch costs a single blocking rendezvous (the receive) instead of two.
+// kernels that are reused across Run calls. Resuming an actor is a method
+// call; a suspended one is a few dozen bytes of state, which is what makes
+// million-client fleets tractable.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// event is a future-event-list entry: "resume proc", "step machine", or
-// "call fn".
+// event is a future-event-list entry: "step machine" or "call fn".
 type event struct {
 	at   float64
 	seq  uint64 // schedule order; ties broken FIFO
-	proc *Proc
 	mach *Machine
 	gen  uint64 // machine wake generation; stale wakes are skipped
 	fn   func()
@@ -57,25 +54,16 @@ func (e *event) before(f *event) bool {
 // Kernel drives a single simulation run. The zero value is not usable;
 // construct with NewKernel.
 type Kernel struct {
-	now     float64
-	seq     uint64
-	events  []event // binary min-heap on (at, seq)
-	yield   chan struct{}
-	live    map[*Proc]struct{}
-	liveM   map[*Machine]struct{}
-	nsteps  uint64
-	procSeq uint64 // spawn sequence (procs and machines); orders Drain
+	now    float64
+	seq    uint64
+	events []event // binary min-heap on (at, seq)
+	liveM  map[*Machine]struct{}
+	nsteps uint64
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty event list.
 func NewKernel() *Kernel {
-	return &Kernel{
-		// cap 1: the kernel<->proc alternation keeps at most one token in
-		// flight, so yields never block the sender.
-		yield: make(chan struct{}, 1),
-		live:  make(map[*Proc]struct{}),
-		liveM: make(map[*Machine]struct{}),
-	}
+	return &Kernel{liveM: make(map[*Machine]struct{})}
 }
 
 // Now returns the current virtual time in seconds.
@@ -101,7 +89,7 @@ func (k *Kernel) push(ev event) {
 }
 
 // pop removes and returns the minimum event (sift-down). The vacated tail
-// slot is zeroed so retired closures and procs are collectable; the backing
+// slot is zeroed so retired closures and machines are collectable; the backing
 // array itself is retained as the free-list for future pushes.
 func (k *Kernel) pop() event {
 	h := k.events
@@ -130,25 +118,20 @@ func (k *Kernel) pop() event {
 	return min
 }
 
-// schedule appends an event to the future event list.
-func (k *Kernel) schedule(at float64, p *Proc, fn func()) {
+// schedule appends an event to the future event list: a wake of machine m
+// (stamped with its current wake generation) or, when m is nil, a call of
+// fn. One sequence counter orders both kinds, so machine steps and fn
+// timers interleave in one global FIFO order at equal times.
+func (k *Kernel) schedule(at float64, m *Machine, fn func()) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (at=%g, now=%g)", at, k.now))
 	}
 	k.seq++
-	k.push(event{at: at, seq: k.seq, proc: p, fn: fn})
-}
-
-// scheduleMachine appends a machine wake to the future event list. It
-// shares the sequence counter with schedule, so proc resumes, machine
-// steps, and fn timers interleave in one global FIFO order at equal
-// times — the property the two execution engines' byte-identity rests on.
-func (k *Kernel) scheduleMachine(at float64, m *Machine) {
-	if at < k.now {
-		panic(fmt.Sprintf("sim: scheduling into the past (at=%g, now=%g)", at, k.now))
+	ev := event{at: at, seq: k.seq, mach: m, fn: fn}
+	if m != nil {
+		ev.gen = m.wakeGen
 	}
-	k.seq++
-	k.push(event{at: at, seq: k.seq, mach: m, gen: m.wakeGen})
+	k.push(ev)
 }
 
 // After schedules fn to run at now+d in kernel context. fn must not block;
@@ -169,36 +152,8 @@ func (k *Kernel) At(t float64, fn func()) {
 	k.schedule(t, nil, fn)
 }
 
-// Spawn creates a process that starts at the current virtual time.
-// The body runs in its own goroutine but under the kernel's one-runnable
-// discipline; it may call Hold, Acquire, and friends.
-func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
-	return k.SpawnAt(k.now, name, body)
-}
-
-// SpawnAt creates a process that starts at virtual time t (clamped to now).
-func (k *Kernel) SpawnAt(t float64, name string, body func(*Proc)) *Proc {
-	if body == nil {
-		panic("sim: SpawnAt with nil body")
-	}
-	if t < k.now {
-		t = k.now
-	}
-	k.procSeq++
-	p := &Proc{
-		kernel: k,
-		name:   name,
-		body:   body,
-		seq:    k.procSeq,
-		resume: make(chan struct{}, 1),
-	}
-	k.live[p] = struct{}{}
-	k.schedule(t, p, nil)
-	return p
-}
-
 // Run dispatches events until the event list is empty or the clock would
-// pass `until`. It returns the final clock value. Processes still blocked
+// pass `until`. It returns the final clock value. Machines still waiting
 // when Run returns remain suspended; call Drain to terminate them.
 func (k *Kernel) Run(until float64) float64 {
 	for len(k.events) > 0 {
@@ -209,30 +164,15 @@ func (k *Kernel) Run(until float64) float64 {
 		ev := k.pop()
 		k.now = ev.at
 		k.nsteps++
-		switch {
-		case ev.fn != nil:
+		if ev.fn != nil {
 			ev.fn()
-		case ev.mach != nil:
-			// Machine step: runs inline on this stack. Stale wakes
-			// (superseded by a newer Hold or revoked by CancelWake) and
-			// wakes of finished/killed machines are skipped.
-			m := ev.mach
-			if m.done || m.killed || ev.gen != m.wakeGen {
-				continue
-			}
+			continue
+		}
+		// Machine step: runs inline on this stack. Stale wakes (superseded
+		// by a newer Hold or revoked by CancelWake) and wakes of
+		// finished/killed machines are skipped.
+		if m := ev.mach; m != nil && !m.done && !m.killed && ev.gen == m.wakeGen {
 			m.body.Step(m)
-		case ev.proc != nil:
-			p := ev.proc
-			if p.done || p.killed {
-				continue
-			}
-			if !p.started {
-				p.started = true
-				go p.run()
-			} else {
-				p.resume <- struct{}{}
-			}
-			<-k.yield
 		}
 	}
 	return k.now
@@ -241,48 +181,14 @@ func (k *Kernel) Run(until float64) float64 {
 // RunAll dispatches events until the event list is empty.
 func (k *Kernel) RunAll() float64 { return k.Run(math.Inf(1)) }
 
-// Drain terminates every live process and state machine. Suspended
-// processes are woken with a kill flag and unwind via a recovered panic;
-// processes that have not yet started are simply discarded. Machines are
-// killed in place — no unwind is needed because a suspended machine holds
-// no stack. Procs and machines are killed in one interleaved spawn order
-// (they share the spawn-sequence counter), so the side effects of
-// kill-unwind (deferred cleanup, resource releases) are reproducible run
-// to run regardless of engine mix. Call it once per simulation after Run
-// so no goroutines outlive the run.
+// Drain terminates every live machine and discards the future event
+// list. Machines are killed in place — a suspended machine holds no stack,
+// so there is nothing to unwind and the kill has no side effects. Call it
+// once per simulation after Run.
 func (k *Kernel) Drain() {
-	type victim struct {
-		seq  uint64
-		proc *Proc
-		mach *Machine
-	}
-	victims := make([]victim, 0, len(k.live)+len(k.liveM))
-	for p := range k.live {
-		victims = append(victims, victim{seq: p.seq, proc: p})
-	}
 	for m := range k.liveM {
-		victims = append(victims, victim{seq: m.seq, mach: m})
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, v := range victims {
-		if m := v.mach; m != nil {
-			if !m.done {
-				m.killed = true
-			}
-			delete(k.liveM, m)
-			continue
-		}
-		p := v.proc
-		if p.done {
-			delete(k.live, p)
-			continue
-		}
-		p.killed = true
-		if p.started {
-			p.resume <- struct{}{}
-			<-k.yield
-		}
-		delete(k.live, p)
+		m.killed = true
+		delete(k.liveM, m)
 	}
 	// Discard the remaining future events; the simulation is over. The
 	// backing array is kept (length 0) so a reused kernel starts with a
@@ -292,10 +198,6 @@ func (k *Kernel) Drain() {
 	}
 	k.events = k.events[:0]
 }
-
-// LiveProcs reports the number of processes that have been spawned and have
-// not yet terminated.
-func (k *Kernel) LiveProcs() int { return len(k.live) }
 
 // LiveMachines reports the number of state machines that have been spawned
 // and have not yet finished.

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -19,10 +18,7 @@ func TestClockStartsAtZero(t *testing.T) {
 func TestHoldAdvancesClock(t *testing.T) {
 	k := NewKernel()
 	var at float64
-	k.Spawn("p", func(p *Proc) {
-		p.Hold(5)
-		at = p.Now()
-	})
+	k.SpawnMachine("p", seq(hold(5), do(func() { at = k.Now() })))
 	k.RunAll()
 	if at != 5 {
 		t.Fatalf("time after Hold(5) = %v, want 5", at)
@@ -35,10 +31,7 @@ func TestHoldAdvancesClock(t *testing.T) {
 func TestNegativeHoldIsZero(t *testing.T) {
 	k := NewKernel()
 	var at float64
-	k.Spawn("p", func(p *Proc) {
-		p.Hold(-3)
-		at = p.Now()
-	})
+	k.SpawnMachine("p", seq(hold(-3), do(func() { at = k.Now() })))
 	k.RunAll()
 	if at != 0 {
 		t.Fatalf("time after Hold(-3) = %v, want 0", at)
@@ -48,16 +41,9 @@ func TestNegativeHoldIsZero(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	k.Spawn("a", func(p *Proc) {
-		p.Hold(3)
-		order = append(order, 3)
-	})
-	k.Spawn("b", func(p *Proc) {
-		p.Hold(1)
-		order = append(order, 1)
-		p.Hold(1)
-		order = append(order, 2)
-	})
+	note := func(i int) ops { return do(func() { order = append(order, i) }) }
+	k.SpawnMachine("a", seq(hold(3), note(3)))
+	k.SpawnMachine("b", seq(hold(1), note(1), hold(1), note(2)))
 	k.RunAll()
 	want := []int{1, 2, 3}
 	if !reflect.DeepEqual(order, want) {
@@ -70,11 +56,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	for _, name := range []string{"a", "b", "c", "d"} {
-		name := name
-		k.Spawn(name, func(p *Proc) {
-			p.Hold(10)
-			order = append(order, name)
-		})
+		k.SpawnMachine(name, seq(hold(10), do(func() { order = append(order, name) })))
 	}
 	k.RunAll()
 	want := []string{"a", "b", "c", "d"}
@@ -86,10 +68,7 @@ func TestSameTimeFIFO(t *testing.T) {
 func TestRunUntilStopsClock(t *testing.T) {
 	k := NewKernel()
 	reached := false
-	k.Spawn("p", func(p *Proc) {
-		p.Hold(100)
-		reached = true
-	})
+	k.SpawnMachine("p", seq(hold(100), do(func() { reached = true })))
 	end := k.Run(50)
 	if end != 50 {
 		t.Fatalf("Run(50) returned %v", end)
@@ -98,8 +77,8 @@ func TestRunUntilStopsClock(t *testing.T) {
 		t.Fatal("event beyond horizon was dispatched")
 	}
 	k.Drain()
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs after Drain = %d", k.LiveProcs())
+	if k.LiveMachines() != 0 {
+		t.Fatalf("LiveMachines after Drain = %d", k.LiveMachines())
 	}
 }
 
@@ -107,12 +86,8 @@ func TestRunResume(t *testing.T) {
 	// Run can be called again to continue past a checkpoint.
 	k := NewKernel()
 	var times []float64
-	k.Spawn("p", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Hold(10)
-			times = append(times, p.Now())
-		}
-	})
+	tick := cat(hold(10), do(func() { times = append(times, k.Now()) }))
+	k.SpawnMachine("p", seq(tick, tick, tick))
 	k.Run(15)
 	if len(times) != 1 {
 		t.Fatalf("after Run(15): %v", times)
@@ -149,22 +124,22 @@ func TestAtClampsToNow(t *testing.T) {
 func TestSpawnAtDelayedStart(t *testing.T) {
 	k := NewKernel()
 	var started float64 = -1
-	k.SpawnAt(42, "late", func(p *Proc) { started = p.Now() })
+	k.SpawnMachineAt(42, "late", seq(do(func() { started = k.Now() })))
 	k.RunAll()
 	if started != 42 {
-		t.Fatalf("late proc started at %v, want 42", started)
+		t.Fatalf("late machine started at %v, want 42", started)
 	}
 }
 
 func TestHoldUntil(t *testing.T) {
 	k := NewKernel()
 	var a, b float64
-	k.Spawn("p", func(p *Proc) {
-		p.HoldUntil(7)
-		a = p.Now()
-		p.HoldUntil(3) // past: no-op
-		b = p.Now()
-	})
+	k.SpawnMachine("p", seq(
+		holdUntil(7),
+		do(func() { a = k.Now() }),
+		holdUntil(3), // past: no-op
+		do(func() { b = k.Now() }),
+	))
 	k.RunAll()
 	if a != 7 || b != 7 {
 		t.Fatalf("a=%v b=%v, want 7,7", a, b)
@@ -185,47 +160,50 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestDrainKillsSuspendedProcs(t *testing.T) {
+	// A machine suspended in a hold is retired by Drain: it never steps
+	// again, even if the kernel is run further, and reports Done.
 	k := NewKernel()
-	cleanup := false
-	k.Spawn("p", func(p *Proc) {
-		defer func() { cleanup = true }()
-		p.Hold(1e9)
-	})
+	woke := false
+	m := k.SpawnMachine("p", seq(hold(1e9), do(func() { woke = true })))
 	k.Run(10)
 	k.Drain()
-	if !cleanup {
-		t.Fatal("deferred cleanup did not run on kill")
+	if k.LiveMachines() != 0 {
+		t.Fatalf("LiveMachines = %d after Drain", k.LiveMachines())
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after Drain", k.LiveProcs())
+	if !m.Done() {
+		t.Fatal("drained machine does not report Done")
+	}
+	k.RunAll()
+	if woke {
+		t.Fatal("killed machine stepped after Drain")
 	}
 }
 
 func TestDrainUnstartedProc(t *testing.T) {
 	k := NewKernel()
 	ran := false
-	k.SpawnAt(100, "never", func(p *Proc) { ran = true })
+	k.SpawnMachineAt(100, "never", seq(do(func() { ran = true })))
 	k.Run(10)
 	k.Drain()
+	k.RunAll()
 	if ran {
-		t.Fatal("unstarted proc body ran")
+		t.Fatal("unstarted machine body ran")
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d", k.LiveProcs())
+	if k.LiveMachines() != 0 {
+		t.Fatalf("LiveMachines = %d", k.LiveMachines())
 	}
 }
 
 func TestNestedSpawn(t *testing.T) {
 	k := NewKernel()
 	var childTime float64 = -1
-	k.Spawn("parent", func(p *Proc) {
-		p.Hold(5)
-		k.Spawn("child", func(c *Proc) {
-			c.Hold(2)
-			childTime = c.Now()
-		})
-		p.Hold(10)
-	})
+	k.SpawnMachine("parent", seq(
+		hold(5),
+		do(func() {
+			k.SpawnMachine("child", seq(hold(2), do(func() { childTime = k.Now() })))
+		}),
+		hold(10),
+	))
 	k.RunAll()
 	if childTime != 7 {
 		t.Fatalf("child finished at %v, want 7", childTime)
@@ -237,11 +215,7 @@ func TestManyProcsInterleave(t *testing.T) {
 	const n = 100
 	count := 0
 	for i := 0; i < n; i++ {
-		i := i
-		k.Spawn("p", func(p *Proc) {
-			p.Hold(float64(i % 7))
-			count++
-		})
+		k.SpawnMachine("p", seq(hold(float64(i%7)), do(func() { count++ })))
 	}
 	k.RunAll()
 	if count != n {
@@ -251,19 +225,16 @@ func TestManyProcsInterleave(t *testing.T) {
 
 func TestStepsCounter(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("p", func(p *Proc) {
-		p.Hold(1)
-		p.Hold(1)
-	})
+	k.SpawnMachine("p", seq(hold(1), hold(1)))
 	k.RunAll()
-	if k.Steps() < 3 { // spawn event + 2 holds
-		t.Fatalf("Steps() = %d, want >= 3", k.Steps())
+	if k.Steps() != 3 { // spawn event + 2 holds
+		t.Fatalf("Steps() = %d, want 3", k.Steps())
 	}
 }
 
 func TestRunAllInfinity(t *testing.T) {
 	k := NewKernel()
-	k.Spawn("p", func(p *Proc) { p.Hold(math.MaxFloat64 / 2) })
+	k.SpawnMachine("p", seq(hold(math.MaxFloat64/2)))
 	end := k.RunAll()
 	if end != math.MaxFloat64/2 {
 		t.Fatalf("end = %v", end)
@@ -278,14 +249,12 @@ func TestQuickClockMonotone(t *testing.T) {
 		last := -1.0
 		for i, h := range holds {
 			d := float64(h % 100)
-			i := i
-			k.SpawnAt(float64(i%5), "p", func(p *Proc) {
-				p.Hold(d)
-				if p.Now() < last {
+			k.SpawnMachineAt(float64(i%5), "p", seq(hold(d), do(func() {
+				if k.Now() < last {
 					ok = false
 				}
-				last = p.Now()
-			})
+				last = k.Now()
+			})))
 		}
 		k.RunAll()
 		return ok
@@ -296,30 +265,27 @@ func TestQuickClockMonotone(t *testing.T) {
 }
 
 func TestMixedSameTimeOrdering(t *testing.T) {
-	// Procs, After callbacks, and At callbacks scheduled for the same
-	// instant fire in schedule order, regardless of kind.
+	// Machine steps, After callbacks, and At callbacks scheduled for the
+	// same instant fire in schedule order, regardless of kind.
 	k := NewKernel()
 	var order []string
 	k.After(5, func() { order = append(order, "after") })
-	k.SpawnAt(5, "proc", func(p *Proc) { order = append(order, "proc") })
+	k.SpawnMachineAt(5, "machine", seq(do(func() { order = append(order, "machine") })))
 	k.At(5, func() { order = append(order, "at") })
 	k.RunAll()
-	want := []string{"after", "proc", "at"}
+	want := []string{"after", "machine", "at"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
 func TestCallbackSchedulesProc(t *testing.T) {
-	// A kernel-context callback can spawn processes and schedule further
+	// A kernel-context callback can spawn machines and schedule further
 	// callbacks.
 	k := NewKernel()
 	var at float64 = -1
 	k.After(2, func() {
-		k.Spawn("child", func(p *Proc) {
-			p.Hold(3)
-			at = p.Now()
-		})
+		k.SpawnMachine("child", seq(hold(3), do(func() { at = k.Now() })))
 	})
 	k.RunAll()
 	if at != 5 {
@@ -328,51 +294,21 @@ func TestCallbackSchedulesProc(t *testing.T) {
 }
 
 func TestManyProcsStress(t *testing.T) {
-	// A few thousand interleaving processes with resources: exercises the
-	// hand-off discipline at scale.
+	// A few thousand interleaving machines with resources: exercises the
+	// FCFS hand-off at scale.
 	k := NewKernel()
 	r := NewResource(k, "shared", 3)
 	const n = 2000
 	done := 0
 	for i := 0; i < n; i++ {
-		i := i
-		k.SpawnAt(float64(i%17), "p", func(p *Proc) {
-			r.Use(p, float64(i%5)+0.1)
-			done++
-		})
+		k.SpawnMachineAt(float64(i%17), "p", seq(use(r, float64(i%5)+0.1), do(func() { done++ })))
 	}
 	k.RunAll()
 	if done != n {
 		t.Fatalf("done = %d, want %d", done, n)
 	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d", k.LiveProcs())
-	}
-}
-
-func TestDrainKillOrderIsSpawnOrder(t *testing.T) {
-	// Drain must kill suspended processes in spawn order, not map order, so
-	// kill-unwind side effects (deferred cleanup, resource releases) are
-	// reproducible run to run.
-	for trial := 0; trial < 20; trial++ {
-		k := NewKernel()
-		var killed []int
-		for i := 0; i < 50; i++ {
-			k.Spawn("p", func(p *Proc) {
-				defer func() { killed = append(killed, i) }()
-				p.Hold(1e9)
-			})
-		}
-		k.Run(10)
-		k.Drain()
-		if len(killed) != 50 {
-			t.Fatalf("trial %d: killed %d procs, want 50", trial, len(killed))
-		}
-		for i, got := range killed {
-			if got != i {
-				t.Fatalf("trial %d: kill order %v, want spawn order", trial, killed)
-			}
-		}
+	if k.LiveMachines() != 0 {
+		t.Fatalf("LiveMachines = %d", k.LiveMachines())
 	}
 }
 
@@ -420,40 +356,22 @@ func TestHeapOrderRandomized(t *testing.T) {
 }
 
 func TestNoGoroutineLeakAfterDrain(t *testing.T) {
+	// The kernel is single-threaded: spawning, running and draining any
+	// number of machines starts no goroutine.
 	baseline := runtime.NumGoroutine()
 	for trial := 0; trial < 10; trial++ {
 		k := NewKernel()
 		r := NewResource(k, "chan", 1)
 		for i := 0; i < 100; i++ {
-			k.SpawnAt(float64(i%13), "p", func(p *Proc) {
-				for {
-					r.Use(p, 1)
-					p.Hold(0.5)
-				}
-			})
+			k.SpawnMachineAt(float64(i%13), "p", forever(use(r, 1), hold(0.5)))
 		}
 		k.Run(200)
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("trial %d: %d goroutines mid-run, baseline %d", trial, n, baseline)
+		}
 		k.Drain()
 	}
-	waitForGoroutines(t, baseline)
-}
-
-// waitForGoroutines polls until the goroutine count drops back to at most
-// baseline (process goroutines unwind asynchronously after Drain returns).
-func waitForGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.Gosched()
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines stuck above baseline %d (now %d):\n%s",
-				baseline, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(time.Millisecond)
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after Drain, baseline %d", n, baseline)
 	}
 }

@@ -1,34 +1,28 @@
 package sim
 
-// Machine is the goroutine-free counterpart of Proc: a simulated actor
-// expressed as a resumable state machine whose Step callback runs inline
-// in kernel context each time its wake event fires. Where resuming a Proc
-// costs a channel rendezvous and two goroutine switches, resuming a
-// Machine is a method call on the dispatch loop's own stack — no
-// goroutine, no channel, no per-resume allocation. That is what makes
-// million-client fleets tractable: a suspended Machine is a few dozen
-// bytes of state instead of a parked goroutine stack.
+// Machine is a simulated actor expressed as a resumable state machine: its
+// Step callback runs inline in kernel context each time its wake event
+// fires. Resuming a Machine is a method call on the dispatch loop's own
+// stack — no goroutine, no channel, no per-resume allocation — and a
+// suspended Machine is a few dozen bytes of state.
 //
-// The discipline mirrors Proc's exactly:
+// The discipline:
 //
 //   - at most one wake is pending per machine (Hold / HoldUntil /
 //     Resource grant all go through wake, and a newer wake supersedes any
 //     stale one via the generation counter);
 //   - Step must return promptly after arranging its next wake (or after
-//     Finish); it must never block;
-//   - machines share the kernel's spawn-sequence counter with procs, so
-//     Drain kills a mixed population in one deterministic spawn order.
+//     Finish); it must never block.
 //
-// Determinism contract: a Machine performing the same schedule calls in
-// the same order as an equivalent Proc produces byte-identical
-// simulations — both engines push events through the same future event
-// list with the same tie-break sequence numbers. DESIGN.md § Execution
-// engines spells out the wait-point correspondence.
+// Determinism contract: the order of schedule calls (Hold, HoldUntil,
+// AcquireCall, Release, After, At) fixes the simulation, because every
+// event carries the next value of one sequence counter and ties at equal
+// times dispatch in that order. DESIGN.md § Execution engine lists the
+// wait points of the client loop.
 type Machine struct {
 	kernel *Kernel
 	name   string
 	body   Stepper
-	seq    uint64 // spawn order, shared counter with Proc.seq
 	// wakeGen invalidates stale wake events: every wake bumps it and
 	// stamps the new event, so at most the latest wake fires. CancelWake
 	// bumps it without scheduling, revoking a pending timer outright.
@@ -51,9 +45,7 @@ func (k *Kernel) SpawnMachine(name string, body Stepper) *Machine {
 }
 
 // SpawnMachineAt creates a state machine whose first Step fires at
-// virtual time t (clamped to now). It is the Machine analogue of SpawnAt
-// and draws from the same spawn-sequence counter, so procs and machines
-// drain in one interleaved deterministic order.
+// virtual time t (clamped to now).
 func (k *Kernel) SpawnMachineAt(t float64, name string, body Stepper) *Machine {
 	if body == nil {
 		panic("sim: SpawnMachineAt with nil body")
@@ -61,8 +53,7 @@ func (k *Kernel) SpawnMachineAt(t float64, name string, body Stepper) *Machine {
 	if t < k.now {
 		t = k.now
 	}
-	k.procSeq++
-	m := &Machine{kernel: k, name: name, body: body, seq: k.procSeq}
+	m := &Machine{kernel: k, name: name, body: body}
 	k.liveM[m] = struct{}{}
 	m.wake(t)
 	return m
@@ -71,7 +62,7 @@ func (k *Kernel) SpawnMachineAt(t float64, name string, body Stepper) *Machine {
 // wake schedules (or replaces) the machine's pending Step at time at.
 func (m *Machine) wake(at float64) {
 	m.wakeGen++
-	m.kernel.scheduleMachine(at, m)
+	m.kernel.schedule(at, m, nil)
 }
 
 // Name returns the machine name given at spawn time.
@@ -83,8 +74,8 @@ func (m *Machine) Kernel() *Kernel { return m.kernel }
 // Now returns the current virtual time.
 func (m *Machine) Now() float64 { return m.kernel.now }
 
-// Hold arranges the next Step at now+d (negative d is treated as zero,
-// matching Proc.Hold). The caller must return from Step afterwards.
+// Hold arranges the next Step at now+d (negative d is treated as zero).
+// The caller must return from Step afterwards.
 func (m *Machine) Hold(d float64) {
 	if d < 0 {
 		d = 0
@@ -94,8 +85,7 @@ func (m *Machine) Hold(d float64) {
 
 // HoldUntil arranges the next Step at absolute time t and reports whether
 // a wake was scheduled. A t at or before the current time returns false
-// and schedules nothing — the machine continues inline, exactly where
-// Proc.HoldUntil returns without yielding.
+// and schedules nothing — the machine continues inline.
 func (m *Machine) HoldUntil(t float64) bool {
 	if t <= m.kernel.now {
 		return false
@@ -111,7 +101,7 @@ func (m *Machine) HoldUntil(t float64) bool {
 func (m *Machine) CancelWake() { m.wakeGen++ }
 
 // Finish terminates the machine: no further Steps fire and Drain skips
-// it. The Machine analogue of a Proc body returning.
+// it.
 func (m *Machine) Finish() {
 	if m.done {
 		return

@@ -1,144 +1,35 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
 
-// stepFunc adapts a closure to the Stepper interface for tests.
-type stepFunc func(m *Machine)
-
-func (f stepFunc) Step(m *Machine) { f(m) }
-
-// TestMachineHoldMirrorsProc drives the same hold pattern through a Proc
-// and a Machine and checks the dispatch traces (virtual times and step
-// counts) are identical — the core of the engines' byte-identity claim.
-func TestMachineHoldMirrorsProc(t *testing.T) {
-	run := func(spawn func(k *Kernel, log *[]float64)) ([]float64, uint64) {
-		k := NewKernel()
-		var log []float64
-		spawn(k, &log)
-		k.RunAll()
-		k.Drain()
-		return log, k.Steps()
-	}
-
-	procLog, procSteps := run(func(k *Kernel, log *[]float64) {
-		k.Spawn("p", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Hold(1.5)
-				*log = append(*log, p.Now())
-			}
-			p.HoldUntil(100)
-			*log = append(*log, p.Now())
-			p.HoldUntil(50) // in the past: no-op
-			*log = append(*log, p.Now())
-		})
-	})
-
-	machLog, machSteps := run(func(k *Kernel, log *[]float64) {
-		i := 0
-		k.SpawnMachine("m", stepFunc(func(m *Machine) {
-			for {
-				if i > 0 {
-					*log = append(*log, m.Now())
-				}
-				if i < 5 {
-					i++
-					m.Hold(1.5)
-					return
-				}
-				if i == 5 {
-					i++
-					if m.HoldUntil(100) {
-						return
-					}
-					continue
-				}
-				if i == 6 {
-					i++
-					if m.HoldUntil(50) { // in the past: continue inline
-						return
-					}
-					continue
-				}
-				m.Finish()
-				return
-			}
-		}))
-	})
-
-	if !reflect.DeepEqual(procLog, machLog) {
-		t.Fatalf("hold traces differ:\nproc: %v\nmach: %v", procLog, machLog)
-	}
-	if procSteps != machSteps {
-		t.Fatalf("step counts differ: proc %d, mach %d", procSteps, machSteps)
-	}
-}
-
-// TestMachineResourceFCFS queues procs and machines on one capacity-1
-// resource and checks grants come out in arrival order regardless of actor
-// kind, with the wait statistics a procs-only population would produce.
+// TestMachineResourceFCFS queues machines on one capacity-1 resource and
+// checks grants come out in arrival order, with the wait statistics the
+// arrival times imply.
 func TestMachineResourceFCFS(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "res", 1)
 	var order []string
-
-	// Holder occupies the resource for [0, 10).
-	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Hold(10)
-		r.Release()
-		order = append(order, "holder")
-	})
-	// Arrivals at t=1 (proc), t=2 (machine), t=3 (proc), t=4 (machine).
-	k.SpawnAt(1, "p1", func(p *Proc) {
-		r.Acquire(p)
-		p.Hold(5)
-		r.Release()
-		order = append(order, "p1")
-	})
-	spawnMachineUser := func(at float64, name string) {
-		pc := 0
-		k.SpawnMachineAt(at, name, stepFunc(func(m *Machine) {
-			for {
-				switch pc {
-				case 0:
-					pc = 1
-					if !r.AcquireCall(m) {
-						return
-					}
-				case 1:
-					pc = 2
-					m.Hold(5)
-					return
-				case 2:
-					r.Release()
-					order = append(order, name)
-					m.Finish()
-					return
-				}
-			}
-		}))
+	user := func(name string, service float64) *script {
+		return seq(use(r, service), do(func() { order = append(order, name) }))
 	}
-	spawnMachineUser(2, "m1")
-	k.SpawnAt(3, "p2", func(p *Proc) {
-		r.Acquire(p)
-		p.Hold(5)
-		r.Release()
-		order = append(order, "p2")
-	})
-	spawnMachineUser(4, "m2")
+
+	// Holder occupies the resource for [0, 10); arrivals at t=1..4.
+	k.SpawnMachine("holder", user("holder", 10))
+	for i, name := range []string{"a1", "a2", "a3", "a4"} {
+		k.SpawnMachineAt(float64(i+1), name, user(name, 5))
+	}
 
 	k.RunAll()
 	k.Drain()
 
-	want := []string{"holder", "p1", "m1", "p2", "m2"}
+	want := []string{"holder", "a1", "a2", "a3", "a4"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("completion order = %v, want %v", order, want)
 	}
-	// Waits: p1 9, m1 13, p2 17, m2 21 → mean over 5 acquires = 12.
+	// Waits: a1 9, a2 13, a3 17, a4 21 → mean over 5 acquires = 12.
 	if got, want := r.MeanWait(), 60.0/5; got != want {
 		t.Fatalf("MeanWait = %g, want %g", got, want)
 	}
@@ -149,7 +40,7 @@ func TestMachineResourceFCFS(t *testing.T) {
 
 // TestDrainKillsHalfResumedMachines leaves machines suspended at different
 // wait points (holding, queued on a resource, finished) and checks Drain
-// retires them in spawn order without stepping any of them again.
+// retires them without stepping any of them again.
 func TestDrainKillsHalfResumedMachines(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "res", 1)
@@ -180,21 +71,13 @@ func TestDrainKillsHalfResumedMachines(t *testing.T) {
 		steps["m2"]++
 		m.Finish()
 	}))
-	// p0 is a proc suspended in a hold, interleaved in the kill order.
-	k.Spawn("p0", func(p *Proc) {
-		for {
-			p.Hold(1e9)
-		}
-	})
-
 	k.Run(100)
 	if k.LiveMachines() != 2 { // m0 and m1; m2 finished
 		t.Fatalf("LiveMachines before Drain = %d, want 2", k.LiveMachines())
 	}
 	k.Drain()
-	if k.LiveMachines() != 0 || k.LiveProcs() != 0 {
-		t.Fatalf("after Drain: %d machines, %d procs live",
-			k.LiveMachines(), k.LiveProcs())
+	if k.LiveMachines() != 0 {
+		t.Fatalf("after Drain: %d machines live", k.LiveMachines())
 	}
 	want := map[string]int{"m0": 1, "m1": 1, "m2": 1}
 	if !reflect.DeepEqual(steps, want) {
@@ -252,10 +135,8 @@ type holdLoop struct{}
 
 func (holdLoop) Step(m *Machine) { m.Hold(1) }
 
-// BenchmarkKernelStateMachineHoldLoop is the Machine counterpart of
-// BenchmarkKernelHoldLoop: one actor holding forever, measured per event.
-// The difference between the two numbers is the goroutine rendezvous the
-// state-machine engine eliminates.
+// BenchmarkKernelStateMachineHoldLoop is the kernel floor: one actor
+// holding forever, measured per event.
 func BenchmarkKernelStateMachineHoldLoop(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
@@ -266,8 +147,7 @@ func BenchmarkKernelStateMachineHoldLoop(b *testing.B) {
 	k.Drain()
 }
 
-// resourceLoop contends a capacity-1 resource, mirroring the proc bodies
-// of BenchmarkKernelResourceContention.
+// resourceLoop cycles acquire → hold → release → hold on one resource.
 type resourceLoop struct {
 	r  *Resource
 	pc int
@@ -294,9 +174,9 @@ func (l *resourceLoop) Step(m *Machine) {
 	}
 }
 
-// BenchmarkKernelStateMachineResourceContention is the Machine counterpart
-// of BenchmarkKernelResourceContention: 10 actors contending FCFS for a
-// capacity-1 facility, measured per event.
+// BenchmarkKernelStateMachineResourceContention is the simulation's
+// dominant pattern: 10 actors contending FCFS for a capacity-1 facility
+// (the wireless channel), measured per event.
 func BenchmarkKernelStateMachineResourceContention(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
@@ -310,8 +190,8 @@ func BenchmarkKernelStateMachineResourceContention(b *testing.B) {
 	k.Drain()
 }
 
-// BenchmarkKernelStateMachineManyMachines is the Machine counterpart of
-// BenchmarkKernelManyProcs: many short-lived actors, spawn/finish path.
+// BenchmarkKernelStateMachineManyMachines interleaves many short-lived
+// actors — the spawn/finish path plus same-time FIFO ordering pressure.
 func BenchmarkKernelStateMachineManyMachines(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -327,47 +207,5 @@ func BenchmarkKernelStateMachineManyMachines(b *testing.B) {
 			}))
 		}
 		k.RunAll()
-	}
-}
-
-// Example-style sanity check that a machine and proc population produce the
-// same MM1-style waiting pattern; keeps the two engines honest in -short
-// runs without the full experiment differential test.
-func TestMachineProcTwinResourceStats(t *testing.T) {
-	build := func(machines bool) (*Kernel, *Resource) {
-		k := NewKernel()
-		r := NewResource(k, "res", 1)
-		for i := 0; i < 7; i++ {
-			at := float64(i) * 0.3
-			if machines {
-				l := &resourceLoop{r: r}
-				k.SpawnMachineAt(at, fmt.Sprintf("m%d", i), l)
-			} else {
-				k.SpawnAt(at, fmt.Sprintf("p%d", i), func(p *Proc) {
-					for {
-						r.Use(p, 1)
-						p.Hold(1)
-					}
-				})
-			}
-		}
-		k.Run(200)
-		return k, r
-	}
-	kp, rp := build(false)
-	km, rm := build(true)
-	defer kp.Drain()
-	defer km.Drain()
-	if rp.Acquires() != rm.Acquires() {
-		t.Fatalf("acquires: proc %d, mach %d", rp.Acquires(), rm.Acquires())
-	}
-	if rp.MeanWait() != rm.MeanWait() {
-		t.Fatalf("mean wait: proc %g, mach %g", rp.MeanWait(), rm.MeanWait())
-	}
-	if rp.Utilization() != rm.Utilization() {
-		t.Fatalf("utilization: proc %g, mach %g", rp.Utilization(), rm.Utilization())
-	}
-	if kp.Steps() != km.Steps() {
-		t.Fatalf("steps: proc %d, mach %d", kp.Steps(), km.Steps())
 	}
 }

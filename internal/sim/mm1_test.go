@@ -7,7 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
-// TestMM1AgainstTheory validates the kernel's process/resource semantics
+// TestMM1AgainstTheory validates the kernel's machine/resource semantics
 // against closed-form queueing theory: an M/M/1 queue with arrival rate λ
 // and service rate μ has expected waiting time (in queue)
 // Wq = λ/(μ(μ−λ)) and server utilization ρ = λ/μ. If the event ordering,
@@ -26,20 +26,29 @@ func TestMM1AgainstTheory(t *testing.T) {
 	var totalWait float64
 	var completed int
 
-	k.Spawn("generator", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Hold(arrivals.Exp(lambda))
-			service := services.Exp(mu)
-			k.Spawn("job", func(j *Proc) {
-				start := j.Now()
-				res.Acquire(j)
-				totalWait += j.Now() - start
-				j.Hold(service)
-				res.Release()
-				completed++
-			})
+	// job queues for the server, records its wait, and is served.
+	job := func(service float64) *script {
+		start := k.Now()
+		return seq(
+			acquire(res),
+			do(func() { totalWait += k.Now() - start }),
+			hold(service),
+			release(res),
+			do(func() { completed++ }),
+		)
+	}
+	generated := 0
+	k.SpawnMachine("generator", stepFunc(func(m *Machine) {
+		if generated > 0 {
+			k.SpawnMachine("job", job(services.Exp(mu)))
 		}
-	})
+		if generated == n {
+			m.Finish()
+			return
+		}
+		generated++
+		m.Hold(arrivals.Exp(lambda))
+	}))
 	k.RunAll()
 
 	if completed != n {
@@ -69,18 +78,27 @@ func TestMD1AgainstTheory(t *testing.T) {
 	arrivals := rng.New(7)
 
 	var totalWait float64
-	k.Spawn("generator", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Hold(arrivals.Exp(lambda))
-			k.Spawn("job", func(j *Proc) {
-				start := j.Now()
-				res.Acquire(j)
-				totalWait += j.Now() - start
-				j.Hold(1 / mu)
-				res.Release()
-			})
+	job := func() *script {
+		start := k.Now()
+		return seq(
+			acquire(res),
+			do(func() { totalWait += k.Now() - start }),
+			hold(1/mu),
+			release(res),
+		)
+	}
+	generated := 0
+	k.SpawnMachine("generator", stepFunc(func(m *Machine) {
+		if generated > 0 {
+			k.SpawnMachine("job", job())
 		}
-	})
+		if generated == n {
+			m.Finish()
+			return
+		}
+		generated++
+		m.Hold(arrivals.Exp(lambda))
+	}))
 	k.RunAll()
 
 	rho := lambda / mu

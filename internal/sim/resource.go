@@ -1,5 +1,13 @@
 package sim
 
+// waiter is one queued machine and the time it joined the queue (for wait
+// statistics). Keeping the timestamp inline avoids a map operation per
+// contended acquire on the hot path.
+type waiter struct {
+	mach  *Machine
+	since float64
+}
+
 // Resource is a FCFS facility with fixed capacity — the analogue of a CSIM
 // facility. The simulation uses capacity-1 resources for the two wireless
 // channels and the server disk; contention at these resources is what
@@ -8,16 +16,6 @@ package sim
 //
 // A Resource also accumulates utilization and queueing statistics so
 // experiments can report channel utilization alongside the paper's metrics.
-// waiter is one queued actor — a process (Acquire) or a state machine
-// (AcquireCall) — and the time it joined the queue (for wait statistics).
-// Keeping the timestamp inline avoids a map operation per contended
-// acquire on the hot path.
-type waiter struct {
-	proc  *Proc
-	mach  *Machine
-	since float64
-}
-
 type Resource struct {
 	name     string
 	kernel   *Kernel
@@ -56,29 +54,11 @@ func (r *Resource) accrue() {
 	r.lastStatTime = now
 }
 
-// Acquire takes one unit of the resource, queueing FCFS if none is free.
-func (r *Resource) Acquire(p *Proc) {
-	r.accrue()
-	r.acquires++
-	if r.inUse < r.capacity {
-		r.inUse++
-		return
-	}
-	since := r.kernel.now
-	r.waiters = append(r.waiters, waiter{proc: p, since: since})
-	p.yield() // resumed by Release
-	r.totalWaitTime += r.kernel.now - since
-}
-
-// AcquireCall is Acquire for state machines: acquire-with-continuation.
-// It reports whether the unit was granted immediately; false means the
-// machine was queued FCFS and its Step will fire (via the event list, at
-// the grant time) when Release hands it the slot. The caller's Step must
-// then resume past its acquire point.
-//
-// The statistics mutations mirror Acquire's exactly; wait time is accrued
-// at grant time, which happens at the same virtual instant the resumed
-// proc accrues it, so both engines integrate identical sequences.
+// AcquireCall takes one unit of the resource, queueing FCFS if none is
+// free: acquire-with-continuation. It reports whether the unit was granted
+// immediately; false means the machine was queued and its Step will fire
+// (via the event list, at the grant time) when Release hands it the slot.
+// The caller's Step must then resume past its acquire point.
 func (r *Resource) AcquireCall(m *Machine) bool {
 	r.accrue()
 	r.acquires++
@@ -90,7 +70,7 @@ func (r *Resource) AcquireCall(m *Machine) bool {
 	return false
 }
 
-// Release frees one unit. If processes are queued the unit is handed to the
+// Release frees one unit. If machines are queued the unit is handed to the
 // head of the queue (the slot never becomes observably free, preserving
 // FCFS).
 func (r *Resource) Release() {
@@ -104,26 +84,12 @@ func (r *Resource) Release() {
 		r.waiters[len(r.waiters)-1] = waiter{}
 		r.waiters = r.waiters[:len(r.waiters)-1]
 		// Hand the slot over; wake the waiter through the event list so
-		// same-time wakeups keep deterministic FIFO order. A proc accrues
-		// its wait when it resumes inside Acquire; a machine accrues here
-		// at grant — the same virtual instant either way.
-		if w.mach != nil {
-			r.totalWaitTime += r.kernel.now - w.since
-			w.mach.wake(r.kernel.now)
-			return
-		}
-		r.kernel.schedule(r.kernel.now, w.proc, nil)
+		// same-time wakeups keep deterministic FIFO order.
+		r.totalWaitTime += r.kernel.now - w.since
+		w.mach.wake(r.kernel.now)
 		return
 	}
 	r.inUse--
-}
-
-// Use is the common acquire–hold–release pattern: occupy the resource for
-// d seconds of service.
-func (r *Resource) Use(p *Proc, d float64) {
-	r.Acquire(p)
-	p.Hold(d)
-	r.Release()
 }
 
 // Name returns the facility name.
@@ -132,10 +98,10 @@ func (r *Resource) Name() string { return r.name }
 // InUse reports the number of busy units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen reports the number of queued processes.
+// QueueLen reports the number of queued machines.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
-// Acquires reports the total number of Acquire calls.
+// Acquires reports the total number of AcquireCall calls.
 func (r *Resource) Acquires() uint64 { return r.acquires }
 
 // Utilization reports time-average busy fraction since the start of the

@@ -12,10 +12,7 @@ func TestResourceExclusive(t *testing.T) {
 	r := NewResource(k, "disk", 1)
 	var done []float64
 	for i := 0; i < 3; i++ {
-		k.Spawn("p", func(p *Proc) {
-			r.Use(p, 10)
-			done = append(done, p.Now())
-		})
+		k.SpawnMachine("p", seq(use(r, 10), do(func() { done = append(done, k.Now()) })))
 	}
 	k.RunAll()
 	want := []float64{10, 20, 30}
@@ -29,13 +26,12 @@ func TestResourceFCFS(t *testing.T) {
 	r := NewResource(k, "chan", 1)
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		k.SpawnAt(float64(i), "p", func(p *Proc) {
-			r.Acquire(p)
-			order = append(order, i)
-			p.Hold(100)
-			r.Release()
-		})
+		k.SpawnMachineAt(float64(i), "p", seq(
+			acquire(r),
+			do(func() { order = append(order, i) }),
+			hold(100),
+			release(r),
+		))
 	}
 	k.RunAll()
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
@@ -48,10 +44,7 @@ func TestResourceCapacityTwo(t *testing.T) {
 	r := NewResource(k, "pool", 2)
 	var done []float64
 	for i := 0; i < 4; i++ {
-		k.Spawn("p", func(p *Proc) {
-			r.Use(p, 10)
-			done = append(done, p.Now())
-		})
+		k.SpawnMachine("p", seq(use(r, 10), do(func() { done = append(done, k.Now()) })))
 	}
 	k.RunAll()
 	// Two run in parallel: pairs complete at 10 and 20.
@@ -65,15 +58,10 @@ func TestReleaseIdlePanics(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "x", 1)
 	panicked := false
-	k.Spawn("p", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-				panic(errKilled) // unwind cleanly through the kernel
-			}
-		}()
+	k.SpawnMachine("p", seq(do(func() {
+		defer func() { panicked = recover() != nil }()
 		r.Release()
-	})
+	})))
 	k.RunAll()
 	if !panicked {
 		t.Fatal("Release of idle resource did not panic")
@@ -92,10 +80,7 @@ func TestNewResourceValidation(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "disk", 1)
-	k.Spawn("p", func(p *Proc) {
-		r.Use(p, 25)
-		p.Hold(75)
-	})
+	k.SpawnMachine("p", seq(use(r, 25), hold(75)))
 	k.RunAll()
 	if u := r.Utilization(); math.Abs(u-0.25) > 1e-9 {
 		t.Fatalf("Utilization = %v, want 0.25", u)
@@ -106,7 +91,7 @@ func TestMeanWait(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "chan", 1)
 	for i := 0; i < 2; i++ {
-		k.Spawn("p", func(p *Proc) { r.Use(p, 10) })
+		k.SpawnMachine("p", seq(use(r, 10)))
 	}
 	k.RunAll()
 	// First waits 0, second waits 10 -> mean 5.
@@ -123,7 +108,7 @@ func TestQueueLenDuringContention(t *testing.T) {
 	r := NewResource(k, "chan", 1)
 	var maxQ int
 	for i := 0; i < 4; i++ {
-		k.Spawn("p", func(p *Proc) { r.Use(p, 10) })
+		k.SpawnMachine("p", seq(use(r, 10)))
 	}
 	k.After(5, func() {
 		if q := r.QueueLen(); q > maxQ {
@@ -140,10 +125,10 @@ func TestMeanQueueLen(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "chan", 1)
 	for i := 0; i < 2; i++ {
-		k.Spawn("p", func(p *Proc) { r.Use(p, 10) })
+		k.SpawnMachine("p", seq(use(r, 10)))
 	}
 	k.RunAll()
-	// One proc queued during [0,10), none during [10,20): mean = 0.5.
+	// One machine queued during [0,10), none during [10,20): mean = 0.5.
 	if q := r.MeanQueueLen(); math.Abs(q-0.5) > 1e-9 {
 		t.Fatalf("MeanQueueLen = %v, want 0.5", q)
 	}
@@ -153,12 +138,12 @@ func TestDrainWithQueuedWaiters(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "chan", 1)
 	for i := 0; i < 3; i++ {
-		k.Spawn("p", func(p *Proc) { r.Use(p, 1e9) })
+		k.SpawnMachine("p", seq(use(r, 1e9)))
 	}
 	k.Run(10)
 	k.Drain()
-	if k.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d after Drain", k.LiveProcs())
+	if k.LiveMachines() != 0 {
+		t.Fatalf("LiveMachines = %d after Drain", k.LiveMachines())
 	}
 }
 
@@ -172,10 +157,7 @@ func TestQuickSerialMakespan(t *testing.T) {
 		r := NewResource(k, "x", 1)
 		var last float64
 		for i := 0; i < n; i++ {
-			k.Spawn("p", func(p *Proc) {
-				r.Use(p, d)
-				last = p.Now()
-			})
+			k.SpawnMachine("p", seq(use(r, d), do(func() { last = k.Now() })))
 		}
 		k.RunAll()
 		return math.Abs(last-float64(n)*d) < 1e-9
@@ -183,34 +165,4 @@ func TestQuickSerialMakespan(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkKernelHoldLoop(b *testing.B) {
-	k := NewKernel()
-	k.Spawn("p", func(p *Proc) {
-		for {
-			p.Hold(1)
-		}
-	})
-	b.ResetTimer()
-	k.Run(float64(b.N))
-	b.StopTimer()
-	k.Drain()
-}
-
-func BenchmarkKernelResourceContention(b *testing.B) {
-	k := NewKernel()
-	r := NewResource(k, "chan", 1)
-	for i := 0; i < 10; i++ {
-		k.Spawn("p", func(p *Proc) {
-			for {
-				r.Use(p, 1)
-				p.Hold(1)
-			}
-		})
-	}
-	b.ResetTimer()
-	k.Run(float64(b.N))
-	b.StopTimer()
-	k.Drain()
 }

@@ -12,8 +12,8 @@
 #           retained scanCore reference twin       -> BENCH_model.json
 #   fleet   the multi-cell fleet engine: wall-clock and Mevents/s of a
 #           100-client run at 1/2/4/8 cells plus the relay-cache point
-#           (cells scale across the worker pool), and the Proc-vs-SM
-#           engine race at 100 and 1000 clients    -> BENCH_fleet.json
+#           (cells scale across the worker pool), and the 1000-client
+#           scaling point                          -> BENCH_fleet.json
 #   storage the log-structured persistence engine: point reads against a
 #           100K-record store, group-committed durable inserts, and
 #           cold-start log replay (the ROADMAP's file-backed regime:
@@ -38,9 +38,16 @@ BENCH_FLEET_TIME="${BENCH_FLEET_TIME:-1x}"
 BENCH_STORAGE_TIME="${BENCH_STORAGE_TIME:-100x}"
 BENCH_COUNT="${BENCH_COUNT:-1}"
 
+# One stamp for every file this run writes: the revision the working tree
+# was built from, "-dirty" when it had uncommitted changes.
+GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+    GIT_REV="$GIT_REV-dirty"
+fi
+
 # emit_json RAW OUT — distill `go test -bench` output into a JSON summary.
 emit_json() {
-    awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+    awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v rev="$GIT_REV" '
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: */, ""); cpu = $0 }
@@ -57,7 +64,7 @@ emit_json() {
     entries[++n] = entry
 }
 END {
-    printf("{\n  \"date\": \"%s\",\n  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"cpu\": \"%s\",\n  \"benchmarks\": [\n", date, goos, goarch, cpu)
+    printf("{\n  \"date\": \"%s\",\n  \"git_revision\": \"%s\",\n  \"goos\": \"%s\",\n  \"goarch\": \"%s\",\n  \"cpu\": \"%s\",\n  \"benchmarks\": [\n", date, rev, goos, goarch, cpu)
     for (i = 1; i <= n; i++)
         printf("%s%s\n", entries[i], i < n ? "," : "")
     printf("  ]\n}\n")

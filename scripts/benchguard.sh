@@ -4,9 +4,9 @@
 # Two gate passes, each re-running a benchmark class and comparing every
 # bench against the ns_per_op recorded in its committed baseline JSON:
 #
-#   kernel   the steady-state per-event benchmarks (the KernelHoldLoop
-#            class: tight hold loops and resource contention on both
-#            execution engines)            vs BENCH_kernel.json
+#   kernel   the steady-state per-event benchmarks (KernelStateMachine*:
+#            the tight hold loop, resource contention, and the
+#            spawn/finish path)            vs BENCH_kernel.json
 #   storage  the persistence engine (point reads, group-committed
 #            inserts, cold-start recovery) vs BENCH_storage.json
 #
@@ -48,14 +48,14 @@ guard() {
     go test -run '^$' -bench "$regex" -benchtime "$benchtime" "$pkg" | tee "$raw"
 
     awk -v factor="$FACTOR" -v baseline="$baseline" '
-    # Pass 1: committed baselines — lines like {"name": "KernelHoldLoop", ..., "ns_per_op": 560.5, ...}
+    # Pass 1: committed baselines — lines like {"name": "KernelStateMachineHoldLoop", ..., "ns_per_op": 32.9, ...}
     FILENAME == baseline && /"name"/ {
         name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
         ns = $0;   sub(/.*"ns_per_op": /, "", ns); sub(/[,}].*/, "", ns)
         base[name] = ns + 0
         next
     }
-    # Pass 2: fresh run — "BenchmarkKernelHoldLoop-8   200   571.2 ns/op ..."
+    # Pass 2: fresh run — "BenchmarkKernelStateMachineHoldLoop-8   200   33.1 ns/op ..."
     /^Benchmark/ {
         name = $1
         sub(/-[0-9]+$/, "", name)
@@ -84,7 +84,7 @@ guard() {
 }
 
 guard BENCH_kernel.json \
-    '^BenchmarkKernel(StateMachine)?(HoldLoop|ResourceContention|ManyMachines)$' \
+    '^BenchmarkKernelStateMachine(HoldLoop|ResourceContention|ManyMachines)$' \
     ./internal/sim "$BENCH_TIME"
 guard BENCH_storage.json \
     '^BenchmarkStorage(Get|Insert|Recover)$' \
