@@ -43,8 +43,9 @@ goldens:
 		echo "ok $$m"; \
 	done
 
-# Kernel micro-benchmarks + the parallel sweep benchmark + the replacement
-# model suite + the fleet engine + the storage engine, with allocation
+# Kernel micro-benchmarks + the parallel sweep benchmark + the model suite
+# (replacement policies, item index, cache, LRU buffer) + the fleet engine
+# + the storage engine, with allocation
 # counts; machine-readable results land in BENCH_kernel.json,
 # BENCH_model.json, BENCH_fleet.json and BENCH_storage.json. Tune with
 # BENCH_TIME / BENCH_MODEL_TIME / BENCH_FLEET_TIME / BENCH_STORAGE_TIME
@@ -52,9 +53,11 @@ goldens:
 bench:
 	scripts/bench.sh
 
-# Regression gate: re-run the KernelStateMachine* per-event benchmarks
-# and the storage-engine benchmarks, failing if any runs >2x slower than
-# its entry in the committed BENCH_kernel.json / BENCH_storage.json
+# Regression gate: re-run the KernelStateMachine* per-event benchmarks,
+# the per-access model benchmarks (a touch and an eviction cycle of the
+# lru and ewma-0.5 policies, the item index) and the storage-engine
+# benchmarks, failing if any runs >2x slower than its entry in the
+# committed BENCH_kernel.json / BENCH_model.json / BENCH_storage.json
 # (REGRESSION_FACTOR overrides the threshold).
 benchguard:
 	scripts/benchguard.sh

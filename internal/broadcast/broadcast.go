@@ -27,7 +27,7 @@ import (
 // Program is a periodic flat broadcast schedule.
 type Program struct {
 	items   []oodb.Item
-	slotOf  map[oodb.Item]int
+	slotOf  oodb.ItemIndex
 	slotDur float64 // airtime per item, seconds
 	cycle   float64 // full revolution, seconds
 	start   float64 // first revolution begins here
@@ -46,19 +46,15 @@ func New(items []oodb.Item, bandwidthBps, start float64) *Program {
 	if start < 0 {
 		panic("broadcast: start must be non-negative")
 	}
-	p := &Program{
-		items:  append([]oodb.Item(nil), items...),
-		slotOf: make(map[oodb.Item]int, len(items)),
-		start:  start,
-	}
+	p := &Program{items: append([]oodb.Item(nil), items...), start: start}
 	// Slots are fixed-width at the size of the largest item so the
 	// schedule stays strictly periodic (simple flat disk).
 	maxBytes := 0
 	for i, it := range p.items {
-		if _, dup := p.slotOf[it]; dup {
+		if _, dup := p.slotOf.Get(it.Key()); dup {
 			panic(fmt.Sprintf("broadcast: duplicate item %v in program", it))
 		}
-		p.slotOf[it] = i
+		p.slotOf.Set(it.Key(), int32(i))
 		if b := network.ReplyEntrySize(it); b > maxBytes {
 			maxBytes = b
 		}
@@ -70,7 +66,7 @@ func New(items []oodb.Item, bandwidthBps, start float64) *Program {
 
 // Covers reports whether the program carries item.
 func (p *Program) Covers(it oodb.Item) bool {
-	_, ok := p.slotOf[it]
+	_, ok := p.slotOf.Get(it.Key())
 	return ok
 }
 
@@ -92,7 +88,7 @@ func (p *Program) SlotBytes() int {
 // (a partially missed slot cannot be decoded). It panics if the program
 // does not cover item.
 func (p *Program) NextDelivery(it oodb.Item, now float64) float64 {
-	slot, ok := p.slotOf[it]
+	slot, ok := p.slotOf.Get(it.Key())
 	if !ok {
 		panic(fmt.Sprintf("broadcast: item %v not in program", it))
 	}
@@ -139,8 +135,8 @@ type UpdateWindow struct {
 	window float64
 	events []updateEvent // chronological; head trimmed on Report
 	head   int
-	seen   map[oodb.Item]struct{} // scratch for per-report dedup
-	items  []oodb.Item            // scratch for the returned report
+	seen   oodb.ItemIndex // scratch for per-report dedup
+	items  []oodb.Item    // scratch for the returned report
 }
 
 type updateEvent struct {
@@ -154,7 +150,7 @@ func NewUpdateWindow(window float64) *UpdateWindow {
 	if window <= 0 {
 		panic("broadcast: update window must be positive")
 	}
-	return &UpdateWindow{window: window, seen: make(map[oodb.Item]struct{})}
+	return &UpdateWindow{window: window}
 }
 
 // Window returns the trailing window length in seconds.
@@ -181,15 +177,13 @@ func (w *UpdateWindow) Report(now float64) []oodb.Item {
 		w.head = 0
 	}
 	w.items = w.items[:0]
+	w.seen.Reset()
 	for _, ev := range w.events[w.head:] {
-		if _, dup := w.seen[ev.item]; dup {
+		if _, dup := w.seen.Get(ev.item.Key()); dup {
 			continue
 		}
-		w.seen[ev.item] = struct{}{}
+		w.seen.Set(ev.item.Key(), 0)
 		w.items = append(w.items, ev.item)
-	}
-	for it := range w.seen {
-		delete(w.seen, it)
 	}
 	sort.Slice(w.items, func(i, j int) bool {
 		a, b := w.items[i], w.items[j]

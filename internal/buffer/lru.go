@@ -6,52 +6,67 @@
 // operating system." The server buffer holds 500 objects (25% of the
 // database); each client memory buffer holds 30 objects. Storage caching at
 // clients uses the pluggable policies in internal/replacement instead.
+//
+// Both buffers are the one LRU type below: an array-backed recency list
+// located through an oodb.ItemIndex, keyed by oodb.OID at the server and by
+// oodb.Item at the clients.
 package buffer
 
-// LRU is a fixed-capacity least-recently-used cache over comparable keys.
-// Values travel with the keys so callers can attach metadata (versions,
-// expiry). The zero value is not usable; construct with NewLRU.
-type LRU[K comparable, V any] struct {
+import "repro/internal/oodb"
+
+// Key is what an LRU can be keyed by: a comparable value that packs itself
+// into an oodb.ItemIndex key (oodb.Item, oodb.OID).
+type Key interface {
+	comparable
+	Key() uint64
+}
+
+// LRU is a fixed-capacity least-recently-used cache. Values travel with the
+// keys so callers can attach metadata (versions, expiry). Entries are nodes
+// of one slice, doubly linked by position and located through an
+// oodb.ItemIndex; removed nodes wait on a free list, so a buffer at capacity
+// allocates nothing. The zero value is not usable; construct with NewLRU.
+type LRU[K Key, V any] struct {
 	capacity int
-	entries  map[K]*node[K, V]
-	head     *node[K, V] // most recently used
-	tail     *node[K, V] // least recently used
-	spare    *node[K, V] // last evicted/removed node, recycled by Put
+	index    oodb.ItemIndex
+	nodes    []node[K, V]
+	head     int32 // most recently used, or none
+	tail     int32 // least recently used, or none
+	free     int32 // first recycled node (chained through next), or none
 
 	hits   uint64
 	misses uint64
 }
 
-type node[K comparable, V any] struct {
+const none int32 = -1
+
+type node[K Key, V any] struct {
 	key        K
 	value      V
-	prev, next *node[K, V]
+	prev, next int32
 }
 
 // NewLRU returns an empty cache holding at most capacity entries.
 // It panics if capacity <= 0.
-func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
+func NewLRU[K Key, V any](capacity int) *LRU[K, V] {
 	if capacity <= 0 {
 		panic("buffer: LRU capacity must be positive")
 	}
-	return &LRU[K, V]{
-		capacity: capacity,
-		entries:  make(map[K]*node[K, V], capacity),
-	}
+	return &LRU[K, V]{capacity: capacity, head: none, tail: none, free: none}
 }
 
 // Len returns the number of cached entries.
-func (l *LRU[K, V]) Len() int { return len(l.entries) }
+func (l *LRU[K, V]) Len() int { return l.index.Len() }
 
 // Capacity returns the maximum number of entries.
 func (l *LRU[K, V]) Capacity() int { return l.capacity }
 
 // Get looks up key, promoting it to most-recently-used on a hit.
 func (l *LRU[K, V]) Get(key K) (V, bool) {
-	if n, ok := l.entries[key]; ok {
+	if i, ok := l.index.Get(key.Key()); ok {
 		l.hits++
-		l.moveToFront(n)
-		return n.value, true
+		l.moveToFront(i)
+		return l.nodes[i].value, true
 	}
 	l.misses++
 	var zero V
@@ -60,8 +75,8 @@ func (l *LRU[K, V]) Get(key K) (V, bool) {
 
 // Peek looks up key without promoting it and without touching hit counters.
 func (l *LRU[K, V]) Peek(key K) (V, bool) {
-	if n, ok := l.entries[key]; ok {
-		return n.value, true
+	if i, ok := l.index.Get(key.Key()); ok {
+		return l.nodes[i].value, true
 	}
 	var zero V
 	return zero, false
@@ -69,7 +84,7 @@ func (l *LRU[K, V]) Peek(key K) (V, bool) {
 
 // Contains reports whether key is cached, without promotion.
 func (l *LRU[K, V]) Contains(key K) bool {
-	_, ok := l.entries[key]
+	_, ok := l.index.Get(key.Key())
 	return ok
 }
 
@@ -77,83 +92,83 @@ func (l *LRU[K, V]) Contains(key K) bool {
 // cache overflows, the least-recently-used entry is evicted and returned
 // with evicted=true.
 func (l *LRU[K, V]) Put(key K, value V) (evictedKey K, evictedValue V, evicted bool) {
-	if n, ok := l.entries[key]; ok {
-		n.value = value
-		l.moveToFront(n)
+	if i, ok := l.index.Get(key.Key()); ok {
+		l.nodes[i].value = value
+		l.moveToFront(i)
 		return evictedKey, evictedValue, false
 	}
-	n := l.spare
-	if n != nil {
-		l.spare = nil
-		n.key, n.value = key, value
+	if l.index.Len() == l.capacity {
+		victim := &l.nodes[l.tail]
+		evictedKey, evictedValue, evicted = victim.key, victim.value, true
+		l.index.Delete(victim.key.Key())
+		l.recycle(l.tail)
+	}
+	i := l.free
+	if i != none {
+		l.free = l.nodes[i].next
 	} else {
-		n = &node[K, V]{key: key, value: value}
+		i = int32(len(l.nodes))
+		l.nodes = append(l.nodes, node[K, V]{})
 	}
-	l.entries[key] = n
-	l.pushFront(n)
-	if len(l.entries) > l.capacity {
-		victim := l.tail
-		l.unlink(victim)
-		delete(l.entries, victim.key)
-		evictedKey, evictedValue = victim.key, victim.value
-		l.recycle(victim)
-		return evictedKey, evictedValue, true
-	}
-	return evictedKey, evictedValue, false
+	l.nodes[i].key, l.nodes[i].value = key, value
+	l.index.Set(key.Key(), i)
+	l.pushFront(i)
+	return evictedKey, evictedValue, evicted
 }
 
 // Remove deletes key if present, reporting whether it was cached.
 func (l *LRU[K, V]) Remove(key K) bool {
-	n, ok := l.entries[key]
-	if !ok {
-		return false
+	i, ok := l.index.Delete(key.Key())
+	if ok {
+		l.recycle(i)
 	}
-	l.unlink(n)
-	delete(l.entries, key)
-	l.recycle(n)
-	return true
+	return ok
 }
 
-// recycle stashes n for reuse by the next insert, dropping any references
-// held through its key/value so they do not outlive the entry.
-func (l *LRU[K, V]) recycle(n *node[K, V]) {
-	var zeroK K
-	var zeroV V
-	n.key, n.value = zeroK, zeroV
-	l.spare = n
+// recycle unlinks node i, whose key has left the index, and puts it on the
+// free list, zeroing its key and value so references held through them do
+// not outlive the entry.
+func (l *LRU[K, V]) recycle(i int32) {
+	l.unlink(i)
+	l.nodes[i] = node[K, V]{next: l.free}
+	l.free = i
 }
 
 // Oldest returns the least-recently-used key without removing it.
 func (l *LRU[K, V]) Oldest() (K, bool) {
-	if l.tail == nil {
+	if l.tail == none {
 		var zero K
 		return zero, false
 	}
-	return l.tail.key, true
+	return l.nodes[l.tail].key, true
 }
 
 // Newest returns the most-recently-used key without removing it.
 func (l *LRU[K, V]) Newest() (K, bool) {
-	if l.head == nil {
+	if l.head == none {
 		var zero K
 		return zero, false
 	}
-	return l.head.key, true
+	return l.nodes[l.head].key, true
 }
 
 // Keys returns all keys ordered from most to least recently used.
 func (l *LRU[K, V]) Keys() []K {
-	keys := make([]K, 0, len(l.entries))
-	for n := l.head; n != nil; n = n.next {
-		keys = append(keys, n.key)
+	keys := make([]K, 0, l.Len())
+	for i := l.head; i != none; i = l.nodes[i].next {
+		keys = append(keys, l.nodes[i].key)
 	}
 	return keys
 }
 
 // Clear removes all entries, preserving hit/miss counters.
 func (l *LRU[K, V]) Clear() {
-	l.entries = make(map[K]*node[K, V], l.capacity)
-	l.head, l.tail, l.spare = nil, nil, nil
+	l.index.Reset()
+	for i := range l.nodes {
+		l.nodes[i] = node[K, V]{} // drop key/value references
+	}
+	l.nodes = l.nodes[:0]
+	l.head, l.tail, l.free = none, none, none
 }
 
 // HitRatio returns hits/(hits+misses) over all Get calls (0 when none).
@@ -171,36 +186,36 @@ func (l *LRU[K, V]) Hits() uint64 { return l.hits }
 // Misses returns the number of Get misses.
 func (l *LRU[K, V]) Misses() uint64 { return l.misses }
 
-func (l *LRU[K, V]) pushFront(n *node[K, V]) {
-	n.prev = nil
-	n.next = l.head
-	if l.head != nil {
-		l.head.prev = n
+func (l *LRU[K, V]) pushFront(i int32) {
+	n := &l.nodes[i]
+	n.prev, n.next = none, l.head
+	if l.head != none {
+		l.nodes[l.head].prev = i
 	}
-	l.head = n
-	if l.tail == nil {
-		l.tail = n
+	l.head = i
+	if l.tail == none {
+		l.tail = i
 	}
 }
 
-func (l *LRU[K, V]) unlink(n *node[K, V]) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (l *LRU[K, V]) unlink(i int32) {
+	n := &l.nodes[i]
+	if n.prev != none {
+		l.nodes[n.prev].next = n.next
 	} else {
 		l.head = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != none {
+		l.nodes[n.next].prev = n.prev
 	} else {
 		l.tail = n.prev
 	}
-	n.prev, n.next = nil, nil
 }
 
-func (l *LRU[K, V]) moveToFront(n *node[K, V]) {
-	if l.head == n {
+func (l *LRU[K, V]) moveToFront(i int32) {
+	if l.head == i {
 		return
 	}
-	l.unlink(n)
-	l.pushFront(n)
+	l.unlink(i)
+	l.pushFront(i)
 }

@@ -4,10 +4,15 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/oodb"
 )
 
+// oid keys every test buffer, as the server's buffer pool is keyed.
+type oid = oodb.OID
+
 func TestPutGet(t *testing.T) {
-	l := NewLRU[int, string](2)
+	l := NewLRU[oid, string](2)
 	l.Put(1, "a")
 	l.Put(2, "b")
 	if v, ok := l.Get(1); !ok || v != "a" {
@@ -19,7 +24,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestEvictionOrder(t *testing.T) {
-	l := NewLRU[int, int](3)
+	l := NewLRU[oid, int](3)
 	l.Put(1, 0)
 	l.Put(2, 0)
 	l.Put(3, 0)
@@ -34,7 +39,7 @@ func TestEvictionOrder(t *testing.T) {
 }
 
 func TestUpdateDoesNotEvict(t *testing.T) {
-	l := NewLRU[int, int](2)
+	l := NewLRU[oid, int](2)
 	l.Put(1, 10)
 	l.Put(2, 20)
 	_, _, ev := l.Put(1, 11) // update in place
@@ -52,7 +57,7 @@ func TestUpdateDoesNotEvict(t *testing.T) {
 }
 
 func TestPeekDoesNotPromote(t *testing.T) {
-	l := NewLRU[int, int](2)
+	l := NewLRU[oid, int](2)
 	l.Put(1, 0)
 	l.Put(2, 0)
 	l.Peek(1)
@@ -63,7 +68,7 @@ func TestPeekDoesNotPromote(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	l := NewLRU[int, int](2)
+	l := NewLRU[oid, int](2)
 	l.Put(1, 0)
 	if !l.Remove(1) {
 		t.Fatal("Remove existing returned false")
@@ -84,7 +89,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestOldestNewestKeys(t *testing.T) {
-	l := NewLRU[int, int](3)
+	l := NewLRU[oid, int](3)
 	if _, ok := l.Oldest(); ok {
 		t.Fatal("Oldest on empty")
 	}
@@ -100,13 +105,13 @@ func TestOldestNewestKeys(t *testing.T) {
 	if k, _ := l.Newest(); k != 3 {
 		t.Fatalf("Newest = %v", k)
 	}
-	if !reflect.DeepEqual(l.Keys(), []int{3, 2, 1}) {
+	if !reflect.DeepEqual(l.Keys(), []oid{3, 2, 1}) {
 		t.Fatalf("Keys = %v", l.Keys())
 	}
 }
 
 func TestHitCounters(t *testing.T) {
-	l := NewLRU[int, int](2)
+	l := NewLRU[oid, int](2)
 	l.Put(1, 0)
 	l.Get(1)
 	l.Get(2)
@@ -119,14 +124,14 @@ func TestHitCounters(t *testing.T) {
 }
 
 func TestHitRatioEmpty(t *testing.T) {
-	l := NewLRU[int, int](1)
+	l := NewLRU[oid, int](1)
 	if l.HitRatio() != 0 {
 		t.Fatal("HitRatio on untouched cache")
 	}
 }
 
 func TestClear(t *testing.T) {
-	l := NewLRU[int, int](2)
+	l := NewLRU[oid, int](2)
 	l.Put(1, 0)
 	l.Put(2, 0)
 	l.Clear()
@@ -144,7 +149,7 @@ func TestClear(t *testing.T) {
 }
 
 func TestCapacityOne(t *testing.T) {
-	l := NewLRU[int, int](1)
+	l := NewLRU[oid, int](1)
 	l.Put(1, 0)
 	k, _, ev := l.Put(2, 0)
 	if !ev || k != 1 {
@@ -161,31 +166,92 @@ func TestNewLRUPanics(t *testing.T) {
 			t.Fatal("NewLRU(0) did not panic")
 		}
 	}()
-	NewLRU[int, int](0)
+	NewLRU[oid, int](0)
+}
+
+// Removed and evicted nodes are reused before the node slice grows, values
+// follow their keys through the reuse, and Clear forgets the free list along
+// with the entries.
+func TestFreeListRecycles(t *testing.T) {
+	l := NewLRU[oid, int](4)
+	for k := oid(1); k <= 4; k++ {
+		l.Put(k, int(k)*10)
+	}
+	l.Remove(2)
+	l.Remove(4)
+	l.Put(5, 50)
+	l.Put(6, 60)
+	if len(l.nodes) != 4 {
+		t.Fatalf("%d nodes after refilling two removed entries, want 4", len(l.nodes))
+	}
+	if !reflect.DeepEqual(l.Keys(), []oid{6, 5, 3, 1}) {
+		t.Fatalf("Keys = %v", l.Keys())
+	}
+	if k, v, ev := l.Put(7, 70); !ev || k != 1 || v != 10 || len(l.nodes) != 4 {
+		t.Fatalf("Put at capacity evicted %v=%v (ev=%v) with %d nodes", k, v, ev, len(l.nodes))
+	}
+	for _, k := range l.Keys() {
+		if v, _ := l.Peek(k); v != int(k)*10 {
+			t.Fatalf("Peek(%v) = %d after node reuse", k, v)
+		}
+	}
+	l.Remove(5) // leave a node on the free list for Clear to drop
+	l.Clear()
+	if _, ok := l.Oldest(); ok || l.Len() != 0 {
+		t.Fatal("entries survived Clear")
+	}
+	for k := oid(8); k <= 11; k++ {
+		l.Put(k, int(k)*10)
+	}
+	if !reflect.DeepEqual(l.Keys(), []oid{11, 10, 9, 8}) || len(l.nodes) != 4 {
+		t.Fatalf("after Clear and refill: Keys = %v, %d nodes", l.Keys(), len(l.nodes))
+	}
+	if k, _, ev := l.Put(12, 120); !ev || k != 8 {
+		t.Fatalf("evicted %v (ev=%v), want 8", k, ev)
+	}
+}
+
+// A buffer at capacity serves hits, misses, replacing puts and evicting puts
+// without allocating.
+func TestNoAllocsAtCapacity(t *testing.T) {
+	l := NewLRU[oid, int](500)
+	for k := oid(0); k < 500; k++ {
+		l.Put(k, 0)
+	}
+	next := oid(500)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.Get(next - 1)
+		l.Get(next)
+		l.Put(next-2, 1)
+		l.Put(next, 0)
+		next++
+	}); allocs != 0 {
+		t.Fatalf("Get/Put at capacity allocate %v times per run", allocs)
+	}
 }
 
 // naiveLRU is a reference model for property testing.
 type naiveLRU struct {
 	cap  int
-	keys []int // most recent first
+	keys []oid // most recent first
 }
 
-func (n *naiveLRU) touch(k int) bool {
+func (n *naiveLRU) touch(k oid) bool {
 	for i, key := range n.keys {
 		if key == k {
 			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.keys = append([]int{k}, n.keys...)
+			n.keys = append([]oid{k}, n.keys...)
 			return true
 		}
 	}
 	return false
 }
 
-func (n *naiveLRU) put(k int) (evicted int, ok bool) {
+func (n *naiveLRU) put(k oid) (evicted oid, ok bool) {
 	if n.touch(k) {
 		return 0, false
 	}
-	n.keys = append([]int{k}, n.keys...)
+	n.keys = append([]oid{k}, n.keys...)
 	if len(n.keys) > n.cap {
 		v := n.keys[len(n.keys)-1]
 		n.keys = n.keys[:len(n.keys)-1]
@@ -199,13 +265,13 @@ func (n *naiveLRU) put(k int) (evicted int, ok bool) {
 func TestQuickLRUMatchesModel(t *testing.T) {
 	f := func(ops []uint8, capRaw uint8) bool {
 		capacity := int(capRaw)%5 + 1
-		l := NewLRU[int, int](capacity)
+		l := NewLRU[oid, int](capacity)
 		model := &naiveLRU{cap: capacity}
 		for _, op := range ops {
-			key := int(op) % 8
-			switch (op / 8) % 3 {
+			key := oid(op) % 8
+			switch (op / 8) % 4 {
 			case 0: // put
-				gotK, _, gotEv := l.Put(key, key)
+				gotK, _, gotEv := l.Put(key, int(key))
 				wantK, wantEv := model.put(key)
 				if gotEv != wantEv || (gotEv && gotK != wantK) {
 					return false
@@ -227,11 +293,24 @@ func TestQuickLRUMatchesModel(t *testing.T) {
 				if got != want {
 					return false
 				}
+			case 3: // remove: the freed node is the next Put's
+				got := l.Remove(key)
+				want := false
+				for i, k := range model.keys {
+					if k == key {
+						model.keys = append(model.keys[:i], model.keys[i+1:]...)
+						want = true
+						break
+					}
+				}
+				if got != want {
+					return false
+				}
 			}
 			if l.Len() > capacity || l.Len() != len(model.keys) {
 				return false
 			}
-			if !reflect.DeepEqual(l.Keys(), append([]int{}, model.keys...)) &&
+			if !reflect.DeepEqual(l.Keys(), append([]oid{}, model.keys...)) &&
 				!(len(l.Keys()) == 0 && len(model.keys) == 0) {
 				return false
 			}
@@ -244,10 +323,10 @@ func TestQuickLRUMatchesModel(t *testing.T) {
 }
 
 func BenchmarkLRUPutGet(b *testing.B) {
-	l := NewLRU[int, int](500)
+	l := NewLRU[oid, int](500)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Put(i%2000, i)
-		l.Get((i * 7) % 2000)
+		l.Put(oid(i%2000), i)
+		l.Get(oid((i * 7) % 2000))
 	}
 }

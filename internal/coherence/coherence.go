@@ -118,19 +118,16 @@ const DefaultIRWindow = 5 * DefaultReportInterval
 // granularity (whole objects under OC, attributes under AC/HC).
 type RefreshEstimator struct {
 	beta float64
-	// Streams live contiguously in an arena indexed through the map: one
+	// Streams live contiguously in an arena located through the index: one
 	// allocation per arena growth instead of one per tracked item, and the
 	// hot ObserveWrite/RefreshTime lookups touch a flat slice.
-	index   map[oodb.Item]int32
+	index   oodb.ItemIndex
 	streams []stats.InterArrival
 }
 
 // NewRefreshEstimator returns an estimator with the given β.
 func NewRefreshEstimator(beta float64) *RefreshEstimator {
-	return &RefreshEstimator{
-		beta:  beta,
-		index: make(map[oodb.Item]int32),
-	}
+	return &RefreshEstimator{beta: beta}
 }
 
 // Beta returns the staleness-tolerance parameter.
@@ -138,13 +135,19 @@ func (e *RefreshEstimator) Beta() float64 { return e.beta }
 
 // ObserveWrite records a write on item at virtual time now.
 func (e *RefreshEstimator) ObserveWrite(it oodb.Item, now float64) {
-	i, ok := e.index[it]
+	e.streams[e.stream(it)].Observe(now)
+}
+
+// stream returns item's arena position, starting an empty stream for an
+// item not seen before.
+func (e *RefreshEstimator) stream(it oodb.Item) int32 {
+	i, ok := e.index.Get(it.Key())
 	if !ok {
 		i = int32(len(e.streams))
 		e.streams = append(e.streams, stats.InterArrival{})
-		e.index[it] = i
+		e.index.Set(it.Key(), i)
 	}
-	e.streams[i].Observe(now)
+	return i
 }
 
 // RefreshTime returns the lease duration for item at time now.
@@ -162,7 +165,7 @@ func (e *RefreshEstimator) ObserveWrite(it oodb.Item, now float64) {
 // time elapsed since that write. Both converge to the formula as history
 // accumulates.
 func (e *RefreshEstimator) RefreshTime(it oodb.Item, now float64) float64 {
-	i, ok := e.index[it]
+	i, ok := e.index.Get(it.Key())
 	if !ok {
 		return now
 	}
@@ -189,7 +192,7 @@ func (e *RefreshEstimator) ExpiresAt(it oodb.Item, now float64) float64 {
 
 // WriteCount returns the number of writes observed on item.
 func (e *RefreshEstimator) WriteCount(it oodb.Item) uint64 {
-	i, ok := e.index[it]
+	i, ok := e.index.Get(it.Key())
 	if !ok {
 		return 0
 	}
@@ -203,7 +206,7 @@ func (e *RefreshEstimator) TrackedItems() int { return len(e.streams) }
 // StreamState snapshots item's write-stream estimator state for
 // persistence. The boolean reports whether the item has any history.
 func (e *RefreshEstimator) StreamState(it oodb.Item) (stats.InterArrivalState, bool) {
-	i, ok := e.index[it]
+	i, ok := e.index.Get(it.Key())
 	if !ok {
 		return stats.InterArrivalState{}, false
 	}
@@ -215,13 +218,7 @@ func (e *RefreshEstimator) StreamState(it oodb.Item) (stats.InterArrivalState, b
 // tier replays these at recovery so refresh-time estimates survive
 // restarts.
 func (e *RefreshEstimator) RestoreStream(it oodb.Item, st stats.InterArrivalState) {
-	i, ok := e.index[it]
-	if !ok {
-		i = int32(len(e.streams))
-		e.streams = append(e.streams, stats.InterArrival{})
-		e.index[it] = i
-	}
-	e.streams[i].Restore(st)
+	e.streams[e.stream(it)].Restore(st)
 }
 
 // Oracle evaluates read errors with perfect knowledge of server state. It

@@ -113,6 +113,26 @@ func TestPerItemIsolation(t *testing.T) {
 	}
 }
 
+// Granting a lease allocates nothing, whether the item has a write history,
+// a single write, or none.
+func TestRefreshTimeDoesNotAllocate(t *testing.T) {
+	e := NewRefreshEstimator(0.5)
+	for oid := 0; oid < 200; oid++ {
+		e.ObserveWrite(attr(oid, 0), float64(oid))
+		e.ObserveWrite(attr(oid, 0), float64(2*oid+1))
+		e.ObserveWrite(attr(oid, 1), float64(oid))
+	}
+	var sum float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		for oid := 0; oid < 200; oid++ {
+			sum += e.RefreshTime(attr(oid, 0), 1000) + e.RefreshTime(attr(oid, 1), 1000) +
+				e.RefreshTime(attr(oid, 2), 1000)
+		}
+	}); allocs != 0 {
+		t.Fatalf("600 RefreshTime calls allocate %v times (sum %v)", allocs, sum)
+	}
+}
+
 func TestOracleObjectVsAttributeGranularity(t *testing.T) {
 	db := oodb.New(oodb.Config{NumObjects: 10})
 	o := NewOracle(db)

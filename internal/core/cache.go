@@ -64,11 +64,20 @@ func (s LookupState) String() string {
 // items ranked by a replacement policy. The paper sizes it at 20% of the
 // database (400 objects × 1024 B); attribute items consume AttrSize bytes
 // so AC/HC fit many more entries than OC.
+//
+// Residents live in two parallel slices (items[i] holds the key of
+// slots[i]) located through an oodb.ItemIndex; removal moves the last
+// resident into the hole.
 type Cache struct {
 	capacityBytes int
 	usedBytes     int
-	entries       map[oodb.Item]*Entry
+	index         oodb.ItemIndex
+	items         []oodb.Item
+	slots         []Entry
 	policy        replacement.Policy
+
+	seen    oodb.ItemIndex // InsertBatch's de-duplication scratch
+	evicted []oodb.Item    // scratch returned by Insert and InsertBatch
 
 	insertions uint64
 	evictions  uint64
@@ -83,11 +92,7 @@ func NewCache(capacityBytes int, policy replacement.Policy) *Cache {
 	if policy == nil {
 		panic("core: cache requires a replacement policy")
 	}
-	return &Cache{
-		capacityBytes: capacityBytes,
-		entries:       make(map[oodb.Item]*Entry),
-		policy:        policy,
-	}
+	return &Cache{capacityBytes: capacityBytes, policy: policy}
 }
 
 // Lookup probes the cache for item at time now. Resident items — valid or
@@ -96,10 +101,11 @@ func NewCache(capacityBytes int, policy replacement.Policy) *Cache {
 // The returned entry is live cache state; callers must not retain it across
 // mutations.
 func (c *Cache) Lookup(it oodb.Item, now float64) (*Entry, LookupState) {
-	e, ok := c.entries[it]
+	i, ok := c.index.Get(it.Key())
 	if !ok {
 		return nil, Miss
 	}
+	e := &c.slots[i]
 	c.policy.OnAccess(it, now)
 	if !e.ValidAt(now) {
 		return e, Stale
@@ -107,52 +113,70 @@ func (c *Cache) Lookup(it oodb.Item, now float64) (*Entry, LookupState) {
 	return e, Hit
 }
 
-// Peek returns the entry without touching replacement state.
+// Peek returns the entry without touching replacement state; like Lookup's,
+// the pointer must not be retained across mutations.
 func (c *Cache) Peek(it oodb.Item) (*Entry, bool) {
-	e, ok := c.entries[it]
-	return e, ok
+	i, ok := c.index.Get(it.Key())
+	if !ok {
+		return nil, false
+	}
+	return &c.slots[i], true
 }
 
 // Contains reports residency without touching replacement state.
 func (c *Cache) Contains(it oodb.Item) bool {
-	_, ok := c.entries[it]
+	_, ok := c.index.Get(it.Key())
 	return ok
 }
 
 // Insert caches (or refreshes) item with the given metadata, evicting
 // victims as needed to respect the byte budget. It returns the evicted
-// items. Items larger than the whole cache are rejected (never cached).
+// items in cache-owned scratch, valid until the next mutating call. Items
+// larger than the whole cache are rejected (never cached).
 //
 // A refresh of a resident item only updates its metadata: the access was
 // already recorded by the Lookup that discovered the miss/staleness, and a
 // server-initiated prefetch of an already-resident item is not a client
 // access at all.
 func (c *Cache) Insert(it oodb.Item, e Entry, now float64) []oodb.Item {
-	if old, ok := c.entries[it]; ok {
-		*old = e
-		return nil
+	c.evicted = c.evicted[:0]
+	c.insert(it, e, now)
+	return c.evicted
+}
+
+// insert is Insert appending its victims to c.evicted.
+func (c *Cache) insert(it oodb.Item, e Entry, now float64) {
+	if i, ok := c.index.Get(it.Key()); ok {
+		c.slots[i] = e
+		return
 	}
 	size := ItemCost(it)
 	if size > c.capacityBytes {
 		c.rejected++
-		return nil
+		return
 	}
-	var evicted []oodb.Item
 	for c.usedBytes+size > c.capacityBytes {
 		victim, ok := c.policy.Victim(now)
 		if !ok {
 			panic("core: cache over budget with no victim available")
 		}
-		c.removeResident(victim)
-		c.evictions++
-		evicted = append(evicted, victim)
+		c.evict(victim)
 	}
-	stored := e
-	c.entries[it] = &stored
+	c.index.Set(it.Key(), int32(len(c.items)))
+	c.items = append(c.items, it)
+	c.slots = append(c.slots, e)
 	c.usedBytes += size
 	c.policy.OnInsert(it, now)
 	c.insertions++
-	return evicted
+}
+
+// evict removes a victim the policy named and records it in c.evicted.
+func (c *Cache) evict(victim oodb.Item) {
+	if !c.Remove(victim) {
+		panic(fmt.Sprintf("core: removing non-resident item %v", victim))
+	}
+	c.evictions++
+	c.evicted = append(c.evicted, victim)
 }
 
 // BatchEntry pairs an item with its metadata for InsertBatch.
@@ -166,19 +190,20 @@ type BatchEntry struct {
 // before inserting, which is what keeps large replies (OC objects, HC
 // prefetch sets) affordable; the set of evicted items matches what repeated
 // single Inserts would have chosen at the same instant. Returns all evicted
-// items.
+// items in cache-owned scratch, valid until the next mutating call.
 func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
+	c.evicted = c.evicted[:0]
 	// Bytes the batch will add: new, cacheable, de-duplicated items only.
 	incoming := 0
-	seen := make(map[oodb.Item]bool, len(batch))
+	c.seen.Reset()
 	for _, b := range batch {
-		if seen[b.Item] || c.Contains(b.Item) || ItemCost(b.Item) > c.capacityBytes {
+		key := b.Item.Key()
+		if _, dup := c.seen.Get(key); dup || c.Contains(b.Item) || ItemCost(b.Item) > c.capacityBytes {
 			continue
 		}
-		seen[b.Item] = true
+		c.seen.Set(key, 0)
 		incoming += ItemCost(b.Item)
 	}
-	var evicted []oodb.Item
 	for c.usedBytes+incoming > c.capacityBytes {
 		over := c.usedBytes + incoming - c.capacityBytes
 		want := over/oodb.AttrSize + 1
@@ -197,9 +222,7 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 			if c.usedBytes+incoming <= c.capacityBytes {
 				break
 			}
-			c.removeResident(v)
-			c.evictions++
-			evicted = append(evicted, v)
+			c.evict(v)
 			progress = true
 		}
 		if !progress {
@@ -209,36 +232,35 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 	// Insert; Insert itself copes with any residual corner cases (e.g. a
 	// batch item that was just selected as a victim).
 	for _, b := range batch {
-		evicted = append(evicted, c.Insert(b.Item, b.Entry, now)...)
+		c.insert(b.Item, b.Entry, now)
 	}
-	return evicted
+	return c.evicted
 }
 
 // Remove drops item from the cache (explicit invalidation), reporting
 // whether it was resident.
 func (c *Cache) Remove(it oodb.Item) bool {
-	if _, ok := c.entries[it]; !ok {
+	i, ok := c.index.Delete(it.Key())
+	if !ok {
 		return false
 	}
-	c.removeResident(it)
-	return true
-}
-
-func (c *Cache) removeResident(it oodb.Item) {
-	if _, ok := c.entries[it]; !ok {
-		panic(fmt.Sprintf("core: removing non-resident item %v", it))
+	last := int32(len(c.items) - 1)
+	if i != last {
+		c.items[i], c.slots[i] = c.items[last], c.slots[last]
+		c.index.Set(c.items[i].Key(), i)
 	}
-	delete(c.entries, it)
+	c.items, c.slots = c.items[:last], c.slots[:last]
 	c.usedBytes -= ItemCost(it)
 	c.policy.Remove(it)
+	return true
 }
 
 // ForEach visits every resident item in unspecified order; fn returning
 // false stops the iteration. fn must not mutate the cache; collect items
 // first and mutate afterwards.
 func (c *Cache) ForEach(fn func(it oodb.Item, e *Entry) bool) {
-	for it, e := range c.entries {
-		if !fn(it, e) {
+	for i, it := range c.items {
+		if !fn(it, &c.slots[i]) {
 			return
 		}
 	}
@@ -248,15 +270,16 @@ func (c *Cache) ForEach(fn func(it oodb.Item, e *Entry) bool) {
 // no longer trust after missing invalidation reports). Eviction counters
 // are not advanced; replacement state is fully reset.
 func (c *Cache) Clear() {
-	for it := range c.entries {
+	for _, it := range c.items {
 		c.policy.Remove(it)
-		delete(c.entries, it)
 	}
+	c.index.Reset()
+	c.items, c.slots = c.items[:0], c.slots[:0]
 	c.usedBytes = 0
 }
 
 // Len returns the number of resident items.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return len(c.items) }
 
 // UsedBytes returns the occupied byte budget.
 func (c *Cache) UsedBytes() int { return c.usedBytes }
@@ -276,16 +299,16 @@ func (c *Cache) PolicyName() string { return c.policy.Name() }
 // ValidFraction returns the fraction of resident items whose lease is still
 // running at time now (diagnostic for coherence experiments).
 func (c *Cache) ValidFraction(now float64) float64 {
-	if len(c.entries) == 0 {
+	if len(c.slots) == 0 {
 		return 0
 	}
 	valid := 0
-	for _, e := range c.entries {
+	for _, e := range c.slots {
 		if e.ValidAt(now) {
 			valid++
 		}
 	}
-	return float64(valid) / float64(len(c.entries))
+	return float64(valid) / float64(len(c.slots))
 }
 
 // CoverItem maps a single attribute read to the cache item that would

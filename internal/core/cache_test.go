@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -465,5 +466,77 @@ func TestQuickInsertBatchAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheSteadyStateAllocs: probing the cache, and installing replies into
+// a cache that is already full, allocate nothing once the scratch has grown.
+func TestCacheSteadyStateAllocs(t *testing.T) {
+	const residents = 400
+	c := NewCache(residents*attrCost(), replacement.NewEWMA(0.5))
+	next := 0
+	newItem := func() oodb.Item {
+		next++
+		return attr(next/oodb.NumAttrs, next%oodb.NumAttrs)
+	}
+	now := 0.0
+	batch := make([]BatchEntry, oodb.NumAttrs)
+	install := func() {
+		now++
+		for i := range batch {
+			batch[i] = BatchEntry{Item: newItem(), Entry: fresh(now)}
+		}
+		c.InsertBatch(batch, now)
+	}
+	for i := 0; i < 3*residents/len(batch); i++ {
+		install() // fill, then churn until every slice has reached its size
+	}
+	if c.Len() != residents {
+		t.Fatalf("Len = %d, want a full cache of %d", c.Len(), residents)
+	}
+	if allocs := testing.AllocsPerRun(200, install); allocs != 0 {
+		t.Errorf("InsertBatch into a full cache allocates %v times", allocs)
+	}
+	hit, miss := batch[0].Item, attr(1<<20, 0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		now++
+		if _, st := c.Lookup(hit, now); st != Hit {
+			t.Fatalf("Lookup(%v) = %v", hit, st)
+		}
+		if _, st := c.Lookup(miss, now); st != Miss {
+			t.Fatalf("Lookup(%v) = %v", miss, st)
+		}
+	}); allocs != 0 {
+		t.Errorf("Lookup allocates %v times", allocs)
+	}
+}
+
+// BenchmarkCacheInsertBatch is one reply's worth of new attribute items
+// (one op = one 12-item batch) installed into a full ewma-0.5 cache of 400
+// objects (the paper's client) and of 10 (a thin fleet client): bulk victim
+// selection, eviction and insertion, the simulator's dominant step.
+func BenchmarkCacheInsertBatch(b *testing.B) {
+	for _, objects := range []int{400, 10} {
+		b.Run(fmt.Sprint(objects), func(b *testing.B) {
+			c := NewCache(objects*objCost(), replacement.NewEWMA(0.5))
+			next, now := 0, 0.0
+			batch := make([]BatchEntry, oodb.NumAttrs)
+			install := func() {
+				now++
+				for i := range batch {
+					batch[i] = BatchEntry{Item: attr(next/oodb.NumAttrs, next%oodb.NumAttrs), Entry: fresh(now)}
+					next++
+				}
+				c.InsertBatch(batch, now)
+			}
+			for c.Evictions() == 0 {
+				install()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				install()
+			}
+		})
 	}
 }

@@ -1,0 +1,223 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/oodb"
+	"repro/internal/replacement"
+)
+
+// mapCache is the Cache as it stood before residents moved into flat slices
+// under an oodb.ItemIndex: a Go map of heap-allocated entries and a fresh
+// evicted slice per call. It is the behavioural oracle of
+// TestCacheMatchesMapTwin, so its bodies stay as they were.
+type mapCache struct {
+	capacityBytes int
+	usedBytes     int
+	entries       map[oodb.Item]*Entry
+	policy        replacement.Policy
+
+	insertions uint64
+	evictions  uint64
+	rejected   uint64
+}
+
+func newMapCache(capacityBytes int, policy replacement.Policy) *mapCache {
+	return &mapCache{capacityBytes: capacityBytes, entries: make(map[oodb.Item]*Entry), policy: policy}
+}
+
+func (c *mapCache) Lookup(it oodb.Item, now float64) (*Entry, LookupState) {
+	e, ok := c.entries[it]
+	if !ok {
+		return nil, Miss
+	}
+	c.policy.OnAccess(it, now)
+	if !e.ValidAt(now) {
+		return e, Stale
+	}
+	return e, Hit
+}
+
+func (c *mapCache) Contains(it oodb.Item) bool {
+	_, ok := c.entries[it]
+	return ok
+}
+
+func (c *mapCache) Insert(it oodb.Item, e Entry, now float64) []oodb.Item {
+	if old, ok := c.entries[it]; ok {
+		*old = e
+		return nil
+	}
+	size := ItemCost(it)
+	if size > c.capacityBytes {
+		c.rejected++
+		return nil
+	}
+	var evicted []oodb.Item
+	for c.usedBytes+size > c.capacityBytes {
+		victim, ok := c.policy.Victim(now)
+		if !ok {
+			panic("core: cache over budget with no victim available")
+		}
+		c.removeResident(victim)
+		c.evictions++
+		evicted = append(evicted, victim)
+	}
+	stored := e
+	c.entries[it] = &stored
+	c.usedBytes += size
+	c.policy.OnInsert(it, now)
+	c.insertions++
+	return evicted
+}
+
+func (c *mapCache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
+	incoming := 0
+	seen := make(map[oodb.Item]bool, len(batch))
+	for _, b := range batch {
+		if seen[b.Item] || c.Contains(b.Item) || ItemCost(b.Item) > c.capacityBytes {
+			continue
+		}
+		seen[b.Item] = true
+		incoming += ItemCost(b.Item)
+	}
+	var evicted []oodb.Item
+	for c.usedBytes+incoming > c.capacityBytes {
+		over := c.usedBytes + incoming - c.capacityBytes
+		want := over/oodb.AttrSize + 1
+		if want > 1024 {
+			want = 1024
+		}
+		victims := c.policy.Victims(now, want)
+		if len(victims) == 0 {
+			break
+		}
+		progress := false
+		for _, v := range victims {
+			if c.usedBytes+incoming <= c.capacityBytes {
+				break
+			}
+			c.removeResident(v)
+			c.evictions++
+			evicted = append(evicted, v)
+			progress = true
+		}
+		if !progress {
+			panic("core: bulk eviction made no progress")
+		}
+	}
+	for _, b := range batch {
+		evicted = append(evicted, c.Insert(b.Item, b.Entry, now)...)
+	}
+	return evicted
+}
+
+func (c *mapCache) Remove(it oodb.Item) bool {
+	if _, ok := c.entries[it]; !ok {
+		return false
+	}
+	c.removeResident(it)
+	return true
+}
+
+func (c *mapCache) removeResident(it oodb.Item) {
+	if _, ok := c.entries[it]; !ok {
+		panic(fmt.Sprintf("core: removing non-resident item %v", it))
+	}
+	delete(c.entries, it)
+	c.usedBytes -= ItemCost(it)
+	c.policy.Remove(it)
+}
+
+func (c *mapCache) Clear() {
+	for it := range c.entries {
+		c.policy.Remove(it)
+		delete(c.entries, it)
+	}
+	c.usedBytes = 0
+}
+
+// TestCacheMatchesMapTwin drives the Cache and its map-backed predecessor,
+// each over its own policy instance, through one random stream of Insert,
+// InsertBatch, Lookup, Remove and Clear, and requires the same evicted
+// lists, lookup results, residency, sizes and counters after every
+// operation. The small budget rejects whole objects, the large one mixes
+// both item sizes.
+func TestCacheMatchesMapTwin(t *testing.T) {
+	for _, spec := range []string{"lru", "ewma-0.5", "clock"} {
+		for _, capacity := range []int{6 * attrCost(), 4*objCost() + 3*attrCost()} {
+			factory, err := replacement.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, twin := NewCache(capacity, factory()), newMapCache(capacity, factory())
+			rnd := rand.New(rand.NewSource(int64(capacity)))
+			item := func() oodb.Item {
+				if rnd.Intn(4) == 0 {
+					return obj(rnd.Intn(6))
+				}
+				return attr(rnd.Intn(6), rnd.Intn(5))
+			}
+			now := 0.0
+			for op := 0; op < 40_000; op++ {
+				now += rnd.Float64()
+				what := fmt.Sprintf("%s/%d op %d", spec, capacity, op)
+				switch r := rnd.Intn(100); {
+				case r < 35:
+					it, e := item(), leased(now+float64(rnd.Intn(20)))
+					got := append([]oodb.Item(nil), c.Insert(it, e, now)...)
+					if want := twin.Insert(it, e, now); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: Insert(%v) evicted %v, twin %v", what, it, got, want)
+					}
+				case r < 55:
+					batch := make([]BatchEntry, 1+rnd.Intn(14))
+					for i := range batch {
+						batch[i] = BatchEntry{Item: item(), Entry: leased(now + float64(rnd.Intn(20)))}
+					}
+					got := append([]oodb.Item(nil), c.InsertBatch(batch, now)...)
+					if want := twin.InsertBatch(batch, now); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: InsertBatch evicted %v, twin %v", what, got, want)
+					}
+				case r < 85:
+					it := item()
+					ge, gs := c.Lookup(it, now)
+					we, ws := twin.Lookup(it, now)
+					if gs != ws || (ge == nil) != (we == nil) || (ge != nil && *ge != *we) {
+						t.Fatalf("%s: Lookup(%v) = %v,%v, twin %v,%v", what, it, ge, gs, we, ws)
+					}
+				case r < 99:
+					it := item()
+					if got, want := c.Remove(it), twin.Remove(it); got != want {
+						t.Fatalf("%s: Remove(%v) = %v, twin %v", what, it, got, want)
+					}
+				default:
+					c.Clear()
+					twin.Clear()
+				}
+				if c.Len() != len(twin.entries) || c.UsedBytes() != twin.usedBytes ||
+					c.insertions != twin.insertions || c.evictions != twin.evictions || c.rejected != twin.rejected {
+					t.Fatalf("%s: len %d used %d ins %d ev %d rej %d; twin len %d used %d ins %d ev %d rej %d", what,
+						c.Len(), c.UsedBytes(), c.insertions, c.evictions, c.rejected,
+						len(twin.entries), twin.usedBytes, twin.insertions, twin.evictions, twin.rejected)
+				}
+				seen := 0
+				c.ForEach(func(it oodb.Item, e *Entry) bool {
+					seen++
+					if we, ok := twin.entries[it]; !ok || *we != *e {
+						t.Fatalf("%s: resident %v = %v, twin %v (resident %v)", what, it, *e, we, ok)
+					}
+					if pe, ok := c.Peek(it); !ok || pe != e {
+						t.Fatalf("%s: Peek(%v) disagrees with ForEach", what, it)
+					}
+					return true
+				})
+				if seen != c.Len() {
+					t.Fatalf("%s: ForEach visited %d of %d residents", what, seen, c.Len())
+				}
+			}
+		}
+	}
+}

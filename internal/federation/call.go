@@ -51,6 +51,7 @@ type contactCall struct {
 	o       int // current remote node in the fcNext loop
 	served  []server.ReplyItem
 	fwdBuf  []workload.ReadOp // relay-filtered forwards (never aliases parts)
+	batch   []core.BatchEntry // relay-fill scratch
 	forward []workload.ReadOp // what actually goes to the owner
 	rep     server.Reply      // remote owner's reply, pending the back link
 }
@@ -208,9 +209,9 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 			home := cs.home
 			if home.relay != nil && len(cc.rep.Items) > 0 {
 				now := m.Now()
-				batch := make([]core.BatchEntry, 0, len(cc.rep.Items))
+				cc.batch = cc.batch[:0]
 				for _, item := range cc.rep.Items {
-					batch = append(batch, core.BatchEntry{
+					cc.batch = append(cc.batch, core.BatchEntry{
 						Item: item.Item,
 						Entry: core.Entry{
 							Version:   item.Version,
@@ -219,7 +220,7 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 						},
 					})
 				}
-				home.relay.InsertBatch(batch, now)
+				home.relay.InsertBatch(cc.batch, now)
 			}
 			cc.out.Items = append(cc.out.Items, cc.served...)
 			cc.out.Items = append(cc.out.Items, cc.rep.Items...)

@@ -1,0 +1,335 @@
+package oodb
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// indexUniverse is the key population of the model and fuzz tests: OIDs
+// counted up from 0 and down from MaxUint32 alternately, and for each the
+// whole-object item next to attribute 0, so packed keys that differ only in
+// the low byte or only in the top bits all meet in one table.
+func indexUniverse(n int) []Item {
+	attrs := []AttrID{0, 1, NumAttrs - 1, WholeObject}
+	items := make([]Item, 0, n+len(attrs))
+	for i := 0; len(items) < n; i++ {
+		oid := OID(i / 2)
+		if i%2 == 1 {
+			oid = math.MaxUint32 - oid
+		}
+		for _, a := range attrs {
+			items = append(items, Item{OID: oid, Attr: a})
+		}
+	}
+	return items[:n]
+}
+
+// indexModel drives an ItemIndex and the runtime's map through the same
+// operations and fails on the first disagreement.
+type indexModel struct {
+	t     testing.TB
+	x     ItemIndex
+	model map[Item]int32
+}
+
+func (m *indexModel) set(it Item, slot int32) {
+	m.x.Set(it.Key(), slot)
+	m.model[it] = slot
+	m.checkLen()
+}
+
+func (m *indexModel) get(it Item) {
+	got, ok := m.x.Get(it.Key())
+	want, wantOK := m.model[it]
+	if ok != wantOK || got != want {
+		m.t.Fatalf("Get(%v) = %d,%v; map has %d,%v", it, got, ok, want, wantOK)
+	}
+}
+
+func (m *indexModel) delete(it Item) {
+	got, ok := m.x.Delete(it.Key())
+	want, wantOK := m.model[it]
+	delete(m.model, it)
+	if ok != wantOK || got != want {
+		m.t.Fatalf("Delete(%v) = %d,%v; map had %d,%v", it, got, ok, want, wantOK)
+	}
+	m.checkLen()
+}
+
+func (m *indexModel) reset() {
+	m.x.Reset()
+	for it := range m.model {
+		delete(m.model, it)
+	}
+	m.checkLen()
+}
+
+func (m *indexModel) checkLen() {
+	if m.x.Len() != len(m.model) {
+		m.t.Fatalf("Len = %d, map has %d", m.x.Len(), len(m.model))
+	}
+}
+
+// checkAll looks every universe item up: a key the backward shift stranded
+// behind a hole, or a stale copy it left, shows here.
+func (m *indexModel) checkAll(universe []Item) {
+	for _, it := range universe {
+		m.get(it)
+	}
+}
+
+// TestItemIndexMatchesMap runs random Set/Get/Delete/Reset streams at three
+// occupancies (a handful of keys in the smallest table, a thin fleet
+// client's cache, a paper-size cache) against map[Item]int32, 1.2M
+// operations in all. The universe is twice the target, so inserts and
+// deletes balance at it.
+func TestItemIndexMatchesMap(t *testing.T) {
+	for _, tc := range []struct {
+		occupancy, ops int
+	}{{3, 200_000}, {80, 400_000}, {3200, 600_000}} {
+		universe := indexUniverse(2 * tc.occupancy)
+		rnd := rand.New(rand.NewSource(int64(tc.occupancy)))
+		m := &indexModel{t: t, model: map[Item]int32{}}
+		for op := 0; op < tc.ops; op++ {
+			it := universe[rnd.Intn(len(universe))]
+			switch r := rnd.Intn(100_000); {
+			case r == 0:
+				m.reset()
+			case r%4 == 0:
+				m.set(it, int32(op))
+			case r%4 == 1:
+				m.delete(it)
+			default:
+				m.get(it)
+			}
+			if op%4096 == 0 {
+				m.checkAll(universe)
+			}
+		}
+		m.checkAll(universe)
+	}
+}
+
+// keysHomedAt returns n distinct universe items whose first probe position
+// in a table of 8 cells is cell.
+func keysHomedAt(t testing.TB, cell, n int) []Item {
+	x := ItemIndex{shift: 61}
+	var out []Item
+	for _, it := range indexUniverse(4096) {
+		if x.home(it.Key()+1) == cell {
+			if out = append(out, it); len(out) == n {
+				return out
+			}
+		}
+	}
+	t.Fatalf("universe has fewer than %d keys homed at cell %d", n, cell)
+	return nil
+}
+
+// TestItemIndexShiftWrapsTableEnd builds a probe chain that starts in the
+// last cell of an 8-cell table and continues in cells 0..2, then deletes
+// from its head, middle and tail: the backward shift must carry cells
+// across the wrap without losing the ones homed before it.
+func TestItemIndexShiftWrapsTableEnd(t *testing.T) {
+	chain := keysHomedAt(t, 7, 4)
+	for victim := range chain {
+		m := &indexModel{t: t, model: map[Item]int32{}}
+		for i, it := range chain {
+			m.set(it, int32(i))
+		}
+		if len(m.x.keys) != 8 {
+			t.Fatalf("table grew to %d cells; the chain no longer wraps", len(m.x.keys))
+		}
+		m.delete(chain[victim])
+		m.checkAll(chain)
+		// A key homed inside the wrapped part must not be pulled back
+		// across its own home.
+		inside := keysHomedAt(t, 1, 1)[0]
+		m.set(inside, 99)
+		m.delete(chain[(victim+1)%len(chain)])
+		m.checkAll(append(chain, inside))
+	}
+}
+
+// TestItemIndexGrowsMidChain fills one chain until the table doubles under
+// it, then checks every key and that the chain still deletes cleanly.
+func TestItemIndexGrowsMidChain(t *testing.T) {
+	chain := keysHomedAt(t, 6, 7) // the 7th Set passes 3/4 of 8 cells
+	m := &indexModel{t: t, model: map[Item]int32{}}
+	for i, it := range chain {
+		m.set(it, int32(i))
+		m.checkAll(chain)
+	}
+	if len(m.x.keys) != 16 {
+		t.Fatalf("cells = %d after 7 keys, want 16", len(m.x.keys))
+	}
+	for _, it := range chain {
+		m.delete(it)
+		m.checkAll(chain)
+	}
+}
+
+// TestItemIndexBoundaryKeys: attribute 0 and the whole object of one OID,
+// and the smallest and largest OIDs, are four different keys.
+func TestItemIndexBoundaryKeys(t *testing.T) {
+	items := []Item{
+		AttrItem(0, 0), ObjectItem(0),
+		AttrItem(math.MaxUint32, 0), ObjectItem(math.MaxUint32),
+	}
+	m := &indexModel{t: t, model: map[Item]int32{}}
+	for i, it := range items {
+		m.set(it, int32(i))
+	}
+	m.checkAll(items)
+	m.delete(ObjectItem(0))
+	m.checkAll(items)
+	if OID(7).Key() != 7 {
+		t.Fatalf("OID(7).Key() = %d", OID(7).Key())
+	}
+}
+
+// TestItemIndexZeroValueAndReset: the zero index answers reads, and Reset
+// keeps the table it grew.
+func TestItemIndexZeroValueAndReset(t *testing.T) {
+	var x ItemIndex
+	if _, ok := x.Get(1); ok {
+		t.Fatal("Get on the zero index found a key")
+	}
+	if _, ok := x.Delete(1); ok || x.Len() != 0 {
+		t.Fatal("Delete on the zero index removed a key")
+	}
+	x.Reset()
+	for k := uint64(0); k < 100; k++ {
+		x.Set(k, int32(k))
+	}
+	cells := len(x.keys)
+	x.Reset()
+	if x.Len() != 0 || len(x.keys) != cells {
+		t.Fatalf("after Reset: Len %d, %d cells (had %d)", x.Len(), len(x.keys), cells)
+	}
+	if _, ok := x.Get(5); ok {
+		t.Fatal("key survived Reset")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for k := uint64(0); k < 100; k++ {
+			x.Set(k, 0)
+		}
+		x.Reset()
+	}); allocs != 0 {
+		t.Fatalf("refilling a Reset index allocates %v times", allocs)
+	}
+}
+
+// FuzzItemIndex replays a byte stream as index operations against the map
+// model: two bytes an operation, the first picking Set/Delete/Get (or
+// Reset, rarely), the second a key out of 256. The small universe keeps
+// chains long and tables small, so wraps and mid-chain growth are common.
+func FuzzItemIndex(f *testing.F) {
+	universe := indexUniverse(256)
+	pos := map[Item]byte{}
+	for i, it := range universe {
+		pos[it] = byte(i)
+	}
+	const opSet, opDelete, opGet, opReset = 0, 1, 2, 3
+	seed := func(ops ...[2]byte) {
+		var b []byte
+		for _, op := range ops {
+			b = append(b, op[0], op[1])
+		}
+		f.Add(b)
+	}
+	// A chain wrapping the end of the 8-cell table, deleted from the head.
+	var wrap [][2]byte
+	for _, it := range keysHomedAt(f, 7, 4) {
+		if p, ok := pos[it]; ok {
+			wrap = append(wrap, [2]byte{opSet, p})
+		}
+	}
+	if len(wrap) > 0 {
+		seed(append(wrap, [2]byte{opDelete, wrap[0][1]}, [2]byte{opGet, wrap[len(wrap)-1][1]})...)
+	}
+	// Growth in the middle of a run of sets, then deletes in set order.
+	var grow [][2]byte
+	for p := byte(0); p < 40; p++ {
+		grow = append(grow, [2]byte{opSet, p})
+	}
+	for p := byte(0); p < 40; p++ {
+		grow = append(grow, [2]byte{opDelete, p})
+	}
+	seed(grow...)
+	// Attribute 0 next to the whole object; OID 0 and MaxUint32.
+	seed([2]byte{opSet, pos[AttrItem(0, 0)]}, [2]byte{opSet, pos[ObjectItem(0)]},
+		[2]byte{opSet, pos[ObjectItem(math.MaxUint32)]}, [2]byte{opDelete, pos[AttrItem(0, 0)]},
+		[2]byte{opReset, 0}, [2]byte{opGet, pos[ObjectItem(0)]})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := &indexModel{t: t, model: map[Item]int32{}}
+		for i := 0; i+1 < len(data); i += 2 {
+			it := universe[data[i+1]]
+			switch data[i] % 4 {
+			case opSet:
+				m.set(it, int32(i))
+			case opDelete:
+				m.delete(it)
+			case opGet:
+				m.get(it)
+			case opReset:
+				if data[i+1] == 0 {
+					m.reset()
+				} else {
+					m.get(it)
+				}
+			}
+		}
+		m.checkAll(universe)
+	})
+}
+
+// BenchmarkItemIndexChurn is the cache's steady state in one table: over
+// 3200 resident items (a paper-size HC cache), look a resident up, delete
+// it, and insert a new item — against the two Go maps it replaced or could
+// have been replaced by.
+func BenchmarkItemIndexChurn(b *testing.B) {
+	const resident = 3200
+	item := func(i int) Item { return AttrItem(OID(i/NumAttrs), AttrID(i%NumAttrs)) }
+	b.Run("index", func(b *testing.B) {
+		var x ItemIndex
+		for i := 0; i < resident; i++ {
+			x.Set(item(i).Key(), int32(i))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			old := item(i).Key()
+			slot, _ := x.Get(old)
+			x.Delete(old)
+			x.Set(item(i+resident).Key(), slot)
+		}
+	})
+	b.Run("map-item", func(b *testing.B) {
+		x := map[Item]int32{}
+		for i := 0; i < resident; i++ {
+			x[item(i)] = int32(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			old := item(i)
+			slot := x[old]
+			delete(x, old)
+			x[item(i+resident)] = slot
+		}
+	})
+	b.Run("map-uint64", func(b *testing.B) {
+		x := map[uint64]int32{}
+		for i := 0; i < resident; i++ {
+			x[item(i).Key()] = int32(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			old := item(i).Key()
+			slot := x[old]
+			delete(x, old)
+			x[item(i+resident).Key()] = slot
+		}
+	})
+}

@@ -27,7 +27,6 @@ type lru struct {
 // NewLRU returns the least-recently-used policy.
 func NewLRU() Policy {
 	p := &lru{}
-	p.t = newSlotTable[lruState]()
 	p.classes = []classHeap{{sc: lruScorer{p}}}
 	return p
 }
@@ -52,14 +51,14 @@ func (p *lru) OnInsert(it oodb.Item, now float64) {
 		p.touch(slot, now)
 		return
 	}
-	slot, _ := p.t.add(it, lruState{last: now})
+	slot := p.t.add(it, lruState{last: now})
 	p.grow()
 	p.classes[0].heap.push(slot, now)
 }
 
 func (p *lru) OnAccess(it oodb.Item, now float64) {
 	slot, ok := p.t.lookup(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	p.touch(slot, now)
 }
 
@@ -107,10 +106,11 @@ func (p *lru) Len() int { return p.t.len() }
 // class bound still upper-bounds it, keeping the pruning sound.
 type lruK struct {
 	victimCore[int32] // slot state = index into arena
+
 	k       int
 	crp     float64
 	arena   []lruKState
-	history map[oodb.Item]int32 // retained information: item -> arena index
+	history oodb.ItemIndex // retained information: item -> arena index
 }
 
 // NewLRUK returns the LRU-k policy with the default correlated reference
@@ -126,8 +126,7 @@ func NewLRUKCRP(k int, crp float64) Policy {
 	if crp < 0 {
 		panic("replacement: LRU-k correlated period must be >= 0")
 	}
-	p := &lruK{k: k, crp: crp, history: make(map[oodb.Item]int32)}
-	p.t = newSlotTable[int32]()
+	p := &lruK{k: k, crp: crp}
 	p.classes = []classHeap{
 		{sc: lruKInfScorer{p}}, // < k references, keyed by last access
 		{sc: lruKFinScorer{p}}, // full ring, keyed by k-th last access
@@ -181,15 +180,15 @@ func (p *lruK) OnInsert(it oodb.Item, now float64) {
 		p.sync(slot)
 		return
 	}
-	idx, ok := p.history[it]
+	idx, ok := p.history.Get(it.Key())
 	if !ok {
 		idx = int32(len(p.arena))
 		p.arena = append(p.arena, lruKState{ring: makeAccessRing(p.k)})
-		p.history[it] = idx
+		p.history.Set(it.Key(), idx)
 	}
 	s := &p.arena[idx]
 	s.record(p.crp, now)
-	slot, _ := p.t.add(it, idx)
+	slot := p.t.add(it, idx)
 	p.grow()
 	if kth, full := s.ring.kth(); full {
 		p.classes[1].heap.push(slot, kth)
@@ -200,7 +199,7 @@ func (p *lruK) OnInsert(it oodb.Item, now float64) {
 
 func (p *lruK) OnAccess(it oodb.Item, now float64) {
 	slot, ok := p.t.lookup(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	p.arena[p.t.states[slot]].record(p.crp, now)
 	p.sync(slot)
 }
@@ -242,7 +241,6 @@ func NewLRD(interval float64) Policy {
 		panic("replacement: LRD interval must be positive")
 	}
 	p := &lrd{interval: interval}
-	p.t = newSlotTable[lrdState]()
 	p.classes = []classHeap{{sc: lrdScorer{p}}}
 	return p
 }
@@ -285,14 +283,14 @@ func (p *lrd) OnInsert(it oodb.Item, now float64) {
 		p.bump(slot, now)
 		return
 	}
-	slot, _ := p.t.add(it, lrdState{refs: 1, enter: now, lastAged: now})
+	slot := p.t.add(it, lrdState{refs: 1, enter: now, lastAged: now})
 	p.grow()
 	p.classes[0].heap.push(slot, p.keyOf(&p.t.states[slot]))
 }
 
 func (p *lrd) OnAccess(it oodb.Item, now float64) {
 	slot, ok := p.t.lookup(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	p.bump(slot, now)
 }
 
@@ -324,7 +322,6 @@ type fifo struct {
 // NewFIFO returns the first-in-first-out baseline.
 func NewFIFO() Policy {
 	p := &fifo{}
-	p.t = newSlotTable[fifoState]()
 	p.classes = []classHeap{{sc: fifoScorer{p}}}
 	return p
 }
@@ -349,14 +346,14 @@ func (p *fifo) OnInsert(it oodb.Item, now float64) {
 		return
 	}
 	p.n++
-	slot, _ := p.t.add(it, fifoState{seq: p.n})
+	slot := p.t.add(it, fifoState{seq: p.n})
 	p.grow()
 	p.classes[0].heap.push(slot, float64(p.n))
 }
 
 func (p *fifo) OnAccess(it oodb.Item, now float64) {
 	_, ok := p.t.lookup(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 }
 
 func (p *fifo) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
@@ -376,17 +373,16 @@ func (p *fifo) Len() int { return p.t.len() }
 // items (swap-moved on removal) instead of a map.
 type clock struct {
 	items []oodb.Item
-	index map[oodb.Item]int
+	index oodb.ItemIndex
 	ref   []bool
 	stamp []uint64 // per-position selection stamp for Victims' wrap guard
 	hand  int
 	gen   uint64
+	out   []oodb.Item // scratch returned by Victims
 }
 
 // NewClock returns the CLOCK (second chance) baseline.
-func NewClock() Policy {
-	return &clock{index: make(map[oodb.Item]int)}
-}
+func NewClock() Policy { return &clock{} }
 
 // NewClockFactory returns a Factory for NewClock.
 func NewClockFactory() Factory { return func() Policy { return NewClock() } }
@@ -394,19 +390,19 @@ func NewClockFactory() Factory { return func() Policy { return NewClock() } }
 func (p *clock) Name() string { return "clock" }
 
 func (p *clock) OnInsert(it oodb.Item, now float64) {
-	if i, ok := p.index[it]; ok {
+	if i, ok := p.index.Get(it.Key()); ok {
 		p.ref[i] = true
 		return
 	}
-	p.index[it] = len(p.items)
+	p.index.Set(it.Key(), int32(len(p.items)))
 	p.items = append(p.items, it)
 	p.ref = append(p.ref, true)
 	p.stamp = append(p.stamp, 0)
 }
 
 func (p *clock) OnAccess(it oodb.Item, now float64) {
-	i, ok := p.index[it]
-	mustTracked(p.Name(), ok, it)
+	i, ok := p.index.Get(it.Key())
+	mustTracked(p, ok, it)
 	p.ref[i] = true
 }
 
@@ -444,7 +440,7 @@ func (p *clock) Victims(now float64, n int) []oodb.Item {
 		return nil
 	}
 	p.gen++
-	out := make([]oodb.Item, 0, n)
+	out := p.out[:0]
 	for len(out) < n {
 		if p.hand >= len(p.items) {
 			p.hand = 0
@@ -462,23 +458,25 @@ func (p *clock) Victims(now float64, n int) []oodb.Item {
 		p.ref[p.hand] = true
 		p.hand++
 	}
+	p.out = out
 	return out
 }
 
 func (p *clock) Remove(it oodb.Item) {
-	i, ok := p.index[it]
+	slot, ok := p.index.Delete(it.Key())
 	if !ok {
 		return
 	}
-	last := len(p.items) - 1
-	p.items[i] = p.items[last]
-	p.ref[i] = p.ref[last]
-	p.stamp[i] = p.stamp[last]
-	p.index[p.items[i]] = i
+	i, last := int(slot), len(p.items)-1
+	if i != last {
+		p.items[i] = p.items[last]
+		p.ref[i] = p.ref[last]
+		p.stamp[i] = p.stamp[last]
+		p.index.Set(p.items[i].Key(), slot)
+	}
 	p.items = p.items[:last]
 	p.ref = p.ref[:last]
 	p.stamp = p.stamp[:last]
-	delete(p.index, it)
 	if p.hand > last {
 		p.hand = 0
 	}
@@ -491,8 +489,9 @@ func (p *clock) Len() int { return len(p.items) }
 // random evicts a uniformly random resident item.
 type random struct {
 	items []oodb.Item
-	index map[oodb.Item]int
+	index oodb.ItemIndex
 	rnd   *rng.Stream
+	out   []oodb.Item // scratch returned by Victims
 }
 
 // NewRandom returns the random-replacement baseline using the given stream.
@@ -500,22 +499,22 @@ func NewRandom(rnd *rng.Stream) Policy {
 	if rnd == nil {
 		panic("replacement: NewRandom requires a stream")
 	}
-	return &random{index: make(map[oodb.Item]int), rnd: rnd}
+	return &random{rnd: rnd}
 }
 
 func (p *random) Name() string { return "random" }
 
 func (p *random) OnInsert(it oodb.Item, now float64) {
-	if _, ok := p.index[it]; ok {
+	if _, ok := p.index.Get(it.Key()); ok {
 		return
 	}
-	p.index[it] = len(p.items)
+	p.index.Set(it.Key(), int32(len(p.items)))
 	p.items = append(p.items, it)
 }
 
 func (p *random) OnAccess(it oodb.Item, now float64) {
-	_, ok := p.index[it]
-	mustTracked(p.Name(), ok, it)
+	_, ok := p.index.Get(it.Key())
+	mustTracked(p, ok, it)
 }
 
 func (p *random) Victim(now float64) (oodb.Item, bool) {
@@ -532,24 +531,24 @@ func (p *random) Victims(now float64, n int) []oodb.Item {
 	if n <= 0 {
 		return nil
 	}
-	idx := p.rnd.Sample(len(p.items), n)
-	out := make([]oodb.Item, n)
-	for i, j := range idx {
-		out[i] = p.items[j]
+	p.out = p.out[:0]
+	for _, j := range p.rnd.Sample(len(p.items), n) {
+		p.out = append(p.out, p.items[j])
 	}
-	return out
+	return p.out
 }
 
 func (p *random) Remove(it oodb.Item) {
-	i, ok := p.index[it]
+	slot, ok := p.index.Delete(it.Key())
 	if !ok {
 		return
 	}
 	last := len(p.items) - 1
-	p.items[i] = p.items[last]
-	p.index[p.items[i]] = i
+	if int(slot) != last {
+		p.items[slot] = p.items[last]
+		p.index.Set(p.items[slot].Key(), slot)
+	}
 	p.items = p.items[:last]
-	delete(p.index, it)
 }
 
 func (p *random) Len() int { return len(p.items) }
@@ -568,7 +567,6 @@ type mru struct {
 // NewMRU returns the most-recently-used policy.
 func NewMRU() Policy {
 	p := &mru{}
-	p.t = newSlotTable[lruState]()
 	p.classes = []classHeap{{sc: mruScorer{p}}}
 	return p
 }
@@ -593,14 +591,14 @@ func (p *mru) OnInsert(it oodb.Item, now float64) {
 		p.touch(slot, now)
 		return
 	}
-	slot, _ := p.t.add(it, lruState{last: now})
+	slot := p.t.add(it, lruState{last: now})
 	p.grow()
 	p.classes[0].heap.push(slot, -now)
 }
 
 func (p *mru) OnAccess(it oodb.Item, now float64) {
 	slot, ok := p.t.lookup(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	p.touch(slot, now)
 }
 

@@ -44,7 +44,6 @@ type meanPolicy struct {
 // NewMean returns the mean replacement scheme.
 func NewMean() Policy {
 	p := &meanPolicy{}
-	p.t = newSlotTable[meanState]()
 	p.classes = []classHeap{
 		{sc: meanSettledScorer{p}},
 		{sc: meanFreshScorer{p}},
@@ -82,14 +81,14 @@ func (p *meanPolicy) OnInsert(it oodb.Item, now float64) {
 		p.bump(slot, now)
 		return
 	}
-	slot, _ := p.t.add(it, meanState{last: now})
+	slot := p.t.add(it, meanState{last: now})
 	p.grow()
 	p.classes[1].heap.push(slot, now) // fresh
 }
 
 func (p *meanPolicy) OnAccess(it oodb.Item, now float64) {
 	slot, ok := p.t.lookup(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	p.bump(slot, now)
 }
 
@@ -136,7 +135,6 @@ func NewWindow(w int) Policy {
 		panic("replacement: window size must be >= 1")
 	}
 	p := &windowPolicy{w: w}
-	p.t = newSlotTable[winState]()
 	p.classes = []classHeap{{sc: windowScorer{p}}}
 	return p
 }
@@ -187,14 +185,14 @@ func (p *windowPolicy) OnInsert(it oodb.Item, now float64) {
 	} else {
 		win = stats.MakeWindow(p.w)
 	}
-	slot, _ := p.t.add(it, winState{win: win, last: now})
+	slot := p.t.add(it, winState{win: win, last: now})
 	p.grow()
 	p.classes[0].heap.push(slot, p.keyOf(&p.t.states[slot]))
 }
 
 func (p *windowPolicy) OnAccess(it oodb.Item, now float64) {
 	slot, ok := p.t.lookup(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	p.bump(slot, now)
 }
 
@@ -239,7 +237,6 @@ func NewEWMA(alpha float64) Policy {
 		panic("replacement: EWMA alpha must be in [0,1)")
 	}
 	p := &ewmaPolicy{alpha: alpha}
-	p.t = newSlotTable[ewmaState]()
 	p.classes = []classHeap{
 		{sc: ewmaSettledScorer{p}},
 		{sc: ewmaFreshScorer{p}},
@@ -285,14 +282,14 @@ func (p *ewmaPolicy) OnInsert(it oodb.Item, now float64) {
 		p.bump(slot, now)
 		return
 	}
-	slot, _ := p.t.add(it, ewmaState{last: now})
+	slot := p.t.add(it, ewmaState{last: now})
 	p.grow()
 	p.classes[1].heap.push(slot, now) // fresh
 }
 
 func (p *ewmaPolicy) OnAccess(it oodb.Item, now float64) {
 	slot, ok := p.t.lookup(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	p.bump(slot, now)
 }
 

@@ -42,35 +42,27 @@ import (
 )
 
 // slotTable tracks items and their per-item state in flat parallel slices
-// ([]S values, not []*S pointers), indexed by a map for O(1) lookup.
+// ([]S values, not []*S pointers), located through an oodb.ItemIndex. The
+// zero value is an empty table.
 type slotTable[S any] struct {
 	items  []oodb.Item
 	states []S
-	index  map[oodb.Item]int32
-}
-
-func newSlotTable[S any]() slotTable[S] {
-	return slotTable[S]{index: make(map[oodb.Item]int32)}
+	index  oodb.ItemIndex
 }
 
 func (t *slotTable[S]) len() int { return len(t.items) }
 
 func (t *slotTable[S]) lookup(it oodb.Item) (int32, bool) {
-	slot, ok := t.index[it]
-	return slot, ok
+	return t.index.Get(it.Key())
 }
 
-// add tracks a new item, returning its slot; ok is false (and the table
-// unchanged) when the item is already tracked.
-func (t *slotTable[S]) add(it oodb.Item, s S) (int32, bool) {
-	if _, ok := t.index[it]; ok {
-		return 0, false
-	}
+// add tracks an item lookup has just reported absent, returning its slot.
+func (t *slotTable[S]) add(it oodb.Item, s S) int32 {
 	slot := int32(len(t.items))
-	t.index[it] = slot
+	t.index.Set(it.Key(), slot)
 	t.items = append(t.items, it)
 	t.states = append(t.states, s)
-	return slot, true
+	return slot
 }
 
 // remove untracks the item in slot by moving the last slot into the hole
@@ -83,14 +75,14 @@ func (t *slotTable[S]) remove(slot int32) (moved int32) {
 	if slot != last {
 		t.items[slot] = t.items[last]
 		t.states[slot] = t.states[last]
-		t.index[t.items[slot]] = slot
+		t.index.Set(t.items[slot].Key(), slot)
 		moved = last
 	}
 	var zero S
 	t.items = t.items[:last]
 	t.states[last] = zero
 	t.states = t.states[:last]
-	delete(t.index, it)
+	t.index.Delete(it.Key())
 	return moved
 }
 
@@ -465,6 +457,7 @@ type victimCore[S any] struct {
 	classes []classHeap
 	stack   []int32
 	cands   []victimCand
+	out     []oodb.Item // scratch returned by victims
 }
 
 // grow sizes every class heap's dense arrays to the table.
@@ -487,14 +480,16 @@ func (c *victimCore[S]) victim(now float64) (oodb.Item, bool) {
 	return c.t.items[vs.slot], true
 }
 
-// victims returns up to n items ordered worst-first.
+// victims returns up to n items ordered worst-first, in scratch the next
+// call overwrites.
 func (c *victimCore[S]) victims(now float64, n int) []oodb.Item {
 	if n <= 0 || len(c.t.items) == 0 {
 		return nil
 	}
 	if n == 1 {
 		it, _ := c.victim(now)
-		return []oodb.Item{it}
+		c.out = append(c.out[:0], it)
+		return c.out
 	}
 	if n > len(c.t.items) {
 		n = len(c.t.items)
@@ -504,10 +499,13 @@ func (c *victimCore[S]) victims(now float64, n int) []oodb.Item {
 		ch := &c.classes[i]
 		c.stack = searchN(&ch.heap, ch.sc, now, &sw, c.stack)
 	}
-	out := make([]oodb.Item, len(sw.cands))
-	sw.extractInto(c.t.items, out)
+	if cap(c.out) < len(sw.cands) {
+		c.out = make([]oodb.Item, len(sw.cands))
+	}
+	c.out = c.out[:len(sw.cands)]
+	sw.extractInto(c.t.items, c.out)
 	c.cands = sw.cands[:0]
-	return out
+	return c.out
 }
 
 // removeSlot untracks a slot from every class heap and the table, keeping

@@ -47,7 +47,9 @@ type Policy interface {
 	// Victims returns up to n eviction candidates ordered worst-first,
 	// without removing them. A single call costs one scan, so callers that
 	// must free room for a whole batch of insertions should prefer it over
-	// n calls to Victim.
+	// n calls to Victim. The slice is policy-owned scratch, valid until the
+	// next mutating call; Remove alone leaves it intact, so a caller may
+	// evict the returned items while ranging over them.
 	Victims(now float64, n int) []oodb.Item
 	// Remove forgets an item (eviction or invalidation).
 	Remove(it oodb.Item)
@@ -207,9 +209,11 @@ func (c *scanCore[S]) victims(now float64, n int) []oodb.Item {
 	return out
 }
 
-func mustTracked(name string, ok bool, it oodb.Item) {
+// mustTracked takes the policy, not its name: Name formats a string for the
+// parameterized policies, which only the panic path should pay for.
+func mustTracked(p Policy, ok bool, it oodb.Item) {
 	if !ok {
-		panic(fmt.Sprintf("replacement/%s: operation on untracked item %v", name, it))
+		panic(fmt.Sprintf("replacement/%s: operation on untracked item %v", p.Name(), it))
 	}
 }
 

@@ -75,6 +75,33 @@ func TestAccessUntrackedPanics(t *testing.T) {
 	}
 }
 
+// The access path of every policy allocates nothing: in particular it must
+// not build the policy's name (a Sprintf for the parameterized ones) to hand
+// to the untracked-item check.
+func TestOnAccessDoesNotAllocate(t *testing.T) {
+	for _, p := range allPolicies() {
+		for i := 0; i < 64; i++ {
+			p.OnInsert(obj(i), float64(i))
+		}
+		now := 64.0
+		// A first pass so lazily sized state (window buffers, access rings)
+		// has settled; LRU-k collapses references closer than its
+		// correlated period, so step past it.
+		access := func() {
+			for i := 0; i < 64; i++ {
+				now += 2 * DefaultCorrelatedPeriod
+				p.OnAccess(obj(i), now)
+			}
+		}
+		for i := 0; i < 12; i++ {
+			access()
+		}
+		if allocs := testing.AllocsPerRun(20, access); allocs != 0 {
+			t.Errorf("%s: 64 OnAccess calls allocate %v times", p.Name(), allocs)
+		}
+	}
+}
+
 func TestLRUVictim(t *testing.T) {
 	p := NewLRU()
 	p.OnInsert(obj(1), 0)
@@ -157,7 +184,8 @@ func TestLRUKCorrelatedReferencesCollapse(t *testing.T) {
 	p := NewLRUKCRP(2, 100).(*lruK)
 	p.OnInsert(obj(1), 0)
 	p.OnAccess(obj(1), 10) // correlated: within 100s of the last access
-	s := &p.arena[p.history[obj(1)]]
+	idx, _ := p.history.Get(obj(1).Key())
+	s := &p.arena[idx]
 	if s.ring.n != 1 {
 		t.Fatalf("correlated access pushed a reference: n=%d", s.ring.n)
 	}

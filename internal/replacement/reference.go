@@ -73,7 +73,7 @@ func (p *refLRU) OnInsert(it oodb.Item, now float64) {
 
 func (p *refLRU) OnAccess(it oodb.Item, now float64) {
 	s, ok := p.core.get(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	s.last = now
 }
 
@@ -123,7 +123,7 @@ func (p *refLRUK) OnInsert(it oodb.Item, now float64) {
 
 func (p *refLRUK) OnAccess(it oodb.Item, now float64) {
 	s, ok := p.core.get(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	s.record(p.crp, now)
 }
 
@@ -163,7 +163,7 @@ func (p *refLRD) OnInsert(it oodb.Item, now float64) {
 
 func (p *refLRD) OnAccess(it oodb.Item, now float64) {
 	s, ok := p.core.get(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	s.age(now, p.interval)
 	s.refs++
 }
@@ -200,7 +200,7 @@ func (p *refFIFO) OnInsert(it oodb.Item, now float64) {
 
 func (p *refFIFO) OnAccess(it oodb.Item, now float64) {
 	_, ok := p.core.get(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 }
 
 func (p *refFIFO) Victim(now float64) (oodb.Item, bool)   { return p.core.victim(now) }
@@ -238,7 +238,7 @@ func (p *refClock) OnInsert(it oodb.Item, now float64) {
 
 func (p *refClock) OnAccess(it oodb.Item, now float64) {
 	_, ok := p.index[it]
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	p.ref[it] = true
 }
 
@@ -328,7 +328,7 @@ func (p *refMRU) OnInsert(it oodb.Item, now float64) {
 
 func (p *refMRU) OnAccess(it oodb.Item, now float64) {
 	s, ok := p.core.get(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	s.last = now
 }
 
@@ -361,7 +361,7 @@ func (p *refMean) OnInsert(it oodb.Item, now float64) {
 
 func (p *refMean) OnAccess(it oodb.Item, now float64) {
 	s, ok := p.core.get(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	s.record(now)
 }
 
@@ -400,7 +400,7 @@ func (p *refWindow) OnInsert(it oodb.Item, now float64) {
 
 func (p *refWindow) OnAccess(it oodb.Item, now float64) {
 	s, ok := p.core.get(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	s.record(now)
 }
 
@@ -439,7 +439,7 @@ func (p *refEWMA) OnInsert(it oodb.Item, now float64) {
 
 func (p *refEWMA) OnAccess(it oodb.Item, now float64) {
 	s, ok := p.core.get(it)
-	mustTracked(p.Name(), ok, it)
+	mustTracked(p, ok, it)
 	s.record(p.alpha, now)
 }
 

@@ -7,9 +7,11 @@
 #           channel fault model's per-frame cost, plus the parallel sweep
 #           benchmark (wall-clock of a 16-config evaluation slice at pool
 #           sizes 1/2/4/8)                        -> BENCH_kernel.json
-#   model   the replacement-policy hot path: ns/access, ns/victim and the
-#           full eviction cycle for every indexed policy against its
-#           retained scanCore reference twin       -> BENCH_model.json
+#   model   the per-access model path: ns/access, ns/victim and the full
+#           eviction cycle for every indexed policy against its retained
+#           scanCore reference twin, plus the structures under it — the
+#           item index against the Go maps it replaced, a reply installed
+#           into a full cache, the LRU buffer      -> BENCH_model.json
 #   fleet   the multi-cell fleet engine: wall-clock and Mevents/s of a
 #           100-client run at 1/2/4/8 cells plus the relay-cache point
 #           (cells scale across the worker pool), and the 1000-client
@@ -94,9 +96,9 @@ cat "$sweep" >> "$raw"
 emit_json "$raw" BENCH_kernel.json
 
 if [ -z "${SKIP_MODEL:-}" ]; then
-    go test -run '^$' -bench 'Model' -benchmem \
+    go test -run '^$' -bench 'Model|ItemIndexChurn|CacheInsertBatch|LRUPutGet' -benchmem \
         -benchtime "$BENCH_MODEL_TIME" -count "$BENCH_COUNT" \
-        ./internal/replacement | tee "$raw"
+        ./internal/replacement ./internal/oodb ./internal/core ./internal/buffer | tee "$raw"
     cat "$sweep" >> "$raw"
     emit_json "$raw" BENCH_model.json
 fi

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # benchguard.sh — CI gate against hot-path regressions.
 #
-# Two gate passes, each re-running a benchmark class and comparing every
+# Three gate passes, each re-running a benchmark class and comparing every
 # bench against the ns_per_op recorded in its committed baseline JSON:
 #
 #   kernel   the steady-state per-event benchmarks (KernelStateMachine*:
 #            the tight hold loop, resource contention, and the
 #            spawn/finish path)            vs BENCH_kernel.json
+#   model    the per-access model path: a touch and a full eviction cycle
+#            of the indexed lru and ewma-0.5 policies, and the item index
+#            under them (with the Go-map baselines it is read against)
+#                                          vs BENCH_model.json
 #   storage  the persistence engine (point reads, group-committed
 #            inserts, cold-start recovery) vs BENCH_storage.json
 #
@@ -25,27 +29,36 @@
 # Environment knobs:
 #   REGRESSION_FACTOR  failure threshold vs baseline   (default 2.0)
 #   BENCH_TIME         go -benchtime for the kernel pass  (default 200x)
+#   BENCH_MODEL_TIME   go -benchtime for the model pass   (default 20000x)
 #   BENCH_STORAGE_TIME go -benchtime for the storage pass (default 100x)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FACTOR="${REGRESSION_FACTOR:-2.0}"
 BENCH_TIME="${BENCH_TIME:-200x}"
+BENCH_MODEL_TIME="${BENCH_MODEL_TIME:-20000x}"
 BENCH_STORAGE_TIME="${BENCH_STORAGE_TIME:-100x}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-# guard BASELINE REGEX PKG BENCHTIME — one gate pass: re-run the benches
-# matching REGEX in PKG and hold each to FACTOR times its entry in
-# BASELINE.
+# guard BASELINE BENCHTIME PKG REGEX [PKG REGEX]... — one gate pass: re-run
+# the benches matching each REGEX in its PKG and hold each to FACTOR times
+# its entry in BASELINE. (A pattern with more /-elements than a benchmark's
+# name has levels does not report that benchmark, so benches of different
+# depth need a pattern each.)
 guard() {
-    local baseline="$1" regex="$2" pkg="$3" benchtime="$4"
+    local baseline="$1" benchtime="$2"
+    shift 2
     if [ ! -f "$baseline" ]; then
         echo "benchguard: $baseline missing; run scripts/bench.sh first (pass skipped)" >&2
         return 0
     fi
-    go test -run '^$' -bench "$regex" -benchtime "$benchtime" "$pkg" | tee "$raw"
+    : > "$raw"
+    while [ $# -gt 0 ]; do
+        go test -run '^$' -bench "$2" -benchtime "$benchtime" "$1" | tee -a "$raw"
+        shift 2
+    done
 
     awk -v factor="$FACTOR" -v baseline="$baseline" '
     # Pass 1: committed baselines — lines like {"name": "KernelStateMachineHoldLoop", ..., "ns_per_op": 32.9, ...}
@@ -83,9 +96,11 @@ guard() {
     }' "$baseline" "$raw"
 }
 
-guard BENCH_kernel.json \
-    '^BenchmarkKernelStateMachine(HoldLoop|ResourceContention|ManyMachines)$' \
-    ./internal/sim "$BENCH_TIME"
-guard BENCH_storage.json \
-    '^BenchmarkStorage(Get|Insert|Recover)$' \
-    ./internal/storage "$BENCH_STORAGE_TIME"
+guard BENCH_kernel.json "$BENCH_TIME" \
+    ./internal/sim '^BenchmarkKernelStateMachine(HoldLoop|ResourceContention|ManyMachines)$'
+guard BENCH_model.json "$BENCH_MODEL_TIME" \
+    ./internal/replacement '^BenchmarkModelAccess$/^(lru|ewma-0.5)$/^opt$' \
+    ./internal/replacement '^BenchmarkModelEvictionHeavy$/^(lru|ewma-0.5)$//^opt$' \
+    ./internal/oodb '^BenchmarkItemIndexChurn$'
+guard BENCH_storage.json "$BENCH_STORAGE_TIME" \
+    ./internal/storage '^BenchmarkStorage(Get|Insert|Recover)$'
