@@ -14,7 +14,7 @@ test:
 # The parallel runner (sweep configs and fleet cells fan out over a worker
 # pool, each on its own single-threaded kernel, client machines and
 # federation mirror), the live serving layer (concurrent HTTP handlers over
-# shared sessions), and the storage engine (group-commit flushers and the
+# shared sessions), and the storage engine (group-commit leaders and the
 # background compactor against concurrent readers) are the places
 # concurrency lives; keep them race-clean.
 race:

@@ -4,10 +4,13 @@
 // version counters, the lease estimators' write histories, and every
 // session's cached leases (docs/STORAGE.md).
 //
-// Persistence is per-record write-through, not transactional: each origin
-// write and each granted lease lands in the log as its own durable record
-// (group-committed), and recovery replays whatever subset survived a
-// crash. Leases are judged on the wall clock anchored at the store's
+// Persistence is write-through and per-request atomic: everything one
+// request changes — an origin write's version counters and estimator
+// streams, every lease a fetch installs, every lease an invalidation
+// drops — lands in the log as one commit unit (storage.Batch) behind one
+// durability wait, and recovery replays each unit whole or not at all.
+// Origin writes enter the log in the order they were applied. Leases are
+// judged on the wall clock anchored at the store's
 // FIRST boot (the epoch persisted in the meta record), so a lease granted
 // before a restart keeps expiring through the downtime — restart never
 // extends validity.
@@ -165,7 +168,11 @@ func newFileOver(log *storage.Store, cfg Config) (*File, error) {
 			return nil, err
 		}
 	} else {
-		if err := f.putJSON(metaKey, effective); err != nil {
+		var b storage.Batch
+		if err := putJSON(&b, metaKey, effective); err != nil {
+			return nil, err
+		}
+		if err := f.apply(&b); err != nil {
 			return nil, err
 		}
 	}
@@ -243,14 +250,20 @@ func (f *File) recover() error {
 	return nil
 }
 
-// putJSON writes one JSON-valued record to the log.
-func (f *File) putJSON(key string, v any) error {
+// putJSON adds one JSON-valued record to a request's commit unit.
+func putJSON(b *storage.Batch, key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	if err := f.log.Put(key, raw); err != nil {
-		return fmt.Errorf("serve: persist %s: %w", key, err)
+	b.Put(key, raw)
+	return nil
+}
+
+// apply commits a request's unit and waits for it to be durable.
+func (f *File) apply(b *storage.Batch) error {
+	if err := f.log.Apply(b); err != nil {
+		return fmt.Errorf("serve: persist: %w", err)
 	}
 	return nil
 }
@@ -283,22 +296,18 @@ func entryKey(clientID int, it oodb.Item) string {
 	return "e:" + strconv.Itoa(clientID) + ":" + itemKey(it)
 }
 
-// persistEntry writes through one granted lease.
-func (f *File) persistEntry(clientID int, it oodb.Item, e core.Entry) error {
-	return f.putJSON(entryKey(clientID, it), e)
-}
-
 // Read implements Store: delegate, then write through any installed copy.
 func (f *File) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMode) (ReadResult, error) {
 	res, err := f.Memory.Read(clientID, oid, attr, mode)
 	if err != nil || !res.FromOrigin {
 		return res, err
 	}
+	var b storage.Batch
 	entry := core.Entry{Version: res.Version, ExpiresAt: res.ExpiresAt, FetchedAt: res.Now}
-	if perr := f.persistEntry(clientID, res.Item, entry); perr != nil {
+	if perr := putJSON(&b, entryKey(clientID, res.Item), entry); perr != nil {
 		return res, perr
 	}
-	return res, nil
+	return res, f.apply(&b)
 }
 
 // Fetch implements Store: delegate, then write through the installed batch.
@@ -308,52 +317,66 @@ func (f *File) Fetch(clientID int, reads []workload.ReadOp) ([]FetchedItem, erro
 	if err != nil {
 		return out, err
 	}
+	var b storage.Batch
 	for _, fi := range out {
 		entry := core.Entry{Version: fi.Version, ExpiresAt: fi.ExpiresAt, FetchedAt: now}
-		if perr := f.persistEntry(clientID, fi.Item, entry); perr != nil {
+		if perr := putJSON(&b, entryKey(clientID, fi.Item), entry); perr != nil {
 			return out, perr
 		}
 	}
-	return out, nil
+	return out, f.apply(&b)
 }
 
 // Write implements Store: delegate, then write through the origin's new
-// version counters and the touched estimator streams. Snapshots are taken
-// under the origin lock after the write, so concurrent writers each
-// persist a state at least as new as their own write.
+// version counters and the touched estimator streams. The snapshot is
+// taken and appended to the log under the origin lock, so the log orders
+// writers to one object the way the origin applied them and a restart
+// never restores an older state than one it acknowledged; the durability
+// wait happens after the lock is released.
 func (f *File) Write(oid oodb.OID, attrs []oodb.AttrID) (uint64, error) {
 	version, err := f.Memory.Write(oid, attrs)
 	if err != nil {
 		return version, err
 	}
-
-	f.org.mu.Lock()
-	fv := fileVersions{Version: f.org.db.ObjectVersion(oid), Attrs: f.org.db.AttrVersions(oid)}
-	type streamRec struct {
-		key string
-		st  stats.InterArrivalState
+	seq, err := f.appendOrigin(oid, attrs)
+	if err != nil {
+		return version, err
 	}
-	recs := make([]streamRec, 0, len(attrs)+1)
+	if err := f.log.Wait(seq); err != nil {
+		return version, fmt.Errorf("serve: persist: %w", err)
+	}
+	return version, nil
+}
+
+// appendOrigin appends object oid's current origin state and the write
+// streams of attrs as one commit unit, under the origin lock.
+func (f *File) appendOrigin(oid oodb.OID, attrs []oodb.AttrID) (uint64, error) {
+	f.org.mu.Lock()
+	defer f.org.mu.Unlock()
+	var b storage.Batch
+	oidStr := strconv.FormatUint(uint64(oid), 10)
+	fv := fileVersions{Version: f.org.db.ObjectVersion(oid), Attrs: f.org.db.AttrVersions(oid)}
+	if err := putJSON(&b, "v:"+oidStr, fv); err != nil {
+		return 0, err
+	}
 	for _, a := range attrs {
 		it := oodb.AttrItem(oid, a)
 		if st, ok := f.org.attrEst.StreamState(it); ok {
-			recs = append(recs, streamRec{"sa:" + itemKey(it), st})
+			if err := putJSON(&b, "sa:"+itemKey(it), st); err != nil {
+				return 0, err
+			}
 		}
 	}
 	if st, ok := f.org.objEst.StreamState(oodb.ObjectItem(oid)); ok {
-		recs = append(recs, streamRec{"so:" + strconv.FormatUint(uint64(oid), 10), st})
-	}
-	f.org.mu.Unlock()
-
-	if perr := f.putJSON("v:"+strconv.FormatUint(uint64(oid), 10), fv); perr != nil {
-		return version, perr
-	}
-	for _, r := range recs {
-		if perr := f.putJSON(r.key, r.st); perr != nil {
-			return version, perr
+		if err := putJSON(&b, "so:"+oidStr, st); err != nil {
+			return 0, err
 		}
 	}
-	return version, nil
+	seq, err := f.log.Append(&b)
+	if err != nil {
+		return 0, fmt.Errorf("serve: persist: %w", err)
+	}
+	return seq, nil
 }
 
 // Invalidate implements Store: delegate, then drop the persisted leases.
@@ -376,14 +399,15 @@ func (f *File) Invalidate(clientID int, oid oodb.OID, attr oodb.AttrID) (int, er
 	} else {
 		clients = []int{clientID}
 	}
+	var b storage.Batch
 	for _, cid := range clients {
 		for _, it := range units {
-			if derr := f.log.Delete(entryKey(cid, it)); derr != nil {
-				return removed, fmt.Errorf("serve: persist invalidate: %w", derr)
+			if key := entryKey(cid, it); f.log.Has(key) {
+				b.Delete(key)
 			}
 		}
 	}
-	return removed, nil
+	return removed, f.apply(&b)
 }
 
 // Renew implements Store: delegate, then write through the refreshed lease.
@@ -392,12 +416,12 @@ func (f *File) Renew(clientID int, oid oodb.OID, attr oodb.AttrID) (LeaseInfo, e
 	if err != nil || !info.Cached {
 		return info, err
 	}
-	it := core.CoverItem(f.gran, oid, attr)
+	var b storage.Batch
 	entry := core.Entry{Version: info.Version, ExpiresAt: info.ExpiresAt, FetchedAt: info.Now}
-	if perr := f.persistEntry(clientID, it, entry); perr != nil {
+	if perr := putJSON(&b, entryKey(clientID, core.CoverItem(f.gran, oid, attr)), entry); perr != nil {
 		return info, perr
 	}
-	return info, nil
+	return info, f.apply(&b)
 }
 
 // Stats implements Store, adding the persistent tier's identity.

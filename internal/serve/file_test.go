@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -197,8 +198,26 @@ func TestFileInvalidateDropsPersistedLease(t *testing.T) {
 	if _, err := f.Read(2, 4, 0, ModeServe); err != nil {
 		t.Fatalf("Read: %v", err)
 	}
+	if _, err := f.Read(6, 4, 0, ModeServe); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	commits := f.Storage().Stats().Commits
 	if n, err := f.Invalidate(2, 4, oodb.WholeObject); err != nil || n != 1 {
 		t.Fatalf("Invalidate = %d, %v; want 1", n, err)
+	}
+	if got := f.Storage().Stats().Commits - commits; got != 1 {
+		t.Fatalf("Invalidate took %d commits, want 1", got)
+	}
+	// An all-sessions invalidate is one commit too, whatever it drops.
+	if _, err := f.Read(2, 4, 0, ModeServe); err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	commits = f.Storage().Stats().Commits
+	if n, err := f.Invalidate(-1, 4, oodb.WholeObject); err != nil || n != 2 {
+		t.Fatalf("Invalidate(all) = %d, %v; want 2", n, err)
+	}
+	if st := f.Storage().Stats(); st.Commits-commits != 1 {
+		t.Fatalf("Invalidate(all) took %d commits, want 1", st.Commits-commits)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -206,12 +225,14 @@ func TestFileInvalidateDropsPersistedLease(t *testing.T) {
 
 	g := openFileStore(t, dir, clk)
 	defer g.Close()
-	info, err := g.Lease(2, 4, 0)
-	if err != nil {
-		t.Fatalf("Lease: %v", err)
-	}
-	if info.Cached {
-		t.Fatalf("invalidated lease resurrected after restart: %+v", info)
+	for _, cid := range []int{2, 6} {
+		info, err := g.Lease(cid, 4, 0)
+		if err != nil {
+			t.Fatalf("Lease: %v", err)
+		}
+		if info.Cached {
+			t.Fatalf("client %d: invalidated lease resurrected after restart: %+v", cid, info)
+		}
 	}
 }
 
@@ -219,14 +240,21 @@ func TestFileFetchAndRenewPersist(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache.db")
 	clk := &fakeClock{}
 	f := openFileStore(t, dir, clk)
+	commits := f.Storage().Stats().Commits
 	out, err := f.Fetch(3, []workload.ReadOp{{OID: 11}, {OID: 12}})
 	if err != nil || len(out) != 2 {
 		t.Fatalf("Fetch = %v, %v", out, err)
+	}
+	if st := f.Storage().Stats(); st.Commits-commits != 1 {
+		t.Fatalf("Fetch of 2 items took %d commits, want 1", st.Commits-commits)
 	}
 	clk.Advance(5)
 	info, err := f.Renew(3, 11, 0)
 	if err != nil || !info.Cached {
 		t.Fatalf("Renew = %+v, %v", info, err)
+	}
+	if st := f.Storage().Stats(); st.Commits-commits != 2 {
+		t.Fatalf("Fetch + Renew took %d commits, want 2", st.Commits-commits)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -243,6 +271,57 @@ func TestFileFetchAndRenewPersist(t *testing.T) {
 	i12, _ := g.Lease(3, 12, 0)
 	if !i12.Cached || i12.ExpiresAt != out[1].ExpiresAt {
 		t.Fatalf("fetched lease after restart = %+v, want expires %g", i12, out[1].ExpiresAt)
+	}
+}
+
+// TestFileConcurrentWritesRecoverAcknowledged hammers one object from
+// eight writers over sync=group. The log must order their snapshots the
+// way the origin applied the writes, or a restart would restore a state
+// older than one it acknowledged.
+func TestFileConcurrentWritesRecoverAcknowledged(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache.db")
+	clk := &fakeClock{}
+	f := openFileStore(t, dir, clk)
+	const writers, rounds, oid = 8, 200, 42
+	var wg sync.WaitGroup
+	acked := make([]uint64, writers) // highest version each writer was acknowledged
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				v, err := f.Write(oid, []oodb.AttrID{oodb.AttrID((w + i) % oodb.NumAttrs)})
+				if err != nil {
+					t.Errorf("Write: %v", err)
+					return
+				}
+				acked[w] = v
+			}
+		}(w)
+	}
+	wg.Wait()
+	var highest uint64
+	for _, v := range acked {
+		highest = max(highest, v)
+	}
+	if highest != writers*rounds {
+		t.Fatalf("highest acknowledged version = %d, want %d", highest, writers*rounds)
+	}
+	attrs := f.org.db.AttrVersions(oid)
+	if st := f.Storage().Stats(); st.Commits != writers*rounds+1 { // + the meta record
+		t.Fatalf("%d writes took %d commits", writers*rounds, st.Commits)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	g := openFileStore(t, dir, clk)
+	defer g.Close()
+	if got := g.org.db.ObjectVersion(oid); got != highest {
+		t.Fatalf("recovered object version %d, acknowledged %d", got, highest)
+	}
+	if got := g.org.db.AttrVersions(oid); got != attrs {
+		t.Fatalf("recovered attribute versions %v, acknowledged %v", got, attrs)
 	}
 }
 

@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -43,18 +45,63 @@ func BenchmarkStorageGet(b *testing.B) {
 }
 
 // BenchmarkStorageInsert measures group-committed durable writes (insert
-// < 20ms in the ROADMAP regime): every Put returns only after its epoch
-// has fsynced.
+// < 20ms in the ROADMAP regime): every Put returns only after an fsync has
+// covered it. serial is one writer, who leads every fsync and shares none;
+// parallel=8 is eight, whose commits queue behind the fsync in flight and
+// share the next one.
 func BenchmarkStorageInsert(b *testing.B) {
-	s := benchStore(b, 0, SyncGroup)
 	val := make([]byte, 1024)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := s.Put(benchKey(i), val); err != nil {
-			b.Fatalf("Put: %v", err)
+	b.Run("serial", func(b *testing.B) {
+		s := benchStore(b, 0, SyncGroup)
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := s.Put(benchKey(i), val); err != nil {
+				b.Fatalf("Put: %v", err)
+			}
 		}
-	}
+	})
+	b.Run("parallel=8", func(b *testing.B) {
+		s := benchStore(b, 0, SyncGroup)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		b.ResetTimer()
+		b.ReportAllocs()
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+					if err := s.Put(benchKey(int(i)), val); err != nil {
+						b.Errorf("Put: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}
+
+// BenchmarkStorageApply measures one durable commit unit of four records —
+// the shape of a live origin write (v: + two sa: + so:).
+func BenchmarkStorageApply(b *testing.B) {
+	b.Run("records=4", func(b *testing.B) {
+		s := benchStore(b, 0, SyncGroup)
+		val := make([]byte, 256)
+		var batch Batch
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			batch.Reset()
+			for r := 0; r < 4; r++ {
+				batch.Put(benchKey(4*i+r), val)
+			}
+			if err := s.Apply(&batch); err != nil {
+				b.Fatalf("Apply: %v", err)
+			}
+		}
+	})
 }
 
 // BenchmarkStorageRecover measures cold-start log replay of a 100K-record

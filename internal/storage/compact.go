@@ -2,6 +2,9 @@
 // tombstoned records accumulate in sealed segments until a merge rewrites
 // the live ones into a single merge segment and deletes the rest.
 //
+// Survivors are rewritten as stand-alone commit units: a sealed segment
+// holds only whole units, so their atomicity has nothing left to protect.
+//
 // Correctness hinges on recovery order: segments replay in ID order and
 // later records win. The merge output takes the *lowest* sealed segment's
 // ID, so every record written after the snapshot (they all live in the
@@ -16,32 +19,29 @@ import (
 	"path/filepath"
 )
 
-// maybeCompact kicks background compaction when sealed garbage crosses the
-// configured thresholds. Single-flight: at most one compactor runs.
-func (s *Store) maybeCompact() {
-	if s.opts.CompactGarbage < 0 {
-		return
-	}
-	s.mu.Lock()
+// compactionDue reports whether sealed garbage has crossed the configured
+// thresholds and, if so, takes the single-flight compaction slot for the
+// caller, who must then run compactInBackground. Caller holds mu.
+func (s *Store) compactionDue() bool {
 	garbage := s.sealedBytes - s.sealedLive
-	trigger := !s.compacting && !s.closed &&
-		garbage >= s.opts.CompactMinBytes &&
-		s.sealedBytes > 0 &&
-		float64(garbage) >= s.opts.CompactGarbage*float64(s.sealedBytes)
-	if trigger {
-		s.compacting = true
-		s.compactWG.Add(1)
+	if s.opts.CompactGarbage < 0 || s.compacting || s.closed ||
+		garbage < s.opts.CompactMinBytes || s.sealedBytes == 0 ||
+		float64(garbage) < s.opts.CompactGarbage*float64(s.sealedBytes) {
+		return false
 	}
+	s.compacting = true
+	s.compactWG.Add(1)
+	return true
+}
+
+// compactInBackground runs one merge pass and releases the slot
+// compactionDue took.
+func (s *Store) compactInBackground() {
+	defer s.compactWG.Done()
+	s.compact()
+	s.mu.Lock()
+	s.compacting = false
 	s.mu.Unlock()
-	if trigger {
-		go func() {
-			defer s.compactWG.Done()
-			s.compact()
-			s.mu.Lock()
-			s.compacting = false
-			s.mu.Unlock()
-		}()
-	}
 }
 
 // Compact synchronously merges all sealed segments, rewriting live records
@@ -135,9 +135,15 @@ func (s *Store) compact() error {
 				tmp.Close()
 				return fmt.Errorf("storage: %w", err)
 			}
-			if _, _, _, err := decodeRecord(buf); err != nil {
+			_, _, flags, err := decodeRecord(buf)
+			if err != nil {
 				tmp.Close()
 				return err
+			}
+			if flags&flagMore != 0 {
+				// The rest of its unit may be gone: rewrite it as a
+				// commit unit of its own.
+				sealRecord(buf, false)
 			}
 			if _, err := tmp.Write(buf); err != nil {
 				tmp.Close()

@@ -12,8 +12,9 @@ import (
 // TestCrashRecovery re-executes the test binary as a writer child that
 // hard-exits mid-stream (no Close, no final fsync), then reopens the log
 // in the parent and checks the durability contract: every write the
-// child acknowledged after its sync barrier must survive, and no torn
-// record may surface.
+// child acknowledged must survive — every acknowledged batch whole — no
+// torn record may surface, and a batch the child appended without waiting
+// for is there whole or not at all.
 func TestCrashRecovery(t *testing.T) {
 	if os.Getenv("STORAGE_CRASH_CHILD") == "1" {
 		crashChild()
@@ -71,17 +72,38 @@ func TestCrashRecovery(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
+	// Commit units are atomic whether or not they were acknowledged.
+	perBatch := make(map[string]int)
+	if err := s.Scan("batch-", func(k string, v []byte) bool {
+		id, _, _ := strings.Cut(strings.TrimPrefix(k, "batch-"), "/")
+		perBatch[id]++
+		return true
+	}); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if len(perBatch) < crashBatches {
+		t.Fatalf("recovered %d batches, the child acknowledged %d", len(perBatch), crashBatches)
+	}
+	for id, n := range perBatch {
+		if n != crashBatchRecords {
+			t.Errorf("batch %s recovered %d of %d records", id, n, crashBatchRecords)
+		}
+	}
 	// The store stays writable after crash recovery.
 	if err := s.Put("post-crash", []byte("ok")); err != nil {
 		t.Fatalf("Put after crash recovery: %v", err)
 	}
 }
 
+// The crash child acknowledges crashBatches batches of crashBatchRecords
+// records each, then appends a few more without waiting for them.
+const crashBatches, crashBatchRecords = 20, 4
+
 // crashChild runs in the re-executed process: write, ack over stdout,
 // then die without cleanup.
 func crashChild() {
 	dir := os.Getenv("STORAGE_CRASH_DIR")
-	s, err := Open(Options{Path: dir, GroupWindow: 1, SegmentBytes: 8 << 10})
+	s, err := Open(Options{Path: dir, SegmentBytes: 8 << 10})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -100,7 +122,7 @@ func crashChild() {
 		os.Exit(2)
 	}
 	fmt.Println("SYNCED")
-	// Phase 2: group-committed writes; each ack implies the epoch fsynced.
+	// Phase 2: group-committed writes; each ack implies an fsync covered it.
 	for i := 0; i < 30; i++ {
 		k, v := fmt.Sprintf("post-%02d", i), fmt.Sprintf("v%d", i)
 		if err := s.Put(k, []byte(v)); err != nil {
@@ -108,6 +130,28 @@ func crashChild() {
 			os.Exit(2)
 		}
 		fmt.Printf("%s=%s\n", k, v)
+	}
+	// Phase 3: batches; an ack covers every record of the unit. The last
+	// few are appended and never waited for.
+	for i := 0; i < crashBatches+5; i++ {
+		var b Batch
+		for r := 0; r < crashBatchRecords; r++ {
+			b.Put(fmt.Sprintf("batch-%02d/%d", i, r), []byte(fmt.Sprintf("v%d", i)))
+		}
+		if i >= crashBatches {
+			if _, err := s.Append(&b); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			continue
+		}
+		if err := s.Apply(&b); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		for r := 0; r < crashBatchRecords; r++ {
+			fmt.Printf("batch-%02d/%d=v%d\n", i, r, i)
+		}
 	}
 	os.Stdout.Sync()
 	// Die with the store open: no Close, no deferred cleanup.

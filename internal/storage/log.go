@@ -4,9 +4,14 @@
 //	[ crc32c uint32 | keyLen uint32 | valLen uint32 | flags byte | key | value ]
 //
 // all integers little-endian, the CRC covering everything after itself.
-// flags bit 0 marks a tombstone (valLen is then 0). There is no segment
-// header or footer: a crash can only damage the final record of the final
-// segment, which the CRC detects and recovery truncates away.
+// flags bit 0 marks a tombstone (valLen is then 0); bit 1 marks a record
+// that is not the last of its commit unit — more records of the same unit
+// follow, and recovery applies none of them until the unit's last record
+// (bit 1 clear) is read intact. A record with bit 1 clear that follows no
+// open unit is a unit of its own, which is every record written before
+// commit units existed. There is no segment header or footer, and a unit
+// never straddles segments: a crash can only damage the final unit of the
+// final segment, which the CRC detects and recovery truncates away.
 package storage
 
 import (
@@ -17,6 +22,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // recordHeaderSize is the fixed framing prefix: CRC + keyLen + valLen +
@@ -30,44 +36,78 @@ const (
 	maxValueLen = 1 << 26
 )
 
-const flagTombstone = 1
+const (
+	flagTombstone = 1 << 0
+	flagMore      = 1 << 1 // more records of this commit unit follow
+)
 
-// encodeRecord frames one record.
-func encodeRecord(key string, value []byte, tombstone bool) []byte {
-	rec := make([]byte, recordHeaderSize+len(key)+len(value))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(rec[8:], uint32(len(value)))
+// crcTable is the Castagnoli table shared by framing and recovery.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// appendRecord frames one record onto dst, leaving the CRC and the
+// continuation flag for sealRecord.
+func appendRecord(dst []byte, key string, value []byte, tombstone bool) []byte {
+	var header [recordHeaderSize]byte
+	binary.LittleEndian.PutUint32(header[4:], uint32(len(key)))
+	binary.LittleEndian.PutUint32(header[8:], uint32(len(value)))
 	if tombstone {
-		rec[12] = flagTombstone
+		header[12] = flagTombstone
 	}
-	copy(rec[recordHeaderSize:], key)
-	copy(rec[recordHeaderSize+len(key):], value)
+	dst = slices.Grow(dst, recordHeaderSize+len(key)+len(value))
+	dst = append(dst, header[:]...)
+	dst = append(dst, key...)
+	return append(dst, value...)
+}
+
+// recordSize reads the framed size of the record starting at rec[0].
+func recordSize(rec []byte) int {
+	return recordHeaderSize + int(binary.LittleEndian.Uint32(rec[4:])) + int(binary.LittleEndian.Uint32(rec[8:]))
+}
+
+// sealRecord sets or clears rec's continuation flag and writes its CRC.
+func sealRecord(rec []byte, more bool) {
+	rec[12] &^= flagMore
+	if more {
+		rec[12] |= flagMore
+	}
 	binary.LittleEndian.PutUint32(rec, crc32.Checksum(rec[4:], crcTable))
-	return rec
 }
 
 // decodeRecord parses and CRC-checks one framed record.
-func decodeRecord(rec []byte) (key string, value []byte, tombstone bool, err error) {
+func decodeRecord(rec []byte) (key string, value []byte, flags byte, err error) {
 	if len(rec) < recordHeaderSize {
-		return "", nil, false, fmt.Errorf("%w: short record (%d bytes)", ErrCorrupt, len(rec))
+		return "", nil, 0, fmt.Errorf("%w: short record (%d bytes)", ErrCorrupt, len(rec))
 	}
 	if binary.LittleEndian.Uint32(rec) != crc32.Checksum(rec[4:], crcTable) {
-		return "", nil, false, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+		return "", nil, 0, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	keyLen := int(binary.LittleEndian.Uint32(rec[4:]))
-	valLen := int(binary.LittleEndian.Uint32(rec[8:]))
-	if recordHeaderSize+keyLen+valLen != len(rec) {
-		return "", nil, false, fmt.Errorf("%w: length mismatch", ErrCorrupt)
+	if recordSize(rec) != len(rec) {
+		return "", nil, 0, fmt.Errorf("%w: length mismatch", ErrCorrupt)
 	}
-	key = string(rec[recordHeaderSize : recordHeaderSize+keyLen])
-	value = rec[recordHeaderSize+keyLen:]
-	return key, value, rec[12]&flagTombstone != 0, nil
+	key, value, flags = recordFields(rec)
+	return key, value, flags, nil
 }
 
-// replaySegment scans segment id sequentially, applying every valid record
-// to the index. On a framing or CRC failure in the final segment the file
-// is truncated at the last valid record (the torn tail of a crashed
-// append); anywhere else the damage is surfaced as ErrCorrupt.
+// recordFields splits a whole framed record without checking it.
+func recordFields(rec []byte) (key string, value []byte, flags byte) {
+	keyEnd := recordHeaderSize + int(binary.LittleEndian.Uint32(rec[4:]))
+	return string(rec[recordHeaderSize:keyEnd]), rec[keyEnd:], rec[12]
+}
+
+// replayOp is one record of a commit unit recovery has not finished
+// reading.
+type replayOp struct {
+	key       string
+	entry     indexEntry
+	tombstone bool
+}
+
+// replaySegment scans segment id sequentially, applying every intact
+// commit unit to the index: a unit's records are held back until its last
+// one is read. A framing or CRC failure — or the end of the file inside a
+// unit — in the final segment is the torn tail of a crashed append, and
+// the file is truncated back to the first record of the unit it hit;
+// anywhere else the damage is surfaced as ErrCorrupt.
 func (s *Store) replaySegment(id int, last bool) error {
 	path := s.segPath(id)
 	r, err := os.Open(path)
@@ -78,23 +118,27 @@ func (s *Store) replaySegment(id int, last bool) error {
 	s.segs[id] = seg
 
 	br := bufio.NewReaderSize(r, 1<<20)
-	var off int64
+	var off int64       // start of the record being read
+	var unit []replayOp // records of the open unit; it starts at seg.size
 	header := make([]byte, recordHeaderSize)
 	var body []byte
 	for {
 		if _, err := io.ReadFull(br, header); err != nil {
 			if errors.Is(err, io.EOF) {
-				break // clean end of segment
+				if len(unit) > 0 {
+					return s.truncateTail(seg, last, "commit unit cut short")
+				}
+				return nil // clean end of segment
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return s.truncateTail(seg, off, last, "torn header")
+				return s.truncateTail(seg, last, "torn header")
 			}
 			return fmt.Errorf("storage: %w", err)
 		}
 		keyLen := int(binary.LittleEndian.Uint32(header[4:]))
 		valLen := int(binary.LittleEndian.Uint32(header[8:]))
 		if keyLen < 0 || keyLen > maxKeyLen || valLen < 0 || valLen > maxValueLen {
-			return s.truncateTail(seg, off, last, "implausible lengths")
+			return s.truncateTail(seg, last, "implausible lengths")
 		}
 		if cap(body) < keyLen+valLen {
 			body = make([]byte, keyLen+valLen)
@@ -102,50 +146,58 @@ func (s *Store) replaySegment(id int, last bool) error {
 		body = body[:keyLen+valLen]
 		if _, err := io.ReadFull(br, body); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return s.truncateTail(seg, off, last, "torn body")
+				return s.truncateTail(seg, last, "torn body")
 			}
 			return fmt.Errorf("storage: %w", err)
 		}
 		crc := crc32.Checksum(header[4:], crcTable)
 		crc = crc32.Update(crc, crcTable, body)
 		if binary.LittleEndian.Uint32(header) != crc {
-			return s.truncateTail(seg, off, last, "CRC mismatch")
+			return s.truncateTail(seg, last, "CRC mismatch")
 		}
 
 		size := int64(recordHeaderSize + keyLen + valLen)
-		key := string(body[:keyLen])
-		if old, ok := s.index[key]; ok {
-			s.liveBytes -= old.size
-		}
-		if header[12]&flagTombstone != 0 {
-			delete(s.index, key)
-		} else {
-			s.index[key] = indexEntry{seg: id, off: off, size: size, keyLen: keyLen, valLen: valLen}
-			s.liveBytes += size
-		}
-		s.recovered++
+		unit = append(unit, replayOp{
+			key:       string(body[:keyLen]),
+			entry:     indexEntry{seg: id, off: off, size: size, keyLen: keyLen, valLen: valLen},
+			tombstone: header[12]&flagTombstone != 0,
+		})
 		off += size
+		if header[12]&flagMore != 0 {
+			continue
+		}
+		for _, op := range unit {
+			if old, ok := s.index[op.key]; ok {
+				s.liveBytes -= old.size
+			}
+			if op.tombstone {
+				delete(s.index, op.key)
+			} else {
+				s.index[op.key] = op.entry
+				s.liveBytes += op.entry.size
+			}
+		}
+		s.recovered += uint64(len(unit))
+		unit = unit[:0]
 		seg.size = off
 	}
-	seg.size = off
-	return nil
 }
 
-// truncateTail handles a framing failure at offset off of seg: in the
-// final segment it is a torn append — cut it off and continue; elsewhere
-// it is corruption the caller must hear about.
-func (s *Store) truncateTail(seg *segment, off int64, last bool, reason string) error {
+// truncateTail handles a commit unit of seg that cannot be read whole;
+// seg.size is where that unit starts. In the final segment it is a torn
+// append — cut it off and continue; elsewhere it is corruption the caller
+// must hear about.
+func (s *Store) truncateTail(seg *segment, last bool, reason string) error {
 	if !last {
-		return fmt.Errorf("%w: segment %d at offset %d: %s", ErrCorrupt, seg.id, off, reason)
+		return fmt.Errorf("%w: segment %d, commit unit at offset %d: %s", ErrCorrupt, seg.id, seg.size, reason)
 	}
 	fi, err := os.Stat(seg.path)
 	if err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
-	s.truncatedBytes += fi.Size() - off
-	if err := os.Truncate(seg.path, off); err != nil {
+	s.truncatedBytes += fi.Size() - seg.size
+	if err := os.Truncate(seg.path, seg.size); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
-	seg.size = off
 	return nil
 }

@@ -10,14 +10,17 @@
 //     CRC-framed record to the active segment and repoints the index.
 //     Sequential appends are what makes the <20 ms insert and <4 ms get
 //     targets of ROADMAP.md reachable on commodity disks.
-//   - Group commit. Under SyncGroup (the default) concurrent writers share
-//     one fsync: each Put waits on the current commit epoch and a single
-//     flusher syncs the batch. SyncAlways fsyncs per record; SyncNone
-//     leaves durability to the OS.
+//   - Commit units. Every mutation is a Batch of records written with one
+//     write(2) and replayed all or not at all; Put and Delete are batches
+//     of one (commit.go).
+//   - Group commit. Under SyncGroup (the default) the first writer that
+//     finds no fsync in flight runs one at once; commits appended while it
+//     runs share the next. SyncAlways gives every commit an fsync of its
+//     own; SyncNone leaves durability to the OS.
 //   - Crash recovery by log replay. Open scans every segment in order,
-//     rebuilding the index; a torn tail (partial append cut off by a crash)
-//     fails its CRC and is truncated away. Corruption anywhere but the log
-//     tail is reported as ErrCorrupt, never silently skipped.
+//     rebuilding the index; a torn tail (a commit unit cut off by a crash)
+//     fails its CRC and is truncated away whole. Corruption anywhere but
+//     the log tail is reported as ErrCorrupt, never silently skipped.
 //   - Background compaction. When sealed segments accumulate enough
 //     superseded records, a compactor rewrites the live ones and deletes
 //     the garbage, bounding disk growth under update-heavy workloads.
@@ -29,7 +32,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,16 +53,16 @@ var (
 	ErrBadOptions = errors.New("storage: bad options")
 )
 
-// SyncMode selects the durability discipline for Put and Delete.
+// SyncMode selects the durability discipline of a commit's Wait.
 type SyncMode int
 
 const (
 	// SyncGroup batches concurrent writers into shared fsyncs (group
-	// commit): every Put returns only after its record is durable, but
-	// writers arriving within the same commit window share one fsync.
+	// commit): every commit returns only after it is durable, but commits
+	// appended while one fsync runs share the next.
 	SyncGroup SyncMode = iota
-	// SyncAlways fsyncs after every record — maximum durability, one
-	// fsync per write.
+	// SyncAlways shares nothing by design: a waiting commit runs an fsync
+	// that covers only the log up to itself — one fsync per commit unit.
 	SyncAlways
 	// SyncNone never fsyncs; the OS flushes on its own schedule. A crash
 	// may lose recent writes but never corrupts recovered state (the CRC
@@ -100,9 +102,6 @@ func ParseSyncMode(s string) (SyncMode, error) {
 const (
 	// DefaultSegmentBytes is the active-segment rotation threshold.
 	DefaultSegmentBytes = 64 << 20
-	// DefaultGroupWindow is how long the group-commit flusher waits for
-	// co-batching writers before fsyncing.
-	DefaultGroupWindow = 2 * time.Millisecond
 	// DefaultCompactGarbage is the superseded-bytes fraction of sealed
 	// segments that triggers background compaction.
 	DefaultCompactGarbage = 0.5
@@ -121,9 +120,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size
 	// (default DefaultSegmentBytes).
 	SegmentBytes int64
-	// GroupWindow is the group-commit batching window (default
-	// DefaultGroupWindow; meaningful only under SyncGroup).
-	GroupWindow time.Duration
 	// CompactGarbage is the sealed-garbage fraction that triggers
 	// background compaction (default DefaultCompactGarbage; <0 disables
 	// automatic compaction).
@@ -163,41 +159,42 @@ type Store struct {
 	index  map[string]indexEntry
 	segs   map[int]*segment
 	active *segment
-	w      *os.File // append handle of the active segment
 	closed bool
 
 	liveBytes   int64 // bytes of records the index still points at
 	sealedBytes int64 // total bytes in sealed segments
 	sealedLive  int64 // live bytes residing in sealed segments
 
-	// Group commit: writers wait on the current epoch; one flusher per
-	// epoch fsyncs and releases the batch.
-	commitMu sync.Mutex
-	epoch    *commitEpoch
+	// Commit state (commit.go). cmu is taken after mu, never before it,
+	// and is not held across an fsync: the syncing flag is the sync slot.
+	// Rotation replaces w with both locks held, so an appender reads it
+	// under mu and a sync round under cmu; Close clears it once closed is
+	// set and no appender is left.
+	cmu      sync.Mutex
+	synced   *sync.Cond    // signalled when a sync round ends
+	w        *os.File      // append handle of the active segment; nil once closed
+	appended uint64        // sequence of the last commit unit appended
+	settled  uint64        // every commit up to here has its fsync outcome
+	syncing  bool          // an fsync of w is in flight
+	failed   []failedRange // commits whose fsync failed, ascending
+	syncs    uint64
 
 	compacting bool // single-flight guard for background compaction
 	compactWG  sync.WaitGroup
 
 	// Counters. gets is atomic (bumped on the read path, under RLock);
 	// the rest are written under mu.
-	gets               uint64 // atomic
-	puts, dels         uint64
-	syncs, compactions uint64
-	recovered          uint64 // records replayed by Open
-	truncatedBytes     int64  // torn-tail bytes discarded by Open
+	gets           uint64 // atomic
+	puts, dels     uint64
+	compactions    uint64
+	recovered      uint64 // records replayed by Open
+	truncatedBytes int64  // torn-tail bytes discarded by Open
 
 	// Latency histograms (nil when not registered). obsMu serializes
 	// Observe calls: obs instruments are unsynchronized by design.
 	obsMu  sync.Mutex
 	obsGet *obs.Histogram
 	obsPut *obs.Histogram
-}
-
-// commitEpoch is one group-commit generation: everything appended before
-// the flusher runs becomes durable together.
-type commitEpoch struct {
-	done chan struct{}
-	err  error
 }
 
 // Stats is a point-in-time snapshot of the engine.
@@ -214,8 +211,11 @@ type Stats struct {
 	DiskBytes int64 `json:"disk_bytes"`
 	// LiveBytes is the portion of DiskBytes the index still references.
 	LiveBytes int64 `json:"live_bytes"`
-	// Puts/Gets/Deletes/Syncs/Compactions are cumulative operation counts.
+	// Puts/Gets/Deletes/Syncs/Compactions are cumulative operation counts;
+	// Puts and Deletes count records, Commits the commit units that
+	// carried them.
 	Puts        uint64 `json:"puts"`
+	Commits     uint64 `json:"commits"`
 	Gets        uint64 `json:"gets"`
 	Deletes     uint64 `json:"deletes"`
 	Syncs       uint64 `json:"syncs"`
@@ -236,9 +236,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.GroupWindow <= 0 {
-		opts.GroupWindow = DefaultGroupWindow
-	}
 	if opts.CompactGarbage == 0 {
 		opts.CompactGarbage = DefaultCompactGarbage
 	}
@@ -256,6 +253,7 @@ func Open(opts Options) (*Store, error) {
 		index: make(map[string]indexEntry),
 		segs:  make(map[int]*segment),
 	}
+	s.synced = sync.NewCond(&s.cmu)
 	if err := s.recover(); err != nil {
 		s.closeFiles()
 		return nil, err
@@ -329,12 +327,17 @@ func (s *Store) openActive(id int, create bool) error {
 }
 
 // rotate seals the active segment and starts a fresh one. Caller holds mu.
-// The outgoing handle is fsynced before it closes, establishing the
-// invariant that sealed segments are always durable — group-commit
-// flushers therefore only ever need to fsync the current active handle.
+// It claims the sync slot first, so no fsync is running on the outgoing
+// handle when it closes, and fsyncs that handle itself, establishing the
+// invariant that sealed segments are always durable — a sync round
+// therefore only ever needs to fsync the current active handle, and this
+// one settles every commit appended so far.
 func (s *Store) rotate() error {
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
+	s.claimSync()
 	if s.opts.Sync != SyncNone {
-		if err := s.opts.Fsync(s.w); err != nil {
+		if err := s.syncRound(s.appended); err != nil {
 			return fmt.Errorf("storage: fsync: %w", err)
 		}
 	}
@@ -383,70 +386,6 @@ func (s *Store) recomputeSealed() {
 	}
 }
 
-// Put stores value under key, durably per the sync mode.
-func (s *Store) Put(key string, value []byte) error {
-	return s.append(key, value, false)
-}
-
-// Delete removes key by appending a tombstone; reading it afterwards
-// misses. Deleting an absent key is a no-op (no tombstone written).
-func (s *Store) Delete(key string) error {
-	s.mu.RLock()
-	_, present := s.index[key]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !present {
-		return nil
-	}
-	return s.append(key, nil, true)
-}
-
-// append frames and writes one record, updates the index, and waits for
-// durability per the sync mode.
-func (s *Store) append(key string, value []byte, tombstone bool) error {
-	start := time.Now()
-	rec := encodeRecord(key, value, tombstone)
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.active.size >= s.opts.SegmentBytes {
-		if err := s.rotate(); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if _, err := s.w.Write(rec); err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("storage: %w", err)
-	}
-	off := s.active.size
-	s.active.size += int64(len(rec))
-	s.accountReplace(key)
-	if tombstone {
-		delete(s.index, key)
-		s.dels++
-	} else {
-		s.index[key] = indexEntry{
-			seg: s.active.id, off: off, size: int64(len(rec)),
-			keyLen: len(key), valLen: len(value),
-		}
-		s.liveBytes += int64(len(rec))
-		s.puts++
-	}
-	s.mu.Unlock()
-
-	err := s.waitDurable()
-	s.observePut(time.Since(start))
-	s.maybeCompact()
-	return err
-}
-
 // accountReplace moves a superseded record's bytes from live to garbage.
 // Caller holds mu.
 func (s *Store) accountReplace(key string) {
@@ -456,70 +395,6 @@ func (s *Store) accountReplace(key string) {
 			s.sealedLive -= old.size
 		}
 	}
-}
-
-// waitDurable blocks until the just-appended record is durable per the
-// sync mode. Only the current active handle is ever fsynced: if the record
-// landed in a segment that has since been sealed, rotate already made it
-// durable. mu is read-held across the fsync so rotation cannot close the
-// handle mid-call.
-func (s *Store) waitDurable() error {
-	switch s.opts.Sync {
-	case SyncNone:
-		return nil
-	case SyncAlways:
-		s.commitMu.Lock()
-		s.mu.RLock()
-		err := s.opts.Fsync(s.w)
-		s.mu.RUnlock()
-		s.commitMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("storage: fsync: %w", err)
-		}
-		s.mu.Lock()
-		s.syncs++
-		s.mu.Unlock()
-		return nil
-	}
-
-	// Group commit: join (or open) the current epoch, then wait for its
-	// flusher. The flusher waits out the batching window so writers
-	// arriving meanwhile share the fsync.
-	s.commitMu.Lock()
-	ep := s.epoch
-	if ep == nil {
-		ep = &commitEpoch{done: make(chan struct{})}
-		s.epoch = ep
-		go s.flushEpoch(ep)
-	}
-	s.commitMu.Unlock()
-	<-ep.done
-	if ep.err != nil {
-		return fmt.Errorf("storage: fsync: %w", ep.err)
-	}
-	return nil
-}
-
-// flushEpoch is the group-commit flusher: wait the batching window, close
-// the epoch to new writers, fsync once, release the batch. Records that
-// rotated into a sealed segment meanwhile are already durable (see
-// rotate), so fsyncing the current handle covers the whole batch.
-func (s *Store) flushEpoch(ep *commitEpoch) {
-	time.Sleep(s.opts.GroupWindow)
-	s.commitMu.Lock()
-	s.epoch = nil
-	s.mu.RLock()
-	if s.closed {
-		ep.err = ErrClosed
-	} else {
-		ep.err = s.opts.Fsync(s.w)
-	}
-	s.mu.RUnlock()
-	s.commitMu.Unlock()
-	s.mu.Lock()
-	s.syncs++
-	s.mu.Unlock()
-	close(ep.done)
 }
 
 // Get returns the latest value stored under key. The second result
@@ -545,11 +420,11 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("storage: %w", err)
 	}
-	_, value, tombstone, err := decodeRecord(buf)
+	_, value, flags, err := decodeRecord(buf)
 	if err != nil {
 		return nil, false, err
 	}
-	if tombstone {
+	if flags&flagTombstone != 0 {
 		return nil, false, nil
 	}
 	s.observeGet(time.Since(start))
@@ -606,11 +481,11 @@ func (s *Store) Scan(prefix string, fn func(key string, value []byte) bool) erro
 		if _, err := seg.r.ReadAt(buf, e.off); err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
-		_, value, tombstone, err := decodeRecord(buf)
+		_, value, flags, err := decodeRecord(buf)
 		if err != nil {
 			return err
 		}
-		if tombstone {
+		if flags&flagTombstone != 0 {
 			continue
 		}
 		if !fn(key, value) {
@@ -620,31 +495,12 @@ func (s *Store) Scan(prefix string, fn func(key string, value []byte) bool) erro
 	return nil
 }
 
-// Sync forces an fsync of the active segment regardless of mode.
-func (s *Store) Sync() error {
-	s.commitMu.Lock()
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		s.commitMu.Unlock()
-		return ErrClosed
-	}
-	err := s.opts.Fsync(s.w)
-	s.mu.RUnlock()
-	s.commitMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("storage: fsync: %w", err)
-	}
-	s.mu.Lock()
-	s.syncs++
-	s.mu.Unlock()
-	return nil
-}
-
 // Stats snapshots the engine's counters and sizes.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	s.cmu.Lock()
+	defer s.cmu.Unlock()
 	return Stats{
 		Path:             s.opts.Path,
 		Sync:             s.opts.Sync.String(),
@@ -653,6 +509,7 @@ func (s *Store) Stats() Stats {
 		DiskBytes:        s.diskBytesLocked(),
 		LiveBytes:        s.liveBytes,
 		Puts:             s.puts,
+		Commits:          s.appended,
 		Gets:             atomic.LoadUint64(&s.gets),
 		Deletes:          s.dels,
 		Syncs:            s.syncs,
@@ -700,8 +557,8 @@ func (s *Store) observePut(d time.Duration) {
 	s.obsMu.Unlock()
 }
 
-// Close flushes and closes the store. Pending group commits are released;
-// further operations return ErrClosed.
+// Close flushes and closes the store. Every commit appended so far is
+// settled by the final fsync; further operations return ErrClosed.
 func (s *Store) Close() error {
 	s.compactWG.Wait()
 	s.mu.Lock()
@@ -709,22 +566,24 @@ func (s *Store) Close() error {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
-	w := s.w
+	s.closed = true // no append, so no rotation, from here on
 	s.mu.Unlock()
 
+	s.cmu.Lock()
+	s.claimSync()
 	var err error
 	if s.opts.Sync != SyncNone {
-		s.commitMu.Lock()
-		err = s.opts.Fsync(w)
-		s.commitMu.Unlock()
+		err = s.syncRound(s.appended)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cerr := w.Close(); err == nil {
+	if cerr := s.w.Close(); err == nil {
 		err = cerr
 	}
+	s.w = nil
+	s.cmu.Unlock()
+
+	s.mu.Lock()
 	s.closeFiles()
+	s.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
@@ -741,6 +600,3 @@ func (s *Store) closeFiles() {
 		}
 	}
 }
-
-// crcTable is the Castagnoli table shared by framing and recovery.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -21,9 +21,6 @@ func openTest(t *testing.T, opts Options) *Store {
 	if opts.SegmentBytes == 0 {
 		opts.SegmentBytes = 4 << 10
 	}
-	if opts.GroupWindow == 0 {
-		opts.GroupWindow = 1 // effectively immediate
-	}
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -68,7 +65,7 @@ func TestPutGetDelete(t *testing.T) {
 
 func TestReopenRecoversState(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	s, err := Open(Options{Path: dir, SegmentBytes: 2 << 10, GroupWindow: 1})
+	s, err := Open(Options{Path: dir, SegmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -110,7 +107,7 @@ func TestReopenRecoversState(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	s, err := Open(Options{Path: dir, GroupWindow: 1})
+	s, err := Open(Options{Path: dir})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -124,7 +121,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// Tear the tail: append half of a valid record — a crash mid-append.
-	rec := encodeRecord("k-torn", []byte("never-committed"), false)
+	rec := parentRecord("k-torn", []byte("never-committed"), false)
 	seg := filepath.Join(dir, "seg-00000000.log")
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -160,7 +157,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 func TestCorruptionMidLogRejected(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	s, err := Open(Options{Path: dir, SegmentBytes: 512, GroupWindow: 1})
+	s, err := Open(Options{Path: dir, SegmentBytes: 512})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -196,8 +193,7 @@ func TestFsyncFault(t *testing.T) {
 	fail := false
 	var mu sync.Mutex
 	opts := Options{
-		Path:        filepath.Join(t.TempDir(), "db"),
-		GroupWindow: 1,
+		Path: filepath.Join(t.TempDir(), "db"),
 		Fsync: func(f *os.File) error {
 			mu.Lock()
 			defer mu.Unlock()
@@ -328,7 +324,7 @@ func TestScan(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := openTest(t, Options{SegmentBytes: 8 << 10, GroupWindow: 1})
+	s := openTest(t, Options{SegmentBytes: 8 << 10})
 	var wg sync.WaitGroup
 	const writers, rounds = 8, 50
 	for w := 0; w < writers; w++ {

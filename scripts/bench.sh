@@ -17,7 +17,8 @@
 #           (cells scale across the worker pool), and the 1000-client
 #           scaling point                          -> BENCH_fleet.json
 #   storage the log-structured persistence engine: point reads against a
-#           100K-record store, group-committed durable inserts, and
+#           100K-record store, group-committed durable inserts from one
+#           writer and from eight, a four-record commit unit, and
 #           cold-start log replay (the ROADMAP's file-backed regime:
 #           insert < 20ms, get < 4ms)              -> BENCH_storage.json
 #
@@ -113,7 +114,7 @@ fi
 # fsync-bound), so its numbers are the most machine-sensitive of the
 # four; benchguard holds them to the same loose regression factor.
 if [ -z "${SKIP_STORAGE:-}" ]; then
-    go test -run '^$' -bench '^BenchmarkStorage(Get|Insert|Recover)$' -benchmem \
+    go test -run '^$' -bench '^BenchmarkStorage(Get|Insert|Apply|Recover)$' -benchmem \
         -benchtime "$BENCH_STORAGE_TIME" -count "$BENCH_COUNT" \
         ./internal/storage | tee "$raw"
     emit_json "$raw" BENCH_storage.json

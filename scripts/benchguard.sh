@@ -12,7 +12,8 @@
 #            under them (with the Go-map baselines it is read against)
 #                                          vs BENCH_model.json
 #   storage  the persistence engine (point reads, group-committed
-#            inserts, cold-start recovery) vs BENCH_storage.json
+#            inserts serial and 8-way, a four-record commit unit,
+#            cold-start recovery)          vs BENCH_storage.json
 #
 # A bench running more than REGRESSION_FACTOR (default 2.0) times slower
 # than its committed baseline fails the build.
@@ -103,4 +104,4 @@ guard BENCH_model.json "$BENCH_MODEL_TIME" \
     ./internal/replacement '^BenchmarkModelEvictionHeavy$/^(lru|ewma-0.5)$//^opt$' \
     ./internal/oodb '^BenchmarkItemIndexChurn$'
 guard BENCH_storage.json "$BENCH_STORAGE_TIME" \
-    ./internal/storage '^BenchmarkStorage(Get|Insert|Recover)$'
+    ./internal/storage '^BenchmarkStorage(Get|Insert|Apply|Recover)$'
