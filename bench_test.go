@@ -9,7 +9,7 @@
 // reported custom metrics are hit% (average cache hit ratio), resp_s
 // (average response time in seconds), and err% (error rate). Benchmark
 // runs use a reduced horizon (same population and ratios as Table 1);
-// `go run ./cmd/mcsim -exp N` regenerates the full-scale numbers recorded
+// `go run ./cmd/mcsim exp N` regenerates the full-scale numbers recorded
 // in EXPERIMENTS.md.
 package repro
 
@@ -403,7 +403,7 @@ func BenchmarkAblationBaselinePolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkFleet — the fleet engine behind Experiment #8: one hundred
+// BenchmarkFleet — the multi-cell runs behind Experiment #8: one hundred
 // clients sharded across 1/2/4/8 cells, plus the relay cache on the widest
 // fleet. Cells execute on the worker pool, so Mevents/s should climb with
 // the cell count until cores saturate, while hit% and resp_s stay
@@ -414,7 +414,7 @@ func BenchmarkFleet(b *testing.B) {
 		var res experiment.Result
 		var events uint64
 		for i := 0; i < b.N; i++ {
-			res = experiment.RunFleet(cfg)
+			res = experiment.Run(cfg)
 			events += res.Events
 		}
 		b.ReportMetric(100*res.HitRatio, "hit%")

@@ -8,14 +8,16 @@ import (
 	"time"
 
 	"repro/internal/coherence"
+	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/report"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// simOpts binds the single-configuration simulation flags shared by
-// `mcsim run` and the legacy flag surface onto a FlagSet, one definition
-// for both. Defaults mirror the paper's Table 1 settings.
+// simOpts binds the simulation flags onto a FlagSet, one definition for
+// `mcsim run` (all of them) and `mcsim exp` (the base every run of a sweep
+// inherits). Defaults mirror the paper's Table 1 settings.
 type simOpts struct {
 	days     float64
 	seed     uint64
@@ -24,6 +26,13 @@ type simOpts struct {
 	dbsize   int
 	bufratio float64
 	storage  string
+
+	loss     float64
+	corrupt  float64
+	burst    float64
+	burstLen float64
+	retryMax int
+	backoff  float64
 
 	granularity string
 	policy      string
@@ -48,17 +57,13 @@ type simOpts struct {
 	relay       int
 	backboneBps float64
 	backboneLat float64
-
-	loss     float64
-	corrupt  float64
-	burst    float64
-	burstLen float64
-	retryMax int
-	backoff  float64
 }
 
-// register declares every simulation flag on fs.
-func (o *simOpts) register(fs *flag.FlagSet) {
+// registerBase declares the flags a sweep takes: scale, seed, storage, and
+// the channel fault environment (Exp7 overrides the loss/burst knobs it
+// sweeps; all-zero fault flags leave the perfect-channel tables
+// byte-identical).
+func (o *simOpts) registerBase(fs *flag.FlagSet) {
 	fs.Float64Var(&o.days, "days", 0, "simulated days (0 = experiment default)")
 	fs.Uint64Var(&o.seed, "seed", 1, "root random seed")
 	fs.IntVar(&o.clients, "clients", 0, "number of mobile clients (0 = default)")
@@ -66,6 +71,19 @@ func (o *simOpts) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.dbsize, "dbsize", 0, "database size in objects (alias of -objects; Experiment #11's knob)")
 	fs.Float64Var(&o.bufratio, "bufratio", 0, "server buffer as a fraction of the database, 0 < r <= 1 (0 = default 25%)")
 	fs.StringVar(&o.storage, "storage", "", "persistent server tier DSN: file:<dir>[?sync=group|always|none] (empty = modeled disk only)")
+
+	fs.Float64Var(&o.loss, "loss", 0, "per-frame loss probability on each channel (0 = perfect)")
+	fs.Float64Var(&o.corrupt, "corrupt", 0, "per-frame corruption probability (CRC-detected at receiver)")
+	fs.Float64Var(&o.burst, "burst", 0, "fraction of time in burst outage (Gilbert-Elliott bad state)")
+	fs.Float64Var(&o.burstLen, "burstlen", 0, "mean burst-outage length in seconds (0 = default 10)")
+	fs.IntVar(&o.retryMax, "retry", 0, "max retransmissions per request (0 = default 3, negative = none)")
+	fs.Float64Var(&o.backoff, "backoff", 0, "base retry backoff in seconds (0 = default 1)")
+}
+
+// register declares every simulation flag on fs: the sweep base plus the
+// knobs that describe one configuration.
+func (o *simOpts) register(fs *flag.FlagSet) {
+	o.registerBase(fs)
 
 	fs.StringVar(&o.granularity, "granularity", "hc", "caching granularity: nc|ac|oc|hc")
 	fs.StringVar(&o.policy, "policy", "ewma-0.5", "replacement policy spec")
@@ -90,13 +108,6 @@ func (o *simOpts) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.relay, "relay", 0, "per-cell relay cache for remote partitions, in objects (0 = off)")
 	fs.Float64Var(&o.backboneBps, "backbone-bps", 0, "inter-cell backbone bandwidth in bits/s (0 = default 10 Mbps)")
 	fs.Float64Var(&o.backboneLat, "backbone-lat", 0, "inter-cell backbone one-way latency in seconds (0 = default 5 ms)")
-
-	fs.Float64Var(&o.loss, "loss", 0, "per-frame loss probability on each channel (0 = perfect)")
-	fs.Float64Var(&o.corrupt, "corrupt", 0, "per-frame corruption probability (CRC-detected at receiver)")
-	fs.Float64Var(&o.burst, "burst", 0, "fraction of time in burst outage (Gilbert-Elliott bad state)")
-	fs.Float64Var(&o.burstLen, "burstlen", 0, "mean burst-outage length in seconds (0 = default 10)")
-	fs.IntVar(&o.retryMax, "retry", 0, "max retransmissions per request (0 = default 3, negative = none)")
-	fs.Float64Var(&o.backoff, "backoff", 0, "base retry backoff in seconds (0 = default 1)")
 }
 
 // resolveObjects folds -dbsize into -objects; the two are one knob and
@@ -112,21 +123,37 @@ func (o *simOpts) resolveObjects() (int, error) {
 	return o.objects, nil
 }
 
-// config assembles the experiment.Config the parsed flags describe.
-func (o *simOpts) config() (experiment.Config, error) {
+// expBase reduces the registerBase flags to the sweep base config the
+// experiments inherit.
+func (o *simOpts) expBase() (experiment.Config, error) {
 	objects, err := o.resolveObjects()
-	if err != nil {
-		return experiment.Config{}, err
-	}
-	cfg, err := buildConfig(o.granularity, o.policy, o.kind, o.heat, o.arrival,
-		o.change, o.update, o.beta, o.disconnect, o.hours, o.days, o.seed, o.clients, objects)
+	return experiment.Config{
+		Seed: o.seed, Days: o.days, NumClients: o.clients, NumObjects: objects,
+		ServerBufferRatio: o.bufratio, StorageDSN: o.storage,
+		LossRate: o.loss, CorruptRate: o.corrupt,
+		BurstFraction: o.burst, MeanBadSeconds: o.burstLen,
+		RetryMax: o.retryMax, RetryBackoff: o.backoff,
+	}, err
+}
+
+// config assembles the experiment.Config the parsed flags describe: the
+// sweep base plus the single-configuration knobs, names resolved to enums.
+// Ranges and combinations are Config.Validate's to judge.
+func (o *simOpts) config() (experiment.Config, error) {
+	cfg, err := o.expBase()
 	if err != nil {
 		return cfg, err
 	}
-	cfg.ServerBufferRatio = o.bufratio
-	cfg.StorageDSN = o.storage
-	cfg.ShedThreshold = o.shed
+	cfg.Policy = o.policy
+	cfg.CSHChangeEvery = o.change
+	cfg.UpdateProb = o.update
+	cfg.Beta = o.beta
 	cfg.FixedLease = o.fixedLease
+	cfg.IRWindow = o.irWindow
+	cfg.CoopPeers = o.coopPeers
+	cfg.ShedThreshold = o.shed
+	cfg.DisconnectedClients = o.disconnect
+	cfg.DisconnectHours = o.hours
 	cfg.SharedHotObjects = o.sharedHot
 	cfg.SharedHotProb = o.shareProb
 	cfg.BroadcastAttrs = o.bcastAttrs
@@ -134,30 +161,42 @@ func (o *simOpts) config() (experiment.Config, error) {
 	cfg.RelayObjects = o.relay
 	cfg.BackboneBandwidthBps = o.backboneBps
 	cfg.BackboneLatency = o.backboneLat
-	applyFaultFlags(&cfg, o.loss, o.corrupt, o.burst, o.burstLen, o.retryMax, o.backoff)
+
+	if cfg.Granularity, err = core.ParseGranularity(o.granularity); err != nil {
+		return cfg, err
+	}
+	switch strings.ToUpper(o.kind) {
+	case "AQ":
+		cfg.QueryKind = workload.Associative
+	case "NQ":
+		cfg.QueryKind = workload.Navigational
+	default:
+		return cfg, fmt.Errorf("unknown query kind %q (want AQ|NQ)", o.kind)
+	}
+	switch o.heat {
+	case "sh":
+		cfg.Heat = experiment.SkewedHeat
+	case "csh":
+		cfg.Heat = experiment.ChangingSkewedHeat
+	case "cyclic":
+		cfg.Heat = experiment.CyclicHeat
+	default:
+		return cfg, fmt.Errorf("unknown heat %q (want sh|csh|cyclic)", o.heat)
+	}
+	switch o.arrival {
+	case "poisson":
+		cfg.Arrival = experiment.PoissonArrival
+	case "bursty":
+		cfg.Arrival = experiment.BurstyArrival
+	default:
+		return cfg, fmt.Errorf("unknown arrival %q (want poisson|bursty)", o.arrival)
+	}
 	strat, ok := coherence.Parse(o.coherenceS)
 	if !ok {
 		return cfg, fmt.Errorf("unknown coherence strategy %q (want lease|fixed|ir|irb)", o.coherenceS)
 	}
 	cfg.Coherence = strat
-	cfg.IRWindow = o.irWindow
-	cfg.CoopPeers = o.coopPeers
 	return cfg, nil
-}
-
-// expBase reduces the flags to the sweep base config the experiments
-// inherit: scale, seed, storage, and the channel fault environment.
-func (o *simOpts) expBase() (experiment.Config, error) {
-	objects, err := o.resolveObjects()
-	if err != nil {
-		return experiment.Config{}, err
-	}
-	base := experiment.Config{
-		Seed: o.seed, Days: o.days, NumClients: o.clients, NumObjects: objects,
-		ServerBufferRatio: o.bufratio, StorageDSN: o.storage,
-	}
-	applyFaultFlags(&base, o.loss, o.corrupt, o.burst, o.burstLen, o.retryMax, o.backoff)
-	return base, nil
 }
 
 // profileFlags declares the profiling sinks shared by every subcommand.
@@ -174,11 +213,10 @@ type runOpts struct {
 	reportDir string
 }
 
-// executeRun validates cfg through the Scenario front door and runs it —
-// the fleet engine when cells were requested, with optional replication,
-// tracing, and report generation.
+// executeRun validates cfg and runs it, with optional replication, tracing,
+// and report generation.
 func executeRun(cfg experiment.Config, o runOpts) error {
-	if _, err := experiment.New(experiment.WithConfig(cfg)); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	var tracer *trace.CSVTracer
@@ -230,7 +268,7 @@ func executeRun(cfg experiment.Config, o runOpts) error {
 		}
 		res = r
 	} else {
-		res = experiment.RunFleet(cfg)
+		res = experiment.Run(cfg)
 	}
 	printResult(res)
 	printThroughput(res.Events, time.Since(start))
@@ -312,20 +350,9 @@ func cmdExp(args []string) {
 	}
 	which := args[0]
 	fs := flag.NewFlagSet("mcsim exp", flag.ExitOnError)
+	var o simOpts
+	o.registerBase(fs)
 	quick := fs.Bool("quick", false, "reduced-scale pass (shorter horizon, sparser grids)")
-	days := fs.Float64("days", 0, "simulated days (0 = experiment default)")
-	seed := fs.Uint64("seed", 1, "root random seed")
-	clients := fs.Int("clients", 0, "number of mobile clients (0 = default)")
-	objects := fs.Int("objects", 0, "database objects (0 = default 2000)")
-	dbsize := fs.Int("dbsize", 0, "database size in objects (alias of -objects; Experiment #11's knob)")
-	bufratio := fs.Float64("bufratio", 0, "server buffer as a fraction of the database, 0 < r <= 1, inherited by every run")
-	storageDSN := fs.String("storage", "", "persistent server tier DSN every run inherits: file:<dir>[?sync=...]")
-	loss := fs.Float64("loss", 0, "per-frame loss probability every run inherits")
-	corrupt := fs.Float64("corrupt", 0, "per-frame corruption probability every run inherits")
-	burst := fs.Float64("burst", 0, "fraction of time in burst outage every run inherits")
-	burstLen := fs.Float64("burstlen", 0, "mean burst-outage length in seconds (0 = default 10)")
-	retryMax := fs.Int("retry", 0, "max retransmissions per request (0 = default 3, negative = none)")
-	backoff := fs.Float64("backoff", 0, "base retry backoff in seconds (0 = default 1)")
 	reportDir := fs.String("report", "", "write manifest.json, report.md and trace.csv into this directory")
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = one per CPU)")
 	cpuProfile, memProfile, pprofAddr := profileFlags(fs)
@@ -338,19 +365,13 @@ func cmdExp(args []string) {
 	}
 	defer stopProfiling()
 
-	if err := checkQuickStorage(*quick, *storageDSN); err != nil {
+	if err := checkQuickStorage(*quick, o.storage); err != nil {
 		fatal(err)
 	}
-	o := simOpts{objects: *objects, dbsize: *dbsize}
-	resolvedObjects, err := o.resolveObjects()
+	base, err := o.expBase()
 	if err != nil {
 		fatal(err)
 	}
-	base := experiment.Config{
-		Seed: *seed, Days: *days, NumClients: *clients, NumObjects: resolvedObjects,
-		ServerBufferRatio: *bufratio, StorageDSN: *storageDSN,
-	}
-	applyFaultFlags(&base, *loss, *corrupt, *burst, *burstLen, *retryMax, *backoff)
 	if err := runExperiments(which, base, *quick, *reportDir); err != nil {
 		fatal(err)
 	}

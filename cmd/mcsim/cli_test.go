@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // parseSimOpts runs one argument list through the shared flag surface.
@@ -26,20 +29,27 @@ func parseSimOpts(t *testing.T, args ...string) simOpts {
 	return o
 }
 
-func TestSimOptsDefaultsMatchLegacy(t *testing.T) {
+// TestSimOptsDefaults pins what a bare `mcsim run` asks for: the paper's
+// Table 1 configuration, everything else left to experiment.Defaults.
+func TestSimOptsDefaults(t *testing.T) {
 	o := parseSimOpts(t)
 	cfg, err := o.config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := buildConfig("hc", "ewma-0.5", "AQ", "sh", "poisson",
-		500, 0.1, 0, 0, 0, 0, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	want := experiment.Config{
+		Seed:           1,
+		Granularity:    core.HybridCaching,
+		Policy:         "ewma-0.5",
+		QueryKind:      workload.Associative,
+		Heat:           experiment.SkewedHeat,
+		CSHChangeEvery: 500,
+		Arrival:        experiment.PoissonArrival,
+		UpdateProb:     0.1,
+		Coherence:      coherence.LeaseStrategy,
 	}
-	want.Coherence = coherence.LeaseStrategy
 	if cfg != want {
-		t.Fatalf("flag defaults diverge from the legacy surface:\n%+v\nvs\n%+v", cfg, want)
+		t.Fatalf("flag defaults moved:\n%+v\nvs\n%+v", cfg, want)
 	}
 }
 
@@ -253,4 +263,73 @@ func reportManifestFor(t *testing.T, rep *experiment.Report) report.Manifest {
 	t.Helper()
 	cfg := rep.Results[0].Config
 	return report.NewManifest("exp1", "mcsim exp 1 -seed 3 -report <dir>", cfg, rep, nil)
+}
+
+// TestCLIExitPaths re-executes the test binary as mcsim (the child branch
+// below runs main on the argv under test) and pins how bad input leaves the
+// process: invalid values exit 1 with one "mcsim: ..." line wrapping the
+// sentinel, the retired -run/-exp spellings and unknown flags exit 2 with
+// the usage, and nothing ever reaches a goroutine trace.
+func TestCLIExitPaths(t *testing.T) {
+	const sep = "\x1f"
+	if argv, ok := os.LookupEnv("MCSIM_CLI_CHILD"); ok {
+		os.Args = append([]string{"mcsim"}, strings.Split(argv, sep)...)
+		main()
+		os.Exit(0)
+	}
+
+	outOfRange, conflict := experiment.ErrOutOfRange.Error(), experiment.ErrConflict.Error()
+	cases := []struct {
+		argv   string
+		status int
+		stderr string // required substring
+	}{
+		{"run -update 1.5", 1, outOfRange},
+		{"run -days -1", 1, outOfRange},
+		{"run -loss 2", 1, outOfRange},
+		{"run -objects 1", 1, outOfRange},
+		{"run -objects 5", 1, conflict},
+		{"run -hours 30 -disconnected 2", 1, outOfRange},
+		{"run -heat csh -change -5", 1, outOfRange},
+		{"run -shared 10 -shareprob 3", 1, outOfRange},
+		{"run -cells -2", 1, outOfRange},
+		{"run -relay -5", 1, outOfRange},
+		{"run -coop -2", 1, outOfRange},
+		{"run -shed -1", 1, outOfRange},
+		{"exp 1 -clients -3", 1, outOfRange},
+		{"exp 1 -bufratio 7", 1, outOfRange},
+		{"exp 6 -quick -clients 3", 1, conflict},
+		{"exp 2 -objects 10", 1, conflict},
+		{"exp 8 -storage file:x", 1, conflict},
+		{"-exp 1", 2, "usage:"},
+		{"-run", 2, "usage:"},
+		{"run -engine sm", 2, "flag provided but not defined"},
+	}
+	for _, c := range cases {
+		t.Run(c.argv, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run", "^TestCLIExitPaths$")
+			cmd.Dir = t.TempDir()
+			cmd.Env = append(os.Environ(), "MCSIM_CLI_CHILD="+strings.ReplaceAll(c.argv, " ", sep))
+			var stdout, stderr strings.Builder
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != c.status {
+				t.Fatalf("exit = %v, want status %d\nstderr: %s", err, c.status, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), c.stderr) {
+				t.Fatalf("stderr lacks %q:\n%s", c.stderr, stderr.String())
+			}
+			if c.status == 1 && (!strings.HasPrefix(stderr.String(), "mcsim: ") ||
+				strings.Count(stderr.String(), "\n") != 1) {
+				t.Fatalf("stderr is not one mcsim: line:\n%s", stderr.String())
+			}
+			if strings.Contains(stdout.String()+stderr.String(), "goroutine ") {
+				t.Fatalf("goroutine trace:\n%s%s", stdout.String(), stderr.String())
+			}
+			if strings.Contains(stdout.String(), "---") {
+				t.Fatalf("a table was printed:\n%s", stdout.String())
+			}
+		})
+	}
 }

@@ -54,24 +54,22 @@
 //	mcsim run -config out/manifest.json
 //	mcsim report out/ -verify
 //
-// The pre-subcommand flag surface (mcsim -run ..., mcsim -exp 1 ...) still
-// works so existing scripts keep running; new capabilities land on the
-// subcommands only.
+// Every configuration — flags, a replayed manifest, each run of a sweep —
+// passes experiment.Config.Validate before anything is simulated; invalid
+// input exits 1 with one "mcsim: ..." line. Anything but a subcommand
+// prints the usage and exits 2.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -91,7 +89,8 @@ func main() {
 			return
 		}
 	}
-	legacyMain()
+	usage()
+	os.Exit(2)
 }
 
 // usage prints the subcommand synopsis (per-subcommand flags: mcsim run -h)
@@ -102,143 +101,15 @@ func usage() {
   mcsim run [flags]          run one configuration (mcsim run -h for flags)
   mcsim exp <id> [flags]     regenerate experiments: 1..11, table1, or all
   mcsim report <dir> [-verify]  summarize (and optionally replay) a report
-  mcsim -run|-exp ...        legacy flag surface, kept for existing scripts
 
 experiments:
 `)
 	fmt.Fprint(os.Stderr, expCatalogList())
 }
 
-// legacyMain is the pre-subcommand flag surface (-run / -exp as booleans on
-// one big flag set). It is kept verbatim so existing scripts and archived
-// manifest commands keep working; the subcommands are the documented way in.
-func legacyMain() {
-	fs := flag.NewFlagSet("mcsim", flag.ExitOnError)
-	fs.Usage = func() {
-		usage()
-		fmt.Fprintln(os.Stderr, "\nlegacy flags:")
-		fs.PrintDefaults()
-	}
-	var o simOpts
-	o.register(fs)
-	expFlag := fs.String("exp", "", "experiment to regenerate: 1..11, table1, or all")
-	quick := fs.Bool("quick", false, "reduced-scale pass (1 simulated day, sparser grids)")
-	runOne := fs.Bool("run", false, "run a single custom configuration")
-	parallel := fs.Int("parallel", 0, "concurrent simulation runs for sweeps and -replicas (0 = one per CPU)")
-	traceFile := fs.String("trace", "", "write a per-query CSV trace to this file (-run only)")
-	replicas := fs.Int("replicas", 1, "independent replications with consecutive seeds (-run only)")
-	reportDir := fs.String("report", "", "write manifest.json, report.md and trace.csv into this directory")
-	cpuProfile, memProfile, pprofAddr := profileFlags(fs)
-	fs.Parse(os.Args[1:])
-	experiment.SetDefaultWorkers(*parallel)
-
-	stopProfiling, err := startProfiling(*cpuProfile, *memProfile, *pprofAddr)
-	if err != nil {
-		fatal(err)
-	}
-	// Note: fatal() exits without running deferred calls, so profiles are
-	// only written on successful runs.
-	defer stopProfiling()
-
-	switch {
-	case *runOne:
-		cfg, err := o.config()
-		if err != nil {
-			fatal(err)
-		}
-		if err := executeRun(cfg, runOpts{
-			traceFile: *traceFile,
-			replicas:  *replicas,
-			reportDir: *reportDir,
-		}); err != nil {
-			fatal(err)
-		}
-	case *expFlag != "":
-		if err := checkQuickStorage(*quick, o.storage); err != nil {
-			fatal(err)
-		}
-		base, err := o.expBase()
-		if err != nil {
-			fatal(err)
-		}
-		if err := runExperiments(*expFlag, base, *quick, *reportDir); err != nil {
-			fatal(err)
-		}
-	default:
-		fs.Usage()
-		os.Exit(2)
-	}
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mcsim:", err)
 	os.Exit(1)
-}
-
-// applyFaultFlags threads the unreliable-channel flags into a config. For
-// exp sweeps they become the base every run inherits (Exp7 overrides the
-// loss/burst knobs it sweeps); all-zero flags leave the config untouched,
-// preserving the byte-identical perfect-channel tables.
-func applyFaultFlags(cfg *experiment.Config, loss, corrupt, burst, burstLen float64,
-	retryMax int, backoff float64) {
-
-	cfg.LossRate = loss
-	cfg.CorruptRate = corrupt
-	cfg.BurstFraction = burst
-	cfg.MeanBadSeconds = burstLen
-	cfg.RetryMax = retryMax
-	cfg.RetryBackoff = backoff
-}
-
-func buildConfig(gran, policy, kind, heat, arrival string, changeRate int,
-	update, beta float64, disconnect int, hours, days float64,
-	seed uint64, clients, objects int) (experiment.Config, error) {
-
-	cfg := experiment.Config{
-		Seed:                seed,
-		Days:                days,
-		NumClients:          clients,
-		NumObjects:          objects,
-		Policy:              policy,
-		CSHChangeEvery:      changeRate,
-		UpdateProb:          update,
-		Beta:                beta,
-		DisconnectedClients: disconnect,
-		DisconnectHours:     hours,
-	}
-	g, err := core.ParseGranularity(gran)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Granularity = g
-
-	switch strings.ToUpper(kind) {
-	case "AQ":
-		cfg.QueryKind = workload.Associative
-	case "NQ":
-		cfg.QueryKind = workload.Navigational
-	default:
-		return cfg, fmt.Errorf("unknown query kind %q (want AQ|NQ)", kind)
-	}
-	switch heat {
-	case "sh":
-		cfg.Heat = experiment.SkewedHeat
-	case "csh":
-		cfg.Heat = experiment.ChangingSkewedHeat
-	case "cyclic":
-		cfg.Heat = experiment.CyclicHeat
-	default:
-		return cfg, fmt.Errorf("unknown heat %q (want sh|csh|cyclic)", heat)
-	}
-	switch arrival {
-	case "poisson":
-		cfg.Arrival = experiment.PoissonArrival
-	case "bursty":
-		cfg.Arrival = experiment.BurstyArrival
-	default:
-		return cfg, fmt.Errorf("unknown arrival %q (want poisson|bursty)", arrival)
-	}
-	return cfg, nil
 }
 
 func printResult(res experiment.Result) {
@@ -309,151 +180,70 @@ func printThroughput(events uint64, wall time.Duration) {
 		events, s, float64(events)/s)
 }
 
-// expCatalog summarizes every experiment key in selection order; the
-// unknown-experiment error prints it so a typo teaches the valid range.
-var expCatalog = []struct{ key, summary string }{
-	{"1", "Figure 2: caching granularity (NC/AC/OC/HC)"},
-	{"2", "Figure 3: replacement policies, best case"},
-	{"3", "Figure 4: replacement policies, realistic workloads"},
-	{"4", "Figures 5+6: CSH change rates and cyclic access"},
-	{"5", "Figure 7: coherence (beta x U)"},
-	{"6", "Figure 8: disconnected operation (D x V)"},
-	{"7", "beyond the paper: unreliable channels (loss x burst x coherence)"},
-	{"8", "beyond the paper: fleet scaling (clients x cells x relay cache)"},
-	{"9", "beyond the paper: million-client fleets on the state-machine engine"},
-	{"10", "beyond the paper: IR broadcast vs cooperative caching (loss x fleet)"},
-	{"11", "beyond the paper: database size x server buffer (persistent tier)"},
-	{"table1", "Table 1: parameter settings"},
-	{"all", "every experiment above"},
+// expJob is one titled, table-producing sweep of an experiment.
+type expJob struct {
+	title string
+	run   func(experiment.Config) *experiment.Report
+}
+
+// experiments is the catalog, in `exp all` order: what each id is, the
+// sweeps it prints at full scale and under -quick (nil = the full grid
+// serves both), and whether the grids carry their own default horizon —
+// the others are cut to one simulated day by -quick.
+var experiments = []struct {
+	key, summary string
+	full, quick  []expJob
+	ownsHorizon  bool
+}{
+	{key: "table1", summary: "Table 1: parameter settings",
+		full: []expJob{{"Table 1", func(experiment.Config) *experiment.Report {
+			return &experiment.Report{Name: "table1", Tables: []*experiment.Table{experiment.Table1()}}
+		}}}},
+	{key: "1", summary: "Figure 2: caching granularity (NC/AC/OC/HC)",
+		full: []expJob{{"Experiment #1 (Figure 2)", experiment.Exp1}}},
+	{key: "2", summary: "Figure 3: replacement policies, best case",
+		full: []expJob{{"Experiment #2 (Figure 3)", experiment.Exp2}}},
+	{key: "3", summary: "Figure 4: replacement policies, realistic workloads",
+		full: []expJob{{"Experiment #3 (Figure 4)", experiment.Exp3}}},
+	{key: "4", summary: "Figures 5+6: CSH change rates and cyclic access",
+		full: []expJob{
+			{"Experiment #4 (Figure 5)", experiment.Exp4},
+			{"Experiment #4 (Figure 6)", experiment.Exp4Cyclic}}},
+	{key: "5", summary: "Figure 7: coherence (beta x U)",
+		full: []expJob{{"Experiment #5 (Figure 7)", experiment.Exp5}}},
+	{key: "6", summary: "Figure 8: disconnected operation (D x V)",
+		full:  []expJob{{"Experiment #6 (Figure 8)", experiment.Exp6}},
+		quick: []expJob{{"Experiment #6 (Figure 8, quick grid)", experiment.Exp6Quick}}},
+	{key: "7", summary: "beyond the paper: unreliable channels (loss x burst x coherence)",
+		full:  []expJob{{"Experiment #7 (unreliable channels)", experiment.Exp7}},
+		quick: []expJob{{"Experiment #7 (unreliable channels, quick grid)", experiment.Exp7Quick}}},
+	{key: "8", summary: "beyond the paper: fleet scaling (clients x cells x relay cache)",
+		full:        []expJob{{"Experiment #8 (fleet scaling)", experiment.Exp8}},
+		quick:       []expJob{{"Experiment #8 (fleet scaling, quick grid)", experiment.Exp8Quick}},
+		ownsHorizon: true},
+	{key: "9", summary: "beyond the paper: million-client fleets on the state-machine engine",
+		full:        []expJob{{"Experiment #9 (million-client fleets)", experiment.Exp9}},
+		quick:       []expJob{{"Experiment #9 (million-client fleets, quick grid)", experiment.Exp9Quick}},
+		ownsHorizon: true},
+	{key: "10", summary: "beyond the paper: IR broadcast vs cooperative caching (loss x fleet)",
+		full:        []expJob{{"Experiment #10 (coherence schemes head-to-head)", experiment.Exp10}},
+		quick:       []expJob{{"Experiment #10 (coherence schemes, quick grid)", experiment.Exp10Quick}},
+		ownsHorizon: true},
+	{key: "11", summary: "beyond the paper: database size x server buffer (persistent tier)",
+		full:        []expJob{{"Experiment #11 (size x buffer, persistent tier)", experiment.Exp11}},
+		quick:       []expJob{{"Experiment #11 (size x buffer, quick grid)", experiment.Exp11Quick}},
+		ownsHorizon: true},
 }
 
 // expCatalogList renders the catalog one experiment per line, the shared
 // body of usage(), exp -h, and the unknown-experiment error.
 func expCatalogList() string {
 	var b strings.Builder
-	for _, e := range expCatalog {
+	for _, e := range experiments {
 		fmt.Fprintf(&b, "  %-6s  %s\n", e.key, e.summary)
 	}
+	fmt.Fprintf(&b, "  %-6s  %s\n", "all", "every experiment above")
 	return b.String()
-}
-
-// unknownExperiment builds the error for an unrecognized experiment id: the
-// valid range plus one line per experiment.
-func unknownExperiment(which string) error {
-	return fmt.Errorf("unknown experiment %q (want 1..11, table1, all); valid experiments:\n%s",
-		which, strings.TrimRight(expCatalogList(), "\n"))
-}
-
-// expJob is one named table-producing sweep inside an exp invocation.
-type expJob struct {
-	name string
-	run  func() fmt.Stringer
-}
-
-// expJobs selects the jobs an experiment id expands to, in print order.
-func expJobs(which string, base experiment.Config, quick bool) ([]expJob, error) {
-	var jobs []expJob
-	add := func(name string, run func() fmt.Stringer) {
-		jobs = append(jobs, expJob{name, run})
-	}
-	wantAll := which == "all"
-	want := func(n string) bool { return wantAll || which == n }
-
-	if want("table1") {
-		add("Table 1", func() fmt.Stringer { return experiment.Table1() })
-	}
-	if want("1") {
-		add("Experiment #1 (Figure 2)", func() fmt.Stringer { return experiment.Exp1(base) })
-	}
-	if want("2") {
-		add("Experiment #2 (Figure 3)", func() fmt.Stringer { return experiment.Exp2(base) })
-	}
-	if want("3") {
-		add("Experiment #3 (Figure 4)", func() fmt.Stringer { return experiment.Exp3(base) })
-	}
-	if want("4") {
-		add("Experiment #4 (Figure 5)", func() fmt.Stringer { return experiment.Exp4(base) })
-		add("Experiment #4 (Figure 6)", func() fmt.Stringer { return experiment.Exp4Cyclic(base) })
-	}
-	if want("5") {
-		add("Experiment #5 (Figure 7)", func() fmt.Stringer { return experiment.Exp5(base) })
-	}
-	if want("6") {
-		if quick {
-			add("Experiment #6 (Figure 8, quick grid)", func() fmt.Stringer { return experiment.Exp6Quick(base) })
-		} else {
-			add("Experiment #6 (Figure 8)", func() fmt.Stringer { return experiment.Exp6(base) })
-		}
-	}
-	if want("7") {
-		if quick {
-			add("Experiment #7 (unreliable channels, quick grid)", func() fmt.Stringer { return experiment.Exp7Quick(base) })
-		} else {
-			add("Experiment #7 (unreliable channels)", func() fmt.Stringer { return experiment.Exp7(base) })
-		}
-	}
-	if want("8") {
-		if quick {
-			add("Experiment #8 (fleet scaling, quick grid)", func() fmt.Stringer { return experiment.Exp8Quick(base) })
-		} else {
-			add("Experiment #8 (fleet scaling)", func() fmt.Stringer { return experiment.Exp8(base) })
-		}
-	}
-	if want("9") {
-		if quick {
-			add("Experiment #9 (million-client fleets, quick grid)", func() fmt.Stringer { return experiment.Exp9Quick(base) })
-		} else {
-			add("Experiment #9 (million-client fleets)", func() fmt.Stringer { return experiment.Exp9(base) })
-		}
-	}
-	if want("10") {
-		if quick {
-			add("Experiment #10 (coherence schemes, quick grid)", func() fmt.Stringer { return experiment.Exp10Quick(base) })
-		} else {
-			add("Experiment #10 (coherence schemes head-to-head)", func() fmt.Stringer { return experiment.Exp10(base) })
-		}
-	}
-	if want("11") {
-		if quick {
-			add("Experiment #11 (size x buffer, quick grid)", func() fmt.Stringer { return experiment.Exp11Quick(base) })
-		} else {
-			add("Experiment #11 (size x buffer, persistent tier)", func() fmt.Stringer { return experiment.Exp11(base) })
-		}
-	}
-	if len(jobs) == 0 {
-		return nil, unknownExperiment(which)
-	}
-	return jobs, nil
-}
-
-// runJobs prints every job's tables with wall time and event throughput,
-// returning the first report that ran simulations (the one a -report
-// instruments and a manifest hashes).
-func runJobs(jobs []expJob) *experiment.Report {
-	var firstRep *experiment.Report
-	for _, j := range jobs {
-		start := time.Now()
-		fmt.Printf("=== %s ===\n", j.name)
-		out := j.run()
-		fmt.Println(out.String())
-		wall := time.Since(start).Seconds()
-		rep, ok := out.(*experiment.Report)
-		var events uint64
-		if ok {
-			for _, res := range rep.Results {
-				events += res.Events
-			}
-		}
-		if events > 0 && wall > 0 {
-			fmt.Printf("(%s in %.1fs, %.3g events/s)\n\n", j.name, wall, float64(events)/wall)
-		} else {
-			fmt.Printf("(%s in %.1fs)\n\n", j.name, wall)
-		}
-		if ok && firstRep == nil && len(rep.Results) > 0 {
-			firstRep = rep
-		}
-	}
-	return firstRep
 }
 
 // runExperiments regenerates the requested experiment(s). With a non-empty
@@ -466,19 +256,53 @@ func runExperiments(which string, base experiment.Config, quick bool, reportDir 
 
 // runExperimentsRep is runExperiments returning the first table-producing
 // report, which manifest replays hash-check against the archived digests.
-// Quick mode shortens an unset horizon to one day — except for Experiments
-// #8 through #11, whose grids carry their own shorter defaults.
+// Every sweep validates all of its configs (base plus grid) before its
+// first run, and the first failure — named by run label — comes back with
+// no table printed.
 func runExperimentsRep(which string, base experiment.Config, quick bool,
 	reportDir string) (*experiment.Report, error) {
 
-	if quick && base.Days == 0 && which != "8" && which != "9" && which != "10" && which != "11" {
-		base.Days = 1
+	var firstRep *experiment.Report
+	known := false
+	for _, e := range experiments {
+		if which != "all" && which != e.key {
+			continue
+		}
+		known = true
+		jobs, b := e.full, base
+		if quick && e.quick != nil {
+			jobs = e.quick
+		}
+		if quick && b.Days == 0 && !e.ownsHorizon {
+			b.Days = 1
+		}
+		for _, j := range jobs {
+			start := time.Now()
+			fmt.Printf("=== %s ===\n", j.title)
+			rep := j.run(b)
+			if rep.Err != nil {
+				return nil, fmt.Errorf("%s: %w", j.title, rep.Err)
+			}
+			fmt.Println(rep)
+			wall := time.Since(start).Seconds()
+			var events uint64
+			for _, res := range rep.Results {
+				events += res.Events
+			}
+			if events > 0 && wall > 0 {
+				fmt.Printf("(%s in %.1fs, %.3g events/s)\n\n", j.title, wall, float64(events)/wall)
+			} else {
+				fmt.Printf("(%s in %.1fs)\n\n", j.title, wall)
+			}
+			if firstRep == nil && len(rep.Results) > 0 {
+				firstRep = rep
+			}
+		}
 	}
-	jobs, err := expJobs(which, base, quick)
-	if err != nil {
-		return nil, err
+	if !known {
+		return nil, fmt.Errorf("unknown experiment %q (want 1..11, table1, all); valid experiments:\n%s",
+			which, strings.TrimRight(expCatalogList(), "\n"))
 	}
-	firstRep := runJobs(jobs)
 	if reportDir != "" {
 		if firstRep == nil {
 			return nil, fmt.Errorf("-report needs a simulation to instrument (table1 runs none)")
@@ -519,7 +343,7 @@ func instrumentedReport(dir, expName, command string, rep *experiment.Report,
 	cfg.Tracer = col
 	cfg.Obs = obs.New(0)
 	start := time.Now()
-	res := experiment.RunFleet(cfg)
+	res := experiment.Run(cfg)
 	man := report.NewManifest(expName, command, res.Config, rep, cfg.Obs)
 	man.Quick = quick
 	man.WallSeconds = time.Since(start).Seconds()

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,9 +17,20 @@ import (
 	"repro/internal/workload"
 )
 
+// flagConfig parses args through the `mcsim run` flag surface and returns
+// the Config it describes.
+func flagConfig(args ...string) (experiment.Config, error) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	var o simOpts
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		return experiment.Config{}, err
+	}
+	return o.config()
+}
+
 func TestBuildConfigDefaults(t *testing.T) {
-	cfg, err := buildConfig("hc", "ewma-0.5", "AQ", "sh", "poisson",
-		500, 0.1, 0, 0, 0, 0, 1, 0, 0)
+	cfg, err := flagConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +46,10 @@ func TestBuildConfigDefaults(t *testing.T) {
 }
 
 func TestBuildConfigVariants(t *testing.T) {
-	cfg, err := buildConfig("oc", "lru-3", "nq", "cyclic", "bursty",
-		300, 0.3, 1, 4, 5, 2, 9, 5, 500)
+	cfg, err := flagConfig("-granularity", "oc", "-policy", "lru-3", "-kind", "nq",
+		"-heat", "cyclic", "-arrival", "bursty", "-change", "300", "-update", "0.3",
+		"-beta", "1", "-disconnected", "4", "-hours", "5", "-days", "2", "-seed", "9",
+		"-clients", "5", "-objects", "500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,25 +65,22 @@ func TestBuildConfigVariants(t *testing.T) {
 	if cfg.Days != 2 || cfg.Seed != 9 || cfg.NumClients != 5 || cfg.NumObjects != 500 {
 		t.Fatal("scale params lost")
 	}
-	csh, err := buildConfig("ac", "mean", "AQ", "csh", "poisson",
-		700, 0, 0, 0, 0, 0, 1, 0, 0)
+	csh, err := flagConfig("-granularity", "ac", "-policy", "mean", "-heat", "csh",
+		"-change", "700", "-update", "0")
 	if err != nil || csh.Heat != experiment.ChangingSkewedHeat || csh.CSHChangeEvery != 700 {
 		t.Fatalf("csh parse: %+v, %v", csh, err)
 	}
 }
 
 func TestBuildConfigErrors(t *testing.T) {
-	cases := []struct{ gran, kind, heat, arrival string }{
-		{"xx", "AQ", "sh", "poisson"},
-		{"hc", "ZZ", "sh", "poisson"},
-		{"hc", "AQ", "warm", "poisson"},
-		{"hc", "AQ", "sh", "uniform"},
-	}
-	for i, c := range cases {
-		_, err := buildConfig(c.gran, "lru", c.kind, c.heat, c.arrival,
-			500, 0, 0, 0, 0, 0, 1, 0, 0)
-		if err == nil {
-			t.Fatalf("case %d accepted invalid input", i)
+	for _, args := range [][]string{
+		{"-granularity", "xx"},
+		{"-kind", "ZZ"},
+		{"-heat", "warm"},
+		{"-arrival", "uniform"},
+	} {
+		if _, err := flagConfig(args...); err == nil {
+			t.Fatalf("%v accepted", args)
 		}
 	}
 }
@@ -84,7 +96,7 @@ func TestRunExperimentsUnknown(t *testing.T) {
 	if !strings.Contains(msg, "want 1..11, table1, all") {
 		t.Fatalf("error lacks valid range: %v", msg)
 	}
-	for _, e := range expCatalog {
+	for _, e := range experiments {
 		if !strings.Contains(msg, e.summary) {
 			t.Fatalf("error lacks %q summary: %v", e.key, msg)
 		}
@@ -144,6 +156,53 @@ func TestRunExperimentsReport(t *testing.T) {
 	if !bytes.Equal(md, md2) {
 		t.Fatal("same seed produced different report.md bytes")
 	}
+}
+
+// TestSweepValidatedWhole: a sweep whose grid contradicts the base is
+// refused before its first run — the error names the run and wraps the
+// sentinel, and no table reaches stdout — instead of dying mid-sweep.
+func TestSweepValidatedWhole(t *testing.T) {
+	for _, c := range []struct {
+		which  string
+		base   experiment.Config
+		quick  bool
+		label  string
+		wanted error
+	}{
+		{"6", experiment.Config{NumClients: 3}, true, "exp6/ac/V=5/D=1", experiment.ErrConflict},
+		{"2", experiment.Config{NumObjects: 10}, false, "exp2/lru/AQ/SH", experiment.ErrConflict},
+		{"8", experiment.Config{StorageDSN: "file:" + t.TempDir()}, false, "exp8/fleet=10/cells=2", experiment.ErrConflict},
+	} {
+		stdout := captureStdout(t, func() {
+			rep, err := runExperimentsRep(c.which, c.base, c.quick, "")
+			if rep != nil || !errors.Is(err, c.wanted) || !strings.Contains(err.Error(), c.label) {
+				t.Errorf("exp %s: rep %v, err %v; want %v naming %s", c.which, rep, err, c.wanted, c.label)
+			}
+		})
+		if strings.Contains(stdout, "---") {
+			t.Errorf("exp %s printed a table before failing:\n%s", c.which, stdout)
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it wrote.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- string(out)
+	}()
+	fn()
+	os.Stdout = orig
+	w.Close()
+	return <-done
 }
 
 func TestQuickStorageConflict(t *testing.T) {

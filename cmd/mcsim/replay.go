@@ -104,6 +104,9 @@ func verifyManifest(dir string, man report.Manifest) error {
 		return nil
 	}
 
+	if err := man.Config.Validate(); err != nil {
+		return err
+	}
 	tmp, err := os.MkdirTemp("", "mcsim-verify-")
 	if err != nil {
 		return err

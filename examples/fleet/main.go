@@ -1,6 +1,6 @@
 // Fleet: scale the paper's 10-client cell out to a metropolitan fleet
 // (Experiment #8 and docs/API.md). One thousand clients share a single
-// 19.2 Kbps downlink pair in the paper's topology; the fleet engine
+// 19.2 Kbps downlink pair in the paper's topology; a multi-cell run
 // shards them across cells, each owning a partition of the database, its
 // own channel pair, and a contact server that relays cross-partition
 // reads over a wired backbone.

@@ -50,7 +50,8 @@ const (
 )
 
 // Config fully describes one simulation run. The zero value is completed by
-// Defaults to the paper's Table 1 settings.
+// Defaults to the paper's Table 1 settings; Validate names what a value may
+// not be.
 type Config struct {
 	Label string
 	Seed  uint64
@@ -172,8 +173,8 @@ type Config struct {
 	// Fleet scale-out (fleet.go). Cells > 1 shards the run across that many
 	// cells: each cell owns a range partition of the database (via
 	// internal/federation), its own wireless channel pair, and a slice of
-	// the client fleet; cross-cell reads travel a fixed backbone. Cells <= 1
-	// is the paper's single-cell system, byte-identical to Run.
+	// the client fleet; cross-cell reads travel a fixed backbone. Cells of 0
+	// or 1 is the paper's single-server system.
 	Cells int
 	// RelayObjects > 0 gives every contact server a lease-respecting relay
 	// cache of that many remote objects (federation.Config.RelayCacheObjects).
@@ -274,10 +275,130 @@ func Defaults(cfg Config) Config {
 	if cfg.SharedHotObjects > 0 && cfg.SharedHotProb == 0 {
 		cfg.SharedHotProb = 0.5
 	}
-	if cfg.BroadcastAttrs > 0 && cfg.SharedHotObjects == 0 {
-		panic("experiment: BroadcastAttrs requires SharedHotObjects")
-	}
 	return cfg
+}
+
+// Validate reports whether Run can execute c: every field inside its
+// domain (zero keeps meaning "default", exactly as Defaults reads it) and
+// every combination consistent once the defaults are filled in. It is the
+// one validator under every entry point — New, Run, RunBatch, the Exp*
+// sweeps, and mcsim's flag and manifest paths — and it mirrors the bounds
+// the substrate constructors assert (server.New, workload.BuildSchedules,
+// the heat models, network.NewFaultModel), so no Config it accepts reaches
+// one of their panics. Errors wrap ErrOutOfRange (one field outside its
+// domain), ErrConflict (fields that cannot hold at once, defaults
+// included), or ErrBadSpec (an unparseable policy spec or storage DSN).
+func (c Config) Validate() error {
+	bad := func(kind error, format string, args ...any) error {
+		return fmt.Errorf(format+": %w", append(args, kind)...)
+	}
+	inf := math.Inf(1)
+	for _, f := range []struct {
+		name   string
+		v, max float64
+	}{
+		{"NumObjects", float64(c.NumObjects), inf},
+		{"NumClients", float64(c.NumClients), inf},
+		{"Days", c.Days, inf},
+		{"WarmupDays", c.WarmupDays, inf},
+		{"Granularity", float64(c.Granularity), float64(core.HybridCaching)},
+		{"StorageObjects", float64(c.StorageObjects), inf},
+		{"MemBufferObjects", float64(c.MemBufferObjects), inf},
+		{"ServerBufferObjects", float64(c.ServerBufferObjects), inf},
+		{"ServerBufferRatio", c.ServerBufferRatio, 1},
+		{"QueryKind", float64(c.QueryKind), float64(workload.Navigational)},
+		{"Heat", float64(c.Heat), float64(CyclicHeat)},
+		{"CSHChangeEvery", float64(c.CSHChangeEvery), inf},
+		{"CyclicLoop", float64(c.CyclicLoop), inf},
+		{"CyclicBurst", float64(c.CyclicBurst), inf},
+		{"Arrival", float64(c.Arrival), float64(BurstyArrival)},
+		{"PoissonRate", c.PoissonRate, inf},
+		{"Selectivity", float64(c.Selectivity), inf},
+		{"AttrsPerObj", float64(c.AttrsPerObj), oodb.NumPrimAttrs},
+		{"UpdateProb", c.UpdateProb, 1},
+		{"ShedThreshold", c.ShedThreshold, inf},
+		{"Coherence", float64(c.Coherence), float64(coherence.IRBroadcastStrategy)},
+		{"ReportInterval", c.ReportInterval, inf},
+		{"FixedLease", c.FixedLease, inf},
+		{"IRWindow", c.IRWindow, inf},
+		{"CoopPeers", float64(c.CoopPeers), inf},
+		{"SharedHotObjects", float64(c.SharedHotObjects), inf},
+		{"SharedHotProb", c.SharedHotProb, 1},
+		{"BroadcastAttrs", float64(c.BroadcastAttrs), oodb.NumPrimAttrs},
+		{"DisconnectedClients", float64(c.DisconnectedClients), inf},
+		{"DisconnectHours", c.DisconnectHours, 24},
+		{"LossRate", c.LossRate, 1},
+		{"CorruptRate", c.CorruptRate, 1},
+		{"BurstFraction", c.BurstFraction, 1},
+		{"MeanBadSeconds", c.MeanBadSeconds, inf},
+		{"BadLossProb", c.BadLossProb, 1},
+		{"RetryBackoff", c.RetryBackoff, inf},
+		{"RetryTimeoutSlack", c.RetryTimeoutSlack, inf},
+		{"Cells", float64(c.Cells), inf},
+		{"RelayObjects", float64(c.RelayObjects), inf},
+		{"BackboneBandwidthBps", c.BackboneBandwidthBps, inf},
+		{"BackboneLatency", c.BackboneLatency, inf},
+	} {
+		if !(f.v >= 0 && f.v <= f.max) { // written so NaN fails too
+			return bad(ErrOutOfRange, "%s %g outside [0, %g]", f.name, f.v, f.max)
+		}
+	}
+	// The remaining checks read the values the run will actually use.
+	d := Defaults(c)
+	if _, err := replacement.Parse(d.Policy); err != nil {
+		return bad(ErrBadSpec, "Policy %q: %v", c.Policy, err)
+	}
+	if c.StorageDSN != "" {
+		if _, err := storage.ParseDSN(c.StorageDSN); err != nil {
+			return bad(ErrBadSpec, "StorageDSN %q: %v", c.StorageDSN, err)
+		}
+	}
+	loop := d.CyclicLoop
+	if loop == 0 {
+		loop = d.NumObjects / 4 // workload.NewCyclicHeat's own fallback
+	}
+	switch {
+	case c.BurstFraction == 1:
+		return bad(ErrOutOfRange, "BurstFraction 1: the channels would never leave the bad state")
+	case d.NumObjects < 2:
+		return bad(ErrOutOfRange, "NumObjects %d: a heat model needs at least 2 objects", d.NumObjects)
+	case d.Selectivity > d.NumObjects:
+		return bad(ErrConflict, "Selectivity %d exceeds the %d-object database", d.Selectivity, d.NumObjects)
+	case c.SharedHotObjects >= d.NumObjects:
+		return bad(ErrConflict, "SharedHotObjects %d must leave part of the %d-object database private",
+			c.SharedHotObjects, d.NumObjects)
+	case c.SharedHotObjects > 0 && c.SharedHotProb == 1 && c.SharedHotObjects < d.Selectivity:
+		// Every pick would come from the pool, and a query draws distinct
+		// objects until it has Selectivity of them: it would never finish.
+		return bad(ErrConflict, "SharedHotProb 1 confines queries of %d objects to a pool of %d", d.Selectivity, c.SharedHotObjects)
+	case c.BroadcastAttrs > 0 && c.SharedHotObjects == 0:
+		return bad(ErrConflict, "BroadcastAttrs %d airs the shared pool and needs SharedHotObjects", c.BroadcastAttrs)
+	case c.Heat == CyclicHeat && c.SharedHotObjects == 0 &&
+		(d.NumObjects < 8 || loop < max(1, d.Selectivity/4) || loop >= d.NumObjects):
+		return bad(ErrConflict, "cyclic heat needs 8 or more objects and Selectivity/4 <= CyclicLoop < NumObjects, got loop %d of %d objects at selectivity %d",
+			loop, d.NumObjects, d.Selectivity)
+	case c.Cells > d.NumClients:
+		return bad(ErrConflict, "Cells %d exceeds the %d-client fleet", c.Cells, d.NumClients)
+	case c.DisconnectedClients > d.NumClients:
+		return bad(ErrConflict, "DisconnectedClients %d of a %d-client fleet", c.DisconnectedClients, d.NumClients)
+	case c.Cells > 1 && c.Coherence == coherence.InvalidationReportStrategy:
+		return bad(ErrConflict, "invalidation reports are one cell-wide broadcast, undefined for Cells %d", c.Cells)
+	case c.Cells > 1 && c.StorageDSN != "":
+		return bad(ErrConflict, "StorageDSN %q models one origin server, undefined for Cells %d", c.StorageDSN, c.Cells)
+	case d.IRWindow < d.ReportInterval:
+		return bad(ErrConflict, "IRWindow %g shorter than the %g s ReportInterval would drop updates from every report",
+			d.IRWindow, d.ReportInterval)
+	case c.CoopPeers > 0 && c.Granularity == core.NoCache:
+		return bad(ErrConflict, "CoopPeers %d needs caching clients, not NC", c.CoopPeers)
+	case c.ServerBufferRatio > 0 && c.ServerBufferObjects > 0 &&
+		c.ServerBufferObjects != ratioBuffer(c.ServerBufferRatio, d.NumObjects):
+		// A replayed manifest records the resolved config — the ratio next
+		// to the exact buffer size it derived. That round trip is
+		// consistent; any other pairing is two answers to one question.
+		return bad(ErrConflict, "ServerBufferRatio %g and ServerBufferObjects %d both size the buffer",
+			c.ServerBufferRatio, c.ServerBufferObjects)
+	}
+	return nil
 }
 
 // Horizon returns the simulated duration in seconds.
@@ -391,210 +512,17 @@ type PerClient struct {
 	Queries      uint64
 }
 
-// Run executes one simulation and returns its measurements. Runs are
-// deterministic in (Config, Seed).
-func Run(cfg Config) Result {
-	cfg = Defaults(cfg)
-	k := sim.NewKernel()
-	db := oodb.New(oodb.Config{
-		NumObjects: cfg.NumObjects,
-		RelSeed:    rng.Derive(cfg.Seed, 0xdb).Uint64(),
-	})
-	store := openStorageTier(cfg)
-	srvCfg := server.Config{
-		Kernel:        k,
-		DB:            db,
-		BufferObjects: cfg.ServerBufferObjects,
-		Beta:          cfg.Beta,
-		UpdateProb:    cfg.UpdateProb,
-		PrefetchKappa: cfg.PrefetchKappa,
-		Seed:          cfg.Seed,
-	}
-	if store != nil {
-		srvCfg.Storage = store
-	}
-	srv := server.New(srvCfg)
-	up := network.NewChannel(k, "uplink", network.WirelessBandwidthBps)
-	down := network.NewChannel(k, "downlink", network.WirelessBandwidthBps)
-
-	// Fault injection (Experiment #7): one model per channel direction,
-	// shared by all clients — burst outages hit everyone sending through
-	// the cell at once. NewFaultModel returns nil when disabled.
-	faultCfg := cfg.FaultConfig()
-	upFaults := network.NewFaultModel(faultCfg, 1)
-	downFaults := network.NewFaultModel(faultCfg, 2)
-
-	schedules := workload.BuildSchedules(workload.DisconnectConfig{
-		NumClients:          cfg.NumClients,
-		DisconnectedClients: cfg.DisconnectedClients,
-		DurationHours:       cfg.DisconnectHours,
-		Days:                int(math.Ceil(cfg.Days)),
-		Seed:                cfg.Seed,
-	})
-
-	policyFactory, err := replacement.Parse(cfg.Policy)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-
-	var program *broadcast.Program
-	if cfg.BroadcastAttrs > 0 {
-		pool := workload.SharedPool(cfg.NumObjects, cfg.Seed, cfg.SharedHotObjects)
-		program = broadcast.New(
-			broadcast.HotAttrItems(pool, cfg.BroadcastAttrs),
-			network.WirelessBandwidthBps, 0)
-	}
-
-	clients, clientMetrics := buildClients(clientEnv{
-		kernel:     k,
-		cfg:        cfg,
-		db:         db,
-		backend:    srv,
-		up:         up,
-		down:       down,
-		upFaults:   upFaults,
-		downFaults: downFaults,
-		schedules:  schedules,
-		program:    program,
-		policy:     policyFactory,
-	}, 0, cfg.NumClients)
-
-	if cfg.Coherence == coherence.InvalidationReportStrategy {
-		startBroadcaster(k, cfg, srv, down, clients, schedules)
-	}
-	var irb *irbState
-	if cfg.Coherence == coherence.IRBroadcastStrategy {
-		window := broadcast.NewUpdateWindow(cfg.IRWindow)
-		srv.SetWriteObserver(window.Observe)
-		irCh := network.NewChannel(k, "ir-broadcast", network.WirelessBandwidthBps)
-		irFaults := network.NewFaultModel(faultCfg, 3)
-		irb = startIRBBroadcaster(k, cfg, window, irCh, irFaults, clients, schedules)
-	}
-
-	// Observability (obs.go): wire every entity into the registry and
-	// attach its virtual-time sampler before the first event fires, so all
-	// series start at t = 0.
-	if cfg.Obs.Enabled() {
-		registerObservables(cfg, srv, up, down, upFaults, downFaults, program, clients, clientMetrics)
-		if store != nil {
-			store.Register(cfg.Obs)
-		}
-		cfg.Obs.Attach(k, cfg.Horizon())
-	} else if store != nil {
-		// Uninstrumented runs still measure tier latencies: a private
-		// registry (never attached, never sampled) hosts the histograms,
-		// so each run's LatencySummary works at any -parallel width
-		// without forcing the batch serial the way a shared cfg.Obs would.
-		store.Register(obs.New(0))
-	}
-
-	k.RunAll()
-	k.Drain()
-
-	var agg metrics.Aggregate
-	var shed, drops, bcastReads uint64
-	var irMissed, forcedReval, peerHits, peerMisses uint64
-	var energy float64
-	perClient := make([]PerClient, len(clientMetrics))
-	for i, m := range clientMetrics {
-		agg.Merge(m)
-		shed += clients[i].ShedItems()
-		drops += clients[i].CacheDrops()
-		bcastReads += clients[i].BroadcastReads()
-		irMissed += clients[i].IRBMissed()
-		forcedReval += clients[i].ForcedRevalidations()
-		peerHits += clients[i].PeerHits()
-		peerMisses += clients[i].PeerMisses()
-		energy += clients[i].RadioEnergy()
-		issued, _, _, _ := m.Queries()
-		perClient[i] = PerClient{
-			HitRatio:     m.HitRatio(),
-			ErrorRate:    m.ErrorRate(),
-			MeanResponse: m.MeanResponse(),
-			Queries:      issued,
-		}
-	}
-	hourlyMean, hourlyCount := agg.HourlyResponse()
-	energyPerQuery := 0.0
-	if agg.Issued > 0 {
-		energyPerQuery = energy / float64(agg.Issued)
-	}
-	accessErr := 0.0
-	if agg.Hits.Denom > 0 {
-		accessErr = float64(agg.Errs.Num+agg.Unavail) / float64(agg.Hits.Denom)
-	}
-	upStats, downStats := upFaults.Stats(), downFaults.Stats()
-	var irReports, irBytes uint64
-	if irb != nil {
-		irReports, irBytes = irb.reports, irb.reportBytes
-	}
-	srvStats := srv.Stats()
-	var tier TierStats
-	if store != nil {
-		es := store.Stats()
-		g50, g99, p50, p99 := store.LatencySummary()
-		tier = TierStats{
-			DSN:  cfg.StorageDSN,
-			Gets: srvStats.StorageGets, Puts: srvStats.StoragePuts, Errors: srvStats.StorageErrors,
-			Keys: es.Keys, DiskBytes: es.DiskBytes,
-			GetP50ms: g50, GetP99ms: g99, PutP50ms: p50, PutP99ms: p99,
-		}
-		if err := store.Close(); err != nil {
-			panic(fmt.Sprintf("experiment: storage tier close: %v", err))
-		}
-	}
-	return Result{
-		Config:              cfg,
-		Events:              k.Steps(),
-		HitRatio:            agg.HitRatio(),
-		MeanResponse:        agg.MeanResponse(),
-		ErrorRate:           agg.ErrorRate(),
-		QueriesIssued:       agg.Issued,
-		QueriesLocal:        agg.Local,
-		QueriesRemote:       agg.Remote,
-		Unavailable:         agg.Unavail,
-		UplinkUtilization:   up.Utilization(),
-		DownlinkUtilization: down.Utilization(),
-		DownlinkMeanWait:    down.MeanWait(),
-		ItemsShed:           shed,
-		CacheDrops:          drops,
-		BroadcastReads:      bcastReads,
-		AccessErrorRate:     accessErr,
-		Retries:             agg.Retries,
-		Timeouts:            agg.Timeouts,
-		DegradedReads:       agg.Degraded,
-		FramesLost:          upStats.Lost + downStats.Lost,
-		FramesCorrupted:     upStats.Corrupted + downStats.Corrupted,
-		HourlyResponse:      hourlyMean,
-		HourlyQueries:       hourlyCount,
-		RadioEnergyPerQuery: energyPerQuery,
-		Server:              srvStats,
-		StorageTier:         tier,
-		PerClient:           perClient,
-		IRReports:           irReports,
-		IRReportBytes:       irBytes,
-		IRMissed:            irMissed,
-		ForcedRevals:        forcedReval,
-		PeerHits:            peerHits,
-		PeerMisses:          peerMisses,
-	}
-}
-
 // openStorageTier opens the run's persistent tier, or nil when no DSN is
 // configured. Every run gets its own cold subdirectory under the DSN
 // path — keyed by label and seed, wiped before open — so sweep runs at
 // any -parallel width never share a log, and a rerun of the same config
-// reproduces the same deterministic tier counters. Errors panic: Run's
-// contract is that Scenario validation already rejected a bad DSN
-// (ErrBadSpec from experiment.New).
+// reproduces the same deterministic tier counters. A disk that cannot be
+// wiped or opened panics: Run has no error to return it through.
 func openStorageTier(cfg Config) *storage.Store {
 	if cfg.StorageDSN == "" {
 		return nil
 	}
-	opts, err := storage.ParseDSN(cfg.StorageDSN)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
+	opts, _ := storage.ParseDSN(cfg.StorageDSN) // Validate parsed it
 	opts.Path = filepath.Join(opts.Path, tierRunDir(cfg))
 	if err := os.RemoveAll(opts.Path); err != nil {
 		panic(fmt.Sprintf("experiment: storage tier: %v", err))
@@ -624,8 +552,8 @@ func tierRunDir(cfg Config) string {
 }
 
 // clientEnv bundles the substrate one group of clients attaches to: the
-// kernel, the backend serving their queries (a single server in Run, a
-// federation contact server in a fleet cell), the cell's channel pair and
+// kernel, the backend serving their queries (the server itself in a
+// one-cell run, the cell's federation contact server otherwise), the cell's channel pair and
 // fault models, and the run-wide schedules, broadcast program, and policy
 // factory.
 type clientEnv struct {

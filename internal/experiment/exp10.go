@@ -76,11 +76,7 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 			c.UpdateProb = 0.1
 		}
 	}
-	run := func(cfg Config) Result {
-		res := RunFleet(cfg)
-		rep.Results = append(rep.Results, res)
-		return res
-	}
+	var b batch
 	mb := func(bytes uint64) string { return fmt.Sprintf("%.4g", float64(bytes)/1e6) }
 	revals := func(res Result) string {
 		if res.Config.Coherence != coherence.IRBroadcastStrategy {
@@ -110,9 +106,10 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 				c.Label = fmt.Sprintf("exp10/%s/loss=%g", sch.name, loss)
 				c.LossRate = loss
 			})
-			res := run(cfg)
-			tblL.Add(sch.name, pct(loss), pct(res.HitRatio), secs(res.MeanResponse),
-				pct(res.ErrorRate), pct(res.AccessErrorRate), revals(res), peerPct(res))
+			b.add(cfg, func(res Result) {
+				tblL.Add(sch.name, pct(loss), pct(res.HitRatio), secs(res.MeanResponse),
+					pct(res.ErrorRate), pct(res.AccessErrorRate), revals(res), peerPct(res))
+			})
 		}
 	}
 
@@ -133,15 +130,17 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 				c.NumClients = clientsN
 				c.Cells = cells
 			})
-			res := run(cfg)
-			irMB := "-"
-			if res.Config.Coherence == coherence.IRBroadcastStrategy {
-				irMB = mb(res.IRReportBytes)
-			}
-			tblF.Add(sch.name, fmt.Sprintf("%dx%d", clientsN, cells),
-				pct(res.HitRatio), secs(res.MeanResponse), pct(res.ErrorRate),
-				irMB, peerPct(res))
+			b.add(cfg, func(res Result) {
+				irMB := "-"
+				if res.Config.Coherence == coherence.IRBroadcastStrategy {
+					irMB = mb(res.IRReportBytes)
+				}
+				tblF.Add(sch.name, fmt.Sprintf("%dx%d", clientsN, cells),
+					pct(res.HitRatio), secs(res.MeanResponse), pct(res.ErrorRate),
+					irMB, peerPct(res))
+			})
 		}
 	}
+	b.collect(rep)
 	return rep
 }

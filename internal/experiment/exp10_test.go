@@ -34,7 +34,7 @@ func TestIRBroadcastMissedUnderBursts(t *testing.T) {
 		Coherence:     coherence.IRBroadcastStrategy,
 		BurstFraction: 0.3, MeanBadSeconds: 400,
 	}
-	res := RunFleet(cfg)
+	res := Run(cfg)
 	if res.IRReports == 0 {
 		t.Fatal("no invalidation reports were broadcast")
 	}
@@ -59,7 +59,7 @@ func TestCooperativeAccounting(t *testing.T) {
 		Granularity: core.HybridCaching, UpdateProb: 0.2,
 		CoopPeers: 3,
 	}
-	res := RunFleet(cfg)
+	res := Run(cfg)
 	if res.PeerHits == 0 {
 		t.Fatal("cooperative run served no reads from peers")
 	}
@@ -68,7 +68,7 @@ func TestCooperativeAccounting(t *testing.T) {
 	}
 	off := cfg
 	off.CoopPeers = 0
-	resOff := RunFleet(off)
+	resOff := Run(off)
 	if resOff.PeerHits != 0 || resOff.PeerMisses != 0 {
 		t.Fatalf("cooperation disabled but counters nonzero: hits=%d misses=%d",
 			resOff.PeerHits, resOff.PeerMisses)

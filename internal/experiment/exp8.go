@@ -13,7 +13,7 @@ import (
 const exp8DefaultDays = 0.25
 
 // Exp8 — beyond the paper: fleet scaling (ROADMAP north star). Three
-// panels, all on the fleet engine (RunFleet):
+// panels over multi-cell runs:
 //
 //  1. fleet size × cell count at the paper's best configuration (HC,
 //     EWMA-0.5, SH, U=0.1) — how error rate, response time, backbone
@@ -24,11 +24,12 @@ const exp8DefaultDays = 0.25
 //  3. the contact servers' relay cache on and off — what cell-local
 //     caching of remote partitions saves in backbone bytes.
 //
-// Fleet runs execute sequentially; each one spreads its cells over the
-// worker pool, and the cell-order merge keeps every table byte-identical
-// at any -parallel. Wall-clock throughput (events/sec) is intentionally
-// not a table column — it is environment fact, reported by mcsim from the
-// deterministic Result.Events and the measured wall time.
+// Multi-cell runs execute one at a time (see RunBatch); each one spreads
+// its cells over the worker pool, and the cell-order merge keeps every
+// table byte-identical at any -parallel. Wall-clock throughput
+// (events/sec) is intentionally not a table column — it is environment
+// fact, reported by mcsim from the deterministic Result.Events and the
+// measured wall time.
 func Exp8(base Config) *Report {
 	return exp8(base,
 		[]int{10, 100, 1000},
@@ -57,11 +58,7 @@ func exp8(base Config, fleets, cellCounts []int, relayPanel bool) *Report {
 			c.UpdateProb = 0.1
 		}
 	}
-	run := func(cfg Config) Result {
-		res := RunFleet(cfg)
-		rep.Results = append(rep.Results, res)
-		return res
-	}
+	var b batch
 	mb := func(bytes uint64) string { return fmt.Sprintf("%.4g", float64(bytes)/1e6) }
 	millions := func(n uint64) string { return fmt.Sprintf("%.4g", float64(n)/1e6) }
 
@@ -81,10 +78,11 @@ func exp8(base Config, fleets, cellCounts []int, relayPanel bool) *Report {
 				c.NumClients = fleet
 				c.Cells = cells
 			})
-			res := run(cfg)
-			tbl.Add(fmt.Sprint(fleet), fmt.Sprint(cells),
-				pct(res.HitRatio), secs(res.MeanResponse), pct(res.ErrorRate),
-				mb(res.BackboneBytes), millions(res.Events))
+			b.add(cfg, func(res Result) {
+				tbl.Add(fmt.Sprint(fleet), fmt.Sprint(cells),
+					pct(res.HitRatio), secs(res.MeanResponse), pct(res.ErrorRate),
+					mb(res.BackboneBytes), millions(res.Events))
+			})
 		}
 	}
 
@@ -105,9 +103,10 @@ func exp8(base Config, fleets, cellCounts []int, relayPanel bool) *Report {
 			c.NumClients = maxFleet
 			c.Cells = maxCells
 		})
-		res := run(cfg)
-		tblG.Add(g.String(), pct(res.HitRatio), secs(res.MeanResponse),
-			pct(res.ErrorRate), mb(res.BackboneBytes))
+		b.add(cfg, func(res Result) {
+			tblG.Add(g.String(), pct(res.HitRatio), secs(res.MeanResponse),
+				pct(res.ErrorRate), mb(res.BackboneBytes))
+		})
 	}
 
 	// Panel 3: the contact servers' relay cache on and off.
@@ -126,14 +125,16 @@ func exp8(base Config, fleets, cellCounts []int, relayPanel bool) *Report {
 				c.Cells = maxCells
 				c.RelayObjects = relay
 			})
-			res := run(cfg)
-			hitPct := "-"
-			if probes := res.RelayHits + res.RelayMisses; probes > 0 {
-				hitPct = pct(float64(res.RelayHits) / float64(probes))
-			}
-			tblR.Add(fmt.Sprint(relay), secs(res.MeanResponse),
-				mb(res.BackboneBytes), hitPct)
+			b.add(cfg, func(res Result) {
+				hitPct := "-"
+				if probes := res.RelayHits + res.RelayMisses; probes > 0 {
+					hitPct = pct(float64(res.RelayHits) / float64(probes))
+				}
+				tblR.Add(fmt.Sprint(relay), secs(res.MeanResponse),
+					mb(res.BackboneBytes), hitPct)
+			})
 		}
 	}
+	b.collect(rep)
 	return rep
 }

@@ -70,11 +70,7 @@ func exp9(base Config, fleets []int, cells int) *Report {
 		}
 		c.Cells = cells
 	}
-	run := func(cfg Config) Result {
-		res := RunFleet(cfg)
-		rep.Results = append(rep.Results, res)
-		return res
-	}
+	var b batch
 	mb := func(bytes uint64) string { return fmt.Sprintf("%.4g", float64(bytes)/1e6) }
 	millions := func(n uint64) string { return fmt.Sprintf("%.4g", float64(n)/1e6) }
 
@@ -91,9 +87,11 @@ func exp9(base Config, fleets []int, cells int) *Report {
 			c.Label = fmt.Sprintf("exp9/fleet=%d", fleet)
 			c.NumClients = fleet
 		})
-		res := run(cfg)
-		tbl.Add(fmt.Sprint(fleet), pct(res.HitRatio), secs(res.MeanResponse),
-			pct(res.ErrorRate), mb(res.BackboneBytes), millions(res.Events))
+		b.add(cfg, func(res Result) {
+			tbl.Add(fmt.Sprint(fleet), pct(res.HitRatio), secs(res.MeanResponse),
+				pct(res.ErrorRate), mb(res.BackboneBytes), millions(res.Events))
+		})
 	}
+	b.collect(rep)
 	return rep
 }

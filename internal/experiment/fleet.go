@@ -10,19 +10,22 @@ import (
 	"repro/internal/federation"
 	"repro/internal/metrics"
 	"repro/internal/network"
-	"repro/internal/oodb"
+	"repro/internal/obs"
 	"repro/internal/replacement"
 	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
-// RunFleet executes one fleet-scale simulation: cfg.Cells cells, each
-// owning a range partition of the database (via internal/federation), its
-// own 19.2 Kbps uplink/downlink pair, and a contiguous slice of the client
-// fleet. Cells <= 1 is exactly the paper's single-cell system and
-// delegates to Run, byte for byte.
+// Run executes one simulation and returns its measurements; runs are
+// deterministic in (Config, Seed). It is the only way a world is built:
+// max(1, cfg.Cells) cells, each with its own 19.2 Kbps uplink/downlink
+// pair and a contiguous slice of the client fleet. One cell is the paper's
+// single-server system; several cells each own a range partition of the
+// database (via internal/federation). An invalid cfg panics with the
+// Validate error — callers holding outside input validate first.
 //
 // Sharding model: every cell runs its own discrete-event kernel containing
 // a full federation.Cluster over an identically-derived database (same
@@ -33,34 +36,17 @@ import (
 // update streams evolve identically everywhere while each cell's kernel
 // stays self-contained. That keeps cells embarrassingly parallel: they run
 // on the Runner worker pool and their outcomes merge in cell order, so
-// fleet results are byte-identical at any worker count.
+// results are byte-identical at any worker count.
 //
 // Determinism: clients keep their fleet-global IDs in every rng.Derive
 // call and disconnection schedules are built once for the whole fleet,
 // so a client's private streams do not depend on the cell layout; only
 // channel contention and partition placement do.
-//
-// The invalidation-report strategy broadcasts over a single cell-wide
-// downlink and is not defined for a partitioned fleet; RunFleet panics on
-// that combination (Scenario validation reports it as an error first).
-func RunFleet(cfg Config) Result {
-	if cfg.Cells <= 1 {
-		return Run(cfg)
-	}
-	cfg = Defaults(cfg)
-	if cfg.Coherence == coherence.InvalidationReportStrategy {
-		panic("experiment: invalidation reports are cell-wide broadcast; not supported with Cells > 1")
-	}
-	if cfg.StorageDSN != "" {
-		panic("experiment: persistent storage tier models one origin server; not supported with Cells > 1")
-	}
-	if cfg.NumClients < cfg.Cells {
-		panic(fmt.Sprintf("experiment: fleet of %d clients cannot populate %d cells",
-			cfg.NumClients, cfg.Cells))
-	}
-	if _, err := replacement.Parse(cfg.Policy); err != nil {
+func Run(cfg Config) Result {
+	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("experiment: %v", err))
 	}
+	cfg = Defaults(cfg)
 
 	// Disconnection schedules span the whole fleet so a client's outage
 	// windows are independent of the cell layout.
@@ -78,11 +64,28 @@ func RunFleet(cfg Config) Result {
 	if cfg.Tracer != nil || cfg.Obs != nil {
 		workers = 1
 	}
-	outs := make([]cellOutcome, cfg.Cells)
-	Runner{Workers: workers}.ForEach(cfg.Cells, func(c int) {
-		outs[c] = runFleetCell(cfg, c, schedules)
+	outs := make([]cellOutcome, cfg.cells())
+	Runner{Workers: workers}.ForEach(len(outs), func(c int) {
+		outs[c] = runCell(cfg, c, schedules)
 	})
-	return mergeFleet(cfg, outs)
+	return mergeCells(cfg, outs)
+}
+
+// cells is the number of cells the run builds: zero means one.
+func (c Config) cells() int { return max(1, c.Cells) }
+
+// cellFaultConfig is the fault model configuration of one cell's channel
+// pair. The single-server system keeps FaultConfig's stream; in a
+// partitioned fleet each cell's radio environment draws from its own
+// substream, because bursts in one cell must not synchronize outages
+// everywhere. Every faulted golden pins one rule or the other, so one cell
+// is not "cell 0 of a fleet" here.
+func (c Config) cellFaultConfig(cell int) network.FaultConfig {
+	fc := c.FaultConfig()
+	if c.cells() > 1 {
+		fc.Seed = rng.Derive(c.Seed, 0xfa170000+uint64(cell)).Uint64()
+	}
+	return fc
 }
 
 // cellOutcome is the raw measurement state one cell hands back for the
@@ -97,9 +100,10 @@ type cellOutcome struct {
 	upStats          network.FaultStats
 	downStats        network.FaultStats
 
-	server    server.Stats
-	diskSum   float64 // per-node disk utilizations, for the merged mean
+	server    server.Stats // counters summed over the cell's nodes
+	diskSum   float64      // per-node disk utilizations, for the merged mean
 	diskN     int
+	tier      TierStats
 	events    uint64
 	bbBytes   uint64
 	bbMsgs    uint64
@@ -110,46 +114,73 @@ type cellOutcome struct {
 	irBytes   uint64
 }
 
-// runFleetCell builds and runs one cell's kernel: a full cluster mirror, the
-// cell's channel pair and fault models, and clients [lo, hi) of the fleet.
-func runFleetCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
-	lo, hi := cellBounds(cfg.NumClients, cfg.Cells, cell)
+// runCell builds and runs one cell's kernel: the origin, the cell's channel
+// pair and fault models, and clients [lo, hi) of the fleet.
+func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
+	lo, hi := cellBounds(cfg.NumClients, cfg.cells(), cell)
 	k := sim.NewKernel()
-	db := oodb.New(oodb.Config{
-		NumObjects: cfg.NumObjects,
-		RelSeed:    rng.Derive(cfg.Seed, 0xdb).Uint64(),
-	})
-	cluster := federation.New(federation.Config{
-		Kernel:     k,
-		DB:         db,
-		NumServers: cfg.Cells,
-		// The paper's 25%-of-database server buffer is split across the
-		// partitions, mirroring how ServerBufferObjects covers one server
-		// in Run.
-		BufferObjects:        max(1, cfg.ServerBufferObjects/cfg.Cells),
-		Beta:                 cfg.Beta,
-		UpdateProb:           cfg.UpdateProb,
-		PrefetchKappa:        cfg.PrefetchKappa,
-		Seed:                 cfg.Seed,
-		RelayCacheObjects:    cfg.RelayObjects,
-		BackboneBandwidthBps: cfg.BackboneBandwidthBps,
-		BackboneLatency:      cfg.BackboneLatency,
-	})
-	backend := cluster.Contact(cell)
+	db := NewDatabase(cfg)
+
+	// The origin is where one cell and several genuinely differ. One cell
+	// is the paper's server, talked to directly and optionally backed by
+	// the persistent tier; routing it through a 1-node cluster would add a
+	// contact-server hop to every request. Several cells are a full
+	// cluster mirror with this cell's contact server in front. Either way
+	// nodes lists every server in the kernel, so observers, stats pooling
+	// and observability below are one loop.
+	var (
+		nodes   []*server.Server
+		backend client.Backend
+		cluster *federation.Cluster
+		store   *storage.Store
+	)
+	if cfg.cells() == 1 {
+		srvCfg := server.Config{
+			Kernel:        k,
+			DB:            db,
+			BufferObjects: cfg.ServerBufferObjects,
+			Beta:          cfg.Beta,
+			UpdateProb:    cfg.UpdateProb,
+			PrefetchKappa: cfg.PrefetchKappa,
+			Seed:          cfg.Seed,
+		}
+		if store = openStorageTier(cfg); store != nil {
+			srvCfg.Storage = store
+		}
+		srv := server.New(srvCfg)
+		nodes, backend = []*server.Server{srv}, srv
+	} else {
+		cluster = federation.New(federation.Config{
+			Kernel:     k,
+			DB:         db,
+			NumServers: cfg.Cells,
+			// The paper's 25%-of-database server buffer is split across
+			// the partitions.
+			BufferObjects:        max(1, cfg.ServerBufferObjects/cfg.Cells),
+			Beta:                 cfg.Beta,
+			UpdateProb:           cfg.UpdateProb,
+			PrefetchKappa:        cfg.PrefetchKappa,
+			Seed:                 cfg.Seed,
+			RelayCacheObjects:    cfg.RelayObjects,
+			BackboneBandwidthBps: cfg.BackboneBandwidthBps,
+			BackboneLatency:      cfg.BackboneLatency,
+		})
+		for i := 0; i < cluster.NumServers(); i++ {
+			nodes = append(nodes, cluster.Node(i))
+		}
+		backend = cluster.Contact(cell)
+	}
 	up := network.NewChannel(k, "uplink", network.WirelessBandwidthBps)
 	down := network.NewChannel(k, "downlink", network.WirelessBandwidthBps)
 
-	// Each cell's radio environment draws from its own substream: bursts in
-	// one cell must not synchronize outages everywhere.
-	faultCfg := cfg.FaultConfig()
-	faultCfg.Seed = rng.Derive(cfg.Seed, 0xfa170000+uint64(cell)).Uint64()
+	// Fault injection (Experiment #7): one model per channel direction,
+	// shared by the cell's clients — burst outages hit everyone sending
+	// through the cell at once. NewFaultModel returns nil when disabled.
+	faultCfg := cfg.cellFaultConfig(cell)
 	upFaults := network.NewFaultModel(faultCfg, 1)
 	downFaults := network.NewFaultModel(faultCfg, 2)
 
-	policyFactory, err := replacement.Parse(cfg.Policy)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
+	policyFactory, _ := replacement.Parse(cfg.Policy) // Validate parsed it
 	var program *broadcast.Program
 	if cfg.BroadcastAttrs > 0 {
 		pool := workload.SharedPool(cfg.NumObjects, cfg.Seed, cfg.SharedHotObjects)
@@ -172,90 +203,121 @@ func runFleetCell(cfg Config, cell int, schedules []*network.Schedule) cellOutco
 		policy:     policyFactory,
 	}, lo, hi)
 
-	// IR-over-broadcast scales to fleets by running one broadcaster per
-	// cell: it watches writes applied across the cell's whole cluster
-	// mirror (which is exactly what the cell's oracle sees) and reports to
-	// the cell's clients over a dedicated per-cell broadcast channel.
+	// Legacy invalidation reports ride the one shared downlink of the
+	// single-server system; Validate rejects them on a partitioned fleet.
+	if cfg.Coherence == coherence.InvalidationReportStrategy {
+		startBroadcaster(k, cfg, nodes[0], down, clients, schedules)
+	}
+	// IR-over-broadcast runs one broadcaster per cell: it watches writes
+	// applied on every node in the kernel (exactly what the cell's oracle
+	// sees) and reports to the cell's clients over a dedicated broadcast
+	// channel.
 	var irb *irbState
 	if cfg.Coherence == coherence.IRBroadcastStrategy {
 		window := broadcast.NewUpdateWindow(cfg.IRWindow)
-		for i := 0; i < cluster.NumServers(); i++ {
-			cluster.Node(i).SetWriteObserver(window.Observe)
+		for _, n := range nodes {
+			n.SetWriteObserver(window.Observe)
 		}
 		irCh := network.NewChannel(k, "ir-broadcast", network.WirelessBandwidthBps)
 		irFaults := network.NewFaultModel(faultCfg, 3)
 		irb = startIRBBroadcaster(k, cfg, window, irCh, irFaults, clients, schedules[lo:hi])
 	}
 
-	// Instrumented fleets sample cell 0 only: one registry cannot span
-	// kernels whose virtual clocks advance independently, so the report
-	// shows one representative cell plus its cluster-wide backbone view.
+	// Observability (obs.go): wire every entity into the registry and
+	// attach its virtual-time sampler before the first event fires, so all
+	// series start at t = 0. Instrumented fleets sample cell 0 only: one
+	// registry cannot span kernels whose virtual clocks advance
+	// independently, so the report shows one representative cell plus its
+	// cluster-wide backbone view.
 	if cfg.Obs.Enabled() && cell == 0 {
-		cluster.Register(cfg.Obs, "backbone")
-		registerObservables(cfg, cluster.Node(cell), up, down,
-			upFaults, downFaults, program, clients, ms)
+		if cluster != nil {
+			cluster.Register(cfg.Obs, "backbone")
+		}
+		registerObservables(cfg, nodes[cell], up, down, upFaults, downFaults, program, clients, ms)
+		if store != nil {
+			store.Register(cfg.Obs)
+		}
 		cfg.Obs.Attach(k, cfg.Horizon())
+	} else if store != nil {
+		// Uninstrumented runs still measure tier latencies: a private
+		// registry (never attached, never sampled) hosts the histograms,
+		// so each run's LatencySummary works at any -parallel width
+		// without forcing the batch serial the way a shared cfg.Obs would.
+		store.Register(obs.New(0))
 	}
 
 	k.RunAll()
 	k.Drain()
 
 	out := cellOutcome{
-		clients:  clients,
-		metrics:  ms,
-		upUtil:   up.Utilization(),
-		downUtil: down.Utilization(),
-		downWait: down.MeanWait(),
-		downMsgs: down.Messages(),
-		events:   k.Steps(),
+		clients:   clients,
+		metrics:   ms,
+		upUtil:    up.Utilization(),
+		downUtil:  down.Utilization(),
+		downWait:  down.MeanWait(),
+		downMsgs:  down.Messages(),
+		upStats:   upFaults.Stats(),
+		downStats: downFaults.Stats(),
+		events:    k.Steps(),
 	}
 	if irb != nil {
 		out.irReports, out.irBytes = irb.reports, irb.reportBytes
 	}
-	out.upStats, out.downStats = upFaults.Stats(), downFaults.Stats()
-	for i := 0; i < cluster.NumServers(); i++ {
-		st := cluster.Node(i).Stats()
-		out.server.QueriesServed += st.QueriesServed
-		out.server.DiskReads += st.DiskReads
-		out.server.BufferHits += st.BufferHits
-		out.server.UpdatesApplied += st.UpdatesApplied
+	for _, n := range nodes {
+		st := n.Stats()
+		addCounters(&out.server, st)
 		out.diskSum += st.DiskUtilization
 		out.diskN++
 	}
-	out.bbBytes, out.bbMsgs = cluster.BackboneTraffic()
-	out.relayHit, out.relayMis, out.relayed = cluster.RelayTotals()
+	if cluster != nil {
+		out.bbBytes, out.bbMsgs = cluster.BackboneTraffic()
+		out.relayHit, out.relayMis, out.relayed = cluster.RelayTotals()
+	}
+	if store != nil {
+		es := store.Stats()
+		g50, g99, p50, p99 := store.LatencySummary()
+		out.tier = TierStats{
+			DSN:  cfg.StorageDSN,
+			Gets: out.server.StorageGets, Puts: out.server.StoragePuts, Errors: out.server.StorageErrors,
+			Keys: es.Keys, DiskBytes: es.DiskBytes,
+			GetP50ms: g50, GetP99ms: g99, PutP50ms: p50, PutP99ms: p99,
+		}
+		if err := store.Close(); err != nil {
+			panic(fmt.Sprintf("experiment: storage tier close: %v", err))
+		}
+	}
 	return out
 }
 
-// mergeFleet folds the per-cell outcomes, in cell order, into one Result
-// with exactly the aggregation semantics of Run: pooled client metrics,
-// message-weighted downlink wait, and counter sums with ratios recomputed
-// from the merged numerators and denominators.
-func mergeFleet(cfg Config, outs []cellOutcome) Result {
+// mergeCells folds the per-cell outcomes, in cell order, into one Result:
+// pooled client metrics, message-weighted downlink wait, and counter sums
+// with ratios recomputed from the merged numerators and denominators. The
+// pooled server figures reproduce a single server's own bit for bit: the
+// server probes its buffer at exactly the one site that counts a hit or a
+// disk read, so BufferHits/(BufferHits+DiskReads) is its buffer's hit
+// ratio, and a mean over one value is that value.
+func mergeCells(cfg Config, outs []cellOutcome) Result {
 	var agg metrics.Aggregate
-	var shed, drops, bcastReads uint64
 	var energy float64
-	perClient := make([]PerClient, 0, cfg.NumClients)
 	var upUtil, downUtil, waitSum float64
 	var downMsgs uint64
-	var srvStats server.Stats
 	var diskSum float64
 	var diskN int
-	res := Result{Config: cfg}
+	res := Result{Config: cfg, PerClient: make([]PerClient, 0, cfg.NumClients)}
 	for _, out := range outs {
 		for i, m := range out.metrics {
 			agg.Merge(m)
 			cl := out.clients[i]
-			shed += cl.ShedItems()
-			drops += cl.CacheDrops()
-			bcastReads += cl.BroadcastReads()
+			res.ItemsShed += cl.ShedItems()
+			res.CacheDrops += cl.CacheDrops()
+			res.BroadcastReads += cl.BroadcastReads()
 			res.IRMissed += cl.IRBMissed()
 			res.ForcedRevals += cl.ForcedRevalidations()
 			res.PeerHits += cl.PeerHits()
 			res.PeerMisses += cl.PeerMisses()
 			energy += cl.RadioEnergy()
 			issued, _, _, _ := m.Queries()
-			perClient = append(perClient, PerClient{
+			res.PerClient = append(res.PerClient, PerClient{
 				HitRatio:     m.HitRatio(),
 				ErrorRate:    m.ErrorRate(),
 				MeanResponse: m.MeanResponse(),
@@ -266,10 +328,7 @@ func mergeFleet(cfg Config, outs []cellOutcome) Result {
 		downUtil += out.downUtil
 		waitSum += out.downWait * float64(out.downMsgs)
 		downMsgs += out.downMsgs
-		srvStats.QueriesServed += out.server.QueriesServed
-		srvStats.DiskReads += out.server.DiskReads
-		srvStats.BufferHits += out.server.BufferHits
-		srvStats.UpdatesApplied += out.server.UpdatesApplied
+		addCounters(&res.Server, out.server)
 		diskSum += out.diskSum
 		diskN += out.diskN
 		res.Events += out.events
@@ -283,23 +342,12 @@ func mergeFleet(cfg Config, outs []cellOutcome) Result {
 		res.IRReports += out.irReports
 		res.IRReportBytes += out.irBytes
 	}
-	if probes := srvStats.BufferHits + srvStats.DiskReads; probes > 0 {
-		srvStats.BufferHitRatio = float64(srvStats.BufferHits) / float64(probes)
+	if probes := res.Server.BufferHits + res.Server.DiskReads; probes > 0 {
+		res.Server.BufferHitRatio = float64(res.Server.BufferHits) / float64(probes)
 	}
-	if diskN > 0 {
-		srvStats.DiskUtilization = diskSum / float64(diskN)
-	}
+	res.Server.DiskUtilization = diskSum / float64(diskN)
+	res.StorageTier = outs[0].tier // set on single-server runs only
 
-	hourlyMean, hourlyCount := agg.HourlyResponse()
-	energyPerQuery := 0.0
-	if agg.Issued > 0 {
-		energyPerQuery = energy / float64(agg.Issued)
-	}
-	accessErr := 0.0
-	if agg.Hits.Denom > 0 {
-		accessErr = float64(agg.Errs.Num+agg.Unavail) / float64(agg.Hits.Denom)
-	}
-	cells := float64(len(outs))
 	res.HitRatio = agg.HitRatio()
 	res.MeanResponse = agg.MeanResponse()
 	res.ErrorRate = agg.ErrorRate()
@@ -307,24 +355,40 @@ func mergeFleet(cfg Config, outs []cellOutcome) Result {
 	res.QueriesLocal = agg.Local
 	res.QueriesRemote = agg.Remote
 	res.Unavailable = agg.Unavail
+	cells := float64(len(outs))
 	res.UplinkUtilization = upUtil / cells
 	res.DownlinkUtilization = downUtil / cells
-	if downMsgs > 0 {
+	switch {
+	case len(outs) == 1:
+		// (w*n)/n == w is not an IEEE identity: the one cell's mean is
+		// taken verbatim.
+		res.DownlinkMeanWait = outs[0].downWait
+	case downMsgs > 0:
 		res.DownlinkMeanWait = waitSum / float64(downMsgs)
 	}
-	res.ItemsShed = shed
-	res.CacheDrops = drops
-	res.BroadcastReads = bcastReads
-	res.AccessErrorRate = accessErr
+	if agg.Hits.Denom > 0 {
+		res.AccessErrorRate = float64(agg.Errs.Num+agg.Unavail) / float64(agg.Hits.Denom)
+	}
 	res.Retries = agg.Retries
 	res.Timeouts = agg.Timeouts
 	res.DegradedReads = agg.Degraded
-	res.HourlyResponse = hourlyMean
-	res.HourlyQueries = hourlyCount
-	res.RadioEnergyPerQuery = energyPerQuery
-	res.Server = srvStats
-	res.PerClient = perClient
+	res.HourlyResponse, res.HourlyQueries = agg.HourlyResponse()
+	if agg.Issued > 0 {
+		res.RadioEnergyPerQuery = energy / float64(agg.Issued)
+	}
 	return res
+}
+
+// addCounters accumulates src's counters into dst; the two ratios are
+// left to the merge, which recomputes them from the pooled counters.
+func addCounters(dst *server.Stats, src server.Stats) {
+	dst.QueriesServed += src.QueriesServed
+	dst.DiskReads += src.DiskReads
+	dst.BufferHits += src.BufferHits
+	dst.UpdatesApplied += src.UpdatesApplied
+	dst.StorageGets += src.StorageGets
+	dst.StoragePuts += src.StoragePuts
+	dst.StorageErrors += src.StorageErrors
 }
 
 // cellBounds returns the half-open global-client-ID range [lo, hi) of one

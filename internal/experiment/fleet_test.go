@@ -1,11 +1,12 @@
 package experiment
 
 import (
+	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
-	"repro/internal/coherence"
+	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // fleetCfg is the smallest config that exercises cross-cell relaying.
@@ -16,22 +17,70 @@ func fleetCfg() Config {
 	return cfg
 }
 
-// TestFleetOneCellMatchesRun pins the shard-count invariance floor: a
-// 1-cell fleet is not merely similar to the single-server system, it IS
-// the single-server system, byte for byte.
-func TestFleetOneCellMatchesRun(t *testing.T) {
-	cfg := smallCfg()
-	want := Run(cfg)
-	cfg.Cells = 1
-	got := RunFleet(cfg)
-	want.Config, got.Config = Config{}, Config{}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("1-cell fleet diverged from Run:\n%+v\nvs\n%+v", got, want)
+// TestCellsZeroAndOneIdentical: Cells is "zero means default" like every
+// other field — 0 and 1 are the same single-server system, to the last
+// Result field and the last trace row.
+func TestCellsZeroAndOneIdentical(t *testing.T) {
+	run := func(cells int) (Result, string) {
+		cfg := smallCfg()
+		cfg.Cells = cells
+		var buf bytes.Buffer
+		tr := trace.NewCSV(&buf)
+		cfg.Tracer = tr
+		res := Run(cfg)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return stripConfig(res), buf.String()
+	}
+	zero, zeroTrace := run(0)
+	one, oneTrace := run(1)
+	if !reflect.DeepEqual(zero, one) {
+		t.Fatalf("Cells 0 and Cells 1 diverge:\n%+v\nvs\n%+v", zero, one)
+	}
+	if zeroTrace != oneTrace || zeroTrace == "" {
+		t.Fatalf("trace CSVs differ or are empty (%d vs %d bytes)", len(zeroTrace), len(oneTrace))
+	}
+}
+
+// TestCellFaultSeedRule pins where a cell's channel faults draw from: the
+// single-server system keeps Config.FaultConfig's stream (every
+// single-cell faulted golden was recorded on it), the cells of a fleet
+// each derive their own so burst outages do not synchronize across cells.
+// The frame counts below are the parent commit's: a 1-cell and a 2-cell
+// lossy run of one config must keep losing different frames.
+func TestCellFaultSeedRule(t *testing.T) {
+	cfg := tinyCfg()
+	cfg.NumClients = 4
+	cfg.LossRate = 0.1
+	for _, cells := range []int{0, 1} {
+		cfg.Cells = cells
+		if got := cfg.cellFaultConfig(0); got != cfg.FaultConfig() {
+			t.Fatalf("Cells=%d: cell fault config %+v, want FaultConfig() %+v", cells, got, cfg.FaultConfig())
+		}
+	}
+	one := Run(cfg)
+
+	cfg.Cells = 2
+	seeds := map[uint64]bool{cfg.FaultConfig().Seed: true}
+	for cell := 0; cell < 2; cell++ {
+		got := cfg.cellFaultConfig(cell)
+		if want := rng.Derive(cfg.Seed, 0xfa170000+uint64(cell)).Uint64(); got.Seed != want {
+			t.Fatalf("cell %d fault seed %#x, want %#x", cell, got.Seed, want)
+		}
+		if seeds[got.Seed] {
+			t.Fatalf("cell %d shares a fault stream with another cell or the single-server run", cell)
+		}
+		seeds[got.Seed] = true
+	}
+	two := Run(cfg)
+	if one.FramesLost != 28 || two.FramesLost != 39 {
+		t.Fatalf("frames lost: 1 cell %d (want 28), 2 cells %d (want 39)", one.FramesLost, two.FramesLost)
 	}
 }
 
 func TestFleetRunShape(t *testing.T) {
-	res := RunFleet(fleetCfg())
+	res := Run(fleetCfg())
 	if res.QueriesIssued == 0 || res.Events == 0 {
 		t.Fatalf("fleet produced no work: %+v", res)
 	}
@@ -53,10 +102,10 @@ func TestFleetParallelInvariance(t *testing.T) {
 	cfg := fleetCfg()
 	prev := SetDefaultWorkers(1)
 	defer SetDefaultWorkers(prev)
-	serial := RunFleet(cfg)
+	serial := Run(cfg)
 
 	SetDefaultWorkers(8)
-	parallel := RunFleet(cfg)
+	parallel := Run(cfg)
 
 	serial.Config, parallel.Config = Config{}, Config{}
 	if !reflect.DeepEqual(serial, parallel) {
@@ -74,8 +123,8 @@ func TestFleetParallelInvariance(t *testing.T) {
 }
 
 func TestFleetDeterminism(t *testing.T) {
-	a := RunFleet(fleetCfg())
-	b := RunFleet(fleetCfg())
+	a := Run(fleetCfg())
+	b := Run(fleetCfg())
 	a.Config, b.Config = Config{}, Config{}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same fleet config produced different results")
@@ -87,9 +136,9 @@ func TestFleetDeterminism(t *testing.T) {
 // reduce backbone traffic under repeated remote reads.
 func TestFleetRelayCacheCutsBackbone(t *testing.T) {
 	cfg := fleetCfg()
-	off := RunFleet(cfg)
+	off := Run(cfg)
 	cfg.RelayObjects = 100
-	on := RunFleet(cfg)
+	on := Run(cfg)
 	if on.RelayHits == 0 {
 		t.Fatal("relay cache saw no hits")
 	}
@@ -100,28 +149,4 @@ func TestFleetRelayCacheCutsBackbone(t *testing.T) {
 	if off.RelayHits != 0 || off.RelayMisses != 0 {
 		t.Fatalf("relay counters nonzero with relaying disabled: %+v", off)
 	}
-}
-
-func TestFleetValidationPanics(t *testing.T) {
-	mustPanic := func(name, fragment string, cfg Config) {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatal("no panic")
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, fragment) {
-					t.Fatalf("panic %v lacks %q", r, fragment)
-				}
-			}()
-			RunFleet(cfg)
-		})
-	}
-	ir := fleetCfg()
-	ir.Coherence = coherence.InvalidationReportStrategy
-	mustPanic("invalidation reports", "not supported", ir)
-
-	tiny := fleetCfg()
-	tiny.NumClients = 2
-	mustPanic("more cells than clients", "cannot populate", tiny)
 }

@@ -170,7 +170,7 @@ func runGolden(t *testing.T, cfg Config) goldenHashes {
 	var buf bytes.Buffer
 	tr := trace.NewCSV(&buf)
 	cfg.Tracer = tr
-	res := RunFleet(cfg)
+	res := Run(cfg)
 	tr.Flush()
 	if res.QueriesIssued == 0 {
 		t.Fatal("golden run issued no queries — the scenario is vacuous")

@@ -133,3 +133,59 @@ func TestRunBatchObsForcesSerial(t *testing.T) {
 		t.Fatal("instrumented batch series nondeterministic")
 	}
 }
+
+// cellSeries is the ordered list of series an instrumented lossy 2-client
+// cell registers, recorded at the commit before Run and the fleet engine
+// were merged into one builder; backboneSeries is what a multi-cell run
+// registers ahead of it. report.md renders series in registration order,
+// so the builder may not reorder, rename, or drop one.
+var cellSeries = []string{
+	"uplink.utilization", "uplink.queue", "uplink.bytes",
+	"uplink.messages", "downlink.utilization", "downlink.queue",
+	"downlink.bytes", "downlink.messages", "uplink.faults.frames_lost",
+	"uplink.faults.frames_corrupted", "uplink.faults.frames_delivered", "downlink.faults.frames_lost",
+	"downlink.faults.frames_corrupted", "downlink.faults.frames_delivered", "server.queries",
+	"server.disk_reads", "server.updates", "server.buffer_hit_ratio",
+	"server.disk_utilization", "server.rt_p50", "server.rt_p90",
+	"clients.hit_ratio", "clients.error_rate", "clients.mean_response_s",
+	"clients.queries", "clients.retries", "clients.timeouts",
+	"clients.degraded_reads", "clients.cache_bytes", "clients.cache_occupancy",
+	"clients.evictions", "clients.energy_j", "client.0.energy_j",
+	"client.0.cache_bytes", "client.0.cache_occupancy", "client.0.cache_items",
+	"client.0.evictions", "client.0.insertions", "client.0.valid_fraction",
+	"client.0.metrics.hit_ratio", "client.0.metrics.error_rate", "client.0.metrics.mean_response_s",
+	"client.0.metrics.accesses", "client.0.metrics.retries", "client.0.metrics.timeouts",
+	"client.0.metrics.degraded_reads", "client.1.energy_j", "client.1.cache_bytes",
+	"client.1.cache_occupancy", "client.1.cache_items", "client.1.evictions",
+	"client.1.insertions", "client.1.valid_fraction", "client.1.metrics.hit_ratio",
+	"client.1.metrics.error_rate", "client.1.metrics.mean_response_s", "client.1.metrics.accesses",
+	"client.1.metrics.retries", "client.1.metrics.timeouts", "client.1.metrics.degraded_reads",
+}
+
+var backboneSeries = []string{
+	"backbone.bytes", "backbone.messages", "backbone.utilization",
+	"backbone.relay_hits", "backbone.relay_misses", "backbone.relayed_reads",
+}
+
+func TestObsRegistrationOrder(t *testing.T) {
+	registered := func(cfg Config) []string {
+		cfg.LossRate = 0.05
+		cfg.Obs = obs.New(0)
+		Run(cfg)
+		var names []string
+		for _, s := range cfg.Obs.AllSeries() {
+			names = append(names, s.Name)
+		}
+		return names
+	}
+	if got := registered(tinyCfg()); !reflect.DeepEqual(got, cellSeries) {
+		t.Fatalf("1-cell run registered\n%q\nwant\n%q", got, cellSeries)
+	}
+	// Four cells of two clients: cell 0 is sampled, behind the backbone.
+	fleet := tinyCfg()
+	fleet.NumClients, fleet.Cells = 8, 4
+	want := append(append([]string{}, backboneSeries...), cellSeries...)
+	if got := registered(fleet); !reflect.DeepEqual(got, want) {
+		t.Fatalf("4-cell run registered\n%q\nwant\n%q", got, want)
+	}
+}

@@ -21,10 +21,7 @@ func OptimalBound(cfg Config) float64 {
 	if cfg.Granularity == core.NoCache {
 		panic("experiment: OptimalBound needs a storage-caching granularity")
 	}
-	db := oodb.New(oodb.Config{
-		NumObjects: cfg.NumObjects,
-		RelSeed:    rng.Derive(cfg.Seed, 0xdb).Uint64(),
-	})
+	db := NewDatabase(cfg)
 	horizon := cfg.Horizon()
 	itemCost := core.ItemCost(core.CoverItem(cfg.Granularity, 0, 0))
 	capacity := cfg.StorageObjects * core.ItemCost(oodb.ObjectItem(0)) / itemCost

@@ -32,40 +32,56 @@ func (r Runner) effectiveWorkers() int {
 	return r.Workers
 }
 
-// RunBatch executes every config and returns the results in submission
-// order. Fleet configs (Cells > 1) dispatch through RunFleet, so batches
-// and replications scale out the same way single runs do. A panic inside
-// any run (e.g. an invalid policy spec) is re-raised on the caller's
-// goroutine, annotated with the config that caused it; remaining in-flight
-// runs finish first.
+// RunBatch executes every config through Run and returns the results in
+// submission order. Every config is validated before the first simulation
+// starts; an invalid one panics, naming its index and label (sweeps that
+// want the error as a value use Report.Err). A panic inside any run is
+// re-raised on the caller's goroutine, annotated with the config that
+// caused it; remaining in-flight runs finish first.
 func (r Runner) RunBatch(cfgs []Config) []Result {
+	if err := validateAll(cfgs); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
 	results := make([]Result, len(cfgs))
 	workers := r.effectiveWorkers()
 	if workers > len(cfgs) {
 		workers = len(cfgs)
 	}
 	// A Tracer or an obs.Registry is shared mutable state across runs:
-	// concurrent execution would interleave (and race on) its records.
-	// Keep instrumented batches serial so traces and sampled series stay
-	// byte-identical to the sequential order.
+	// concurrent execution would interleave (and race on) its records, so
+	// instrumented batches run serial and stay byte-identical to the
+	// sequential order. A multi-cell run already spreads its cells over
+	// the same pool, so a batch holding one takes its configs one at a
+	// time instead of multiplying the two widths (and the live fleets).
 	for _, cfg := range cfgs {
-		if cfg.Tracer != nil || cfg.Obs != nil {
+		if cfg.Tracer != nil || cfg.Obs != nil || cfg.Cells > 1 {
 			workers = 1
 			break
 		}
 	}
 	r2 := Runner{Workers: workers}
 	r2.forEach(len(cfgs), func(i int) {
-		results[i] = RunFleet(cfgs[i])
+		results[i] = Run(cfgs[i])
 	}, func(i int) string {
 		return fmt.Sprintf("run %d (%s)", i, cfgs[i])
 	})
 	return results
 }
 
+// validateAll checks every config of a sweep and returns the first
+// failure, named by submission index and label.
+func validateAll(cfgs []Config) error {
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("run %d (%s): %w", i, cfg, err)
+		}
+	}
+	return nil
+}
+
 // ForEach runs fn(0) .. fn(n-1) on the worker pool, returning once all
 // calls complete. It is the generic scatter primitive under RunBatch and
-// the fleet engine's per-cell kernels (RunFleet): fn must write its result
+// Run's per-cell kernels: fn must write its result
 // into a caller-owned slot so outputs can be merged in index order
 // regardless of execution order. A panic inside any fn is re-raised on the
 // caller's goroutine (lowest index first); remaining tasks finish first.
@@ -172,14 +188,16 @@ func (b *batch) add(cfg Config, then func(Result)) {
 	b.then = append(b.then, then)
 }
 
-// collect executes the batch, appends every Result to rep in submission
+// collect validates the whole batch — on a failure it sets rep.Err and runs
+// nothing — then executes it, appends every Result to rep in submission
 // order, and invokes the continuations.
 func (b *batch) collect(rep *Report) {
+	if rep.Err = validateAll(b.cfgs); rep.Err != nil {
+		return
+	}
 	results := Runner{Workers: defaultWorkers}.RunBatch(b.cfgs)
 	for i, res := range results {
-		if rep != nil {
-			rep.Results = append(rep.Results, res)
-		}
+		rep.Results = append(rep.Results, res)
 		if b.then[i] != nil {
 			b.then[i](res)
 		}

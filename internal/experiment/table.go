@@ -80,12 +80,15 @@ func (t *Table) String() string {
 // Report bundles an experiment's raw results and formatted tables. Notes
 // carry measured, machine-dependent facts (wall-clock storage latencies,
 // disk bytes) that belong next to the tables but must stay out of the
-// deterministic table hashes — report.Write hashes only Tables.
+// deterministic table hashes — report.Write hashes only Tables. Err is set,
+// and no run was executed, when a config of the sweep failed Validate; the
+// tables are then empty shells.
 type Report struct {
 	Name    string
 	Results []Result
 	Tables  []*Table
 	Notes   []string
+	Err     error
 }
 
 // String renders all tables, then any notes.

@@ -3,8 +3,8 @@
 // serving twin (internal/serve, cmd/mccached, cmd/mcload) replays the exact
 // query stream a simulated client would issue, over real sockets, and diffs
 // the measured ratios against the simulator's — which only works if both
-// sides derive every draw from the same substream. buildClients and Run use
-// these same helpers, so the two can never drift apart.
+// sides derive every draw from the same substream. runCell and buildClients
+// use these same helpers, so the two can never drift apart.
 package experiment
 
 import (
@@ -15,8 +15,8 @@ import (
 	"repro/internal/workload"
 )
 
-// NewDatabase constructs the run's object database exactly as Run and
-// RunFleet do: relationship topology derived from the root seed's 0xdb
+// NewDatabase constructs the run's object database, the one every cell of
+// Run builds: relationship topology derived from the root seed's 0xdb
 // substream. A live service booted with the same seed and object count
 // therefore agrees with every replayed client on which objects exist and
 // where navigational queries lead. cfg should already be defaulted.
