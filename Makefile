@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lintdocs benchharness verify goldens bench benchguard clean
+.PHONY: build vet test race lintdocs benchharness verify goldens loc bench benchguard clean
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,12 @@ goldens:
 		$(GO) run ./cmd/mcsim run -config $$m > /dev/null || exit 1; \
 		echo "ok $$m"; \
 	done
+
+# The figure each CHANGES.md line states: non-test Go lines under internal/
+# + cmd/ per package, and the added/removed total against BASE (default
+# HEAD).
+loc:
+	scripts/loc.sh $(BASE)
 
 # Kernel micro-benchmarks + the parallel sweep benchmark + the model suite
 # (replacement policies, item index, cache, LRU buffer) + the fleet engine

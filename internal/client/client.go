@@ -13,10 +13,7 @@
 package client
 
 import (
-	"sort"
-
 	"repro/internal/broadcast"
-	"repro/internal/buffer"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -130,8 +127,7 @@ type Client struct {
 	up, down    *network.Channel
 	granularity core.Granularity
 
-	store  *core.Cache // nil under NC
-	membuf *buffer.LRU[oodb.Item, core.Entry]
+	local *core.Hierarchy // memory buffer over the storage cache
 
 	gen     *workload.QueryGen
 	arrival workload.Arrival
@@ -193,9 +189,7 @@ type Client struct {
 	scratchQuery workload.Query
 	scratchNeed  []workload.ReadOp
 	scratchAir   []oodb.Item
-	scratchBatch []core.BatchEntry
 	scratchKept  []server.ReplyItem
-	scratchStale []oodb.Item
 }
 
 // New builds a client.
@@ -230,22 +224,6 @@ func New(cfg Config) *Client {
 		memBps = network.MemoryBandwidthBps
 	}
 
-	var store *core.Cache
-	if cfg.Granularity != core.NoCache {
-		if cfg.Policy == nil {
-			panic("client: storage caching requires a replacement policy")
-		}
-		store = core.NewCache(storageBytes, cfg.Policy)
-	}
-
-	// The memory buffer holds `memObjs` objects' worth of items; under
-	// attribute granularity the same byte budget fits proportionally more
-	// attribute entries.
-	memEntries := memObjs
-	if cfg.Granularity.UsesAttributeItems() {
-		memEntries = memObjs * oodb.ObjectSize / oodb.AttrSize
-	}
-
 	sched := cfg.Schedule
 	if sched == nil {
 		sched = &network.Schedule{}
@@ -273,8 +251,7 @@ func New(cfg Config) *Client {
 		up:             cfg.Up,
 		down:           cfg.Down,
 		granularity:    cfg.Granularity,
-		store:          store,
-		membuf:         buffer.NewLRU[oodb.Item, core.Entry](memEntries),
+		local:          core.NewHierarchy(cfg.Granularity, storageBytes, cfg.Policy, memObjs),
 		gen:            cfg.Gen,
 		arrival:        cfg.Arrival,
 		sched:          sched,
@@ -298,7 +275,7 @@ func New(cfg Config) *Client {
 }
 
 // Store exposes the storage cache (nil under NC) for diagnostics.
-func (c *Client) Store() *core.Cache { return c.store }
+func (c *Client) Store() *core.Cache { return c.local.Storage() }
 
 // Register wires the client's cache health and radio cost into an
 // observability registry under the given series prefix: storage-cache
@@ -320,18 +297,19 @@ func (c *Client) Register(reg *obs.Registry, prefix string) {
 		reg.Gauge(prefix+".peer_hits", func() float64 { return float64(c.peerHits) })
 		reg.Gauge(prefix+".peer_misses", func() float64 { return float64(c.peerMisses) })
 	}
-	if c.store == nil {
+	st := c.local.Storage()
+	if st == nil {
 		return
 	}
-	reg.Gauge(prefix+".cache_bytes", func() float64 { return float64(c.store.UsedBytes()) })
+	reg.Gauge(prefix+".cache_bytes", func() float64 { return float64(st.UsedBytes()) })
 	reg.Gauge(prefix+".cache_occupancy", func() float64 {
-		return float64(c.store.UsedBytes()) / float64(c.store.CapacityBytes())
+		return float64(st.UsedBytes()) / float64(st.CapacityBytes())
 	})
-	reg.Gauge(prefix+".cache_items", func() float64 { return float64(c.store.Len()) })
-	reg.Gauge(prefix+".evictions", func() float64 { return float64(c.store.Evictions()) })
-	reg.Gauge(prefix+".insertions", func() float64 { return float64(c.store.Insertions()) })
+	reg.Gauge(prefix+".cache_items", func() float64 { return float64(st.Len()) })
+	reg.Gauge(prefix+".evictions", func() float64 { return float64(st.Evictions()) })
+	reg.Gauge(prefix+".insertions", func() float64 { return float64(st.Insertions()) })
 	reg.Gauge(prefix+".valid_fraction", func() float64 {
-		return c.store.ValidFraction(c.kernel.Now())
+		return st.ValidFraction(c.kernel.Now())
 	})
 }
 
@@ -368,46 +346,13 @@ func (c *Client) ApplyInvalidationReport(now float64, seq uint64) {
 		contiguous = true // an empty cache has nothing to miss
 	}
 	if !contiguous {
-		if c.store != nil {
-			c.store.Clear()
-		}
-		c.membuf.Clear()
+		c.local.Clear()
 		c.irDrops++
 		return
 	}
-	// Incremental invalidation: drop exactly the changed items. ForEach
-	// walks a map in random order, and removal order shapes the replacement
-	// policy's internal scan positions (hence future tie-breaks), so the
-	// stale set is sorted into a canonical order before removal to keep
-	// whole runs reproducible.
-	if c.store != nil {
-		stale := c.scratchStale[:0]
-		c.store.ForEach(func(it oodb.Item, e *core.Entry) bool {
-			if c.oracle.IsError(it, e.Version) {
-				stale = append(stale, it)
-			}
-			return true
-		})
-		sort.Slice(stale, func(i, j int) bool {
-			if stale[i].OID != stale[j].OID {
-				return stale[i].OID < stale[j].OID
-			}
-			return stale[i].Attr < stale[j].Attr
-		})
-		for _, it := range stale {
-			c.store.Remove(it)
-		}
-		c.scratchStale = stale[:0]
-	}
-	for _, it := range c.membuf.Keys() {
-		if e, ok := c.membuf.Peek(it); ok && c.oracle.IsError(it, e.Version) {
-			c.membuf.Remove(it)
-		}
-	}
+	// Incremental invalidation: drop exactly the changed items.
+	c.local.RemoveStale(c.oracle.IsError)
 }
-
-// MemBuffer exposes the memory buffer for diagnostics.
-func (c *Client) MemBuffer() *buffer.LRU[oodb.Item, core.Entry] { return c.membuf }
 
 // reportCoherence reports whether the strategy maintains validity through
 // invalidation reports (cached entries carry no lease of their own).
@@ -418,31 +363,6 @@ func reportCoherence(s coherence.Strategy) bool {
 // BroadcastReads reports how many reads were answered from the broadcast
 // channel.
 func (c *Client) BroadcastReads() uint64 { return c.bcastReads }
-
-// probeLocal checks the memory buffer and storage cache for item, returning
-// the local access delay to charge and promoting storage hits into the
-// memory buffer.
-func (c *Client) probeLocal(now float64, item oodb.Item) (core.Entry, core.LookupState, float64) {
-	if c.store != nil {
-		if e, st := c.store.Lookup(item, now); st != core.Miss {
-			if _, inMem := c.membuf.Get(item); inMem {
-				return *e, st, c.memSecPerByte * float64(item.Size())
-			}
-			c.membuf.Put(item, *e)
-			return *e, st, c.diskSecPerByte * float64(item.Size())
-		}
-	}
-	// Memory-only copy: NC, or an item evicted from storage whose memory
-	// copy survives.
-	if e, ok := c.membuf.Get(item); ok {
-		st := core.Stale
-		if e.ValidAt(now) {
-			st = core.Hit
-		}
-		return e, st, c.memSecPerByte * float64(item.Size())
-	}
-	return core.Entry{}, core.Miss, 0
-}
 
 // containsItem reports whether items holds it; the slices involved are a
 // handful of entries, where a linear scan beats allocating a set.
@@ -458,13 +378,8 @@ func containsItem(items []oodb.Item, it oodb.Item) bool {
 // installReply caches a delivered reply's items and records the served
 // reads. Shared by the perfect-channel and reliability-layer round trips.
 func (c *Client) installReply(now float64, need []workload.ReadOp, items []server.ReplyItem) {
-	batch := c.scratchBatch[:0]
 	for _, item := range items {
-		entry := core.Entry{
-			Version:   item.Version,
-			ExpiresAt: now + item.Refresh,
-			FetchedAt: now,
-		}
+		entry := item.Entry(now)
 		switch c.coherenceMode {
 		case coherence.InvalidationReportStrategy, coherence.IRBroadcastStrategy:
 			// Validity is maintained by broadcast reports, not leases.
@@ -473,18 +388,9 @@ func (c *Client) installReply(now float64, need []workload.ReadOp, items []serve
 			// The original Leases scheme: one duration for every item.
 			entry.ExpiresAt = now + c.fixedLease
 		}
-		batch = append(batch, core.BatchEntry{Item: item.Item, Entry: entry})
-		// Requested items land in the memory buffer (they were just
-		// consumed); prefetched extras only occupy storage so they do not
-		// flush the small buffer.
-		if !item.Prefetched {
-			c.membuf.Put(item.Item, entry)
-		}
+		c.local.Stage(item.Item, entry, item.Prefetched)
 	}
-	if c.store != nil {
-		c.store.InsertBatch(batch, now)
-	}
-	c.scratchBatch = batch[:0]
+	c.local.Commit(now)
 
 	// Remote reads are served fresh: accesses that are neither hits nor
 	// errors.

@@ -178,8 +178,12 @@ func TestNCMemoryBufferEvicts(t *testing.T) {
 	if r.m.Errors() != 0 {
 		t.Fatal("errors in read-only run")
 	}
-	if r.client.MemBuffer().Len() > 30 {
-		t.Fatalf("membuf len %d > 30", r.client.MemBuffer().Len())
+	// 41 installs into 30 entries: objects 12..40 and the re-fetched 1 remain.
+	if _, ok := r.client.local.Peek(oodb.ObjectItem(11)); ok {
+		t.Fatal("memory buffer holds more than 30 objects")
+	}
+	if _, ok := r.client.local.Peek(oodb.ObjectItem(12)); !ok {
+		t.Fatal("memory buffer holds fewer than 30 objects")
 	}
 	if hits := r.m.HitRatio(); hits != 0 {
 		t.Fatalf("hit ratio = %v, want 0 (all distinct + evicted)", hits)
@@ -397,14 +401,35 @@ func TestValidation(t *testing.T) {
 }
 
 func TestMemBufferSizedByGranularity(t *testing.T) {
-	rAC := newRig(t, core.AttributeCaching, 0)
-	rOC := newRig(t, core.ObjectCaching, 0)
-	if rAC.client.membuf.Capacity() <= rOC.client.membuf.Capacity() {
-		t.Fatalf("AC membuf %d entries should exceed OC's %d",
-			rAC.client.membuf.Capacity(), rOC.client.membuf.Capacity())
+	// A storage cache of one item leaves the rest of a 40-item reply in the
+	// memory buffer alone, so the surviving copies count its entries.
+	survivors := func(g core.Granularity) int {
+		r := newRig(t, g, 0)
+		r.client = New(Config{
+			ID: 0, Kernel: r.k, Server: r.srv, Up: r.up, Down: r.down,
+			Granularity: g, Policy: replacement.NewLRU(),
+			StorageBytes: core.ItemCost(core.CoverItem(g, 0, 0)),
+			Gen:          r.client.gen, Arrival: workload.NewPoisson(0.01),
+			Metrics: r.m, Seed: 1, Horizon: 1e6,
+		})
+		oids := make([]int, 40)
+		for i := range oids {
+			oids[i] = i + 1
+		}
+		r.exec(r.ask(query(0, oids...)))
+		n := 0
+		for _, oid := range oids {
+			if _, ok := r.client.local.Peek(core.CoverItem(g, oodb.OID(oid), 0)); ok {
+				n++
+			}
+		}
+		return n
 	}
-	if rOC.client.membuf.Capacity() != DefaultMemBufferObjects {
-		t.Fatalf("OC membuf capacity = %d", rOC.client.membuf.Capacity())
+	if n := survivors(core.ObjectCaching); n != DefaultMemBufferObjects {
+		t.Fatalf("OC memory buffer kept %d objects, want %d", n, DefaultMemBufferObjects)
+	}
+	if n := survivors(core.AttributeCaching); n != 40 {
+		t.Fatalf("AC memory buffer kept %d of 40 attributes; the same bytes should hold them all", n)
 	}
 }
 
@@ -487,8 +512,10 @@ func TestIRMissedReportDropsCache(t *testing.T) {
 	if r.client.Store().Len() != 0 {
 		t.Fatalf("cache not dropped after missed report: %d items", r.client.Store().Len())
 	}
-	if r.client.MemBuffer().Len() != 0 {
-		t.Fatal("memory buffer not dropped after missed report")
+	for oid := oodb.OID(1); oid <= 3; oid++ {
+		if _, ok := r.client.local.Peek(oodb.AttrItem(oid, 0)); ok {
+			t.Fatalf("a copy of object %d survived the missed report", oid)
+		}
 	}
 	if r.client.CacheDrops() != 1 {
 		t.Fatalf("CacheDrops = %d, want 1", r.client.CacheDrops())

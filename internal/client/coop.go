@@ -56,17 +56,6 @@ func (c *Client) SetPeers(peers []*Client, scan int) {
 	c.peerScan = scan
 }
 
-// peekValid looks item up without touching replacement state and reports
-// it only if its lease is still valid at now — what a peer is willing to
-// serve.
-func (c *Client) peekValid(item oodb.Item, now float64) (core.Entry, bool) {
-	e, ok := c.peekLocal(item)
-	if !ok || !e.ValidAt(now) {
-		return core.Entry{}, false
-	}
-	return e, true
-}
-
 // planPeerFetch scans up to peerScan peers for valid copies covering the
 // needed reads and stages the exchange plan (served reads, wire sizes).
 // It mutates no counters and touches no channels; it reports whether any
@@ -98,7 +87,9 @@ func (c *Client) planPeerFetch(now float64, need []workload.ReadOp) bool {
 		}
 		for k := 1; k <= scan; k++ {
 			pi := (c.peerSelf + k) % len(c.peers)
-			if e, ok := c.peers[pi].peekValid(item, now); ok {
+			// A peer serves only a copy whose lease still runs, and serving
+			// it does not count as an access at the peer.
+			if e, ok := c.peers[pi].local.Peek(item); ok && e.ValidAt(now) {
 				got = append(got, peerCopy{
 					readIdx: int32(i), src: int32(pi),
 					item: item, entry: e, newItem: true,
@@ -124,7 +115,6 @@ func (c *Client) planPeerFetch(now float64, need []workload.ReadOp) bool {
 // reads removed. Reads still left over are peer misses bound for the
 // server.
 func (c *Client) commitPeerFetch(now float64, need []workload.ReadOp, rec *trace.QueryRecord) []workload.ReadOp {
-	batch := c.scratchBatch[:0]
 	for _, g := range c.peerGot {
 		isErr := c.oracle.IsError(g.item, g.entry.Version)
 		c.m.RecordAccess(now, false)
@@ -134,15 +124,11 @@ func (c *Client) commitPeerFetch(now float64, need []workload.ReadOp, rec *trace
 			rec.Errors++
 		}
 		if g.newItem {
-			batch = append(batch, core.BatchEntry{Item: g.item, Entry: g.entry})
-			c.membuf.Put(g.item, g.entry)
+			c.local.Stage(g.item, g.entry, false)
 			c.peers[g.src].energyJoules += network.TxEnergy(network.ReplyEntrySize(g.item))
 		}
 	}
-	if c.store != nil {
-		c.store.InsertBatch(batch, now)
-	}
-	c.scratchBatch = batch[:0]
+	c.local.Commit(now)
 	// Compact need in place: peerGot holds readIdx in ascending order.
 	out := need[:0]
 	gi := 0

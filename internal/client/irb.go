@@ -55,15 +55,7 @@ func (c *Client) ApplyIRBroadcast(now float64, items []oodb.Item, wireBytes int)
 	// (OID, Attr) order, so removal order — which shapes replacement-policy
 	// tie-breaks — is reproducible.
 	for _, it := range items {
-		target := core.CoverItem(c.granularity, it.OID, it.Attr)
-		if c.store != nil {
-			if _, ok := c.store.Peek(target); ok {
-				c.store.Remove(target)
-			}
-		}
-		if _, ok := c.membuf.Peek(target); ok {
-			c.membuf.Remove(target)
-		}
+		c.local.Remove(core.CoverItem(c.granularity, it.OID, it.Attr))
 	}
 }
 
@@ -89,21 +81,11 @@ func (c *Client) MissIRBroadcast(now, period float64, rxBytes int) {
 	}
 }
 
-// forceRevalidate voids every cached lease in place: storage entries keep
-// their bytes (still usable for disconnected/degraded serving) but expire
-// immediately, so the next connected access revalidates them at the
-// server; the volatile memory buffer is simply dropped.
+// forceRevalidate voids every cached lease in place: the copies survive for
+// disconnected or degraded serving, but must be revalidated at the server.
 func (c *Client) forceRevalidate(now float64) {
 	c.forcedReval++
-	if c.store != nil {
-		c.store.ForEach(func(it oodb.Item, e *core.Entry) bool {
-			if e.ExpiresAt > now {
-				e.ExpiresAt = now
-			}
-			return true
-		})
-	}
-	c.membuf.Clear()
+	c.local.VoidLeases(now)
 }
 
 // IRBReports reports how many IR-over-broadcast reports the client

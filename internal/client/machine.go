@@ -182,9 +182,14 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			localDelay := 0.0
 			for _, rd := range q.Reads {
 				item := core.CoverItem(c.granularity, rd.OID, rd.Attr)
-				entry, state, delay := c.probeLocal(m.Now(), item)
-				localDelay += delay
 				now := m.Now()
+				entry, state, fromStorage := c.local.Probe(item, now)
+				switch {
+				case fromStorage:
+					localDelay += c.diskSecPerByte * float64(item.Size())
+				case state != core.Miss:
+					localDelay += c.memSecPerByte * float64(item.Size())
+				}
 				switch {
 				case state == core.Hit:
 					// Served by a locally unexpired item: a cache hit. The
@@ -470,10 +475,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if reportCoherence(c.coherenceMode) {
 				entry.ExpiresAt = coherence.NoExpiry
 			}
-			if c.store != nil {
-				c.store.Insert(item, entry, m.Now())
-			}
-			c.membuf.Put(item, entry)
+			c.local.Put(item, entry, m.Now())
 			cm.airIdx++
 			cm.pc = cmAirWait
 

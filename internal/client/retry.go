@@ -3,7 +3,6 @@ package client
 import (
 	"repro/internal/core"
 	"repro/internal/network"
-	"repro/internal/oodb"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -94,7 +93,7 @@ func (c *Client) requestTimeout(reqBytes int) float64 {
 func (c *Client) serveDegraded(now float64, need []workload.ReadOp, rec *trace.QueryRecord) {
 	for _, rd := range need {
 		item := core.CoverItem(c.granularity, rd.OID, rd.Attr)
-		entry, found := c.peekLocal(item)
+		entry, found := c.local.Peek(item)
 		if !found {
 			c.m.RecordAccess(now, false)
 			c.m.RecordUnavailable(now)
@@ -112,17 +111,6 @@ func (c *Client) serveDegraded(now float64, need []workload.ReadOp, rec *trace.Q
 			rec.Errors++
 		}
 	}
-}
-
-// peekLocal looks item up in the storage cache or memory buffer without
-// promoting it or touching replacement state.
-func (c *Client) peekLocal(item oodb.Item) (core.Entry, bool) {
-	if c.store != nil {
-		if e, ok := c.store.Peek(item); ok {
-			return *e, true
-		}
-	}
-	return c.membuf.Peek(item)
 }
 
 // Retries reports the total retransmissions the reliability layer issued.

@@ -130,9 +130,6 @@ func NewRefreshEstimator(beta float64) *RefreshEstimator {
 	return &RefreshEstimator{beta: beta}
 }
 
-// Beta returns the staleness-tolerance parameter.
-func (e *RefreshEstimator) Beta() float64 { return e.beta }
-
 // ObserveWrite records a write on item at virtual time now.
 func (e *RefreshEstimator) ObserveWrite(it oodb.Item, now float64) {
 	e.streams[e.stream(it)].Observe(now)

@@ -1,0 +1,182 @@
+package core
+
+import (
+	"sort"
+
+	"repro/internal/buffer"
+	"repro/internal/oodb"
+	"repro/internal/replacement"
+)
+
+// Hierarchy is one client's two-level local store (§3–§4): a small LRU
+// memory buffer in front of the byte-budgeted storage Cache; under NC the
+// buffer is all there is. The simulated client and the live store's
+// per-client session are both this type, so the order in which a probe
+// touches the levels and an install fills them is written once. It takes no
+// locks and reads no clock: callers serialize access and pass the time in.
+type Hierarchy struct {
+	store *Cache // nil under NC
+	mem   *buffer.LRU[oodb.Item, Entry]
+	batch []BatchEntry // the reply being installed: Stage appends, Commit drains
+	stale []oodb.Item  // RemoveStale scratch
+}
+
+// NewHierarchy builds the hierarchy for granularity g: a storage cache of
+// storageBytes under policy (none under NC) and a memory buffer of memObjects
+// objects' worth of entries — proportionally more under attribute items.
+func NewHierarchy(g Granularity, storageBytes int, policy replacement.Policy, memObjects int) *Hierarchy {
+	h := &Hierarchy{}
+	if g != NoCache {
+		h.store = NewCache(storageBytes, policy)
+	}
+	if g.UsesAttributeItems() {
+		memObjects = memObjects * oodb.ObjectSize / oodb.AttrSize
+	}
+	h.mem = buffer.NewLRU[oodb.Item, Entry](memObjects)
+	return h
+}
+
+// Storage exposes the storage cache (nil under NC) for its statistics.
+func (h *Hierarchy) Storage() *Cache { return h.store }
+
+// Probe looks item up for a read at time now: the storage cache first
+// (recording the access with its replacement policy), then the memory buffer
+// alone — NC, or a copy that outlived its storage slot. fromStorage reports
+// that only the storage cache held the copy, which is then promoted into the
+// buffer; the simulator charges disk rather than memory delay for it.
+func (h *Hierarchy) Probe(it oodb.Item, now float64) (e Entry, st LookupState, fromStorage bool) {
+	if h.store != nil {
+		if p, st := h.store.Lookup(it, now); st != Miss {
+			if _, inMem := h.mem.Get(it); inMem {
+				return *p, st, false
+			}
+			h.mem.Put(it, *p)
+			return *p, st, true
+		}
+	}
+	if e, ok := h.mem.Get(it); ok {
+		if e.ValidAt(now) {
+			return e, Hit, false
+		}
+		return e, Stale, false
+	}
+	return Entry{}, Miss, false
+}
+
+// Peek returns the copy either level holds without promoting it or touching
+// replacement state.
+func (h *Hierarchy) Peek(it oodb.Item) (Entry, bool) {
+	if h.store != nil {
+		if e, ok := h.store.Peek(it); ok {
+			return *e, true
+		}
+	}
+	return h.mem.Peek(it)
+}
+
+// Stage adds one item of a delivered reply to the install Commit finishes.
+// An item the client asked for was just consumed and enters the memory buffer
+// at once; a storageOnly one (a prefetch) stays out, so it cannot flush it.
+func (h *Hierarchy) Stage(it oodb.Item, e Entry, storageOnly bool) {
+	h.batch = append(h.batch, BatchEntry{Item: it, Entry: e})
+	if !storageOnly {
+		h.mem.Put(it, e)
+	}
+}
+
+// Commit installs the staged reply in the storage cache at time now, as one
+// batch so that its victims are selected in bulk.
+func (h *Hierarchy) Commit(now float64) {
+	if h.store != nil {
+		h.store.InsertBatch(h.batch, now)
+	}
+	h.batch = h.batch[:0]
+}
+
+// Put caches a single consumed item in both levels at time now, evicting one
+// victim at a time where Commit selects them in bulk.
+func (h *Hierarchy) Put(it oodb.Item, e Entry, now float64) {
+	if h.store != nil {
+		h.store.Insert(it, e, now)
+	}
+	h.mem.Put(it, e)
+}
+
+// Refresh overwrites the copy of item on every level that holds one,
+// reporting whether any did; an absent item stays absent.
+func (h *Hierarchy) Refresh(it oodb.Item, e Entry) bool {
+	held := false
+	if h.store != nil {
+		if p, ok := h.store.Peek(it); ok {
+			*p = e
+			held = true
+		}
+	}
+	if h.mem.Contains(it) {
+		h.mem.Put(it, e)
+		held = true
+	}
+	return held
+}
+
+// Remove drops item from both levels, reporting whether either held it. An
+// invalidation report mostly names items this client does not cache, and the
+// inlined residency check is cheaper than a removal that finds nothing.
+func (h *Hierarchy) Remove(it oodb.Item) bool {
+	inStore := h.store != nil && h.store.Contains(it) && h.store.Remove(it)
+	inMem := h.mem.Contains(it) && h.mem.Remove(it)
+	return inStore || inMem
+}
+
+// RemoveStale drops every copy whose (item, version) isStale reports. Removal
+// order shapes the replacement policy's scan positions and hence later
+// tie-breaks, so the storage cache's stale set goes in (OID, Attr) order.
+func (h *Hierarchy) RemoveStale(isStale func(it oodb.Item, version uint64) bool) {
+	if h.store != nil {
+		stale := h.stale[:0]
+		h.store.ForEach(func(it oodb.Item, e *Entry) bool {
+			if isStale(it, e.Version) {
+				stale = append(stale, it)
+			}
+			return true
+		})
+		sort.Slice(stale, func(i, j int) bool {
+			if stale[i].OID != stale[j].OID {
+				return stale[i].OID < stale[j].OID
+			}
+			return stale[i].Attr < stale[j].Attr
+		})
+		for _, it := range stale {
+			h.store.Remove(it)
+		}
+		h.stale = stale[:0]
+	}
+	for _, it := range h.mem.Keys() {
+		if e, ok := h.mem.Peek(it); ok && isStale(it, e.Version) {
+			h.mem.Remove(it)
+		}
+	}
+}
+
+// Clear drops every copy from both levels.
+func (h *Hierarchy) Clear() {
+	if h.store != nil {
+		h.store.Clear()
+	}
+	h.mem.Clear()
+}
+
+// VoidLeases expires every lease at time now: storage entries keep their
+// bytes — still readable while disconnected or degraded — but must be
+// revalidated before they count as hits; the memory buffer is dropped.
+func (h *Hierarchy) VoidLeases(now float64) {
+	if h.store != nil {
+		h.store.ForEach(func(_ oodb.Item, e *Entry) bool {
+			if e.ExpiresAt > now {
+				e.ExpiresAt = now
+			}
+			return true
+		})
+	}
+	h.mem.Clear()
+}

@@ -211,14 +211,7 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 				now := m.Now()
 				cc.batch = cc.batch[:0]
 				for _, item := range cc.rep.Items {
-					cc.batch = append(cc.batch, core.BatchEntry{
-						Item: item.Item,
-						Entry: core.Entry{
-							Version:   item.Version,
-							ExpiresAt: now + item.Refresh,
-							FetchedAt: now,
-						},
-					})
+					cc.batch = append(cc.batch, core.BatchEntry{Item: item.Item, Entry: item.Entry(now)})
 				}
 				home.relay.InsertBatch(cc.batch, now)
 			}

@@ -13,9 +13,11 @@ import (
 // hitRatioTolerance bounds the sim-vs-live hit-ratio gap the end-to-end
 // test accepts. The replay reuses the simulator's exact workload draws, so
 // the residual gap comes only from the update-coin stream (private per
-// client instead of the simulated server's shared stream) and wall-clock
-// jitter in lease expiry — both small against the ~0.5-0.8 hit ratios the
-// configs below produce.
+// client instead of the simulated server's shared stream), wall-clock
+// jitter in lease expiry, and the simulator starting an adaptive lease one
+// downlink transfer after the server priced it — all small against the
+// ~0.5-0.8 hit ratios the configs below produce. TestTwinExactSequence
+// checks everything else exactly.
 const hitRatioTolerance = 0.08
 
 // e2eConfig is a short AC scenario: ~52 queries per client over 0.06

@@ -152,9 +152,9 @@ func newFileOver(log *storage.Store, cfg Config) (*File, error) {
 	effective := fileMeta{
 		Granularity: m.gran.String(),
 		Policy:      m.policy,
-		NumObjects:  m.org.db.NumObjects(),
+		NumObjects:  m.org.DB().NumObjects(),
 		RelSeed:     cfg.RelSeed,
-		Beta:        m.org.attrEst.Beta(),
+		Beta:        cfg.Beta,
 		FixedLease:  m.fixed,
 		EpochUnixNS: meta.EpochUnixNS,
 	}
@@ -205,16 +205,14 @@ func (f *File) recover() error {
 		case strings.HasPrefix(e.key, "v:"):
 			oid, ok := parseOID(e.key[len("v:"):])
 			var fv fileVersions
-			if !ok || json.Unmarshal(e.val, &fv) != nil || !f.org.db.ValidOID(oid) {
+			if !ok || json.Unmarshal(e.val, &fv) != nil || !f.org.DB().ValidOID(oid) {
 				return fmt.Errorf("%w: bad version record %q", ErrBadRequest, e.key)
 			}
-			f.org.db.RestoreVersions(oid, fv.Version, fv.Attrs)
+			f.org.DB().RestoreVersions(oid, fv.Version, fv.Attrs)
 		case strings.HasPrefix(e.key, "sa:"), strings.HasPrefix(e.key, "so:"):
 			var it oodb.Item
 			var ok bool
-			est := f.org.objEst
 			if strings.HasPrefix(e.key, "sa:") {
-				est = f.org.attrEst
 				it, ok = parseItemKey(e.key[len("sa:"):])
 			} else {
 				var oid oodb.OID
@@ -226,7 +224,7 @@ func (f *File) recover() error {
 			if !ok || json.Unmarshal(e.val, &st) != nil {
 				return fmt.Errorf("%w: bad stream record %q", ErrBadRequest, e.key)
 			}
-			est.RestoreStream(it, st)
+			f.org.Estimator(it).RestoreStream(it, st)
 		case strings.HasPrefix(e.key, "e:"):
 			cidStr, itemStr, ok := strings.Cut(e.key[len("e:"):], ":")
 			cid, cerr := strconv.Atoi(cidStr)
@@ -244,7 +242,10 @@ func (f *File) recover() error {
 	for _, cid := range clients {
 		s := f.session(cid)
 		s.mu.Lock()
-		s.cache.InsertBatch(batches[cid], now)
+		for _, b := range batches[cid] {
+			s.local.Stage(b.Item, b.Entry, true) // recovered, not consumed
+		}
+		s.local.Commit(now)
 		s.mu.Unlock()
 	}
 	return nil
@@ -355,19 +356,20 @@ func (f *File) appendOrigin(oid oodb.OID, attrs []oodb.AttrID) (uint64, error) {
 	defer f.org.mu.Unlock()
 	var b storage.Batch
 	oidStr := strconv.FormatUint(uint64(oid), 10)
-	fv := fileVersions{Version: f.org.db.ObjectVersion(oid), Attrs: f.org.db.AttrVersions(oid)}
+	fv := fileVersions{Version: f.org.DB().ObjectVersion(oid), Attrs: f.org.DB().AttrVersions(oid)}
 	if err := putJSON(&b, "v:"+oidStr, fv); err != nil {
 		return 0, err
 	}
 	for _, a := range attrs {
 		it := oodb.AttrItem(oid, a)
-		if st, ok := f.org.attrEst.StreamState(it); ok {
+		if st, ok := f.org.Estimator(it).StreamState(it); ok {
 			if err := putJSON(&b, "sa:"+itemKey(it), st); err != nil {
 				return 0, err
 			}
 		}
 	}
-	if st, ok := f.org.objEst.StreamState(oodb.ObjectItem(oid)); ok {
+	obj := oodb.ObjectItem(oid)
+	if st, ok := f.org.Estimator(obj).StreamState(obj); ok {
 		if err := putJSON(&b, "so:"+oidStr, st); err != nil {
 			return 0, err
 		}

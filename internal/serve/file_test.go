@@ -140,19 +140,19 @@ func TestFileRestartPreservesState(t *testing.T) {
 	}
 
 	// Origin versions survive: object 7 saw 3 attribute writes.
-	if got := g.org.db.ObjectVersion(7); got != v2 {
+	if got := g.org.DB().ObjectVersion(7); got != v2 {
 		t.Fatalf("object 7 version after restart = %d, want %d", got, v2)
 	}
-	if got := g.org.db.AttrVersion(7, 0); got != 2 {
+	if got := g.org.DB().AttrVersion(7, 0); got != 2 {
 		t.Fatalf("attr (7,0) version after restart = %d, want 2", got)
 	}
-	if got := g.org.db.TotalWrites(); got != 3 {
+	if got := g.org.DB().TotalWrites(); got != 3 {
 		t.Fatalf("TotalWrites after restart = %d, want 3", got)
 	}
 
 	// Estimator write history survives: object 7's stream saw events at
 	// t=0 and t=2, so one 2s inter-arrival duration.
-	st, ok := g.org.objEst.StreamState(oodb.ObjectItem(7))
+	st, ok := g.org.Estimator(oodb.ObjectItem(7)).StreamState(oodb.ObjectItem(7))
 	if !ok {
 		t.Fatal("object 7 write stream lost across restart")
 	}
@@ -307,7 +307,7 @@ func TestFileConcurrentWritesRecoverAcknowledged(t *testing.T) {
 	if highest != writers*rounds {
 		t.Fatalf("highest acknowledged version = %d, want %d", highest, writers*rounds)
 	}
-	attrs := f.org.db.AttrVersions(oid)
+	attrs := f.org.DB().AttrVersions(oid)
 	if st := f.Storage().Stats(); st.Commits != writers*rounds+1 { // + the meta record
 		t.Fatalf("%d writes took %d commits", writers*rounds, st.Commits)
 	}
@@ -317,10 +317,10 @@ func TestFileConcurrentWritesRecoverAcknowledged(t *testing.T) {
 
 	g := openFileStore(t, dir, clk)
 	defer g.Close()
-	if got := g.org.db.ObjectVersion(oid); got != highest {
+	if got := g.org.DB().ObjectVersion(oid); got != highest {
 		t.Fatalf("recovered object version %d, acknowledged %d", got, highest)
 	}
-	if got := g.org.db.AttrVersions(oid); got != attrs {
+	if got := g.org.DB().AttrVersions(oid); got != attrs {
 		t.Fatalf("recovered attribute versions %v, acknowledged %v", got, attrs)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/buffer"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -19,27 +18,20 @@ import (
 	"repro/internal/workload"
 )
 
-// origin is the shared authoritative side: the versioned database, the
-// perfect-knowledge oracle over it, and the two lease estimators (attribute
-// grain and object grain, like the simulator's server). One mutex guards it
-// all — every field reads or writes the same version counters.
+// origin is the shared authoritative side: the coherence.Origin the
+// simulator's server runs on, behind one mutex — every operation reads or
+// writes the same version counters.
 type origin struct {
-	mu      sync.Mutex
-	db      *oodb.Database
-	oracle  *coherence.Oracle
-	attrEst *coherence.RefreshEstimator
-	objEst  *coherence.RefreshEstimator
+	mu sync.Mutex
+	*coherence.Origin
 }
 
-// session is one client's cache hierarchy: the byte-budgeted storage cache
-// under its private replacement policy and the small memory buffer in front
-// of it — exactly the simulated client's two levels. The mutex makes the
-// pair safe under concurrent requests for the same client ID; replacement
-// policies are not concurrency-safe on their own.
+// session is one client's cache hierarchy — the core.Hierarchy the simulated
+// client runs on. The mutex makes it safe under concurrent requests for the
+// same client ID; neither level is concurrency-safe on its own.
 type session struct {
-	mu     sync.Mutex
-	cache  *core.Cache
-	membuf *buffer.LRU[oodb.Item, core.Entry]
+	mu    sync.Mutex
+	local *core.Hierarchy
 }
 
 // Memory is the in-memory Store. Per-client state is sharded into sessions
@@ -51,7 +43,7 @@ type Memory struct {
 	policy     string
 	factory    replacement.Factory
 	storeBytes int
-	memEntries int
+	memObjects int
 	fixed      float64
 	clock      func() float64
 
@@ -101,83 +93,55 @@ func NewMemory(cfg Config) (*Memory, error) {
 		start := time.Now()
 		clock = func() float64 { return time.Since(start).Seconds() }
 	}
-	memEntries := cfg.MemBufferObjects
-	if cfg.Granularity.UsesAttributeItems() {
-		memEntries = cfg.MemBufferObjects * oodb.ObjectSize / oodb.AttrSize
-	}
 	m := &Memory{
 		gran:       cfg.Granularity,
 		policy:     cfg.Policy,
 		factory:    factory,
 		storeBytes: cfg.StorageObjects * core.ItemCost(oodb.ObjectItem(0)),
-		memEntries: memEntries,
+		memObjects: cfg.MemBufferObjects,
 		fixed:      cfg.FixedLease,
 		clock:      clock,
 		sessions:   make(map[int]*session),
 	}
-	m.org.db = db
-	m.org.oracle = coherence.NewOracle(db)
-	m.org.attrEst = coherence.NewRefreshEstimator(cfg.Beta)
-	m.org.objEst = coherence.NewRefreshEstimator(cfg.Beta)
+	m.org.Origin = coherence.NewOrigin(db, cfg.Beta)
 	return m, nil
 }
 
 // Now implements Store.
 func (m *Memory) Now() float64 { return m.clock() }
 
-// session returns clientID's session, creating it on first touch.
-func (m *Memory) session(clientID int) *session {
+// lookup returns clientID's session, or nil when the client has none yet.
+func (m *Memory) lookup(clientID int) *session {
 	m.mu.RLock()
-	s := m.sessions[clientID]
-	m.mu.RUnlock()
-	if s != nil {
+	defer m.mu.RUnlock()
+	return m.sessions[clientID]
+}
+
+// session returns clientID's session, creating it on first touch. Only the
+// paths that cache something call it; inspection and invalidation go through
+// lookup, so probing client ids cannot grow the sessions map.
+func (m *Memory) session(clientID int) *session {
+	if s := m.lookup(clientID); s != nil {
 		return s
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s = m.sessions[clientID]; s == nil {
-		s = &session{
-			cache:  core.NewCache(m.storeBytes, m.factory()),
-			membuf: buffer.NewLRU[oodb.Item, core.Entry](m.memEntries),
-		}
+	s := m.sessions[clientID]
+	if s == nil {
+		s = &session{local: core.NewHierarchy(m.gran, m.storeBytes, m.factory(), m.memObjects)}
 		m.sessions[clientID] = s
 	}
 	return s
 }
 
-// probe mirrors the simulated client's probeLocal: storage cache first
-// (promoting resident items into the memory buffer), then the memory
-// buffer alone for copies that outlived their storage slot. Caller holds
-// s.mu.
-func (s *session) probe(it oodb.Item, now float64) (core.Entry, core.LookupState) {
-	if e, st := s.cache.Lookup(it, now); st != core.Miss {
-		if _, inMem := s.membuf.Get(it); !inMem {
-			s.membuf.Put(it, *e)
-		}
-		return *e, st
-	}
-	if e, ok := s.membuf.Get(it); ok {
-		if e.ValidAt(now) {
-			return e, core.Hit
-		}
-		return e, core.Stale
-	}
-	return core.Entry{}, core.Miss
-}
-
-// originEntry reads the authoritative version and grants a lease for one
-// cache unit at now.
+// originEntry grants a lease on one cache unit at now: the origin's version
+// and refresh time, or the fixed duration when one is configured.
 func (m *Memory) originEntry(it oodb.Item, now float64) core.Entry {
 	m.org.mu.Lock()
-	defer m.org.mu.Unlock()
-	var version uint64
-	var lease float64
-	if it.IsObject() {
-		version = m.org.db.ObjectVersion(it.OID)
-		lease = leaseFor(m.org.objEst, m.fixed, it, now)
-	} else {
-		version = m.org.db.AttrVersion(it.OID, it.Attr)
-		lease = leaseFor(m.org.attrEst, m.fixed, it, now)
+	version, lease := m.org.Grant(it, now)
+	m.org.mu.Unlock()
+	if m.fixed > 0 {
+		lease = m.fixed
 	}
 	return core.Entry{Version: version, ExpiresAt: now + lease, FetchedAt: now}
 }
@@ -186,12 +150,12 @@ func (m *Memory) originEntry(it oodb.Item, now float64) core.Entry {
 func (m *Memory) isError(it oodb.Item, version uint64) bool {
 	m.org.mu.Lock()
 	defer m.org.mu.Unlock()
-	return m.org.oracle.IsError(it, version)
+	return m.org.Oracle().IsError(it, version)
 }
 
 // checkRead validates read coordinates against the origin's schema.
 func (m *Memory) checkRead(oid oodb.OID, attr oodb.AttrID) error {
-	if !m.org.db.ValidOID(oid) {
+	if !m.org.DB().ValidOID(oid) {
 		return fmt.Errorf("%w: oid %d out of range", ErrBadRequest, oid)
 	}
 	if !attr.Valid() {
@@ -200,11 +164,9 @@ func (m *Memory) checkRead(oid oodb.OID, attr oodb.AttrID) error {
 	return nil
 }
 
-// Read implements Store. The probe classification and its metrics exactly
-// mirror the simulated client: a Hit may still be an error (a write landed
-// inside the lease — judged by the oracle); misses and expired copies are
-// either reported as-is (ModeProbe) or served fresh from the origin
-// (ModeServe).
+// Read implements Store. A Hit may still be an error (a write landed inside
+// the lease — judged by the oracle); misses and expired copies are either
+// reported as-is (ModeProbe) or served fresh from the origin (ModeServe).
 func (m *Memory) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMode) (ReadResult, error) {
 	if err := m.checkRead(oid, attr); err != nil {
 		return ReadResult{}, err
@@ -215,7 +177,7 @@ func (m *Memory) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMod
 	atomic.AddUint64(&m.reads, 1)
 
 	s.mu.Lock()
-	entry, state := s.probe(it, now)
+	entry, state, _ := s.local.Probe(it, now)
 	s.mu.Unlock()
 
 	res := ReadResult{Item: it, State: state, Now: now}
@@ -243,8 +205,7 @@ func (m *Memory) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMod
 	// ModeServe: refresh from the origin and install.
 	fresh := m.originEntry(it, now)
 	s.mu.Lock()
-	s.cache.Insert(it, fresh, now)
-	s.membuf.Put(it, fresh)
+	s.local.Put(it, fresh, now)
 	s.mu.Unlock()
 	atomic.AddUint64(&m.fetches, 1)
 	res.Version = fresh.Version
@@ -254,10 +215,9 @@ func (m *Memory) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMod
 	return res, nil
 }
 
-// Fetch implements Store, mirroring the simulator's reply assembly +
-// installReply pair: reads dedup to distinct cache units in first-seen
-// order, each unit ships the origin version with a lease, and every
-// installed unit lands in both cache levels (nothing here is a prefetch).
+// Fetch implements Store: reads dedup to distinct cache units in first-seen
+// order, each unit ships the origin version with a lease, and the batch is
+// installed in both cache levels (nothing here is a prefetch).
 func (m *Memory) Fetch(clientID int, reads []workload.ReadOp) ([]FetchedItem, error) {
 	for _, rd := range reads {
 		if err := m.checkRead(rd.OID, rd.Attr); err != nil {
@@ -267,7 +227,7 @@ func (m *Memory) Fetch(clientID int, reads []workload.ReadOp) ([]FetchedItem, er
 	s := m.session(clientID)
 	now := m.clock()
 
-	units := make([]oodb.Item, 0, len(reads))
+	out := make([]FetchedItem, 0, len(reads))
 	seen := make(map[oodb.Item]struct{}, len(reads))
 	for _, rd := range reads {
 		it := core.CoverItem(m.gran, rd.OID, rd.Attr)
@@ -275,34 +235,24 @@ func (m *Memory) Fetch(clientID int, reads []workload.ReadOp) ([]FetchedItem, er
 			continue
 		}
 		seen[it] = struct{}{}
-		units = append(units, it)
-	}
-
-	out := make([]FetchedItem, 0, len(units))
-	batch := make([]core.BatchEntry, 0, len(units))
-	for _, it := range units {
 		e := m.originEntry(it, now)
 		out = append(out, FetchedItem{Item: it, Version: e.Version, ExpiresAt: e.ExpiresAt})
-		batch = append(batch, core.BatchEntry{Item: it, Entry: e})
 	}
 
 	s.mu.Lock()
-	s.cache.InsertBatch(batch, now)
-	for _, be := range batch {
-		s.membuf.Put(be.Item, be.Entry)
+	for _, fi := range out {
+		s.local.Stage(fi.Item, core.Entry{Version: fi.Version, ExpiresAt: fi.ExpiresAt, FetchedAt: now}, false)
 	}
+	s.local.Commit(now)
 	s.mu.Unlock()
-	atomic.AddUint64(&m.fetches, uint64(len(units)))
+	atomic.AddUint64(&m.fetches, uint64(len(out)))
 	return out, nil
 }
 
-// Write implements Store: one update event at the origin. Attribute writes
-// observe the attribute-grain estimator per attribute; the object-grain
-// estimator observes the event once — the simulator's applyUpdates shape,
-// which keeps inter-write durations (and therefore leases) comparable
-// between sim and live.
+// Write implements Store: one write event at the origin
+// (coherence.Origin.Write).
 func (m *Memory) Write(oid oodb.OID, attrs []oodb.AttrID) (uint64, error) {
-	if !m.org.db.ValidOID(oid) {
+	if !m.org.DB().ValidOID(oid) {
 		return 0, fmt.Errorf("%w: oid %d out of range", ErrBadRequest, oid)
 	}
 	if len(attrs) == 0 {
@@ -316,24 +266,13 @@ func (m *Memory) Write(oid oodb.OID, attrs []oodb.AttrID) (uint64, error) {
 	now := m.clock()
 	m.org.mu.Lock()
 	defer m.org.mu.Unlock()
-	var seen uint16
-	for _, a := range attrs {
-		bit := uint16(1) << a
-		if seen&bit != 0 {
-			continue
-		}
-		seen |= bit
-		m.org.db.Write(oid, a)
-		m.org.attrEst.ObserveWrite(oodb.AttrItem(oid, a), now)
-		atomic.AddUint64(&m.writes, 1)
-	}
-	m.org.objEst.ObserveWrite(oodb.ObjectItem(oid), now)
-	return m.org.db.ObjectVersion(oid), nil
+	atomic.AddUint64(&m.writes, uint64(m.org.Write(oid, attrs, now, nil)))
+	return m.org.DB().ObjectVersion(oid), nil
 }
 
 // units expands an invalidation coordinate into the cache units it covers.
 func (m *Memory) units(oid oodb.OID, attr oodb.AttrID) ([]oodb.Item, error) {
-	if !m.org.db.ValidOID(oid) {
+	if !m.org.DB().ValidOID(oid) {
 		return nil, fmt.Errorf("%w: oid %d out of range", ErrBadRequest, oid)
 	}
 	if attr == oodb.WholeObject {
@@ -366,16 +305,14 @@ func (m *Memory) Invalidate(clientID int, oid oodb.OID, attr oodb.AttrID) (int, 
 			targets = append(targets, s)
 		}
 		m.mu.RUnlock()
-	} else {
-		targets = []*session{m.session(clientID)}
+	} else if s := m.lookup(clientID); s != nil {
+		targets = []*session{s}
 	}
 	removed := 0
 	for _, s := range targets {
 		s.mu.Lock()
 		for _, it := range units {
-			inCache := s.cache.Remove(it)
-			inMem := s.membuf.Remove(it)
-			if inCache || inMem {
+			if s.local.Remove(it) {
 				removed++
 			}
 		}
@@ -385,25 +322,29 @@ func (m *Memory) Invalidate(clientID int, oid oodb.OID, attr oodb.AttrID) (int, 
 	return removed, nil
 }
 
-// leaseInfo snapshots a cached entry without touching replacement state.
-// Caller holds s.mu.
-func leaseInfo(s *session, it oodb.Item, now float64) LeaseInfo {
-	info := LeaseInfo{Now: now}
-	e, ok := s.cache.Peek(it)
-	if !ok {
-		if me, inMem := s.membuf.Peek(it); inMem {
-			e, ok = &me, true
-		}
+// leaseInfo renders the lease view of a cached entry at now.
+func leaseInfo(e core.Entry, now float64) LeaseInfo {
+	return LeaseInfo{
+		Cached:    true,
+		Valid:     e.ValidAt(now),
+		Version:   e.Version,
+		ExpiresAt: e.ExpiresAt,
+		Remaining: e.ExpiresAt - now,
+		Now:       now,
 	}
-	if !ok {
-		return info
+}
+
+// peek returns clientID's cached copy of it, if the client has a session
+// holding one, without touching replacement state.
+func (m *Memory) peek(clientID int, it oodb.Item) (*session, core.Entry, bool) {
+	s := m.lookup(clientID)
+	if s == nil {
+		return nil, core.Entry{}, false
 	}
-	info.Cached = true
-	info.Valid = e.ValidAt(now)
-	info.Version = e.Version
-	info.ExpiresAt = e.ExpiresAt
-	info.Remaining = e.ExpiresAt - now
-	return info
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.local.Peek(it)
+	return s, e, ok
 }
 
 // Lease implements Store.
@@ -411,12 +352,11 @@ func (m *Memory) Lease(clientID int, oid oodb.OID, attr oodb.AttrID) (LeaseInfo,
 	if err := m.checkRead(oid, attr); err != nil {
 		return LeaseInfo{}, err
 	}
-	it := core.CoverItem(m.gran, oid, attr)
-	s := m.session(clientID)
 	now := m.clock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return leaseInfo(s, it, now), nil
+	if _, e, ok := m.peek(clientID, core.CoverItem(m.gran, oid, attr)); ok {
+		return leaseInfo(e, now), nil
+	}
+	return LeaseInfo{Now: now}, nil
 }
 
 // Renew implements Store: revalidate a resident unit in place — fresh
@@ -427,42 +367,20 @@ func (m *Memory) Renew(clientID int, oid oodb.OID, attr oodb.AttrID) (LeaseInfo,
 		return LeaseInfo{}, err
 	}
 	it := core.CoverItem(m.gran, oid, attr)
-	s := m.session(clientID)
 	now := m.clock()
-
-	s.mu.Lock()
-	_, cached := s.cache.Peek(it)
-	if !cached {
-		_, cached = s.membuf.Peek(it)
-	}
-	s.mu.Unlock()
+	s, _, cached := m.peek(clientID, it)
 	if !cached {
 		return LeaseInfo{Now: now}, nil
 	}
-
 	fresh := m.originEntry(it, now)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Re-check under the lock: a concurrent Invalidate may have won.
-	if _, still := s.cache.Peek(it); still {
-		s.cache.Insert(it, fresh, now)
-	} else if _, still := s.membuf.Peek(it); still {
-		s.membuf.Put(it, fresh)
-	} else {
+	// A concurrent Invalidate may have won since the peek.
+	if !s.local.Refresh(it, fresh) {
 		return LeaseInfo{Now: now}, nil
 	}
-	if _, inMem := s.membuf.Peek(it); inMem {
-		s.membuf.Put(it, fresh)
-	}
 	atomic.AddUint64(&m.renewals, 1)
-	return LeaseInfo{
-		Cached:    true,
-		Valid:     fresh.ValidAt(now),
-		Version:   fresh.Version,
-		ExpiresAt: fresh.ExpiresAt,
-		Remaining: fresh.ExpiresAt - now,
-		Now:       now,
-	}, nil
+	return leaseInfo(fresh, now), nil
 }
 
 // Stats implements Store.
@@ -492,10 +410,11 @@ func (m *Memory) Stats() Stats {
 	st.Sessions = len(sessions)
 	for _, s := range sessions {
 		s.mu.Lock()
-		st.CacheItems += s.cache.Len()
-		st.CacheBytes += s.cache.UsedBytes()
-		st.Evictions += s.cache.Evictions()
-		st.Insertions += s.cache.Insertions()
+		cache := s.local.Storage()
+		st.CacheItems += cache.Len()
+		st.CacheBytes += cache.UsedBytes()
+		st.Evictions += cache.Evictions()
+		st.Insertions += cache.Insertions()
 		s.mu.Unlock()
 	}
 	return st

@@ -3,9 +3,9 @@
 // hot/cold heat distributions, and arrival schedules the simulator would
 // run — over real sockets against a live mccached, under time compression,
 // and measures the same hit/stale/error ratios the simulator reports. The
-// request flow per query mirrors the simulated client: probe every read,
+// request flow per query is the simulated client's: probe every read,
 // apply the update model only if the query goes remote, then fetch the
-// needed items fresh (docs/SERVING.md walks through the correspondence).
+// needed items fresh (docs/SERVING.md says which steps are shared code).
 package serve
 
 import (
@@ -347,9 +347,9 @@ type replayEnv struct {
 	httpCalls *uint64
 }
 
-// replayClient runs one client's open-loop query stream to the horizon,
-// mirroring the simulated client loop: arrival draw, pacing wait, query
-// draw, probe reads, update model, fetch needs.
+// replayClient runs one client's open-loop query stream to the horizon in
+// the simulated client's order: arrival draw, pacing wait, query draw, probe
+// reads, update model, fetch needs.
 func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
 	rt *stats.Welford, stales, writes, remote, local *uint64, maxLag *float64) error {
 
@@ -430,39 +430,26 @@ func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
 	}
 }
 
-// applyUpdates mirrors the simulated server's update model for one query:
-// distinct accessed objects in first-seen order, a U-probability coin each,
-// and one write event covering the attributes the query read on that
-// object. The coin stream is the client's private update substream — same
-// distribution as the simulator's shared server stream, different sequence
-// (see experiment.ClientWorkload).
+// applyUpdates runs the simulated server's update model for one query over
+// the shared workload.Grouping: a U-probability coin per distinct accessed
+// object, and one write event covering the attributes the query read on each
+// object that comes up. The coin stream is the client's private update
+// substream — same distribution as the simulator's shared server stream,
+// different sequence (see experiment.ClientWorkload).
 func (env replayEnv) applyUpdates(q *workload.Query, w experiment.ClientWorkload,
 	measured bool, writes *uint64) error {
 
-	seen := make(map[oodb.OID]struct{}, len(q.Reads))
-	for _, rd := range q.Reads {
-		if _, dup := seen[rd.OID]; dup {
-			continue
-		}
-		seen[rd.OID] = struct{}{}
+	var group workload.Grouping
+	for _, oid := range group.Objects(q.Reads, nil) {
 		if !w.UpdateStream.Bool(env.cfg.UpdateProb) {
 			continue
 		}
-		var attrSeen uint16
-		attrs := make([]uint8, 0, 4)
-		for _, rd2 := range q.Reads {
-			if rd2.OID != rd.OID {
-				continue
-			}
-			bit := uint16(1) << rd2.Attr
-			if attrSeen&bit != 0 {
-				continue
-			}
-			attrSeen |= bit
-			attrs = append(attrs, uint8(rd2.Attr))
+		var attrs []uint8
+		for _, a := range workload.AttrsOf(q.Reads, oid, nil) {
+			attrs = append(attrs, uint8(a))
 		}
 		var resp WriteResponse
-		if err := env.post("/v1/write", WriteRequest{OID: uint32(rd.OID), Attrs: attrs}, &resp); err != nil {
+		if err := env.post("/v1/write", WriteRequest{OID: uint32(oid), Attrs: attrs}, &resp); err != nil {
 			return err
 		}
 		if measured {

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/oodb"
@@ -50,10 +49,10 @@ const (
 	// conventional cache client wants.
 	ModeServe ReadMode = iota
 	// ModeProbe only classifies the access (hit / stale / miss) without
-	// installing anything. The load generator uses it to mirror the
-	// simulator's flow exactly: probe every read, apply the query's
-	// updates, then Fetch the needed items — the same order the simulated
-	// client and server interleave in.
+	// installing anything. The load generator uses it to replay the
+	// simulator's flow: probe every read, apply the query's updates, then
+	// Fetch the needed items — the order the simulated client and server
+	// interleave in.
 	ModeProbe
 )
 
@@ -169,13 +168,13 @@ type Store interface {
 	Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMode) (ReadResult, error)
 	// Fetch installs the cache units covering reads from the origin into
 	// clientID's session and returns their leases. It dedups reads that
-	// cover the same unit, mirroring the simulator's reply assembly.
+	// cover the same unit.
 	Fetch(clientID int, reads []workload.ReadOp) ([]FetchedItem, error)
-	// Write applies one update event at the origin: every named attribute
-	// is written and observed by the attribute-grain lease estimator, and
-	// the object-grain estimator observes the event once — exactly the
-	// simulator's per-object update application. Returns the object's new
-	// version.
+	// Write applies one write event at the origin (coherence.Origin.Write,
+	// the code the simulated server applies its updates with): every
+	// distinct named attribute is written and observed by the
+	// attribute-grain lease estimator, and the object-grain estimator
+	// observes the event once. Returns the object's new version.
 	Write(oid oodb.OID, attrs []oodb.AttrID) (uint64, error)
 	// Invalidate drops the cache unit covering (oid, attr) from clientID's
 	// session, or from every session when clientID is negative. Passing
@@ -313,13 +312,4 @@ func init() {
 func cutScheme(dsn string) (rest string, ok bool) {
 	_, rest, ok = strings.Cut(dsn, ":")
 	return rest, ok
-}
-
-// leaseFor computes the lease duration granted for item at now: the
-// adaptive refresh-time estimate, or the fixed duration when configured.
-func leaseFor(est *coherence.RefreshEstimator, fixed float64, it oodb.Item, now float64) float64 {
-	if fixed > 0 {
-		return fixed
-	}
-	return est.RefreshTime(it, now)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -275,5 +276,52 @@ func TestReadRejectsBadCoordinates(t *testing.T) {
 	}
 	if _, err := st.Read(0, 1, 13, ModeServe); err == nil {
 		t.Fatal("out-of-range attr accepted")
+	}
+}
+
+// TestLookupsAllocateNoSession pins that inspecting or invalidating on
+// behalf of a client that never cached anything leaves the sessions map
+// alone: a scan of client ids through /v1/lease, /v1/renew or
+// /v1/invalidate must not grow the store.
+func TestLookupsAllocateNoSession(t *testing.T) {
+	clk := &fakeClock{now: 5}
+	mem := newTestStore(t, core.ObjectCaching, clk)
+	file := openFileStore(t, filepath.Join(t.TempDir(), "cache.db"), clk)
+	defer file.Close()
+	calls := []struct {
+		name string
+		call func(st Store, id int) (LeaseInfo, int, error)
+	}{
+		{"Lease", func(st Store, id int) (LeaseInfo, int, error) {
+			info, err := st.Lease(id, 3, 0)
+			return info, 0, err
+		}},
+		{"Renew", func(st Store, id int) (LeaseInfo, int, error) {
+			info, err := st.Renew(id, 3, 0)
+			return info, 0, err
+		}},
+		{"Invalidate", func(st Store, id int) (LeaseInfo, int, error) {
+			removed, err := st.Invalidate(id, 3, oodb.WholeObject)
+			return LeaseInfo{Now: 5}, removed, err
+		}},
+	}
+	for name, st := range map[string]Store{"memory": mem, "file": file} {
+		// One real session, so "unchanged" is not trivially zero.
+		if _, err := st.Read(0, 3, 0, ModeServe); err != nil {
+			t.Fatalf("%s: install: %v", name, err)
+		}
+		for i, tc := range calls {
+			before := st.Stats().Sessions
+			info, removed, err := tc.call(st, 1000+i)
+			if err != nil {
+				t.Fatalf("%s %s on an unseen client: %v", name, tc.name, err)
+			}
+			if want := (LeaseInfo{Now: 5}); info != want || removed != 0 {
+				t.Errorf("%s %s on an unseen client = (%+v, %d removed), want (%+v, 0)", name, tc.name, info, removed, want)
+			}
+			if after := st.Stats().Sessions; after != before {
+				t.Errorf("%s %s on an unseen client grew sessions %d -> %d", name, tc.name, before, after)
+			}
+		}
 	}
 }

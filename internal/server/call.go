@@ -67,7 +67,7 @@ func (c *Call) Reset(s *Server, req Request) {
 }
 
 // Step advances request processing; see RequestCall.Step.
-// queriesServed/recordHeat/collectDistinct run up front; then every
+// queriesServed/recordHeat/distinct-OID collection run up front; then every
 // distinct OID is brought into the memory buffer (buffer hit → memory
 // hold; miss → tier mirror, disk acquire, hold, release, buffer insert);
 // then applyUpdates and assembleReply, which never wait.
@@ -90,7 +90,7 @@ func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 			// read each qualified object to evaluate predicates and project
 			// attributes, whether or not the client ended up needing it
 			// shipped.
-			sc.order = s.collectDistinct(c.req.Accesses, sc.order[:0])
+			sc.order = s.group.Objects(c.req.Accesses, sc.order[:0])
 			c.sc = sc
 			c.idx = 0
 			c.pc = callStage

@@ -113,6 +113,12 @@ type ReplyItem struct {
 	Prefetched bool
 }
 
+// Entry is the cache entry the item becomes when it is installed at time
+// now: the lease starts at installation, not at send time.
+func (it ReplyItem) Entry(now float64) core.Entry {
+	return core.Entry{Version: it.Version, ExpiresAt: now + it.Refresh, FetchedAt: now}
+}
+
 // Reply is the downstream result message.
 type Reply struct {
 	Items []ReplyItem
@@ -134,16 +140,12 @@ func WireSizeItems(items []ReplyItem) int {
 // Server is the database server simulation entity.
 type Server struct {
 	kernel *sim.Kernel
-	db     *oodb.Database
+	origin *coherence.Origin // database, oracle, write histories
 	buf    *buffer.LRU[oodb.OID, struct{}]
 	disk   *sim.Resource
 
 	diskSecPerObject float64
 	memSecPerObject  float64
-
-	refreshObj  *coherence.RefreshEstimator // whole-object write streams
-	refreshAttr *coherence.RefreshEstimator // per-attribute write streams
-	oracle      *coherence.Oracle
 
 	updateProb    float64
 	updateRnd     *rng.Stream
@@ -156,18 +158,15 @@ type Server struct {
 	// that live across a wait (the staging order, the reply items) must not
 	// be shared between clients.
 	scratch map[int]*reqScratch
-	// oidStamp/oidGen implement an O(1)-reset "seen" set for distinct-OID
-	// collection; oidIdx records each OID's position in the latest
-	// collected order (valid only while oidStamp[oid] == oidGen). The maps
-	// are only touched between waits, so sharing them across clients is
-	// safe.
-	oidStamp map[oodb.OID]uint64
-	oidIdx   map[oodb.OID]int32
-	oidGen   uint64
-	// attrBits holds per-distinct-OID shipped/updated attribute bitmaps,
-	// indexed in step with the current distinct-OID order (used only
-	// between waits).
+	// group collects distinct-OID orders; it is only touched between waits,
+	// so clients share it, and an order needed across a wait is kept as the
+	// returned slice.
+	group workload.Grouping
+	// attrBits holds per-distinct-OID shipped attribute bitmaps, indexed in
+	// step with the current distinct-OID order (used only between waits).
 	attrBits []uint16
+	// updateAttrs backs one write event's attribute list.
+	updateAttrs []oodb.AttrID
 	// prefetchBuf backs prefetchSet's result; consumed before the next call.
 	prefetchBuf []oodb.AttrID
 
@@ -238,27 +237,22 @@ func New(cfg Config) *Server {
 	}
 	return &Server{
 		kernel:           cfg.Kernel,
-		db:               cfg.DB,
+		origin:           coherence.NewOrigin(cfg.DB, cfg.Beta),
 		buf:              buffer.NewLRU[oodb.OID, struct{}](bufObjs),
 		disk:             sim.NewResource(cfg.Kernel, "server-disk", 1),
 		diskSecPerObject: float64(oodb.ObjectSize) * 8 / diskBps,
 		memSecPerObject:  float64(oodb.ObjectSize) * 8 / memBps,
-		refreshObj:       coherence.NewRefreshEstimator(cfg.Beta),
-		refreshAttr:      coherence.NewRefreshEstimator(cfg.Beta),
-		oracle:           coherence.NewOracle(cfg.DB),
 		updateProb:       cfg.UpdateProb,
 		updateRnd:        rng.Derive(cfg.Seed, 0x5e7e7),
 		prefetchKappa:    kappa,
 		store:            cfg.Storage,
 		heat:             make(map[int]*clientHeat),
 		scratch:          make(map[int]*reqScratch),
-		oidStamp:         make(map[oodb.OID]uint64),
-		oidIdx:           make(map[oodb.OID]int32),
 	}
 }
 
 // Oracle exposes the perfect-knowledge error oracle shared with clients.
-func (s *Server) Oracle() *coherence.Oracle { return s.oracle }
+func (s *Server) Oracle() *coherence.Oracle { return s.origin.Oracle() }
 
 // SetWriteObserver installs fn to be called with every applied attribute
 // write (item, virtual time). The IR-over-broadcast scheme uses this to
@@ -266,7 +260,7 @@ func (s *Server) Oracle() *coherence.Oracle { return s.oracle }
 func (s *Server) SetWriteObserver(fn func(it oodb.Item, now float64)) { s.writeLog = fn }
 
 // DB exposes the underlying database (read-only use by the harness).
-func (s *Server) DB() *oodb.Database { return s.db }
+func (s *Server) DB() *oodb.Database { return s.origin.DB() }
 
 // stageDurable mirrors a buffer miss onto the persistent tier: read the
 // object's record, writing it on first touch (the tier fills lazily with
@@ -307,11 +301,9 @@ func (s *Server) objectPayload(oid oodb.OID) []byte {
 	return s.storeVal
 }
 
-// applyUpdates flips the per-object update coin and applies writes. order
-// is the distinct-OID first-seen order over req.Accesses. Per-object
-// attribute dedup uses a uint16 bitmap (queries only read the <= 12
-// declared attributes) over a linear rescan of the read set, preserving
-// the first-occurrence write order of the original map-based grouping.
+// applyUpdates flips the per-object update coin and applies one write
+// event — every attribute the query read on the object — per object that
+// comes up. order is the distinct-OID first-seen order over req.Accesses.
 func (s *Server) applyUpdates(now float64, req Request, order []oodb.OID) {
 	if s.updateProb == 0 {
 		return
@@ -321,23 +313,8 @@ func (s *Server) applyUpdates(now float64, req Request, order []oodb.OID) {
 			continue
 		}
 		s.updatesApplied++
-		var seen uint16
-		for _, rd := range req.Accesses {
-			if rd.OID != oid {
-				continue
-			}
-			bit := uint16(1) << rd.Attr
-			if seen&bit != 0 {
-				continue
-			}
-			seen |= bit
-			s.db.Write(oid, rd.Attr)
-			s.refreshAttr.ObserveWrite(oodb.AttrItem(oid, rd.Attr), now)
-			if s.writeLog != nil {
-				s.writeLog(oodb.AttrItem(oid, rd.Attr), now)
-			}
-		}
-		s.refreshObj.ObserveWrite(oodb.ObjectItem(oid), now)
+		s.updateAttrs = workload.AttrsOf(req.Accesses, oid, s.updateAttrs[:0])
+		s.origin.Write(oid, s.updateAttrs, now, s.writeLog)
 	}
 }
 
@@ -352,31 +329,25 @@ func (s *Server) assembleReply(req Request, sc *reqScratch) Reply {
 	case core.AttributeCaching:
 		// AC: only the requested attributes of qualified objects.
 		for _, rd := range req.Need {
-			items = append(items, s.attrReplyItem(rd.OID, rd.Attr, now, false))
+			items = append(items, s.replyItem(oodb.AttrItem(rd.OID, rd.Attr), now, false))
 		}
 
 	case core.ObjectCaching, core.NoCache:
 		// OC: push all attributes of each qualified object — shipped as
 		// whole objects. NC ships the same way (a conventional object
 		// server); the client just has nowhere durable to cache them.
-		sc.needOrder = s.collectDistinct(req.Need, sc.needOrder[:0])
+		sc.needOrder = s.group.Objects(req.Need, sc.needOrder[:0])
 		for _, oid := range sc.needOrder {
-			rt := s.refreshObj.RefreshTime(oodb.ObjectItem(oid), now)
-			s.obsRT.Observe(rt)
-			items = append(items, ReplyItem{
-				Item:    oodb.ObjectItem(oid),
-				Version: s.db.ObjectVersion(oid),
-				Refresh: rt,
-			})
+			items = append(items, s.replyItem(oodb.ObjectItem(oid), now, false))
 		}
 
 	case core.HybridCaching:
 		// HC: requested attributes plus the prefetch set — attributes of
 		// qualified objects whose access probability clears the threshold.
 		// Shipped-set dedup uses one attribute bitmap per distinct needed
-		// OID, indexed in step with needOrder via the oidIdx side table.
+		// OID, indexed in step with needOrder via the grouping's index.
 		prefetch := s.prefetchSet(req.ClientID)
-		sc.needOrder = s.collectDistinct(req.Need, sc.needOrder[:0])
+		sc.needOrder = s.group.Objects(req.Need, sc.needOrder[:0])
 		if cap(s.attrBits) < len(sc.needOrder) {
 			s.attrBits = make([]uint16, len(sc.needOrder))
 		}
@@ -385,13 +356,13 @@ func (s *Server) assembleReply(req Request, sc *reqScratch) Reply {
 			bits[i] = 0
 		}
 		for _, rd := range req.Need {
-			i := s.oidIdx[rd.OID]
+			i := s.group.Index(rd.OID)
 			bit := uint16(1) << rd.Attr
 			if bits[i]&bit != 0 {
 				continue
 			}
 			bits[i] |= bit
-			items = append(items, s.attrReplyItem(rd.OID, rd.Attr, now, false))
+			items = append(items, s.replyItem(oodb.AttrItem(rd.OID, rd.Attr), now, false))
 		}
 		for i, oid := range sc.needOrder {
 			for _, attr := range prefetch {
@@ -400,7 +371,7 @@ func (s *Server) assembleReply(req Request, sc *reqScratch) Reply {
 					continue
 				}
 				bits[i] |= bit
-				items = append(items, s.attrReplyItem(oid, attr, now, true))
+				items = append(items, s.replyItem(oodb.AttrItem(oid, attr), now, true))
 			}
 		}
 	}
@@ -408,16 +379,11 @@ func (s *Server) assembleReply(req Request, sc *reqScratch) Reply {
 	return Reply{Items: items}
 }
 
-func (s *Server) attrReplyItem(oid oodb.OID, attr oodb.AttrID, now float64, prefetched bool) ReplyItem {
-	it := oodb.AttrItem(oid, attr)
-	rt := s.refreshAttr.RefreshTime(it, now)
+// replyItem prices one shipped copy of it at the origin.
+func (s *Server) replyItem(it oodb.Item, now float64, prefetched bool) ReplyItem {
+	version, rt := s.origin.Grant(it, now)
 	s.obsRT.Observe(rt)
-	return ReplyItem{
-		Item:       it,
-		Version:    s.db.AttrVersion(oid, attr),
-		Refresh:    rt,
-		Prefetched: prefetched,
-	}
+	return ReplyItem{Item: it, Version: version, Refresh: rt, Prefetched: prefetched}
 }
 
 // recordHeat folds the query's attribute accesses into the client's heat
@@ -471,22 +437,6 @@ func (s *Server) prefetchSet(clientID int) []oodb.AttrID {
 // PrefetchSet exposes the current prefetch decision for a client
 // (diagnostics and tests).
 func (s *Server) PrefetchSet(clientID int) []oodb.AttrID { return s.prefetchSet(clientID) }
-
-// collectDistinct appends the distinct OIDs in reads to out, preserving
-// first-seen order (determinism for update application and reply layout).
-// It bumps oidGen, so at most one collected order is "current" at a time;
-// callers that need the order across a wait keep the returned slice.
-func (s *Server) collectDistinct(reads []workload.ReadOp, out []oodb.OID) []oodb.OID {
-	s.oidGen++
-	for _, rd := range reads {
-		if s.oidStamp[rd.OID] != s.oidGen {
-			s.oidStamp[rd.OID] = s.oidGen
-			s.oidIdx[rd.OID] = int32(len(out))
-			out = append(out, rd.OID)
-		}
-	}
-	return out
-}
 
 // Stats bundles server-side counters for experiment logs. The Storage*
 // counters are deterministic facts of the workload (how many buffer

@@ -180,9 +180,51 @@ func (g *QueryGen) pickAttrs(r *rng.Stream) []oodb.AttrID {
 // DistinctObjects returns the number of distinct objects a query touches
 // (selected plus navigated).
 func (q *Query) DistinctObjects() int {
-	seen := make(map[oodb.OID]bool)
-	for _, rd := range q.Reads {
-		seen[rd.OID] = true
+	var g Grouping
+	return len(g.Objects(q.Reads, nil))
+}
+
+// Grouping regroups a query's flat read list by object: the distinct objects
+// in first-seen order — the order the server stages them, flips their update
+// coins and lays out a reply in — and, through AttrsOf, each object's write
+// event under the update model. The zero value is ready; its tables are
+// reused across calls, so only the latest collected order is current.
+type Grouping struct {
+	stamp map[oodb.OID]uint64 // stamp[oid] == gen: oid is in the current order
+	idx   map[oodb.OID]int32
+	gen   uint64
+}
+
+// Objects appends the distinct objects of reads to out in first-seen order.
+func (g *Grouping) Objects(reads []ReadOp, out []oodb.OID) []oodb.OID {
+	if g.stamp == nil {
+		g.stamp = make(map[oodb.OID]uint64)
+		g.idx = make(map[oodb.OID]int32)
 	}
-	return len(seen)
+	g.gen++
+	for _, rd := range reads {
+		if g.stamp[rd.OID] != g.gen {
+			g.stamp[rd.OID] = g.gen
+			g.idx[rd.OID] = int32(len(out))
+			out = append(out, rd.OID)
+		}
+	}
+	return out
+}
+
+// Index returns the position of oid, one of the latest Objects call's reads,
+// in what that call appended.
+func (g *Grouping) Index(oid oodb.OID) int32 { return g.idx[oid] }
+
+// AttrsOf appends the distinct attributes reads touch on oid to out, in
+// first-occurrence order.
+func AttrsOf(reads []ReadOp, oid oodb.OID, out []oodb.AttrID) []oodb.AttrID {
+	var seen uint16
+	for _, rd := range reads {
+		if bit := uint16(1) << rd.Attr; rd.OID == oid && seen&bit == 0 {
+			seen |= bit
+			out = append(out, rd.Attr)
+		}
+	}
+	return out
 }

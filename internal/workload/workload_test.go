@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -607,4 +608,29 @@ func TestSharedSkewedHeatValidation(t *testing.T) {
 		}
 	}()
 	NewSharedSkewedHeat(100, 1, 2, 10, 1.5)
+}
+
+func TestGroupingObjectsAndAttrs(t *testing.T) {
+	rd := func(oid, attr int) ReadOp { return ReadOp{OID: oodb.OID(oid), Attr: oodb.AttrID(attr)} }
+	reads := []ReadOp{rd(9, 2), rd(4, 0), rd(9, 5), rd(9, 2), rd(7, 1), rd(4, 0), rd(4, 3)}
+	var g Grouping
+	for round := 0; round < 2; round++ { // the tables are reused across calls
+		objs := g.Objects(reads, nil)
+		if want := []oodb.OID{9, 4, 7}; !reflect.DeepEqual(objs, want) {
+			t.Fatalf("Objects = %v, want first-seen order %v", objs, want)
+		}
+		for i, oid := range objs {
+			if got := g.Index(oid); int(got) != i {
+				t.Fatalf("Index(%d) = %d, want %d", oid, got, i)
+			}
+		}
+	}
+	if objs := g.Objects(reads[4:], nil); !reflect.DeepEqual(objs, []oodb.OID{7, 4}) || g.Index(4) != 1 {
+		t.Fatalf("a later call returned %v with Index(4) = %d", objs, g.Index(4))
+	}
+	for oid, want := range map[oodb.OID][]oodb.AttrID{9: {2, 5}, 4: {0, 3}, 7: {1}, 8: nil} {
+		if got := AttrsOf(reads, oid, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("AttrsOf(%d) = %v, want first-occurrence order %v", oid, got, want)
+		}
+	}
 }
