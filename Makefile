@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lintdocs benchharness verify goldens loc bench benchguard clean
+.PHONY: build vet test race lintdocs deadcode benchharness verify goldens loc bench benchguard clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,14 @@ race:
 lintdocs:
 	scripts/lintdocs.sh
 
+# Ship only what a binary runs: list every package-level identifier under
+# internal/ + cmd/ with no use outside its own package's _test.go files
+# (uses from bench/, examples/, cmd/ and other packages' tests count) and
+# fail if there is one. Such an identifier moves into a _test.go file when
+# it is a reference oracle the tests compare against, and goes otherwise.
+deadcode:
+	$(GO) run ./scripts/deadcode
+
 # The benchmark harness is its own module (bench/go.mod), so ./... does not
 # see it; it compiles against internal/*, so an API deletion must not break
 # it.
@@ -32,7 +40,7 @@ benchharness:
 	$(GO) -C bench test .
 
 # Tier-1 verify: what every PR must keep green.
-verify: build vet test race lintdocs benchharness
+verify: build vet test race lintdocs deadcode benchharness
 
 # Replay the committed Experiment 1-11 quick manifests (recorded on the
 # retired goroutine engine) and check every archived table hash still

@@ -364,32 +364,6 @@ func BenchmarkExtensionBroadcast(b *testing.B) {
 	}
 }
 
-// BenchmarkHeadroomOptimal reports each policy's measured hit ratio next
-// to the clairvoyant Belady bound for the same reference streams — how
-// much room is left on the replacement axis.
-func BenchmarkHeadroomOptimal(b *testing.B) {
-	cfg := benchBase()
-	cfg.UpdateProb = 0
-	var bound float64
-	b.Run("belady-bound", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bound = experiment.OptimalBound(cfg)
-		}
-		b.ReportMetric(100*bound, "hit%")
-	})
-	for _, pol := range []string{"ewma-0.5", "lru", "mean"} {
-		b.Run(pol, func(b *testing.B) {
-			run := cfg
-			run.Policy = pol
-			var res experiment.Result
-			for i := 0; i < b.N; i++ {
-				res = experiment.Run(run)
-			}
-			b.ReportMetric(100*res.HitRatio, "hit%")
-		})
-	}
-}
-
 // BenchmarkAblationBaselinePolicies runs the classical baselines (FIFO,
 // CLOCK, Random) that §2 surveys, for comparison against the paper's
 // schemes on the default workload.

@@ -34,7 +34,8 @@ func main() {
 			experiment.WithLabel(fmt.Sprintf("fleet/cells=%d", cells)),
 			experiment.WithSeed(11),
 			experiment.WithHorizonDays(0.25),
-			experiment.WithFleet(clients, cells),
+			experiment.WithClients(clients),
+			experiment.WithCells(cells),
 		)
 		if err != nil {
 			log.Fatal(err)

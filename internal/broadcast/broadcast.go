@@ -153,9 +153,6 @@ func NewUpdateWindow(window float64) *UpdateWindow {
 	return &UpdateWindow{window: window}
 }
 
-// Window returns the trailing window length in seconds.
-func (w *UpdateWindow) Window() float64 { return w.window }
-
 // Observe appends a write of item at virtual time now. Observations must
 // arrive in non-decreasing time order.
 func (w *UpdateWindow) Observe(it oodb.Item, now float64) {
@@ -194,11 +191,6 @@ func (w *UpdateWindow) Report(now float64) []oodb.Item {
 	})
 	return w.items
 }
-
-// Pending returns the number of logged events still inside the window as
-// of the last Report call (plus any observed since) — a sizing aid for
-// tests and observability.
-func (w *UpdateWindow) Pending() int { return len(w.events) - w.head }
 
 // ReportBytes returns the wire size of an invalidation report naming n
 // items: one frame header plus an (OID, attribute-ref) pair per item —

@@ -39,8 +39,8 @@ func TestUpdateWindowReport(t *testing.T) {
 			t.Fatalf("report[%d] = %v, want %v (full: %v)", i, got[i], want[i], got)
 		}
 	}
-	if w.Pending() != 4 {
-		t.Fatalf("Pending = %d, want 4 (all events still in window)", w.Pending())
+	if n := len(w.events) - w.head; n != 4 {
+		t.Fatalf("%d events logged, want 4 (all events still in window)", n)
 	}
 }
 
@@ -59,8 +59,8 @@ func TestUpdateWindowTrims(t *testing.T) {
 	if got := w.Report(110); len(got) != 0 {
 		t.Fatalf("report at 110 = %v, want empty", got)
 	}
-	if w.Pending() != 0 {
-		t.Fatalf("Pending = %d after full trim", w.Pending())
+	if n := len(w.events) - w.head; n != 0 {
+		t.Fatalf("%d events logged after full trim", n)
 	}
 	// The log keeps accepting writes after a full reset.
 	w.Observe(oodb.AttrItem(3, 2), 120)

@@ -58,9 +58,6 @@ func NewLRU[K Key, V any](capacity int) *LRU[K, V] {
 // Len returns the number of cached entries.
 func (l *LRU[K, V]) Len() int { return l.index.Len() }
 
-// Capacity returns the maximum number of entries.
-func (l *LRU[K, V]) Capacity() int { return l.capacity }
-
 // Get looks up key, promoting it to most-recently-used on a hit.
 func (l *LRU[K, V]) Get(key K) (V, bool) {
 	if i, ok := l.index.Get(key.Key()); ok {
@@ -134,24 +131,6 @@ func (l *LRU[K, V]) recycle(i int32) {
 	l.free = i
 }
 
-// Oldest returns the least-recently-used key without removing it.
-func (l *LRU[K, V]) Oldest() (K, bool) {
-	if l.tail == none {
-		var zero K
-		return zero, false
-	}
-	return l.nodes[l.tail].key, true
-}
-
-// Newest returns the most-recently-used key without removing it.
-func (l *LRU[K, V]) Newest() (K, bool) {
-	if l.head == none {
-		var zero K
-		return zero, false
-	}
-	return l.nodes[l.head].key, true
-}
-
 // Keys returns all keys ordered from most to least recently used.
 func (l *LRU[K, V]) Keys() []K {
 	keys := make([]K, 0, l.Len())
@@ -179,12 +158,6 @@ func (l *LRU[K, V]) HitRatio() float64 {
 	}
 	return float64(l.hits) / float64(total)
 }
-
-// Hits returns the number of Get hits.
-func (l *LRU[K, V]) Hits() uint64 { return l.hits }
-
-// Misses returns the number of Get misses.
-func (l *LRU[K, V]) Misses() uint64 { return l.misses }
 
 func (l *LRU[K, V]) pushFront(i int32) {
 	n := &l.nodes[i]

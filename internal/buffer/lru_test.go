@@ -18,8 +18,8 @@ func TestPutGet(t *testing.T) {
 	if v, ok := l.Get(1); !ok || v != "a" {
 		t.Fatalf("Get(1) = %q,%v", v, ok)
 	}
-	if l.Len() != 2 || l.Capacity() != 2 {
-		t.Fatalf("Len=%d Cap=%d", l.Len(), l.Capacity())
+	if l.Len() != 2 || l.capacity != 2 {
+		t.Fatalf("Len=%d Cap=%d", l.Len(), l.capacity)
 	}
 }
 
@@ -90,20 +90,17 @@ func TestRemove(t *testing.T) {
 
 func TestOldestNewestKeys(t *testing.T) {
 	l := NewLRU[oid, int](3)
-	if _, ok := l.Oldest(); ok {
-		t.Fatal("Oldest on empty")
-	}
-	if _, ok := l.Newest(); ok {
-		t.Fatal("Newest on empty")
+	if len(l.Keys()) != 0 || l.head != none || l.tail != none {
+		t.Fatal("empty list has keys")
 	}
 	l.Put(1, 0)
 	l.Put(2, 0)
 	l.Put(3, 0)
-	if k, _ := l.Oldest(); k != 1 {
-		t.Fatalf("Oldest = %v", k)
+	if k := l.nodes[l.tail].key; k != 1 {
+		t.Fatalf("oldest = %v", k)
 	}
-	if k, _ := l.Newest(); k != 3 {
-		t.Fatalf("Newest = %v", k)
+	if k := l.nodes[l.head].key; k != 3 {
+		t.Fatalf("newest = %v", k)
 	}
 	if !reflect.DeepEqual(l.Keys(), []oid{3, 2, 1}) {
 		t.Fatalf("Keys = %v", l.Keys())
@@ -115,8 +112,8 @@ func TestHitCounters(t *testing.T) {
 	l.Put(1, 0)
 	l.Get(1)
 	l.Get(2)
-	if l.Hits() != 1 || l.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d", l.Hits(), l.Misses())
+	if l.hits != 1 || l.misses != 1 {
+		t.Fatalf("hits=%d misses=%d", l.hits, l.misses)
 	}
 	if l.HitRatio() != 0.5 {
 		t.Fatalf("HitRatio = %v", l.HitRatio())
@@ -197,7 +194,7 @@ func TestFreeListRecycles(t *testing.T) {
 	}
 	l.Remove(5) // leave a node on the free list for Clear to drop
 	l.Clear()
-	if _, ok := l.Oldest(); ok || l.Len() != 0 {
+	if l.tail != none || l.Len() != 0 {
 		t.Fatal("entries survived Clear")
 	}
 	for k := oid(8); k <= 11; k++ {

@@ -176,9 +176,6 @@ type Client struct {
 	retry                RetryConfig
 	retryRnd             *rng.Stream
 	replyEstimate        int // running reply-size estimate for the timeout
-	retries              uint64
-	timeouts             uint64
-	degradedReads        uint64
 
 	diskSecPerByte float64
 	memSecPerByte  float64

@@ -415,7 +415,6 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			}
 
 		case cmFaultExpired:
-			c.timeouts++
 			c.m.RecordTimeout(m.Now())
 			if cm.attempt >= c.retry.MaxRetries {
 				cm.rec.ReplyBytes = 0

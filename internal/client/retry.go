@@ -104,7 +104,6 @@ func (c *Client) serveDegraded(now float64, need []workload.ReadOp, rec *trace.Q
 		c.m.RecordAccess(now, false)
 		c.m.RecordError(now, isErr)
 		c.m.RecordDegraded(now)
-		c.degradedReads++
 		rec.Stale++
 		rec.Degraded++
 		if isErr {
@@ -112,13 +111,3 @@ func (c *Client) serveDegraded(now float64, need []workload.ReadOp, rec *trace.Q
 		}
 	}
 }
-
-// Retries reports the total retransmissions the reliability layer issued.
-func (c *Client) Retries() uint64 { return c.retries }
-
-// Timeouts reports how many request attempts ended in a timeout.
-func (c *Client) Timeouts() uint64 { return c.timeouts }
-
-// DegradedReads reports reads served from stale copies after retry
-// exhaustion.
-func (c *Client) DegradedReads() uint64 { return c.degradedReads }

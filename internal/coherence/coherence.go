@@ -181,25 +181,6 @@ func (e *RefreshEstimator) RefreshTime(it oodb.Item, now float64) float64 {
 	return rt
 }
 
-// ExpiresAt returns the absolute expiry timestamp for an item fetched at
-// time now: now + RefreshTime.
-func (e *RefreshEstimator) ExpiresAt(it oodb.Item, now float64) float64 {
-	return now + e.RefreshTime(it, now)
-}
-
-// WriteCount returns the number of writes observed on item.
-func (e *RefreshEstimator) WriteCount(it oodb.Item) uint64 {
-	i, ok := e.index.Get(it.Key())
-	if !ok {
-		return 0
-	}
-	c := e.streams[i].Count()
-	return c + 1 // durations = events − 1; first event was also a write
-}
-
-// TrackedItems returns the number of items with observed writes.
-func (e *RefreshEstimator) TrackedItems() int { return len(e.streams) }
-
 // StreamState snapshots item's write-stream estimator state for
 // persistence. The boolean reports whether the item has any history.
 func (e *RefreshEstimator) StreamState(it oodb.Item) (stats.InterArrivalState, bool) {

@@ -16,8 +16,8 @@ func TestRefreshTimeNoWrites(t *testing.T) {
 	if rt := e.RefreshTime(attr(1, 0), 100); rt != 100 {
 		t.Fatalf("RT with no writes = %v, want 100", rt)
 	}
-	if exp := e.ExpiresAt(attr(1, 0), 100); exp != 200 {
-		t.Fatalf("ExpiresAt = %v, want 200", exp)
+	if exp := 100 + e.RefreshTime(attr(1, 0), 100); exp != 200 {
+		t.Fatalf("expiry = %v, want 200", exp)
 	}
 }
 
@@ -32,8 +32,8 @@ func TestRefreshTimeSingleWrite(t *testing.T) {
 	if rt := e.RefreshTime(attr(1, 0), 10); rt != 0 {
 		t.Fatalf("RT at the write instant = %v, want 0", rt)
 	}
-	if e.WriteCount(attr(1, 0)) != 1 {
-		t.Fatalf("WriteCount = %d", e.WriteCount(attr(1, 0)))
+	if writeCount(e, attr(1, 0)) != 1 {
+		t.Fatalf("WriteCount = %d", writeCount(e, attr(1, 0)))
 	}
 }
 
@@ -49,8 +49,8 @@ func TestRefreshTimeFormula(t *testing.T) {
 		if got := e.RefreshTime(it, 100); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("beta=%v: RT = %v, want %v", beta, got, want)
 		}
-		if exp := e.ExpiresAt(it, 100); math.Abs(exp-(100+want)) > 1e-9 {
-			t.Fatalf("beta=%v: ExpiresAt = %v", beta, exp)
+		if exp := 100 + e.RefreshTime(it, 100); math.Abs(exp-(100+want)) > 1e-9 {
+			t.Fatalf("beta=%v: expiry = %v", beta, exp)
 		}
 	}
 }
@@ -64,8 +64,8 @@ func TestRefreshTimeClampedNonNegative(t *testing.T) {
 	if rt := e.RefreshTime(it, 50); rt != 0 {
 		t.Fatalf("RT = %v, want 0 (clamped)", rt)
 	}
-	if exp := e.ExpiresAt(it, 50); exp != 50 {
-		t.Fatalf("ExpiresAt = %v, want 50", exp)
+	if exp := 50 + e.RefreshTime(it, 50); exp != 50 {
+		t.Fatalf("expiry = %v, want 50", exp)
 	}
 }
 
@@ -108,8 +108,8 @@ func TestPerItemIsolation(t *testing.T) {
 	if e.RefreshTime(attr(2, 0), 500) != 500 {
 		t.Fatal("write stream leaked across objects")
 	}
-	if e.TrackedItems() != 1 {
-		t.Fatalf("TrackedItems = %d", e.TrackedItems())
+	if len(e.streams) != 1 {
+		t.Fatalf("tracked items = %d", len(e.streams))
 	}
 }
 
@@ -261,4 +261,14 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q) does not round-trip %v", s.String(), s)
 		}
 	}
+}
+
+// writeCount returns the number of writes e has observed on it: one more
+// than the durations its write stream recorded.
+func writeCount(e *RefreshEstimator, it oodb.Item) uint64 {
+	i, ok := e.index.Get(it.Key())
+	if !ok {
+		return 0
+	}
+	return e.streams[i].Count() + 1
 }

@@ -47,7 +47,7 @@ func TestOriginWriteEvents(t *testing.T) {
 					t.Errorf("attr %d version = %d, want %d", a, got, want)
 				}
 				// The attribute estimator saw exactly the version bumps.
-				if got := o.Estimator(oodb.AttrItem(7, a)).WriteCount(oodb.AttrItem(7, a)); want > 0 && got != want {
+				if got := writeCount(o.Estimator(oodb.AttrItem(7, a)), oodb.AttrItem(7, a)); want > 0 && got != want {
 					t.Errorf("attr %d write history holds %d writes, want %d", a, got, want)
 				}
 			}
@@ -57,7 +57,7 @@ func TestOriginWriteEvents(t *testing.T) {
 			// The object estimator observes once per event, however many
 			// attributes the event touched.
 			obj := oodb.ObjectItem(7)
-			if got := o.Estimator(obj).WriteCount(obj); got != uint64(len(tc.events)) {
+			if got := writeCount(o.Estimator(obj), obj); got != uint64(len(tc.events)) {
 				t.Errorf("object write history holds %d writes, want %d events", got, len(tc.events))
 			}
 			if len(observed) != len(tc.observed) {

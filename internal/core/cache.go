@@ -293,9 +293,6 @@ func (c *Cache) Insertions() uint64 { return c.insertions }
 // Evictions returns the number of evictions performed.
 func (c *Cache) Evictions() uint64 { return c.evictions }
 
-// PolicyName returns the replacement policy's name.
-func (c *Cache) PolicyName() string { return c.policy.Name() }
-
 // ValidFraction returns the fraction of resident items whose lease is still
 // running at time now (diagnostic for coherence experiments).
 func (c *Cache) ValidFraction(now float64) float64 {

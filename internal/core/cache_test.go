@@ -240,8 +240,8 @@ func TestNewCacheValidation(t *testing.T) {
 
 func TestPolicyName(t *testing.T) {
 	c := NewCache(100, replacement.NewEWMA(0.5))
-	if c.PolicyName() != "ewma-0.5" {
-		t.Fatalf("PolicyName = %q", c.PolicyName())
+	if got := c.policy.Name(); got != "ewma-0.5" {
+		t.Fatalf("policy name = %q", got)
 	}
 }
 

@@ -55,17 +55,3 @@ func (r *Replicated) String() string {
 		r.MeanResponse.Mean(), r.MeanResponse.CI95(),
 		100*r.ErrorRate.Mean(), 100*r.ErrorRate.CI95())
 }
-
-// TightCIs reports whether every metric's 95% CI half-width is within the
-// given relative fraction of its mean (the paper's "very tight confidence
-// intervals" check).
-func (r *Replicated) TightCIs(relative float64) bool {
-	check := func(s *stats.Summary) bool {
-		m := s.Mean()
-		if m == 0 {
-			return s.CI95() == 0
-		}
-		return s.CI95() <= relative*m
-	}
-	return check(&r.HitRatio) && check(&r.MeanResponse) && check(&r.ErrorRate)
-}

@@ -167,11 +167,6 @@ func SetDefaultWorkers(n int) int {
 	return prev
 }
 
-// DefaultWorkers reports the effective sweep worker count.
-func DefaultWorkers() int {
-	return Runner{Workers: defaultWorkers}.effectiveWorkers()
-}
-
 // batch accumulates configs during an experiment's enqueue pass and the
 // per-result continuations that build its tables. collect runs the whole
 // batch on the default worker pool and then applies the continuations in

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -41,15 +39,14 @@ var (
 //	res := sc.Run()
 //
 // Scenario adds no behavior of its own: the options assemble a Config,
-// Config.Validate judges it, and Run(Config) executes it.
+// Config.Validate judges it, and Run(Config) executes it. There is an
+// option for each knob a binary or example sets; every other knob is a
+// Config field, checked by the same Config.Validate.
 type Scenario struct {
 	cfg Config
 
-	setClients      bool
-	setCells        bool
-	setObjects      bool
-	setServerBuffer bool
-	setBufferRatio  bool
+	setClients bool
+	setCells   bool
 }
 
 // Option mutates a Scenario under construction. Most options only set
@@ -82,10 +79,6 @@ func (s *Scenario) Config() Config { return Defaults(s.cfg) }
 
 // Run executes the scenario (see Run): one cell or many, the same path.
 func (s *Scenario) Run() Result { return Run(s.cfg) }
-
-// Replicate runs the scenario n times with consecutive seeds on the worker
-// pool and returns the replication summary (see Replicate).
-func (s *Scenario) Replicate(n int) *Replicated { return Replicate(s.cfg, n) }
 
 // set wraps a plain field assignment as an Option.
 func set(assign func(*Config)) Option {
@@ -120,9 +113,6 @@ func WithHorizonDays(days float64) Option {
 	}
 }
 
-// WithWarmupDays discards measurements before the given day mark.
-func WithWarmupDays(days float64) Option { return set(func(c *Config) { c.WarmupDays = days }) }
-
 // setOnce assigns n to the knob *v unless n is an explicit zero or the knob
 // was already set (*isSet) to a different value.
 func setOnce(option string, v *int, isSet *bool, n int) error {
@@ -136,17 +126,15 @@ func setOnce(option string, v *int, isSet *bool, n int) error {
 	return nil
 }
 
-// WithObjects sets the database size in objects (default 2000). It
-// conflicts with a WithDatabaseSize that named a different size.
+// WithObjects sets the database size in objects (default 2000).
 func WithObjects(n int) Option {
-	return func(s *Scenario) error { return setOnce("WithObjects", &s.cfg.NumObjects, &s.setObjects, n) }
-}
-
-// WithDatabaseSize sets the database size in objects — the same knob as
-// WithObjects under the name Experiment #11's size sweep uses. The two
-// conflict when they name different sizes.
-func WithDatabaseSize(n int) Option {
-	return func(s *Scenario) error { return setOnce("WithDatabaseSize", &s.cfg.NumObjects, &s.setObjects, n) }
+	return func(s *Scenario) error {
+		if n == 0 {
+			return explicitZero("WithObjects")
+		}
+		s.cfg.NumObjects = n
+		return nil
+	}
 }
 
 // WithClients sets the fleet size (default 10, the paper's population).
@@ -179,16 +167,6 @@ func WithRelayCache(objects int) Option {
 	return set(func(c *Config) { c.RelayObjects = objects })
 }
 
-// WithBackbone overrides the inter-cell backbone link: bandwidth in
-// bits/second and per-message latency in seconds (0, 0 keeps the
-// federation defaults of 10 Mbps and 5 ms).
-func WithBackbone(bandwidthBps, latencySeconds float64) Option {
-	return set(func(c *Config) {
-		c.BackboneBandwidthBps = bandwidthBps
-		c.BackboneLatency = latencySeconds
-	})
-}
-
 // --- Caching ----------------------------------------------------------
 
 // WithGranularity selects the caching granularity (NC/AC/OC/HC).
@@ -202,64 +180,11 @@ func WithPolicy(spec string) Option { return set(func(c *Config) { c.Policy = sp
 
 // WithClientCache sets the client cache sizes: storage in objects' worth
 // of bytes and the in-memory buffer in objects (0 keeps either default).
-// (Formerly WithStorage, which now names the server's persistent tier.)
 func WithClientCache(storageObjects, memBufferObjects int) Option {
 	return set(func(c *Config) {
 		c.StorageObjects = storageObjects
 		c.MemBufferObjects = memBufferObjects
 	})
-}
-
-// WithServerBuffer sets the server memory buffer in objects (split across
-// partitions on a fleet; default 25% of the database). It conflicts with
-// a WithBufferRatio that already sized the buffer.
-func WithServerBuffer(objects int) Option {
-	return func(s *Scenario) error {
-		if s.setBufferRatio {
-			return fmt.Errorf("WithServerBuffer(%d) after WithBufferRatio(%g): %w",
-				objects, s.cfg.ServerBufferRatio, ErrConflict)
-		}
-		s.cfg.ServerBufferObjects = objects
-		s.setServerBuffer = objects != 0
-		return nil
-	}
-}
-
-// WithBufferRatio sizes the server buffer as a fraction of the database
-// (0 < r <= 1), so a size sweep keeps buffer pressure constant. It
-// conflicts with a WithServerBuffer that already fixed an object count.
-func WithBufferRatio(r float64) Option {
-	return func(s *Scenario) error {
-		if r == 0 {
-			return explicitZero("WithBufferRatio")
-		}
-		if s.setServerBuffer {
-			return fmt.Errorf("WithBufferRatio(%g) after WithServerBuffer(%d): %w",
-				r, s.cfg.ServerBufferObjects, ErrConflict)
-		}
-		s.cfg.ServerBufferRatio = r
-		s.setBufferRatio = true
-		return nil
-	}
-}
-
-// WithStorage puts a real persistent tier behind the simulated server's
-// buffer pool, named by DSN ("file:<dir>[?sync=group|always|none]"). Each
-// run gets a cold per-run subdirectory under the path. Simulated timing is
-// unchanged — the tier is a measured side effect reported in
-// Result.StorageTier.
-func WithStorage(dsn string) Option { return set(func(c *Config) { c.StorageDSN = dsn }) }
-
-// WithPrefetchKappa positions the hybrid-caching prefetch threshold at
-// mu + kappa*sigma of the attribute-heat distribution.
-func WithPrefetchKappa(kappa float64) Option {
-	return set(func(c *Config) { c.PrefetchKappa = kappa })
-}
-
-// WithShedThreshold enables the §5.3 timeout heuristic: replies queued at
-// the downlink longer than this many seconds shed their prefetched items.
-func WithShedThreshold(seconds float64) Option {
-	return set(func(c *Config) { c.ShedThreshold = seconds })
 }
 
 // --- Workload ---------------------------------------------------------
@@ -285,32 +210,8 @@ func WithCSHChangeEvery(queries int) Option {
 // profile).
 func WithArrival(a ArrivalKind) Option { return set(func(c *Config) { c.Arrival = a }) }
 
-// WithPoissonRate sets the per-client query rate in queries/second.
-func WithPoissonRate(rate float64) Option {
-	return func(s *Scenario) error {
-		if rate == 0 {
-			return explicitZero("WithPoissonRate")
-		}
-		s.cfg.PoissonRate = rate
-		return nil
-	}
-}
-
 // WithUpdateProb sets the server-side update probability U in [0, 1].
 func WithUpdateProb(u float64) Option { return set(func(c *Config) { c.UpdateProb = u }) }
-
-// WithSharedPool gives every client a common interest pool: objects is the
-// pool size, prob the probability a pick comes from it.
-func WithSharedPool(objects int, prob float64) Option {
-	return set(func(c *Config) {
-		c.SharedHotObjects = objects
-		c.SharedHotProb = prob
-	})
-}
-
-// WithBroadcastAttrs airs the shared pool's top-N attribute items on a
-// dedicated broadcast channel (requires WithSharedPool).
-func WithBroadcastAttrs(n int) Option { return set(func(c *Config) { c.BroadcastAttrs = n }) }
 
 // --- Coherence --------------------------------------------------------
 
@@ -333,40 +234,10 @@ func WithCoherence[T coherence.Strategy | string](strategy T) Option {
 	}
 }
 
-// WithBeta sets the staleness tolerance beta of the paper's lease scheme
-// (any sign: Figure 7 sweeps -1, 0, 1).
-func WithBeta(beta float64) Option { return set(func(c *Config) { c.Beta = beta }) }
-
 // WithFixedLease sets the fixed-lease duration in seconds (used with
 // coherence.FixedLeaseStrategy).
 func WithFixedLease(seconds float64) Option {
 	return set(func(c *Config) { c.FixedLease = seconds })
-}
-
-// WithReportInterval sets the invalidation-report broadcast period,
-// shared by the legacy reliable-IR scheme and the broadcast-IR scheme.
-func WithReportInterval(seconds float64) Option {
-	return func(s *Scenario) error {
-		if seconds == 0 {
-			return explicitZero("WithReportInterval")
-		}
-		s.cfg.ReportInterval = seconds
-		return nil
-	}
-}
-
-// WithIRWindow sets the broadcast-IR history window W in seconds: each
-// report names the items updated in the last W seconds, so a client
-// silent longer than W must revalidate its whole cache. Used with
-// coherence.IRBroadcastStrategy; must be at least one report interval.
-func WithIRWindow(seconds float64) Option {
-	return func(s *Scenario) error {
-		if seconds == 0 {
-			return explicitZero("WithIRWindow")
-		}
-		s.cfg.IRWindow = seconds
-		return nil
-	}
 }
 
 // WithCooperative enables cooperative client caching: on a connected
@@ -389,50 +260,3 @@ func WithDisconnection(clients int, hours float64) Option {
 
 // WithLoss sets the per-frame Bernoulli loss probability on each channel.
 func WithLoss(rate float64) Option { return set(func(c *Config) { c.LossRate = rate }) }
-
-// WithCorruption sets the per-frame corruption probability (CRC-detected).
-func WithCorruption(rate float64) Option { return set(func(c *Config) { c.CorruptRate = rate }) }
-
-// WithBursts puts the channels in a Gilbert–Elliott burst-outage regime:
-// fraction is the stationary Bad-state share, meanBadSeconds the mean
-// outage length (0 keeps the default).
-func WithBursts(fraction, meanBadSeconds float64) Option {
-	return set(func(c *Config) {
-		c.BurstFraction = fraction
-		c.MeanBadSeconds = meanBadSeconds
-	})
-}
-
-// WithRetry configures the client reliability layer: maximum
-// retransmissions per request (negative disables) and the base backoff in
-// seconds (0 keeps the default).
-func WithRetry(maxRetries int, backoffSeconds float64) Option {
-	return set(func(c *Config) {
-		c.RetryMax = maxRetries
-		c.RetryBackoff = backoffSeconds
-	})
-}
-
-// --- Instrumentation --------------------------------------------------
-
-// WithTracer streams one record per completed query into t.
-func WithTracer(t trace.Tracer) Option { return set(func(c *Config) { c.Tracer = t }) }
-
-// WithObs instruments the run against the given registry (see Config.Obs).
-func WithObs(reg *obs.Registry) Option { return set(func(c *Config) { c.Obs = reg }) }
-
-// WithConfig seeds the scenario from an existing Config — the bridge for
-// callers holding a manifest-restored or flag-built Config who want to
-// layer options on top: experiment.New(experiment.WithConfig(cfg), ...).
-// (To only check such a Config, call its Validate.)
-func WithConfig(cfg Config) Option {
-	return func(s *Scenario) error {
-		s.cfg = cfg
-		s.setClients = cfg.NumClients != 0
-		s.setCells = cfg.Cells != 0
-		s.setObjects = cfg.NumObjects != 0
-		s.setServerBuffer = cfg.ServerBufferObjects != 0
-		s.setBufferRatio = cfg.ServerBufferRatio != 0
-		return nil
-	}
-}

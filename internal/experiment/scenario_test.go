@@ -36,7 +36,6 @@ func TestScenarioCoherenceNames(t *testing.T) {
 	sc, err := New(
 		WithCoherence("irb"),
 		WithFleet(100, 4),
-		WithIRWindow(600),
 		WithCooperative(3),
 		WithGranularity(core.HybridCaching),
 	)
@@ -44,8 +43,7 @@ func TestScenarioCoherenceNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sc.Config()
-	if cfg.Coherence != coherence.IRBroadcastStrategy || cfg.IRWindow != 600 ||
-		cfg.CoopPeers != 3 {
+	if cfg.Coherence != coherence.IRBroadcastStrategy || cfg.CoopPeers != 3 {
 		t.Fatalf("named coherence options not applied: %+v", cfg)
 	}
 	for name, want := range map[string]coherence.Strategy{
@@ -81,9 +79,7 @@ func TestScenarioOptionsApply(t *testing.T) {
 		WithCoherence(coherence.FixedLeaseStrategy),
 		WithFixedLease(60),
 		WithLoss(0.1),
-		WithRetry(5, 2),
 		WithRelayCache(50),
-		WithBackbone(1e6, 0.01),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -94,99 +90,98 @@ func TestScenarioOptionsApply(t *testing.T) {
 		cfg.QueryKind != workload.Navigational || cfg.Heat != ChangingSkewedHeat ||
 		cfg.CSHChangeEvery != 300 || cfg.Arrival != BurstyArrival ||
 		cfg.UpdateProb != 0.3 || cfg.Coherence != coherence.FixedLeaseStrategy ||
-		cfg.FixedLease != 60 || cfg.LossRate != 0.1 || cfg.RetryMax != 5 ||
-		cfg.RelayObjects != 50 || cfg.BackboneBandwidthBps != 1e6 {
+		cfg.FixedLease != 60 || cfg.LossRate != 0.1 || cfg.RelayObjects != 50 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 }
 
 // TestScenarioValidationErrors pins the named-error contract: every
-// rejected option combination wraps exactly the sentinel a caller would
-// branch on with errors.Is.
+// rejected option combination, and every rejected Config, wraps exactly the
+// sentinel a caller would branch on with errors.Is.
 func TestScenarioValidationErrors(t *testing.T) {
-	// A Config arriving whole (flags, a manifest, the Exp* sweeps) meets
-	// the same validator the options do.
-	bridged := func(c Config) []Option { return []Option{WithConfig(c)} }
+	opts := func(opts ...Option) error {
+		_, err := New(opts...)
+		return err
+	}
 	cases := []struct {
 		name string
-		opts []Option
+		err  error
 		want error
 	}{
-		{"negative horizon", []Option{WithHorizonDays(-1)}, ErrOutOfRange},
-		{"zero clients", []Option{WithClients(0)}, ErrOutOfRange},
-		{"probability above 1", []Option{WithUpdateProb(1.5)}, ErrOutOfRange},
-		{"loss above 1", []Option{WithLoss(2)}, ErrOutOfRange},
-		{"unknown granularity", []Option{WithGranularity(core.Granularity(99))}, ErrOutOfRange},
-		{"unknown heat", []Option{WithHeat(HeatKind(42))}, ErrOutOfRange},
-		{"unknown coherence", []Option{WithCoherence(coherence.Strategy(9))}, ErrOutOfRange},
-		{"unknown coherence name", []Option{WithCoherence("gossip")}, ErrOutOfRange},
-		{"zero ir window", []Option{WithIRWindow(0)}, ErrOutOfRange},
-		{"negative cooperation", []Option{WithCooperative(-1)}, ErrOutOfRange},
-		{"ir window under report interval", []Option{
-			WithCoherence("irb"), WithReportInterval(60), WithIRWindow(30)}, ErrConflict},
-		{"cooperation without caching", []Option{
-			WithGranularity(core.NoCache), WithCooperative(3)}, ErrConflict},
-		{"bad policy spec", []Option{WithPolicy("no-such-policy")}, ErrBadSpec},
-		{"more cells than clients", []Option{WithFleet(4, 8)}, ErrConflict},
-		{"cells exceed default fleet", []Option{WithCells(64)}, ErrConflict},
-		{"clients contradict fleet", []Option{WithFleet(100, 4), WithClients(50)}, ErrConflict},
-		{"broadcast without shared pool", []Option{WithBroadcastAttrs(2)}, ErrConflict},
-		{"ir on a fleet", []Option{
-			WithFleet(100, 4), WithCoherence(coherence.InvalidationReportStrategy)}, ErrConflict},
-		{"disconnect more than fleet", []Option{WithDisconnection(20, 1)}, ErrConflict},
+		{"negative horizon", opts(WithHorizonDays(-1)), ErrOutOfRange},
+		{"zero clients", opts(WithClients(0)), ErrOutOfRange},
+		{"probability above 1", opts(WithUpdateProb(1.5)), ErrOutOfRange},
+		{"loss above 1", opts(WithLoss(2)), ErrOutOfRange},
+		{"unknown granularity", opts(WithGranularity(core.Granularity(99))), ErrOutOfRange},
+		{"unknown heat", opts(WithHeat(HeatKind(42))), ErrOutOfRange},
+		{"unknown coherence", opts(WithCoherence(coherence.Strategy(9))), ErrOutOfRange},
+		{"unknown coherence name", opts(WithCoherence("gossip")), ErrOutOfRange},
+		{"config negative ir window", Config{IRWindow: -1}.Validate(), ErrOutOfRange},
+		{"negative cooperation", opts(WithCooperative(-1)), ErrOutOfRange},
+		{"ir window under report interval",
+			Config{Coherence: coherence.IRBroadcastStrategy, ReportInterval: 60, IRWindow: 30}.Validate(), ErrConflict},
+		{"cooperation without caching", opts(
+			WithGranularity(core.NoCache), WithCooperative(3)), ErrConflict},
+		{"bad policy spec", opts(WithPolicy("no-such-policy")), ErrBadSpec},
+		{"more cells than clients", opts(WithFleet(4, 8)), ErrConflict},
+		{"cells exceed default fleet", opts(WithCells(64)), ErrConflict},
+		{"clients contradict fleet", opts(WithFleet(100, 4), WithClients(50)), ErrConflict},
+		{"broadcast without shared pool", Config{BroadcastAttrs: 2}.Validate(), ErrConflict},
+		{"ir on a fleet", opts(
+			WithFleet(100, 4), WithCoherence(coherence.InvalidationReportStrategy)), ErrConflict},
+		{"disconnect more than fleet", opts(WithDisconnection(20, 1)), ErrConflict},
 
-		{"config update prob", bridged(Config{UpdateProb: 1.5}), ErrOutOfRange},
-		{"config negative days", bridged(Config{Days: -1}), ErrOutOfRange},
-		{"config NaN days", bridged(Config{Days: math.NaN()}), ErrOutOfRange},
-		{"config negative warmup", bridged(Config{WarmupDays: -1}), ErrOutOfRange},
-		{"config loss rate", bridged(Config{LossRate: 2}), ErrOutOfRange},
-		{"config corrupt rate", bridged(Config{CorruptRate: -0.1}), ErrOutOfRange},
-		{"config burst fraction", bridged(Config{BurstFraction: 1}), ErrOutOfRange},
-		{"config burst length", bridged(Config{MeanBadSeconds: -1}), ErrOutOfRange},
-		{"config bad-state loss", bridged(Config{BadLossProb: 1.5}), ErrOutOfRange},
-		{"config retry backoff", bridged(Config{RetryBackoff: -1}), ErrOutOfRange},
-		{"config share prob", bridged(Config{SharedHotObjects: 10, SharedHotProb: 3}), ErrOutOfRange},
-		{"config one object", bridged(Config{NumObjects: 1}), ErrOutOfRange},
-		{"config negative objects", bridged(Config{NumObjects: -5}), ErrOutOfRange},
-		{"config objects under selectivity", bridged(Config{NumObjects: 5}), ErrConflict},
-		{"config negative clients", bridged(Config{NumClients: -3}), ErrOutOfRange},
-		{"config disconnect hours", bridged(Config{DisconnectedClients: 2, DisconnectHours: 30}), ErrOutOfRange},
-		{"config negative disconnected", bridged(Config{DisconnectedClients: -1}), ErrOutOfRange},
-		{"config csh change rate", bridged(Config{Heat: ChangingSkewedHeat, CSHChangeEvery: -5}), ErrOutOfRange},
-		{"config cyclic loop too small", bridged(Config{Heat: CyclicHeat, CyclicLoop: 2}), ErrConflict},
-		{"config negative cells", bridged(Config{Cells: -2}), ErrOutOfRange},
-		{"config negative relay", bridged(Config{RelayObjects: -5}), ErrOutOfRange},
-		{"config negative coop", bridged(Config{CoopPeers: -2}), ErrOutOfRange},
-		{"config negative shed", bridged(Config{ShedThreshold: -1}), ErrOutOfRange},
-		{"config buffer ratio", bridged(Config{ServerBufferRatio: 7}), ErrOutOfRange},
-		{"config poisson rate", bridged(Config{PoissonRate: -1}), ErrOutOfRange},
-		{"config negative selectivity", bridged(Config{Selectivity: -1}), ErrOutOfRange},
-		{"config attrs per object", bridged(Config{AttrsPerObj: 10}), ErrOutOfRange},
-		{"config unknown heat", bridged(Config{Heat: HeatKind(42)}), ErrOutOfRange},
-		{"config unknown arrival", bridged(Config{Arrival: ArrivalKind(7)}), ErrOutOfRange},
-		{"config unknown granularity", bridged(Config{Granularity: core.Granularity(-1)}), ErrOutOfRange},
-		{"config unknown query kind", bridged(Config{QueryKind: workload.Kind(5)}), ErrOutOfRange},
-		{"config unknown coherence", bridged(Config{Coherence: coherence.Strategy(9)}), ErrOutOfRange},
-		{"config negative client storage", bridged(Config{StorageObjects: -1}), ErrOutOfRange},
-		{"config negative client buffer", bridged(Config{MemBufferObjects: -1}), ErrOutOfRange},
-		{"config negative server buffer", bridged(Config{ServerBufferObjects: -1}), ErrOutOfRange},
-		{"config backbone bandwidth", bridged(Config{BackboneBandwidthBps: -1}), ErrOutOfRange},
-		{"config backbone latency", bridged(Config{BackboneLatency: -0.01}), ErrOutOfRange},
-		{"config negative fixed lease", bridged(Config{FixedLease: -60}), ErrOutOfRange},
-		{"config negative report interval", bridged(Config{ReportInterval: -60}), ErrOutOfRange},
-		{"config broadcast attrs", bridged(Config{SharedHotObjects: 10, BroadcastAttrs: 12}), ErrOutOfRange},
-		{"config shared pool is the database", bridged(Config{NumObjects: 100, SharedHotObjects: 100}), ErrConflict},
-		{"config pool under a query at share prob 1", bridged(Config{SharedHotObjects: 10, SharedHotProb: 1}), ErrConflict},
-		{"config bad policy", bridged(Config{Policy: "no-such-policy"}), ErrBadSpec},
+		{"config update prob", Config{UpdateProb: 1.5}.Validate(), ErrOutOfRange},
+		{"config negative days", Config{Days: -1}.Validate(), ErrOutOfRange},
+		{"config NaN days", Config{Days: math.NaN()}.Validate(), ErrOutOfRange},
+		{"config negative warmup", Config{WarmupDays: -1}.Validate(), ErrOutOfRange},
+		{"config loss rate", Config{LossRate: 2}.Validate(), ErrOutOfRange},
+		{"config corrupt rate", Config{CorruptRate: -0.1}.Validate(), ErrOutOfRange},
+		{"config burst fraction", Config{BurstFraction: 1}.Validate(), ErrOutOfRange},
+		{"config burst length", Config{MeanBadSeconds: -1}.Validate(), ErrOutOfRange},
+		{"config bad-state loss", Config{BadLossProb: 1.5}.Validate(), ErrOutOfRange},
+		{"config retry backoff", Config{RetryBackoff: -1}.Validate(), ErrOutOfRange},
+		{"config share prob", Config{SharedHotObjects: 10, SharedHotProb: 3}.Validate(), ErrOutOfRange},
+		{"config one object", Config{NumObjects: 1}.Validate(), ErrOutOfRange},
+		{"config negative objects", Config{NumObjects: -5}.Validate(), ErrOutOfRange},
+		{"config objects under selectivity", Config{NumObjects: 5}.Validate(), ErrConflict},
+		{"config negative clients", Config{NumClients: -3}.Validate(), ErrOutOfRange},
+		{"config disconnect hours", Config{DisconnectedClients: 2, DisconnectHours: 30}.Validate(), ErrOutOfRange},
+		{"config negative disconnected", Config{DisconnectedClients: -1}.Validate(), ErrOutOfRange},
+		{"config csh change rate", Config{Heat: ChangingSkewedHeat, CSHChangeEvery: -5}.Validate(), ErrOutOfRange},
+		{"config cyclic loop too small", Config{Heat: CyclicHeat, CyclicLoop: 2}.Validate(), ErrConflict},
+		{"config negative cells", Config{Cells: -2}.Validate(), ErrOutOfRange},
+		{"config negative relay", Config{RelayObjects: -5}.Validate(), ErrOutOfRange},
+		{"config negative coop", Config{CoopPeers: -2}.Validate(), ErrOutOfRange},
+		{"config negative shed", Config{ShedThreshold: -1}.Validate(), ErrOutOfRange},
+		{"config buffer ratio", Config{ServerBufferRatio: 7}.Validate(), ErrOutOfRange},
+		{"config poisson rate", Config{PoissonRate: -1}.Validate(), ErrOutOfRange},
+		{"config negative selectivity", Config{Selectivity: -1}.Validate(), ErrOutOfRange},
+		{"config attrs per object", Config{AttrsPerObj: 10}.Validate(), ErrOutOfRange},
+		{"config unknown heat", Config{Heat: HeatKind(42)}.Validate(), ErrOutOfRange},
+		{"config unknown arrival", Config{Arrival: ArrivalKind(7)}.Validate(), ErrOutOfRange},
+		{"config unknown granularity", Config{Granularity: core.Granularity(-1)}.Validate(), ErrOutOfRange},
+		{"config unknown query kind", Config{QueryKind: workload.Kind(5)}.Validate(), ErrOutOfRange},
+		{"config unknown coherence", Config{Coherence: coherence.Strategy(9)}.Validate(), ErrOutOfRange},
+		{"config negative client storage", Config{StorageObjects: -1}.Validate(), ErrOutOfRange},
+		{"config negative client buffer", Config{MemBufferObjects: -1}.Validate(), ErrOutOfRange},
+		{"config negative server buffer", Config{ServerBufferObjects: -1}.Validate(), ErrOutOfRange},
+		{"config backbone bandwidth", Config{BackboneBandwidthBps: -1}.Validate(), ErrOutOfRange},
+		{"config backbone latency", Config{BackboneLatency: -0.01}.Validate(), ErrOutOfRange},
+		{"config negative fixed lease", Config{FixedLease: -60}.Validate(), ErrOutOfRange},
+		{"config negative report interval", Config{ReportInterval: -60}.Validate(), ErrOutOfRange},
+		{"config broadcast attrs", Config{SharedHotObjects: 10, BroadcastAttrs: 12}.Validate(), ErrOutOfRange},
+		{"config shared pool is the database", Config{NumObjects: 100, SharedHotObjects: 100}.Validate(), ErrConflict},
+		{"config pool under a query at share prob 1", Config{SharedHotObjects: 10, SharedHotProb: 1}.Validate(), ErrConflict},
+		{"config bad policy", Config{Policy: "no-such-policy"}.Validate(), ErrBadSpec},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := New(c.opts...)
-			if err == nil {
+			if c.err == nil {
 				t.Fatal("invalid scenario accepted")
 			}
-			if !errors.Is(err, c.want) {
-				t.Fatalf("error %v does not wrap %v", err, c.want)
+			if !errors.Is(c.err, c.want) {
+				t.Fatalf("error %v does not wrap %v", c.err, c.want)
 			}
 		})
 	}
@@ -194,8 +189,8 @@ func TestScenarioValidationErrors(t *testing.T) {
 	// Negative beta is a paper value (Figure 7 sweeps -1, 0, 1), not an
 	// error; and a defaulted Config — what every Exp* sweep hands to Run —
 	// validates as it stands.
-	if _, err := New(WithBeta(-1)); err != nil {
-		t.Fatalf("WithBeta(-1) rejected: %v", err)
+	if err := (Config{Beta: -1}).Validate(); err != nil {
+		t.Fatalf("Beta -1 rejected: %v", err)
 	}
 	if err := Defaults(Config{}).Validate(); err != nil {
 		t.Fatalf("defaulted Config rejected: %v", err)
@@ -235,23 +230,6 @@ func TestScenarioRunMatchesConfigRun(t *testing.T) {
 	})
 	if !reflect.DeepEqual(stripConfig(got), stripConfig(want)) {
 		t.Fatalf("scenario run diverged from Run:\n%+v\nvs\n%+v", got, want)
-	}
-}
-
-func TestScenarioWithConfigBridge(t *testing.T) {
-	base := Config{Seed: 3, NumClients: 8, Cells: 2, NumObjects: 400, Days: 0.05}
-	sc, err := New(WithConfig(base), WithUpdateProb(0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sc.Config()
-	if cfg.Cells != 2 || cfg.UpdateProb != 0.2 {
-		t.Fatalf("bridge lost fields: %+v", cfg)
-	}
-	// The bridge still validates: a manifest asking for more cells than
-	// clients must be rejected, not run.
-	if _, err := New(WithConfig(Config{NumClients: 2, Cells: 4})); !errors.Is(err, ErrConflict) {
-		t.Fatalf("invalid bridged config accepted: %v", err)
 	}
 }
 

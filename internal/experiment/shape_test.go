@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -485,6 +486,20 @@ func TestShapeBroadcastOffloadsDownlink(t *testing.T) {
 		t.Errorf("downlink not offloaded: %.3f vs %.3f",
 			on.DownlinkUtilization, off.DownlinkUtilization)
 	}
+}
+
+// TightCIs reports whether every metric's 95% CI half-width is within the
+// given relative fraction of its mean (the paper's "very tight confidence
+// intervals" check).
+func (r *Replicated) TightCIs(relative float64) bool {
+	check := func(s *stats.Summary) bool {
+		m := s.Mean()
+		if m == 0 {
+			return s.CI95() == 0
+		}
+		return s.CI95() <= relative*m
+	}
+	return check(&r.HitRatio) && check(&r.MeanResponse) && check(&r.ErrorRate)
 }
 
 // Replication: independent seeds agree closely — the paper's "very tight

@@ -89,75 +89,54 @@ func TestBufferRatioSizesBuffer(t *testing.T) {
 	}
 }
 
-// TestStorageScenarioOptions pins the new option surface: values applied,
-// conflicts and ranges named.
+// TestStorageScenarioOptions pins the storage-tier knobs: values applied
+// through Defaults, conflicts and ranges named by Config.Validate.
 func TestStorageScenarioOptions(t *testing.T) {
-	sc, err := New(
-		WithDatabaseSize(5000),
-		WithBufferRatio(0.1),
-		WithStorage("file:/tmp/tier?sync=none"),
-		WithClientCache(100, 10),
-	)
-	if err != nil {
+	cfg := Defaults(Config{
+		NumObjects:        5000,
+		ServerBufferRatio: 0.1,
+		StorageDSN:        "file:/tmp/tier?sync=none",
+		StorageObjects:    100,
+		MemBufferObjects:  10,
+	})
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	cfg := sc.Config()
-	if cfg.NumObjects != 5000 || cfg.ServerBufferRatio != 0.1 ||
-		cfg.StorageDSN != "file:/tmp/tier?sync=none" ||
-		cfg.StorageObjects != 100 || cfg.MemBufferObjects != 10 {
-		t.Fatalf("options not applied: %+v", cfg)
 	}
 	if cfg.ServerBufferObjects != 500 {
 		t.Fatalf("ratio not folded into the buffer: %d", cfg.ServerBufferObjects)
 	}
 
+	opts := func(opts ...Option) error {
+		_, err := New(opts...)
+		return err
+	}
 	cases := []struct {
 		name string
-		opts []Option
+		err  error
 		want error
 	}{
-		{"zero size", []Option{WithDatabaseSize(0)}, ErrOutOfRange},
-		{"ratio above 1", []Option{WithBufferRatio(1.5)}, ErrOutOfRange},
-		{"zero ratio", []Option{WithBufferRatio(0)}, ErrOutOfRange},
-		{"bad DSN", []Option{WithStorage("redis:/d")}, ErrBadSpec},
-		{"size contradicts objects", []Option{
-			WithObjects(100), WithDatabaseSize(200)}, ErrConflict},
-		{"objects contradict size", []Option{
-			WithDatabaseSize(200), WithObjects(100)}, ErrConflict},
-		{"ratio after explicit buffer", []Option{
-			WithServerBuffer(50), WithBufferRatio(0.1)}, ErrConflict},
-		{"explicit buffer after ratio", []Option{
-			WithBufferRatio(0.1), WithServerBuffer(50)}, ErrConflict},
-		{"storage on a fleet", []Option{
-			WithFleet(100, 4), WithStorage("file:/tmp/tier")}, ErrConflict},
-		{"bridged ratio conflict", []Option{
-			WithConfig(Config{ServerBufferRatio: 0.1, ServerBufferObjects: 50})}, ErrConflict},
-		{"bridged bad DSN", []Option{
-			WithConfig(Config{StorageDSN: "file:"})}, ErrBadSpec},
-		{"bridged ratio out of range", []Option{
-			WithConfig(Config{ServerBufferRatio: 2})}, ErrOutOfRange},
+		{"zero size", opts(WithObjects(0)), ErrOutOfRange},
+		{"ratio above 1", Config{ServerBufferRatio: 1.5}.Validate(), ErrOutOfRange},
+		{"bad DSN", Config{StorageDSN: "redis:/d"}.Validate(), ErrBadSpec},
+		{"storage on a fleet", Config{NumClients: 100, Cells: 4, StorageDSN: "file:/tmp/tier"}.Validate(), ErrConflict},
+		{"bridged ratio conflict", Config{ServerBufferRatio: 0.1, ServerBufferObjects: 50}.Validate(), ErrConflict},
+		{"bridged bad DSN", Config{StorageDSN: "file:"}.Validate(), ErrBadSpec},
+		{"bridged ratio out of range", Config{ServerBufferRatio: 2}.Validate(), ErrOutOfRange},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := New(c.opts...)
-			if err == nil {
-				t.Fatal("invalid scenario accepted")
+			if c.err == nil {
+				t.Fatal("invalid config accepted")
 			}
-			if !errors.Is(err, c.want) {
-				t.Fatalf("error %v does not wrap %v", err, c.want)
+			if !errors.Is(c.err, c.want) {
+				t.Fatalf("error %v does not wrap %v", c.err, c.want)
 			}
 		})
 	}
 
-	// Same size twice is not a conflict, in either spelling.
-	if _, err := New(WithObjects(100), WithDatabaseSize(100)); err != nil {
-		t.Fatalf("agreeing sizes rejected: %v", err)
-	}
-
 	// A replayed manifest records the resolved config: the ratio next to
 	// the exact buffer it derived. The round trip must validate.
-	resolved := Defaults(Config{NumObjects: 1000, ServerBufferRatio: 0.05})
-	if _, err := New(WithConfig(resolved)); err != nil {
+	if err := Defaults(Config{NumObjects: 1000, ServerBufferRatio: 0.05}).Validate(); err != nil {
 		t.Fatalf("resolved ratio+buffer round trip rejected: %v", err)
 	}
 }

@@ -4,7 +4,8 @@
 // query stream a simulated client would issue, over real sockets, and diffs
 // the measured ratios against the simulator's — which only works if both
 // sides derive every draw from the same substream. runCell and buildClients
-// use these same helpers, so the two can never drift apart.
+// use these same helpers, as does the OptimalBound test oracle, so none of
+// them can drift apart.
 package experiment
 
 import (

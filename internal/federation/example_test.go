@@ -70,18 +70,3 @@ func Example() {
 	// relay cache hits/misses: 1/1
 	// reads forwarded over the backbone: 1
 }
-
-// A roaming client crosses from cell 0 into cell 1 mid-session: the
-// mobility schedule decides which contact server each request reaches,
-// and the handoff changes which reads are cell-local.
-func Example_roaming() {
-	schedule := federation.NewMobilitySchedule(0, []float64{3600}, []int{1})
-	for _, t := range []float64{0, 3599, 3600, 7200} {
-		fmt.Printf("t=%5.0fs -> cell %d\n", t, schedule.CellAt(t))
-	}
-	// Output:
-	// t=    0s -> cell 0
-	// t= 3599s -> cell 0
-	// t= 3600s -> cell 1
-	// t= 7200s -> cell 1
-}

@@ -61,7 +61,6 @@ type Config struct {
 // Cluster is a set of federated server nodes over one partitioned
 // database.
 type Cluster struct {
-	kernel   *sim.Kernel
 	db       *oodb.Database
 	nodes    []*node
 	latency  float64
@@ -108,7 +107,6 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	c := &Cluster{
-		kernel:   cfg.Kernel,
 		db:       cfg.DB,
 		latency:  lat,
 		oracle:   coherence.NewOracle(cfg.DB),

@@ -24,10 +24,9 @@ const secondsPerHour = 3600.0
 type Client struct {
 	Warmup float64
 
-	hits    stats.Ratio // local accesses satisfied by an unexpired item
-	errors  stats.Ratio // reads that violated coherence (oracle-checked)
-	resp    stats.Welford
-	respRaw stats.Summary
+	hits   stats.Ratio // local accesses satisfied by an unexpired item
+	errors stats.Ratio // reads that violated coherence (oracle-checked)
+	resp   stats.Welford
 
 	queriesIssued       uint64
 	queriesLocal        uint64 // fully served from cache
@@ -112,22 +111,10 @@ func (c *Client) RecordQuery(issuedAt, completedAt float64, remote, disconnected
 	}
 	rt := completedAt - issuedAt
 	c.resp.Add(rt)
-	c.respRaw.Add(rt)
 	hour := int(math.Mod(issuedAt/secondsPerHour, hoursPerDay))
 	if hour >= 0 && hour < hoursPerDay {
 		c.hourly[hour].Add(rt)
 	}
-}
-
-// HourlyResponse returns the mean response time and query count for each
-// hour of the simulated day — the profile that exposes the Bursty
-// pattern's downlink backlog.
-func (c *Client) HourlyResponse() (mean [24]float64, count [24]uint64) {
-	for h := range c.hourly {
-		mean[h] = c.hourly[h].Mean()
-		count[h] = c.hourly[h].Count()
-	}
-	return mean, count
 }
 
 // HitRatio returns the fraction of reads served by locally valid items.
@@ -139,9 +126,6 @@ func (c *Client) ErrorRate() float64 { return c.errors.Value() }
 // MeanResponse returns the mean query response time in seconds.
 func (c *Client) MeanResponse() float64 { return c.resp.Mean() }
 
-// ResponseSummary exposes the full response-time distribution.
-func (c *Client) ResponseSummary() *stats.Summary { return &c.respRaw }
-
 // Queries returns (issued, local, remote, disconnected) query counts.
 func (c *Client) Queries() (issued, local, remote, disconnected uint64) {
 	return c.queriesIssued, c.queriesLocal, c.queriesRemote, c.queriesDisconnected
@@ -149,16 +133,6 @@ func (c *Client) Queries() (issued, local, remote, disconnected uint64) {
 
 // Unavailable returns the number of unsatisfiable reads.
 func (c *Client) Unavailable() uint64 { return c.readsUnavailable }
-
-// Retries returns the retransmissions issued by the reliability layer.
-func (c *Client) Retries() uint64 { return c.retries }
-
-// Timeouts returns the request attempts that ended in a timeout.
-func (c *Client) Timeouts() uint64 { return c.timeouts }
-
-// DegradedReads returns the reads served from stale copies after retry
-// exhaustion.
-func (c *Client) DegradedReads() uint64 { return c.degradedReads }
 
 // Accesses returns the total number of recorded reads.
 func (c *Client) Accesses() uint64 { return c.hits.Denom }

@@ -37,8 +37,8 @@ func TestClientQueries(t *testing.T) {
 	if issued != 2 || local != 1 || remote != 1 || disc != 1 {
 		t.Fatalf("Queries = %d,%d,%d,%d", issued, local, remote, disc)
 	}
-	if c.ResponseSummary().Count() != 2 {
-		t.Fatal("summary not populated")
+	if c.resp.Count() != 2 {
+		t.Fatal("response estimator not populated")
 	}
 }
 
@@ -125,7 +125,9 @@ func TestHourlyResponseBuckets(t *testing.T) {
 	c.RecordQuery(0, 2, true, false)          // hour 0, rt 2
 	c.RecordQuery(3600, 3604, true, false)    // hour 1, rt 4
 	c.RecordQuery(90000, 90001, false, false) // next day 01:00, rt 1
-	mean, count := c.HourlyResponse()
+	var a Aggregate
+	a.Merge(&c)
+	mean, count := a.HourlyResponse()
 	if count[0] != 1 || mean[0] != 2 {
 		t.Fatalf("hour 0: mean=%v count=%d", mean[0], count[0])
 	}

@@ -118,9 +118,6 @@ type FaultStats struct {
 	Corrupted uint64
 }
 
-// Transmitted returns the total number of frames the model judged.
-func (s FaultStats) Transmitted() uint64 { return s.Delivered + s.Lost + s.Corrupted }
-
 // FaultModel decides the fate of frames on one channel direction. It is
 // single-threaded like the rest of the simulation: calls must be made in
 // non-decreasing virtual time, which the event kernel guarantees.
@@ -198,13 +195,6 @@ func (m *FaultModel) Transmit(now float64) FaultOutcome {
 	}
 	m.stats.Delivered++
 	return FrameDelivered
-}
-
-// InBadState reports whether the chain is in its Bad (outage) state at
-// time now. Diagnostics and tests only.
-func (m *FaultModel) InBadState(now float64) bool {
-	m.advance(now)
-	return m.bad
 }
 
 // Stats snapshots the frame counters. A nil model reports zeros.

@@ -28,7 +28,7 @@ func TestDisabledConfigBuildsNoModel(t *testing.T) {
 		t.Fatal("disabled config must build no model")
 	}
 	// A nil model reports zero stats rather than panicking.
-	if s := (*FaultModel)(nil).Stats(); s.Transmitted() != 0 {
+	if s := (*FaultModel)(nil).Stats(); s != (FaultStats{}) {
 		t.Fatalf("nil model stats = %+v", s)
 	}
 }
@@ -131,7 +131,7 @@ func TestGilbertElliottStationaryFraction(t *testing.T) {
 	)
 	bad := 0
 	for i := 0; i < steps; i++ {
-		if m.InBadState(float64(i) * dt) {
+		if inBadState(m, float64(i)*dt) {
 			bad++
 		}
 	}
@@ -146,7 +146,7 @@ func TestBadStateLosesEverythingByDefault(t *testing.T) {
 	m := NewFaultModel(FaultConfig{BurstFraction: 0.99, MeanBadSeconds: 1000, Seed: 23}, 1)
 	// Walk into the Bad state first.
 	start := 0.0
-	for !m.InBadState(start) {
+	for !inBadState(m, start) {
 		start += 1.0
 		if start > 1e6 {
 			t.Fatal("chain never entered the Bad state")
@@ -191,4 +191,11 @@ func BenchmarkFaultTransmit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Transmit(float64(i) * 0.05)
 	}
+}
+
+// inBadState advances m's chain to now and reports whether it is in the Bad
+// (outage) state.
+func inBadState(m *FaultModel, now float64) bool {
+	m.advance(now)
+	return m.bad
 }

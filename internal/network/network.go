@@ -187,17 +187,6 @@ func ReplyEntrySize(it oodb.Item) int {
 	return OIDSize + AttrRefSize + RefreshTimeSize + it.Size()
 }
 
-// ReplySize returns the wire size of a downstream reply carrying the given
-// items. An empty reply still costs a header (the "no further results"
-// frame).
-func ReplySize(items []oodb.Item) int {
-	size := HeaderSize
-	for _, it := range items {
-		size += ReplyEntrySize(it)
-	}
-	return size
-}
-
 // Outage is a half-open disconnection interval [Start, End).
 type Outage struct {
 	Start, End float64
@@ -227,32 +216,6 @@ func (s *Schedule) Connected(t float64) bool {
 	// Binary search for the first outage ending after t.
 	i := sort.Search(len(s.outages), func(i int) bool { return s.outages[i].End > t })
 	return i == len(s.outages) || t < s.outages[i].Start
-}
-
-// NextReconnect returns the end of the outage covering t, or t itself if
-// connected.
-func (s *Schedule) NextReconnect(t float64) float64 {
-	i := sort.Search(len(s.outages), func(i int) bool { return s.outages[i].End > t })
-	if i < len(s.outages) && t >= s.outages[i].Start {
-		return s.outages[i].End
-	}
-	return t
-}
-
-// DisconnectedTime returns the total outage duration within [0, horizon).
-func (s *Schedule) DisconnectedTime(horizon float64) float64 {
-	total := 0.0
-	for _, o := range s.outages {
-		start, end := o.Start, o.End
-		if start >= horizon {
-			break
-		}
-		if end > horizon {
-			end = horizon
-		}
-		total += end - start
-	}
-	return total
 }
 
 // Outages returns a copy of the schedule's windows.

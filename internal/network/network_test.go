@@ -121,27 +121,31 @@ func TestRequestSize(t *testing.T) {
 }
 
 func TestReplySize(t *testing.T) {
-	if s := ReplySize(nil); s != HeaderSize {
-		t.Fatalf("empty reply = %d, want header only", s)
-	}
 	objEntry := ReplyEntrySize(oodb.ObjectItem(1))
 	attrEntry := ReplyEntrySize(oodb.AttrItem(1, 0))
 	if objEntry-attrEntry != oodb.ObjectSize-oodb.AttrSize {
 		t.Fatalf("entry overheads differ: obj=%d attr=%d", objEntry, attrEntry)
 	}
-	items := []oodb.Item{oodb.ObjectItem(1), oodb.AttrItem(2, 3)}
-	if s := ReplySize(items); s != HeaderSize+objEntry+attrEntry {
-		t.Fatalf("ReplySize = %d", s)
+	if overhead := attrEntry - oodb.AttrSize; overhead != OIDSize+AttrRefSize+RefreshTimeSize {
+		t.Fatalf("entry overhead = %d", overhead)
 	}
+}
+
+// replySize is the wire size of a reply carrying items: one header plus an
+// entry per item.
+func replySize(items ...oodb.Item) int {
+	size := HeaderSize
+	for _, it := range items {
+		size += ReplyEntrySize(it)
+	}
+	return size
 }
 
 func TestObjectReplyLargerThanAttrReply(t *testing.T) {
 	// OC ships whole objects; AC ships a few attributes. The size gap is
 	// what produces OC's "blind prefetching" response-time penalty.
-	oc := ReplySize([]oodb.Item{oodb.ObjectItem(1)})
-	ac := ReplySize([]oodb.Item{
-		oodb.AttrItem(1, 0), oodb.AttrItem(1, 1), oodb.AttrItem(1, 2),
-	})
+	oc := replySize(oodb.ObjectItem(1))
+	ac := replySize(oodb.AttrItem(1, 0), oodb.AttrItem(1, 1), oodb.AttrItem(1, 2))
 	if oc <= ac {
 		t.Fatalf("OC reply %d <= AC reply %d", oc, ac)
 	}
@@ -168,29 +172,35 @@ func TestScheduleConnected(t *testing.T) {
 	}
 }
 
+// The client reconnects at the outage's end instant and not before.
 func TestNextReconnect(t *testing.T) {
 	var s Schedule
 	s.AddOutage(Outage{Start: 10, End: 20})
-	if r := s.NextReconnect(5); r != 5 {
-		t.Fatalf("NextReconnect while connected = %v", r)
+	if !s.Connected(5) || s.Connected(15) || s.Connected(19.999) || !s.Connected(20) {
+		t.Fatal("reconnect is not at the outage's end")
 	}
-	if r := s.NextReconnect(15); r != 20 {
-		t.Fatalf("NextReconnect mid-outage = %v", r)
+}
+
+// disconnectedTime integrates !Connected over [0, horizon) on a grid of
+// step; exact when every outage edge and the horizon sit on the grid.
+func disconnectedTime(s *Schedule, horizon, step float64) float64 {
+	total := 0.0
+	for t := 0.0; t < horizon; t += step {
+		if !s.Connected(t) {
+			total += step
+		}
 	}
+	return total
 }
 
 func TestDisconnectedTime(t *testing.T) {
 	var s Schedule
 	s.AddOutage(Outage{Start: 10, End: 20})
 	s.AddOutage(Outage{Start: 50, End: 70})
-	if d := s.DisconnectedTime(100); d != 30 {
-		t.Fatalf("DisconnectedTime(100) = %v", d)
-	}
-	if d := s.DisconnectedTime(60); d != 20 {
-		t.Fatalf("DisconnectedTime(60) = %v (truncation)", d)
-	}
-	if d := s.DisconnectedTime(5); d != 0 {
-		t.Fatalf("DisconnectedTime(5) = %v", d)
+	for _, c := range []struct{ horizon, want float64 }{{100, 30}, {60, 20}, {5, 0}} {
+		if d := disconnectedTime(&s, c.horizon, 0.5); d != c.want {
+			t.Fatalf("disconnected for %v of [0, %v), want %v", d, c.horizon, c.want)
+		}
 	}
 }
 
@@ -231,15 +241,6 @@ func TestAdjacentOutagesStayDisconnected(t *testing.T) {
 	if !s.Connected(30) {
 		t.Fatal("Connected(30) should hold at the union's end")
 	}
-	if r := s.NextReconnect(15); r != 20 {
-		// NextReconnect reports the covering outage's end, not the
-		// union's: the caller re-checks and waits again — equivalent
-		// behaviour, simpler invariant.
-		t.Fatalf("NextReconnect(15) = %v, want 20", r)
-	}
-	if r := s.NextReconnect(20); r != 30 {
-		t.Fatalf("NextReconnect(20) = %v, want 30", r)
-	}
 }
 
 // An outage starting at t = 0 must disconnect the client from the first
@@ -250,15 +251,15 @@ func TestOutageAtTimeZero(t *testing.T) {
 	if s.Connected(0) {
 		t.Fatal("Connected(0) inside an outage starting at 0")
 	}
-	if r := s.NextReconnect(0); r != 5 {
-		t.Fatalf("NextReconnect(0) = %v, want 5", r)
+	if !s.Connected(5) {
+		t.Fatal("not reconnected at 5")
 	}
-	if d := s.DisconnectedTime(5); d != 5 {
-		t.Fatalf("DisconnectedTime(5) = %v, want 5", d)
+	if d := disconnectedTime(&s, 5, 0.5); d != 5 {
+		t.Fatalf("disconnected for %v of [0, 5), want 5", d)
 	}
 }
 
-// DisconnectedTime horizon edge cases: a horizon exactly at an outage's
+// Disconnected-time horizon edge cases: a horizon exactly at an outage's
 // boundaries, and one that bisects it.
 func TestDisconnectedTimeBoundaries(t *testing.T) {
 	var s Schedule
@@ -269,8 +270,8 @@ func TestDisconnectedTimeBoundaries(t *testing.T) {
 		{15, 5},  // bisects the outage
 	}
 	for _, c := range cases {
-		if d := s.DisconnectedTime(c.horizon); d != c.want {
-			t.Fatalf("DisconnectedTime(%v) = %v, want %v", c.horizon, d, c.want)
+		if d := disconnectedTime(&s, c.horizon, 0.5); d != c.want {
+			t.Fatalf("disconnected for %v of [0, %v), want %v", d, c.horizon, c.want)
 		}
 	}
 }
@@ -285,8 +286,8 @@ func TestOutagesCopy(t *testing.T) {
 	}
 }
 
-// Property: Connected and DisconnectedTime are consistent — integrating
-// Connected over a grid approximates DisconnectedTime.
+// Property: Connected and Outages are consistent — integrating Connected
+// over a grid approximates the outages' total length.
 func TestQuickScheduleConsistency(t *testing.T) {
 	f := func(gaps []uint8) bool {
 		var s Schedule
@@ -299,13 +300,11 @@ func TestQuickScheduleConsistency(t *testing.T) {
 		}
 		horizon := now + 10
 		const step = 0.5
-		measured := 0.0
-		for t := 0.0; t < horizon; t += step {
-			if !s.Connected(t) {
-				measured += step
-			}
+		measured := disconnectedTime(&s, horizon, step)
+		want := 0.0
+		for _, o := range s.Outages() {
+			want += o.End - o.Start
 		}
-		want := s.DisconnectedTime(horizon)
 		return math.Abs(measured-want) <= step*float64(len(gaps)*2+2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -390,10 +389,8 @@ func TestEnergyModel(t *testing.T) {
 	}
 	// A whole object costs more to receive than a few attributes: the
 	// energy argument for fine granularity (§2).
-	obj := RxEnergy(ReplySize([]oodb.Item{oodb.ObjectItem(1)}))
-	attrs := RxEnergy(ReplySize([]oodb.Item{
-		oodb.AttrItem(1, 0), oodb.AttrItem(1, 1), oodb.AttrItem(1, 2),
-	}))
+	obj := RxEnergy(replySize(oodb.ObjectItem(1)))
+	attrs := RxEnergy(replySize(oodb.AttrItem(1, 0), oodb.AttrItem(1, 1), oodb.AttrItem(1, 2)))
 	if obj <= attrs {
 		t.Fatalf("object energy %v <= 3-attribute energy %v", obj, attrs)
 	}

@@ -1,6 +1,6 @@
 // Package obs is the simulator's observability layer: a lock-cheap
-// registry of named instruments — counters, gauges, windowed time-series
-// samplers, and distribution histograms — that the sim kernel, the network
+// registry of named instruments — gauges, windowed time-series samplers,
+// and distribution histograms — that the sim kernel, the network
 // channels, the fault models, the client caches, and the server register
 // into when a run is instrumented.
 //
@@ -12,9 +12,9 @@
 //     path adds no allocations to the simulation hot paths (the benchmark
 //     guard in the root package pins this).
 //   - Virtual time only. Sampling is driven by the simulation clock via
-//     Attach — a periodic kernel event that snapshots every gauge and
-//     counter into its series. Two runs of the same seed therefore produce
-//     byte-identical series, which is what makes reports reproducible.
+//     Attach — a periodic kernel event that snapshots every gauge into its
+//     series. Two runs of the same seed therefore produce byte-identical
+//     series, which is what makes reports reproducible.
 //   - Deterministic iteration. Instruments are stored in registration
 //     order (slices, never map iteration), so report output is stable.
 //
@@ -50,7 +50,6 @@ type Ticker interface {
 // methods are nil-safe and free.
 type Registry struct {
 	interval float64
-	counters []*Counter
 	gauges   []*Gauge
 	hists    []*Histogram
 	series   []*Series
@@ -67,57 +66,6 @@ func New(interval float64) *Registry {
 // Enabled reports whether the registry collects anything; it is the
 // idiomatic guard for registration blocks (r == nil is the "off" state).
 func (r *Registry) Enabled() bool { return r != nil }
-
-// Counter is a monotonically increasing count (evictions, retries, frames
-// lost). The sampler snapshots its cumulative value into a series so
-// reports can plot rates; reads and writes are virtual-time cheap.
-type Counter struct {
-	name   string
-	v      float64
-	series *Series
-}
-
-// Counter registers (or returns, by name) a counter. On a nil registry it
-// returns nil, and nil counters accept Add/Inc as no-ops.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	for _, c := range r.counters {
-		if c.name == name {
-			return c
-		}
-	}
-	c := &Counter{name: name, series: r.newSeries(name)}
-	r.counters = append(r.counters, c)
-	return c
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds d (d < 0 panics: counters are monotone).
-func (c *Counter) Add(d float64) {
-	if c == nil {
-		return
-	}
-	if d < 0 {
-		panic(fmt.Sprintf("obs: counter %s decremented by %g", c.name, d))
-	}
-	c.v += d
-}
-
-// Value returns the cumulative count (0 on nil).
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
 
 // Gauge is a sampled callback: each sampler tick evaluates fn and records
 // (now, fn()) into the gauge's series. Callbacks must be cheap, must not
@@ -231,11 +179,44 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.buckets {
 		seen += c
 		if rank < seen {
-			// Upper edge of bucket i.
-			return h.lo * math.Pow(h.hi/h.lo, float64(i+1)/histogramBuckets)
+			return h.edge(i + 1)
 		}
 	}
 	return h.hi
+}
+
+// Bucket is one non-empty histogram bucket: Count observations in
+// [Lo, Hi). The underflow bucket has Lo = -Inf, the overflow bucket
+// Hi = +Inf.
+type Bucket struct {
+	Lo, Hi float64
+	Count  uint64
+}
+
+// Buckets lists the non-empty buckets in ascending order, underflow first
+// and overflow last (nil on nil or when empty).
+func (h *Histogram) Buckets() []Bucket {
+	if h == nil {
+		return nil
+	}
+	var out []Bucket
+	if h.under > 0 {
+		out = append(out, Bucket{math.Inf(-1), h.lo, h.under})
+	}
+	for i, c := range h.buckets {
+		if c > 0 {
+			out = append(out, Bucket{h.edge(i), h.edge(i + 1), c})
+		}
+	}
+	if h.over > 0 {
+		out = append(out, Bucket{h.hi, math.Inf(1), h.over})
+	}
+	return out
+}
+
+// edge returns the lower edge of bucket i (the upper edge of bucket i-1).
+func (h *Histogram) edge(i int) float64 {
+	return h.lo * math.Pow(h.hi/h.lo, float64(i)/histogramBuckets)
 }
 
 // Series is one named time series of (virtual time, value) samples, in
@@ -330,16 +311,12 @@ func (r *Registry) Interval() float64 {
 	return r.interval
 }
 
-// sample snapshots every gauge and counter into its series at time now.
+// sample snapshots every gauge into its series at time now.
 func (r *Registry) sample(now float64) {
 	r.samples++
 	for _, g := range r.gauges {
 		g.series.T = append(g.series.T, now)
 		g.series.V = append(g.series.V, g.fn())
-	}
-	for _, c := range r.counters {
-		c.series.T = append(c.series.T, now)
-		c.series.V = append(c.series.V, c.v)
 	}
 }
 

@@ -13,9 +13,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil registry reports enabled")
 	}
-	if c := r.Counter("x"); c != nil {
-		t.Fatal("nil registry returned a live counter")
-	}
 	if h := r.Histogram("x", 1, 10); h != nil {
 		t.Fatal("nil registry returned a live histogram")
 	}
@@ -42,13 +39,9 @@ func TestNilRegistryIsInert(t *testing.T) {
 // paths must be free (and allocation-free) when observability is off. The
 // root package's guard test asserts the same end to end.
 func TestNilInstrumentsZeroAlloc(t *testing.T) {
-	var c *Counter
 	var h *Histogram
 	var s *Series
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
-		_ = c.Value()
 		h.Observe(1.5)
 		_ = h.Quantile(0.5)
 		_ = h.Mean()
@@ -57,25 +50,6 @@ func TestNilInstrumentsZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil instrument ops allocated %v allocs/op, want 0", allocs)
 	}
-}
-
-func TestCounterAndLookup(t *testing.T) {
-	r := New(1)
-	c := r.Counter("evictions")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %g, want 5", c.Value())
-	}
-	if again := r.Counter("evictions"); again != c {
-		t.Fatal("re-registering a counter by name must return the same instrument")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Add did not panic")
-		}
-	}()
-	c.Add(-1)
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -111,6 +85,13 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h2.Quantile(0) != 1 || h2.Quantile(1) != 10 {
 		t.Fatalf("edge quantiles = %g, %g", h2.Quantile(0), h2.Quantile(1))
 	}
+	// Buckets lists only what was observed: underflow, one in-range bucket
+	// holding 1 (its lower edge), overflow.
+	h2.Observe(1)
+	want := []Bucket{{math.Inf(-1), 1, 1}, {1, math.Pow(10, 1.0/64), 1}, {10, math.Inf(1), 1}}
+	if got := h2.Buckets(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("buckets = %v, want %v", got, want)
+	}
 }
 
 // mutator adapts a closure to sim.Stepper.
@@ -123,14 +104,15 @@ func TestSamplerOnVirtualTime(t *testing.T) {
 	r := New(10)
 	v := 0.0
 	r.Gauge("g", func() float64 { return v })
-	c := r.Counter("c")
+	n := 0.0
+	r.Gauge("c", func() float64 { return n })
 
 	// A machine that bumps the observed state between ticks: ten times, 10 s
 	// apart.
 	k.SpawnMachine("mutator", mutator(func(m *sim.Machine) {
 		if m.Now() > 0 {
 			v = m.Now()
-			c.Add(1)
+			n++
 		}
 		if m.Now() == 100 {
 			m.Finish()
@@ -161,7 +143,7 @@ func TestSamplerOnVirtualTime(t *testing.T) {
 		t.Fatalf("gauge at t=10 sampled %g", g.V[1])
 	}
 	if tl, vl := cs.Last(); tl != 100 || vl != 10 {
-		t.Fatalf("counter series last = (%g, %g), want (100, 10)", tl, vl)
+		t.Fatalf("count series last = (%g, %g), want (100, 10)", tl, vl)
 	}
 	if got := r.SeriesNames(); !reflect.DeepEqual(got, []string{"c", "g"}) {
 		t.Fatalf("names = %v", got)

@@ -37,9 +37,6 @@ type OID uint32
 // 9..11 are relationships.
 type AttrID uint8
 
-// IsRelationship reports whether a refers to one of the relationship slots.
-func (a AttrID) IsRelationship() bool { return a >= NumPrimAttrs }
-
 // Valid reports whether a is a legal attribute index.
 func (a AttrID) Valid() bool { return a < NumAttrs }
 

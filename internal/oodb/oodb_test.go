@@ -110,12 +110,6 @@ func TestInvalidAccessPanics(t *testing.T) {
 }
 
 func TestAttrIDHelpers(t *testing.T) {
-	if AttrID(0).IsRelationship() || AttrID(8).IsRelationship() {
-		t.Fatal("primitive attr flagged as relationship")
-	}
-	if !AttrID(9).IsRelationship() || !AttrID(11).IsRelationship() {
-		t.Fatal("relationship attr not flagged")
-	}
 	if !AttrID(11).Valid() || AttrID(12).Valid() {
 		t.Fatal("Valid boundary wrong")
 	}

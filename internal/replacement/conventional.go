@@ -2,9 +2,9 @@ package replacement
 
 // Optimized conventional policies (LRU, LRU-k, LRD, FIFO, CLOCK, Random,
 // MRU) on the indexed victim-selection engine in indexed.go. Scoring
-// formulas live in states.go, shared with the scanCore reference
-// implementations in reference.go; the differential tests require both to
-// emit bit-identical victim sequences.
+// formulas live in states.go, shared with the reference scan
+// implementations in reference_test.go; the differential tests require both
+// to emit bit-identical victim sequences.
 
 import (
 	"fmt"
@@ -36,7 +36,6 @@ func NewLRUFactory() Factory { return func() Policy { return NewLRU() } }
 
 type lruScorer struct{ p *lru }
 
-func (sc lruScorer) bound(key, now float64) float64 { return now - key }
 func (sc lruScorer) cutoff(now, best float64) float64 {
 	return padCutoff(now-best, now, best)
 }
@@ -139,7 +138,6 @@ func NewLRUKFactory(k int) Factory { return func() Policy { return NewLRUK(k) } 
 
 type lruKInfScorer struct{ p *lruK }
 
-func (sc lruKInfScorer) bound(key, now float64) float64 { return lruKInf + (now - key) }
 func (sc lruKInfScorer) cutoff(now, best float64) float64 {
 	// padCutoff's |best| term covers the cancellation error of
 	// lruKInf - best (~1e12 magnitudes → ~milliseconds of slack).
@@ -151,7 +149,6 @@ func (sc lruKInfScorer) eval(slot int32, now float64) float64 {
 
 type lruKFinScorer struct{ p *lruK }
 
-func (sc lruKFinScorer) bound(key, now float64) float64 { return now - key }
 func (sc lruKFinScorer) cutoff(now, best float64) float64 {
 	return padCutoff(now-best, now, best)
 }
@@ -250,12 +247,6 @@ func NewLRDFactory(interval float64) Factory { return func() Policy { return New
 
 type lrdScorer struct{ p *lrd }
 
-func (sc lrdScorer) bound(key, now float64) float64 {
-	e := math.Exp2(key - now/sc.p.interval)
-	// Padding: ~1e-12 relative error from the log2/÷/exp2 round trip and
-	// subnormal crumbs from deep halving, with a 1000x safety margin.
-	return -e + (1e-9 + 1e-9*e)
-}
 func (sc lrdScorer) cutoff(now, best float64) float64 {
 	// bound >= best ⟺ e·(1-1e-9) <= 1e-9 - best ⟺ key <= log2(rhs) + now/I.
 	// LRD badness is -refs <= 0, so the engine only passes best <= 0; there
@@ -331,7 +322,6 @@ func NewFIFOFactory() Factory { return func() Policy { return NewFIFO() } }
 
 type fifoScorer struct{ p *fifo }
 
-func (sc fifoScorer) bound(key, now float64) float64 { return -key }
 func (sc fifoScorer) cutoff(now, best float64) float64 {
 	return padCutoff(-best, now, best)
 }
@@ -576,7 +566,6 @@ func NewMRUFactory() Factory { return func() Policy { return NewMRU() } }
 
 type mruScorer struct{ p *mru }
 
-func (sc mruScorer) bound(key, now float64) float64 { return -key - now }
 func (sc mruScorer) cutoff(now, best float64) float64 {
 	return padCutoff(-best-now, now, best)
 }

@@ -10,7 +10,7 @@ import (
 
 // These tests are the correctness gate for the indexed victim-selection
 // engine: every optimized policy is driven in lockstep with its retained
-// scanCore reference twin (reference.go) through randomized traces —
+// scanCore reference twin (reference_test.go) through randomized traces —
 // insert/access churn, invalidation Removes, eviction (Victim + Remove),
 // bulk Victims, re-insertion after eviction, and exact timestamp ties from
 // zero-gap clusters — and must produce bit-identical victim sequences.
@@ -315,15 +315,65 @@ func TestBoundSoundness(t *testing.T) {
 	}
 }
 
+// boundedScorer is a class scorer together with the badness upper bound
+// its cutoff inverts (indexed.go's correctness contract). The engine only
+// evaluates cutoffs; the bounds exist to be checked here.
+type boundedScorer interface {
+	classScorer
+	// bound returns an upper bound on the reference badness of every slot
+	// in the class whose heap key is at least key; it must be monotone
+	// non-increasing in key. Inexact bounds include their own padding for
+	// float rearrangement error.
+	bound(key, now float64) float64
+}
+
+func (sc lruScorer) bound(key, now float64) float64 { return now - key }
+
+func (sc lruKInfScorer) bound(key, now float64) float64 { return lruKInf + (now - key) }
+
+func (sc lruKFinScorer) bound(key, now float64) float64 { return now - key }
+
+func (sc lrdScorer) bound(key, now float64) float64 {
+	e := math.Exp2(key - now/sc.p.interval)
+	// Padding: ~1e-12 relative error from the log2/÷/exp2 round trip and
+	// subnormal crumbs from deep halving, with a 1000x safety margin.
+	return -e + (1e-9 + 1e-9*e)
+}
+
+func (sc fifoScorer) bound(key, now float64) float64 { return -key }
+
+func (sc mruScorer) bound(key, now float64) float64 { return -key - now }
+
+func (sc meanSettledScorer) bound(key, now float64) float64 { return -key }
+
+func (sc meanFreshScorer) bound(key, now float64) float64 { return now - key }
+
+func (sc windowScorer) bound(key, now float64) float64 {
+	// Padding: the key's algebraic rearrangement of the reference formula
+	// carries rounding from intermediates of magnitude up to ~W·now, a few
+	// parts in 10^15 of that; pad proportionally with a large margin.
+	pad := 1e-9 + 1e-13*float64(sc.p.w+2)*(math.Abs(now)+math.Abs(key))
+	return (now-key)/float64(sc.p.w) + pad
+}
+
+func (sc ewmaSettledScorer) bound(key, now float64) float64 {
+	// Padding: the affine rearrangement's rounding is a few ulps of
+	// magnitude ~now; pad with a large margin.
+	return (1-sc.p.alpha)*now - key + (1e-9 + 1e-12*(math.Abs(now)+math.Abs(key)))
+}
+
+func (sc ewmaFreshScorer) bound(key, now float64) float64 { return now - key }
+
 func checkBounds[S any](t *testing.T, c *victimCore[S], now float64) {
 	t.Helper()
 	for ci := range c.classes {
 		ch := &c.classes[ci]
+		sc := ch.sc.(boundedScorer)
 		maxEval := math.Inf(-1)
 		for _, slot := range ch.heap.order {
 			key := ch.heap.key[slot]
-			b := ch.sc.bound(key, now)
-			e := ch.sc.eval(slot, now)
+			b := sc.bound(key, now)
+			e := sc.eval(slot, now)
 			if e > b {
 				t.Errorf("class %d slot %d at now=%v: eval %v exceeds bound %v (key %v)",
 					ci, slot, now, e, b, ch.heap.key[slot])
@@ -337,8 +387,8 @@ func checkBounds[S any](t *testing.T, c *victimCore[S], now float64) {
 		}
 		for _, slot := range ch.heap.order {
 			key := ch.heap.key[slot]
-			b := ch.sc.bound(key, now)
-			e := ch.sc.eval(slot, now)
+			b := sc.bound(key, now)
+			e := sc.eval(slot, now)
 			// Cutoff consistency: a slot whose bound reaches best must not
 			// be pruned by the key cutoff (bound >= best ⟹ key <= cutoff).
 			// The engine only ever passes eval scores as best, so probe at
@@ -349,7 +399,7 @@ func checkBounds[S any](t *testing.T, c *victimCore[S], now float64) {
 				if b < best {
 					continue
 				}
-				if cut := ch.sc.cutoff(now, best); key > cut {
+				if cut := sc.cutoff(now, best); key > cut {
 					t.Errorf("class %d slot %d at now=%v: key %v exceeds cutoff %v for best %v (bound %v)",
 						ci, slot, now, key, cut, best, b)
 				}
@@ -389,8 +439,8 @@ func TestSlotHeapInvariants(t *testing.T) {
 			model[to] = model[slot]
 			delete(model, slot)
 		}
-		if h.len() != len(model) {
-			t.Fatalf("step %d: len %d, model %d", step, h.len(), len(model))
+		if len(h.order) != len(model) {
+			t.Fatalf("step %d: len %d, model %d", step, len(h.order), len(model))
 		}
 	}
 	// Verify heap order by draining: root must always be the (key, slot)

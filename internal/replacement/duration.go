@@ -13,7 +13,8 @@ package replacement
 // class and moves every item's score in lockstep — and the bound-pruned
 // search folds `now` back in at eviction time, visiting only the heap
 // prefix whose bound can still beat the current best. Scoring formulas
-// live in states.go, shared with the scanCore references in reference.go.
+// live in states.go, shared with the reference scans in
+// reference_test.go.
 
 import (
 	"fmt"
@@ -56,7 +57,6 @@ func NewMeanFactory() Factory { return func() Policy { return NewMean() } }
 
 type meanSettledScorer struct{ p *meanPolicy }
 
-func (sc meanSettledScorer) bound(key, now float64) float64 { return -key }
 func (sc meanSettledScorer) cutoff(now, best float64) float64 {
 	return padCutoff(-best, now, best)
 }
@@ -66,7 +66,6 @@ func (sc meanSettledScorer) eval(slot int32, now float64) float64 {
 
 type meanFreshScorer struct{ p *meanPolicy }
 
-func (sc meanFreshScorer) bound(key, now float64) float64 { return now - key }
 func (sc meanFreshScorer) cutoff(now, best float64) float64 {
 	return padCutoff(now-best, now, best)
 }
@@ -144,13 +143,6 @@ func NewWindowFactory(w int) Factory { return func() Policy { return NewWindow(w
 
 type windowScorer struct{ p *windowPolicy }
 
-func (sc windowScorer) bound(key, now float64) float64 {
-	// Padding: the key's algebraic rearrangement of the reference formula
-	// carries rounding from intermediates of magnitude up to ~W·now, a few
-	// parts in 10^15 of that; pad proportionally with a large margin.
-	pad := 1e-9 + 1e-13*float64(sc.p.w+2)*(math.Abs(now)+math.Abs(key))
-	return (now-key)/float64(sc.p.w) + pad
-}
 func (sc windowScorer) cutoff(now, best float64) float64 {
 	// Invert (now-key)/w + pad(key) >= best, doubling the bound's own pad
 	// to absorb evaluating it at the cutoff instead of the true key.
@@ -249,11 +241,6 @@ func NewEWMAFactory(alpha float64) Factory { return func() Policy { return NewEW
 
 type ewmaSettledScorer struct{ p *ewmaPolicy }
 
-func (sc ewmaSettledScorer) bound(key, now float64) float64 {
-	// Padding: the affine rearrangement's rounding is a few ulps of
-	// magnitude ~now; pad with a large margin.
-	return (1-sc.p.alpha)*now - key + (1e-9 + 1e-12*(math.Abs(now)+math.Abs(key)))
-}
 func (sc ewmaSettledScorer) cutoff(now, best float64) float64 {
 	// Invert (1-α)·now - key + pad(key) >= best, doubling the bound's pad
 	// to absorb evaluating it at the cutoff instead of the true key.
@@ -267,7 +254,6 @@ func (sc ewmaSettledScorer) eval(slot int32, now float64) float64 {
 
 type ewmaFreshScorer struct{ p *ewmaPolicy }
 
-func (sc ewmaFreshScorer) bound(key, now float64) float64 { return now - key }
 func (sc ewmaFreshScorer) cutoff(now, best float64) float64 {
 	return padCutoff(now-best, now, best)
 }

@@ -6,8 +6,8 @@ package replacement
 // that reproduces the reference scan's victim choice — including its
 // tie-breaking by scan position — without visiting every resident item.
 //
-// Correctness contract (differentially tested against the retained
-// scanCore reference in differential_test.go):
+// Correctness contract (differentially tested against the reference scan
+// in reference_test.go):
 //
 //   - Each policy partitions its slots into one or more classes and stores,
 //     per slot, a float64 heap key whose ascending order weakly refines the
@@ -17,13 +17,15 @@ package replacement
 //     have to *determine* the badness order — equal keys are always
 //     tie-visited — so lossy but monotone algebraic rearrangements are
 //     safe key choices.
-//   - classScorer.bound(key, now) upper-bounds the badness of every slot in
-//     the class whose key is >= the argument, and is monotone non-increasing
-//     in key; inexact bounds must build their own safety padding in (they
-//     are compared against the running best with no extra slack). The
-//     search walks the heap from the root and prunes a subtree exactly when
-//     its root's bound falls strictly below the current best, so bound ties
-//     are always visited.
+//   - Each class has a badness upper bound B(key, now), covering every
+//     slot in the class whose key is >= the argument and monotone
+//     non-increasing in key; inexact bounds build their own safety padding
+//     in (they are compared against the running best with no extra slack).
+//     The search walks the heap from the root and prunes a subtree exactly
+//     when its root's bound falls strictly below the current best, so bound
+//     ties are always visited. The engine never evaluates the bound itself,
+//     only its inversion classScorer.cutoff; the bounds are written out
+//     beside TestBoundSoundness, which checks both against eval.
 //   - Visited slots are scored with classScorer.eval, which evaluates the
 //     *exact* reference badness formula (states.go), so candidates are
 //     compared by reference semantics even where keys or bounds are
@@ -31,8 +33,8 @@ package replacement
 //   - Badness ties resolve exactly like the reference scan: the smallest
 //     slot index wins a Victim search, and bulk Victims selection uses the
 //     reference's (score desc, slot asc) total order. Slot indices evolve
-//     exactly like scanCore's scan positions — removal swap-moves the last
-//     slot into the hole — so tie-breaks stay aligned between the two
+//     exactly like the reference's scan positions — removal swap-moves the
+//     last slot into the hole — so tie-breaks stay aligned between the two
 //     implementations.
 
 import (
@@ -66,7 +68,7 @@ func (t *slotTable[S]) add(it oodb.Item, s S) int32 {
 }
 
 // remove untracks the item in slot by moving the last slot into the hole
-// (scanCore's swap-remove, so slot order keeps matching the reference
+// (the reference's swap-remove, so slot order keeps matching the reference
 // scan's positions). It returns the old slot id of the moved item, or -1.
 func (t *slotTable[S]) remove(slot int32) (moved int32) {
 	it := t.items[slot]
@@ -96,8 +98,6 @@ type slotHeap struct {
 	key   []float64 // slot id -> cached key
 }
 
-func (h *slotHeap) len() int { return len(h.order) }
-
 // grow makes room for slot ids < n.
 func (h *slotHeap) grow(n int) {
 	for len(h.pos) < n {
@@ -105,8 +105,6 @@ func (h *slotHeap) grow(n int) {
 		h.key = append(h.key, 0)
 	}
 }
-
-func (h *slotHeap) contains(slot int32) bool { return h.pos[slot] >= 0 }
 
 func (h *slotHeap) less(a, b int32) bool {
 	ka, kb := h.key[a], h.key[b]
@@ -211,18 +209,14 @@ func (h *slotHeap) siftDown(i int32) {
 // by small per-class wrapper structs holding the policy pointer, built once
 // at construction so searches allocate nothing.
 type classScorer interface {
-	// bound returns an upper bound on the reference badness of every slot
-	// in this class whose heap key is at least key; it must be monotone
-	// non-increasing in key. Inexact bounds must include their own padding
-	// for float rearrangement error.
-	bound(key, now float64) float64
-	// cutoff inverts bound into key space: it returns a key threshold such
-	// that bound(key, now) >= best implies key <= cutoff(now, best). The
-	// search prunes subtrees by comparing cached keys against the cutoff —
-	// one float compare per node instead of re-deriving the bound — and
-	// recomputes the cutoff only when the running best improves. A cutoff
-	// may be loose upward (visiting extra slots is just slower), never
-	// tight downward; inexact inversions pad with padCutoff.
+	// cutoff inverts the class's badness bound into key space: it returns
+	// a key threshold such that B(key, now) >= best implies
+	// key <= cutoff(now, best). The search prunes subtrees by comparing
+	// cached keys against the cutoff — one float compare per node instead
+	// of re-deriving the bound — and recomputes the cutoff only when the
+	// running best improves. A cutoff may be loose upward (visiting extra
+	// slots is just slower), never tight downward; inexact inversions pad
+	// with padCutoff.
 	cutoff(now, best float64) float64
 	// eval returns the exact reference badness of slot at time now (it may
 	// lazily age the slot's state, like the reference scan does).

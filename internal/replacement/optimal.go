@@ -61,48 +61,6 @@ func OptimalHits(seq []oodb.Item, capacity int) (hits, misses int) {
 	return hits, misses
 }
 
-// OptimalHitRatio returns hits/len(seq) for Belady's MIN (0 for an empty
-// sequence).
-func OptimalHitRatio(seq []oodb.Item, capacity int) float64 {
-	if len(seq) == 0 {
-		return 0
-	}
-	hits, _ := OptimalHits(seq, capacity)
-	return float64(hits) / float64(len(seq))
-}
-
-// ReplayHits runs an online policy over the same reference model used by
-// OptimalHits — an item-count cache fed one reference at a time — so a
-// policy's raw ranking quality can be compared against the clairvoyant
-// bound without the full simulator. Timestamps advance one unit per
-// reference.
-func ReplayHits(p Policy, seq []oodb.Item, capacity int) (hits, misses int) {
-	if capacity < 1 {
-		panic("replacement: ReplayHits requires capacity >= 1")
-	}
-	resident := make(map[oodb.Item]bool, capacity)
-	for i, it := range seq {
-		now := float64(i)
-		if resident[it] {
-			hits++
-			p.OnAccess(it, now)
-			continue
-		}
-		misses++
-		if len(resident) == capacity {
-			v, ok := p.Victim(now)
-			if !ok {
-				panic("replacement: policy offered no victim at capacity")
-			}
-			p.Remove(v)
-			delete(resident, v)
-		}
-		p.OnInsert(it, now)
-		resident[it] = true
-	}
-	return hits, misses
-}
-
 // nextUseEntry pairs an item with the reference index of its next use.
 type nextUseEntry struct {
 	item oodb.Item

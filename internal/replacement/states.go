@@ -1,8 +1,8 @@
 package replacement
 
 // This file holds the per-item state records and badness formulas shared by
-// the optimized policies (conventional.go, duration.go) and the retained
-// scanCore reference implementations (reference.go). Every scoring formula
+// the optimized policies (conventional.go, duration.go) and the reference
+// scan implementations (reference_test.go). Every scoring formula
 // exists exactly once: both implementations evaluate the same
 // floating-point expressions in the same order, which is what lets the
 // differential tests demand bit-identical victim sequences.
@@ -78,11 +78,6 @@ func (r *accessRing) kth() (float64, bool) {
 		return 0, false
 	}
 	return r.buf()[r.head], true // head points at the oldest retained time
-}
-
-// last returns the most recent access time.
-func (r *accessRing) last() float64 {
-	return r.buf()[(r.head-1+r.k)%r.k]
 }
 
 // lruKState is an item's reference history: the ring holds uncorrelated
@@ -175,10 +170,6 @@ func meanBadness(s *meanState, now float64) float64 {
 }
 
 // -------------------------------------------------------------- Window ----
-
-// DefaultWindowSize is the window size used in the paper's experiments
-// (Win-10).
-const DefaultWindowSize = 10
 
 type winState struct {
 	win  stats.Window

@@ -44,9 +44,9 @@ func TestLiveReplayMatchesSimulator(t *testing.T) {
 	}
 	cfg := e2eConfig()
 
-	sc, err := StoreConfig(cfg)
+	sc, err := storeConfig(cfg)
 	if err != nil {
-		t.Fatalf("StoreConfig: %v", err)
+		t.Fatalf("storeConfig: %v", err)
 	}
 	st, err := Open("memory", sc)
 	if err != nil {

@@ -387,14 +387,6 @@ func (s *Service) Listen() (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address ("" before Listen).
-func (s *Service) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Serve blocks serving the listener (Listen first). It returns nil after
 // Shutdown, like http.Server.
 func (s *Service) Serve() error {

@@ -67,34 +67,6 @@ func ValidateLive(cfg experiment.Config) error {
 	return nil
 }
 
-// StoreConfig maps a (defaulted) simulation config onto the live store: the
-// same granularity, policy, cache budgets, lease parameters, and — through
-// experiment.NewDatabase — the same relationship topology, so a service
-// booted from the same seed agrees with every replayed client on where
-// navigational queries lead.
-func StoreConfig(cfg experiment.Config) (Config, error) {
-	cfg = experiment.Defaults(cfg)
-	if err := ValidateLive(cfg); err != nil {
-		return Config{}, err
-	}
-	sc := Config{
-		Granularity:      cfg.Granularity,
-		Policy:           cfg.Policy,
-		NumObjects:       cfg.NumObjects,
-		StorageObjects:   cfg.StorageObjects,
-		MemBufferObjects: cfg.MemBufferObjects,
-		Beta:             cfg.Beta,
-		DB:               experiment.NewDatabase(cfg),
-	}
-	if cfg.Coherence == coherence.FixedLeaseStrategy {
-		sc.FixedLease = cfg.FixedLease
-		if sc.FixedLease == 0 {
-			sc.FixedLease = coherence.DefaultFixedLease
-		}
-	}
-	return sc, nil
-}
-
 // ReplayConfig parameterizes one live replay.
 type ReplayConfig struct {
 	// BaseURL is the running mccached, e.g. "http://127.0.0.1:7070".

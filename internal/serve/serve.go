@@ -18,9 +18,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -221,7 +219,7 @@ type Config struct {
 	FixedLease float64
 	// RelSeed derives the origin's relationship topology. Boot the service
 	// with the run's root seed through experiment.NewDatabase-compatible
-	// derivation (StoreConfig does this) so navigational replays agree.
+	// derivation (experiment.RelSeed) so navigational replays agree.
 	RelSeed uint64
 	// DB overrides the origin database (tests, embedding). When nil a
 	// fresh database is built from NumObjects and RelSeed.
@@ -232,80 +230,23 @@ type Config struct {
 	Clock func() float64
 }
 
-// BackendFactory constructs a Store from a DSN. The DSN is the full
-// backend string as given to Open — "memory", or "file:/path?sync=group" —
-// so a factory can parse scheme-specific operands after its name.
-type BackendFactory func(dsn string, cfg Config) (Store, error)
-
-var (
-	backendsMu sync.RWMutex
-	backends   = make(map[string]BackendFactory)
-)
-
-// RegisterBackend installs a backend factory under name (the DSN scheme:
-// everything before the first ':'). Registering a duplicate name panics —
-// backends register from init functions, and a collision is a programming
-// error. The built-in backends are "memory" (alias "mem") and "file".
-func RegisterBackend(name string, factory BackendFactory) {
-	if name == "" || factory == nil {
-		panic("serve: RegisterBackend requires a name and a factory")
-	}
-	if strings.ContainsAny(name, ":?/") {
-		panic(fmt.Sprintf("serve: backend name %q may not contain ':', '?' or '/'", name))
-	}
-	backendsMu.Lock()
-	defer backendsMu.Unlock()
-	if _, dup := backends[name]; dup {
-		panic(fmt.Sprintf("serve: backend %q registered twice", name))
-	}
-	backends[name] = factory
-}
-
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	backendsMu.RLock()
-	defer backendsMu.RUnlock()
-	names := make([]string, 0, len(backends))
-	for name := range backends {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Open constructs a store backend from a DSN: the backend name, optionally
-// followed by ':' and backend-specific operands. "" and "memory" select
-// the in-memory backend; "file:/path/cache.db?sync=group" opens (or
-// recovers) a persistent store at the path. Unknown names return
-// ErrBadRequest listing what is registered.
+// followed by ':' and backend-specific operands. "", "memory" and "mem"
+// select the in-memory backend; "file:/path/cache.db?sync=group" opens (or
+// recovers) a persistent store at the path. Any other name returns
+// ErrBadRequest.
 func Open(dsn string, cfg Config) (Store, error) {
-	name := dsn
-	if i := strings.IndexByte(dsn, ':'); i >= 0 {
-		name = dsn[:i]
-	}
-	if name == "" {
-		name = "memory"
-	}
-	backendsMu.RLock()
-	factory := backends[name]
-	backendsMu.RUnlock()
-	if factory == nil {
-		return nil, fmt.Errorf("%w: unknown backend %q (registered: %s)",
-			ErrBadRequest, name, strings.Join(Backends(), ", "))
-	}
-	return factory(dsn, cfg)
-}
-
-func init() {
-	memory := func(dsn string, cfg Config) (Store, error) {
-		if rest, ok := cutScheme(dsn); ok && rest != "" {
+	name, rest, _ := strings.Cut(dsn, ":")
+	switch name {
+	case "", "memory", "mem":
+		if rest != "" {
 			return nil, fmt.Errorf("%w: memory backend takes no operands (got %q)", ErrBadRequest, dsn)
 		}
 		return NewMemory(cfg)
+	case "file":
+		return openFileDSN(dsn, cfg)
 	}
-	RegisterBackend("memory", memory)
-	RegisterBackend("mem", memory)
-	RegisterBackend("file", openFileDSN)
+	return nil, fmt.Errorf("%w: unknown backend %q (want memory, mem or file:<path>)", ErrBadRequest, name)
 }
 
 // cutScheme splits "name:rest" and reports whether a ':' was present.

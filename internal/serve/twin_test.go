@@ -57,9 +57,9 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 		t.Fatalf("simulator completed %d queries; want >= 200", len(tr.Records))
 	}
 
-	sc, err := StoreConfig(cfg)
+	sc, err := storeConfig(cfg)
 	if err != nil {
-		t.Fatalf("StoreConfig: %v", err)
+		t.Fatalf("storeConfig: %v", err)
 	}
 	now := 0.0
 	sc.Clock = func() float64 { return now }
@@ -110,4 +110,32 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 		t.Fatalf("over %d queries: %d evictions, %d hits, %d expired copies; the run must exercise all three",
 			len(tr.Records), stats.Evictions, stats.Hits, stats.Stales)
 	}
+}
+
+// storeConfig maps a (defaulted) simulation config onto the live store: the
+// same granularity, policy, cache budgets, lease parameters, and — through
+// experiment.NewDatabase — the same relationship topology, so a service
+// booted from the same seed agrees with every replayed client on where
+// navigational queries lead.
+func storeConfig(cfg experiment.Config) (Config, error) {
+	cfg = experiment.Defaults(cfg)
+	if err := ValidateLive(cfg); err != nil {
+		return Config{}, err
+	}
+	sc := Config{
+		Granularity:      cfg.Granularity,
+		Policy:           cfg.Policy,
+		NumObjects:       cfg.NumObjects,
+		StorageObjects:   cfg.StorageObjects,
+		MemBufferObjects: cfg.MemBufferObjects,
+		Beta:             cfg.Beta,
+		DB:               experiment.NewDatabase(cfg),
+	}
+	if cfg.Coherence == coherence.FixedLeaseStrategy {
+		sc.FixedLease = cfg.FixedLease
+		if sc.FixedLease == 0 {
+			sc.FixedLease = coherence.DefaultFixedLease
+		}
+	}
+	return sc, nil
 }

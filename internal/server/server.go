@@ -259,9 +259,6 @@ func (s *Server) Oracle() *coherence.Oracle { return s.origin.Oracle() }
 // feed its trailing update window. Pass nil to detach.
 func (s *Server) SetWriteObserver(fn func(it oodb.Item, now float64)) { s.writeLog = fn }
 
-// DB exposes the underlying database (read-only use by the harness).
-func (s *Server) DB() *oodb.Database { return s.origin.DB() }
-
 // stageDurable mirrors a buffer miss onto the persistent tier: read the
 // object's record, writing it on first touch (the tier fills lazily with
 // the workload's actual working set, so a 1M-object database only pays
@@ -433,10 +430,6 @@ func (s *Server) prefetchSet(clientID int) []oodb.AttrID {
 	s.prefetchBuf = out
 	return out
 }
-
-// PrefetchSet exposes the current prefetch decision for a client
-// (diagnostics and tests).
-func (s *Server) PrefetchSet(clientID int) []oodb.AttrID { return s.prefetchSet(clientID) }
 
 // Stats bundles server-side counters for experiment logs. The Storage*
 // counters are deterministic facts of the workload (how many buffer

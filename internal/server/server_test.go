@@ -283,7 +283,7 @@ func TestHCPrefetchAfterWarmup(t *testing.T) {
 		Accesses:    []workload.ReadOp{{OID: 9, Attr: 0}},
 		Need:        []workload.ReadOp{{OID: 9, Attr: 0}},
 	})...)[60]
-	set := s.PrefetchSet(1)
+	set := s.prefetchSet(1)
 	if len(set) == 0 {
 		t.Fatal("prefetch set empty after warmup")
 	}
@@ -329,8 +329,8 @@ func TestHCKappaControlsPrefetchBreadth(t *testing.T) {
 	warm(sLow, kLow)
 	kHigh, sHigh := newTestServer(t, Config{PrefetchKappa: 2})
 	warm(sHigh, kHigh)
-	low := len(sLow.PrefetchSet(1))
-	high := len(sHigh.PrefetchSet(1))
+	low := len(sLow.prefetchSet(1))
+	high := len(sHigh.prefetchSet(1))
 	if low <= high {
 		t.Fatalf("kappa=-2 prefetches %d attrs, kappa=+2 prefetches %d; want low > high", low, high)
 	}
@@ -346,7 +346,7 @@ func TestHeatIsolatedPerClient(t *testing.T) {
 		acc = append(acc, workload.ReadOp{OID: 1, Attr: 0})
 	}
 	serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
-	if set := s.PrefetchSet(2); set != nil {
+	if set := s.prefetchSet(2); set != nil {
 		t.Fatalf("client 2 inherited client 1's heat: %v", set)
 	}
 }
@@ -414,12 +414,12 @@ func TestHeatIgnoresRelationshipAttrs(t *testing.T) {
 		acc = append(acc, workload.ReadOp{OID: 1, Attr: 0})
 	}
 	serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
-	for _, a := range s.PrefetchSet(1) {
+	for _, a := range s.prefetchSet(1) {
 		if a >= oodb.NumPrimAttrs {
 			t.Fatalf("prefetch set contains relationship attr %d", a)
 		}
 	}
-	if len(s.PrefetchSet(1)) == 0 {
+	if len(s.prefetchSet(1)) == 0 {
 		t.Fatal("prefetch set empty despite 200 primitive accesses")
 	}
 }
@@ -431,12 +431,12 @@ func TestPrefetchMinSamplesBoundary(t *testing.T) {
 		acc[i] = workload.ReadOp{OID: oodb.OID(i % 50), Attr: 0}
 	}
 	serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching, Accesses: acc})
-	if set := s.PrefetchSet(1); set != nil {
+	if set := s.prefetchSet(1); set != nil {
 		t.Fatalf("prefetch active below min samples: %v", set)
 	}
 	serve(k, s, Request{ClientID: 1, Granularity: core.HybridCaching,
 		Accesses: []workload.ReadOp{{OID: 1, Attr: 0}}})
-	if set := s.PrefetchSet(1); len(set) == 0 {
+	if set := s.prefetchSet(1); len(set) == 0 {
 		t.Fatal("prefetch still inactive at min samples")
 	}
 }

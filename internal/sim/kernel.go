@@ -143,15 +143,6 @@ func (k *Kernel) After(d float64, fn func()) {
 	k.schedule(k.now+d, nil, fn)
 }
 
-// At schedules fn to run at absolute time t (clamped to now) in kernel
-// context. fn must not block.
-func (k *Kernel) At(t float64, fn func()) {
-	if t < k.now {
-		t = k.now
-	}
-	k.schedule(t, nil, fn)
-}
-
 // Run dispatches events until the event list is empty or the clock would
 // pass `until`. It returns the final clock value. Machines still waiting
 // when Run returns remain suspended; call Drain to terminate them.
@@ -169,8 +160,8 @@ func (k *Kernel) Run(until float64) float64 {
 			continue
 		}
 		// Machine step: runs inline on this stack. Stale wakes (superseded
-		// by a newer Hold or revoked by CancelWake) and wakes of
-		// finished/killed machines are skipped.
+		// by a newer wake) and wakes of finished/killed machines are
+		// skipped.
 		if m := ev.mach; m != nil && !m.done && !m.killed && ev.gen == m.wakeGen {
 			m.body.Step(m)
 		}

@@ -109,15 +109,15 @@ func TestAfterCallback(t *testing.T) {
 	}
 }
 
-func TestAtClampsToNow(t *testing.T) {
+func TestAfterClampsToNow(t *testing.T) {
 	k := NewKernel()
 	var at float64 = -1
 	k.After(10, func() {
-		k.At(3, func() { at = k.Now() }) // 3 is in the past at this point
+		k.After(-7, func() { at = k.Now() }) // a delay into the past
 	})
 	k.RunAll()
 	if at != 10 {
-		t.Fatalf("At in the past fired at %v, want 10", at)
+		t.Fatalf("After(-7) fired at %v, want 10", at)
 	}
 }
 
@@ -170,7 +170,7 @@ func TestDrainKillsSuspendedProcs(t *testing.T) {
 	if k.LiveMachines() != 0 {
 		t.Fatalf("LiveMachines = %d after Drain", k.LiveMachines())
 	}
-	if !m.Done() {
+	if !m.done && !m.killed {
 		t.Fatal("drained machine does not report Done")
 	}
 	k.RunAll()
@@ -265,15 +265,15 @@ func TestQuickClockMonotone(t *testing.T) {
 }
 
 func TestMixedSameTimeOrdering(t *testing.T) {
-	// Machine steps, After callbacks, and At callbacks scheduled for the
-	// same instant fire in schedule order, regardless of kind.
+	// Machine steps and After callbacks scheduled for the same instant
+	// fire in schedule order, regardless of kind.
 	k := NewKernel()
 	var order []string
 	k.After(5, func() { order = append(order, "after") })
 	k.SpawnMachineAt(5, "machine", seq(do(func() { order = append(order, "machine") })))
-	k.At(5, func() { order = append(order, "at") })
+	k.After(5, func() { order = append(order, "after2") })
 	k.RunAll()
-	want := []string{"after", "machine", "at"}
+	want := []string{"after", "machine", "after2"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}

@@ -15,17 +15,15 @@ package sim
 //     Finish); it must never block.
 //
 // Determinism contract: the order of schedule calls (Hold, HoldUntil,
-// AcquireCall, Release, After, At) fixes the simulation, because every
+// AcquireCall, Release, After) fixes the simulation, because every
 // event carries the next value of one sequence counter and ties at equal
 // times dispatch in that order. DESIGN.md § Execution engine lists the
 // wait points of the client loop.
 type Machine struct {
 	kernel *Kernel
-	name   string
 	body   Stepper
 	// wakeGen invalidates stale wake events: every wake bumps it and
-	// stamps the new event, so at most the latest wake fires. CancelWake
-	// bumps it without scheduling, revoking a pending timer outright.
+	// stamps the new event, so at most the latest wake fires.
 	wakeGen uint64
 	done    bool
 	killed  bool
@@ -39,7 +37,8 @@ type Stepper interface {
 }
 
 // SpawnMachine creates a state machine whose first Step fires at the
-// current virtual time.
+// current virtual time. name labels the machine at the call site; the
+// kernel does not keep it.
 func (k *Kernel) SpawnMachine(name string, body Stepper) *Machine {
 	return k.SpawnMachineAt(k.now, name, body)
 }
@@ -53,7 +52,7 @@ func (k *Kernel) SpawnMachineAt(t float64, name string, body Stepper) *Machine {
 	if t < k.now {
 		t = k.now
 	}
-	m := &Machine{kernel: k, name: name, body: body}
+	m := &Machine{kernel: k, body: body}
 	k.liveM[m] = struct{}{}
 	m.wake(t)
 	return m
@@ -64,12 +63,6 @@ func (m *Machine) wake(at float64) {
 	m.wakeGen++
 	m.kernel.schedule(at, m, nil)
 }
-
-// Name returns the machine name given at spawn time.
-func (m *Machine) Name() string { return m.name }
-
-// Kernel returns the owning kernel.
-func (m *Machine) Kernel() *Kernel { return m.kernel }
 
 // Now returns the current virtual time.
 func (m *Machine) Now() float64 { return m.kernel.now }
@@ -94,12 +87,6 @@ func (m *Machine) HoldUntil(t float64) bool {
 	return true
 }
 
-// CancelWake revokes the machine's pending wake, if any: the already-
-// scheduled event stays on the future event list but is skipped at
-// dispatch. The machine is then woken only by a subsequent Hold/HoldUntil
-// or a resource grant — the callback-style timer cancellation primitive.
-func (m *Machine) CancelWake() { m.wakeGen++ }
-
 // Finish terminates the machine: no further Steps fire and Drain skips
 // it.
 func (m *Machine) Finish() {
@@ -109,6 +96,3 @@ func (m *Machine) Finish() {
 	m.done = true
 	delete(m.kernel.liveM, m)
 }
-
-// Done reports whether the machine has finished (or been killed).
-func (m *Machine) Done() bool { return m.done || m.killed }

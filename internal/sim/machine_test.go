@@ -108,8 +108,7 @@ func TestMachineCancelWake(t *testing.T) {
 		}
 	}))
 	k.After(1, func() {
-		mm.CancelWake()
-		mm.Hold(10) // replacement timer: fires at t=11
+		mm.Hold(10) // replacement timer revokes the t=5 wake: fires at t=11
 	})
 	k.RunAll()
 	k.Drain()

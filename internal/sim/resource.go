@@ -14,7 +14,7 @@ type waiter struct {
 // produces the paper's queueing effects (e.g. downlink backlog under the
 // Bursty arrival pattern).
 //
-// A Resource also accumulates utilization and queueing statistics so
+// A Resource also accumulates utilization and waiting statistics so
 // experiments can report channel utilization alongside the paper's metrics.
 type Resource struct {
 	name     string
@@ -26,7 +26,6 @@ type Resource struct {
 	// statistics
 	acquires      uint64
 	busyArea      float64 // integral of inUse over time
-	queueArea     float64 // integral of queue length over time
 	lastStatTime  float64
 	totalWaitTime float64
 }
@@ -43,13 +42,12 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	}
 }
 
-// accrue integrates the busy/queue areas up to the current time.
+// accrue integrates the busy area up to the current time.
 func (r *Resource) accrue() {
 	now := r.kernel.now
 	dt := now - r.lastStatTime
 	if dt > 0 {
 		r.busyArea += dt * float64(r.inUse)
-		r.queueArea += dt * float64(len(r.waiters))
 	}
 	r.lastStatTime = now
 }
@@ -92,12 +90,6 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// Name returns the facility name.
-func (r *Resource) Name() string { return r.name }
-
-// InUse reports the number of busy units.
-func (r *Resource) InUse() int { return r.inUse }
-
 // QueueLen reports the number of queued machines.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
@@ -112,15 +104,6 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return r.busyArea / (r.kernel.now * float64(r.capacity))
-}
-
-// MeanQueueLen reports the time-average queue length.
-func (r *Resource) MeanQueueLen() float64 {
-	r.accrue()
-	if r.kernel.now == 0 {
-		return 0
-	}
-	return r.queueArea / r.kernel.now
 }
 
 // MeanWait reports the average time spent queued per acquire.

@@ -121,19 +121,6 @@ func TestQueueLenDuringContention(t *testing.T) {
 	}
 }
 
-func TestMeanQueueLen(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "chan", 1)
-	for i := 0; i < 2; i++ {
-		k.SpawnMachine("p", seq(use(r, 10)))
-	}
-	k.RunAll()
-	// One machine queued during [0,10), none during [10,20): mean = 0.5.
-	if q := r.MeanQueueLen(); math.Abs(q-0.5) > 1e-9 {
-		t.Fatalf("MeanQueueLen = %v, want 0.5", q)
-	}
-}
-
 func TestDrainWithQueuedWaiters(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "chan", 1)

@@ -8,7 +8,9 @@
 //     and standard deviation of write inter-arrivals (Welford);
 //   - cache replacement scores items by the mean (Mean scheme), windowed
 //     mean (Window scheme), or exponentially weighted moving average
-//     (EWMA scheme) of access inter-arrivals.
+//     (EWMA scheme) of access inter-arrivals. The Window bookkeeping lives
+//     here; the Mean and EWMA recurrences are per-item state records in
+//     internal/replacement (states.go), one formula each.
 //
 // All estimators here are O(1) or O(W) space and update in O(1) time,
 // matching the constraints §3.3 of the paper puts on a resource-limited
@@ -47,19 +49,8 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// SampleVariance returns the Bessel-corrected variance (0 for <2 samples).
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // Std returns the population standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// Reset discards all observations.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // Merge combines another estimator's observations into w (parallel-merge
 // form of Welford); used to aggregate per-client response time statistics.
@@ -78,55 +69,6 @@ func (w *Welford) Merge(o *Welford) {
 	w.n = n
 }
 
-// EWMA is an exponentially weighted moving average with retention weight
-// alpha in [0, 1): S <- alpha*S + (1-alpha)*x. With alpha = 0.5 the history
-// halves in weight on every new observation — the paper's EWMA-0.5, chosen
-// to mirror LRD's "divide the reference count by 2".
-type EWMA struct {
-	alpha float64
-	value float64
-	n     uint64
-}
-
-// NewEWMA returns an estimator with the given retention weight.
-// It panics unless 0 <= alpha < 1.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha < 0 || alpha >= 1 {
-		panic("stats: EWMA alpha must be in [0,1)")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add incorporates one observation. The first observation initializes the
-// average directly.
-func (e *EWMA) Add(x float64) {
-	if e.n == 0 {
-		e.value = x
-	} else {
-		e.value = e.alpha*e.value + (1-e.alpha)*x
-	}
-	e.n++
-}
-
-// Value returns the current average (0 when empty).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Count returns the number of observations.
-func (e *EWMA) Count() uint64 { return e.n }
-
-// Alpha returns the retention weight.
-func (e *EWMA) Alpha() float64 { return e.alpha }
-
-// Blend returns the average as if x had been added, without mutating the
-// estimator. Replacement uses this to fold the still-open interval
-// (now − last access) into an eviction score.
-func (e *EWMA) Blend(x float64) float64 {
-	if e.n == 0 {
-		return x
-	}
-	return e.alpha*e.value + (1-e.alpha)*x
-}
-
 // Window is a fixed-size sliding window of the most recent observations
 // with an O(1) running mean — the paper's Window scheme bookkeeping.
 type Window struct {
@@ -136,15 +78,8 @@ type Window struct {
 	sum  float64
 }
 
-// NewWindow returns a window of the given size. It panics if size <= 0.
-func NewWindow(size int) *Window {
-	w := MakeWindow(size)
-	return &w
-}
-
 // MakeWindow returns a window of the given size by value, for callers that
-// embed windows in slices or pools instead of holding per-window pointers.
-// It panics if size <= 0.
+// embed windows in slices or pools. It panics if size <= 0.
 func MakeWindow(size int) Window {
 	if size <= 0 {
 		panic("stats: Window size must be positive")
@@ -194,20 +129,6 @@ func (w *Window) Oldest() float64 {
 		return w.buf[(w.head-w.n+len(w.buf))%len(w.buf)]
 	}
 	return w.buf[w.head]
-}
-
-// BlendMean returns the windowed mean as if x had been added, without
-// mutating the window.
-func (w *Window) BlendMean(x float64) float64 {
-	if w.n == 0 {
-		return x
-	}
-	sum, n := w.sum+x, w.n+1
-	if w.n == len(w.buf) {
-		sum -= w.buf[w.head] // x would push the oldest sample out
-		n--
-	}
-	return sum / float64(n)
 }
 
 // InterArrival tracks durations between consecutive event timestamps and

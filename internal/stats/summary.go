@@ -123,12 +123,6 @@ type Ratio struct {
 	Denom uint64
 }
 
-// AddHit increments both numerator and denominator.
-func (r *Ratio) AddHit() { r.Num++; r.Denom++ }
-
-// AddMiss increments the denominator only.
-func (r *Ratio) AddMiss() { r.Denom++ }
-
 // Add increments the denominator, and the numerator when hit is true.
 func (r *Ratio) Add(hit bool) {
 	if hit {
@@ -144,9 +138,6 @@ func (r *Ratio) Value() float64 {
 	}
 	return float64(r.Num) / float64(r.Denom)
 }
-
-// Percent returns the ratio as a percentage.
-func (r *Ratio) Percent() float64 { return 100 * r.Value() }
 
 // Merge adds another ratio's counts.
 func (r *Ratio) Merge(o Ratio) {

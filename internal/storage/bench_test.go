@@ -93,7 +93,7 @@ func BenchmarkStorageApply(b *testing.B) {
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			batch.Reset()
+			batch = Batch{buf: batch.buf[:0]} // keep the buffer
 			for r := 0; r < 4; r++ {
 				batch.Put(benchKey(4*i+r), val)
 			}

@@ -20,8 +20,8 @@ import (
 )
 
 // Batch collects the records of one commit unit. The zero value is an
-// empty batch; a batch may be appended any number of times and reused
-// after Reset. It is not safe for concurrent use.
+// empty batch; a batch may be appended any number of times. It is not safe
+// for concurrent use.
 type Batch struct {
 	buf []byte // framed records; CRCs and continuation flags set by seal
 	n   int
@@ -33,28 +33,27 @@ func (b *Batch) Put(key string, value []byte) {
 	b.n++
 }
 
-// Delete adds a tombstone for key. Unlike Store.Delete it is written
-// whether or not the key is live; filter with Store.Has to save the bytes.
+// Delete adds a tombstone for key. It is written whether or not the key is
+// live; filter with Store.Has to save the bytes.
 func (b *Batch) Delete(key string) {
 	b.buf = appendRecord(b.buf, key, nil, true)
 	b.n++
 }
 
-// Len returns the number of records in the batch.
-func (b *Batch) Len() int { return b.n }
-
-// Reset empties the batch, keeping its buffer.
-func (b *Batch) Reset() { b.buf, b.n = b.buf[:0], 0 }
-
 // seal marks every record but the last as continued and writes the CRCs,
-// returning the unit's bytes as they go to disk.
-func (b *Batch) seal() []byte {
+// returning the unit's bytes as they go to disk. A record recovery would
+// reject as implausible fails the whole unit with ErrTooLarge.
+func (b *Batch) seal() ([]byte, error) {
 	for rec, i := b.buf, 1; i <= b.n; i++ {
+		if keyLen, valLen := recordLens(rec); keyLen > maxKeyLen || valLen > maxValueLen {
+			return nil, fmt.Errorf("%w: %d-byte key, %d-byte value (limits %d, %d)",
+				ErrTooLarge, keyLen, valLen, maxKeyLen, maxValueLen)
+		}
 		size := recordSize(rec)
 		sealRecord(rec[:size], i < b.n)
 		rec = rec[size:]
 	}
-	return b.buf
+	return b.buf, nil
 }
 
 // failedRange is a run of commit sequences (lo, hi] whose fsync failed.
@@ -72,7 +71,10 @@ func (s *Store) Append(b *Batch) (uint64, error) {
 	if b.n == 0 {
 		return 0, nil
 	}
-	unit := b.seal()
+	unit, err := b.seal()
+	if err != nil {
+		return 0, err
+	}
 
 	s.mu.Lock()
 	if s.closed {
@@ -175,38 +177,6 @@ func (s *Store) Put(key string, value []byte) error {
 	var b Batch
 	b.Put(key, value)
 	return s.Apply(&b)
-}
-
-// Delete removes key by appending a tombstone; reading it afterwards
-// misses. Deleting an absent key is a no-op (no tombstone written).
-func (s *Store) Delete(key string) error {
-	s.mu.RLock()
-	_, present := s.index[key]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if !present {
-		return nil
-	}
-	var b Batch
-	b.Delete(key)
-	return s.Apply(&b)
-}
-
-// Sync forces an fsync of the active segment regardless of mode.
-func (s *Store) Sync() error {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	s.claimSync()
-	if s.w == nil {
-		return ErrClosed
-	}
-	if err := s.syncRound(s.appended); err != nil {
-		return fmt.Errorf("storage: fsync: %w", err)
-	}
-	return nil
 }
 
 // claimSync waits until no fsync is in flight. Caller holds cmu and, by

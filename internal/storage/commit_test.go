@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,7 +57,11 @@ func singlesThenBatch() (singles, unit []byte) {
 	b.Delete("old-2")
 	b.Put("new-a", []byte("alpha"))
 	b.Put("new-b", []byte("beta"))
-	return singles, append([]byte(nil), b.seal()...)
+	sealed, err := b.seal()
+	if err != nil {
+		panic(err)
+	}
+	return singles, append([]byte(nil), sealed...)
 }
 
 func writeSegment(t *testing.T, dir string, id int, data []byte) {
@@ -230,7 +235,7 @@ func TestParentFormatLog(t *testing.T) {
 	}
 	for _, o := range ops {
 		if o.del {
-			err = twin.Delete(o.key)
+			err = del(twin, o.key)
 		} else {
 			err = twin.Put(o.key, []byte(o.val))
 		}
@@ -425,9 +430,8 @@ func TestRotationUnderConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var b Batch
 			for i := 0; i < rounds; i++ {
-				b.Reset()
+				var b Batch
 				b.Put(fmt.Sprintf("w%d-a", w), make([]byte, 100))
 				b.Put(fmt.Sprintf("w%d-b", w), []byte(fmt.Sprint(i)))
 				if err := s.Apply(&b); err != nil {
@@ -458,9 +462,8 @@ func TestSyncModesFsyncPerCommit(t *testing.T) {
 			calls.Add(1)
 			return f.Sync()
 		}})
-		var b Batch
 		for i := 0; i < 5; i++ {
-			b.Reset()
+			var b Batch
 			for r := 0; r < 3; r++ {
 				b.Put(fmt.Sprintf("k%d-%d", i, r), []byte("v"))
 			}
@@ -471,5 +474,42 @@ func TestSyncModesFsyncPerCommit(t *testing.T) {
 		if st := s.Stats(); st.Syncs != tc.want || calls.Load() != tc.want || st.Commits != 5 || st.Puts != 15 {
 			t.Fatalf("%v: %d fsyncs for %+v, want %d", tc.mode, calls.Load(), st, tc.want)
 		}
+	}
+}
+
+// TestOversizedRecordRejected: a record recovery would refuse is refused
+// at Append instead — nothing of its unit is written, and the store keeps
+// taking writes that reopen intact.
+func TestOversizedRecordRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	s := openTest(t, Options{Path: dir})
+	if err := s.Put("before", []byte("v")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	var b Batch
+	b.Put("small", []byte("v"))
+	b.Put(strings.Repeat("k", maxKeyLen+1), []byte("v"))
+	if _, err := s.Append(&b); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Append with an oversized key = %v, want ErrTooLarge", err)
+	}
+	if s.Has("small") || s.Len() != 1 {
+		t.Fatalf("rejected unit partly applied: %d keys", s.Len())
+	}
+	if err := s.Put("after", []byte("v")); err != nil {
+		t.Fatalf("Put after rejection: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2, err := Open(Options{Path: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	for _, k := range []string{"before", "after"} {
+		mustGet(t, s2, k, "v")
+	}
+	if st := s2.Stats(); s2.Len() != 2 || st.TruncatedBytes != 0 {
+		t.Fatalf("reopen: %d keys, %d bytes truncated; want 2, 0", s2.Len(), st.TruncatedBytes)
 	}
 }

@@ -11,12 +11,16 @@
 // active segment, whose ID is higher) still supersedes the merged copies
 // on replay. Keys updated or deleted mid-merge are detected at swap time
 // by comparing index entries, so the merge never resurrects stale data.
+//
+// On disk the merge is installed by renaming it over the lowest sealed
+// segment before any other segment is removed, and the rest go oldest
+// first, so a crash at any step recovers every acknowledged write.
 package storage
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
+	"sort"
 )
 
 // compactionDue reports whether sealed garbage has crossed the configured
@@ -166,14 +170,39 @@ func (s *Store) compact() error {
 		ok = true
 	}
 
-	// Swap: under the write lock, retire the sealed files and install the
-	// merge segment. Entries that changed since the snapshot keep their
-	// newer location; their merged copies become garbage for next time.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		if mergePath != "" {
+	// Install the merge output over the lowest sealed segment. The rename
+	// replaces seg-<minID> atomically, and it is made durable before any
+	// other segment goes: from here on the merged survivors replay first
+	// and whatever sealed segments are still on disk replay after them,
+	// which changes nothing (each holds records at least as old as the
+	// merged copies, each key's latest sealed record included). Open read
+	// handles keep serving the old files until the swap below.
+	var merged *os.File
+	if mergePath != "" {
+		dst := s.segPath(minID)
+		if err := os.Rename(mergePath, dst); err != nil {
 			os.Remove(mergePath)
+			return fmt.Errorf("storage: %w", err)
+		}
+		if err := s.syncDir(); err != nil {
+			return err
+		}
+		r, err := os.Open(dst)
+		if err != nil {
+			return fmt.Errorf("storage: %w", err)
+		}
+		merged = r
+	}
+
+	// Swap, under the write lock: point the index at the merged copies and
+	// forget the sealed segments. Entries that changed since the snapshot
+	// keep their newer location; their merged copies become garbage for
+	// next time.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		if merged != nil {
+			merged.Close()
 		}
 		return ErrClosed
 	}
@@ -181,38 +210,44 @@ func (s *Store) compact() error {
 		if seg.r != nil {
 			seg.r.Close()
 		}
-		if err := os.Remove(seg.path); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
 		delete(s.segs, id)
 	}
-	if mergePath != "" {
-		dst := s.segPath(minID)
-		if err := os.Rename(mergePath, dst); err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-		r, err := os.Open(dst)
-		if err != nil {
-			return fmt.Errorf("storage: %w", err)
-		}
-		s.segs[minID] = &segment{id: minID, path: dst, r: r, size: mergeSize}
+	if merged != nil {
+		s.segs[minID] = &segment{id: minID, path: s.segPath(minID), r: merged, size: mergeSize}
 		for _, it := range items {
 			if cur, okc := s.index[it.key]; okc && cur == it.old {
 				s.index[it.key] = it.moved
 			}
 		}
 	}
-	if err := s.syncDirLocked(); err != nil {
-		return err
-	}
 	s.recomputeSealed()
 	s.compactions++
+	s.mu.Unlock()
+
+	// Remove the superseded segments oldest first, each removal durable
+	// before the next: a crash in between leaves a suffix of them, whose
+	// tombstones still follow every put they cover.
+	ids := make([]int, 0, len(sealed))
+	for id := range sealed {
+		if id != minID || merged == nil {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		if err := os.Remove(sealed[id].path); err != nil {
+			return fmt.Errorf("storage: %w", err)
+		}
+		if err := s.syncDir(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// syncDirLocked fsyncs the storage directory so segment creation and
-// removal are durable (skipped under SyncNone). Caller holds mu.
-func (s *Store) syncDirLocked() error {
+// syncDir fsyncs the storage directory through Options.Fsync so segment
+// creation, renaming and removal are durable (skipped under SyncNone).
+func (s *Store) syncDir() error {
 	if s.opts.Sync == SyncNone {
 		return nil
 	}
@@ -221,17 +256,8 @@ func (s *Store) syncDirLocked() error {
 		return fmt.Errorf("storage: %w", err)
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("storage: %w", err)
+	if err := s.opts.Fsync(d); err != nil {
+		return fmt.Errorf("storage: fsync: %w", err)
 	}
 	return nil
-}
-
-// RemoveAll deletes the store's directory tree — test and tooling helper
-// for resetting a path between runs. The store must be closed.
-func RemoveAll(path string) error {
-	if path == "" || path == string(filepath.Separator) {
-		return fmt.Errorf("%w: refusing to remove %q", ErrBadOptions, path)
-	}
-	return os.RemoveAll(path)
 }

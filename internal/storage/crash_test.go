@@ -32,8 +32,9 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal("crash child exited cleanly; expected hard exit")
 	}
 	// Parse the child's acked-key stream. Keys before the "SYNCED" marker
-	// were covered by an explicit Sync and MUST survive; keys after it were
-	// acked by group commit and must also survive (the ack implies fsync).
+	// were covered by one Wait on the last of their commits and MUST
+	// survive; keys after it were acked by group commit and must also
+	// survive (the ack implies fsync).
 	acked := make(map[string]string)
 	sc := bufio.NewScanner(strings.NewReader(string(out)))
 	for sc.Scan() {
@@ -108,18 +109,24 @@ func crashChild() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Phase 1: writes covered by an explicit sync barrier.
+	// Phase 1: appends made durable together by one Wait on the last.
+	var last uint64
 	for i := 0; i < 20; i++ {
-		k, v := fmt.Sprintf("pre-%02d", i), fmt.Sprintf("v%d", i)
-		if err := s.Put(k, []byte(v)); err != nil {
+		var b Batch
+		b.Put(fmt.Sprintf("pre-%02d", i), []byte(fmt.Sprintf("v%d", i)))
+		seq, err := s.Append(&b)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		fmt.Printf("%s=%s\n", k, v)
+		last = seq
 	}
-	if err := s.Sync(); err != nil {
+	if err := s.Wait(last); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	for i := 0; i < 20; i++ {
+		fmt.Printf("pre-%02d=v%d\n", i, i)
 	}
 	fmt.Println("SYNCED")
 	// Phase 2: group-committed writes; each ack implies an fsync covered it.

@@ -42,12 +42,3 @@ func ParseDSN(dsn string) (Options, error) {
 	}
 	return opts, nil
 }
-
-// OpenDSN opens the store a DSN describes: ParseDSN then Open.
-func OpenDSN(dsn string) (*Store, error) {
-	opts, err := ParseDSN(dsn)
-	if err != nil {
-		return nil, err
-	}
-	return Open(opts)
-}

@@ -48,9 +48,13 @@ func TestParseDSNErrors(t *testing.T) {
 
 func TestOpenDSN(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	st, err := OpenDSN("file:" + dir + "?sync=none")
+	opts, err := ParseDSN("file:" + dir + "?sync=none")
 	if err != nil {
-		t.Fatalf("OpenDSN: %v", err)
+		t.Fatalf("ParseDSN: %v", err)
+	}
+	st, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
 	defer st.Close()
 	if err := st.Put("k", []byte("v")); err != nil {
@@ -63,7 +67,7 @@ func TestOpenDSN(t *testing.T) {
 	if st.Stats().Sync != "none" {
 		t.Fatalf("Sync mode = %q, want none", st.Stats().Sync)
 	}
-	if _, err := OpenDSN("bogus"); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("OpenDSN(bogus) = %v, want ErrBadOptions", err)
+	if _, err := ParseDSN("bogus"); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("ParseDSN(bogus) = %v, want ErrBadOptions", err)
 	}
 }

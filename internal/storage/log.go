@@ -30,7 +30,8 @@ import (
 const recordHeaderSize = 4 + 4 + 4 + 1
 
 // maxKeyLen / maxValueLen bound record fields so a corrupt length cannot
-// drive a giant allocation during recovery.
+// drive a giant allocation during recovery. Append enforces the same
+// bounds, so every record written is one recovery accepts.
 const (
 	maxKeyLen   = 1 << 16
 	maxValueLen = 1 << 26
@@ -59,9 +60,16 @@ func appendRecord(dst []byte, key string, value []byte, tombstone bool) []byte {
 	return append(dst, value...)
 }
 
+// recordLens reads the key and value lengths of the record starting at
+// rec[0].
+func recordLens(rec []byte) (keyLen, valLen int) {
+	return int(binary.LittleEndian.Uint32(rec[4:])), int(binary.LittleEndian.Uint32(rec[8:]))
+}
+
 // recordSize reads the framed size of the record starting at rec[0].
 func recordSize(rec []byte) int {
-	return recordHeaderSize + int(binary.LittleEndian.Uint32(rec[4:])) + int(binary.LittleEndian.Uint32(rec[8:]))
+	keyLen, valLen := recordLens(rec)
+	return recordHeaderSize + keyLen + valLen
 }
 
 // sealRecord sets or clears rec's continuation flag and writes its CRC.

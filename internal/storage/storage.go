@@ -51,6 +51,9 @@ var (
 	ErrCorrupt = errors.New("storage: corrupt record")
 	// ErrBadOptions marks an unusable Options value.
 	ErrBadOptions = errors.New("storage: bad options")
+	// ErrTooLarge marks a record whose key or value exceeds what recovery
+	// accepts; Append refuses its whole commit unit.
+	ErrTooLarge = errors.New("storage: record too large")
 )
 
 // SyncMode selects the durability discipline of a commit's Wait.
@@ -127,8 +130,9 @@ type Options struct {
 	// CompactMinBytes is the minimum sealed garbage in bytes before
 	// automatic compaction fires (default DefaultCompactMinBytes).
 	CompactMinBytes int64
-	// Fsync overrides the file-sync primitive — the crash-test hook for
-	// injected fsync faults. Nil uses (*os.File).Sync.
+	// Fsync overrides the file-sync primitive, for segment files and the
+	// directory alike — the crash-test hook for injected fsync faults.
+	// Nil uses (*os.File).Sync.
 	Fsync func(*os.File) error
 }
 
@@ -350,7 +354,7 @@ func (s *Store) rotate() error {
 	if err := s.openActive(next, true); err != nil {
 		return err
 	}
-	return s.syncDirLocked()
+	return s.syncDir()
 }
 
 // liveInSeg sums live record bytes residing in segment id. Caller holds mu.

@@ -4,9 +4,12 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
+	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -25,7 +28,7 @@ type Analysis struct {
 	Response stats.Summary
 	// ResponseHist buckets response times logarithmically from 10 ms to
 	// 1000 s — cache hits through downlink backlog on one chart.
-	ResponseHist *stats.Histogram
+	ResponseHist *obs.Histogram
 
 	PerClient map[int]*stats.Summary // response time per client
 	PerHour   [24]stats.Summary      // response time by hour of day
@@ -38,7 +41,7 @@ type Analysis struct {
 func Analyze(records []QueryRecord) *Analysis {
 	a := &Analysis{
 		PerClient:    make(map[int]*stats.Summary),
-		ResponseHist: stats.NewLogHistogram(0.01, 1000, 25),
+		ResponseHist: obs.New(0).Histogram("response_s", 0.01, 1000),
 	}
 	for _, r := range records {
 		a.Queries++
@@ -52,7 +55,7 @@ func Analyze(records []QueryRecord) *Analysis {
 		}
 		rt := r.ResponseTime()
 		a.Response.Add(rt)
-		a.ResponseHist.Add(rt)
+		a.ResponseHist.Observe(rt)
 		cs := a.PerClient[r.ClientID]
 		if cs == nil {
 			cs = &stats.Summary{}
@@ -97,7 +100,7 @@ func (a *Analysis) WriteReport(w io.Writer) {
 		a.RequestBytes, a.ReplyBytes)
 
 	fmt.Fprintf(w, "\nresponse-time distribution (s):\n")
-	a.ResponseHist.Render(w, 40)
+	writeBuckets(w, a.ResponseHist.Buckets(), 40)
 
 	ids := make([]int, 0, len(a.PerClient))
 	for id := range a.PerClient {
@@ -117,6 +120,30 @@ func (a *Analysis) WriteReport(w io.Writer) {
 			continue
 		}
 		fmt.Fprintf(w, "  %02d:00  %5d queries  mean %.3fs\n", h, s.Count(), s.Mean())
+	}
+}
+
+// writeBuckets renders histogram buckets as an ASCII bar chart, one line
+// per bucket, bars scaled to width characters at the modal bucket.
+func writeBuckets(w io.Writer, buckets []obs.Bucket, width int) {
+	var max uint64
+	for _, b := range buckets {
+		if b.Count > max {
+			max = b.Count
+		}
+	}
+	for _, b := range buckets {
+		var label string
+		switch {
+		case math.IsInf(b.Lo, -1):
+			label = fmt.Sprintf("%14s", fmt.Sprintf("< %.3g", b.Hi))
+		case math.IsInf(b.Hi, 1):
+			label = fmt.Sprintf("%14s", fmt.Sprintf(">= %.3g", b.Lo))
+		default:
+			label = fmt.Sprintf("%6.3g-%-7.3g", b.Lo, b.Hi)
+		}
+		bar := strings.Repeat("#", int(float64(width)*float64(b.Count)/float64(max)))
+		fmt.Fprintf(w, "%s  %7d %s\n", label, b.Count, bar)
 	}
 }
 

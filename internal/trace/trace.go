@@ -43,12 +43,6 @@ type Tracer interface {
 	Query(r QueryRecord)
 }
 
-// Nop is a Tracer that discards everything.
-type Nop struct{}
-
-// Query implements Tracer.
-func (Nop) Query(QueryRecord) {}
-
 // Collector keeps every record in memory — for tests and small analyses.
 type Collector struct {
 	mu      sync.Mutex

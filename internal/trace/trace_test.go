@@ -34,10 +34,6 @@ func TestCollector(t *testing.T) {
 	}
 }
 
-func TestNop(t *testing.T) {
-	Nop{}.Query(sample()) // must not panic
-}
-
 func TestCSVTracer(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewCSV(&buf)
@@ -155,6 +151,10 @@ func TestAnalyze(t *testing.T) {
 	a.WriteReport(&report)
 	if !strings.Contains(report.String(), "per client") {
 		t.Fatal("report missing sections")
+	}
+	// The chart lists each non-empty response-time bucket, bar included.
+	if n := len(a.ResponseHist.Buckets()); n == 0 || strings.Count(report.String(), " #") != n {
+		t.Fatalf("chart shows %d bars for %d non-empty buckets:\n%s", strings.Count(report.String(), " #"), n, report.String())
 	}
 }
 

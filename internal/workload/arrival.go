@@ -10,7 +10,6 @@ import (
 // Arrival is a query inter-arrival process. Next returns the absolute time
 // of the next query given the current time.
 type Arrival interface {
-	Name() string
 	Next(r *rng.Stream, now float64) float64
 }
 
@@ -30,8 +29,6 @@ func NewPoisson(rate float64) Arrival {
 	}
 	return &poisson{rate: rate}
 }
-
-func (p *poisson) Name() string { return "poisson" }
 
 func (p *poisson) Next(r *rng.Stream, now float64) float64 {
 	return now + r.Exp(p.rate)
@@ -102,8 +99,6 @@ func NewBursty(segs []Segment) Arrival {
 // NewDefaultBursty returns the paper's Bursty arrival pattern.
 func NewDefaultBursty() Arrival { return NewBursty(DefaultBurstySegments()) }
 
-func (b *bursty) Name() string { return "bursty" }
-
 // rateAt returns the arrival rate at time-of-day tod seconds.
 func (b *bursty) rateAt(tod float64) float64 {
 	h := tod / SecondsPerHour
@@ -147,13 +142,4 @@ func (b *bursty) Next(r *rng.Stream, now float64) float64 {
 		}
 		return t + hazard/rate
 	}
-}
-
-// MeanDailyRate returns the time-averaged arrival rate over a day.
-func MeanDailyRate(segs []Segment) float64 {
-	total := 0.0
-	for _, s := range segs {
-		total += s.Rate * (s.EndHour - s.StartHour) * SecondsPerHour
-	}
-	return total / SecondsPerDay
 }

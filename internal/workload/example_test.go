@@ -36,8 +36,11 @@ func Example() {
 // The Bursty arrival pattern averages the Poisson rate over a day but
 // concentrates 80% of it in the two commute windows.
 func ExampleNewDefaultBursty() {
-	fmt.Printf("mean daily rate: %.3g/s\n",
-		workload.MeanDailyRate(workload.DefaultBurstySegments()))
+	perDay := 0.0
+	for _, s := range workload.DefaultBurstySegments() {
+		perDay += s.Rate * (s.EndHour - s.StartHour) * workload.SecondsPerHour
+	}
+	fmt.Printf("mean daily rate: %.3g/s\n", perDay/workload.SecondsPerDay)
 	// Output:
 	// mean daily rate: 0.01/s
 }

@@ -22,13 +22,8 @@ const (
 // HeatModel selects which objects a query touches. Implementations are
 // deterministic functions of (seed, query index), so replays are exact.
 type HeatModel interface {
-	// Name identifies the model in tables ("sh", "csh-500", "cyclic").
-	Name() string
-	// Pick returns n distinct object ids accessed by query queryIndex.
-	Pick(r *rng.Stream, n int, queryIndex uint64) []oodb.OID
-	// PickInto is Pick appending into buf[:0] (which may be nil). The
-	// random draws are identical to Pick's; only the backing storage of
-	// the result differs.
+	// PickInto returns the n distinct object ids accessed by query
+	// queryIndex, appended into buf[:0] (buf may be nil).
 	PickInto(r *rng.Stream, n int, queryIndex uint64, buf []oodb.OID) []oodb.OID
 }
 
@@ -68,12 +63,6 @@ func newSkewed(numObjects int, r *rng.Stream) *skewedHeat {
 		}
 	}
 	return h
-}
-
-func (h *skewedHeat) Name() string { return "sh" }
-
-func (h *skewedHeat) Pick(r *rng.Stream, n int, qi uint64) []oodb.OID {
-	return h.PickInto(r, n, qi, nil)
 }
 
 func (h *skewedHeat) PickInto(r *rng.Stream, n int, _ uint64, buf []oodb.OID) []oodb.OID {
@@ -153,14 +142,6 @@ func (m *changingSkewedHeat) buildEpoch(epoch uint64) *skewedHeat {
 	return newSkewed(m.numObjects, rng.Derive(m.seed, 0xc5b0000+epoch))
 }
 
-func (m *changingSkewedHeat) Name() string {
-	return fmt.Sprintf("csh-%d", m.changeEvery)
-}
-
-func (m *changingSkewedHeat) Pick(r *rng.Stream, n int, queryIndex uint64) []oodb.OID {
-	return m.PickInto(r, n, queryIndex, nil)
-}
-
 func (m *changingSkewedHeat) PickInto(r *rng.Stream, n int, queryIndex uint64, buf []oodb.OID) []oodb.OID {
 	if epoch := queryIndex / m.changeEvery; epoch != m.epoch {
 		m.epoch = epoch
@@ -238,17 +219,6 @@ func NewCyclicHeat(cfg CyclicConfig) HeatModel {
 	return h
 }
 
-func (m *cyclicHeat) Name() string { return "cyclic" }
-
-// Period returns the loop revisit period in queries.
-func (m *cyclicHeat) Period() uint64 {
-	return uint64(len(m.loop)/m.loopPerQuery) * m.burst
-}
-
-func (m *cyclicHeat) Pick(r *rng.Stream, n int, queryIndex uint64) []oodb.OID {
-	return m.PickInto(r, n, queryIndex, nil)
-}
-
 func (m *cyclicHeat) PickInto(r *rng.Stream, n int, queryIndex uint64, buf []oodb.OID) []oodb.OID {
 	out := buf[:0]
 	// Loop window: advances every Burst queries, wraps around the pool.
@@ -312,12 +282,6 @@ func NewSharedSkewedHeat(numObjects int, seed, clientSeed uint64,
 		shareProb: shareProb,
 		private:   newSkewed(numObjects, rng.Derive(clientSeed, 0x5ea7)),
 	}
-}
-
-func (h *sharedSkewedHeat) Name() string { return "shared-sh" }
-
-func (h *sharedSkewedHeat) Pick(r *rng.Stream, n int, qi uint64) []oodb.OID {
-	return h.PickInto(r, n, qi, nil)
 }
 
 func (h *sharedSkewedHeat) PickInto(r *rng.Stream, n int, _ uint64, buf []oodb.OID) []oodb.OID {

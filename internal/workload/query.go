@@ -117,15 +117,6 @@ func NewQueryGen(cfg QueryGenConfig) *QueryGen {
 	}
 }
 
-// Kind returns the generator's query type.
-func (g *QueryGen) Kind() Kind { return g.kind }
-
-// HeatName returns the underlying heat model name.
-func (g *QueryGen) HeatName() string { return g.heat.Name() }
-
-// Count returns the number of queries generated so far.
-func (g *QueryGen) Count() uint64 { return g.count }
-
 // Next generates the next query using the client's stream r.
 func (g *QueryGen) Next(r *rng.Stream) Query {
 	var q Query
@@ -175,13 +166,6 @@ func (g *QueryGen) pickAttrs(r *rng.Stream) []oodb.AttrID {
 	}
 	g.attrScratch = out
 	return out
-}
-
-// DistinctObjects returns the number of distinct objects a query touches
-// (selected plus navigated).
-func (q *Query) DistinctObjects() int {
-	var g Grouping
-	return len(g.Objects(q.Reads, nil))
 }
 
 // Grouping regroups a query's flat read list by object: the distinct objects

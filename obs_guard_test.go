@@ -15,15 +15,13 @@ import (
 
 // obsDisabledHotPath performs every instrument operation the simulation's
 // hot path can make against a disabled (nil) registry: the Enabled gate
-// experiment.Run checks before wiring, plus the counter/histogram calls
-// that sit inside the server's per-query loop. This is the exact shape of
+// experiment.Run checks before wiring, plus the histogram call that sits
+// inside the server's per-query loop. This is the exact shape of
 // the overhead an uninstrumented run pays.
-func obsDisabledHotPath(reg *obs.Registry, c *obs.Counter, h *obs.Histogram) {
+func obsDisabledHotPath(reg *obs.Registry, h *obs.Histogram) {
 	if reg.Enabled() {
 		panic("nil registry reported enabled")
 	}
-	c.Inc()
-	c.Add(3)
 	h.Observe(0.25)
 }
 
@@ -33,10 +31,9 @@ func obsDisabledHotPath(reg *obs.Registry, c *obs.Counter, h *obs.Histogram) {
 // allocations per operation to the simulation hot path.
 func TestObsDisabledAddsNoAllocs(t *testing.T) {
 	var reg *obs.Registry // cfg.Obs zero value: observability off
-	c := reg.Counter("guard.counter")
 	h := reg.Histogram("guard.histogram", 1e-3, 1e3)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		obsDisabledHotPath(reg, c, h)
+		obsDisabledHotPath(reg, h)
 	}); allocs != 0 {
 		t.Fatalf("disabled observability path allocates %v allocs/op, want 0", allocs)
 	}
@@ -91,10 +88,9 @@ func TestObsDisabledRegistrationIsFree(t *testing.T) {
 // must read 0 (TestObsDisabledAddsNoAllocs enforces it).
 func BenchmarkObsDisabledHotPath(b *testing.B) {
 	var reg *obs.Registry
-	c := reg.Counter("guard.counter")
 	h := reg.Histogram("guard.histogram", 1e-3, 1e3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		obsDisabledHotPath(reg, c, h)
+		obsDisabledHotPath(reg, h)
 	}
 }

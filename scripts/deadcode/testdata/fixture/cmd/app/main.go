@@ -1,0 +1,10 @@
+// Command app is the fixture's binary.
+package main
+
+import (
+	"fmt"
+
+	"fixture/internal/a"
+)
+
+func main() { fmt.Println(a.New(), a.Kind(1)) }
