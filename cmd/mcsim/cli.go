@@ -23,7 +23,6 @@ type simOpts struct {
 	seed     uint64
 	clients  int
 	objects  int
-	dbsize   int
 	bufratio float64
 	storage  string
 
@@ -68,7 +67,6 @@ func (o *simOpts) registerBase(fs *flag.FlagSet) {
 	fs.Uint64Var(&o.seed, "seed", 1, "root random seed")
 	fs.IntVar(&o.clients, "clients", 0, "number of mobile clients (0 = default)")
 	fs.IntVar(&o.objects, "objects", 0, "database objects (0 = default 2000)")
-	fs.IntVar(&o.dbsize, "dbsize", 0, "database size in objects (alias of -objects; Experiment #11's knob)")
 	fs.Float64Var(&o.bufratio, "bufratio", 0, "server buffer as a fraction of the database, 0 < r <= 1 (0 = default 25%)")
 	fs.StringVar(&o.storage, "storage", "", "persistent server tier DSN: file:<dir>[?sync=group|always|none] (empty = modeled disk only)")
 
@@ -110,40 +108,23 @@ func (o *simOpts) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.backboneLat, "backbone-lat", 0, "inter-cell backbone one-way latency in seconds (0 = default 5 ms)")
 }
 
-// resolveObjects folds -dbsize into -objects; the two are one knob and
-// may not disagree.
-func (o *simOpts) resolveObjects() (int, error) {
-	if o.dbsize != 0 && o.objects != 0 && o.dbsize != o.objects {
-		return 0, fmt.Errorf("-dbsize %d and -objects %d name different database sizes: %w",
-			o.dbsize, o.objects, experiment.ErrConflict)
-	}
-	if o.dbsize != 0 {
-		return o.dbsize, nil
-	}
-	return o.objects, nil
-}
-
 // expBase reduces the registerBase flags to the sweep base config the
 // experiments inherit.
-func (o *simOpts) expBase() (experiment.Config, error) {
-	objects, err := o.resolveObjects()
+func (o *simOpts) expBase() experiment.Config {
 	return experiment.Config{
-		Seed: o.seed, Days: o.days, NumClients: o.clients, NumObjects: objects,
+		Seed: o.seed, Days: o.days, NumClients: o.clients, NumObjects: o.objects,
 		ServerBufferRatio: o.bufratio, StorageDSN: o.storage,
 		LossRate: o.loss, CorruptRate: o.corrupt,
 		BurstFraction: o.burst, MeanBadSeconds: o.burstLen,
 		RetryMax: o.retryMax, RetryBackoff: o.backoff,
-	}, err
+	}
 }
 
 // config assembles the experiment.Config the parsed flags describe: the
 // sweep base plus the single-configuration knobs, names resolved to enums.
 // Ranges and combinations are Config.Validate's to judge.
 func (o *simOpts) config() (experiment.Config, error) {
-	cfg, err := o.expBase()
-	if err != nil {
-		return cfg, err
-	}
+	cfg := o.expBase()
 	cfg.Policy = o.policy
 	cfg.CSHChangeEvery = o.change
 	cfg.UpdateProb = o.update
@@ -162,6 +143,7 @@ func (o *simOpts) config() (experiment.Config, error) {
 	cfg.BackboneBandwidthBps = o.backboneBps
 	cfg.BackboneLatency = o.backboneLat
 
+	var err error
 	if cfg.Granularity, err = core.ParseGranularity(o.granularity); err != nil {
 		return cfg, err
 	}
@@ -368,11 +350,7 @@ func cmdExp(args []string) {
 	if err := checkQuickStorage(*quick, o.storage); err != nil {
 		fatal(err)
 	}
-	base, err := o.expBase()
-	if err != nil {
-		fatal(err)
-	}
-	if err := runExperiments(which, base, *quick, *reportDir); err != nil {
+	if err := runExperiments(which, o.expBase(), *quick, *reportDir); err != nil {
 		fatal(err)
 	}
 }

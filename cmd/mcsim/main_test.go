@@ -217,27 +217,11 @@ func TestQuickStorageConflict(t *testing.T) {
 	}
 }
 
-func TestDBSizeFlagAliasesObjects(t *testing.T) {
-	o := simOpts{dbsize: 5000}
-	n, err := o.resolveObjects()
-	if err != nil || n != 5000 {
-		t.Fatalf("resolveObjects = %d, %v", n, err)
-	}
-	o = simOpts{dbsize: 5000, objects: 5000}
-	if n, err = o.resolveObjects(); err != nil || n != 5000 {
-		t.Fatalf("agreeing sizes: %d, %v", n, err)
-	}
-	o = simOpts{dbsize: 5000, objects: 100}
-	if _, err = o.resolveObjects(); !errors.Is(err, experiment.ErrConflict) {
-		t.Fatalf("disagreeing sizes = %v, want ErrConflict", err)
-	}
-}
-
 func TestStorageFlagsReachConfig(t *testing.T) {
 	o := simOpts{
 		granularity: "hc", policy: "ewma-0.5", kind: "AQ", heat: "sh",
 		arrival: "poisson", coherenceS: "lease", seed: 1,
-		dbsize: 5000, bufratio: 0.05, storage: "file:/tmp/tier?sync=none",
+		objects: 5000, bufratio: 0.05, storage: "file:/tmp/tier?sync=none",
 	}
 	cfg, err := o.config()
 	if err != nil {
@@ -247,11 +231,7 @@ func TestStorageFlagsReachConfig(t *testing.T) {
 		cfg.StorageDSN != "file:/tmp/tier?sync=none" {
 		t.Fatalf("storage flags lost: %+v", cfg)
 	}
-	base, err := o.expBase()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.NumObjects != 5000 || base.ServerBufferRatio != 0.05 ||
+	if base := o.expBase(); base.NumObjects != 5000 || base.ServerBufferRatio != 0.05 ||
 		base.StorageDSN != "file:/tmp/tier?sync=none" {
 		t.Fatalf("exp base lost storage flags: %+v", base)
 	}

@@ -35,6 +35,10 @@ const (
 	DefaultStorageObjects = 400
 	// DefaultMemBufferObjects is the client memory buffer: 30 objects.
 	DefaultMemBufferObjects = 30
+	// diskSecPerByte and memSecPerByte move one byte through local storage
+	// (40 Mbps) and memory (100 Mbps).
+	diskSecPerByte = 8 / network.DiskBandwidthBps
+	memSecPerByte  = 8 / network.MemoryBandwidthBps
 )
 
 // Backend is the client's view of whatever answers its requests: a single
@@ -112,10 +116,6 @@ type Config struct {
 	// the paper): reads covered by the program are answered from the air
 	// instead of the point-to-point channels.
 	Broadcast *broadcast.Program
-	// DiskBandwidthBps / MemoryBandwidthBps override local storage and
-	// memory speeds when non-zero.
-	DiskBandwidthBps   float64
-	MemoryBandwidthBps float64
 }
 
 // Client is one simulated mobile host.
@@ -177,9 +177,6 @@ type Client struct {
 	retryRnd             *rng.Stream
 	replyEstimate        int // running reply-size estimate for the timeout
 
-	diskSecPerByte float64
-	memSecPerByte  float64
-
 	// Per-query scratch buffers. A client processes one query at a time,
 	// so these are reused round after round instead of allocating on every
 	// query; each is consumed before the next query starts.
@@ -212,14 +209,6 @@ func New(cfg Config) *Client {
 	if memObjs == 0 {
 		memObjs = DefaultMemBufferObjects
 	}
-	diskBps := cfg.DiskBandwidthBps
-	if diskBps == 0 {
-		diskBps = network.DiskBandwidthBps
-	}
-	memBps := cfg.MemoryBandwidthBps
-	if memBps == 0 {
-		memBps = network.MemoryBandwidthBps
-	}
 
 	sched := cfg.Schedule
 	if sched == nil {
@@ -241,33 +230,31 @@ func New(cfg Config) *Client {
 	}
 
 	return &Client{
-		id:             cfg.ID,
-		kernel:         cfg.Kernel,
-		srv:            cfg.Server,
-		oracle:         cfg.Server.Oracle(),
-		up:             cfg.Up,
-		down:           cfg.Down,
-		granularity:    cfg.Granularity,
-		local:          core.NewHierarchy(cfg.Granularity, storageBytes, cfg.Policy, memObjs),
-		gen:            cfg.Gen,
-		arrival:        cfg.Arrival,
-		sched:          sched,
-		rnd:            rng.Derive(cfg.Seed, 0xc11e47+uint64(cfg.ID)),
-		m:              cfg.Metrics,
-		horizon:        cfg.Horizon,
-		shedThreshold:  cfg.ShedThreshold,
-		coherenceMode:  cfg.Coherence,
-		fixedLease:     fixedLease,
-		irWindow:       irWindow,
-		tracer:         cfg.Tracer,
-		bcast:          cfg.Broadcast,
-		upFaults:       cfg.UpFaults,
-		downFaults:     cfg.DownFaults,
-		retry:          cfg.Retry.withDefaults(),
-		retryRnd:       rng.Derive(cfg.Seed, 0x4e7247+uint64(cfg.ID)),
-		replyEstimate:  DefaultReplyEstimateBytes,
-		diskSecPerByte: 8 / diskBps,
-		memSecPerByte:  8 / memBps,
+		id:            cfg.ID,
+		kernel:        cfg.Kernel,
+		srv:           cfg.Server,
+		oracle:        cfg.Server.Oracle(),
+		up:            cfg.Up,
+		down:          cfg.Down,
+		granularity:   cfg.Granularity,
+		local:         core.NewHierarchy(cfg.Granularity, storageBytes, cfg.Policy, memObjs),
+		gen:           cfg.Gen,
+		arrival:       cfg.Arrival,
+		sched:         sched,
+		rnd:           rng.Derive(cfg.Seed, 0xc11e47+uint64(cfg.ID)),
+		m:             cfg.Metrics,
+		horizon:       cfg.Horizon,
+		shedThreshold: cfg.ShedThreshold,
+		coherenceMode: cfg.Coherence,
+		fixedLease:    fixedLease,
+		irWindow:      irWindow,
+		tracer:        cfg.Tracer,
+		bcast:         cfg.Broadcast,
+		upFaults:      cfg.UpFaults,
+		downFaults:    cfg.DownFaults,
+		retry:         cfg.Retry.withDefaults(),
+		retryRnd:      rng.Derive(cfg.Seed, 0x4e7247+uint64(cfg.ID)),
+		replyEstimate: DefaultReplyEstimateBytes,
 	}
 }
 

@@ -186,9 +186,9 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				entry, state, fromStorage := c.local.Probe(item, now)
 				switch {
 				case fromStorage:
-					localDelay += c.diskSecPerByte * float64(item.Size())
+					localDelay += diskSecPerByte * float64(item.Size())
 				case state != core.Miss:
-					localDelay += c.memSecPerByte * float64(item.Size())
+					localDelay += memSecPerByte * float64(item.Size())
 				}
 				switch {
 				case state == core.Hit:
@@ -427,8 +427,8 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			cm.retries++
 			c.m.RecordRetry(m.Now())
 			backoff := c.retry.BackoffBase * math.Pow(2, float64(cm.attempt))
-			if backoff > c.retry.BackoffMax {
-				backoff = c.retry.BackoffMax
+			if backoff > backoffMax {
+				backoff = backoffMax
 			}
 			cm.attempt++
 			cm.pc = cmFaultAttempt

@@ -15,9 +15,10 @@ import (
 // as disconnected operation (§5.6) would. With no fault models attached,
 // none of this code runs and the round trip is the untouched §4 flow.
 
-// Reliability-layer defaults. The timeout is derived from message sizes and
-// the channel bandwidth rather than fixed, so it adapts to reply size; the
-// slack absorbs server processing and queueing behind other clients.
+// Reliability-layer defaults and constants. The timeout is derived from
+// message sizes and the channel bandwidth rather than fixed, so it adapts to
+// reply size; the slack absorbs server processing and queueing behind other
+// clients.
 const (
 	// DefaultMaxRetries is how many times a request is retransmitted after
 	// the initial attempt before the client gives up.
@@ -25,11 +26,11 @@ const (
 	// DefaultBackoffBase is the first retransmission delay in seconds;
 	// attempt k waits base·2^(k−1), jittered.
 	DefaultBackoffBase = 1.0
-	// DefaultBackoffMax caps the exponential backoff delay.
-	DefaultBackoffMax = 30.0
-	// DefaultTimeoutSlack multiplies the estimated request+reply transfer
-	// time to produce the per-request timeout.
-	DefaultTimeoutSlack = 3.0
+	// backoffMax caps the exponential backoff delay.
+	backoffMax = 30.0
+	// timeoutSlack multiplies the estimated request+reply transfer time to
+	// produce the per-request timeout.
+	timeoutSlack = 3.0
 	// DefaultReplyEstimateBytes seeds the reply-size estimate used by the
 	// timeout before the first reply has been observed.
 	DefaultReplyEstimateBytes = 2048
@@ -39,10 +40,8 @@ const (
 // defaults above; MaxRetries < 0 disables retransmission entirely (one
 // attempt, then degrade).
 type RetryConfig struct {
-	MaxRetries   int
-	BackoffBase  float64
-	BackoffMax   float64
-	TimeoutSlack float64
+	MaxRetries  int
+	BackoffBase float64
 }
 
 // withDefaults resolves zero fields.
@@ -55,12 +54,6 @@ func (r RetryConfig) withDefaults() RetryConfig {
 	}
 	if r.BackoffBase == 0 {
 		r.BackoffBase = DefaultBackoffBase
-	}
-	if r.BackoffMax == 0 {
-		r.BackoffMax = DefaultBackoffMax
-	}
-	if r.TimeoutSlack == 0 {
-		r.TimeoutSlack = DefaultTimeoutSlack
 	}
 	return r
 }
@@ -79,7 +72,7 @@ func transmit(m *network.FaultModel, now float64) network.FaultOutcome {
 // requestTimeout derives the per-request timeout from the request size, the
 // running reply-size estimate, and the channel bandwidths.
 func (c *Client) requestTimeout(reqBytes int) float64 {
-	return c.retry.TimeoutSlack *
+	return timeoutSlack *
 		(c.up.TransferTime(reqBytes) + c.down.TransferTime(c.replyEstimate))
 }
 

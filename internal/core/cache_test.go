@@ -249,15 +249,11 @@ func TestPolicyName(t *testing.T) {
 // the cache never exceeds its byte budget, Len matches residency, and the
 // policy tracks exactly the resident items.
 func TestQuickCacheInvariants(t *testing.T) {
-	factories := []replacement.Factory{
-		replacement.NewLRUFactory(),
-		replacement.NewEWMAFactory(0.5),
-		replacement.NewMeanFactory(),
-		replacement.NewLRUKFactory(2),
-		replacement.NewFIFOFactory(),
-	}
-	for _, factory := range factories {
-		factory := factory
+	for _, spec := range []string{"lru", "ewma-0.5", "mean", "lru-2", "fifo"} {
+		factory, err := replacement.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		f := func(ops []uint16) bool {
 			policy := factory()
 			c := NewCache(5*objCost(), policy)

@@ -166,9 +166,8 @@ type Config struct {
 	BadLossProb    float64 // loss probability in the Bad state (default 1)
 
 	// Reliability layer (client-side); meaningful only with faults enabled.
-	RetryMax          int     // retransmissions per request (default client.DefaultMaxRetries; <0 disables)
-	RetryBackoff      float64 // base backoff seconds (default client.DefaultBackoffBase)
-	RetryTimeoutSlack float64 // timeout multiplier (default client.DefaultTimeoutSlack)
+	RetryMax     int     // retransmissions per request (default client.DefaultMaxRetries; <0 disables)
+	RetryBackoff float64 // base backoff seconds (default client.DefaultBackoffBase)
 
 	// Fleet scale-out (fleet.go). Cells > 1 shards the run across that many
 	// cells: each cell owns a range partition of the database (via
@@ -333,7 +332,6 @@ func (c Config) Validate() error {
 		{"MeanBadSeconds", c.MeanBadSeconds, inf},
 		{"BadLossProb", c.BadLossProb, 1},
 		{"RetryBackoff", c.RetryBackoff, inf},
-		{"RetryTimeoutSlack", c.RetryTimeoutSlack, inf},
 		{"Cells", float64(c.Cells), inf},
 		{"RelayObjects", float64(c.RelayObjects), inf},
 		{"BackboneBandwidthBps", c.BackboneBandwidthBps, inf},
@@ -614,9 +612,8 @@ func buildClients(env clientEnv, lo, hi int) ([]*client.Client, []*metrics.Clien
 			UpFaults:         env.upFaults,
 			DownFaults:       env.downFaults,
 			Retry: client.RetryConfig{
-				MaxRetries:   cfg.RetryMax,
-				BackoffBase:  cfg.RetryBackoff,
-				TimeoutSlack: cfg.RetryTimeoutSlack,
+				MaxRetries:  cfg.RetryMax,
+				BackoffBase: cfg.RetryBackoff,
 			},
 		})
 		clients = append(clients, cl)

@@ -36,15 +36,14 @@ func RelSeed(seed uint64) uint64 {
 }
 
 // ClientWorkload bundles the deterministic workload substreams of fleet
-// client i — the same heat model, query generator, arrival process, and RNG
-// stream buildClients wires into the simulated client. Draw order matters:
-// the client alternates Arrival.Next then Gen.NextInto on Stream, so a
-// replayer must interleave identically to stay in sync.
+// client i — the same query generator (over the client's private heat
+// model), arrival process, and RNG stream buildClients wires into the
+// simulated client. Draw order matters: the client alternates Arrival.Next
+// then Gen.NextInto on Stream, so a replayer must interleave identically to
+// stay in sync.
 type ClientWorkload struct {
-	// Heat is the client's private heat model (hot sets differ per client,
-	// §4 of the paper).
-	Heat workload.HeatModel
-	// Gen produces the client's queries over Heat and the database topology.
+	// Gen produces the client's queries over its private heat model (hot
+	// sets differ per client, §4 of the paper) and the database topology.
 	Gen *workload.QueryGen
 	// Arrival schedules the open-loop query stream.
 	Arrival workload.Arrival
@@ -63,10 +62,9 @@ type ClientWorkload struct {
 // defaulted (Defaults or Scenario.Config); it panics on unknown heat or
 // arrival kinds, like buildClients.
 func NewClientWorkload(cfg Config, db *oodb.Database, i int) ClientWorkload {
-	heat := buildHeat(cfg, i)
 	gen := workload.NewQueryGen(workload.QueryGenConfig{
 		Kind:          cfg.QueryKind,
-		Heat:          heat,
+		Heat:          buildHeat(cfg, i),
 		DB:            db,
 		Selectivity:   cfg.Selectivity,
 		AttrsPerObj:   cfg.AttrsPerObj,
@@ -83,7 +81,6 @@ func NewClientWorkload(cfg Config, db *oodb.Database, i int) ClientWorkload {
 	}
 	seed := rng.Derive(cfg.Seed, 0xc0+uint64(i)).Uint64()
 	return ClientWorkload{
-		Heat:         heat,
 		Gen:          gen,
 		Arrival:      arrival,
 		Stream:       rng.Derive(seed, 0xc11e47+uint64(i)),

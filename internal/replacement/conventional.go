@@ -31,9 +31,6 @@ func NewLRU() Policy {
 	return p
 }
 
-// NewLRUFactory returns a Factory for NewLRU.
-func NewLRUFactory() Factory { return func() Policy { return NewLRU() } }
-
 type lruScorer struct{ p *lru }
 
 func (sc lruScorer) cutoff(now, best float64) float64 {
@@ -65,15 +62,6 @@ func (p *lru) touch(slot int32, now float64) {
 	p.t.states[slot].last = now
 	p.classes[0].heap.update(slot, now)
 }
-
-func (p *lru) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
-func (p *lru) Victims(now float64, n int) []oodb.Item { return p.victims(now, n) }
-func (p *lru) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.removeSlot(slot)
-	}
-}
-func (p *lru) Len() int { return p.t.len() }
 
 // -------------------------------------------------------------- LRU-k ----
 
@@ -132,9 +120,6 @@ func NewLRUKCRP(k int, crp float64) Policy {
 	}
 	return p
 }
-
-// NewLRUKFactory returns a Factory for NewLRUK(k).
-func NewLRUKFactory(k int) Factory { return func() Policy { return NewLRUK(k) } }
 
 type lruKInfScorer struct{ p *lruK }
 
@@ -201,15 +186,6 @@ func (p *lruK) OnAccess(it oodb.Item, now float64) {
 	p.sync(slot)
 }
 
-func (p *lruK) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
-func (p *lruK) Victims(now float64, n int) []oodb.Item { return p.victims(now, n) }
-func (p *lruK) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.removeSlot(slot) // history keeps the arena state (retained info)
-	}
-}
-func (p *lruK) Len() int { return p.t.len() }
-
 // ---------------------------------------------------------------- LRD ----
 
 // lrd implements least-reference-density with periodic aging: the victim
@@ -241,9 +217,6 @@ func NewLRD(interval float64) Policy {
 	p.classes = []classHeap{{sc: lrdScorer{p}}}
 	return p
 }
-
-// NewLRDFactory returns a Factory for NewLRD(interval).
-func NewLRDFactory(interval float64) Factory { return func() Policy { return NewLRD(interval) } }
 
 type lrdScorer struct{ p *lrd }
 
@@ -292,15 +265,6 @@ func (p *lrd) bump(slot int32, now float64) {
 	p.classes[0].heap.update(slot, p.keyOf(s))
 }
 
-func (p *lrd) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
-func (p *lrd) Victims(now float64, n int) []oodb.Item { return p.victims(now, n) }
-func (p *lrd) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.removeSlot(slot)
-	}
-}
-func (p *lrd) Len() int { return p.t.len() }
-
 // --------------------------------------------------------------- FIFO ----
 
 // fifo evicts in insertion order, ignoring accesses. Single class keyed by
@@ -316,9 +280,6 @@ func NewFIFO() Policy {
 	p.classes = []classHeap{{sc: fifoScorer{p}}}
 	return p
 }
-
-// NewFIFOFactory returns a Factory for NewFIFO.
-func NewFIFOFactory() Factory { return func() Policy { return NewFIFO() } }
 
 type fifoScorer struct{ p *fifo }
 
@@ -346,15 +307,6 @@ func (p *fifo) OnAccess(it oodb.Item, now float64) {
 	mustTracked(p, ok, it)
 }
 
-func (p *fifo) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
-func (p *fifo) Victims(now float64, n int) []oodb.Item { return p.victims(now, n) }
-func (p *fifo) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.removeSlot(slot)
-	}
-}
-func (p *fifo) Len() int { return p.t.len() }
-
 // -------------------------------------------------------------- CLOCK ----
 
 // clock implements the second-chance approximation of LRU: items sit on a
@@ -373,9 +325,6 @@ type clock struct {
 
 // NewClock returns the CLOCK (second chance) baseline.
 func NewClock() Policy { return &clock{} }
-
-// NewClockFactory returns a Factory for NewClock.
-func NewClockFactory() Factory { return func() Policy { return NewClock() } }
 
 func (p *clock) Name() string { return "clock" }
 
@@ -561,9 +510,6 @@ func NewMRU() Policy {
 	return p
 }
 
-// NewMRUFactory returns a Factory for NewMRU.
-func NewMRUFactory() Factory { return func() Policy { return NewMRU() } }
-
 type mruScorer struct{ p *mru }
 
 func (sc mruScorer) cutoff(now, best float64) float64 {
@@ -595,12 +541,3 @@ func (p *mru) touch(slot int32, now float64) {
 	p.t.states[slot].last = now
 	p.classes[0].heap.update(slot, -now)
 }
-
-func (p *mru) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
-func (p *mru) Victims(now float64, n int) []oodb.Item { return p.victims(now, n) }
-func (p *mru) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.removeSlot(slot)
-	}
-}
-func (p *mru) Len() int { return p.t.len() }

@@ -1,6 +1,7 @@
 package replacement
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,6 +211,75 @@ func TestDifferentialBatchTies(t *testing.T) {
 				vr, _ := ref.Victim(now)
 				if vo != vr {
 					t.Fatalf("drain (%d left): %v vs %v", opt.Len(), vo, vr)
+				}
+				opt.Remove(vo)
+				ref.Remove(vr)
+			}
+		})
+	}
+}
+
+// classHeaps exposes an indexed policy's classes to the sweep-mode test.
+func (c *victimCore[S]) classHeaps() []classHeap { return c.classes }
+
+// TestSweepModeVictims drives every class of each indexed policy into the
+// adaptive flat-sweep mode — a full-rank Victims call leaves the DFS nothing
+// to prune — and requires Victim and bulk Victims served by sweeps to match
+// the reference scan.
+func TestSweepModeVictims(t *testing.T) {
+	same := func(t *testing.T, what string, a, b []oodb.Item) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d victims, reference %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s[%d] = %v, reference %v", what, i, a[i], b[i])
+			}
+		}
+	}
+	for _, spec := range []string{"lru", "mru", "fifo", "lru-2", "lrd", "mean", "win-3", "ewma-0.5"} {
+		spec := spec
+		t.Run(spec, func(t *testing.T) {
+			factory, _ := Parse(spec)
+			opt := factory()
+			ref, _ := newReferencePolicy(spec)
+			classes := opt.(interface{ classHeaps() []classHeap }).classHeaps()
+			now := 0.0
+			for i := 0; i < 40; i++ {
+				if i%3 != 0 {
+					now += 50 // every third insert ties the previous timestamp
+				}
+				opt.OnInsert(obj(i), now)
+				ref.OnInsert(obj(i), now)
+			}
+			// Re-access every third item past LRU-k's correlated period, so
+			// the two-class policies populate both classes.
+			for i := 0; i < 40; i += 3 {
+				now += 300
+				opt.OnAccess(obj(i), now)
+				ref.OnAccess(obj(i), now)
+			}
+			// Two rounds of six searches stay inside one sweepRun.
+			for round := 0; round < 2; round++ {
+				now += 70
+				full := opt.Len()
+				same(t, "full-rank Victims", opt.Victims(now, full), ref.Victims(now, full))
+				for ci := range classes {
+					if len(classes[ci].heap.order) == 0 {
+						t.Fatalf("class %d is empty: the trace does not reach it", ci)
+					}
+					if classes[ci].sweepBias <= 0 {
+						t.Fatalf("round %d: class %d not in sweep mode after a full-rank search", round, ci)
+					}
+				}
+				for _, n := range []int{1, full / 2, full, full + 3} {
+					same(t, fmt.Sprintf("round %d Victims(%d)", round, n), opt.Victims(now, n), ref.Victims(now, n))
+				}
+				vo, _ := opt.Victim(now)
+				vr, _ := ref.Victim(now)
+				if vo != vr {
+					t.Fatalf("round %d: Victim = %v, reference %v", round, vo, vr)
 				}
 				opt.Remove(vo)
 				ref.Remove(vr)

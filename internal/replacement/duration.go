@@ -52,9 +52,6 @@ func NewMean() Policy {
 	return p
 }
 
-// NewMeanFactory returns a Factory for NewMean.
-func NewMeanFactory() Factory { return func() Policy { return NewMean() } }
-
 type meanSettledScorer struct{ p *meanPolicy }
 
 func (sc meanSettledScorer) cutoff(now, best float64) float64 {
@@ -98,15 +95,6 @@ func (p *meanPolicy) bump(slot int32, now float64) {
 	p.classes[0].heap.update(slot, -s.mean)
 }
 
-func (p *meanPolicy) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
-func (p *meanPolicy) Victims(now float64, n int) []oodb.Item { return p.victims(now, n) }
-func (p *meanPolicy) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.removeSlot(slot)
-	}
-}
-func (p *meanPolicy) Len() int { return p.t.len() }
-
 // -------------------------------------------------------------- Window ----
 
 // windowPolicy implements the paper's window scheme: the score is the mean
@@ -137,9 +125,6 @@ func NewWindow(w int) Policy {
 	p.classes = []classHeap{{sc: windowScorer{p}}}
 	return p
 }
-
-// NewWindowFactory returns a Factory for NewWindow(w).
-func NewWindowFactory(w int) Factory { return func() Policy { return NewWindow(w) } }
 
 type windowScorer struct{ p *windowPolicy }
 
@@ -194,8 +179,7 @@ func (p *windowPolicy) bump(slot int32, now float64) {
 	p.classes[0].heap.update(slot, p.keyOf(s))
 }
 
-func (p *windowPolicy) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
-func (p *windowPolicy) Victims(now float64, n int) []oodb.Item { return p.victims(now, n) }
+// Remove is victimCore.Remove plus recycling the item's window buffer.
 func (p *windowPolicy) Remove(it oodb.Item) {
 	slot, ok := p.t.lookup(it)
 	if !ok {
@@ -206,7 +190,6 @@ func (p *windowPolicy) Remove(it oodb.Item) {
 	win.Reset()
 	p.free = append(p.free, win)
 }
-func (p *windowPolicy) Len() int { return p.t.len() }
 
 // ---------------------------------------------------------------- EWMA ----
 
@@ -235,9 +218,6 @@ func NewEWMA(alpha float64) Policy {
 	}
 	return p
 }
-
-// NewEWMAFactory returns a Factory for NewEWMA(alpha).
-func NewEWMAFactory(alpha float64) Factory { return func() Policy { return NewEWMA(alpha) } }
 
 type ewmaSettledScorer struct{ p *ewmaPolicy }
 
@@ -285,12 +265,3 @@ func (p *ewmaPolicy) bump(slot int32, now float64) {
 	p.classes[1].heap.remove(slot) // no-op once settled
 	p.classes[0].heap.update(slot, (1-p.alpha)*s.last-p.alpha*s.value)
 }
-
-func (p *ewmaPolicy) Victim(now float64) (oodb.Item, bool)   { return p.victim(now) }
-func (p *ewmaPolicy) Victims(now float64, n int) []oodb.Item { return p.victims(now, n) }
-func (p *ewmaPolicy) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.removeSlot(slot)
-	}
-}
-func (p *ewmaPolicy) Len() int { return p.t.len() }

@@ -30,9 +30,9 @@ package replacement
 //     *exact* reference badness formula (states.go), so candidates are
 //     compared by reference semantics even where keys or bounds are
 //     approximate.
-//   - Badness ties resolve exactly like the reference scan: the smallest
-//     slot index wins a Victim search, and bulk Victims selection uses the
-//     reference's (score desc, slot asc) total order. Slot indices evolve
+//   - Badness ties resolve exactly like the reference scan: Victim is the
+//     first of Victims(now, 1), and one selection heap ranks candidates by
+//     the reference's (score desc, slot asc) total order. Slot indices evolve
 //     exactly like the reference's scan positions — removal swap-moves the
 //     last slot into the hole — so tie-breaks stay aligned between the two
 //     implementations.
@@ -51,8 +51,6 @@ type slotTable[S any] struct {
 	states []S
 	index  oodb.ItemIndex
 }
-
-func (t *slotTable[S]) len() int { return len(t.items) }
 
 func (t *slotTable[S]) lookup(it oodb.Item) (int32, bool) {
 	return t.index.Get(it.Key())
@@ -214,9 +212,9 @@ type classScorer interface {
 	// key <= cutoff(now, best). The search prunes subtrees by comparing
 	// cached keys against the cutoff — one float compare per node instead
 	// of re-deriving the bound — and recomputes the cutoff only when the
-	// running best improves. A cutoff may be loose upward (visiting extra
-	// slots is just slower), never tight downward; inexact inversions pad
-	// with padCutoff.
+	// weakest retained score changes. A cutoff may be loose upward (visiting
+	// extra slots is just slower), never tight downward; inexact inversions
+	// pad with padCutoff.
 	cutoff(now, best float64) float64
 	// eval returns the exact reference badness of slot at time now (it may
 	// lazily age the slot's state, like the reference scan does).
@@ -231,97 +229,7 @@ func padCutoff(c, now, best float64) float64 {
 	return c + 1e-12*(math.Abs(now)+math.Abs(best)+math.Abs(c)) + 1e-300
 }
 
-// victimSearch accumulates the best candidate across class heaps,
-// replicating the reference scan's "strictly greater badness wins, ties
-// keep the earliest scan position" rule.
-type victimSearch struct {
-	slot  int32
-	score float64
-	found bool
-}
-
-func (vs *victimSearch) offer(slot int32, score float64) {
-	if !vs.found || score > vs.score || (score == vs.score && slot < vs.slot) {
-		vs.slot, vs.score, vs.found = slot, score, true
-	}
-}
-
-// searchOne finds the class's contribution to the victim search. It walks
-// the heap from the root, pruning a subtree when its root's key exceeds the
-// cutoff derived from the running best (keys at the cutoff are always
-// visited, preserving reference tie-breaks). The cutoff is recomputed only
-// when the best improves, so the per-node prune test is a single float
-// compare. stack is caller-owned scratch, returned for reuse.
-//
-// When a DFS ends up visiting most of the class anyway (heavy score ties —
-// e.g. LRD before any item has aged past an interval — leave nothing to
-// prune), the per-node stack and key-compare overhead makes the walk
-// strictly worse than a flat sweep over the same slots. searchOne detects
-// that and switches the next few searches to sweepOne, re-probing with a
-// DFS afterwards in case the regime changed. Both paths score every
-// candidate with the same exact eval under the same total order
-// (score desc, slot asc), so the adaptive switch can never change which
-// victim is selected — it only changes how many slots are visited.
-func (ch *classHeap) searchOne(now float64, vs *victimSearch, stack []int32) []int32 {
-	h := &ch.heap
-	n := int32(len(h.order))
-	if n == 0 {
-		return stack
-	}
-	if ch.sweepBias > 0 {
-		ch.sweepBias--
-		ch.sweepOne(now, vs)
-		return stack
-	}
-	sc := ch.sc
-	cut := math.Inf(1)
-	if vs.found {
-		cut = sc.cutoff(now, vs.score)
-	}
-	visited := int32(0)
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		slot := h.order[i]
-		if h.key[slot] > cut {
-			continue // no slot in this subtree can beat the current best
-		}
-		visited++
-		prevFound, prevScore := vs.found, vs.score
-		vs.offer(slot, sc.eval(slot, now))
-		if !prevFound || vs.score > prevScore {
-			cut = sc.cutoff(now, vs.score)
-		}
-		if l := 2*i + 1; l < n {
-			stack = append(stack, l)
-			if r := l + 1; r < n {
-				stack = append(stack, r)
-			}
-		}
-	}
-	if visited*2 >= n {
-		ch.sweepBias = sweepRun
-	}
-	return stack
-}
-
-// sweepRun is how many searches run as flat sweeps after a DFS failed to
-// prune half the class, before the next DFS probe. High enough to amortize
-// the probe's overhead, low enough to notice quickly when pruning starts
-// working again.
-const sweepRun = 15
-
-// sweepOne is the tie-heavy fallback: a flat pass over the class's dense
-// slot array, scoring every slot with the same exact eval as the DFS.
-func (ch *classHeap) sweepOne(now float64, vs *victimSearch) {
-	sc := ch.sc
-	for _, slot := range ch.heap.order {
-		vs.offer(slot, sc.eval(slot, now))
-	}
-}
-
-// victimCand is one entry of the bulk-selection heap.
+// victimCand is one entry of the selection heap.
 type victimCand struct {
 	slot  int32
 	score float64
@@ -385,43 +293,6 @@ func (sw *selectWorst) siftDown(i int) {
 	}
 }
 
-// searchN is searchOne's bulk variant: it prunes a subtree only when the
-// selection heap is full and the subtree's keys are past the cutoff of the
-// weakest retained candidate.
-func searchN(h *slotHeap, sc classScorer, now float64, sw *selectWorst, stack []int32) []int32 {
-	n := int32(len(h.order))
-	if n == 0 {
-		return stack
-	}
-	cut := math.Inf(1)
-	weakest := math.Inf(1)
-	if len(sw.cands) == sw.n {
-		weakest = sw.cands[0].score
-		cut = sc.cutoff(now, weakest)
-	}
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		slot := h.order[i]
-		if h.key[slot] > cut {
-			continue
-		}
-		sw.offer(victimCand{slot: slot, score: sc.eval(slot, now)})
-		if len(sw.cands) == sw.n && sw.cands[0].score != weakest {
-			weakest = sw.cands[0].score
-			cut = sc.cutoff(now, weakest)
-		}
-		if l := 2*i + 1; l < n {
-			stack = append(stack, l)
-			if r := l + 1; r < n {
-				stack = append(stack, r)
-			}
-		}
-	}
-	return stack
-}
-
 // extractInto pops the selection heap weakest-first into out back-to-front,
 // yielding the reference's worst-first ordering. len(out) == len(sw.cands).
 func (sw *selectWorst) extractInto(items []oodb.Item, out []oodb.Item) {
@@ -436,22 +307,93 @@ func (sw *selectWorst) extractInto(items []oodb.Item, out []oodb.Item) {
 
 // classHeap pairs one class's heap with its scorer, plus the adaptive
 // search state: sweepBias counts how many upcoming searches should use the
-// flat sweep instead of the DFS (see searchOne).
+// flat sweep instead of the DFS (see search).
 type classHeap struct {
 	heap      slotHeap
 	sc        classScorer
 	sweepBias int32
 }
 
+// sweepRun is how many searches run as flat sweeps after a DFS failed to
+// prune half the class, before the next DFS probe. High enough to amortize
+// the probe's overhead, low enough to notice quickly when pruning starts
+// working again.
+const sweepRun = 15
+
+// search offers the class's candidates to the selection. It walks the heap
+// from the root, pruning a subtree once the selection is full and the
+// subtree root's key exceeds the cutoff derived from the weakest retained
+// candidate (keys at the cutoff are always visited, preserving reference
+// tie-breaks). The cutoff is recomputed only when the weakest score changes,
+// so the per-node prune test is a single float compare. stack is
+// caller-owned scratch, returned for reuse.
+//
+// When a DFS ends up visiting at least half the class anyway — heavy score
+// ties (e.g. LRD before any item has aged past an interval) or a request
+// that ranks every resident leave nothing to prune — the per-node stack and
+// key-compare overhead makes the walk strictly worse than a flat sweep over
+// the same slots. search detects that and sweeps the class flat for the next
+// sweepRun searches, re-probing with a DFS afterwards in case the regime
+// changed. Both modes offer into the same selection with the same exact
+// eval under the same total order (score desc, slot asc), so the switch can
+// never change which victims are selected — only how many slots are visited.
+func (ch *classHeap) search(now float64, sw *selectWorst, stack []int32) []int32 {
+	h, sc := &ch.heap, ch.sc
+	n := int32(len(h.order))
+	if n == 0 {
+		return stack
+	}
+	if ch.sweepBias > 0 {
+		ch.sweepBias--
+		for _, slot := range h.order {
+			sw.offer(victimCand{slot: slot, score: sc.eval(slot, now)})
+		}
+		return stack
+	}
+	cut := math.Inf(1)
+	weakest := math.Inf(1)
+	if len(sw.cands) == sw.n {
+		weakest = sw.cands[0].score
+		cut = sc.cutoff(now, weakest)
+	}
+	visited := int32(0)
+	stack = append(stack[:0], 0)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		slot := h.order[i]
+		if h.key[slot] > cut {
+			continue // no slot in this subtree can beat the weakest retained
+		}
+		visited++
+		sw.offer(victimCand{slot: slot, score: sc.eval(slot, now)})
+		if len(sw.cands) == sw.n && sw.cands[0].score != weakest {
+			weakest = sw.cands[0].score
+			cut = sc.cutoff(now, weakest)
+		}
+		if l := 2*i + 1; l < n {
+			stack = append(stack, l)
+			if r := l + 1; r < n {
+				stack = append(stack, r)
+			}
+		}
+	}
+	if visited*2 >= n {
+		ch.sweepBias = sweepRun
+	}
+	return stack
+}
+
 // victimCore bundles the slot table, class heaps and search scratch shared
-// by the optimized policies. Policies embed it and wire classes at
-// construction time.
+// by the indexed policies, and implements Policy's Victim, Victims, Remove
+// and Len for them. Policies embed it and wire classes at construction
+// time.
 type victimCore[S any] struct {
 	t       slotTable[S]
 	classes []classHeap
 	stack   []int32
 	cands   []victimCand
-	out     []oodb.Item // scratch returned by victims
+	out     []oodb.Item // scratch returned by Victims
 }
 
 // grow sizes every class heap's dense arrays to the table.
@@ -462,36 +404,27 @@ func (c *victimCore[S]) grow() {
 	}
 }
 
-// victim returns the single worst item across all classes.
-func (c *victimCore[S]) victim(now float64) (oodb.Item, bool) {
-	if len(c.t.items) == 0 {
-		return oodb.Item{}, false
+// Victim returns the single worst item: the first of Victims(now, 1).
+func (c *victimCore[S]) Victim(now float64) (oodb.Item, bool) {
+	if v := c.Victims(now, 1); len(v) == 1 {
+		return v[0], true
 	}
-	var vs victimSearch
-	for i := range c.classes {
-		c.stack = c.classes[i].searchOne(now, &vs, c.stack)
-	}
-	return c.t.items[vs.slot], true
+	return oodb.Item{}, false
 }
 
-// victims returns up to n items ordered worst-first, in scratch the next
-// call overwrites.
-func (c *victimCore[S]) victims(now float64, n int) []oodb.Item {
-	if n <= 0 || len(c.t.items) == 0 {
-		return nil
-	}
-	if n == 1 {
-		it, _ := c.victim(now)
-		c.out = append(c.out[:0], it)
-		return c.out
-	}
+// Victims returns up to n items ordered worst-first, in scratch the next
+// Victim or Victims call overwrites: every class searches into one
+// selection heap.
+func (c *victimCore[S]) Victims(now float64, n int) []oodb.Item {
 	if n > len(c.t.items) {
 		n = len(c.t.items)
 	}
+	if n <= 0 {
+		return nil
+	}
 	sw := selectWorst{cands: c.cands[:0], n: n}
 	for i := range c.classes {
-		ch := &c.classes[i]
-		c.stack = searchN(&ch.heap, ch.sc, now, &sw, c.stack)
+		c.stack = c.classes[i].search(now, &sw, c.stack)
 	}
 	if cap(c.out) < len(sw.cands) {
 		c.out = make([]oodb.Item, len(sw.cands))
@@ -501,6 +434,16 @@ func (c *victimCore[S]) victims(now float64, n int) []oodb.Item {
 	c.cands = sw.cands[:0]
 	return c.out
 }
+
+// Remove forgets an item; untracked items are a no-op.
+func (c *victimCore[S]) Remove(it oodb.Item) {
+	if slot, ok := c.t.lookup(it); ok {
+		c.removeSlot(slot)
+	}
+}
+
+// Len returns the number of tracked items.
+func (c *victimCore[S]) Len() int { return len(c.t.items) }
 
 // removeSlot untracks a slot from every class heap and the table, keeping
 // heap slot labels aligned with the table's swap-move.

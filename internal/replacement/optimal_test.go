@@ -93,11 +93,7 @@ func TestOptimalValidation(t *testing.T) {
 // Property: no online policy ever beats Belady's MIN, and hit+miss counts
 // always sum to the sequence length.
 func TestQuickOptimalDominates(t *testing.T) {
-	factories := []Factory{
-		NewLRUFactory(), NewLRUKFactory(2), NewMeanFactory(),
-		NewEWMAFactory(0.5), NewFIFOFactory(), NewMRUFactory(),
-		NewLRDFactory(1000), NewWindowFactory(4),
-	}
+	factories := parseAll(t, "lru", "lru-2", "mean", "ewma-0.5", "fifo", "mru", "lrd", "win-4")
 	f := func(seed uint64, capRaw, lenRaw uint8) bool {
 		capacity := int(capRaw)%6 + 1
 		length := int(lenRaw)%120 + 10

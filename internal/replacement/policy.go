@@ -48,8 +48,9 @@ type Policy interface {
 	// without removing them. A single call costs one scan, so callers that
 	// must free room for a whole batch of insertions should prefer it over
 	// n calls to Victim. The slice is policy-owned scratch, valid until the
-	// next mutating call; Remove alone leaves it intact, so a caller may
-	// evict the returned items while ranging over them.
+	// next call other than Remove (Victim included); Remove leaves it
+	// intact, so a caller may evict the returned items while ranging over
+	// them.
 	Victims(now float64, n int) []oodb.Item
 	// Remove forgets an item (eviction or invalidation).
 	Remove(it oodb.Item)
@@ -80,23 +81,23 @@ func Parse(spec string) (Factory, error) {
 	)
 	switch {
 	case spec == "lru":
-		return NewLRUFactory(), nil
+		return NewLRU, nil
 	case spec == "lrd":
-		return NewLRDFactory(DefaultLRDInterval), nil
+		return func() Policy { return NewLRD(DefaultLRDInterval) }, nil
 	case spec == "mean":
-		return NewMeanFactory(), nil
+		return NewMean, nil
 	case spec == "fifo":
-		return NewFIFOFactory(), nil
+		return NewFIFO, nil
 	case spec == "clock":
-		return NewClockFactory(), nil
+		return NewClock, nil
 	case spec == "mru":
-		return NewMRUFactory(), nil
+		return NewMRU, nil
 	case scan1(spec, "lru-%d", &k) && k >= 1:
-		return NewLRUKFactory(k), nil
+		return func() Policy { return NewLRUK(k) }, nil
 	case scan1(spec, "win-%d", &w) && w >= 1:
-		return NewWindowFactory(w), nil
+		return func() Policy { return NewWindow(w) }, nil
 	case scan1(spec, "ewma-%g", &a) && a >= 0 && a < 1:
-		return NewEWMAFactory(a), nil
+		return func() Policy { return NewEWMA(a) }, nil
 	case scan1(spec, "random:%d", &seed):
 		return NewRandomFactory(seed), nil
 	}

@@ -10,6 +10,20 @@ import (
 
 func obj(i int) oodb.Item { return oodb.ObjectItem(oodb.OID(i)) }
 
+// parseAll parses policy specs, failing on a bad one.
+func parseAll(tb testing.TB, specs ...string) []Factory {
+	tb.Helper()
+	factories := make([]Factory, len(specs))
+	for i, spec := range specs {
+		f, err := Parse(spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		factories[i] = f
+	}
+	return factories
+}
+
 func allPolicies() []Policy {
 	return []Policy{
 		NewLRU(), NewLRUK(3), NewLRD(1000), NewMean(),
@@ -445,11 +459,10 @@ func TestPolicyNames(t *testing.T) {
 // a reference set, (b) Victim returns a resident item, (c) Remove(victim)
 // then Victim never returns the removed item.
 func TestQuickPolicyInvariants(t *testing.T) {
-	factories := []Factory{
-		NewLRUFactory(), NewLRUKFactory(2), NewLRDFactory(100),
-		NewMeanFactory(), NewWindowFactory(3), NewEWMAFactory(0.5),
-		NewFIFOFactory(), NewClockFactory(), NewRandomFactory(99),
-	}
+	factories := append(
+		parseAll(t, "lru", "lru-2", "mean", "win-3", "ewma-0.5", "fifo", "clock", "random:99"),
+		func() Policy { return NewLRD(100) },
+	)
 	for _, factory := range factories {
 		factory := factory
 		f := func(ops []uint8) bool {
@@ -489,10 +502,7 @@ func TestQuickPolicyInvariants(t *testing.T) {
 }
 
 func BenchmarkPolicyUpdate(b *testing.B) {
-	for _, factory := range []Factory{
-		NewLRUFactory(), NewLRUKFactory(3), NewLRDFactory(1000),
-		NewMeanFactory(), NewWindowFactory(10), NewEWMAFactory(0.5),
-	} {
+	for _, factory := range parseAll(b, "lru", "lru-3", "lrd", "mean", "win-10", "ewma-0.5") {
 		p := factory()
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < 400; i++ {
@@ -507,10 +517,7 @@ func BenchmarkPolicyUpdate(b *testing.B) {
 }
 
 func BenchmarkPolicyVictim(b *testing.B) {
-	for _, factory := range []Factory{
-		NewLRUFactory(), NewLRUKFactory(3), NewLRDFactory(1000),
-		NewMeanFactory(), NewWindowFactory(10), NewEWMAFactory(0.5),
-	} {
+	for _, factory := range parseAll(b, "lru", "lru-3", "lrd", "mean", "win-10", "ewma-0.5") {
 		p := factory()
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < 400; i++ {
@@ -528,13 +535,13 @@ func TestVictimsWorstFirst(t *testing.T) {
 	// For every scan-based policy, Victims(n) must list candidates in the
 	// exact order repeated Victim+Remove would evict them (distinct access
 	// times, so no ties).
-	factories := []Factory{
-		NewLRUFactory(), func() Policy { return NewLRUKCRP(2, 0) },
+	factories := append(
+		parseAll(t, "lru", "mean", "win-3", "ewma-0.5", "fifo"),
+		func() Policy { return NewLRUKCRP(2, 0) },
 		// A long LRD interval keeps reference counts un-decayed (and
 		// therefore distinct) over this test's timeline.
-		NewLRDFactory(1e9), NewMeanFactory(), NewWindowFactory(3),
-		NewEWMAFactory(0.5), NewFIFOFactory(),
-	}
+		func() Policy { return NewLRD(1e9) },
+	)
 	for _, factory := range factories {
 		p := factory()
 		q := factory()

@@ -77,9 +77,6 @@ type ReplayConfig struct {
 	// Speedup is the time-compression factor in virtual seconds per real
 	// second (DefaultSpeedup when zero).
 	Speedup float64
-	// HTTPClient overrides the transport (tests); nil builds one with
-	// per-client keep-alive connections.
-	HTTPClient *http.Client
 	// Reg, when enabled, samples live clients.hit_ratio /
 	// clients.error_rate series on the compressed virtual timeline, so
 	// report charts align with the simulator's.
@@ -172,13 +169,11 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 	if speedup <= 0 {
 		speedup = DefaultSpeedup
 	}
-	httpc := rc.HTTPClient
-	if httpc == nil {
-		httpc = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        cfg.NumClients + 2,
-			MaxIdleConnsPerHost: cfg.NumClients + 2,
-		}}
-	}
+	// Per-client keep-alive connections.
+	httpc := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        cfg.NumClients + 2,
+		MaxIdleConnsPerHost: cfg.NumClients + 2,
+	}}
 
 	db := experiment.NewDatabase(cfg)
 	horizon := cfg.Horizon()

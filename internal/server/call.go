@@ -109,7 +109,7 @@ func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 			if _, hit := s.buf.Get(oid); hit {
 				s.bufferHits++
 				c.pc = callMemDone
-				m.Hold(s.memSecPerObject)
+				m.Hold(memSecPerObject)
 				return Reply{}, false
 			}
 			s.diskReads++
@@ -123,7 +123,7 @@ func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 
 		case callDiskHold:
 			c.pc = callDiskDone
-			m.Hold(s.diskSecPerObject)
+			m.Hold(diskSecPerObject)
 			return Reply{}, false
 
 		case callDiskDone:

@@ -39,6 +39,10 @@ const (
 	// prefetchMinSamples is how many attribute accesses the server wants
 	// from a client before trusting its heat profile for prefetching.
 	prefetchMinSamples = 100
+	// diskSecPerObject and memSecPerObject move one object through the
+	// server's 40 Mbps disk and 100 Mbps memory.
+	diskSecPerObject = oodb.ObjectSize * 8 / network.DiskBandwidthBps
+	memSecPerObject  = oodb.ObjectSize * 8 / network.MemoryBandwidthBps
 )
 
 // StorageTier is the persistent disk tier behind the memory buffer — the
@@ -71,10 +75,6 @@ type Config struct {
 	PrefetchKappa float64
 	// Seed drives the update coin flips.
 	Seed uint64
-	// DiskBandwidthBps / MemoryBandwidthBps override the paper's 40 Mbps
-	// and 100 Mbps when non-zero.
-	DiskBandwidthBps   float64
-	MemoryBandwidthBps float64
 	// Storage, when non-nil, is the persistent tier behind the buffer pool
 	// (see StorageTier).
 	Storage StorageTier
@@ -143,9 +143,6 @@ type Server struct {
 	origin *coherence.Origin // database, oracle, write histories
 	buf    *buffer.LRU[oodb.OID, struct{}]
 	disk   *sim.Resource
-
-	diskSecPerObject float64
-	memSecPerObject  float64
 
 	updateProb    float64
 	updateRnd     *rng.Stream
@@ -220,14 +217,6 @@ func New(cfg Config) *Server {
 	if bufObjs <= 0 {
 		bufObjs = DefaultBufferObjects
 	}
-	diskBps := cfg.DiskBandwidthBps
-	if diskBps == 0 {
-		diskBps = network.DiskBandwidthBps
-	}
-	memBps := cfg.MemoryBandwidthBps
-	if memBps == 0 {
-		memBps = network.MemoryBandwidthBps
-	}
 	kappa := cfg.PrefetchKappa
 	if math.IsNaN(kappa) {
 		kappa = DefaultPrefetchKappa
@@ -236,18 +225,16 @@ func New(cfg Config) *Server {
 		panic(fmt.Sprintf("server: UpdateProb %v out of [0,1]", cfg.UpdateProb))
 	}
 	return &Server{
-		kernel:           cfg.Kernel,
-		origin:           coherence.NewOrigin(cfg.DB, cfg.Beta),
-		buf:              buffer.NewLRU[oodb.OID, struct{}](bufObjs),
-		disk:             sim.NewResource(cfg.Kernel, "server-disk", 1),
-		diskSecPerObject: float64(oodb.ObjectSize) * 8 / diskBps,
-		memSecPerObject:  float64(oodb.ObjectSize) * 8 / memBps,
-		updateProb:       cfg.UpdateProb,
-		updateRnd:        rng.Derive(cfg.Seed, 0x5e7e7),
-		prefetchKappa:    kappa,
-		store:            cfg.Storage,
-		heat:             make(map[int]*clientHeat),
-		scratch:          make(map[int]*reqScratch),
+		kernel:        cfg.Kernel,
+		origin:        coherence.NewOrigin(cfg.DB, cfg.Beta),
+		buf:           buffer.NewLRU[oodb.OID, struct{}](bufObjs),
+		disk:          sim.NewResource(cfg.Kernel, "server-disk", 1),
+		updateProb:    cfg.UpdateProb,
+		updateRnd:     rng.Derive(cfg.Seed, 0x5e7e7),
+		prefetchKappa: kappa,
+		store:         cfg.Storage,
+		heat:          make(map[int]*clientHeat),
+		scratch:       make(map[int]*reqScratch),
 	}
 }
 
