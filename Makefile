@@ -70,9 +70,10 @@ bench:
 # Regression gate: re-run the KernelStateMachine* per-event benchmarks,
 # the per-access model benchmarks (a touch and an eviction cycle of the
 # lru and ewma-0.5 policies, the item index) and the storage-engine
-# benchmarks, failing if any runs >2x slower than its entry in the
-# committed BENCH_kernel.json / BENCH_model.json / BENCH_storage.json
-# (REGRESSION_FACTOR overrides the threshold).
+# benchmarks three times each, failing if any one's fastest run is >2x
+# slower than its entry in the committed BENCH_kernel.json /
+# BENCH_model.json / BENCH_storage.json (REGRESSION_FACTOR overrides the
+# threshold).
 benchguard:
 	scripts/benchguard.sh
 

@@ -1,10 +1,10 @@
 package replacement
 
-// Optimized conventional policies (LRU, LRU-k, LRD, FIFO, CLOCK, Random,
-// MRU) on the indexed victim-selection engine in indexed.go. Scoring
-// formulas live in states.go, shared with the reference scan
-// implementations in reference_test.go; the differential tests require both
-// to emit bit-identical victim sequences.
+// Optimized conventional policies (LRU, MRU, LRU-k, LRD, FIFO on the
+// indexed victim-selection engine in indexed.go; CLOCK and Random on its
+// slot table). Scoring formulas live in states.go, shared with the
+// reference scan implementations in reference_test.go; the differential
+// tests require both to emit bit-identical victim sequences.
 
 import (
 	"fmt"
@@ -14,53 +14,54 @@ import (
 	"repro/internal/rng"
 )
 
-// ---------------------------------------------------------------- LRU ----
+// ---------------------------------------------------------- LRU / MRU ----
 
-// lru evicts the item with the oldest last access (LRU-1 in the paper).
-// Single class, key = last access time: the heap root is the stalest item
-// and badness (now − last) is exact in the key, so the search rarely
-// descends past the root's equal-key ties.
-type lru struct {
+// recency evicts by last access. With sign +1 it is LRU (LRU-1 in the
+// paper): the victim is the stalest item. With sign −1 it is MRU, which
+// evicts the *newest* item — the classical most-recently-used policy from
+// the replacement literature [5] surveys, pessimal on recency-friendly
+// workloads but competitive on loops, making it a useful contrast on the
+// cyclic pattern of Experiment #4.
+//
+// Indexing: badness sign·(now − last), single class keyed by sign·last, so
+// the heap root is the victim and the bound is exact; the search rarely
+// descends past the root's equal-key ties. Multiplying by ±1 is exact, so
+// MRU's scores equal its reference twin's last − now (up to the sign of a
+// zero, which compares equal).
+type recency struct {
 	victimCore[lruState]
+	sign float64
 }
 
 // NewLRU returns the least-recently-used policy.
-func NewLRU() Policy {
-	p := &lru{}
-	p.classes = []classHeap{{sc: lruScorer{p}}}
+func NewLRU() Policy { return newRecency(1, "lru") }
+
+// NewMRU returns the most-recently-used policy.
+func NewMRU() Policy { return newRecency(-1, "mru") }
+
+func newRecency(sign float64, name string) *recency {
+	p := &recency{sign: sign}
+	p.init(p, 1, name)
 	return p
 }
 
-type lruScorer struct{ p *lru }
+func (p *recency) enter(_ oodb.Item, now float64) lruState { return lruState{last: now} }
 
-func (sc lruScorer) cutoff(now, best float64) float64 {
-	return padCutoff(now-best, now, best)
-}
-func (sc lruScorer) eval(slot int32, now float64) float64 {
-	return lruBadness(&sc.p.t.states[slot], now)
+func (p *recency) place(slot int32) {
+	p.classes[0].heap.update(slot, p.sign*p.t.states[slot].last)
 }
 
-func (p *lru) Name() string { return "lru" }
-
-func (p *lru) OnInsert(it oodb.Item, now float64) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.touch(slot, now)
-		return
-	}
-	slot := p.t.add(it, lruState{last: now})
-	p.grow()
-	p.classes[0].heap.push(slot, now)
-}
-
-func (p *lru) OnAccess(it oodb.Item, now float64) {
-	slot, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
-	p.touch(slot, now)
-}
-
-func (p *lru) touch(slot int32, now float64) {
+func (p *recency) touch(slot int32, now float64) {
 	p.t.states[slot].last = now
-	p.classes[0].heap.update(slot, now)
+	p.place(slot)
+}
+
+func (p *recency) eval(slot int32, now float64) float64 {
+	return p.sign * lruBadness(&p.t.states[slot], now)
+}
+
+func (p *recency) cutoff(_ int, now, best float64) float64 {
+	return padCutoff(p.sign*now-best, now, best)
 }
 
 // -------------------------------------------------------------- LRU-k ----
@@ -100,6 +101,10 @@ type lruK struct {
 	history oodb.ItemIndex // retained information: item -> arena index
 }
 
+// LRU-k's class heaps: fewer than k references, keyed by last access, and
+// a full ring, keyed by the k-th last access.
+const lruKShort, lruKFull = 0, 1
+
 // NewLRUK returns the LRU-k policy with the default correlated reference
 // period. It panics if k < 1.
 func NewLRUK(k int) Policy { return NewLRUKCRP(k, DefaultCorrelatedPeriod) }
@@ -114,76 +119,51 @@ func NewLRUKCRP(k int, crp float64) Policy {
 		panic("replacement: LRU-k correlated period must be >= 0")
 	}
 	p := &lruK{k: k, crp: crp}
-	p.classes = []classHeap{
-		{sc: lruKInfScorer{p}}, // < k references, keyed by last access
-		{sc: lruKFinScorer{p}}, // full ring, keyed by k-th last access
-	}
+	p.init(p, 2, fmt.Sprintf("lru-%d", k))
 	return p
 }
 
-type lruKInfScorer struct{ p *lruK }
-
-func (sc lruKInfScorer) cutoff(now, best float64) float64 {
-	// padCutoff's |best| term covers the cancellation error of
-	// lruKInf - best (~1e12 magnitudes → ~milliseconds of slack).
-	return padCutoff(now+(lruKInf-best), now, best)
-}
-func (sc lruKInfScorer) eval(slot int32, now float64) float64 {
-	return lruKBadness(&sc.p.arena[sc.p.t.states[slot]], sc.p.crp, now)
-}
-
-type lruKFinScorer struct{ p *lruK }
-
-func (sc lruKFinScorer) cutoff(now, best float64) float64 {
-	return padCutoff(now-best, now, best)
-}
-func (sc lruKFinScorer) eval(slot int32, now float64) float64 {
-	return lruKBadness(&sc.p.arena[sc.p.t.states[slot]], sc.p.crp, now)
-}
-
-func (p *lruK) Name() string { return fmt.Sprintf("lru-%d", p.k) }
-
-// sync re-keys a slot after its state recorded an access, moving it to the
-// finite class once its ring fills (rings never empty, so the reverse
-// transition cannot happen).
-func (p *lruK) sync(slot int32) {
-	s := &p.arena[p.t.states[slot]]
-	if kth, ok := s.ring.kth(); ok {
-		p.classes[0].heap.remove(slot)
-		p.classes[1].heap.update(slot, kth)
-	} else {
-		p.classes[0].heap.update(slot, s.last)
-	}
-}
-
-func (p *lruK) OnInsert(it oodb.Item, now float64) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.arena[p.t.states[slot]].record(p.crp, now)
-		p.sync(slot)
-		return
-	}
+// enter records the access in the item's retained history, creating one
+// for an item never seen before.
+func (p *lruK) enter(it oodb.Item, now float64) int32 {
 	idx, ok := p.history.Get(it.Key())
 	if !ok {
 		idx = int32(len(p.arena))
 		p.arena = append(p.arena, lruKState{ring: makeAccessRing(p.k)})
 		p.history.Set(it.Key(), idx)
 	}
-	s := &p.arena[idx]
-	s.record(p.crp, now)
-	slot := p.t.add(it, idx)
-	p.grow()
-	if kth, full := s.ring.kth(); full {
-		p.classes[1].heap.push(slot, kth)
+	p.arena[idx].record(p.crp, now)
+	return idx
+}
+
+// place keys a slot by its history, moving it to the full class once its
+// ring fills (rings never empty, so the reverse transition cannot happen).
+func (p *lruK) place(slot int32) {
+	s := &p.arena[p.t.states[slot]]
+	if kth, ok := s.ring.kth(); ok {
+		p.classes[lruKShort].heap.remove(slot)
+		p.classes[lruKFull].heap.update(slot, kth)
 	} else {
-		p.classes[0].heap.push(slot, s.last)
+		p.classes[lruKShort].heap.update(slot, s.last)
 	}
 }
 
-func (p *lruK) OnAccess(it oodb.Item, now float64) {
-	slot, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
+func (p *lruK) touch(slot int32, now float64) {
 	p.arena[p.t.states[slot]].record(p.crp, now)
-	p.sync(slot)
+	p.place(slot)
+}
+
+func (p *lruK) eval(slot int32, now float64) float64 {
+	return lruKBadness(&p.arena[p.t.states[slot]], p.crp, now)
+}
+
+func (p *lruK) cutoff(class int, now, best float64) float64 {
+	if class == lruKShort {
+		// padCutoff's |best| term covers the cancellation error of
+		// lruKInf - best (~1e12 magnitudes → ~milliseconds of slack).
+		return padCutoff(now+(lruKInf-best), now, best)
+	}
+	return padCutoff(now-best, now, best)
 }
 
 // ---------------------------------------------------------------- LRD ----
@@ -214,13 +194,31 @@ func NewLRD(interval float64) Policy {
 		panic("replacement: LRD interval must be positive")
 	}
 	p := &lrd{interval: interval}
-	p.classes = []classHeap{{sc: lrdScorer{p}}}
+	p.init(p, 1, "lrd")
 	return p
 }
 
-type lrdScorer struct{ p *lrd }
+func (p *lrd) enter(_ oodb.Item, now float64) lrdState {
+	return lrdState{refs: 1, enter: now, lastAged: now}
+}
 
-func (sc lrdScorer) cutoff(now, best float64) float64 {
+func (p *lrd) place(slot int32) {
+	s := &p.t.states[slot]
+	p.classes[0].heap.update(slot, math.Log2(s.refs)+s.lastAged/p.interval)
+}
+
+func (p *lrd) touch(slot int32, now float64) {
+	s := &p.t.states[slot]
+	s.age(now, p.interval)
+	s.refs++
+	p.place(slot)
+}
+
+func (p *lrd) eval(slot int32, now float64) float64 {
+	return lrdBadness(&p.t.states[slot], p.interval, now)
+}
+
+func (p *lrd) cutoff(_ int, now, best float64) float64 {
 	// bound >= best ⟺ e·(1-1e-9) <= 1e-9 - best ⟺ key <= log2(rhs) + now/I.
 	// LRD badness is -refs <= 0, so the engine only passes best <= 0; there
 	// rhs >= 1e-9 and threshold slots have e >= 1e-9, keeping the log-domain
@@ -230,39 +228,7 @@ func (sc lrdScorer) cutoff(now, best float64) float64 {
 		return math.Inf(-1)
 	}
 	rhs := (1e-9 - best) / (1 - 1e-9)
-	return padCutoff(math.Log2(rhs)+now/sc.p.interval, now/sc.p.interval, best)
-}
-func (sc lrdScorer) eval(slot int32, now float64) float64 {
-	return lrdBadness(&sc.p.t.states[slot], sc.p.interval, now)
-}
-
-func (p *lrd) keyOf(s *lrdState) float64 {
-	return math.Log2(s.refs) + s.lastAged/p.interval
-}
-
-func (p *lrd) Name() string { return "lrd" }
-
-func (p *lrd) OnInsert(it oodb.Item, now float64) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.bump(slot, now)
-		return
-	}
-	slot := p.t.add(it, lrdState{refs: 1, enter: now, lastAged: now})
-	p.grow()
-	p.classes[0].heap.push(slot, p.keyOf(&p.t.states[slot]))
-}
-
-func (p *lrd) OnAccess(it oodb.Item, now float64) {
-	slot, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
-	p.bump(slot, now)
-}
-
-func (p *lrd) bump(slot int32, now float64) {
-	s := &p.t.states[slot]
-	s.age(now, p.interval)
-	s.refs++
-	p.classes[0].heap.update(slot, p.keyOf(s))
+	return padCutoff(math.Log2(rhs)+now/p.interval, now/p.interval, best)
 }
 
 // --------------------------------------------------------------- FIFO ----
@@ -277,50 +243,41 @@ type fifo struct {
 // NewFIFO returns the first-in-first-out baseline.
 func NewFIFO() Policy {
 	p := &fifo{}
-	p.classes = []classHeap{{sc: fifoScorer{p}}}
+	p.init(p, 1, "fifo")
 	return p
 }
 
-type fifoScorer struct{ p *fifo }
-
-func (sc fifoScorer) cutoff(now, best float64) float64 {
-	return padCutoff(-best, now, best)
-}
-func (sc fifoScorer) eval(slot int32, now float64) float64 {
-	return fifoBadness(&sc.p.t.states[slot])
-}
-
-func (p *fifo) Name() string { return "fifo" }
-
-func (p *fifo) OnInsert(it oodb.Item, now float64) {
-	if _, ok := p.t.lookup(it); ok {
-		return
-	}
+func (p *fifo) enter(oodb.Item, float64) fifoState {
 	p.n++
-	slot := p.t.add(it, fifoState{seq: p.n})
-	p.grow()
-	p.classes[0].heap.push(slot, float64(p.n))
+	return fifoState{seq: p.n}
 }
 
-func (p *fifo) OnAccess(it oodb.Item, now float64) {
-	_, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
+func (p *fifo) place(slot int32) {
+	p.classes[0].heap.update(slot, float64(p.t.states[slot].seq))
 }
+
+func (p *fifo) touch(int32, float64) {}
+
+func (p *fifo) eval(slot int32, _ float64) float64 { return fifoBadness(&p.t.states[slot]) }
+
+func (p *fifo) cutoff(_ int, now, best float64) float64 { return padCutoff(-best, now, best) }
 
 // -------------------------------------------------------------- CLOCK ----
 
 // clock implements the second-chance approximation of LRU: items sit on a
 // circular list with a referenced bit; the hand clears bits until it finds
-// an unreferenced item. Reference bits live in a flat slice parallel to
-// items (swap-moved on removal) instead of a map.
+// an unreferenced item. The list is the slot table's item order, and each
+// slot's state holds its reference bit (swap-moved with it on removal).
 type clock struct {
-	items []oodb.Item
-	index oodb.ItemIndex
-	ref   []bool
-	stamp []uint64 // per-position selection stamp for Victims' wrap guard
-	hand  int
-	gen   uint64
-	out   []oodb.Item // scratch returned by Victims
+	t    slotTable[clockState]
+	hand int
+	gen  uint64
+	out  []oodb.Item // scratch returned by Victims
+}
+
+type clockState struct {
+	ref   bool
+	stamp uint64 // selection stamp for Victims' wrap guard
 }
 
 // NewClock returns the CLOCK (second chance) baseline.
@@ -329,41 +286,45 @@ func NewClock() Policy { return &clock{} }
 func (p *clock) Name() string { return "clock" }
 
 func (p *clock) OnInsert(it oodb.Item, now float64) {
-	if i, ok := p.index.Get(it.Key()); ok {
-		p.ref[i] = true
+	if i, ok := p.t.lookup(it); ok {
+		p.t.states[i].ref = true
 		return
 	}
-	p.index.Set(it.Key(), int32(len(p.items)))
-	p.items = append(p.items, it)
-	p.ref = append(p.ref, true)
-	p.stamp = append(p.stamp, 0)
+	p.t.add(it, clockState{ref: true})
 }
 
 func (p *clock) OnAccess(it oodb.Item, now float64) {
-	i, ok := p.index.Get(it.Key())
+	i, ok := p.t.lookup(it)
 	mustTracked(p, ok, it)
-	p.ref[i] = true
+	p.t.states[i].ref = true
 }
 
-func (p *clock) Victim(now float64) (oodb.Item, bool) {
-	if len(p.items) == 0 {
-		return oodb.Item{}, false
-	}
-	// Each pass either clears a set bit (finitely many) or returns, so at
-	// most len(items)+1 iterations run; the historical 2n+1 fallback was
-	// unreachable and is gone. The hand stays on the victim (the caller's
-	// Remove compacts the slot).
+// sweep advances the hand, clearing reference bits, to the first
+// unreferenced slot and returns its state. The table must not be empty.
+// Each step either clears a set bit (finitely many) or returns, so at most
+// len(items)+1 steps run.
+func (p *clock) sweep() *clockState {
 	for {
-		if p.hand >= len(p.items) {
+		if p.hand >= len(p.t.items) {
 			p.hand = 0
 		}
-		if p.ref[p.hand] {
-			p.ref[p.hand] = false
-			p.hand++
-			continue
+		s := &p.t.states[p.hand]
+		if !s.ref {
+			return s
 		}
-		return p.items[p.hand], true
+		s.ref = false
+		p.hand++
 	}
+}
+
+// Victim leaves the hand on the victim (the caller's Remove compacts the
+// slot).
+func (p *clock) Victim(now float64) (oodb.Item, bool) {
+	if len(p.t.items) == 0 {
+		return oodb.Item{}, false
+	}
+	p.sweep()
+	return p.t.items[p.hand], true
 }
 
 // Victims collects up to n victims in one continuous hand rotation rather
@@ -372,29 +333,20 @@ func (p *clock) Victim(now float64) (oodb.Item, bool) {
 // position stamp detects the wrap where every remaining item was already
 // selected this call, which is where the n-sweep version's seen-set broke.
 func (p *clock) Victims(now float64, n int) []oodb.Item {
-	if n > len(p.items) {
-		n = len(p.items)
-	}
+	n = min(n, len(p.t.items))
 	if n <= 0 {
 		return nil
 	}
 	p.gen++
 	out := p.out[:0]
 	for len(out) < n {
-		if p.hand >= len(p.items) {
-			p.hand = 0
-		}
-		if p.ref[p.hand] {
-			p.ref[p.hand] = false
-			p.hand++
-			continue
-		}
-		if p.stamp[p.hand] == p.gen {
+		s := p.sweep()
+		if s.stamp == p.gen {
 			break // wrapped onto an item already selected this call
 		}
-		p.stamp[p.hand] = p.gen
-		out = append(out, p.items[p.hand])
-		p.ref[p.hand] = true
+		s.stamp = p.gen
+		out = append(out, p.t.items[p.hand])
+		s.ref = true
 		p.hand++
 	}
 	p.out = out
@@ -402,35 +354,24 @@ func (p *clock) Victims(now float64, n int) []oodb.Item {
 }
 
 func (p *clock) Remove(it oodb.Item) {
-	slot, ok := p.index.Delete(it.Key())
-	if !ok {
-		return
-	}
-	i, last := int(slot), len(p.items)-1
-	if i != last {
-		p.items[i] = p.items[last]
-		p.ref[i] = p.ref[last]
-		p.stamp[i] = p.stamp[last]
-		p.index.Set(p.items[i].Key(), slot)
-	}
-	p.items = p.items[:last]
-	p.ref = p.ref[:last]
-	p.stamp = p.stamp[:last]
-	if p.hand > last {
-		p.hand = 0
+	if slot, ok := p.t.lookup(it); ok {
+		p.t.remove(slot)
+		if p.hand > len(p.t.items) {
+			p.hand = 0
+		}
 	}
 }
 
-func (p *clock) Len() int { return len(p.items) }
+func (p *clock) Len() int { return len(p.t.items) }
 
 // ------------------------------------------------------------- Random ----
 
-// random evicts a uniformly random resident item.
+// random evicts a uniformly random resident item: the stream draws indexes
+// into the slot table's item order.
 type random struct {
-	items []oodb.Item
-	index oodb.ItemIndex
-	rnd   *rng.Stream
-	out   []oodb.Item // scratch returned by Victims
+	t   slotTable[struct{}]
+	rnd *rng.Stream
+	out []oodb.Item // scratch returned by Victims
 }
 
 // NewRandom returns the random-replacement baseline using the given stream.
@@ -444,100 +385,39 @@ func NewRandom(rnd *rng.Stream) Policy {
 func (p *random) Name() string { return "random" }
 
 func (p *random) OnInsert(it oodb.Item, now float64) {
-	if _, ok := p.index.Get(it.Key()); ok {
-		return
+	if _, ok := p.t.lookup(it); !ok {
+		p.t.add(it, struct{}{})
 	}
-	p.index.Set(it.Key(), int32(len(p.items)))
-	p.items = append(p.items, it)
 }
 
 func (p *random) OnAccess(it oodb.Item, now float64) {
-	_, ok := p.index.Get(it.Key())
+	_, ok := p.t.lookup(it)
 	mustTracked(p, ok, it)
 }
 
 func (p *random) Victim(now float64) (oodb.Item, bool) {
-	if len(p.items) == 0 {
+	if len(p.t.items) == 0 {
 		return oodb.Item{}, false
 	}
-	return p.items[p.rnd.Intn(len(p.items))], true
+	return p.t.items[p.rnd.Intn(len(p.t.items))], true
 }
 
 func (p *random) Victims(now float64, n int) []oodb.Item {
-	if n > len(p.items) {
-		n = len(p.items)
-	}
+	n = min(n, len(p.t.items))
 	if n <= 0 {
 		return nil
 	}
 	p.out = p.out[:0]
-	for _, j := range p.rnd.Sample(len(p.items), n) {
-		p.out = append(p.out, p.items[j])
+	for _, j := range p.rnd.Sample(len(p.t.items), n) {
+		p.out = append(p.out, p.t.items[j])
 	}
 	return p.out
 }
 
 func (p *random) Remove(it oodb.Item) {
-	slot, ok := p.index.Delete(it.Key())
-	if !ok {
-		return
-	}
-	last := len(p.items) - 1
-	if int(slot) != last {
-		p.items[slot] = p.items[last]
-		p.index.Set(p.items[slot].Key(), slot)
-	}
-	p.items = p.items[:last]
-}
-
-func (p *random) Len() int { return len(p.items) }
-
-// ---------------------------------------------------------------- MRU ----
-
-// mru evicts the item with the *newest* last access — the classical
-// most-recently-used policy from the replacement literature [5] surveys.
-// It is pessimal on recency-friendly workloads but competitive on loops,
-// making it a useful contrast on the cyclic pattern of Experiment #4.
-// Single class, key = −last, so the heap root is the newest item.
-type mru struct {
-	victimCore[lruState]
-}
-
-// NewMRU returns the most-recently-used policy.
-func NewMRU() Policy {
-	p := &mru{}
-	p.classes = []classHeap{{sc: mruScorer{p}}}
-	return p
-}
-
-type mruScorer struct{ p *mru }
-
-func (sc mruScorer) cutoff(now, best float64) float64 {
-	return padCutoff(-best-now, now, best)
-}
-func (sc mruScorer) eval(slot int32, now float64) float64 {
-	return mruBadness(&sc.p.t.states[slot], now)
-}
-
-func (p *mru) Name() string { return "mru" }
-
-func (p *mru) OnInsert(it oodb.Item, now float64) {
 	if slot, ok := p.t.lookup(it); ok {
-		p.touch(slot, now)
-		return
+		p.t.remove(slot)
 	}
-	slot := p.t.add(it, lruState{last: now})
-	p.grow()
-	p.classes[0].heap.push(slot, -now)
 }
 
-func (p *mru) OnAccess(it oodb.Item, now float64) {
-	slot, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
-	p.touch(slot, now)
-}
-
-func (p *mru) touch(slot int32, now float64) {
-	p.t.states[slot].last = now
-	p.classes[0].heap.update(slot, -now)
-}
+func (p *random) Len() int { return len(p.t.items) }

@@ -331,119 +331,89 @@ func TestBoundSoundness(t *testing.T) {
 		}
 		return now
 	}
-	type boundCase struct {
-		name  string
-		p     Policy
-		check func(t *testing.T, now float64)
-	}
-	var cases []boundCase
-	add := func(name string, p Policy, check func(t *testing.T, now float64)) {
-		cases = append(cases, boundCase{name, p, check})
-	}
-	{
-		p := NewLRU().(*lru)
-		add("lru", p, func(t *testing.T, now float64) { checkBounds(t, &p.victimCore, now) })
-	}
-	{
-		p := NewMRU().(*mru)
-		add("mru", p, func(t *testing.T, now float64) { checkBounds(t, &p.victimCore, now) })
-	}
-	{
-		p := NewFIFO().(*fifo)
-		add("fifo", p, func(t *testing.T, now float64) { checkBounds(t, &p.victimCore, now) })
-	}
-	{
-		p := NewLRUK(2).(*lruK)
-		add("lru-2", p, func(t *testing.T, now float64) { checkBounds(t, &p.victimCore, now) })
-	}
-	{
-		p := NewLRD(DefaultLRDInterval).(*lrd)
-		add("lrd", p, func(t *testing.T, now float64) { checkBounds(t, &p.victimCore, now) })
-	}
-	{
-		p := NewMean().(*meanPolicy)
-		add("mean", p, func(t *testing.T, now float64) { checkBounds(t, &p.victimCore, now) })
-	}
-	{
-		p := NewWindow(10).(*windowPolicy)
-		add("win-10", p, func(t *testing.T, now float64) { checkBounds(t, &p.victimCore, now) })
-	}
-	{
-		p := NewEWMA(0.5).(*ewmaPolicy)
-		add("ewma-0.5", p, func(t *testing.T, now float64) { checkBounds(t, &p.victimCore, now) })
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			end := churn(tc.p, 7, 3000)
+	for _, p := range []Policy{
+		NewLRU(), NewMRU(), NewFIFO(), NewLRUK(2), NewLRD(DefaultLRDInterval),
+		NewMean(), NewWindow(10), NewEWMA(0.5),
+	} {
+		p := p
+		t.Run(p.Name(), func(t *testing.T) {
+			end := churn(p, 7, 3000)
 			// Increasing nows only: eval lazily ages state (LRD), and time
 			// never flows backwards in the simulator either.
 			for _, dt := range []float64{0, 1e-3, 1, 250, 5e4, 3e5} {
-				tc.check(t, end+dt)
+				checkBounds(t, p, end+dt)
 			}
 		})
 	}
 }
 
-// boundedScorer is a class scorer together with the badness upper bound
-// its cutoff inverts (indexed.go's correctness contract). The engine only
-// evaluates cutoffs; the bounds exist to be checked here.
-type boundedScorer interface {
-	classScorer
+// boundedPolicy is an indexed policy together with, per class, the badness
+// upper bound its cutoff inverts (indexed.go's correctness contract). The
+// engine only evaluates cutoffs; the bounds exist to be checked here.
+type boundedPolicy interface {
+	eval(slot int32, now float64) float64
+	cutoff(class int, now, best float64) float64
 	// bound returns an upper bound on the reference badness of every slot
-	// in the class whose heap key is at least key; it must be monotone
+	// in class whose heap key is at least key; it must be monotone
 	// non-increasing in key. Inexact bounds include their own padding for
 	// float rearrangement error.
-	bound(key, now float64) float64
+	bound(class int, key, now float64) float64
+	classHeaps() []classHeap
 }
 
-func (sc lruScorer) bound(key, now float64) float64 { return now - key }
+func (p *recency) bound(_ int, key, now float64) float64 { return p.sign*now - key }
 
-func (sc lruKInfScorer) bound(key, now float64) float64 { return lruKInf + (now - key) }
+func (p *lruK) bound(class int, key, now float64) float64 {
+	if class == lruKShort {
+		return lruKInf + (now - key)
+	}
+	return now - key
+}
 
-func (sc lruKFinScorer) bound(key, now float64) float64 { return now - key }
-
-func (sc lrdScorer) bound(key, now float64) float64 {
-	e := math.Exp2(key - now/sc.p.interval)
+func (p *lrd) bound(_ int, key, now float64) float64 {
+	e := math.Exp2(key - now/p.interval)
 	// Padding: ~1e-12 relative error from the log2/÷/exp2 round trip and
 	// subnormal crumbs from deep halving, with a 1000x safety margin.
 	return -e + (1e-9 + 1e-9*e)
 }
 
-func (sc fifoScorer) bound(key, now float64) float64 { return -key }
+func (p *fifo) bound(_ int, key, _ float64) float64 { return -key }
 
-func (sc mruScorer) bound(key, now float64) float64 { return -key - now }
+func (p *meanPolicy) bound(class int, key, now float64) float64 {
+	if class == fresh {
+		return now - key
+	}
+	return -key
+}
 
-func (sc meanSettledScorer) bound(key, now float64) float64 { return -key }
-
-func (sc meanFreshScorer) bound(key, now float64) float64 { return now - key }
-
-func (sc windowScorer) bound(key, now float64) float64 {
+func (p *windowPolicy) bound(_ int, key, now float64) float64 {
 	// Padding: the key's algebraic rearrangement of the reference formula
 	// carries rounding from intermediates of magnitude up to ~W·now, a few
 	// parts in 10^15 of that; pad proportionally with a large margin.
-	pad := 1e-9 + 1e-13*float64(sc.p.w+2)*(math.Abs(now)+math.Abs(key))
-	return (now-key)/float64(sc.p.w) + pad
+	pad := 1e-9 + 1e-13*float64(p.w+2)*(math.Abs(now)+math.Abs(key))
+	return (now-key)/float64(p.w) + pad
 }
 
-func (sc ewmaSettledScorer) bound(key, now float64) float64 {
+func (p *ewmaPolicy) bound(class int, key, now float64) float64 {
+	if class == fresh {
+		return now - key
+	}
 	// Padding: the affine rearrangement's rounding is a few ulps of
 	// magnitude ~now; pad with a large margin.
-	return (1-sc.p.alpha)*now - key + (1e-9 + 1e-12*(math.Abs(now)+math.Abs(key)))
+	return (1-p.alpha)*now - key + (1e-9 + 1e-12*(math.Abs(now)+math.Abs(key)))
 }
 
-func (sc ewmaFreshScorer) bound(key, now float64) float64 { return now - key }
-
-func checkBounds[S any](t *testing.T, c *victimCore[S], now float64) {
+func checkBounds(t *testing.T, p Policy, now float64) {
 	t.Helper()
-	for ci := range c.classes {
-		ch := &c.classes[ci]
-		sc := ch.sc.(boundedScorer)
+	bp := p.(boundedPolicy)
+	classes := bp.classHeaps()
+	for ci := range classes {
+		ch := &classes[ci]
 		maxEval := math.Inf(-1)
 		for _, slot := range ch.heap.order {
 			key := ch.heap.key[slot]
-			b := sc.bound(key, now)
-			e := sc.eval(slot, now)
+			b := bp.bound(ci, key, now)
+			e := bp.eval(slot, now)
 			if e > b {
 				t.Errorf("class %d slot %d at now=%v: eval %v exceeds bound %v (key %v)",
 					ci, slot, now, e, b, ch.heap.key[slot])
@@ -457,8 +427,8 @@ func checkBounds[S any](t *testing.T, c *victimCore[S], now float64) {
 		}
 		for _, slot := range ch.heap.order {
 			key := ch.heap.key[slot]
-			b := sc.bound(key, now)
-			e := sc.eval(slot, now)
+			b := bp.bound(ci, key, now)
+			e := bp.eval(slot, now)
 			// Cutoff consistency: a slot whose bound reaches best must not
 			// be pruned by the key cutoff (bound >= best ⟹ key <= cutoff).
 			// The engine only ever passes eval scores as best, so probe at
@@ -469,7 +439,7 @@ func checkBounds[S any](t *testing.T, c *victimCore[S], now float64) {
 				if b < best {
 					continue
 				}
-				if cut := sc.cutoff(now, best); key > cut {
+				if cut := bp.cutoff(ci, now, best); key > cut {
 					t.Errorf("class %d slot %d at now=%v: key %v exceeds cutoff %v for best %v (bound %v)",
 						ci, slot, now, key, cut, best, b)
 				}

@@ -24,6 +24,11 @@ import (
 	"repro/internal/stats"
 )
 
+// The class heaps of Mean and EWMA: settled items (at least one recorded
+// duration) and fresh ones (a single access, scored by the open interval
+// and keyed by last access, so their bound now − key is exact).
+const settled, fresh = 0, 1
+
 // ---------------------------------------------------------------- Mean ----
 
 // meanPolicy implements the paper's mean scheme: the score is the cumulative
@@ -45,54 +50,36 @@ type meanPolicy struct {
 // NewMean returns the mean replacement scheme.
 func NewMean() Policy {
 	p := &meanPolicy{}
-	p.classes = []classHeap{
-		{sc: meanSettledScorer{p}},
-		{sc: meanFreshScorer{p}},
-	}
+	p.init(p, 2, "mean")
 	return p
 }
 
-type meanSettledScorer struct{ p *meanPolicy }
+func (p *meanPolicy) enter(_ oodb.Item, now float64) meanState { return meanState{last: now} }
 
-func (sc meanSettledScorer) cutoff(now, best float64) float64 {
-	return padCutoff(-best, now, best)
-}
-func (sc meanSettledScorer) eval(slot int32, now float64) float64 {
-	return meanBadness(&sc.p.t.states[slot], now)
-}
-
-type meanFreshScorer struct{ p *meanPolicy }
-
-func (sc meanFreshScorer) cutoff(now, best float64) float64 {
-	return padCutoff(now-best, now, best)
-}
-func (sc meanFreshScorer) eval(slot int32, now float64) float64 {
-	return meanBadness(&sc.p.t.states[slot], now)
-}
-
-func (p *meanPolicy) Name() string { return "mean" }
-
-func (p *meanPolicy) OnInsert(it oodb.Item, now float64) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.bump(slot, now)
+func (p *meanPolicy) place(slot int32) {
+	s := &p.t.states[slot]
+	if s.n == 0 {
+		p.classes[fresh].heap.update(slot, s.last)
 		return
 	}
-	slot := p.t.add(it, meanState{last: now})
-	p.grow()
-	p.classes[1].heap.push(slot, now) // fresh
+	p.classes[fresh].heap.remove(slot) // no-op once settled
+	p.classes[settled].heap.update(slot, -s.mean)
 }
 
-func (p *meanPolicy) OnAccess(it oodb.Item, now float64) {
-	slot, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
-	p.bump(slot, now)
+func (p *meanPolicy) touch(slot int32, now float64) {
+	p.t.states[slot].record(now)
+	p.place(slot)
 }
 
-func (p *meanPolicy) bump(slot int32, now float64) {
-	s := &p.t.states[slot]
-	s.record(now)
-	p.classes[1].heap.remove(slot) // no-op once settled
-	p.classes[0].heap.update(slot, -s.mean)
+func (p *meanPolicy) eval(slot int32, now float64) float64 {
+	return meanBadness(&p.t.states[slot], now)
+}
+
+func (p *meanPolicy) cutoff(class int, now, best float64) float64 {
+	if class == fresh {
+		return padCutoff(now-best, now, best)
+	}
+	return padCutoff(-best, now, best)
 }
 
 // -------------------------------------------------------------- Window ----
@@ -122,39 +109,12 @@ func NewWindow(w int) Policy {
 		panic("replacement: window size must be >= 1")
 	}
 	p := &windowPolicy{w: w}
-	p.classes = []classHeap{{sc: windowScorer{p}}}
+	p.init(p, 1, fmt.Sprintf("win-%d", w))
 	return p
 }
 
-type windowScorer struct{ p *windowPolicy }
-
-func (sc windowScorer) cutoff(now, best float64) float64 {
-	// Invert (now-key)/w + pad(key) >= best, doubling the bound's own pad
-	// to absorb evaluating it at the cutoff instead of the true key.
-	w := float64(sc.p.w)
-	k := now - w*best
-	k += w * (2e-9 + 2e-13*float64(sc.p.w+2)*(math.Abs(now)+math.Abs(k)))
-	return padCutoff(k, now, best)
-}
-func (sc windowScorer) eval(slot int32, now float64) float64 {
-	return windowBadness(&sc.p.t.states[slot], sc.p.w, now)
-}
-
-func (p *windowPolicy) keyOf(s *winState) float64 {
-	k := s.last - s.win.Mean()*float64(s.win.Count())
-	if s.win.Count() == s.win.Size() {
-		k += s.win.Oldest()
-	}
-	return k
-}
-
-func (p *windowPolicy) Name() string { return fmt.Sprintf("win-%d", p.w) }
-
-func (p *windowPolicy) OnInsert(it oodb.Item, now float64) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.bump(slot, now)
-		return
-	}
+// enter gives the item a recycled window buffer when one is free.
+func (p *windowPolicy) enter(_ oodb.Item, now float64) winState {
 	var win stats.Window
 	if n := len(p.free); n > 0 {
 		win = p.free[n-1]
@@ -162,21 +122,34 @@ func (p *windowPolicy) OnInsert(it oodb.Item, now float64) {
 	} else {
 		win = stats.MakeWindow(p.w)
 	}
-	slot := p.t.add(it, winState{win: win, last: now})
-	p.grow()
-	p.classes[0].heap.push(slot, p.keyOf(&p.t.states[slot]))
+	return winState{win: win, last: now}
 }
 
-func (p *windowPolicy) OnAccess(it oodb.Item, now float64) {
-	slot, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
-	p.bump(slot, now)
-}
-
-func (p *windowPolicy) bump(slot int32, now float64) {
+func (p *windowPolicy) place(slot int32) {
 	s := &p.t.states[slot]
-	s.record(now)
-	p.classes[0].heap.update(slot, p.keyOf(s))
+	k := s.last - s.win.Mean()*float64(s.win.Count())
+	if s.win.Count() == s.win.Size() {
+		k += s.win.Oldest()
+	}
+	p.classes[0].heap.update(slot, k)
+}
+
+func (p *windowPolicy) touch(slot int32, now float64) {
+	p.t.states[slot].record(now)
+	p.place(slot)
+}
+
+func (p *windowPolicy) eval(slot int32, now float64) float64 {
+	return windowBadness(&p.t.states[slot], p.w, now)
+}
+
+func (p *windowPolicy) cutoff(_ int, now, best float64) float64 {
+	// Invert (now-key)/w + pad(key) >= best, doubling the bound's own pad
+	// to absorb evaluating it at the cutoff instead of the true key.
+	w := float64(p.w)
+	k := now - w*best
+	k += w * (2e-9 + 2e-13*float64(p.w+2)*(math.Abs(now)+math.Abs(k)))
+	return padCutoff(k, now, best)
 }
 
 // Remove is victimCore.Remove plus recycling the item's window buffer.
@@ -212,56 +185,38 @@ func NewEWMA(alpha float64) Policy {
 		panic("replacement: EWMA alpha must be in [0,1)")
 	}
 	p := &ewmaPolicy{alpha: alpha}
-	p.classes = []classHeap{
-		{sc: ewmaSettledScorer{p}},
-		{sc: ewmaFreshScorer{p}},
-	}
+	p.init(p, 2, fmt.Sprintf("ewma-%g", alpha))
 	return p
 }
 
-type ewmaSettledScorer struct{ p *ewmaPolicy }
+func (p *ewmaPolicy) enter(_ oodb.Item, now float64) ewmaState { return ewmaState{last: now} }
 
-func (sc ewmaSettledScorer) cutoff(now, best float64) float64 {
-	// Invert (1-α)·now - key + pad(key) >= best, doubling the bound's pad
-	// to absorb evaluating it at the cutoff instead of the true key.
-	k := (1-sc.p.alpha)*now - best
-	k += 2e-9 + 2e-12*(math.Abs(now)+math.Abs(k))
-	return padCutoff(k, now, best)
-}
-func (sc ewmaSettledScorer) eval(slot int32, now float64) float64 {
-	return ewmaBadness(&sc.p.t.states[slot], sc.p.alpha, now)
-}
-
-type ewmaFreshScorer struct{ p *ewmaPolicy }
-
-func (sc ewmaFreshScorer) cutoff(now, best float64) float64 {
-	return padCutoff(now-best, now, best)
-}
-func (sc ewmaFreshScorer) eval(slot int32, now float64) float64 {
-	return ewmaBadness(&sc.p.t.states[slot], sc.p.alpha, now)
-}
-
-func (p *ewmaPolicy) Name() string { return fmt.Sprintf("ewma-%g", p.alpha) }
-
-func (p *ewmaPolicy) OnInsert(it oodb.Item, now float64) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.bump(slot, now)
+func (p *ewmaPolicy) place(slot int32) {
+	s := &p.t.states[slot]
+	if s.n == 0 {
+		p.classes[fresh].heap.update(slot, s.last)
 		return
 	}
-	slot := p.t.add(it, ewmaState{last: now})
-	p.grow()
-	p.classes[1].heap.push(slot, now) // fresh
+	p.classes[fresh].heap.remove(slot) // no-op once settled
+	p.classes[settled].heap.update(slot, (1-p.alpha)*s.last-p.alpha*s.value)
 }
 
-func (p *ewmaPolicy) OnAccess(it oodb.Item, now float64) {
-	slot, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
-	p.bump(slot, now)
+func (p *ewmaPolicy) touch(slot int32, now float64) {
+	p.t.states[slot].record(p.alpha, now)
+	p.place(slot)
 }
 
-func (p *ewmaPolicy) bump(slot int32, now float64) {
-	s := &p.t.states[slot]
-	s.record(p.alpha, now)
-	p.classes[1].heap.remove(slot) // no-op once settled
-	p.classes[0].heap.update(slot, (1-p.alpha)*s.last-p.alpha*s.value)
+func (p *ewmaPolicy) eval(slot int32, now float64) float64 {
+	return ewmaBadness(&p.t.states[slot], p.alpha, now)
+}
+
+func (p *ewmaPolicy) cutoff(class int, now, best float64) float64 {
+	if class == fresh {
+		return padCutoff(now-best, now, best)
+	}
+	// Invert (1-α)·now - key + pad(key) >= best, doubling the bound's pad
+	// to absorb evaluating it at the cutoff instead of the true key.
+	k := (1-p.alpha)*now - best
+	k += 2e-9 + 2e-12*(math.Abs(now)+math.Abs(k))
+	return padCutoff(k, now, best)
 }

@@ -5,6 +5,8 @@ package replacement
 // slices, plus slot-keyed binary min-heaps walked by a bound-pruned search
 // that reproduces the reference scan's victim choice — including its
 // tie-breaking by scan position — without visiting every resident item.
+// victimCore is the one skeleton: it implements every Policy method of an
+// indexed policy, which supplies only the hook set in indexed.
 //
 // Correctness contract (differentially tested against the reference scan
 // in reference_test.go):
@@ -24,12 +26,12 @@ package replacement
 //     The search walks the heap from the root and prunes a subtree exactly
 //     when its root's bound falls strictly below the current best, so bound
 //     ties are always visited. The engine never evaluates the bound itself,
-//     only its inversion classScorer.cutoff; the bounds are written out
-//     beside TestBoundSoundness, which checks both against eval.
-//   - Visited slots are scored with classScorer.eval, which evaluates the
-//     *exact* reference badness formula (states.go), so candidates are
-//     compared by reference semantics even where keys or bounds are
-//     approximate.
+//     only its inversion indexed.cutoff; the bounds are written out beside
+//     TestBoundSoundness, which checks both against eval.
+//   - Visited slots are scored with indexed.eval, which evaluates the
+//     *exact* reference badness formula (states.go) — one formula per
+//     policy, whatever the slot's class — so candidates are compared by
+//     reference semantics even where keys or bounds are approximate.
 //   - Badness ties resolve exactly like the reference scan: Victim is the
 //     first of Victims(now, 1), and one selection heap ranks candidates by
 //     the reference's (score desc, slot asc) total order. Slot indices evolve
@@ -44,8 +46,9 @@ import (
 )
 
 // slotTable tracks items and their per-item state in flat parallel slices
-// ([]S values, not []*S pointers), located through an oodb.ItemIndex. The
-// zero value is an empty table.
+// ([]S values, not []*S pointers), located through an oodb.ItemIndex. Every
+// policy keeps its residents in one, clock and random included. The zero
+// value is an empty table.
 type slotTable[S any] struct {
 	items  []oodb.Item
 	states []S
@@ -109,18 +112,14 @@ func (h *slotHeap) less(a, b int32) bool {
 	return ka < kb || (ka == kb && a < b)
 }
 
-func (h *slotHeap) push(slot int32, key float64) {
-	h.key[slot] = key
-	h.pos[slot] = int32(len(h.order))
-	h.order = append(h.order, slot)
-	h.siftUp(h.pos[slot])
-}
-
 // update rewrites slot's key, pushing the slot if absent.
 func (h *slotHeap) update(slot int32, key float64) {
 	i := h.pos[slot]
 	if i < 0 {
-		h.push(slot, key)
+		h.key[slot] = key
+		h.pos[slot] = int32(len(h.order))
+		h.order = append(h.order, slot)
+		h.siftUp(h.pos[slot])
 		return
 	}
 	old := h.key[slot]
@@ -203,22 +202,31 @@ func (h *slotHeap) siftDown(i int32) {
 	}
 }
 
-// classScorer evaluates one class heap during a victim search. Implemented
-// by small per-class wrapper structs holding the policy pointer, built once
-// at construction so searches allocate nothing.
-type classScorer interface {
-	// cutoff inverts the class's badness bound into key space: it returns
-	// a key threshold such that B(key, now) >= best implies
-	// key <= cutoff(now, best). The search prunes subtrees by comparing
-	// cached keys against the cutoff — one float compare per node instead
-	// of re-deriving the bound — and recomputes the cutoff only when the
-	// weakest retained score changes. A cutoff may be loose upward (visiting
-	// extra slots is just slower), never tight downward; inexact inversions
-	// pad with padCutoff.
-	cutoff(now, best float64) float64
+// indexed is the hook set through which victimCore drives one policy: how
+// a resident's state is made, keyed and touched, and how its slots are
+// scored. A policy implements it on its own type, which embeds the
+// victimCore[S] that calls it.
+type indexed[S any] interface {
+	// enter returns the state of an item entering the table at time now,
+	// which counts as its first access.
+	enter(it oodb.Item, now float64) S
+	// place keys slot into its class heap from its current state.
+	place(slot int32)
+	// touch records an access to slot at time now and re-keys it.
+	touch(slot int32, now float64)
 	// eval returns the exact reference badness of slot at time now (it may
-	// lazily age the slot's state, like the reference scan does).
+	// lazily age the slot's state, like the reference scan does). One
+	// formula serves every class of the policy.
 	eval(slot int32, now float64) float64
+	// cutoff inverts class's badness bound into key space: it returns a key
+	// threshold such that B(key, now) >= best implies
+	// key <= cutoff(class, now, best). The search prunes subtrees by
+	// comparing cached keys against the cutoff — one float compare per node
+	// instead of re-deriving the bound — and recomputes the cutoff only when
+	// the weakest retained score changes. A cutoff may be loose upward
+	// (visiting extra slots is just slower), never tight downward; inexact
+	// inversions pad with padCutoff.
+	cutoff(class int, now, best float64) float64
 }
 
 // padCutoff nudges a bound-inversion result upward by a relative margin
@@ -305,12 +313,11 @@ func (sw *selectWorst) extractInto(items []oodb.Item, out []oodb.Item) {
 	}
 }
 
-// classHeap pairs one class's heap with its scorer, plus the adaptive
-// search state: sweepBias counts how many upcoming searches should use the
-// flat sweep instead of the DFS (see search).
+// classHeap is one class's heap plus the adaptive search state: sweepBias
+// counts how many upcoming searches should use the flat sweep instead of
+// the DFS (see victimCore.search).
 type classHeap struct {
 	heap      slotHeap
-	sc        classScorer
 	sweepBias int32
 }
 
@@ -320,75 +327,13 @@ type classHeap struct {
 // working again.
 const sweepRun = 15
 
-// search offers the class's candidates to the selection. It walks the heap
-// from the root, pruning a subtree once the selection is full and the
-// subtree root's key exceeds the cutoff derived from the weakest retained
-// candidate (keys at the cutoff are always visited, preserving reference
-// tie-breaks). The cutoff is recomputed only when the weakest score changes,
-// so the per-node prune test is a single float compare. stack is
-// caller-owned scratch, returned for reuse.
-//
-// When a DFS ends up visiting at least half the class anyway — heavy score
-// ties (e.g. LRD before any item has aged past an interval) or a request
-// that ranks every resident leave nothing to prune — the per-node stack and
-// key-compare overhead makes the walk strictly worse than a flat sweep over
-// the same slots. search detects that and sweeps the class flat for the next
-// sweepRun searches, re-probing with a DFS afterwards in case the regime
-// changed. Both modes offer into the same selection with the same exact
-// eval under the same total order (score desc, slot asc), so the switch can
-// never change which victims are selected — only how many slots are visited.
-func (ch *classHeap) search(now float64, sw *selectWorst, stack []int32) []int32 {
-	h, sc := &ch.heap, ch.sc
-	n := int32(len(h.order))
-	if n == 0 {
-		return stack
-	}
-	if ch.sweepBias > 0 {
-		ch.sweepBias--
-		for _, slot := range h.order {
-			sw.offer(victimCand{slot: slot, score: sc.eval(slot, now)})
-		}
-		return stack
-	}
-	cut := math.Inf(1)
-	weakest := math.Inf(1)
-	if len(sw.cands) == sw.n {
-		weakest = sw.cands[0].score
-		cut = sc.cutoff(now, weakest)
-	}
-	visited := int32(0)
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		slot := h.order[i]
-		if h.key[slot] > cut {
-			continue // no slot in this subtree can beat the weakest retained
-		}
-		visited++
-		sw.offer(victimCand{slot: slot, score: sc.eval(slot, now)})
-		if len(sw.cands) == sw.n && sw.cands[0].score != weakest {
-			weakest = sw.cands[0].score
-			cut = sc.cutoff(now, weakest)
-		}
-		if l := 2*i + 1; l < n {
-			stack = append(stack, l)
-			if r := l + 1; r < n {
-				stack = append(stack, r)
-			}
-		}
-	}
-	if visited*2 >= n {
-		ch.sweepBias = sweepRun
-	}
-	return stack
-}
-
-// victimCore bundles the slot table, class heaps and search scratch shared
-// by the indexed policies, and implements Policy's Victim, Victims, Remove
-// and Len for them. Policies embed it and wire classes at construction
-// time.
+// victimCore is the one skeleton of the indexed policies: the slot table,
+// the class heaps and the search scratch, and every Policy method. A
+// policy embeds it and calls init at construction with itself as the
+// hooks.
 type victimCore[S any] struct {
+	h       indexed[S]
+	name    string
 	t       slotTable[S]
 	classes []classHeap
 	stack   []int32
@@ -396,12 +341,35 @@ type victimCore[S any] struct {
 	out     []oodb.Item // scratch returned by Victims
 }
 
-// grow sizes every class heap's dense arrays to the table.
-func (c *victimCore[S]) grow() {
-	n := len(c.t.items)
-	for i := range c.classes {
-		c.classes[i].heap.grow(n)
+// init wires the policy's hooks and name and gives it classes class
+// heaps.
+func (c *victimCore[S]) init(h indexed[S], classes int, name string) {
+	c.h, c.name = h, name
+	c.classes = make([]classHeap, classes)
+}
+
+// Name identifies the policy (e.g. "ewma-0.5").
+func (c *victimCore[S]) Name() string { return c.name }
+
+// OnInsert touches a tracked item; otherwise it enters the table and is
+// placed in its class heap.
+func (c *victimCore[S]) OnInsert(it oodb.Item, now float64) {
+	if slot, ok := c.t.lookup(it); ok {
+		c.h.touch(slot, now)
+		return
 	}
+	slot := c.t.add(it, c.h.enter(it, now))
+	for i := range c.classes {
+		c.classes[i].heap.grow(len(c.t.items))
+	}
+	c.h.place(slot)
+}
+
+// OnAccess touches a resident item; an untracked one panics.
+func (c *victimCore[S]) OnAccess(it oodb.Item, now float64) {
+	slot, ok := c.t.lookup(it)
+	mustTracked(c, ok, it)
+	c.h.touch(slot, now)
 }
 
 // Victim returns the single worst item: the first of Victims(now, 1).
@@ -416,15 +384,13 @@ func (c *victimCore[S]) Victim(now float64) (oodb.Item, bool) {
 // Victim or Victims call overwrites: every class searches into one
 // selection heap.
 func (c *victimCore[S]) Victims(now float64, n int) []oodb.Item {
-	if n > len(c.t.items) {
-		n = len(c.t.items)
-	}
+	n = min(n, len(c.t.items))
 	if n <= 0 {
 		return nil
 	}
 	sw := selectWorst{cands: c.cands[:0], n: n}
 	for i := range c.classes {
-		c.stack = c.classes[i].search(now, &sw, c.stack)
+		c.search(i, now, &sw)
 	}
 	if cap(c.out) < len(sw.cands) {
 		c.out = make([]oodb.Item, len(sw.cands))
@@ -455,5 +421,69 @@ func (c *victimCore[S]) removeSlot(slot int32) {
 		for i := range c.classes {
 			c.classes[i].heap.rename(moved, slot)
 		}
+	}
+}
+
+// search offers class ci's candidates to the selection. It walks the heap
+// from the root, pruning a subtree once the selection is full and the
+// subtree root's key exceeds the cutoff derived from the weakest retained
+// candidate (keys at the cutoff are always visited, preserving reference
+// tie-breaks). The cutoff is recomputed only when the weakest score changes,
+// so the per-node prune test is a single float compare.
+//
+// When a DFS ends up visiting at least half the class anyway — heavy score
+// ties (e.g. LRD before any item has aged past an interval) or a request
+// that ranks every resident leave nothing to prune — the per-node stack and
+// key-compare overhead makes the walk strictly worse than a flat sweep over
+// the same slots. search detects that and sweeps the class flat for the next
+// sweepRun searches, re-probing with a DFS afterwards in case the regime
+// changed. Both modes offer into the same selection with the same exact
+// eval under the same total order (score desc, slot asc), so the switch can
+// never change which victims are selected — only how many slots are visited.
+func (c *victimCore[S]) search(ci int, now float64, sw *selectWorst) {
+	ch, hk := &c.classes[ci], c.h
+	h := &ch.heap
+	n := int32(len(h.order))
+	if n == 0 {
+		return
+	}
+	if ch.sweepBias > 0 {
+		ch.sweepBias--
+		for _, slot := range h.order {
+			sw.offer(victimCand{slot: slot, score: hk.eval(slot, now)})
+		}
+		return
+	}
+	cut := math.Inf(1)
+	weakest := math.Inf(1)
+	if len(sw.cands) == sw.n {
+		weakest = sw.cands[0].score
+		cut = hk.cutoff(ci, now, weakest)
+	}
+	visited := int32(0)
+	stack := append(c.stack[:0], 0)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		slot := h.order[i]
+		if h.key[slot] > cut {
+			continue // no slot in this subtree can beat the weakest retained
+		}
+		visited++
+		sw.offer(victimCand{slot: slot, score: hk.eval(slot, now)})
+		if len(sw.cands) == sw.n && sw.cands[0].score != weakest {
+			weakest = sw.cands[0].score
+			cut = hk.cutoff(ci, now, weakest)
+		}
+		if l := 2*i + 1; l < n {
+			stack = append(stack, l)
+			if r := l + 1; r < n {
+				stack = append(stack, r)
+			}
+		}
+	}
+	c.stack = stack
+	if visited*2 >= n {
+		ch.sweepBias = sweepRun
 	}
 }

@@ -1,6 +1,7 @@
 package replacement
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -401,6 +402,38 @@ func TestRandomVictimIsResident(t *testing.T) {
 	}
 	if len(seen) < 5 {
 		t.Fatalf("random victims not spread: %d distinct", len(seen))
+	}
+}
+
+// TestRandomVictimOrder pins the exact victims of a seeded Random policy
+// over a fixed trace of inserts, Victim and Victims calls, and removals of
+// the returned items. Random has no reference twin, and its stream indexes
+// resident slots, so a change to how residents are laid out (the
+// swap-remove included) would reorder these victims without failing any
+// residency check.
+func TestRandomVictimOrder(t *testing.T) {
+	p := NewRandom(rng.New(7))
+	var got []oodb.OID
+	next := 0
+	for round := 0; round < 8; round++ {
+		for i := 0; i < 5; i++ {
+			p.OnInsert(obj(next), float64(next))
+			next++
+		}
+		v, _ := p.Victim(0)
+		got = append(got, v.OID)
+		p.Remove(v)
+		for _, v := range append([]oodb.Item(nil), p.Victims(0, 3)...) {
+			got = append(got, v.OID)
+			p.Remove(v)
+		}
+	}
+	want := []oodb.OID{
+		4, 2, 1, 0, 6, 5, 3, 7, 11, 8, 12, 10, 13, 15, 19, 17,
+		23, 22, 21, 18, 25, 20, 26, 16, 32, 28, 33, 27, 24, 30, 39, 35,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("victims = %v, want %v", got, want)
 	}
 }
 

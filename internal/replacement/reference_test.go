@@ -459,6 +459,11 @@ type refMRU struct {
 	core scanCore[lruState]
 }
 
+// mruBadness equals the optimized MRU's −1·lruBadness: IEEE subtraction
+// is correctly rounded, so last − now = −(now − last) exactly (a zero may
+// differ in sign, and ±0 compare equal).
+func mruBadness(s *lruState, now float64) float64 { return s.last - now }
+
 func newRefMRU() Policy {
 	p := &refMRU{}
 	p.core = newScanCore(mruBadness)

@@ -15,8 +15,8 @@ type lruState struct {
 	last float64
 }
 
+// lruBadness is LRU's badness; MRU's is its exact negation (recency.eval).
 func lruBadness(s *lruState, now float64) float64 { return now - s.last }
-func mruBadness(s *lruState, now float64) float64 { return s.last - now }
 
 // -------------------------------------------------------------- LRU-k ----
 

@@ -32,11 +32,11 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"net/url"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -69,40 +69,35 @@ type fileVersions struct {
 // File is the persistent Store: every read-path call delegates to the
 // embedded in-memory engine; mutations additionally write through to the
 // log before returning.
+//
+// A request changes memory before its record is durable, so a failed
+// append or fsync leaves memory ahead of what a restart recovers, and
+// after a failed fsync the kernel may have dropped the dirty pages for
+// good. The store then fails closed: it keeps the first persist error and
+// returns it from every later Read, Fetch, Write, Invalidate, Renew and
+// Lease; Stats keeps answering and /healthz answers 503. A request running
+// concurrently with the failing one can still see its unlogged state:
+// only logging before applying would close that window.
 type File struct {
 	*Memory
 	log *storage.Store
-	dsn string
+	// dsn is the DSN Stats reports, its path cut to the final element:
+	// stats consumers learn which store served the run, not the server's
+	// filesystem layout.
+	dsn    string
+	broken atomic.Pointer[error] // the first persist error, once there is one
 }
 
 const metaKey = "m:config"
 
-// openFileDSN is the registered factory for "file:<path>?sync=<mode>".
+// openFileDSN opens a "file:<path>?sync=<mode>" DSN (storage.ParseDSN's
+// grammar) for Open.
 func openFileDSN(dsn string, cfg Config) (Store, error) {
-	rest, ok := cutScheme(dsn)
-	if !ok || rest == "" {
-		return nil, fmt.Errorf("%w: file backend needs a path (file:/path/cache.db?sync=group)", ErrBadRequest)
+	opts, err := storage.ParseDSN(dsn)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	path, query, _ := strings.Cut(rest, "?")
-	if path == "" {
-		return nil, fmt.Errorf("%w: file backend needs a path", ErrBadRequest)
-	}
-	mode := storage.SyncGroup
-	if query != "" {
-		vals, err := url.ParseQuery(query)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad file DSN query %q: %v", ErrBadRequest, query, err)
-		}
-		for k := range vals {
-			if k != "sync" {
-				return nil, fmt.Errorf("%w: unknown file DSN parameter %q (want sync)", ErrBadRequest, k)
-			}
-		}
-		if mode, err = storage.ParseSyncMode(vals.Get("sync")); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-	}
-	return NewFile(path, mode, cfg)
+	return NewFile(opts.Path, opts.Sync, cfg)
 }
 
 // NewFile opens (or recovers) a persistent store rooted at path. A fresh
@@ -120,7 +115,7 @@ func NewFile(path string, mode storage.SyncMode, cfg Config) (*File, error) {
 		log.Close()
 		return nil, err
 	}
-	f.dsn = fmt.Sprintf("file:%s?sync=%s", path, mode)
+	f.dsn = fmt.Sprintf("file:…/%s?sync=%s", filepath.Base(path), mode)
 	return f, nil
 }
 
@@ -262,9 +257,23 @@ func putJSON(b *storage.Batch, key string, v any) error {
 }
 
 // apply commits a request's unit and waits for it to be durable.
-func (f *File) apply(b *storage.Batch) error {
-	if err := f.log.Apply(b); err != nil {
-		return fmt.Errorf("serve: persist: %w", err)
+func (f *File) apply(b *storage.Batch) error { return f.persistErr(f.log.Apply(b)) }
+
+// persistErr passes a nil persist result through. It wraps an error and
+// keeps the first one the store saw, which fails the store closed.
+func (f *File) persistErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	err = fmt.Errorf("serve: persist: %w", err)
+	f.broken.CompareAndSwap(nil, &err)
+	return err
+}
+
+// failed returns the first persist error, or nil while the store is whole.
+func (f *File) failed() error {
+	if err := f.broken.Load(); err != nil {
+		return *err
 	}
 	return nil
 }
@@ -299,6 +308,9 @@ func entryKey(clientID int, it oodb.Item) string {
 
 // Read implements Store: delegate, then write through any installed copy.
 func (f *File) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMode) (ReadResult, error) {
+	if err := f.failed(); err != nil {
+		return ReadResult{}, err
+	}
 	res, err := f.Memory.Read(clientID, oid, attr, mode)
 	if err != nil || !res.FromOrigin {
 		return res, err
@@ -313,6 +325,9 @@ func (f *File) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMode)
 
 // Fetch implements Store: delegate, then write through the installed batch.
 func (f *File) Fetch(clientID int, reads []workload.ReadOp) ([]FetchedItem, error) {
+	if err := f.failed(); err != nil {
+		return nil, err
+	}
 	now := f.clock()
 	out, err := f.Memory.Fetch(clientID, reads)
 	if err != nil {
@@ -335,6 +350,9 @@ func (f *File) Fetch(clientID int, reads []workload.ReadOp) ([]FetchedItem, erro
 // never restores an older state than one it acknowledged; the durability
 // wait happens after the lock is released.
 func (f *File) Write(oid oodb.OID, attrs []oodb.AttrID) (uint64, error) {
+	if err := f.failed(); err != nil {
+		return 0, err
+	}
 	version, err := f.Memory.Write(oid, attrs)
 	if err != nil {
 		return version, err
@@ -343,10 +361,7 @@ func (f *File) Write(oid oodb.OID, attrs []oodb.AttrID) (uint64, error) {
 	if err != nil {
 		return version, err
 	}
-	if err := f.log.Wait(seq); err != nil {
-		return version, fmt.Errorf("serve: persist: %w", err)
-	}
-	return version, nil
+	return version, f.persistErr(f.log.Wait(seq))
 }
 
 // appendOrigin appends object oid's current origin state and the write
@@ -375,14 +390,14 @@ func (f *File) appendOrigin(oid oodb.OID, attrs []oodb.AttrID) (uint64, error) {
 		}
 	}
 	seq, err := f.log.Append(&b)
-	if err != nil {
-		return 0, fmt.Errorf("serve: persist: %w", err)
-	}
-	return seq, nil
+	return seq, f.persistErr(err)
 }
 
 // Invalidate implements Store: delegate, then drop the persisted leases.
 func (f *File) Invalidate(clientID int, oid oodb.OID, attr oodb.AttrID) (int, error) {
+	if err := f.failed(); err != nil {
+		return 0, err
+	}
 	removed, err := f.Memory.Invalidate(clientID, oid, attr)
 	if err != nil {
 		return removed, err
@@ -414,6 +429,9 @@ func (f *File) Invalidate(clientID int, oid oodb.OID, attr oodb.AttrID) (int, er
 
 // Renew implements Store: delegate, then write through the refreshed lease.
 func (f *File) Renew(clientID int, oid oodb.OID, attr oodb.AttrID) (LeaseInfo, error) {
+	if err := f.failed(); err != nil {
+		return LeaseInfo{}, err
+	}
 	info, err := f.Memory.Renew(clientID, oid, attr)
 	if err != nil || !info.Cached {
 		return info, err
@@ -426,29 +444,21 @@ func (f *File) Renew(clientID int, oid oodb.OID, attr oodb.AttrID) (LeaseInfo, e
 	return info, f.apply(&b)
 }
 
+// Lease implements Store: delegate, unless the store has failed closed.
+func (f *File) Lease(clientID int, oid oodb.OID, attr oodb.AttrID) (LeaseInfo, error) {
+	if err := f.failed(); err != nil {
+		return LeaseInfo{}, err
+	}
+	return f.Memory.Lease(clientID, oid, attr)
+}
+
 // Stats implements Store, adding the persistent tier's identity.
 func (f *File) Stats() Stats {
 	st := f.Memory.Stats()
 	st.Backend = "file"
-	st.DSN = redactDSN(f.dsn)
+	st.DSN = f.dsn
 	st.DiskBytes = f.log.DiskBytes()
 	return st
-}
-
-// redactDSN strips a file DSN's directory prefix, keeping only the final
-// path element: stats consumers learn which store served the run, not the
-// server's filesystem layout.
-func redactDSN(dsn string) string {
-	rest, ok := cutScheme(dsn)
-	if !ok {
-		return dsn
-	}
-	path, query, hasQuery := strings.Cut(rest, "?")
-	red := "…/" + filepath.Base(path)
-	if hasQuery {
-		red += "?" + query
-	}
-	return "file:" + red
 }
 
 // Register implements Store: the serve.* gauges plus the storage engine's

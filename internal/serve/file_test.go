@@ -2,9 +2,13 @@ package serve
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -343,5 +347,69 @@ func TestFileReopenRejectsMismatchedConfig(t *testing.T) {
 	cfg.NumObjects = 999
 	if _, err := NewFile(dir, storage.SyncGroup, cfg); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("reopen with different population = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestFileFailsClosedAfterPersistError: Write applies to the in-memory
+// origin before its record is durable, so once a record fails to persist
+// the store must stop serving, or another client would read a version a
+// restart does not have.
+func TestFileFailsClosedAfterPersistError(t *testing.T) {
+	fault := errors.New("injected fsync fault")
+	var failNext atomic.Bool
+	log, err := storage.Open(storage.Options{
+		Path: filepath.Join(t.TempDir(), "cache.db"),
+		Fsync: func(f *os.File) error {
+			if failNext.CompareAndSwap(true, false) {
+				return fault
+			}
+			return f.Sync()
+		},
+	})
+	if err != nil {
+		t.Fatalf("storage.Open: %v", err)
+	}
+	f, err := newFileOver(log, fileConfig(&fakeClock{}))
+	if err != nil {
+		t.Fatalf("newFileOver: %v", err)
+	}
+	defer f.Close()
+	if _, err := f.Read(1, 5, 0, ModeServe); err != nil {
+		t.Fatalf("Read before the fault: %v", err)
+	}
+	health := func() int {
+		rec := httptest.NewRecorder()
+		NewHandler(f, HTTPConfig{}).ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		return rec.Code
+	}
+	if code := health(); code != http.StatusOK {
+		t.Fatalf("healthz before the fault = %d, want 200", code)
+	}
+
+	failNext.Store(true)
+	if _, err := f.Write(5, []oodb.AttrID{0}); !errors.Is(err, fault) {
+		t.Fatalf("Write under a failing fsync = %v, want the fault", err)
+	}
+	if res, err := f.Read(2, 5, 0, ModeServe); !errors.Is(err, fault) {
+		t.Fatalf("another client's Read after the failed Write = %+v, %v; want the fault", res, err)
+	}
+	// The fault was one-shot, yet the store stays closed.
+	for name, call := range map[string]func() error{
+		"Read":       func() error { _, err := f.Read(1, 5, 0, ModeProbe); return err },
+		"Fetch":      func() error { _, err := f.Fetch(3, []workload.ReadOp{{OID: 11}}); return err },
+		"Write":      func() error { _, err := f.Write(6, []oodb.AttrID{0}); return err },
+		"Invalidate": func() error { _, err := f.Invalidate(1, 5, oodb.WholeObject); return err },
+		"Renew":      func() error { _, err := f.Renew(1, 5, 0); return err },
+		"Lease":      func() error { _, err := f.Lease(1, 5, 0); return err },
+	} {
+		if err := call(); !errors.Is(err, fault) || errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s after the failed Write = %v, want the fault (HTTP 500)", name, err)
+		}
+	}
+	if st := f.Stats(); st.Backend != "file" || st.Writes != 1 {
+		t.Fatalf("Stats after the failure = %+v, want the file backend's counters", st)
+	}
+	if code := health(); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz after the failure = %d, want 503", code)
 	}
 }

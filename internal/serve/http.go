@@ -297,7 +297,13 @@ func NewHandler(st Store, hc HTTPConfig) http.Handler {
 		writeJSON(w, http.StatusOK, st.Stats())
 	})
 
+	// A store that has failed closed (File after a persist error) answers
+	// 503 here, so a supervisor polling the probe restarts it.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		if fc, ok := st.(interface{ failed() error }); ok && fc.failed() != nil {
+			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: fc.failed().Error()})
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})

@@ -248,9 +248,3 @@ func Open(dsn string, cfg Config) (Store, error) {
 	}
 	return nil, fmt.Errorf("%w: unknown backend %q (want memory, mem or file:<path>)", ErrBadRequest, name)
 }
-
-// cutScheme splits "name:rest" and reports whether a ':' was present.
-func cutScheme(dsn string) (rest string, ok bool) {
-	_, rest, ok = strings.Cut(dsn, ":")
-	return rest, ok
-}

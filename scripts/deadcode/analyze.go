@@ -208,7 +208,11 @@ func (l *loader) check(u *unit) (*types.Package, error) {
 // tree, keyed by the used object's declaring position so that the non-test
 // and test builds of a package share keys.
 func (l *loader) typecheck(path string, files []*ast.File, imp types.ImporterFrom) (*types.Package, *types.Info) {
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Instances: map[*ast.Ident]types.Instance{},
+	}
 	conf := types.Config{Importer: imp, Error: func(err error) { l.errs = append(l.errs, err) }}
 	pkg, _ := conf.Check(path, l.fset, files, info)
 	for id, obj := range info.Uses {
@@ -230,6 +234,7 @@ func (l *loader) typecheck(path string, files []*ast.File, imp types.ImporterFro
 func (l *loader) findings(paths []string) []Finding {
 	cands := map[token.Pos]*candidate{}
 	var named []*types.Named
+	generic := map[*types.TypeName]bool{} // the tree's generic interfaces
 	for _, p := range paths {
 		u := l.units[p]
 		rel, _ := filepath.Rel(l.root, u.dir)
@@ -240,6 +245,8 @@ func (l *loader) findings(paths []string) []Finding {
 		for _, n := range l.collect(u, cands) {
 			if n.TypeParams().Len() == 0 {
 				named = append(named, n)
+			} else if types.IsInterface(n) {
+				generic[n.Obj()] = true
 			}
 		}
 	}
@@ -248,7 +255,7 @@ func (l *loader) findings(paths []string) []Finding {
 	for pos, c := range cands {
 		used[pos] = l.usedOutsideOwnTests(c)
 	}
-	l.propagate(cands, named, used)
+	l.propagate(cands, named, l.instances(paths, generic), used)
 
 	var out []Finding
 	for pos, c := range cands {
@@ -383,12 +390,76 @@ type iface struct {
 	std  bool
 }
 
+// instances returns the instantiations of the tree's generic interfaces
+// that the type checker records (types.Info.Instances): written out, as in
+// Getter[int], or met inside a recorded instance's fields and method
+// signatures, as the field h indexed[S] of victimCore[lruState] is
+// indexed[lruState]. A generic interface itself is not an interface set
+// member — only concrete instantiations have implementations.
+func (l *loader) instances(paths []string, generic map[*types.TypeName]bool) []*types.Named {
+	var out []*types.Named
+	seen := map[string]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Named:
+			if t.TypeArgs().Len() == 0 || seen[types.TypeString(t, nil)] {
+				return // not an instantiation: its own are recorded where written
+			}
+			seen[types.TypeString(t, nil)] = true
+			if generic[t.Origin().Obj()] {
+				out = append(out, t)
+			}
+			walk(t.Underlying())
+			for i := 0; i < t.NumMethods(); i++ {
+				walk(t.Method(i).Type())
+			}
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Chan:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				walk(t.Field(i).Type())
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				walk(t.Method(i).Type())
+			}
+		case *types.Signature:
+			walk(t.Params())
+			walk(t.Results())
+		case *types.Tuple:
+			for i := 0; i < t.Len(); i++ {
+				walk(t.At(i).Type())
+			}
+		}
+	}
+	for _, p := range paths {
+		if info := l.units[p].info; info != nil {
+			for _, inst := range info.Instances {
+				walk(inst.Type)
+			}
+		}
+	}
+	return out
+}
+
 // propagate marks a method used when an interface method it satisfies is
 // used, to a fixpoint (an interface's method becomes used through a wider
-// interface it satisfies).
-func (l *loader) propagate(cands map[token.Pos]*candidate, named []*types.Named, used map[token.Pos]bool) {
+// interface it satisfies). inst are the instantiated generic interfaces;
+// an instantiation's methods share their positions with the generic
+// declaration's, so they are used when it is.
+func (l *loader) propagate(cands map[token.Pos]*candidate, named, inst []*types.Named, used map[token.Pos]bool) {
 	var ifaces []iface
-	for _, n := range named {
+	for _, n := range append(named, inst...) {
 		if it, ok := n.Underlying().(*types.Interface); ok {
 			ifaces = append(ifaces, iface{self: n, it: it})
 		}

@@ -8,8 +8,9 @@ import (
 // TestFixture pins which of the fixture's identifiers the gate flags: the
 // unused func, the func only its own package's tests call, and the
 // interface method only tests call together with its implementation —
-// but not the func another package's test calls, nor a used type's
-// String.
+// but not the func another package's test calls, a used type's String,
+// nor the two implementations of a generic interface that is only ever
+// called through an instantiation the source does not spell out.
 func TestFixture(t *testing.T) {
 	got, err := Analyze("testdata/fixture")
 	if err != nil {

@@ -7,4 +7,4 @@ import (
 	"fixture/internal/a"
 )
 
-func main() { fmt.Println(a.New(), a.Kind(1)) }
+func main() { fmt.Println(a.New(), a.Kind(1), a.NewInts().Run(), a.NewStrings().Run()) }

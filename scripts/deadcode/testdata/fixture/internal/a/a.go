@@ -29,3 +29,39 @@ func New() Picker { return picker{} }
 type Kind int
 
 func (k Kind) String() string { return fmt.Sprintf("kind-%d", int(k)) }
+
+// hooks is a generic interface whose method is called only through the
+// field of a core instantiation: Ints.hook and Strings.hook satisfy
+// hooks[int] and hooks[string], which the source never spells out.
+type hooks[T any] interface {
+	hook() T
+}
+
+type core[T any] struct{ h hooks[T] }
+
+// Run calls the hook.
+func (c *core[T]) Run() T { return c.h.hook() }
+
+// Ints runs an int hook.
+type Ints struct{ core[int] }
+
+func (*Ints) hook() int { return 4 }
+
+// NewInts returns an Ints whose core calls its hook.
+func NewInts() *Ints {
+	p := &Ints{}
+	p.h = p
+	return p
+}
+
+// Strings runs a string hook.
+type Strings struct{ core[string] }
+
+func (*Strings) hook() string { return "5" }
+
+// NewStrings returns a Strings whose core calls its hook.
+func NewStrings() *Strings {
+	p := &Strings{}
+	p.h = p
+	return p
+}
