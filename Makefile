@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lintdocs deadcode benchharness verify goldens loc bench benchguard clean
+.PHONY: build vet test race lintdocs deadcode benchharness verify goldens examples loc bench benchguard clean
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,13 @@ goldens:
 	for m in internal/experiment/testdata/manifests/*.json; do \
 		$(GO) run ./cmd/mcsim run -config $$m > /dev/null || exit 1; \
 		echo "ok $$m"; \
+	done
+
+# Build and run every program under examples/ (~20 s); each must exit 0.
+examples:
+	for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+		echo "ok $$d"; \
 	done
 
 # The figure each CHANGES.md line states: non-test Go lines under internal/

@@ -41,20 +41,16 @@ import (
 	"repro/internal/serve"
 )
 
-// serveOpts binds the service flags.
+// serveOpts holds the service flags that are not serve.Config fields: the
+// listener, the backend, observability and timeouts, plus the granularity
+// spelling and the root seed the origin's RelSeed derives from.
 type serveOpts struct {
 	addr     string
 	addrFile string
 	backend  string
 
 	seed        uint64
-	objects     int
 	granularity string
-	policy      string
-	storage     int
-	membuf      int
-	beta        float64
-	lease       float64
 
 	sample       float64
 	opTimeout    time.Duration
@@ -62,21 +58,21 @@ type serveOpts struct {
 	drain        time.Duration
 }
 
-// register declares the flags on fs.
-func (o *serveOpts) register(fs *flag.FlagSet) {
+// register declares the flags on fs, binding the store flags to cfg.
+func (o *serveOpts) register(fs *flag.FlagSet, cfg *serve.Config) {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7070", "listen address (port 0 picks a free one)")
 	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening")
 	fs.StringVar(&o.backend, "backend", "memory",
 		"store backend DSN: memory, or file:/path/cache.db?sync=group|always|none (persistent, recovers on restart)")
 
 	fs.Uint64Var(&o.seed, "seed", 1, "root seed; derives the origin's relationship topology like mcsim")
-	fs.IntVar(&o.objects, "objects", 0, "database objects (0 = default 2000)")
+	fs.IntVar(&cfg.NumObjects, "objects", 0, "database objects (0 = default 2000)")
 	fs.StringVar(&o.granularity, "granularity", "ac", "caching granularity: ac|oc")
-	fs.StringVar(&o.policy, "policy", "ewma-0.5", "replacement policy spec per session")
-	fs.IntVar(&o.storage, "storage", 0, "per-session storage cache in objects (0 = 20% of database)")
-	fs.IntVar(&o.membuf, "membuf", 0, "per-session memory buffer in objects (0 = default 30)")
-	fs.Float64Var(&o.beta, "beta", 0, "lease slack beta in RT = mean + beta*stddev")
-	fs.Float64Var(&o.lease, "lease", 0, "fixed lease duration in seconds (0 = adaptive leases)")
+	fs.StringVar(&cfg.Policy, "policy", "ewma-0.5", "replacement policy spec per session")
+	fs.IntVar(&cfg.StorageObjects, "storage", 0, "per-session storage cache in objects (0 = 20% of database)")
+	fs.IntVar(&cfg.MemBufferObjects, "membuf", 0, "per-session memory buffer in objects (0 = default 30)")
+	fs.Float64Var(&cfg.Beta, "beta", 0, "lease slack beta in RT = mean + beta*stddev")
+	fs.Float64Var(&cfg.FixedLease, "lease", 0, "fixed lease duration in seconds (0 = adaptive leases)")
 
 	fs.Float64Var(&o.sample, "sample", 0, "sample serve.* gauges every this many seconds (0 = off)")
 	fs.DurationVar(&o.opTimeout, "op-timeout", serve.DefaultOpTimeout, "per-request timeout for cache operations")
@@ -84,24 +80,13 @@ func (o *serveOpts) register(fs *flag.FlagSet) {
 	fs.DurationVar(&o.drain, "drain", serve.DefaultDrainTimeout, "graceful-shutdown drain window")
 }
 
-// storeConfig assembles the serve.Config the flags describe. The origin is
+// parse completes the flag-bound cfg once fs has parsed. The origin is
 // seeded through the same derivation mcsim uses, so a service booted with
 // -seed N agrees with `mcload -seed N` on the database topology.
-func (o *serveOpts) storeConfig() (serve.Config, error) {
-	g, err := core.ParseGranularity(o.granularity)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	return serve.Config{
-		Granularity:      g,
-		Policy:           o.policy,
-		NumObjects:       o.objects,
-		StorageObjects:   o.storage,
-		MemBufferObjects: o.membuf,
-		Beta:             o.beta,
-		FixedLease:       o.lease,
-		RelSeed:          experiment.RelSeed(o.seed),
-	}, nil
+func (o *serveOpts) parse(cfg *serve.Config) (err error) {
+	cfg.RelSeed = experiment.RelSeed(o.seed)
+	cfg.Granularity, err = core.ParseGranularity(o.granularity)
+	return err
 }
 
 func main() {
@@ -112,25 +97,19 @@ func main() {
 	os.Exit(run(args))
 }
 
-// flagSet builds the flag set for o.
-func flagSet(o *serveOpts) *flag.FlagSet {
+// run is main minus os.Exit, so tests can drive the full boot path.
+func run(args []string) int {
+	var o serveOpts
+	var cfg serve.Config
 	fs := flag.NewFlagSet("mccached", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: mccached [serve] [flags]")
 		fs.PrintDefaults()
 	}
-	o.register(fs)
-	return fs
-}
-
-// run is main minus os.Exit, so tests can drive the full boot path.
-func run(args []string) int {
-	var o serveOpts
-	fs := flagSet(&o)
+	o.register(fs, &cfg)
 	fs.Parse(args)
 
-	cfg, err := o.storeConfig()
-	if err != nil {
+	if err := o.parse(&cfg); err != nil {
 		return fail(err)
 	}
 	st, err := serve.Open(o.backend, cfg)
@@ -159,7 +138,7 @@ func run(args []string) int {
 	}
 	ticker := serve.AttachWallClock(reg, 1, serve.InfiniteHorizon)
 	fmt.Fprintf(os.Stderr, "mccached: serving %s granularity=%s policy=%s on http://%s\n",
-		st.Stats().Backend, cfg.Granularity, o.policy, addr)
+		st.Stats().Backend, cfg.Granularity, cfg.Policy, addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"os"
+	"os/exec"
 	"testing"
 
 	"repro/internal/core"
@@ -9,21 +12,23 @@ import (
 	"repro/internal/serve"
 )
 
-func parseOpts(t *testing.T, args ...string) serveOpts {
+// storeConfig runs args through the mccached flag surface and returns the
+// serve.Config it describes.
+func storeConfig(t *testing.T, args ...string) (serve.Config, error) {
 	t.Helper()
 	var o serveOpts
+	var cfg serve.Config
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	o.register(fs)
+	o.register(fs, &cfg)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return o
+	return cfg, o.parse(&cfg)
 }
 
 func TestStoreConfigFromFlags(t *testing.T) {
-	o := parseOpts(t, "-seed", "9", "-objects", "500", "-granularity", "oc",
+	cfg, err := storeConfig(t, "-seed", "9", "-objects", "500", "-granularity", "oc",
 		"-policy", "lru", "-storage", "80", "-membuf", "10", "-beta", "1", "-lease", "30")
-	cfg, err := o.storeConfig()
 	if err != nil {
 		t.Fatalf("storeConfig: %v", err)
 	}
@@ -41,17 +46,37 @@ func TestStoreConfigFromFlags(t *testing.T) {
 }
 
 func TestStoreConfigRejectsBadGranularity(t *testing.T) {
-	o := parseOpts(t, "-granularity", "zz")
-	if _, err := o.storeConfig(); err == nil {
+	if _, err := storeConfig(t, "-granularity", "zz"); err == nil {
 		t.Fatal("bad granularity accepted")
 	}
 	// nc parses as a granularity but the store must refuse it at Open.
-	o = parseOpts(t, "-granularity", "nc")
-	cfg, err := o.storeConfig()
+	cfg, err := storeConfig(t, "-granularity", "nc")
 	if err != nil {
 		t.Fatalf("storeConfig: %v", err)
 	}
 	if _, err := serve.Open("memory", cfg); err == nil {
 		t.Fatal("nc store opened; want ErrUnsupported")
+	}
+}
+
+// TestHelpOutput: the flag surface prints exactly the -h text recorded in
+// testdata — every flag keeps its name, default and help line.
+func TestHelpOutput(t *testing.T) {
+	if _, ok := os.LookupEnv("MCCACHED_HELP_CHILD"); ok {
+		os.Exit(run([]string{"-h"}))
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestHelpOutput$")
+	cmd.Env = append(os.Environ(), "MCCACHED_HELP_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("-h: %v\n%s", err, stderr.String())
+	}
+	want, err := os.ReadFile("testdata/help.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stderr.String(); got != string(want) {
+		t.Fatalf("-h output moved:\n%s\nwant\n%s", got, want)
 	}
 }

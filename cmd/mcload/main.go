@@ -42,71 +42,66 @@ import (
 	"repro/internal/workload"
 )
 
-// loadOpts binds the load-generator flags. The workload surface mirrors
+// loadOpts holds the load-generator flags that are not Config fields, and
+// the enum spellings until parse reads them. Every workload flag binds
+// straight onto the experiment.Config it describes, a surface that mirrors
 // mcsim run so a config can be stated identically on both sides of a diff.
 type loadOpts struct {
 	url     string
 	speedup float64
 	quick   bool
 
-	days    float64
-	warmup  float64
-	seed    uint64
-	clients int
-	objects int
-
-	granularity string
-	policy      string
-	kind        string
-	heat        string
-	arrival     string
-	update      float64
-	beta        float64
-	lease       float64
+	granularity, kind, heat, arrival string
 
 	compare   bool
 	reportDir string
 	sample    float64
 }
 
-// register declares the flags on fs.
-func (o *loadOpts) register(fs *flag.FlagSet) {
+// register declares the flags on fs, binding the workload flags to cfg.
+func (o *loadOpts) register(fs *flag.FlagSet, cfg *experiment.Config) {
 	fs.StringVar(&o.url, "url", "http://127.0.0.1:7070", "base URL of the running mccached")
 	fs.Float64Var(&o.speedup, "speedup", serve.DefaultSpeedup, "time compression: virtual seconds per real second")
 	fs.BoolVar(&o.quick, "quick", false, "short smoke replay (0.06 days, 4 clients, ~4s of wall time)")
 
-	fs.Float64Var(&o.days, "days", 0, "virtual days to replay (0 = default 4)")
-	fs.Float64Var(&o.warmup, "warmup", 0, "virtual days of warm-up excluded from ratios")
-	fs.Uint64Var(&o.seed, "seed", 1, "root random seed (must match the service's -seed)")
-	fs.IntVar(&o.clients, "clients", 0, "number of replayed clients (0 = default 10)")
-	fs.IntVar(&o.objects, "objects", 0, "database objects (0 = default 2000; must match the service)")
+	fs.Float64Var(&cfg.Days, "days", 0, "virtual days to replay (0 = default 4)")
+	fs.Float64Var(&cfg.WarmupDays, "warmup", 0, "virtual days of warm-up excluded from ratios")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "root random seed (must match the service's -seed)")
+	fs.IntVar(&cfg.NumClients, "clients", 0, "number of replayed clients (0 = default 10)")
+	fs.IntVar(&cfg.NumObjects, "objects", 0, "database objects (0 = default 2000; must match the service)")
 
 	fs.StringVar(&o.granularity, "granularity", "ac", "caching granularity: ac|oc (must match the service)")
-	fs.StringVar(&o.policy, "policy", "ewma-0.5", "replacement policy (for -compare and the report)")
+	fs.StringVar(&cfg.Policy, "policy", "ewma-0.5", "replacement policy (for -compare and the report)")
 	fs.StringVar(&o.kind, "kind", "AQ", "query kind: AQ|NQ")
 	fs.StringVar(&o.heat, "heat", "sh", "heat pattern: sh|csh|cyclic")
 	fs.StringVar(&o.arrival, "arrival", "poisson", "arrival pattern: poisson|bursty")
-	fs.Float64Var(&o.update, "update", 0.1, "update probability U")
-	fs.Float64Var(&o.beta, "beta", 0, "coherence staleness tolerance beta (for -compare)")
-	fs.Float64Var(&o.lease, "lease", 0, "fixed lease in seconds (selects fixed-lease coherence, like the service's -lease)")
+	fs.Float64Var(&cfg.UpdateProb, "update", 0.1, "update probability U")
+	fs.Float64Var(&cfg.Beta, "beta", 0, "coherence staleness tolerance beta (for -compare)")
+	fs.Float64Var(&cfg.FixedLease, "lease", 0, "fixed lease in seconds (selects fixed-lease coherence, like the service's -lease)")
 
 	fs.BoolVar(&o.compare, "compare", false, "also run the simulator in-process and print a sim-vs-live diff")
 	fs.StringVar(&o.reportDir, "report", "", "write manifest.json and report.md into this directory")
 	fs.Float64Var(&o.sample, "sample", 0, "sample live gauges every this many virtual seconds (0 = auto with -report)")
 }
 
-// config assembles the experiment.Config the flags describe.
-func (o *loadOpts) config() (experiment.Config, error) {
-	cfg := experiment.Config{
-		Seed:       o.seed,
-		Days:       o.days,
-		WarmupDays: o.warmup,
-		NumClients: o.clients,
-		NumObjects: o.objects,
-		Policy:     o.policy,
-		UpdateProb: o.update,
-		Beta:       o.beta,
-		FixedLease: o.lease,
+// parse completes the flag-bound cfg once fs has parsed: the enum
+// spellings resolved, -lease selecting fixed-lease coherence, and the
+// -quick smoke scale under any scale flag left unset.
+func (o *loadOpts) parse(cfg *experiment.Config) (err error) {
+	if cfg.Granularity, err = core.ParseGranularity(o.granularity); err != nil {
+		return err
+	}
+	if cfg.QueryKind, err = workload.ParseKind(o.kind); err != nil {
+		return err
+	}
+	if cfg.Heat, err = experiment.ParseHeat(o.heat); err != nil {
+		return err
+	}
+	if cfg.Arrival, err = experiment.ParseArrival(o.arrival); err != nil {
+		return err
+	}
+	if cfg.FixedLease > 0 {
+		cfg.Coherence = coherence.FixedLeaseStrategy
 	}
 	if o.quick {
 		if cfg.Days == 0 {
@@ -122,41 +117,7 @@ func (o *loadOpts) config() (experiment.Config, error) {
 			cfg.NumObjects = 400
 		}
 	}
-	g, err := core.ParseGranularity(o.granularity)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.Granularity = g
-	switch strings.ToUpper(o.kind) {
-	case "AQ":
-		cfg.QueryKind = workload.Associative
-	case "NQ":
-		cfg.QueryKind = workload.Navigational
-	default:
-		return cfg, fmt.Errorf("unknown query kind %q (want AQ|NQ)", o.kind)
-	}
-	switch o.heat {
-	case "sh":
-		cfg.Heat = experiment.SkewedHeat
-	case "csh":
-		cfg.Heat = experiment.ChangingSkewedHeat
-	case "cyclic":
-		cfg.Heat = experiment.CyclicHeat
-	default:
-		return cfg, fmt.Errorf("unknown heat %q (want sh|csh|cyclic)", o.heat)
-	}
-	switch o.arrival {
-	case "poisson":
-		cfg.Arrival = experiment.PoissonArrival
-	case "bursty":
-		cfg.Arrival = experiment.BurstyArrival
-	default:
-		return cfg, fmt.Errorf("unknown arrival %q (want poisson|bursty)", o.arrival)
-	}
-	if o.lease > 0 {
-		cfg.Coherence = coherence.FixedLeaseStrategy
-	}
-	return cfg, nil
+	return nil
 }
 
 func main() {
@@ -170,16 +131,17 @@ func main() {
 // run is main minus os.Exit, so tests can drive the flag surface.
 func run(args []string) int {
 	var o loadOpts
+	var cfg experiment.Config
 	fs := flag.NewFlagSet("mcload", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: mcload [load] [flags]")
 		fs.PrintDefaults()
 	}
-	o.register(fs)
+	o.register(fs, &cfg)
 	fs.Parse(args)
 
-	cfg, err := o.config()
-	if err != nil {
+	reproduce := command(o, cfg) // the flags as given, before -quick fills in
+	if err := o.parse(&cfg); err != nil {
 		return fail(err)
 	}
 	cfg = experiment.Defaults(cfg)
@@ -213,7 +175,7 @@ func run(args []string) int {
 	}
 
 	if o.reportDir != "" {
-		m := report.NewManifest("live", command(o), cfg, nil, reg)
+		m := report.NewManifest("live", reproduce, cfg, nil, reg)
 		m.Live = true
 		m.WallSeconds = live.WallSeconds
 		if err := report.Write(o.reportDir, report.Input{
@@ -228,21 +190,22 @@ func run(args []string) int {
 	return 0
 }
 
-// command reconstructs a reproduce command for the manifest.
-func command(o loadOpts) string {
+// command reconstructs a reproduce command for the manifest from the
+// parsed flags.
+func command(o loadOpts, cfg experiment.Config) string {
 	var b strings.Builder
 	b.WriteString("mcload -url " + o.url)
-	fmt.Fprintf(&b, " -seed %d -speedup %g", o.seed, o.speedup)
+	fmt.Fprintf(&b, " -seed %d -speedup %g", cfg.Seed, o.speedup)
 	if o.quick {
 		b.WriteString(" -quick")
 	}
-	if o.days > 0 {
-		fmt.Fprintf(&b, " -days %g", o.days)
+	if cfg.Days > 0 {
+		fmt.Fprintf(&b, " -days %g", cfg.Days)
 	}
-	if o.clients > 0 {
-		fmt.Fprintf(&b, " -clients %d", o.clients)
+	if cfg.NumClients > 0 {
+		fmt.Fprintf(&b, " -clients %d", cfg.NumClients)
 	}
-	fmt.Fprintf(&b, " -granularity %s -update %g", o.granularity, o.update)
+	fmt.Fprintf(&b, " -granularity %s -update %g", o.granularity, cfg.UpdateProb)
 	return b.String()
 }
 

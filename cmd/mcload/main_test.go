@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"os"
+	"os/exec"
 	"testing"
 
 	"repro/internal/coherence"
@@ -11,22 +14,24 @@ import (
 	"repro/internal/workload"
 )
 
-func parseOpts(t *testing.T, args ...string) loadOpts {
+// loadConfig runs args through the mcload flag surface and returns the
+// experiment.Config it describes.
+func loadConfig(t *testing.T, args ...string) (experiment.Config, error) {
 	t.Helper()
 	var o loadOpts
+	var cfg experiment.Config
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	o.register(fs)
+	o.register(fs, &cfg)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return o
+	return cfg, o.parse(&cfg)
 }
 
 func TestConfigMirrorsMcsimSurface(t *testing.T) {
-	o := parseOpts(t, "-seed", "3", "-days", "0.5", "-clients", "6",
+	cfg, err := loadConfig(t, "-seed", "3", "-days", "0.5", "-clients", "6",
 		"-granularity", "oc", "-kind", "NQ", "-heat", "csh", "-arrival", "bursty",
 		"-update", "0.2", "-beta", "1.5", "-lease", "120")
-	cfg, err := o.config()
 	if err != nil {
 		t.Fatalf("config: %v", err)
 	}
@@ -39,14 +44,16 @@ func TestConfigMirrorsMcsimSurface(t *testing.T) {
 	if cfg.Coherence != coherence.FixedLeaseStrategy || cfg.FixedLease != 120 {
 		t.Fatal("-lease must select fixed-lease coherence")
 	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("flag surface built an invalid config: %v", err)
+	}
 	if err := serve.ValidateLive(experiment.Defaults(cfg)); err != nil {
 		t.Fatalf("flag surface built an unreplayable config: %v", err)
 	}
 }
 
 func TestQuickDefaults(t *testing.T) {
-	o := parseOpts(t, "-quick")
-	cfg, err := o.config()
+	cfg, err := loadConfig(t, "-quick")
 	if err != nil {
 		t.Fatalf("config: %v", err)
 	}
@@ -54,8 +61,7 @@ func TestQuickDefaults(t *testing.T) {
 		t.Fatalf("quick defaults %+v; want the smoke scale", cfg)
 	}
 	// Explicit flags beat the quick defaults.
-	o = parseOpts(t, "-quick", "-days", "0.1", "-clients", "2")
-	cfg, _ = o.config()
+	cfg, _ = loadConfig(t, "-quick", "-days", "0.1", "-clients", "2")
 	if cfg.Days != 0.1 || cfg.NumClients != 2 {
 		t.Fatalf("explicit flags overridden by -quick: %+v", cfg)
 	}
@@ -68,8 +74,7 @@ func TestConfigRejectsBadEnums(t *testing.T) {
 		{"-heat", "flat"},
 		{"-arrival", "never"},
 	} {
-		o := parseOpts(t, args...)
-		if _, err := o.config(); err == nil {
+		if _, err := loadConfig(t, args...); err == nil {
 			t.Errorf("%v accepted", args)
 		}
 	}
@@ -80,5 +85,27 @@ func TestRunRejectsUnreachableService(t *testing.T) {
 	// hang — the first probe's connection error aborts the replay.
 	if code := run([]string{"-url", "http://127.0.0.1:1", "-quick", "-days", "0.001"}); code != 1 {
 		t.Fatalf("run against a dead port returned %d; want 1", code)
+	}
+}
+
+// TestHelpOutput: the flag surface prints exactly the -h text recorded in
+// testdata — every flag keeps its name, default and help line.
+func TestHelpOutput(t *testing.T) {
+	if _, ok := os.LookupEnv("MCLOAD_HELP_CHILD"); ok {
+		os.Exit(run([]string{"-h"}))
+	}
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestHelpOutput$")
+	cmd.Env = append(os.Environ(), "MCLOAD_HELP_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("-h: %v\n%s", err, stderr.String())
+	}
+	want, err := os.ReadFile("testdata/help.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stderr.String(); got != string(want) {
+		t.Fatalf("-h output moved:\n%s\nwant\n%s", got, want)
 	}
 }

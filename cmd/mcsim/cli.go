@@ -15,170 +15,74 @@ import (
 	"repro/internal/workload"
 )
 
-// simOpts binds the simulation flags onto a FlagSet, one definition for
-// `mcsim run` (all of them) and `mcsim exp` (the base every run of a sweep
-// inherits). Defaults mirror the paper's Table 1 settings.
-type simOpts struct {
-	days     float64
-	seed     uint64
-	clients  int
-	objects  int
-	bufratio float64
-	storage  string
+// bindBase declares the flags a sweep takes onto cfg's fields: scale, seed,
+// storage, and the channel fault environment (Exp7 overrides the loss/burst
+// knobs it sweeps; all-zero fault flags leave the perfect-channel tables
+// byte-identical). Defaults mirror the paper's Table 1 settings.
+func bindBase(fs *flag.FlagSet, cfg *experiment.Config) {
+	fs.Float64Var(&cfg.Days, "days", 0, "simulated days (0 = experiment default)")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "root random seed")
+	fs.IntVar(&cfg.NumClients, "clients", 0, "number of mobile clients (0 = default)")
+	fs.IntVar(&cfg.NumObjects, "objects", 0, "database objects (0 = default 2000)")
+	fs.Float64Var(&cfg.ServerBufferRatio, "bufratio", 0, "server buffer as a fraction of the database, 0 < r <= 1 (0 = default 25%)")
+	fs.StringVar(&cfg.StorageDSN, "storage", "", "persistent server tier DSN: file:<dir>[?sync=group|always|none] (empty = modeled disk only)")
 
-	loss     float64
-	corrupt  float64
-	burst    float64
-	burstLen float64
-	retryMax int
-	backoff  float64
-
-	granularity string
-	policy      string
-	kind        string
-	heat        string
-	arrival     string
-	change      int
-	update      float64
-	beta        float64
-	coherenceS  string
-	fixedLease  float64
-	irWindow    float64
-	coopPeers   int
-	shed        float64
-	disconnect  int
-	hours       float64
-	sharedHot   int
-	shareProb   float64
-	bcastAttrs  int
-
-	cells       int
-	relay       int
-	backboneBps float64
-	backboneLat float64
+	fs.Float64Var(&cfg.LossRate, "loss", 0, "per-frame loss probability on each channel (0 = perfect)")
+	fs.Float64Var(&cfg.CorruptRate, "corrupt", 0, "per-frame corruption probability (CRC-detected at receiver)")
+	fs.Float64Var(&cfg.BurstFraction, "burst", 0, "fraction of time in burst outage (Gilbert-Elliott bad state)")
+	fs.Float64Var(&cfg.MeanBadSeconds, "burstlen", 0, "mean burst-outage length in seconds (0 = default 10)")
+	fs.IntVar(&cfg.RetryMax, "retry", 0, "max retransmissions per request (0 = default 3, negative = none)")
+	fs.Float64Var(&cfg.RetryBackoff, "backoff", 0, "base retry backoff in seconds (0 = default 1)")
 }
 
-// registerBase declares the flags a sweep takes: scale, seed, storage, and
-// the channel fault environment (Exp7 overrides the loss/burst knobs it
-// sweeps; all-zero fault flags leave the perfect-channel tables
-// byte-identical).
-func (o *simOpts) registerBase(fs *flag.FlagSet) {
-	fs.Float64Var(&o.days, "days", 0, "simulated days (0 = experiment default)")
-	fs.Uint64Var(&o.seed, "seed", 1, "root random seed")
-	fs.IntVar(&o.clients, "clients", 0, "number of mobile clients (0 = default)")
-	fs.IntVar(&o.objects, "objects", 0, "database objects (0 = default 2000)")
-	fs.Float64Var(&o.bufratio, "bufratio", 0, "server buffer as a fraction of the database, 0 < r <= 1 (0 = default 25%)")
-	fs.StringVar(&o.storage, "storage", "", "persistent server tier DSN: file:<dir>[?sync=group|always|none] (empty = modeled disk only)")
+// bindRun declares every simulation flag of `mcsim run` onto cfg's fields:
+// the sweep base plus the knobs that describe one configuration. The five
+// enum flags stay spellings until the returned step parses them onto cfg,
+// once fs has parsed; ranges and combinations are Config.Validate's to
+// judge.
+func bindRun(fs *flag.FlagSet, cfg *experiment.Config) (parseEnums func() error) {
+	bindBase(fs, cfg)
 
-	fs.Float64Var(&o.loss, "loss", 0, "per-frame loss probability on each channel (0 = perfect)")
-	fs.Float64Var(&o.corrupt, "corrupt", 0, "per-frame corruption probability (CRC-detected at receiver)")
-	fs.Float64Var(&o.burst, "burst", 0, "fraction of time in burst outage (Gilbert-Elliott bad state)")
-	fs.Float64Var(&o.burstLen, "burstlen", 0, "mean burst-outage length in seconds (0 = default 10)")
-	fs.IntVar(&o.retryMax, "retry", 0, "max retransmissions per request (0 = default 3, negative = none)")
-	fs.Float64Var(&o.backoff, "backoff", 0, "base retry backoff in seconds (0 = default 1)")
-}
+	gran := fs.String("granularity", "hc", "caching granularity: nc|ac|oc|hc")
+	fs.StringVar(&cfg.Policy, "policy", "ewma-0.5", "replacement policy spec")
+	kind := fs.String("kind", "AQ", "query kind: AQ|NQ")
+	heat := fs.String("heat", "sh", "heat pattern: sh|csh|cyclic")
+	fs.IntVar(&cfg.CSHChangeEvery, "change", 500, "CSH hot-set change rate in queries")
+	arrival := fs.String("arrival", "poisson", "arrival pattern: poisson|bursty")
+	fs.Float64Var(&cfg.UpdateProb, "update", 0.1, "update probability U")
+	fs.Float64Var(&cfg.Beta, "beta", 0, "coherence staleness tolerance beta")
+	strategy := fs.String("coherence", "lease", "coherence strategy: lease|fixed|ir|irb")
+	fs.Float64Var(&cfg.FixedLease, "lease", 0, "fixed-lease duration in seconds (with -coherence fixed)")
+	fs.Float64Var(&cfg.IRWindow, "irwindow", 0, "broadcast-IR history window in seconds (with -coherence irb; 0 = 5 report intervals)")
+	fs.IntVar(&cfg.CoopPeers, "coop", 0, "cooperative caching: peers scanned per local miss (0 = off)")
+	fs.Float64Var(&cfg.ShedThreshold, "shed", 0, "timeout-heuristic threshold in seconds (0 = off)")
+	fs.IntVar(&cfg.DisconnectedClients, "disconnected", 0, "number of disconnected clients V")
+	fs.Float64Var(&cfg.DisconnectHours, "hours", 0, "disconnection duration D in hours")
+	fs.IntVar(&cfg.SharedHotObjects, "shared", 0, "shared interest pool size in objects (0 = none)")
+	fs.Float64Var(&cfg.SharedHotProb, "shareprob", 0, "probability a pick comes from the shared pool")
+	fs.IntVar(&cfg.BroadcastAttrs, "broadcast", 0, "broadcast the shared pool's top-N attrs (requires -shared)")
 
-// register declares every simulation flag on fs: the sweep base plus the
-// knobs that describe one configuration.
-func (o *simOpts) register(fs *flag.FlagSet) {
-	o.registerBase(fs)
+	fs.IntVar(&cfg.Cells, "cells", 0, "fleet cells; >1 shards clients and the database across cell partitions")
+	fs.IntVar(&cfg.RelayObjects, "relay", 0, "per-cell relay cache for remote partitions, in objects (0 = off)")
+	fs.Float64Var(&cfg.BackboneBandwidthBps, "backbone-bps", 0, "inter-cell backbone bandwidth in bits/s (0 = default 10 Mbps)")
+	fs.Float64Var(&cfg.BackboneLatency, "backbone-lat", 0, "inter-cell backbone one-way latency in seconds (0 = default 5 ms)")
 
-	fs.StringVar(&o.granularity, "granularity", "hc", "caching granularity: nc|ac|oc|hc")
-	fs.StringVar(&o.policy, "policy", "ewma-0.5", "replacement policy spec")
-	fs.StringVar(&o.kind, "kind", "AQ", "query kind: AQ|NQ")
-	fs.StringVar(&o.heat, "heat", "sh", "heat pattern: sh|csh|cyclic")
-	fs.IntVar(&o.change, "change", 500, "CSH hot-set change rate in queries")
-	fs.StringVar(&o.arrival, "arrival", "poisson", "arrival pattern: poisson|bursty")
-	fs.Float64Var(&o.update, "update", 0.1, "update probability U")
-	fs.Float64Var(&o.beta, "beta", 0, "coherence staleness tolerance beta")
-	fs.StringVar(&o.coherenceS, "coherence", "lease", "coherence strategy: lease|fixed|ir|irb")
-	fs.Float64Var(&o.fixedLease, "lease", 0, "fixed-lease duration in seconds (with -coherence fixed)")
-	fs.Float64Var(&o.irWindow, "irwindow", 0, "broadcast-IR history window in seconds (with -coherence irb; 0 = 5 report intervals)")
-	fs.IntVar(&o.coopPeers, "coop", 0, "cooperative caching: peers scanned per local miss (0 = off)")
-	fs.Float64Var(&o.shed, "shed", 0, "timeout-heuristic threshold in seconds (0 = off)")
-	fs.IntVar(&o.disconnect, "disconnected", 0, "number of disconnected clients V")
-	fs.Float64Var(&o.hours, "hours", 0, "disconnection duration D in hours")
-	fs.IntVar(&o.sharedHot, "shared", 0, "shared interest pool size in objects (0 = none)")
-	fs.Float64Var(&o.shareProb, "shareprob", 0, "probability a pick comes from the shared pool")
-	fs.IntVar(&o.bcastAttrs, "broadcast", 0, "broadcast the shared pool's top-N attrs (requires -shared)")
-
-	fs.IntVar(&o.cells, "cells", 0, "fleet cells; >1 shards clients and the database across cell partitions")
-	fs.IntVar(&o.relay, "relay", 0, "per-cell relay cache for remote partitions, in objects (0 = off)")
-	fs.Float64Var(&o.backboneBps, "backbone-bps", 0, "inter-cell backbone bandwidth in bits/s (0 = default 10 Mbps)")
-	fs.Float64Var(&o.backboneLat, "backbone-lat", 0, "inter-cell backbone one-way latency in seconds (0 = default 5 ms)")
-}
-
-// expBase reduces the registerBase flags to the sweep base config the
-// experiments inherit.
-func (o *simOpts) expBase() experiment.Config {
-	return experiment.Config{
-		Seed: o.seed, Days: o.days, NumClients: o.clients, NumObjects: o.objects,
-		ServerBufferRatio: o.bufratio, StorageDSN: o.storage,
-		LossRate: o.loss, CorruptRate: o.corrupt,
-		BurstFraction: o.burst, MeanBadSeconds: o.burstLen,
-		RetryMax: o.retryMax, RetryBackoff: o.backoff,
+	return func() (err error) {
+		if cfg.Granularity, err = core.ParseGranularity(*gran); err != nil {
+			return err
+		}
+		if cfg.QueryKind, err = workload.ParseKind(*kind); err != nil {
+			return err
+		}
+		if cfg.Heat, err = experiment.ParseHeat(*heat); err != nil {
+			return err
+		}
+		if cfg.Arrival, err = experiment.ParseArrival(*arrival); err != nil {
+			return err
+		}
+		cfg.Coherence, err = coherence.Parse(*strategy)
+		return err
 	}
-}
-
-// config assembles the experiment.Config the parsed flags describe: the
-// sweep base plus the single-configuration knobs, names resolved to enums.
-// Ranges and combinations are Config.Validate's to judge.
-func (o *simOpts) config() (experiment.Config, error) {
-	cfg := o.expBase()
-	cfg.Policy = o.policy
-	cfg.CSHChangeEvery = o.change
-	cfg.UpdateProb = o.update
-	cfg.Beta = o.beta
-	cfg.FixedLease = o.fixedLease
-	cfg.IRWindow = o.irWindow
-	cfg.CoopPeers = o.coopPeers
-	cfg.ShedThreshold = o.shed
-	cfg.DisconnectedClients = o.disconnect
-	cfg.DisconnectHours = o.hours
-	cfg.SharedHotObjects = o.sharedHot
-	cfg.SharedHotProb = o.shareProb
-	cfg.BroadcastAttrs = o.bcastAttrs
-	cfg.Cells = o.cells
-	cfg.RelayObjects = o.relay
-	cfg.BackboneBandwidthBps = o.backboneBps
-	cfg.BackboneLatency = o.backboneLat
-
-	var err error
-	if cfg.Granularity, err = core.ParseGranularity(o.granularity); err != nil {
-		return cfg, err
-	}
-	switch strings.ToUpper(o.kind) {
-	case "AQ":
-		cfg.QueryKind = workload.Associative
-	case "NQ":
-		cfg.QueryKind = workload.Navigational
-	default:
-		return cfg, fmt.Errorf("unknown query kind %q (want AQ|NQ)", o.kind)
-	}
-	switch o.heat {
-	case "sh":
-		cfg.Heat = experiment.SkewedHeat
-	case "csh":
-		cfg.Heat = experiment.ChangingSkewedHeat
-	case "cyclic":
-		cfg.Heat = experiment.CyclicHeat
-	default:
-		return cfg, fmt.Errorf("unknown heat %q (want sh|csh|cyclic)", o.heat)
-	}
-	switch o.arrival {
-	case "poisson":
-		cfg.Arrival = experiment.PoissonArrival
-	case "bursty":
-		cfg.Arrival = experiment.BurstyArrival
-	default:
-		return cfg, fmt.Errorf("unknown arrival %q (want poisson|bursty)", o.arrival)
-	}
-	strat, ok := coherence.Parse(o.coherenceS)
-	if !ok {
-		return cfg, fmt.Errorf("unknown coherence strategy %q (want lease|fixed|ir|irb)", o.coherenceS)
-	}
-	cfg.Coherence = strat
-	return cfg, nil
 }
 
 // profileFlags declares the profiling sinks shared by every subcommand.
@@ -264,8 +168,8 @@ func executeRun(cfg experiment.Config, o runOpts) error {
 // archived configuration replayed from a report manifest via -config.
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("mcsim run", flag.ExitOnError)
-	var o simOpts
-	o.register(fs)
+	var cfg experiment.Config
+	parseEnums := bindRun(fs, &cfg)
 	configPath := fs.String("config", "", "replay an archived run: a report directory or its manifest.json")
 	traceFile := fs.String("trace", "", "write a per-query CSV trace to this file")
 	replicas := fs.Int("replicas", 1, "independent replications with consecutive seeds")
@@ -295,8 +199,7 @@ func cmdRun(args []string) {
 		}
 		return
 	}
-	cfg, err := o.config()
-	if err != nil {
+	if err := parseEnums(); err != nil {
 		fatal(err)
 	}
 	if err := executeRun(cfg, runOpts{
@@ -332,8 +235,8 @@ func cmdExp(args []string) {
 	}
 	which := args[0]
 	fs := flag.NewFlagSet("mcsim exp", flag.ExitOnError)
-	var o simOpts
-	o.registerBase(fs)
+	var base experiment.Config
+	bindBase(fs, &base)
 	quick := fs.Bool("quick", false, "reduced-scale pass (shorter horizon, sparser grids)")
 	reportDir := fs.String("report", "", "write manifest.json, report.md and trace.csv into this directory")
 	parallel := fs.Int("parallel", 0, "concurrent simulation runs (0 = one per CPU)")
@@ -347,10 +250,10 @@ func cmdExp(args []string) {
 	}
 	defer stopProfiling()
 
-	if err := checkQuickStorage(*quick, o.storage); err != nil {
+	if err := checkQuickStorage(*quick, base.StorageDSN); err != nil {
 		fatal(err)
 	}
-	if err := runExperiments(which, o.expBase(), *quick, *reportDir); err != nil {
+	if err := runExperiments(which, base, *quick, *reportDir); err != nil {
 		fatal(err)
 	}
 }

@@ -17,23 +17,10 @@ import (
 	"repro/internal/workload"
 )
 
-// parseSimOpts runs one argument list through the shared flag surface.
-func parseSimOpts(t *testing.T, args ...string) simOpts {
-	t.Helper()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var o simOpts
-	o.register(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	return o
-}
-
 // TestSimOptsDefaults pins what a bare `mcsim run` asks for: the paper's
 // Table 1 configuration, everything else left to experiment.Defaults.
 func TestSimOptsDefaults(t *testing.T) {
-	o := parseSimOpts(t)
-	cfg, err := o.config()
+	cfg, err := flagConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +41,10 @@ func TestSimOptsDefaults(t *testing.T) {
 }
 
 func TestSimOptsFleetFlags(t *testing.T) {
-	o := parseSimOpts(t,
+	cfg, err := flagConfig(
 		"-clients", "100", "-cells", "4", "-relay", "50",
 		"-backbone-bps", "2e6", "-backbone-lat", "0.01",
 		"-granularity", "oc", "-coherence", "fixed", "-lease", "30")
-	cfg, err := o.config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +59,14 @@ func TestSimOptsFleetFlags(t *testing.T) {
 }
 
 func TestSimOptsBadCoherence(t *testing.T) {
-	o := parseSimOpts(t, "-coherence", "psychic")
-	if _, err := o.config(); err == nil || !strings.Contains(err.Error(), "coherence") {
+	if _, err := flagConfig("-coherence", "psychic"); err == nil || !strings.Contains(err.Error(), "coherence") {
 		t.Fatalf("bad coherence accepted: %v", err)
 	}
 }
 
 func TestExplicitSimFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var o simOpts
-	o.register(fs)
+	bindRun(fs, &experiment.Config{})
 	fs.String("config", "", "")
 	fs.String("report", "", "")
 	fs.Int("parallel", 0, "")
@@ -228,8 +212,7 @@ func TestReplayRetiredEngineField(t *testing.T) {
 func TestEngineFlagRetired(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	var o simOpts
-	o.register(fs)
+	bindRun(fs, &experiment.Config{})
 	if err := fs.Parse([]string{"-engine", "sm"}); err == nil ||
 		!strings.Contains(err.Error(), "not defined") {
 		t.Fatalf("-engine accepted: %v", err)
@@ -296,6 +279,7 @@ func TestCLIExitPaths(t *testing.T) {
 		{"run -relay -5", 1, outOfRange},
 		{"run -coop -2", 1, outOfRange},
 		{"run -shed -1", 1, outOfRange},
+		{"run -lease 60", 1, conflict},
 		{"exp 1 -clients -3", 1, outOfRange},
 		{"exp 1 -bufratio 7", 1, outOfRange},
 		{"exp 6 -quick -clients 3", 1, conflict},
@@ -304,6 +288,7 @@ func TestCLIExitPaths(t *testing.T) {
 		{"-exp 1", 2, "usage:"},
 		{"-run", 2, "usage:"},
 		{"run -engine sm", 2, "flag provided but not defined"},
+		{"run -heat warm", 1, "unknown heat"},
 	}
 	for _, c := range cases {
 		t.Run(c.argv, func(t *testing.T) {
@@ -331,5 +316,30 @@ func TestCLIExitPaths(t *testing.T) {
 				t.Fatalf("a table was printed:\n%s", stdout.String())
 			}
 		})
+	}
+}
+
+// TestHelpOutput: `mcsim run -h` and `mcsim exp 1 -h` print exactly the
+// text recorded in testdata — every flag keeps its name, default and help
+// line.
+func TestHelpOutput(t *testing.T) {
+	for argv, golden := range map[string]string{
+		"run -h":   "testdata/run-help.txt",
+		"exp 1 -h": "testdata/exp-help.txt",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestCLIExitPaths$")
+		cmd.Env = append(os.Environ(), "MCSIM_CLI_CHILD="+strings.ReplaceAll(argv, " ", "\x1f"))
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s: %v\n%s", argv, err, stderr.String())
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stderr.String(); got != string(want) {
+			t.Errorf("%s output moved:\n%s\nwant\n%s", argv, got, want)
+		}
 	}
 }

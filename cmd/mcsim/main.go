@@ -114,7 +114,7 @@ func fatal(err error) {
 
 func printResult(res experiment.Result) {
 	fmt.Printf("config: %s  heat=%s arrivals=%s beta=%g U=%g V=%d D=%gh\n",
-		res.Config, res.Config.HeatName(), res.Config.ArrivalName(),
+		res.Config, res.Config.HeatName(), res.Config.Arrival,
 		res.Config.Beta, res.Config.UpdateProb,
 		res.Config.DisconnectedClients, res.Config.DisconnectHours)
 	fmt.Printf("hit ratio      %6.2f%%\n", 100*res.HitRatio)

@@ -21,12 +21,12 @@ import (
 // the Config it describes.
 func flagConfig(args ...string) (experiment.Config, error) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var o simOpts
-	o.register(fs)
+	var cfg experiment.Config
+	parseEnums := bindRun(fs, &cfg)
 	if err := fs.Parse(args); err != nil {
 		return experiment.Config{}, err
 	}
-	return o.config()
+	return cfg, parseEnums()
 }
 
 func TestBuildConfigDefaults(t *testing.T) {
@@ -218,12 +218,8 @@ func TestQuickStorageConflict(t *testing.T) {
 }
 
 func TestStorageFlagsReachConfig(t *testing.T) {
-	o := simOpts{
-		granularity: "hc", policy: "ewma-0.5", kind: "AQ", heat: "sh",
-		arrival: "poisson", coherenceS: "lease", seed: 1,
-		objects: 5000, bufratio: 0.05, storage: "file:/tmp/tier?sync=none",
-	}
-	cfg, err := o.config()
+	args := []string{"-objects", "5000", "-bufratio", "0.05", "-storage", "file:/tmp/tier?sync=none"}
+	cfg, err := flagConfig(args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +227,13 @@ func TestStorageFlagsReachConfig(t *testing.T) {
 		cfg.StorageDSN != "file:/tmp/tier?sync=none" {
 		t.Fatalf("storage flags lost: %+v", cfg)
 	}
-	if base := o.expBase(); base.NumObjects != 5000 || base.ServerBufferRatio != 0.05 ||
+	var base experiment.Config
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	bindBase(fs, &base)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if base.NumObjects != 5000 || base.ServerBufferRatio != 0.05 ||
 		base.StorageDSN != "file:/tmp/tier?sync=none" {
 		t.Fatalf("exp base lost storage flags: %+v", base)
 	}

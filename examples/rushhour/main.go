@@ -50,7 +50,7 @@ func main() {
 	} {
 		res := run(experiment.WithArrival(a))
 		fmt.Printf("%-8s  %8.1f  %10.3f  %14.1f  %9.3fs\n",
-			res.Config.ArrivalName(), 100*res.HitRatio, res.MeanResponse,
+			res.Config.Arrival, 100*res.HitRatio, res.MeanResponse,
 			100*res.DownlinkUtilization, res.DownlinkMeanWait)
 	}
 	fmt.Println("\nsame average load — but the bursts queue up behind the downlink.")

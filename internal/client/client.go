@@ -118,6 +118,19 @@ type Config struct {
 	Broadcast *broadcast.Program
 }
 
+// Counters is a client's cumulative event tally.
+type Counters struct {
+	ShedItems      uint64  // prefetched items shed by the timeout heuristic
+	CacheDrops     uint64  // whole-cache discards after missed invalidation reports
+	BroadcastReads uint64  // reads answered from the broadcast channel
+	IRBReports     uint64  // IR-over-broadcast reports received
+	IRBMissed      uint64  // report frames lost to channel faults while tuned in
+	ForcedRevals   uint64  // whole-cache lease voids after unrecoverable report gaps
+	PeerHits       uint64  // reads served from a peer's cache
+	PeerMisses     uint64  // connected local misses that still went to the server
+	RadioEnergy    float64 // Joules the radio spent transmitting and receiving (§2's battery cost)
+}
+
 // Client is one simulated mobile host.
 type Client struct {
 	id          int
@@ -137,38 +150,29 @@ type Client struct {
 	horizon float64
 
 	shedThreshold float64
-	shedItems     uint64
-	energyJoules  float64
+	n             Counters
 
 	coherenceMode coherence.Strategy
 	fixedLease    float64
 	tracer        trace.Tracer
 	bcast         *broadcast.Program
-	bcastReads    uint64
 	irLastSeq     uint64
 	irSynced      bool // whether the client saw the previous report
-	irDrops       uint64
 
 	// IR-over-broadcast state (IRBroadcastStrategy): the window each report
-	// covers, the time of the last successfully received report, and the
-	// scheme's health counters.
-	irWindow    float64
-	irLastGood  float64
-	irbReports  uint64
-	irbMissed   uint64
-	forcedReval uint64
+	// covers and the time of the last successfully received report.
+	irWindow   float64
+	irLastGood float64
 
 	// Cooperative lookup state: the client's cell-local peer group (set by
 	// SetPeers; nil = cooperation off), its own index in it, how many peers
-	// a miss scans, the staged exchange plan, and the hit/miss counters.
+	// a miss scans, and the staged exchange plan.
 	peers          []*Client
 	peerSelf       int
 	peerScan       int
 	peerGot        []peerCopy
 	peerProbeBytes int
 	peerReplyBytes int
-	peerHits       uint64
-	peerMisses     uint64
 
 	// Reliability layer (retry.go); active only when a fault model is
 	// attached to at least one channel direction.
@@ -271,15 +275,15 @@ func (c *Client) Register(reg *obs.Registry, prefix string) {
 	if !reg.Enabled() {
 		return
 	}
-	reg.Gauge(prefix+".energy_j", func() float64 { return c.energyJoules })
+	reg.Gauge(prefix+".energy_j", func() float64 { return c.n.RadioEnergy })
 	if c.coherenceMode == coherence.IRBroadcastStrategy {
-		reg.Gauge(prefix+".ir_reports", func() float64 { return float64(c.irbReports) })
-		reg.Gauge(prefix+".ir_missed", func() float64 { return float64(c.irbMissed) })
-		reg.Gauge(prefix+".forced_reval", func() float64 { return float64(c.forcedReval) })
+		reg.Gauge(prefix+".ir_reports", func() float64 { return float64(c.n.IRBReports) })
+		reg.Gauge(prefix+".ir_missed", func() float64 { return float64(c.n.IRBMissed) })
+		reg.Gauge(prefix+".forced_reval", func() float64 { return float64(c.n.ForcedRevals) })
 	}
 	if c.peerScan > 0 {
-		reg.Gauge(prefix+".peer_hits", func() float64 { return float64(c.peerHits) })
-		reg.Gauge(prefix+".peer_misses", func() float64 { return float64(c.peerMisses) })
+		reg.Gauge(prefix+".peer_hits", func() float64 { return float64(c.n.PeerHits) })
+		reg.Gauge(prefix+".peer_misses", func() float64 { return float64(c.n.PeerMisses) })
 	}
 	st := c.local.Storage()
 	if st == nil {
@@ -297,18 +301,8 @@ func (c *Client) Register(reg *obs.Registry, prefix string) {
 	})
 }
 
-// ShedItems reports how many prefetched items were shed by the timeout
-// heuristic.
-func (c *Client) ShedItems() uint64 { return c.shedItems }
-
-// RadioEnergy reports the Joules this client's radio spent transmitting
-// requests and receiving replies — the battery cost §2 of the paper
-// motivates caching with.
-func (c *Client) RadioEnergy() float64 { return c.energyJoules }
-
-// CacheDrops reports how many times the client discarded its whole cache
-// after missing invalidation reports.
-func (c *Client) CacheDrops() uint64 { return c.irDrops }
+// Counters returns the client's event tally so far.
+func (c *Client) Counters() Counters { return c.n }
 
 // ApplyInvalidationReport delivers broadcast report number seq to the
 // client (invalidation-report coherence only). A client that saw the
@@ -331,7 +325,7 @@ func (c *Client) ApplyInvalidationReport(now float64, seq uint64) {
 	}
 	if !contiguous {
 		c.local.Clear()
-		c.irDrops++
+		c.n.CacheDrops++
 		return
 	}
 	// Incremental invalidation: drop exactly the changed items.
@@ -343,10 +337,6 @@ func (c *Client) ApplyInvalidationReport(now float64, seq uint64) {
 func reportCoherence(s coherence.Strategy) bool {
 	return s == coherence.InvalidationReportStrategy || s == coherence.IRBroadcastStrategy
 }
-
-// BroadcastReads reports how many reads were answered from the broadcast
-// channel.
-func (c *Client) BroadcastReads() uint64 { return c.bcastReads }
 
 // containsItem reports whether items holds it; the slices involved are a
 // handful of entries, where a linear scan beats allocating a set.

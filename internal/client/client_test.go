@@ -496,8 +496,8 @@ func TestIRIncrementalInvalidation(t *testing.T) {
 	if !r.client.Store().Contains(oodb.AttrItem(2, 0)) {
 		t.Fatal("contiguous report dropped the cache")
 	}
-	if r.client.CacheDrops() != 0 {
-		t.Fatalf("CacheDrops = %d", r.client.CacheDrops())
+	if r.client.Counters().CacheDrops != 0 {
+		t.Fatalf("CacheDrops = %d", r.client.Counters().CacheDrops)
 	}
 }
 
@@ -518,8 +518,8 @@ func TestIRMissedReportDropsCache(t *testing.T) {
 			t.Fatalf("a copy of object %d survived the missed report", oid)
 		}
 	}
-	if r.client.CacheDrops() != 1 {
-		t.Fatalf("CacheDrops = %d, want 1", r.client.CacheDrops())
+	if r.client.Counters().CacheDrops != 1 {
+		t.Fatalf("CacheDrops = %d, want 1", r.client.Counters().CacheDrops)
 	}
 }
 
@@ -536,8 +536,8 @@ func TestIRReportToLeaseClientPanics(t *testing.T) {
 func TestShedThresholdDisabledByDefault(t *testing.T) {
 	r := newRig(t, core.HybridCaching, 0)
 	r.exec(r.ask(query(0, 1, 2, 3)))
-	if r.client.ShedItems() != 0 {
-		t.Fatalf("ShedItems = %d with heuristic disabled", r.client.ShedItems())
+	if r.client.Counters().ShedItems != 0 {
+		t.Fatalf("ShedItems = %d with heuristic disabled", r.client.Counters().ShedItems)
 	}
 }
 
@@ -635,8 +635,8 @@ func TestBroadcastServesCoveredReads(t *testing.T) {
 		// Object 1 attr 0 is on the air; object 50 is not.
 		r.ask(query(0, 1, 50)),
 	)
-	if r.client.BroadcastReads() != 1 {
-		t.Fatalf("BroadcastReads = %d, want 1", r.client.BroadcastReads())
+	if r.client.Counters().BroadcastReads != 1 {
+		t.Fatalf("BroadcastReads = %d, want 1", r.client.Counters().BroadcastReads)
 	}
 	if !r.client.Store().Contains(oodb.AttrItem(1, 0)) {
 		t.Fatal("broadcast item not cached")
@@ -658,12 +658,12 @@ func TestBroadcastOnlyQuerySendsNothing(t *testing.T) {
 		t.Fatalf("broadcast-covered query used point-to-point channels (%d/%d)",
 			r.up.Messages(), r.down.Messages())
 	}
-	if r.client.BroadcastReads() != 3 {
-		t.Fatalf("BroadcastReads = %d", r.client.BroadcastReads())
+	if r.client.Counters().BroadcastReads != 3 {
+		t.Fatalf("BroadcastReads = %d", r.client.Counters().BroadcastReads)
 	}
 	// Subsequent identical reads hit the cache within the lease.
 	r.exec(r.ask(query(1, 1, 2, 3)))
-	if r.client.BroadcastReads() != 3 {
+	if r.client.Counters().BroadcastReads != 3 {
 		t.Fatal("cached broadcast items re-fetched from the air")
 	}
 }
@@ -682,7 +682,7 @@ func TestBroadcastIgnoredWhileDisconnected(t *testing.T) {
 	sched.AddOutage(network.Outage{Start: 0, End: 1e6})
 	r.client.sched = sched
 	r.exec(r.ask(query(0, 1)))
-	if r.client.BroadcastReads() != 0 {
+	if r.client.Counters().BroadcastReads != 0 {
 		t.Fatal("disconnected client read from the air")
 	}
 	if r.m.Unavailable() != 1 {

@@ -119,13 +119,13 @@ func (c *Client) commitPeerFetch(now float64, need []workload.ReadOp, rec *trace
 		isErr := c.oracle.IsError(g.item, g.entry.Version)
 		c.m.RecordAccess(now, false)
 		c.m.RecordError(now, isErr)
-		c.peerHits++
+		c.n.PeerHits++
 		if isErr {
 			rec.Errors++
 		}
 		if g.newItem {
 			c.local.Stage(g.item, g.entry, false)
-			c.peers[g.src].energyJoules += network.TxEnergy(network.ReplyEntrySize(g.item))
+			c.peers[g.src].n.RadioEnergy += network.TxEnergy(network.ReplyEntrySize(g.item))
 		}
 	}
 	c.local.Commit(now)
@@ -140,7 +140,7 @@ func (c *Client) commitPeerFetch(now float64, need []workload.ReadOp, rec *trace
 		out = append(out, need[i])
 	}
 	c.peerGot = c.peerGot[:0]
-	c.peerMisses += uint64(len(out))
+	c.n.PeerMisses += uint64(len(out))
 	return out
 }
 
@@ -148,12 +148,5 @@ func (c *Client) commitPeerFetch(now float64, need []workload.ReadOp, rec *trace
 // exchange frame; every read falls back to the server path.
 func (c *Client) abortPeerFetch(need []workload.ReadOp) {
 	c.peerGot = c.peerGot[:0]
-	c.peerMisses += uint64(len(need))
+	c.n.PeerMisses += uint64(len(need))
 }
-
-// PeerHits reports reads served from a peer's cache.
-func (c *Client) PeerHits() uint64 { return c.peerHits }
-
-// PeerMisses reports connected local-miss reads that went to the server
-// despite cooperation (no peer copy, or a failed exchange).
-func (c *Client) PeerMisses() uint64 { return c.peerMisses }

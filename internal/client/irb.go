@@ -39,8 +39,8 @@ func (c *Client) ApplyIRBroadcast(now float64, items []oodb.Item, wireBytes int)
 	if c.coherenceMode != coherence.IRBroadcastStrategy {
 		panic("client: IR-over-broadcast report delivered to a non-irb client")
 	}
-	c.energyJoules += network.RxEnergy(wireBytes)
-	c.irbReports++
+	c.n.RadioEnergy += network.RxEnergy(wireBytes)
+	c.n.IRBReports++
 	if now-c.irLastGood > c.irWindow+irSlack {
 		// The report's window does not reach back to the last report this
 		// client saw: writes in the gap are unrecoverable, revalidate.
@@ -70,9 +70,9 @@ func (c *Client) MissIRBroadcast(now, period float64, rxBytes int) {
 		panic("client: IR-over-broadcast miss delivered to a non-irb client")
 	}
 	if rxBytes > 0 {
-		c.energyJoules += network.RxEnergy(rxBytes)
+		c.n.RadioEnergy += network.RxEnergy(rxBytes)
 	}
-	c.irbMissed++
+	c.n.IRBMissed++
 	if now-c.irLastGood+period > c.irWindow+irSlack {
 		c.forceRevalidate(now)
 		// Every lease is voided, so staleness is bounded from here on; the
@@ -84,18 +84,6 @@ func (c *Client) MissIRBroadcast(now, period float64, rxBytes int) {
 // forceRevalidate voids every cached lease in place: the copies survive for
 // disconnected or degraded serving, but must be revalidated at the server.
 func (c *Client) forceRevalidate(now float64) {
-	c.forcedReval++
+	c.n.ForcedRevals++
 	c.local.VoidLeases(now)
 }
-
-// IRBReports reports how many IR-over-broadcast reports the client
-// received.
-func (c *Client) IRBReports() uint64 { return c.irbReports }
-
-// IRBMissed reports how many report frames the client lost to channel
-// faults while tuned in.
-func (c *Client) IRBMissed() uint64 { return c.irbMissed }
-
-// ForcedRevalidations reports how many times the client voided every
-// cached lease after an unrecoverable report gap.
-func (c *Client) ForcedRevalidations() uint64 { return c.forcedReval }

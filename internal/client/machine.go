@@ -109,7 +109,7 @@ func (cm *clientMachine) shed(waited float64) int {
 				kept = append(kept, it)
 			}
 		}
-		c.shedItems += uint64(len(cm.items) - len(kept))
+		c.n.ShedItems += uint64(len(cm.items) - len(kept))
 		c.scratchKept = kept
 		cm.items = kept
 	}
@@ -120,7 +120,7 @@ func (cm *clientMachine) shed(waited float64) int {
 // account the receive energy, record the reply size.
 func (cm *clientMachine) shedPlain(waited float64) int {
 	cm.replyBytes = cm.shed(waited)
-	cm.c.energyJoules += network.RxEnergy(cm.replyBytes)
+	cm.c.n.RadioEnergy += network.RxEnergy(cm.replyBytes)
 	return cm.replyBytes
 }
 
@@ -246,7 +246,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 						if !containsItem(fromAir, item) {
 							fromAir = append(fromAir, item)
 						}
-						c.bcastReads++
+						c.n.BroadcastReads++
 						c.m.RecordAccess(m.Now(), false)
 						c.m.RecordError(m.Now(), false)
 						continue
@@ -268,7 +268,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 					cm.pc = cmPeerUp
 					continue
 				}
-				c.peerMisses += uint64(len(cm.need))
+				c.n.PeerMisses += uint64(len(cm.need))
 			}
 			cm.pc = cmRemote
 
@@ -276,7 +276,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if !c.up.SendStep(m, &cm.send, c.peerProbeBytes) {
 				return false
 			}
-			c.energyJoules += network.TxEnergy(c.peerProbeBytes)
+			c.n.RadioEnergy += network.TxEnergy(c.peerProbeBytes)
 			if transmit(c.upFaults, m.Now()) != network.FrameDelivered {
 				c.abortPeerFetch(cm.need)
 				cm.pc = cmRemote
@@ -292,7 +292,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if outcome != network.FrameLost {
 				// The frame was received (and, if corrupted, rejected after
 				// the fact): the radio energy is spent either way.
-				c.energyJoules += network.RxEnergy(c.peerReplyBytes)
+				c.n.RadioEnergy += network.RxEnergy(c.peerReplyBytes)
 			}
 			if outcome != network.FrameDelivered {
 				c.abortPeerFetch(cm.need)
@@ -330,7 +330,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if !c.up.SendStep(m, &cm.send, cm.reqBytes) {
 				return false
 			}
-			c.energyJoules += network.TxEnergy(cm.reqBytes)
+			c.n.RadioEnergy += network.TxEnergy(cm.reqBytes)
 			cm.call.Begin(cm.req)
 			cm.pc = cmSrv
 
@@ -367,7 +367,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if !c.up.SendStep(m, &cm.send, cm.reqBytes) {
 				return false
 			}
-			c.energyJoules += network.TxEnergy(cm.reqBytes)
+			c.n.RadioEnergy += network.TxEnergy(cm.reqBytes)
 			if transmit(c.upFaults, m.Now()) == network.FrameDelivered {
 				cm.call.Begin(cm.req)
 				cm.pc = cmFaultSrv
@@ -390,7 +390,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			}
 			switch transmit(c.downFaults, m.Now()) {
 			case network.FrameDelivered:
-				c.energyJoules += network.RxEnergy(cm.delivered)
+				c.n.RadioEnergy += network.RxEnergy(cm.delivered)
 				c.replyEstimate = cm.delivered
 				c.installReply(m.Now(), cm.need, cm.items)
 				cm.rec.ReplyBytes = cm.delivered
@@ -400,7 +400,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			case network.FrameCorrupted:
 				// The frame arrived and was received in full before the CRC
 				// check rejected it: the radio energy is spent.
-				c.energyJoules += network.RxEnergy(cm.delivered)
+				c.n.RadioEnergy += network.RxEnergy(cm.delivered)
 			}
 			// FrameLost: nothing arrived, nothing received.
 			cm.pc = cmFaultTimeout
@@ -465,7 +465,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 
 		case cmAirRecv:
 			item := cm.fromAir[cm.airIdx]
-			c.energyJoules += network.RxEnergy(c.bcast.SlotBytes())
+			c.n.RadioEnergy += network.RxEnergy(c.bcast.SlotBytes())
 			entry := core.Entry{
 				Version:   c.oracle.CurrentVersion(item),
 				ExpiresAt: m.Now() + c.bcast.Cycle(),

@@ -21,6 +21,7 @@
 package coherence
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/oodb"
@@ -82,20 +83,19 @@ func (s Strategy) String() string {
 
 // Parse maps a CLI/option spelling to a Strategy. Accepted names are the
 // String() forms plus the short CLI aliases: "lease", "fixed"/"fixed-lease",
-// "ir"/"invalidation-report", and "irb"/"ir-broadcast". The boolean reports
-// whether the name was recognized.
-func Parse(name string) (Strategy, bool) {
+// "ir"/"invalidation-report", and "irb"/"ir-broadcast".
+func Parse(name string) (Strategy, error) {
 	switch name {
 	case "lease":
-		return LeaseStrategy, true
+		return LeaseStrategy, nil
 	case "ir", "invalidation-report":
-		return InvalidationReportStrategy, true
+		return InvalidationReportStrategy, nil
 	case "fixed", "fixed-lease":
-		return FixedLeaseStrategy, true
+		return FixedLeaseStrategy, nil
 	case "irb", "ir-broadcast":
-		return IRBroadcastStrategy, true
+		return IRBroadcastStrategy, nil
 	}
-	return 0, false
+	return 0, fmt.Errorf("coherence: unknown strategy %q (want lease|fixed|ir|irb)", name)
 }
 
 // DefaultReportInterval is the invalidation-report broadcast period in

@@ -250,14 +250,14 @@ func TestParse(t *testing.T) {
 		{"broadcast", 0, false},
 	}
 	for _, tc := range cases {
-		got, ok := Parse(tc.name)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("Parse(%q) = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.ok)
+		got, err := Parse(tc.name)
+		if ok := err == nil; ok != tc.ok || (ok && got != tc.want) {
+			t.Errorf("Parse(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
 		}
 	}
 	for _, s := range []Strategy{LeaseStrategy, InvalidationReportStrategy,
 		FixedLeaseStrategy, IRBroadcastStrategy} {
-		if got, ok := Parse(s.String()); !ok || got != s {
+		if got, err := Parse(s.String()); err != nil || got != s {
 			t.Errorf("Parse(%q) does not round-trip %v", s.String(), s)
 		}
 	}

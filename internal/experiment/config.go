@@ -39,15 +39,59 @@ const (
 	CyclicHeat
 )
 
+// String renders the heat family as tables name it.
+func (h HeatKind) String() string {
+	switch h {
+	case SkewedHeat:
+		return "SH"
+	case ChangingSkewedHeat:
+		return "CSH"
+	case CyclicHeat:
+		return "cyclic"
+	default:
+		return "?"
+	}
+}
+
+// ParseHeat parses a heat family's String form, in any letter case ("sh",
+// "csh", "cyclic").
+func ParseHeat(s string) (HeatKind, error) {
+	for h := SkewedHeat; h <= CyclicHeat; h++ {
+		if strings.EqualFold(s, h.String()) {
+			return h, nil
+		}
+	}
+	return 0, fmt.Errorf("experiment: unknown heat %q (want sh|csh|cyclic)", s)
+}
+
 // ArrivalKind selects the query arrival process.
 type ArrivalKind int
 
 const (
-	// PoissonArrival is homogeneous Poisson at Rate.
+	// PoissonArrival is homogeneous Poisson at workload.DefaultPoissonRate.
 	PoissonArrival ArrivalKind = iota
 	// BurstyArrival is the vehicle-traffic daily profile.
 	BurstyArrival
 )
+
+// String renders the arrival process as tables name it.
+func (a ArrivalKind) String() string {
+	if a == BurstyArrival {
+		return "Bursty"
+	}
+	return "Poisson"
+}
+
+// ParseArrival parses an arrival process's String form, in any letter case
+// ("poisson", "bursty").
+func ParseArrival(s string) (ArrivalKind, error) {
+	for a := PoissonArrival; a <= BurstyArrival; a++ {
+		if strings.EqualFold(s, a.String()) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("experiment: unknown arrival %q (want poisson|bursty)", s)
+}
 
 // Config fully describes one simulation run. The zero value is completed by
 // Defaults to the paper's Table 1 settings; Validate names what a value may
@@ -63,15 +107,14 @@ type Config struct {
 	WarmupDays float64
 
 	// Caching.
-	Granularity         core.Granularity
-	Policy              string // replacement spec, e.g. "ewma-0.5"
-	StorageObjects      int    // client storage cache (objects' worth of bytes)
-	MemBufferObjects    int    // client memory buffer
-	ServerBufferObjects int    // server memory buffer
+	Granularity      core.Granularity
+	Policy           string // replacement spec, e.g. "ewma-0.5"
+	StorageObjects   int    // client storage cache (objects' worth of bytes)
+	MemBufferObjects int    // client memory buffer
 
 	// ServerBufferRatio sizes the server buffer as a fraction of the
-	// database (0 < r <= 1) when ServerBufferObjects is unset — the
-	// Experiment #11 axis. Zero keeps the paper's 25% default.
+	// database (0 < r <= 1) — the Experiment #11 axis. Zero keeps the
+	// paper's 25% default. See ServerBufferObjects.
 	ServerBufferRatio float64
 
 	// StorageDSN, when non-empty, attaches a persistent disk tier behind
@@ -90,17 +133,15 @@ type Config struct {
 	QueryKind      workload.Kind
 	Heat           HeatKind
 	CSHChangeEvery int // CSH change rate in queries
-	CyclicLoop     int // cyclic loop pool size (objects)
-	CyclicBurst    int // consecutive queries per loop window
 	Arrival        ArrivalKind
-	PoissonRate    float64
-	Selectivity    int
 	AttrsPerObj    int
-	AttrSkewTheta  float64 // attribute access skew (0 = uniform)
-	UpdateProb     float64
+	// AttrSkewTheta is the attribute access skew: weights 1/rank^theta.
+	// Zero selects workload.DefaultAttrTheta (1), not uniform access.
+	AttrSkewTheta float64
+	UpdateProb    float64
 
-	// Hybrid caching prefetch threshold position (mu + kappa*sigma).
-	// NaN selects the server default.
+	// Hybrid caching prefetch threshold position (mu + kappa*sigma); zero
+	// is the server's default, kappa = 0.
 	PrefetchKappa float64
 
 	// ShedThreshold enables the timeout heuristic of §5.3 when positive:
@@ -109,14 +150,15 @@ type Config struct {
 	ShedThreshold float64
 
 	// Coherence selects the coherence strategy (default: the paper's
-	// leases). ReportInterval is the broadcast period for the
-	// invalidation-report baselines (default coherence.DefaultReportInterval).
-	Coherence      coherence.Strategy
-	ReportInterval float64
-	FixedLease     float64
+	// leases). The invalidation-report baselines broadcast every
+	// coherence.DefaultReportInterval seconds. FixedLease is the lease
+	// duration under FixedLeaseStrategy (default
+	// coherence.DefaultFixedLease) and may be set under no other strategy.
+	Coherence  coherence.Strategy
+	FixedLease float64
 	// IRWindow is the trailing update window each IR-over-broadcast report
 	// covers, in seconds (IRBroadcastStrategy only; default five report
-	// periods). Must be at least one ReportInterval or consecutive reports
+	// periods). Must be at least one report period or consecutive reports
 	// leave coverage holes.
 	IRWindow float64
 
@@ -162,8 +204,7 @@ type Config struct {
 	LossRate       float64 // Bernoulli per-frame loss probability (Good state)
 	CorruptRate    float64 // per-frame corruption probability (CRC-detected)
 	BurstFraction  float64 // stationary Bad-state fraction of the Gilbert–Elliott chain
-	MeanBadSeconds float64 // mean Bad-state sojourn (default network.DefaultMeanBadSeconds)
-	BadLossProb    float64 // loss probability in the Bad state (default 1)
+	MeanBadSeconds float64 // mean Bad-state sojourn (default network.DefaultMeanBadSeconds); the Bad state loses every frame
 
 	// Reliability layer (client-side); meaningful only with faults enabled.
 	RetryMax     int     // retransmissions per request (default client.DefaultMaxRetries; <0 disables)
@@ -192,20 +233,26 @@ func (c Config) FaultConfig() network.FaultConfig {
 		CorruptProb:    c.CorruptRate,
 		BurstFraction:  c.BurstFraction,
 		MeanBadSeconds: c.MeanBadSeconds,
-		BadLossProb:    c.BadLossProb,
 		Seed:           rng.Derive(c.Seed, 0xfa017).Uint64(),
 	}
 }
 
-// ratioBuffer is the server buffer size a ratio derives for an n-object
-// database: rounded to the nearest object, never below one.
-func ratioBuffer(ratio float64, n int) int {
-	b := int(ratio*float64(n) + 0.5)
-	if b < 1 {
-		b = 1
+// ServerBufferObjects is the server memory buffer of a defaulted c:
+// ServerBufferRatio of the database rounded to the nearest object (never
+// below one), or Table 1's 25% when the ratio is unset.
+func (c Config) ServerBufferObjects() int {
+	if c.ServerBufferRatio == 0 {
+		return c.NumObjects / 4
 	}
-	return b
+	return max(1, int(c.ServerBufferRatio*float64(c.NumObjects)+0.5))
 }
+
+// cyclicLoop is the loop pool size of a defaulted c's cyclic heat. The
+// pool must (a) fit inside the 20% storage cache with room for noise churn
+// and (b) revisit much faster than the noise pool recurs, so the loop is
+// genuinely the hot set: 7.5% of the database (150 objects at the paper's
+// 2000).
+func (c Config) cyclicLoop() int { return c.NumObjects * 3 / 40 }
 
 // Defaults returns cfg with every unset field filled from Table 1.
 func Defaults(cfg Config) Config {
@@ -228,32 +275,8 @@ func Defaults(cfg Config) Config {
 	if cfg.MemBufferObjects == 0 {
 		cfg.MemBufferObjects = client.DefaultMemBufferObjects
 	}
-	if cfg.ServerBufferObjects == 0 {
-		if cfg.ServerBufferRatio > 0 {
-			cfg.ServerBufferObjects = ratioBuffer(cfg.ServerBufferRatio, cfg.NumObjects)
-		} else {
-			// 25% of the database.
-			cfg.ServerBufferObjects = cfg.NumObjects / 4
-		}
-	}
 	if cfg.CSHChangeEvery == 0 {
 		cfg.CSHChangeEvery = 500
-	}
-	if cfg.CyclicLoop == 0 {
-		// The loop pool must (a) fit inside the 20% storage cache with
-		// room for noise churn and (b) revisit much faster than the noise
-		// pool recurs, so the loop is genuinely the hot set: 7.5% of the
-		// database (150 objects at the paper's 2000).
-		cfg.CyclicLoop = cfg.NumObjects * 3 / 40
-	}
-	if cfg.CyclicBurst == 0 {
-		cfg.CyclicBurst = 2
-	}
-	if cfg.PoissonRate == 0 {
-		cfg.PoissonRate = workload.DefaultPoissonRate
-	}
-	if cfg.Selectivity == 0 {
-		cfg.Selectivity = workload.DefaultSelectivity
 	}
 	if cfg.AttrsPerObj == 0 {
 		cfg.AttrsPerObj = workload.DefaultAttrsPerObject
@@ -261,15 +284,8 @@ func Defaults(cfg Config) Config {
 	if cfg.AttrSkewTheta == 0 {
 		cfg.AttrSkewTheta = workload.DefaultAttrTheta
 	}
-	if cfg.PrefetchKappa == 0 {
-		cfg.PrefetchKappa = math.NaN()
-	}
-	if cfg.ReportInterval == 0 {
-		cfg.ReportInterval = coherence.DefaultReportInterval
-	}
 	if cfg.IRWindow == 0 {
-		// Keep the default window/period ratio when the period is tuned.
-		cfg.IRWindow = cfg.ReportInterval * (coherence.DefaultIRWindow / coherence.DefaultReportInterval)
+		cfg.IRWindow = coherence.DefaultIRWindow
 	}
 	if cfg.SharedHotObjects > 0 && cfg.SharedHotProb == 0 {
 		cfg.SharedHotProb = 0.5
@@ -303,21 +319,15 @@ func (c Config) Validate() error {
 		{"Granularity", float64(c.Granularity), float64(core.HybridCaching)},
 		{"StorageObjects", float64(c.StorageObjects), inf},
 		{"MemBufferObjects", float64(c.MemBufferObjects), inf},
-		{"ServerBufferObjects", float64(c.ServerBufferObjects), inf},
 		{"ServerBufferRatio", c.ServerBufferRatio, 1},
 		{"QueryKind", float64(c.QueryKind), float64(workload.Navigational)},
 		{"Heat", float64(c.Heat), float64(CyclicHeat)},
 		{"CSHChangeEvery", float64(c.CSHChangeEvery), inf},
-		{"CyclicLoop", float64(c.CyclicLoop), inf},
-		{"CyclicBurst", float64(c.CyclicBurst), inf},
 		{"Arrival", float64(c.Arrival), float64(BurstyArrival)},
-		{"PoissonRate", c.PoissonRate, inf},
-		{"Selectivity", float64(c.Selectivity), inf},
 		{"AttrsPerObj", float64(c.AttrsPerObj), oodb.NumPrimAttrs},
 		{"UpdateProb", c.UpdateProb, 1},
 		{"ShedThreshold", c.ShedThreshold, inf},
 		{"Coherence", float64(c.Coherence), float64(coherence.IRBroadcastStrategy)},
-		{"ReportInterval", c.ReportInterval, inf},
 		{"FixedLease", c.FixedLease, inf},
 		{"IRWindow", c.IRWindow, inf},
 		{"CoopPeers", float64(c.CoopPeers), inf},
@@ -330,7 +340,6 @@ func (c Config) Validate() error {
 		{"CorruptRate", c.CorruptRate, 1},
 		{"BurstFraction", c.BurstFraction, 1},
 		{"MeanBadSeconds", c.MeanBadSeconds, inf},
-		{"BadLossProb", c.BadLossProb, 1},
 		{"RetryBackoff", c.RetryBackoff, inf},
 		{"Cells", float64(c.Cells), inf},
 		{"RelayObjects", float64(c.RelayObjects), inf},
@@ -351,30 +360,26 @@ func (c Config) Validate() error {
 			return bad(ErrBadSpec, "StorageDSN %q: %v", c.StorageDSN, err)
 		}
 	}
-	loop := d.CyclicLoop
-	if loop == 0 {
-		loop = d.NumObjects / 4 // workload.NewCyclicHeat's own fallback
-	}
+	const sel = workload.DefaultSelectivity
 	switch {
 	case c.BurstFraction == 1:
 		return bad(ErrOutOfRange, "BurstFraction 1: the channels would never leave the bad state")
 	case d.NumObjects < 2:
 		return bad(ErrOutOfRange, "NumObjects %d: a heat model needs at least 2 objects", d.NumObjects)
-	case d.Selectivity > d.NumObjects:
-		return bad(ErrConflict, "Selectivity %d exceeds the %d-object database", d.Selectivity, d.NumObjects)
+	case sel > d.NumObjects:
+		return bad(ErrConflict, "a query selects %d objects, more than the %d-object database", sel, d.NumObjects)
 	case c.SharedHotObjects >= d.NumObjects:
 		return bad(ErrConflict, "SharedHotObjects %d must leave part of the %d-object database private",
 			c.SharedHotObjects, d.NumObjects)
-	case c.SharedHotObjects > 0 && c.SharedHotProb == 1 && c.SharedHotObjects < d.Selectivity:
+	case c.SharedHotObjects > 0 && c.SharedHotProb == 1 && c.SharedHotObjects < sel:
 		// Every pick would come from the pool, and a query draws distinct
-		// objects until it has Selectivity of them: it would never finish.
-		return bad(ErrConflict, "SharedHotProb 1 confines queries of %d objects to a pool of %d", d.Selectivity, c.SharedHotObjects)
+		// objects until it has sel of them: it would never finish.
+		return bad(ErrConflict, "SharedHotProb 1 confines queries of %d objects to a pool of %d", sel, c.SharedHotObjects)
 	case c.BroadcastAttrs > 0 && c.SharedHotObjects == 0:
 		return bad(ErrConflict, "BroadcastAttrs %d airs the shared pool and needs SharedHotObjects", c.BroadcastAttrs)
-	case c.Heat == CyclicHeat && c.SharedHotObjects == 0 &&
-		(d.NumObjects < 8 || loop < max(1, d.Selectivity/4) || loop >= d.NumObjects):
-		return bad(ErrConflict, "cyclic heat needs 8 or more objects and Selectivity/4 <= CyclicLoop < NumObjects, got loop %d of %d objects at selectivity %d",
-			loop, d.NumObjects, d.Selectivity)
+	case c.Heat == CyclicHeat && c.SharedHotObjects == 0 && d.cyclicLoop() < sel/4:
+		return bad(ErrConflict, "cyclic heat over %d objects loops over %d, fewer than the %d loop objects a query reads",
+			d.NumObjects, d.cyclicLoop(), sel/4)
 	case c.Cells > d.NumClients:
 		return bad(ErrConflict, "Cells %d exceeds the %d-client fleet", c.Cells, d.NumClients)
 	case c.DisconnectedClients > d.NumClients:
@@ -383,18 +388,14 @@ func (c Config) Validate() error {
 		return bad(ErrConflict, "invalidation reports are one cell-wide broadcast, undefined for Cells %d", c.Cells)
 	case c.Cells > 1 && c.StorageDSN != "":
 		return bad(ErrConflict, "StorageDSN %q models one origin server, undefined for Cells %d", c.StorageDSN, c.Cells)
-	case d.IRWindow < d.ReportInterval:
-		return bad(ErrConflict, "IRWindow %g shorter than the %g s ReportInterval would drop updates from every report",
-			d.IRWindow, d.ReportInterval)
+	case d.IRWindow < coherence.DefaultReportInterval:
+		return bad(ErrConflict, "IRWindow %g shorter than the %g s report period would drop updates from every report",
+			d.IRWindow, coherence.DefaultReportInterval)
 	case c.CoopPeers > 0 && c.Granularity == core.NoCache:
 		return bad(ErrConflict, "CoopPeers %d needs caching clients, not NC", c.CoopPeers)
-	case c.ServerBufferRatio > 0 && c.ServerBufferObjects > 0 &&
-		c.ServerBufferObjects != ratioBuffer(c.ServerBufferRatio, d.NumObjects):
-		// A replayed manifest records the resolved config — the ratio next
-		// to the exact buffer size it derived. That round trip is
-		// consistent; any other pairing is two answers to one question.
-		return bad(ErrConflict, "ServerBufferRatio %g and ServerBufferObjects %d both size the buffer",
-			c.ServerBufferRatio, c.ServerBufferObjects)
+	case c.FixedLease > 0 && c.Coherence != coherence.FixedLeaseStrategy:
+		return bad(ErrConflict, "FixedLease %g is read only under fixed-lease coherence, not %s",
+			c.FixedLease, c.Coherence)
 	}
 	return nil
 }
@@ -677,16 +678,17 @@ func (r *reporter) Step(m *sim.Machine) {
 }
 
 // startBroadcaster spawns the invalidation-report broadcast machine: every
-// ReportInterval seconds the server pushes a report over the shared
-// downlink (header plus one item reference per update since the previous
-// report) and every *connected* client applies it; disconnected clients
-// miss it and will drop their caches on the next report they do receive.
+// coherence.DefaultReportInterval seconds the server pushes a report over
+// the shared downlink (header plus one item reference per update since the
+// previous report) and every *connected* client applies it; disconnected
+// clients miss it and will drop their caches on the next report they do
+// receive.
 func startBroadcaster(k *sim.Kernel, cfg Config, srv *server.Server,
 	down *network.Channel, clients []*client.Client, schedules []*network.Schedule) {
 
 	var seq, lastUpdates uint64
 	k.SpawnMachine("ir-broadcast", &reporter{
-		interval: cfg.ReportInterval, horizon: cfg.Horizon(), ch: down,
+		interval: coherence.DefaultReportInterval, horizon: cfg.Horizon(), ch: down,
 		report: func(float64) int {
 			seq++
 			updates := srv.Stats().UpdatesApplied
@@ -712,15 +714,15 @@ type irbState struct {
 }
 
 // startIRBBroadcaster spawns the IR-over-broadcast machine for one cell:
-// every ReportInterval seconds it assembles the report naming the items
-// written during the trailing IRWindow (fed by the server's write
-// observer), pays for its airtime on the dedicated broadcast channel, and
-// delivers it to every connected client in the cell. Reception is judged
-// per client against the channel's fault model in client order — a lost
-// or corrupted frame becomes MissIRBroadcast, the forced-revalidation
-// trigger. Disconnected clients simply have their radios off. All draws
-// happen inside the kernel's event loop, so delivery outcomes are
-// independent of -parallel.
+// every coherence.DefaultReportInterval seconds it assembles the report
+// naming the items written during the trailing IRWindow (fed by the
+// server's write observer), pays for its airtime on the dedicated
+// broadcast channel, and delivers it to every connected client in the
+// cell. Reception is judged per client against the channel's fault model
+// in client order — a lost or corrupted frame becomes MissIRBroadcast, the
+// forced-revalidation trigger. Disconnected clients simply have their
+// radios off. All draws happen inside the kernel's event loop, so delivery
+// outcomes are independent of -parallel.
 func startIRBBroadcaster(k *sim.Kernel, cfg Config, window *broadcast.UpdateWindow,
 	ch *network.Channel, faults *network.FaultModel,
 	clients []*client.Client, schedules []*network.Schedule) *irbState {
@@ -729,7 +731,7 @@ func startIRBBroadcaster(k *sim.Kernel, cfg Config, window *broadcast.UpdateWind
 	var items []oodb.Item
 	var size int
 	k.SpawnMachine("irb-broadcast", &reporter{
-		interval: cfg.ReportInterval, horizon: cfg.Horizon(), ch: ch,
+		interval: coherence.DefaultReportInterval, horizon: cfg.Horizon(), ch: ch,
 		report: func(now float64) int {
 			items = window.Report(now)
 			size = broadcast.ReportBytes(len(items))
@@ -751,9 +753,9 @@ func startIRBBroadcaster(k *sim.Kernel, cfg Config, window *broadcast.UpdateWind
 					cl.ApplyIRBroadcast(now, items, size)
 				case network.FrameCorrupted:
 					// Received in full, rejected by the CRC: energy spent.
-					cl.MissIRBroadcast(now, cfg.ReportInterval, size)
+					cl.MissIRBroadcast(now, coherence.DefaultReportInterval, size)
 				default: // FrameLost
-					cl.MissIRBroadcast(now, cfg.ReportInterval, 0)
+					cl.MissIRBroadcast(now, coherence.DefaultReportInterval, 0)
 				}
 			}
 		},
@@ -778,9 +780,9 @@ func buildHeat(cfg Config, clientID int) workload.HeatModel {
 	case CyclicHeat:
 		return workload.NewCyclicHeat(workload.CyclicConfig{
 			NumObjects:   cfg.NumObjects,
-			LoopObjects:  cfg.CyclicLoop,
-			LoopPerQuery: max(1, cfg.Selectivity/4),
-			Burst:        cfg.CyclicBurst,
+			LoopObjects:  cfg.cyclicLoop(),
+			LoopPerQuery: workload.DefaultSelectivity / 4,
+			Burst:        2,
 			Seed:         seed,
 		})
 	default:
@@ -789,23 +791,4 @@ func buildHeat(cfg Config, clientID int) workload.HeatModel {
 }
 
 // HeatName renders the heat configuration for table headers.
-func (c Config) HeatName() string {
-	switch c.Heat {
-	case SkewedHeat:
-		return "SH"
-	case ChangingSkewedHeat:
-		return fmt.Sprintf("CSH-%d", c.CSHChangeEvery)
-	case CyclicHeat:
-		return "cyclic"
-	default:
-		return "?"
-	}
-}
-
-// ArrivalName renders the arrival configuration for table headers.
-func (c Config) ArrivalName() string {
-	if c.Arrival == BurstyArrival {
-		return "Bursty"
-	}
-	return "Poisson"
-}
+func (c Config) HeatName() string { return heatTag(c.Heat, c.CSHChangeEvery) }

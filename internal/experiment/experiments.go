@@ -44,13 +44,13 @@ func Exp1(base Config) *Report {
 			for _, heat := range []HeatKind{SkewedHeat, ChangingSkewedHeat} {
 				tbl := NewTable(
 					fmt.Sprintf("Figure 2 — %s, %s arrivals, %s heat",
-						kind, arrivalName(arrival), heatTag(heat, 500)),
+						kind, arrival, heatTag(heat, 500)),
 					"granularity", "hit%", "resp(s)", "err%", "queries")
 				rep.Tables = append(rep.Tables, tbl)
 				for _, g := range core.Granularities() {
 					cfg := merge(base, func(c *Config) {
 						c.Label = fmt.Sprintf("exp1/%s/%s/%s/%s",
-							g, kind, arrivalName(arrival), heatTag(heat, 500))
+							g, kind, arrival, heatTag(heat, 500))
 						c.Granularity = g
 						c.QueryKind = kind
 						c.Arrival = arrival
@@ -113,13 +113,13 @@ func Exp3(base Config) *Report {
 			for _, heat := range []HeatKind{SkewedHeat, ChangingSkewedHeat} {
 				tbl := NewTable(
 					fmt.Sprintf("Figure 4 — %s, %s arrivals, %s heat (U=0.1, 10 clients, HC)",
-						kind, arrivalName(arrival), heatTag(heat, 500)),
+						kind, arrival, heatTag(heat, 500)),
 					"policy", "hit%", "resp(s)", "err%")
 				rep.Tables = append(rep.Tables, tbl)
 				for _, pol := range standardPolicies() {
 					cfg := merge(base, func(c *Config) {
 						c.Label = fmt.Sprintf("exp3/%s/%s/%s/%s",
-							pol, kind, arrivalName(arrival), heatTag(heat, 500))
+							pol, kind, arrival, heatTag(heat, 500))
 						c.Granularity = core.HybridCaching
 						c.QueryKind = kind
 						c.Arrival = arrival
@@ -415,36 +415,25 @@ func Table1() *Table {
 	tbl.Add("object size", "1024 B (9 primitive attrs + 3 relationships)")
 	tbl.Add("mobile clients", fmt.Sprint(cfg.NumClients))
 	tbl.Add("wireless channels", "2 x 19.2 Kbps (up/down, shared FCFS)")
-	tbl.Add("server memory buffer", fmt.Sprintf("%d objects (LRU)", cfg.ServerBufferObjects))
+	tbl.Add("server memory buffer", fmt.Sprintf("%d objects (LRU)", cfg.ServerBufferObjects()))
 	tbl.Add("client memory buffer", fmt.Sprintf("%d objects (LRU)", cfg.MemBufferObjects))
 	tbl.Add("client storage cache", fmt.Sprintf("%d objects (%s)", cfg.StorageObjects, cfg.Policy))
 	tbl.Add("disk / memory bandwidth", "40 Mbps / 100 Mbps")
 	tbl.Add("message header", "11 B (IP + CRC)")
-	tbl.Add("query selectivity", fmt.Sprintf("%d objects (1%%)", cfg.Selectivity))
+	tbl.Add("query selectivity", fmt.Sprintf("%d objects (1%%)", workload.DefaultSelectivity))
 	tbl.Add("attrs accessed per object (Q_a)", fmt.Sprint(cfg.AttrsPerObj))
-	tbl.Add("arrival", fmt.Sprintf("Poisson %.3g/s or Bursty day profile", cfg.PoissonRate))
+	tbl.Add("arrival", fmt.Sprintf("Poisson %.3g/s or Bursty day profile", workload.DefaultPoissonRate))
 	tbl.Add("simulated duration", fmt.Sprintf("%g days", cfg.Days))
 	return tbl
 }
 
-func arrivalName(a ArrivalKind) string {
-	if a == BurstyArrival {
-		return "Bursty"
-	}
-	return "Poisson"
-}
-
+// heatTag renders a heat family for table headers: CSH carries its
+// change rate.
 func heatTag(h HeatKind, changeEvery int) string {
-	switch h {
-	case SkewedHeat:
-		return "SH"
-	case ChangingSkewedHeat:
-		return fmt.Sprintf("CSH-%d", changeEvery)
-	case CyclicHeat:
-		return "cyclic"
-	default:
-		return "?"
+	if h == ChangingSkewedHeat {
+		return fmt.Sprintf("%s-%d", h, changeEvery)
 	}
+	return h.String()
 }
 
 func floatHeaders(xs []float64) []string {

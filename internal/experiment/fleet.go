@@ -138,7 +138,7 @@ func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
 		srvCfg := server.Config{
 			Kernel:        k,
 			DB:            db,
-			BufferObjects: cfg.ServerBufferObjects,
+			BufferObjects: cfg.ServerBufferObjects(),
 			Beta:          cfg.Beta,
 			UpdateProb:    cfg.UpdateProb,
 			PrefetchKappa: cfg.PrefetchKappa,
@@ -156,7 +156,7 @@ func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
 			NumServers: cfg.Cells,
 			// The paper's 25%-of-database server buffer is split across
 			// the partitions.
-			BufferObjects:        max(1, cfg.ServerBufferObjects/cfg.Cells),
+			BufferObjects:        max(1, cfg.ServerBufferObjects()/cfg.Cells),
 			Beta:                 cfg.Beta,
 			UpdateProb:           cfg.UpdateProb,
 			PrefetchKappa:        cfg.PrefetchKappa,
@@ -307,15 +307,15 @@ func mergeCells(cfg Config, outs []cellOutcome) Result {
 	for _, out := range outs {
 		for i, m := range out.metrics {
 			agg.Merge(m)
-			cl := out.clients[i]
-			res.ItemsShed += cl.ShedItems()
-			res.CacheDrops += cl.CacheDrops()
-			res.BroadcastReads += cl.BroadcastReads()
-			res.IRMissed += cl.IRBMissed()
-			res.ForcedRevals += cl.ForcedRevalidations()
-			res.PeerHits += cl.PeerHits()
-			res.PeerMisses += cl.PeerMisses()
-			energy += cl.RadioEnergy()
+			n := out.clients[i].Counters()
+			res.ItemsShed += n.ShedItems
+			res.CacheDrops += n.CacheDrops
+			res.BroadcastReads += n.BroadcastReads
+			res.IRMissed += n.IRBMissed
+			res.ForcedRevals += n.ForcedRevals
+			res.PeerHits += n.PeerHits
+			res.PeerMisses += n.PeerMisses
+			energy += n.RadioEnergy
 			issued, _, _, _ := m.Queries()
 			res.PerClient = append(res.PerClient, PerClient{
 				HitRatio:     m.HitRatio(),

@@ -29,15 +29,20 @@ func registerObservables(cfg Config, srv *server.Server, up, down *network.Chann
 	down.Register(reg, "downlink")
 	upFaults.Register(reg, "uplink.faults")
 	downFaults.Register(reg, "downlink.faults")
-	if program != nil {
-		program.Register(reg, "broadcast")
-		reg.Gauge("broadcast.air_reads", func() float64 {
+	// sum registers a gauge totalling one counter across the cell's
+	// clients, in client order.
+	sum := func(name string, counter func(client.Counters) float64) {
+		reg.Gauge(name, func() float64 {
 			var total float64
 			for _, cl := range clients {
-				total += float64(cl.BroadcastReads())
+				total += counter(cl.Counters())
 			}
 			return total
 		})
+	}
+	if program != nil {
+		program.Register(reg, "broadcast")
+		sum("broadcast.air_reads", func(n client.Counters) float64 { return float64(n.BroadcastReads) })
 	}
 	srv.Register(reg)
 
@@ -89,51 +94,15 @@ func registerObservables(cfg Config, srv *server.Server, up, down *network.Chann
 		}
 		return total
 	})
-	reg.Gauge("clients.energy_j", func() float64 {
-		var total float64
-		for _, cl := range clients {
-			total += cl.RadioEnergy()
-		}
-		return total
-	})
+	sum("clients.energy_j", func(n client.Counters) float64 { return n.RadioEnergy })
 	if cfg.Coherence == coherence.IRBroadcastStrategy {
-		reg.Gauge("clients.ir_reports", func() float64 {
-			var total float64
-			for _, cl := range clients {
-				total += float64(cl.IRBReports())
-			}
-			return total
-		})
-		reg.Gauge("clients.ir_missed", func() float64 {
-			var total float64
-			for _, cl := range clients {
-				total += float64(cl.IRBMissed())
-			}
-			return total
-		})
-		reg.Gauge("clients.forced_reval", func() float64 {
-			var total float64
-			for _, cl := range clients {
-				total += float64(cl.ForcedRevalidations())
-			}
-			return total
-		})
+		sum("clients.ir_reports", func(n client.Counters) float64 { return float64(n.IRBReports) })
+		sum("clients.ir_missed", func(n client.Counters) float64 { return float64(n.IRBMissed) })
+		sum("clients.forced_reval", func(n client.Counters) float64 { return float64(n.ForcedRevals) })
 	}
 	if cfg.CoopPeers > 0 {
-		reg.Gauge("clients.peer_hits", func() float64 {
-			var total float64
-			for _, cl := range clients {
-				total += float64(cl.PeerHits())
-			}
-			return total
-		})
-		reg.Gauge("clients.peer_misses", func() float64 {
-			var total float64
-			for _, cl := range clients {
-				total += float64(cl.PeerMisses())
-			}
-			return total
-		})
+		sum("clients.peer_hits", func(n client.Counters) float64 { return float64(n.PeerHits) })
+		sum("clients.peer_misses", func(n client.Counters) float64 { return float64(n.PeerMisses) })
 	}
 
 	// Per-client detail: convergence and cache series for each mobile host

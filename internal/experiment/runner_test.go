@@ -28,22 +28,6 @@ func tinyCfg() Config {
 	}
 }
 
-// stripConfig returns res with the echoed Config zeroed: Defaults sets
-// PrefetchKappa to NaN, which is never equal to itself under DeepEqual.
-// Every measurement field is preserved.
-func stripConfig(res Result) Result {
-	res.Config = Config{}
-	return res
-}
-
-func stripConfigs(in []Result) []Result {
-	out := make([]Result, len(in))
-	for i, r := range in {
-		out[i] = stripConfig(r)
-	}
-	return out
-}
-
 func TestRunBatchMatchesSerial(t *testing.T) {
 	var cfgs []Config
 	for i := 0; i < 6; i++ {
@@ -66,7 +50,7 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 				got[i].Config.Seed != serial[i].Config.Seed {
 				t.Fatalf("workers=%d: result %d out of submission order", workers, i)
 			}
-			if !reflect.DeepEqual(stripConfig(got[i]), stripConfig(serial[i])) {
+			if !reflect.DeepEqual(got[i], serial[i]) {
 				t.Fatalf("workers=%d: result %d differs from serial:\n%+v\n%+v",
 					workers, i, got[i], serial[i])
 			}
@@ -117,7 +101,7 @@ func TestParallelSerialEquivalenceExp1(t *testing.T) {
 		t.Fatalf("result count: serial %d, parallel %d",
 			len(serial.Results), len(parallel.Results))
 	}
-	if !reflect.DeepEqual(stripConfigs(serial.Results), stripConfigs(parallel.Results)) {
+	if !reflect.DeepEqual(serial.Results, parallel.Results) {
 		t.Fatal("Exp1 results differ between workers=1 and workers=8")
 	}
 	if serial.String() != parallel.String() {
@@ -136,7 +120,7 @@ func TestParallelSerialEquivalenceReplicate(t *testing.T) {
 	SetDefaultWorkers(8)
 	parallel := Replicate(cfg, 6)
 
-	if !reflect.DeepEqual(stripConfigs(serial.Results), stripConfigs(parallel.Results)) {
+	if !reflect.DeepEqual(serial.Results, parallel.Results) {
 		t.Fatal("Replicate results differ between workers=1 and workers=8")
 	}
 	if serial.String() != parallel.String() {

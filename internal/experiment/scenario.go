@@ -224,8 +224,8 @@ func WithCoherence[T coherence.Strategy | string](strategy T) Option {
 		case coherence.Strategy:
 			s.cfg.Coherence = v
 		case string:
-			strat, ok := coherence.Parse(v)
-			if !ok {
+			strat, err := coherence.Parse(v)
+			if err != nil {
 				return fmt.Errorf("WithCoherence(%q): %w", v, ErrOutOfRange)
 			}
 			s.cfg.Coherence = strat
@@ -234,8 +234,8 @@ func WithCoherence[T coherence.Strategy | string](strategy T) Option {
 	}
 }
 
-// WithFixedLease sets the fixed-lease duration in seconds (used with
-// coherence.FixedLeaseStrategy).
+// WithFixedLease sets the fixed-lease duration in seconds; under any
+// strategy but coherence.FixedLeaseStrategy it is an ErrConflict.
 func WithFixedLease(seconds float64) Option {
 	return set(func(c *Config) { c.FixedLease = seconds })
 }

@@ -577,7 +577,6 @@ func TestIRBroadcasterUsesDownlink(t *testing.T) {
 		cfg.Granularity = core.HybridCaching
 		cfg.UpdateProb = 0.3
 		cfg.Coherence = strategy
-		cfg.ReportInterval = 120
 		return Run(cfg)
 	}
 	lease := run(coherence.LeaseStrategy)
@@ -593,6 +592,7 @@ func TestIRBroadcasterUsesDownlink(t *testing.T) {
 		t.Fatalf("connected IR run dropped caches %d times", ir.CacheDrops)
 	}
 	if ir.ErrorRate >= lease.ErrorRate {
-		t.Errorf("IR err %.4f >= lease err %.4f with 120s reports", ir.ErrorRate, lease.ErrorRate)
+		t.Errorf("IR err %.4f >= lease err %.4f with %gs reports", ir.ErrorRate, lease.ErrorRate,
+			coherence.DefaultReportInterval)
 	}
 }

@@ -56,7 +56,8 @@ func TestRunWithStorageTier(t *testing.T) {
 	got := res
 	got.StorageTier = TierStats{}
 	got.Server.StorageGets, got.Server.StoragePuts, got.Server.StorageErrors = 0, 0, 0
-	if !reflect.DeepEqual(stripConfig(got), stripConfig(want)) {
+	got.Config.StorageDSN = ""
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("storage tier perturbed simulated results:\n%+v\nvs\n%+v", got, want)
 	}
 }
@@ -73,19 +74,22 @@ func TestRunWithStorageTierDeterministic(t *testing.T) {
 }
 
 // TestBufferRatioSizesBuffer: ServerBufferRatio scales the buffer with
-// the database; an explicit ServerBufferObjects still wins.
+// the database, to the nearest object and never below one; unset, the
+// buffer is Table 1's 25%.
 func TestBufferRatioSizesBuffer(t *testing.T) {
-	cfg := Defaults(Config{NumObjects: 1000, ServerBufferRatio: 0.05})
-	if cfg.ServerBufferObjects != 50 {
-		t.Fatalf("ServerBufferObjects = %d, want 50", cfg.ServerBufferObjects)
-	}
-	cfg = Defaults(Config{NumObjects: 1000, ServerBufferObjects: 10, ServerBufferRatio: 0.05})
-	if cfg.ServerBufferObjects != 10 {
-		t.Fatalf("explicit buffer overridden: %d", cfg.ServerBufferObjects)
-	}
-	cfg = Defaults(Config{NumObjects: 1000})
-	if cfg.ServerBufferObjects != 250 {
-		t.Fatalf("default buffer = %d, want 25%% of the database", cfg.ServerBufferObjects)
+	for _, c := range []struct {
+		cfg  Config
+		want int
+	}{
+		{Config{NumObjects: 1000, ServerBufferRatio: 0.05}, 50},
+		{Config{NumObjects: 1000, ServerBufferRatio: 0.0504}, 50},
+		{Config{NumObjects: 1000, ServerBufferRatio: 0.0001}, 1},
+		{Config{NumObjects: 1000}, 250},
+	} {
+		if got := Defaults(c.cfg).ServerBufferObjects(); got != c.want {
+			t.Fatalf("ratio %g of %d objects: buffer %d, want %d",
+				c.cfg.ServerBufferRatio, c.cfg.NumObjects, got, c.want)
+		}
 	}
 }
 
@@ -102,8 +106,8 @@ func TestStorageScenarioOptions(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ServerBufferObjects != 500 {
-		t.Fatalf("ratio not folded into the buffer: %d", cfg.ServerBufferObjects)
+	if cfg.ServerBufferObjects() != 500 {
+		t.Fatalf("ratio not folded into the buffer: %d", cfg.ServerBufferObjects())
 	}
 
 	opts := func(opts ...Option) error {
@@ -119,7 +123,6 @@ func TestStorageScenarioOptions(t *testing.T) {
 		{"ratio above 1", Config{ServerBufferRatio: 1.5}.Validate(), ErrOutOfRange},
 		{"bad DSN", Config{StorageDSN: "redis:/d"}.Validate(), ErrBadSpec},
 		{"storage on a fleet", Config{NumClients: 100, Cells: 4, StorageDSN: "file:/tmp/tier"}.Validate(), ErrConflict},
-		{"bridged ratio conflict", Config{ServerBufferRatio: 0.1, ServerBufferObjects: 50}.Validate(), ErrConflict},
 		{"bridged bad DSN", Config{StorageDSN: "file:"}.Validate(), ErrBadSpec},
 		{"bridged ratio out of range", Config{ServerBufferRatio: 2}.Validate(), ErrOutOfRange},
 	}
@@ -134,10 +137,10 @@ func TestStorageScenarioOptions(t *testing.T) {
 		})
 	}
 
-	// A replayed manifest records the resolved config: the ratio next to
-	// the exact buffer it derived. The round trip must validate.
+	// A replayed manifest records the resolved config. The round trip must
+	// validate.
 	if err := Defaults(Config{NumObjects: 1000, ServerBufferRatio: 0.05}).Validate(); err != nil {
-		t.Fatalf("resolved ratio+buffer round trip rejected: %v", err)
+		t.Fatalf("resolved ratio round trip rejected: %v", err)
 	}
 }
 

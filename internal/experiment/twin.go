@@ -66,14 +66,13 @@ func NewClientWorkload(cfg Config, db *oodb.Database, i int) ClientWorkload {
 		Kind:          cfg.QueryKind,
 		Heat:          buildHeat(cfg, i),
 		DB:            db,
-		Selectivity:   cfg.Selectivity,
 		AttrsPerObj:   cfg.AttrsPerObj,
 		AttrSkewTheta: cfg.AttrSkewTheta,
 	})
 	var arrival workload.Arrival
 	switch cfg.Arrival {
 	case PoissonArrival:
-		arrival = workload.NewPoisson(cfg.PoissonRate)
+		arrival = workload.NewPoisson(workload.DefaultPoissonRate)
 	case BurstyArrival:
 		arrival = workload.NewDefaultBursty()
 	default:

@@ -18,7 +18,6 @@ import (
 // fcRemote → fcBack → fcNext) visits owners in node order (determinism).
 const (
 	fcStart  uint8 = iota // split the request; arm the home sub-call
-	fcSingle              // single-node cluster: stepping the home call
 	fcHome                // stepping the home-partition call
 	fcNext                // advance to the next remote partition
 	fcLink                // forward-link transfer to the owner
@@ -75,11 +74,6 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 	for {
 		switch cc.pc {
 		case fcStart:
-			if len(c.nodes) == 1 {
-				cc.call.Reset(cs.home.srv, cc.req)
-				cc.pc = fcSingle
-				continue
-			}
 			// Split the request by owning node.
 			if cap(cc.parts) < len(c.nodes) {
 				cc.parts = make([]remotePart, len(c.nodes))
@@ -109,14 +103,6 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 				continue
 			}
 			cc.pc = fcNext
-
-		case fcSingle:
-			rep, done := cc.call.Step(m)
-			if !done {
-				return server.Reply{}, false
-			}
-			cc.pc = fcStart
-			return rep, true
 
 		case fcHome:
 			rep, done := cc.call.Step(m)

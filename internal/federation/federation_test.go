@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -50,8 +51,9 @@ func exec(k *sim.Kernel, ops ...op) {
 
 // outcome is what one request statement observed.
 type outcome struct {
-	items int     // reply items
-	took  float64 // virtual seconds from Begin to the reply
+	items int                // reply items
+	took  float64            // virtual seconds from Begin to the reply
+	reply []server.ReplyItem // a copy of the reply's items
 }
 
 // request serves req through call and, when out is non-nil, records what
@@ -65,7 +67,8 @@ func request(call server.RequestCall, req server.Request, out *outcome) op {
 		}
 		rep, done := call.Step(m)
 		if done && out != nil {
-			*out = outcome{items: len(rep.Items), took: m.Now() - start}
+			*out = outcome{items: len(rep.Items), took: m.Now() - start,
+				reply: append([]server.ReplyItem(nil), rep.Items...)}
 		}
 		return done
 	}
@@ -123,16 +126,33 @@ func TestOwnerPartition(t *testing.T) {
 	}
 }
 
+// TestSingleNodeDelegates: a 1-node cluster's contact server answers
+// exactly as a bare server over the same database would — the same items,
+// versions, leases and service time.
 func TestSingleNodeDelegates(t *testing.T) {
-	k, _, c := newCluster(t, 1, 0)
-	var rep outcome
-	exec(k, request(c.Contact(0).NewCall(), server.Request{
-		Granularity: core.AttributeCaching,
-		Accesses:    readsOn(1, 2),
+	req := server.Request{
+		Granularity: core.HybridCaching,
+		Accesses:    readsOn(1, 2, 7),
 		Need:        readsOn(1, 2),
-	}, &rep))
-	if rep.items != 2 {
-		t.Fatalf("reply items = %d", rep.items)
+	}
+	k, _, c := newCluster(t, 1, 0)
+	var got outcome
+	exec(k, request(c.Contact(0).NewCall(), req, &got))
+	if got.items != 2 {
+		t.Fatalf("reply items = %d", got.items)
+	}
+
+	bk := sim.NewKernel()
+	srv := server.New(server.Config{
+		Kernel:        bk,
+		DB:            oodb.New(oodb.Config{NumObjects: 100, RelSeed: 1}),
+		BufferObjects: 100 / 4, // the cluster's per-node default
+		Seed:          3,
+	})
+	var want outcome
+	exec(bk, request(srv.NewCall(), req, &want))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("1-node contact server replied\n%+v\nbare server\n%+v", got, want)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -71,8 +70,6 @@ type Manifest struct {
 	// WallSeconds is the real time the run took (not virtual time).
 	WallSeconds float64 `json:"wall_seconds"`
 	// Config is the instrumented run's full (defaulted) configuration.
-	// PrefetchKappa NaN (the "server default" sentinel) is stored as 0,
-	// which Defaults maps back to the same sentinel on replay.
 	Config experiment.Config `json:"config"`
 	// Tables hashes every rendered experiment table.
 	Tables []TableHash `json:"tables"`
@@ -97,13 +94,10 @@ func GitRevision() string {
 	return strings.TrimSpace(string(out))
 }
 
-// NewManifest assembles a manifest for one instrumented run: config
-// sanitized for JSON, environment stamped, tables hashed, series listed.
-// WallSeconds is left for the caller to fill once the run has finished.
+// NewManifest assembles a manifest for one instrumented run: environment
+// stamped, tables hashed, series listed. WallSeconds is left for the caller
+// to fill once the run has finished.
 func NewManifest(exp, command string, cfg experiment.Config, rep *experiment.Report, reg *obs.Registry) Manifest {
-	if math.IsNaN(cfg.PrefetchKappa) {
-		cfg.PrefetchKappa = 0 // JSON has no NaN; 0 re-selects the default
-	}
 	m := Manifest{
 		Experiment:  exp,
 		Command:     command,
@@ -198,7 +192,7 @@ func Markdown(in Input) []byte {
 	fmt.Fprintf(&b, "| config | %s |\n", cfg.String())
 	fmt.Fprintf(&b, "| granularity | %s |\n", cfg.Granularity)
 	fmt.Fprintf(&b, "| policy | %s |\n", cfg.Policy)
-	fmt.Fprintf(&b, "| workload | %s / %s / %s |\n", cfg.QueryKind, cfg.HeatName(), cfg.ArrivalName())
+	fmt.Fprintf(&b, "| workload | %s / %s / %s |\n", cfg.QueryKind, cfg.HeatName(), cfg.Arrival)
 	fmt.Fprintf(&b, "| clients | %d |\n", cfg.NumClients)
 	fmt.Fprintf(&b, "| horizon | %s days |\n", fnum(cfg.Days))
 	fmt.Fprintf(&b, "| update prob U | %s |\n", fnum(cfg.UpdateProb))

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/oodb"
 	"repro/internal/replacement"
@@ -68,21 +69,19 @@ func NewMemory(cfg Config) (*Memory, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown granularity", ErrBadRequest)
 	}
-	if cfg.Policy == "" {
-		cfg.Policy = "ewma-0.5"
-	}
+	// The simulated client's Table 1 defaults, read from the one place the
+	// simulator reads them.
+	d := experiment.Defaults(experiment.Config{
+		NumObjects:       cfg.NumObjects,
+		Policy:           cfg.Policy,
+		StorageObjects:   cfg.StorageObjects,
+		MemBufferObjects: cfg.MemBufferObjects,
+	})
+	cfg.NumObjects, cfg.Policy = d.NumObjects, d.Policy
+	cfg.StorageObjects, cfg.MemBufferObjects = d.StorageObjects, d.MemBufferObjects
 	factory, err := replacement.Parse(cfg.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if cfg.NumObjects == 0 {
-		cfg.NumObjects = oodb.DefaultNumObjects
-	}
-	if cfg.StorageObjects == 0 {
-		cfg.StorageObjects = cfg.NumObjects / 5
-	}
-	if cfg.MemBufferObjects == 0 {
-		cfg.MemBufferObjects = 30
 	}
 	db := cfg.DB
 	if db == nil {

@@ -31,10 +31,8 @@ type HeatModel interface {
 // 80% of accesses. Each client instantiates its own model (with its own
 // seed) so hot sets differ across clients, as §4 requires.
 type skewedHeat struct {
-	numObjects int
-	hot        []oodb.OID        // hot set, selection order
-	isHot      map[oodb.OID]bool // membership
-	cold       []oodb.OID        // complement
+	hot  []oodb.OID // hot set, selection order
+	cold []oodb.OID // complement, ascending
 }
 
 // NewSkewedHeat builds an SH model over numObjects objects using seed to
@@ -47,18 +45,18 @@ func newSkewed(numObjects int, r *rng.Stream) *skewedHeat {
 	if numObjects < 2 {
 		panic("workload: heat model needs at least 2 objects")
 	}
-	h := &skewedHeat{numObjects: numObjects, isHot: make(map[oodb.OID]bool)}
+	h := &skewedHeat{}
 	hotCount := int(float64(numObjects)*HotFraction + 0.5)
 	if hotCount < 1 {
 		hotCount = 1
 	}
+	isHot := make([]bool, numObjects)
 	for _, idx := range r.Sample(numObjects, hotCount) {
-		oid := oodb.OID(idx)
-		h.hot = append(h.hot, oid)
-		h.isHot[oid] = true
+		h.hot = append(h.hot, oodb.OID(idx))
+		isHot[idx] = true
 	}
-	for i := 0; i < numObjects; i++ {
-		if !h.isHot[oodb.OID(i)] {
+	for i, hot := range isHot {
+		if !hot {
 			h.cold = append(h.cold, oodb.OID(i))
 		}
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/oodb"
 	"repro/internal/rng"
@@ -30,6 +31,16 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind parses a kind's String form, in any letter case ("aq", "NQ").
+func ParseKind(s string) (Kind, error) {
+	for k := Associative; k <= Navigational; k++ {
+		if strings.EqualFold(s, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("workload: unknown query kind %q (want AQ|NQ)", s)
 }
 
 // Defaults for query shape (§4; Table 1's Q_a column is garbled in the

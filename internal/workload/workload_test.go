@@ -27,12 +27,12 @@ func TestSkewedHeatSetSizes(t *testing.T) {
 
 func TestSkewedHeat8020(t *testing.T) {
 	h := NewSkewedHeat(2000, 1)
-	hs := h.(*skewedHeat)
+	hot := hotSet(h.(*skewedHeat))
 	r := rng.New(2)
 	hotAccesses, total := 0, 0
 	for q := 0; q < 2000; q++ {
 		for _, oid := range h.PickInto(r, 20, uint64(q), nil) {
-			if hs.isHot[oid] {
+			if hot[oid] {
 				hotAccesses++
 			}
 			total++
@@ -42,6 +42,15 @@ func TestSkewedHeat8020(t *testing.T) {
 	if math.Abs(frac-HotAccessProb) > 0.02 {
 		t.Fatalf("hot access fraction %v, want ~0.8", frac)
 	}
+}
+
+// hotSet is h's hot set as a membership map.
+func hotSet(h *skewedHeat) map[oodb.OID]bool {
+	set := make(map[oodb.OID]bool, len(h.hot))
+	for _, oid := range h.hot {
+		set[oid] = true
+	}
+	return set
 }
 
 func TestSkewedHeatDistinctPicks(t *testing.T) {
@@ -61,10 +70,10 @@ func TestSkewedHeatDistinctPicks(t *testing.T) {
 
 func TestSkewedHeatDifferentSeedsDifferentHotSets(t *testing.T) {
 	a := NewSkewedHeat(2000, 1).(*skewedHeat)
-	b := NewSkewedHeat(2000, 2).(*skewedHeat)
+	b := hotSet(NewSkewedHeat(2000, 2).(*skewedHeat))
 	same := 0
 	for _, oid := range a.hot {
-		if b.isHot[oid] {
+		if b[oid] {
 			same++
 		}
 	}
@@ -92,8 +101,9 @@ func TestChangingSkewedHeatEpochs(t *testing.T) {
 	}
 	// Hot sets across epochs must differ.
 	overlap := 0
+	cur := hotSet(csh.cur)
 	for _, oid := range epoch0.hot {
-		if csh.cur.isHot[oid] {
+		if cur[oid] {
 			overlap++
 		}
 	}
@@ -586,8 +596,9 @@ func TestSharedSkewedHeatPoolsMatchAcrossClients(t *testing.T) {
 		}
 	}
 	overlap := 0
+	bHot := hotSet(b.private)
 	for _, oid := range a.private.hot {
-		if b.private.isHot[oid] {
+		if bHot[oid] {
 			overlap++
 		}
 	}
