@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lintdocs deadcode benchharness verify goldens examples loc bench benchguard clean
+.PHONY: build vet test race lintdocs deadcode benchharness verify fuzz goldens examples loc bench benchguard clean
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,19 @@ benchharness:
 
 # Tier-1 verify: what every PR must keep green.
 verify: build vet test race lintdocs deadcode benchharness
+
+# Run every Fuzz* target under internal/ and cmd/ for FUZZTIME each (the
+# replacement spec parser and differential trace, the item index, the trace
+# reader, and the serving layer's reply encoders and request bodies). A
+# failure leaves its input under the package's testdata/fuzz/.
+FUZZTIME ?= 10s
+fuzz:
+	for f in $$(grep -rlE --include='*_test.go' '^func Fuzz' internal cmd); do \
+		for t in $$(grep -oE '^func Fuzz[A-Za-z0-9_]+' $$f | cut -d' ' -f2); do \
+			echo "fuzz $$(dirname $$f) $$t"; \
+			$(GO) test ./$$(dirname $$f) -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+		done; \
+	done
 
 # Replay the committed Experiment 1-11 quick manifests (recorded on the
 # retired goroutine engine) and check every archived table hash still

@@ -82,8 +82,17 @@ func (o *serveOpts) register(fs *flag.FlagSet, cfg *serve.Config) {
 
 // parse completes the flag-bound cfg once fs has parsed. The origin is
 // seeded through the same derivation mcsim uses, so a service booted with
-// -seed N agrees with `mcload -seed N` on the database topology.
+// -seed N agrees with `mcload -seed N` on the database topology. A negative
+// timeout is refused: it would time out every request on arrival.
 func (o *serveOpts) parse(cfg *serve.Config) (err error) {
+	for _, d := range []struct {
+		flag string
+		v    time.Duration
+	}{{"op-timeout", o.opTimeout}, {"admin-timeout", o.adminTimeout}, {"drain", o.drain}} {
+		if d.v < 0 {
+			return fmt.Errorf("-%s %v is negative", d.flag, d.v)
+		}
+	}
 	cfg.RelSeed = experiment.RelSeed(o.seed)
 	cfg.Granularity, err = core.ParseGranularity(o.granularity)
 	return err

@@ -59,6 +59,23 @@ func TestStoreConfigRejectsBadGranularity(t *testing.T) {
 	}
 }
 
+// TestRejectsNegativeTimeouts: a negative timeout or drain window fails the
+// boot with exit 1 before anything listens.
+func TestRejectsNegativeTimeouts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-op-timeout", "-1s"},
+		{"-admin-timeout", "-5ms"},
+		{"-drain", "-1ns"},
+	} {
+		if _, err := storeConfig(t, args...); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if code := run(append(args, "-addr", "127.0.0.1:0")); code != 1 {
+			t.Errorf("%v: exit %d; want 1", args, code)
+		}
+	}
+}
+
 // TestHelpOutput: the flag surface prints exactly the -h text recorded in
 // testdata — every flag keeps its name, default and help line.
 func TestHelpOutput(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -173,29 +174,27 @@ func NewHandler(st Store, hc HTTPConfig) http.Handler {
 	}
 
 	mux := http.NewServeMux()
-	op := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, http.TimeoutHandler(h, hc.OpTimeout, timeoutBody))
+	op := func(pattern string, h endpoint) {
+		mux.Handle(pattern, bounded(hc.OpTimeout, h))
 	}
-	admin := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, http.TimeoutHandler(h, hc.AdminTimeout, timeoutBody))
+	admin := func(pattern string, h endpoint) {
+		mux.Handle(pattern, bounded(hc.AdminTimeout, h))
 	}
 
-	op("POST /v1/read", func(w http.ResponseWriter, r *http.Request) {
+	op("POST /v1/read", func(r *http.Request) (int, []byte) {
 		var req ReadRequest
-		if !decode(w, r, &req) {
-			return
+		if status, body := decode(r, &req); status != 0 {
+			return status, body
 		}
 		mode, err := ParseReadMode(req.Mode)
 		if err != nil {
-			writeErr(w, err)
-			return
+			return errorReply(err)
 		}
 		res, err := st.Read(req.Client, oodb.OID(req.OID), oodb.AttrID(req.Attr), mode)
 		if err != nil {
-			writeErr(w, err)
-			return
+			return errorReply(err)
 		}
-		writeJSON(w, http.StatusOK, ReadResponse{
+		return encoded(ReadResponse{
 			State:      res.State.String(),
 			OID:        uint32(res.Item.OID),
 			Attr:       uint8(res.Item.Attr),
@@ -204,13 +203,13 @@ func NewHandler(st Store, hc HTTPConfig) http.Handler {
 			Error:      res.Error,
 			FromOrigin: res.FromOrigin,
 			Now:        res.Now,
-		})
+		}.appendJSON(make([]byte, 0, 128)))
 	})
 
-	op("POST /v1/fetch", func(w http.ResponseWriter, r *http.Request) {
+	op("POST /v1/fetch", func(r *http.Request) (int, []byte) {
 		var req FetchRequest
-		if !decode(w, r, &req) {
-			return
+		if status, body := decode(r, &req); status != 0 {
+			return status, body
 		}
 		reads := make([]workload.ReadOp, len(req.Reads))
 		for i, rd := range req.Reads {
@@ -218,8 +217,7 @@ func NewHandler(st Store, hc HTTPConfig) http.Handler {
 		}
 		items, err := st.Fetch(req.Client, reads)
 		if err != nil {
-			writeErr(w, err)
-			return
+			return errorReply(err)
 		}
 		resp := FetchResponse{Items: make([]FetchedWire, len(items)), Now: st.Now()}
 		for i, it := range items {
@@ -230,13 +228,13 @@ func NewHandler(st Store, hc HTTPConfig) http.Handler {
 				ExpiresAt: it.ExpiresAt,
 			}
 		}
-		writeJSON(w, http.StatusOK, resp)
+		return encoded(resp.appendJSON(make([]byte, 0, 32+64*len(items))))
 	})
 
-	op("POST /v1/write", func(w http.ResponseWriter, r *http.Request) {
+	op("POST /v1/write", func(r *http.Request) (int, []byte) {
 		var req WriteRequest
-		if !decode(w, r, &req) {
-			return
+		if status, body := decode(r, &req); status != 0 {
+			return status, body
 		}
 		attrs := make([]oodb.AttrID, len(req.Attrs))
 		for i, a := range req.Attrs {
@@ -244,68 +242,63 @@ func NewHandler(st Store, hc HTTPConfig) http.Handler {
 		}
 		version, err := st.Write(oodb.OID(req.OID), attrs)
 		if err != nil {
-			writeErr(w, err)
-			return
+			return errorReply(err)
 		}
-		writeJSON(w, http.StatusOK, WriteResponse{Version: version, Now: st.Now()})
+		return encoded(WriteResponse{Version: version, Now: st.Now()}.appendJSON(make([]byte, 0, 48)))
 	})
 
-	op("POST /v1/invalidate", func(w http.ResponseWriter, r *http.Request) {
+	op("POST /v1/invalidate", func(r *http.Request) (int, []byte) {
 		var req InvalidateRequest
-		if !decode(w, r, &req) {
-			return
+		if status, body := decode(r, &req); status != 0 {
+			return status, body
 		}
 		removed, err := st.Invalidate(req.Client, oodb.OID(req.OID), oodb.AttrID(req.Attr))
 		if err != nil {
-			writeErr(w, err)
-			return
+			return errorReply(err)
 		}
-		writeJSON(w, http.StatusOK, InvalidateResponse{Removed: removed})
+		return jsonReply(http.StatusOK, InvalidateResponse{Removed: removed})
 	})
 
-	op("POST /v1/renew", func(w http.ResponseWriter, r *http.Request) {
+	op("POST /v1/renew", func(r *http.Request) (int, []byte) {
 		var req InvalidateRequest
-		if !decode(w, r, &req) {
-			return
+		if status, body := decode(r, &req); status != 0 {
+			return status, body
 		}
 		info, err := st.Renew(req.Client, oodb.OID(req.OID), oodb.AttrID(req.Attr))
 		if err != nil {
-			writeErr(w, err)
-			return
+			return errorReply(err)
 		}
-		writeJSON(w, http.StatusOK, leaseResponse(info))
+		return jsonReply(http.StatusOK, leaseResponse(info))
 	})
 
-	admin("GET /v1/lease", func(w http.ResponseWriter, r *http.Request) {
+	admin("GET /v1/lease", func(r *http.Request) (int, []byte) {
 		q := r.URL.Query()
 		client, err1 := strconv.Atoi(q.Get("client"))
 		oid, err2 := strconv.ParseUint(q.Get("oid"), 10, 32)
 		attr, err3 := strconv.ParseUint(q.Get("attr"), 10, 8)
 		if err1 != nil || err2 != nil || err3 != nil {
-			writeErr(w, fmt.Errorf("%w: lease wants integer client, oid, attr query params", ErrBadRequest))
-			return
+			return errorReply(fmt.Errorf("%w: lease wants integer client, oid, attr query params", ErrBadRequest))
 		}
 		info, err := st.Lease(client, oodb.OID(oid), oodb.AttrID(attr))
 		if err != nil {
-			writeErr(w, err)
-			return
+			return errorReply(err)
 		}
-		writeJSON(w, http.StatusOK, leaseResponse(info))
+		return jsonReply(http.StatusOK, leaseResponse(info))
 	})
 
-	admin("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, st.Stats())
+	admin("GET /v1/stats", func(r *http.Request) (int, []byte) {
+		return jsonReply(http.StatusOK, st.Stats())
 	})
 
 	// A store that has failed closed (File after a persist error) answers
 	// 503 here, so a supervisor polling the probe restarts it.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		if fc, ok := st.(interface{ failed() error }); ok && fc.failed() != nil {
-			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: fc.failed().Error()})
+			status, body := jsonReply(http.StatusServiceUnavailable, ErrorResponse{Error: fc.failed().Error()})
+			writeReply(w, status, jsonType, body)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
+		writeReply(w, http.StatusOK, textType, []byte("ok\n"))
 	})
 
 	if latency == nil {
@@ -323,8 +316,78 @@ func NewHandler(st Store, hc HTTPConfig) http.Handler {
 	})
 }
 
-// timeoutBody is the JSON body http.TimeoutHandler serves on expiry.
+// timeoutBody is the body of the 503 a bounded endpoint's watchdog sends,
+// as text/plain (the type net/http's stock timeout wrapper gave it).
 const timeoutBody = `{"error":"serve: request timed out"}`
+
+// The reply content types.
+const (
+	jsonType = "application/json"
+	textType = "text/plain; charset=utf-8"
+)
+
+// endpoint answers one request with a status and a JSON body. It never
+// touches the ResponseWriter: bounded writes what it returns.
+type endpoint func(r *http.Request) (status int, body []byte)
+
+// bounded serves h on the connection's own goroutine under a watchdog of d.
+// The endpoint and the watchdog race for one reply: the first one is
+// written, the other is dropped. The watchdog's 503 is flushed when it
+// fires, so the client gets it on time; the connection still waits for the
+// endpoint to return before it reads its next request.
+func bounded(d time.Duration, h endpoint) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rp := &reply{w: w}
+		watchdog := time.AfterFunc(d, func() {
+			rp.send(http.StatusServiceUnavailable, textType, []byte(timeoutBody), true)
+		})
+		// A panicking endpoint sends nothing; closing the reply on the way
+		// out keeps a late watchdog off a ResponseWriter it no longer owns.
+		defer func() {
+			watchdog.Stop()
+			rp.close()
+		}()
+		status, body := h(r)
+		rp.send(status, jsonType, body, false)
+	})
+}
+
+// reply is the one reply of a bounded request.
+type reply struct {
+	mu sync.Mutex
+	w  http.ResponseWriter // nil once the reply is sent or closed
+}
+
+// send writes the reply unless it has been sent or closed; flush pushes it
+// to the client at once.
+func (rp *reply) send(status int, contentType string, body []byte, flush bool) {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	if rp.w == nil {
+		return
+	}
+	writeReply(rp.w, status, contentType, body)
+	if flush {
+		http.NewResponseController(rp.w).Flush()
+	}
+	rp.w = nil
+}
+
+// close drops whatever has not been sent.
+func (rp *reply) close() {
+	rp.mu.Lock()
+	rp.w = nil
+	rp.mu.Unlock()
+}
+
+// writeReply writes one complete reply.
+func writeReply(w http.ResponseWriter, status int, contentType string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
+}
 
 // leaseResponse converts a LeaseInfo to its wire form.
 func leaseResponse(info LeaseInfo) LeaseResponse {
@@ -338,31 +401,164 @@ func leaseResponse(info LeaseInfo) LeaseResponse {
 	}
 }
 
-// decode parses a JSON body, replying 400 on failure.
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+// decode parses a JSON body into dst. It returns status 0 when the body
+// decoded, and the 400 reply otherwise.
+func decode(r *http.Request, dst any) (status int, body []byte) {
+	// The limit gets no ResponseWriter: the watchdog may be writing to it.
+	// The server still closes the connection rather than drain a large
+	// unread tail.
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: bad JSON body: " + err.Error()})
-		return false
+		return jsonReply(http.StatusBadRequest, ErrorResponse{Error: "serve: bad JSON body: " + err.Error()})
 	}
-	return true
+	return 0, nil
 }
 
-// writeErr maps store errors to HTTP statuses.
-func writeErr(w http.ResponseWriter, err error) {
+// errorReply maps a store error to its reply: 400 for a bad request or an
+// unsupported configuration, 500 otherwise.
+func errorReply(err error) (int, []byte) {
 	status := http.StatusInternalServerError
 	if errors.Is(err, ErrBadRequest) || errors.Is(err, ErrUnsupported) {
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+	return jsonReply(status, ErrorResponse{Error: err.Error()})
 }
 
-// writeJSON renders one JSON reply.
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
+// jsonReply encodes v as json.Encoder.Encode would. A value encoding/json
+// refuses (a non-finite float) answers 500 with the encoder's error.
+func jsonReply(status int, v any) (int, []byte) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return errorReply(err)
+	}
+	return status, append(b, '\n')
+}
+
+// encoded is the reply for an appendJSON result: 200, or 500 with the
+// encoder's error.
+func encoded(b []byte, err error) (int, []byte) {
+	if err != nil {
+		return errorReply(err)
+	}
+	return http.StatusOK, b
+}
+
+// appendJSON appends r exactly as json.Encoder.Encode writes it, trailing
+// newline included; a non-finite float is encoding/json's error.
+func (r ReadResponse) appendJSON(b []byte) ([]byte, error) {
+	if err := finite(r.ExpiresAt, r.Now); err != nil {
+		return b, err
+	}
+	b = append(b, `{"state":`...)
+	b = appendString(b, r.State)
+	b = append(b, `,"oid":`...)
+	b = strconv.AppendUint(b, uint64(r.OID), 10)
+	b = append(b, `,"attr":`...)
+	b = strconv.AppendUint(b, uint64(r.Attr), 10)
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, r.Version, 10)
+	b = append(b, `,"expires_at":`...)
+	b = appendFloat(b, r.ExpiresAt)
+	b = append(b, `,"error":`...)
+	b = strconv.AppendBool(b, r.Error)
+	if r.FromOrigin {
+		b = append(b, `,"from_origin":true`...)
+	}
+	b = append(b, `,"now":`...)
+	b = appendFloat(b, r.Now)
+	return append(b, "}\n"...), nil
+}
+
+// appendJSON appends r exactly as json.Encoder.Encode writes it, trailing
+// newline included; a non-finite float is encoding/json's error.
+func (r FetchResponse) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"items":`...)
+	if r.Items == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, it := range r.Items {
+			if err := finite(it.ExpiresAt); err != nil {
+				return b, err
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"oid":`...)
+			b = strconv.AppendUint(b, uint64(it.OID), 10)
+			b = append(b, `,"attr":`...)
+			b = strconv.AppendUint(b, uint64(it.Attr), 10)
+			b = append(b, `,"version":`...)
+			b = strconv.AppendUint(b, it.Version, 10)
+			b = append(b, `,"expires_at":`...)
+			b = appendFloat(b, it.ExpiresAt)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if err := finite(r.Now); err != nil {
+		return b, err
+	}
+	b = append(b, `,"now":`...)
+	b = appendFloat(b, r.Now)
+	return append(b, "}\n"...), nil
+}
+
+// appendJSON appends r exactly as json.Encoder.Encode writes it, trailing
+// newline included; a non-finite float is encoding/json's error.
+func (r WriteResponse) appendJSON(b []byte) ([]byte, error) {
+	if err := finite(r.Now); err != nil {
+		return b, err
+	}
+	b = append(b, `{"version":`...)
+	b = strconv.AppendUint(b, r.Version, 10)
+	b = append(b, `,"now":`...)
+	b = appendFloat(b, r.Now)
+	return append(b, "}\n"...), nil
+}
+
+// finite returns the error encoding/json gives the first non-finite float
+// among fs, or nil.
+func finite(fs ...float64) error {
+	for _, f := range fs {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+	}
+	return nil
+}
+
+// appendFloat appends a finite f in encoding/json's form: the shortest 'f'
+// form, or the 'e' form below 1e-6 and from 1e21 up, with a two-digit
+// negative exponent trimmed to one digit (1e-07 becomes 1e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendString appends s as a JSON string. Printable ASCII that needs no
+// escape is copied; anything else goes through encoding/json, so control
+// characters, HTML-sensitive bytes and invalid UTF-8 come out as it
+// writes them.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Service runs a Store behind an HTTP listener with graceful shutdown: an

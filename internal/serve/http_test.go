@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -267,6 +271,143 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Fatal("server still accepting connections after shutdown")
+	}
+}
+
+// blockingStore parks Read and Stats until release is closed.
+type blockingStore struct {
+	Store
+	release chan struct{}
+}
+
+func (s blockingStore) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMode) (ReadResult, error) {
+	<-s.release
+	return s.Store.Read(clientID, oid, attr, mode)
+}
+
+func (s blockingStore) Stats() Stats {
+	<-s.release
+	return s.Store.Stats()
+}
+
+// TestOpTimeoutAnswers503 pins the timeout contract: a store call that
+// outlives its endpoint's timeout gets the 503 on time, while the call is
+// still parked; its late reply is dropped, and the same keep-alive
+// connection then serves the next request normally.
+func TestOpTimeoutAnswers503(t *testing.T) {
+	// The other class's timeout outlasts the client's, so a route bounded
+	// by the wrong one fails the request instead of answering 503.
+	const timeout, never = 50 * time.Millisecond, time.Minute
+	for _, tc := range []struct {
+		name, method, path, body string
+		hc                       HTTPConfig
+	}{
+		{"read under OpTimeout", "POST", "/v1/read", `{"client":0,"oid":1,"attr":0}`,
+			HTTPConfig{OpTimeout: timeout, AdminTimeout: never}},
+		{"stats under AdminTimeout", "GET", "/v1/stats", "",
+			HTTPConfig{OpTimeout: never, AdminTimeout: timeout}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open("memory", Config{Granularity: core.ObjectCaching, NumObjects: 100, FixedLease: 60})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			release := make(chan struct{})
+			unblock := sync.OnceFunc(func() { close(release) })
+			ts := httptest.NewServer(NewHandler(blockingStore{Store: st, release: release}, tc.hc))
+			defer ts.Close()
+			defer unblock() // before Close, which waits for the parked request
+			client := ts.Client()
+			client.Timeout = 5 * time.Second
+
+			var reused []bool
+			do := func() (*http.Response, []byte) {
+				t.Helper()
+				req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader([]byte(tc.body)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+					GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+				}))
+				resp, err := client.Do(req)
+				if err != nil {
+					t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp, body
+			}
+
+			t0 := time.Now()
+			resp, body := do()
+			elapsed := time.Since(t0)
+			// The store call is still parked: the 503 did not wait for it.
+			if resp.StatusCode != http.StatusServiceUnavailable || string(body) != timeoutBody ||
+				resp.Header.Get("Content-Type") != "text/plain; charset=utf-8" ||
+				resp.Header.Get("Content-Length") != strconv.Itoa(len(timeoutBody)) {
+				t.Fatalf("timed-out reply: %d %q %v; want 503 %q as text/plain with its Content-Length",
+					resp.StatusCode, body, resp.Header, timeoutBody)
+			}
+			if elapsed < timeout || elapsed > timeout+time.Second {
+				t.Fatalf("503 after %v; want it at the %v timeout", elapsed, timeout)
+			}
+
+			unblock()
+			resp, body = do()
+			if resp.StatusCode != http.StatusOK || !json.Valid(body) || bytes.Contains(body, []byte("timed out")) {
+				t.Fatalf("next request: %d %q; want a 200 of its own", resp.StatusCode, body)
+			}
+			if len(reused) != 2 || !reused[1] {
+				t.Fatalf("connection reuse %v; want the next request on the same keep-alive connection", reused)
+			}
+		})
+	}
+}
+
+// nanStore answers every read and stats call with a non-finite float.
+type nanStore struct{ Store }
+
+func (nanStore) Read(clientID int, oid oodb.OID, attr oodb.AttrID, mode ReadMode) (ReadResult, error) {
+	return ReadResult{ExpiresAt: math.NaN()}, nil
+}
+
+func (s nanStore) Stats() Stats {
+	stats := s.Store.Stats()
+	stats.Uptime = math.NaN()
+	return stats
+}
+
+// TestUnencodableReplyIs500: a reply encoding/json would refuse answers 500
+// with the encoder's error, from the append encoders and encoding/json
+// alike, never a 200 with an empty body.
+func TestUnencodableReplyIs500(t *testing.T) {
+	st, err := Open("memory", Config{Granularity: core.ObjectCaching, NumObjects: 100})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	ts := httptest.NewServer(NewHandler(nanStore{st}, HTTPConfig{}))
+	defer ts.Close()
+	const want = `{"error":"json: unsupported value: NaN"}` + "\n"
+	for _, path := range []string{"/v1/read", "/v1/stats"} {
+		var resp *http.Response
+		if path == "/v1/read" {
+			resp, err = ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader([]byte(`{"client":0,"oid":1,"attr":0}`)))
+		} else {
+			resp, err = ts.Client().Get(ts.URL + path)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || string(body) != want ||
+			resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s: %d %q (%s); want 500 %q", path, resp.StatusCode, body, resp.Header.Get("Content-Type"), want)
+		}
 	}
 }
 
