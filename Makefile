@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lintdocs deadcode benchharness verify fuzz goldens examples loc bench benchguard clean
+.PHONY: build vet test race lintdocs deadcode benchharness verify fuzz goldens examples loc bench benchguard pairs clean
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,13 @@ bench:
 # threshold).
 benchguard:
 	scripts/benchguard.sh
+
+# Alternating benchmark pairs, commit BASE against the working tree, on one
+# workload: every pair's end-to-end metrics, their ratios, the median ratio
+# and the win count; exits 1 on a failed or incorrect run. For example
+#   make pairs WORKLOAD=sim_paper BASE=HEAD~1 PAIRS_FLAGS='-n 4 -seconds 15'
+pairs:
+	scripts/pairs.sh $(PAIRS_FLAGS) $(WORKLOAD) $(BASE)
 
 clean:
 	rm -f BENCH_kernel.json BENCH_model.json BENCH_fleet.json BENCH_storage.json

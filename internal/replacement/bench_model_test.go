@@ -119,3 +119,35 @@ func BenchmarkModelEvictionHeavy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkModelVictims measures one bulk replacement cycle at the paper
+// configuration's shape (bulkTrace: 3 200 residents, half fresh): select n
+// victims with Victims, evict them, and insert n new items at the same
+// timestamp, as InsertBatch does. ns/victim divides by n.
+func BenchmarkModelVictims(b *testing.B) {
+	for _, spec := range []string{"ewma-0.5", "mean", "lru"} {
+		for _, n := range []int{1, 44, 1024} {
+			for _, impl := range []string{"opt", "ref"} {
+				b.Run(fmt.Sprintf("%s/n=%d/%s", spec, n, impl), func(b *testing.B) {
+					p := benchPolicy(b, spec, impl)
+					tr := newBulkTrace(1, p)
+					now, next := tr.now, tr.next
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						now += 1.0
+						vs := p.Victims(now, n)
+						for _, v := range vs {
+							p.Remove(v)
+						}
+						for range vs {
+							p.OnInsert(obj(next), now)
+							next++
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/victim")
+				})
+			}
+		}
+	}
+}

@@ -6,13 +6,15 @@ import (
 	"repro/internal/oodb"
 )
 
-// FuzzParse checks Parse never panics and that accepted specs produce
-// policies whose Name round-trips through Parse again.
+// FuzzParse checks Parse never panics, that accepted specs produce
+// policies whose Name round-trips through Parse again, and that an accepted
+// spec followed by trailing input is rejected.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"lru", "lru-3", "lru-0", "lrd", "mean", "win-10", "win-x",
 		"ewma-0.5", "ewma-1.5", "fifo", "clock", "random:7", "", "lfu",
 		"ewma--1", "win-99999", "lru-999999999999999999999",
+		"lru-3.5", "ewma-0.5x", "win-10abc", "random:7x", "ewma-0.5 ",
 	} {
 		f.Add(seed)
 	}
@@ -20,6 +22,9 @@ func FuzzParse(f *testing.F) {
 		factory, err := Parse(spec)
 		if err != nil {
 			return
+		}
+		if _, err := Parse(spec + "x"); err == nil {
+			t.Fatalf("Parse(%q) succeeded: trailing input after accepted spec %q", spec+"x", spec)
 		}
 		p := factory()
 		if p == nil {
@@ -38,8 +43,10 @@ func FuzzParse(f *testing.F) {
 // FuzzDifferentialTrace replays a byte-encoded operation trace against an
 // indexed policy and its retained scanCore reference twin in lockstep,
 // requiring identical victim choices throughout. Each byte encodes one
-// operation on a small item universe; time advances by the low bits so the
-// fuzzer can produce exact ties (zero gaps) as well as long idle spans.
+// operation on a small item universe: insert, access, remove, or a victim
+// request (Victim plus eviction, or a bulk Victims(now, k) compared whole).
+// Time advances by the low bits so the fuzzer can produce exact ties (zero
+// gaps) as well as long idle spans.
 func FuzzDifferentialTrace(f *testing.F) {
 	f.Add(0, []byte{})
 	f.Add(1, []byte{0x00, 0x41, 0x82, 0xc3, 0x04, 0x45})
@@ -93,6 +100,20 @@ func FuzzDifferentialTrace(f *testing.F) {
 				ref.Remove(it)
 				delete(resident, it)
 			case 3:
+				if b&0x20 != 0 {
+					// Bulk: Victims(now, k) for k in 0..7, whole slices.
+					k := int(b>>2) & 0x07
+					vo, vr := opt.Victims(now, k), ref.Victims(now, k)
+					if len(vo) != len(vr) {
+						t.Fatalf("%s: Victims(%d) at t=%v: opt %v, ref %v", spec, k, now, vo, vr)
+					}
+					for i := range vo {
+						if vo[i] != vr[i] {
+							t.Fatalf("%s: Victims(%d)[%d] at t=%v: opt %v, ref %v", spec, k, i, now, vo, vr)
+						}
+					}
+					break
+				}
 				vo, oko := opt.Victim(now)
 				vr, okr := ref.Victim(now)
 				if oko != okr || vo != vr {

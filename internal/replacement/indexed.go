@@ -2,8 +2,9 @@ package replacement
 
 // This file is the shared victim-selection engine behind the optimized
 // replacement policies: a slot table holding item state in flat value
-// slices, plus slot-keyed binary min-heaps walked by a bound-pruned search
-// that reproduces the reference scan's victim choice — including its
+// slices, plus per-class binary min-heaps of (key, slot) entries, searched
+// lowest keys first until n candidates are held and then pruned by a bound.
+// The search reproduces the reference scan's victim choice — including its
 // tie-breaking by scan position — without visiting every resident item.
 // victimCore is the one skeleton: it implements every Policy method of an
 // indexed policy, which supplies only the hook set in indexed.
@@ -23,7 +24,7 @@ package replacement
 //     slot in the class whose key is >= the argument and monotone
 //     non-increasing in key; inexact bounds build their own safety padding
 //     in (they are compared against the running best with no extra slack).
-//     The search walks the heap from the root and prunes a subtree exactly
+//     Once the selection is full, the search prunes a subtree exactly
 //     when its root's bound falls strictly below the current best, so bound
 //     ties are always visited. The engine never evaluates the bound itself,
 //     only its inversion indexed.cutoff; the bounds are written out beside
@@ -41,6 +42,7 @@ package replacement
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/oodb"
 )
@@ -89,45 +91,43 @@ func (t *slotTable[S]) remove(slot int32) (moved int32) {
 	return moved
 }
 
-// slotHeap is a binary min-heap over slot ids with cached float64 keys,
-// tie-broken by ascending slot id. pos and key are dense arrays indexed by
-// slot id (grown via grow); a slot may be absent (pos < 0), which lets a
-// policy spread its slots across several class heaps sharing one id space.
+// slotHeap is a binary min-heap of (key, slot) entries, keys inline so a
+// sift compares both children from adjacent memory, ties broken by slot id.
+// pos maps slot ids (grown via grow) to positions; an absent slot (pos < 0)
+// lets a policy spread its slots over several class heaps sharing one id space.
 type slotHeap struct {
-	order []int32   // heap array of slot ids
-	pos   []int32   // slot id -> position in order, or -1
-	key   []float64 // slot id -> cached key
+	ent []heapEnt // heap array
+	pos []int32   // slot id -> position in ent, or -1
+}
+
+type heapEnt struct {
+	key  float64
+	slot int32
+}
+
+func (a heapEnt) less(b heapEnt) bool {
+	return a.key < b.key || (a.key == b.key && a.slot < b.slot)
 }
 
 // grow makes room for slot ids < n.
 func (h *slotHeap) grow(n int) {
 	for len(h.pos) < n {
 		h.pos = append(h.pos, -1)
-		h.key = append(h.key, 0)
 	}
-}
-
-func (h *slotHeap) less(a, b int32) bool {
-	ka, kb := h.key[a], h.key[b]
-	return ka < kb || (ka == kb && a < b)
 }
 
 // update rewrites slot's key, pushing the slot if absent.
 func (h *slotHeap) update(slot int32, key float64) {
+	e := heapEnt{key: key, slot: slot}
 	i := h.pos[slot]
-	if i < 0 {
-		h.key[slot] = key
-		h.pos[slot] = int32(len(h.order))
-		h.order = append(h.order, slot)
-		h.siftUp(h.pos[slot])
-		return
-	}
-	old := h.key[slot]
-	h.key[slot] = key
-	if key < old {
-		h.siftUp(i)
-	} else if key > old {
-		h.siftDown(i)
+	switch {
+	case i < 0:
+		h.ent = append(h.ent, e)
+		h.up(int32(len(h.ent)-1), e)
+	case key < h.ent[i].key:
+		h.up(i, e)
+	case key > h.ent[i].key:
+		h.down(i, e)
 	}
 }
 
@@ -139,67 +139,112 @@ func (h *slotHeap) remove(slot int32) {
 		return
 	}
 	h.pos[slot] = -1
-	last := int32(len(h.order) - 1)
-	if i == last {
-		h.order = h.order[:last]
-		return
+	last := int32(len(h.ent) - 1)
+	e := h.ent[last]
+	h.ent = h.ent[:last]
+	if i != last {
+		h.fix(i, e)
 	}
-	movedSlot := h.order[last]
-	h.order[i] = movedSlot
-	h.pos[movedSlot] = i
-	h.order = h.order[:last]
-	h.siftDown(i)
-	h.siftUp(h.pos[movedSlot])
 }
 
 // rename re-labels slot id from as to (the slot table swap-moved an item
 // into a freed slot). The key is unchanged but the slot tie-break changes,
-// so the entry is re-sifted in both directions. Absent slots are a no-op.
+// so the entry is re-sifted. Absent slots are a no-op.
 func (h *slotHeap) rename(from, to int32) {
 	i := h.pos[from]
 	if i < 0 {
 		return
 	}
 	h.pos[from] = -1
-	h.key[to] = h.key[from]
-	h.pos[to] = i
-	h.order[i] = to
-	h.siftUp(i)
-	h.siftDown(h.pos[to])
+	h.fix(i, heapEnt{key: h.ent[i].key, slot: to})
 }
 
-func (h *slotHeap) siftUp(i int32) {
+// fix places e into the hole at i, sifting whichever way the order needs.
+func (h *slotHeap) fix(i int32, e heapEnt) {
+	if i > 0 && e.less(h.ent[(i-1)/2]) {
+		h.up(i, e)
+	} else {
+		h.down(i, e)
+	}
+}
+
+// up moves the hole at i toward the root until e fits, then stores e.
+func (h *slotHeap) up(i int32, e heapEnt) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.order[i], h.order[parent]) {
-			return
+		p := (i - 1) / 2
+		if !e.less(h.ent[p]) {
+			break
 		}
-		h.order[i], h.order[parent] = h.order[parent], h.order[i]
-		h.pos[h.order[i]] = i
-		h.pos[h.order[parent]] = parent
-		i = parent
+		h.ent[i] = h.ent[p]
+		h.pos[h.ent[i].slot] = i
+		i = p
 	}
+	h.ent[i] = e
+	h.pos[e.slot] = i
 }
 
-func (h *slotHeap) siftDown(i int32) {
-	n := int32(len(h.order))
+// down moves the hole at i toward the leaves until e fits, then stores e.
+func (h *slotHeap) down(i int32, e heapEnt) {
+	n := int32(len(h.ent))
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(h.order[l], h.order[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(h.order[r], h.order[smallest]) {
-			smallest = r
+		if r := c + 1; r < n && h.ent[r].less(h.ent[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !h.ent[c].less(e) {
+			break
 		}
-		h.order[i], h.order[smallest] = h.order[smallest], h.order[i]
-		h.pos[h.order[i]] = i
-		h.pos[h.order[smallest]] = smallest
-		i = smallest
+		h.ent[i] = h.ent[c]
+		h.pos[h.ent[i].slot] = i
+		i = c
 	}
+	h.ent[i] = e
+	h.pos[e.slot] = i
+}
+
+// frontPush adds heap position i to front, a min-heap of positions of h
+// ordered by their entries.
+func (h *slotHeap) frontPush(front []int32, i int32) []int32 {
+	front = append(front, i)
+	j := len(front) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if !h.ent[i].less(h.ent[front[p]]) {
+			break
+		}
+		front[j] = front[p]
+		j = p
+	}
+	front[j] = i
+	return front
+}
+
+// frontDown replaces front's root, whose entry is no larger than i's, with
+// position i and restores the order.
+func (h *slotHeap) frontDown(front []int32, i int32) []int32 {
+	j, n := 0, len(front)
+	if n == 0 {
+		return front
+	}
+	for {
+		c := 2*j + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.ent[front[r]].less(h.ent[front[c]]) {
+			c = r
+		}
+		if !h.ent[front[c]].less(h.ent[i]) {
+			break
+		}
+		front[j] = front[c]
+		j = c
+	}
+	front[j] = i
+	return front
 }
 
 // indexed is the hook set through which victimCore drives one policy: how
@@ -253,26 +298,26 @@ func candWeaker(a, b victimCand) bool {
 }
 
 // selectWorst accumulates the n worst slots under the reference total
-// order; the root of cands is the weakest retained candidate. Because the
-// order is total (slot ids are unique), the selected set — and hence the
-// extraction order — is independent of visit order, so a heap DFS selects
+// order. It appends the first n candidates unordered, then heapifies once:
+// from then on the root of cands is the weakest retained candidate. Because
+// the order is total (slot ids are unique), the selected set — and hence the
+// extraction order — is independent of visit order, so a heap walk selects
 // exactly what the reference's slot-order scan selects.
 type selectWorst struct {
 	cands []victimCand
 	n     int
 }
 
+// full reports whether cands holds n candidates, heap-ordered.
+func (sw *selectWorst) full() bool { return len(sw.cands) == sw.n }
+
 func (sw *selectWorst) offer(c victimCand) {
-	if len(sw.cands) < sw.n {
+	if !sw.full() {
 		sw.cands = append(sw.cands, c)
-		i := len(sw.cands) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !candWeaker(sw.cands[i], sw.cands[p]) {
-				break
+		if sw.full() {
+			for i := sw.n/2 - 1; i >= 0; i-- {
+				sw.siftDown(i)
 			}
-			sw.cands[i], sw.cands[p] = sw.cands[p], sw.cands[i]
-			i = p
 		}
 		return
 	}
@@ -284,32 +329,36 @@ func (sw *selectWorst) offer(c victimCand) {
 }
 
 func (sw *selectWorst) siftDown(i int) {
+	c := sw.cands[i]
+	n := len(sw.cands)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(sw.cands) && candWeaker(sw.cands[l], sw.cands[smallest]) {
-			smallest = l
+		k := 2*i + 1
+		if k >= n {
+			break
 		}
-		if r < len(sw.cands) && candWeaker(sw.cands[r], sw.cands[smallest]) {
-			smallest = r
+		if r := k + 1; r < n && candWeaker(sw.cands[r], sw.cands[k]) {
+			k = r
 		}
-		if smallest == i {
-			return
+		if !candWeaker(sw.cands[k], c) {
+			break
 		}
-		sw.cands[i], sw.cands[smallest] = sw.cands[smallest], sw.cands[i]
-		i = smallest
+		sw.cands[i] = sw.cands[k]
+		i = k
 	}
+	sw.cands[i] = c
 }
 
-// extractInto pops the selection heap weakest-first into out back-to-front,
-// yielding the reference's worst-first ordering. len(out) == len(sw.cands).
+// extractInto writes the candidates into out in the reference's worst-first
+// order (score descending, slot ascending). len(out) == len(sw.cands).
 func (sw *selectWorst) extractInto(items []oodb.Item, out []oodb.Item) {
-	for i := len(sw.cands) - 1; i >= 0; i-- {
-		out[i] = items[sw.cands[0].slot]
-		last := len(sw.cands) - 1
-		sw.cands[0] = sw.cands[last]
-		sw.cands = sw.cands[:last]
-		sw.siftDown(0)
+	slices.SortFunc(sw.cands, func(a, b victimCand) int {
+		if candWeaker(b, a) {
+			return -1
+		}
+		return 1
+	})
+	for i, c := range sw.cands {
+		out[i] = items[c.slot]
 	}
 }
 
@@ -424,54 +473,68 @@ func (c *victimCore[S]) removeSlot(slot int32) {
 	}
 }
 
-// search offers class ci's candidates to the selection. It walks the heap
-// from the root, pruning a subtree once the selection is full and the
-// subtree root's key exceeds the cutoff derived from the weakest retained
-// candidate (keys at the cutoff are always visited, preserving reference
-// tie-breaks). The cutoff is recomputed only when the weakest score changes,
-// so the per-node prune test is a single float compare.
+// search offers class ci's candidates to the selection. While the
+// selection holds fewer than n, it visits slots in ascending key order,
+// popping heap positions from a frontier min-heap seeded with the root.
+// Then it walks depth-first from the remaining frontier, pruning a subtree
+// when its root's key exceeds the cutoff derived from the weakest retained
+// candidate (keys at the cutoff are visited, preserving reference
+// tie-breaks); the cutoff changes only with the weakest score.
 //
-// When a DFS ends up visiting at least half the class anyway — heavy score
-// ties (e.g. LRD before any item has aged past an interval) or a request
-// that ranks every resident leave nothing to prune — the per-node stack and
-// key-compare overhead makes the walk strictly worse than a flat sweep over
-// the same slots. search detects that and sweeps the class flat for the next
-// sweepRun searches, re-probing with a DFS afterwards in case the regime
-// changed. Both modes offer into the same selection with the same exact
-// eval under the same total order (score desc, slot asc), so the switch can
-// never change which victims are selected — only how many slots are visited.
+// When a search visits at least half the class anyway — heavy score ties
+// (e.g. LRD before any item has aged past an interval) or a request that
+// ranks every resident leave nothing to prune — a flat sweep is cheaper,
+// so the class is swept for the next sweepRun searches, then re-probed.
+// Every mode offers into the same selection under the same total order
+// (score desc, slot asc), so visit order never changes which victims are
+// selected, only how many slots are visited.
 func (c *victimCore[S]) search(ci int, now float64, sw *selectWorst) {
 	ch, hk := &c.classes[ci], c.h
 	h := &ch.heap
-	n := int32(len(h.order))
+	n := int32(len(h.ent))
 	if n == 0 {
 		return
 	}
 	if ch.sweepBias > 0 {
 		ch.sweepBias--
-		for _, slot := range h.order {
-			sw.offer(victimCand{slot: slot, score: hk.eval(slot, now)})
+		for _, e := range h.ent {
+			sw.offer(victimCand{slot: e.slot, score: hk.eval(e.slot, now)})
 		}
 		return
 	}
-	cut := math.Inf(1)
-	weakest := math.Inf(1)
-	if len(sw.cands) == sw.n {
+	visited := int32(0)
+	front := append(c.stack[:0], 0)
+	for len(front) > 0 && !sw.full() {
+		i := front[0]
+		visited++
+		slot := h.ent[i].slot
+		sw.offer(victimCand{slot: slot, score: hk.eval(slot, now)})
+		l := 2*i + 1
+		if l >= n { // a leaf: the last frontier position takes its place
+			front = h.frontDown(front[:len(front)-1], front[len(front)-1])
+			continue
+		}
+		front = h.frontDown(front, l) // its left child takes its place
+		if l+1 < n {
+			front = h.frontPush(front, l+1)
+		}
+	}
+	cut, weakest := math.Inf(1), math.Inf(1)
+	if sw.full() {
 		weakest = sw.cands[0].score
 		cut = hk.cutoff(ci, now, weakest)
 	}
-	visited := int32(0)
-	stack := append(c.stack[:0], 0)
+	stack := front
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		slot := h.order[i]
-		if h.key[slot] > cut {
+		e := h.ent[i]
+		if e.key > cut {
 			continue // no slot in this subtree can beat the weakest retained
 		}
 		visited++
-		sw.offer(victimCand{slot: slot, score: hk.eval(slot, now)})
-		if len(sw.cands) == sw.n && sw.cands[0].score != weakest {
+		sw.offer(victimCand{slot: e.slot, score: hk.eval(e.slot, now)})
+		if sw.full() && sw.cands[0].score != weakest {
 			weakest = sw.cands[0].score
 			cut = hk.cutoff(ci, now, weakest)
 		}

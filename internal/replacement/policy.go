@@ -24,6 +24,8 @@ package replacement
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/oodb"
 	"repro/internal/rng"
@@ -45,12 +47,12 @@ type Policy interface {
 	// removing it. ok is false when no items are tracked.
 	Victim(now float64) (it oodb.Item, ok bool)
 	// Victims returns up to n eviction candidates ordered worst-first,
-	// without removing them. A single call costs one scan, so callers that
-	// must free room for a whole batch of insertions should prefer it over
-	// n calls to Victim. The slice is policy-owned scratch, valid until the
-	// next call other than Remove (Victim included); Remove leaves it
-	// intact, so a caller may evict the returned items while ranging over
-	// them.
+	// without removing them. One call selects all n in a single search, so
+	// callers that must free room for a whole batch of insertions should
+	// prefer it over n calls to Victim. The slice is policy-owned scratch,
+	// valid until the next call other than Remove (Victim included); Remove
+	// leaves it intact, so a caller may evict the returned items while
+	// ranging over them.
 	Victims(now float64, n int) []oodb.Item
 	// Remove forgets an item (eviction or invalidation).
 	Remove(it oodb.Item)
@@ -92,21 +94,32 @@ func Parse(spec string) (Factory, error) {
 		return NewClock, nil
 	case spec == "mru":
 		return NewMRU, nil
-	case scan1(spec, "lru-%d", &k) && k >= 1:
+	case scan1(spec, "lru-", &k) && k >= 1:
 		return func() Policy { return NewLRUK(k) }, nil
-	case scan1(spec, "win-%d", &w) && w >= 1:
+	case scan1(spec, "win-", &w) && w >= 1:
 		return func() Policy { return NewWindow(w) }, nil
-	case scan1(spec, "ewma-%g", &a) && a >= 0 && a < 1:
+	case scan1(spec, "ewma-", &a) && a >= 0 && a < 1:
 		return func() Policy { return NewEWMA(a) }, nil
-	case scan1(spec, "random:%d", &seed):
+	case scan1(spec, "random:", &seed):
 		return NewRandomFactory(seed), nil
 	}
 	return nil, fmt.Errorf("replacement: unknown policy spec %q", spec)
 }
 
-func scan1(s, format string, v interface{}) bool {
-	n, err := fmt.Sscanf(s, format, v)
-	return err == nil && n == 1
+// scan1 reports whether s is prefix followed by one number and nothing
+// else, storing the number in v (an *int, *uint64 or *float64).
+func scan1(s, prefix string, v any) bool {
+	rest, ok := strings.CutPrefix(s, prefix)
+	var err error
+	switch v := v.(type) {
+	case *int:
+		*v, err = strconv.Atoi(rest)
+	case *uint64:
+		*v, err = strconv.ParseUint(rest, 10, 64)
+	case *float64:
+		*v, err = strconv.ParseFloat(rest, 64)
+	}
+	return ok && err == nil
 }
 
 // NewRandomFactory returns a factory for the Random baseline. Each policy

@@ -468,7 +468,11 @@ func TestParse(t *testing.T) {
 			t.Fatalf("Parse(%q).Name() = %q, want %q", c.spec, got, c.name)
 		}
 	}
-	for _, bad := range []string{"", "lfu", "lru-0", "win-0", "ewma-1.5", "ewma-2"} {
+	for _, bad := range []string{
+		"", "lfu", "lru-0", "win-0", "ewma-1.5", "ewma-2",
+		// Trailing input after the number: not a spec.
+		"lru-3.5", "ewma-0.5x", "win-10abc", "random:7x", "ewma-0.5 ",
+	} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) succeeded, want error", bad)
 		}

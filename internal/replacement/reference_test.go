@@ -188,11 +188,11 @@ func newReferencePolicy(spec string) (Policy, error) {
 		return newRefClock(), nil
 	case spec == "mru":
 		return newRefMRU(), nil
-	case scan1(spec, "lru-%d", &k) && k >= 1:
+	case scan1(spec, "lru-", &k) && k >= 1:
 		return newRefLRUK(k, DefaultCorrelatedPeriod), nil
-	case scan1(spec, "win-%d", &w) && w >= 1:
+	case scan1(spec, "win-", &w) && w >= 1:
 		return newRefWindow(w), nil
-	case scan1(spec, "ewma-%g", &a) && a >= 0 && a < 1:
+	case scan1(spec, "ewma-", &a) && a >= 0 && a < 1:
 		return newRefEWMA(a), nil
 	}
 	return nil, fmt.Errorf("replacement: no reference twin for policy spec %q", spec)
