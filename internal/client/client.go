@@ -103,14 +103,15 @@ type Config struct {
 	// Tracer receives one record per completed query (nil = no tracing).
 	Tracer trace.Tracer
 	// UpFaults / DownFaults attach unreliable-channel fault models to the
-	// two wireless directions (nil = perfect channel). Attaching either
-	// enables the reliability layer: timeout, bounded retransmission with
-	// exponential backoff, and graceful degradation to stale cache copies
-	// (see retry.go and DESIGN.md §9). With both nil the §4 round-trip
-	// flow is untouched.
+	// two wireless directions (nil = a perfect channel that delivers every
+	// frame). Every server round trip runs the reliability layer — timeout,
+	// bounded retransmission with exponential backoff, and graceful
+	// degradation to stale cache copies (see retry.go and DESIGN.md §9) —
+	// but only a lost or corrupted frame sets it in motion, so with both
+	// nil the round trip is the §4 flow.
 	UpFaults, DownFaults *network.FaultModel
 	// Retry tunes the reliability layer; zero fields select the defaults.
-	// Ignored when no fault model is attached.
+	// Inert on a perfect channel, where no attempt fails.
 	Retry RetryConfig
 	// Broadcast is an optional push-based dissemination program (§1 of
 	// the paper): reads covered by the program are answered from the air
@@ -350,7 +351,7 @@ func containsItem(items []oodb.Item, it oodb.Item) bool {
 }
 
 // installReply caches a delivered reply's items and records the served
-// reads. Shared by the perfect-channel and reliability-layer round trips.
+// reads.
 func (c *Client) installReply(now float64, need []workload.ReadOp, items []server.ReplyItem) {
 	for _, item := range items {
 		entry := item.Entry(now)

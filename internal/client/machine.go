@@ -16,9 +16,10 @@ import (
 
 // This file is the client's query loop: clientMachine is the open-loop
 // query pump and the whole request path — arrival, local probe, broadcast
-// air, peer probe, server round trip (perfect channel or reliability
-// layer), reply install — as one resumable sim.Stepper scheduled directly
-// on the kernel's event heap. The wait points are the arrival, the
+// air, peer probe, server round trip, reply install — as one resumable
+// sim.Stepper scheduled directly on the kernel's event heap. There is one
+// server round trip for every channel: a lossless one is a nil fault model
+// that delivers every frame. The wait points are the arrival, the
 // local-access hold, the uplink, server staging, the downlink, the retry
 // timeout and backoff, and the broadcast slots; the order of schedule
 // calls at those points, and of every counter, cache, and RNG mutation
@@ -28,26 +29,23 @@ import (
 // clientMachine phases. Each wait point records the phase to re-enter; the
 // Step loop advances inline through phases that did not actually wait.
 const (
-	cmArrive       uint8 = iota // draw next arrival; wait for it
-	cmQuery                     // generate the query
-	cmProbe                     // probe the local caches
-	cmLocalDone                 // local holds paid; split air/pull/peer
-	cmPeerUp                    // cooperative lookup: probe frame on the uplink
-	cmPeerDown                  // cooperative lookup: batched reply downlink
-	cmRemote                    // peer stage settled; decide the server trip
-	cmUpSend                    // perfect channel: uplink transfer
-	cmSrv                       // perfect channel: server staging
-	cmDown                      // perfect channel: downlink transfer
-	cmFaultAttempt              // reliability layer: arm one attempt
-	cmFaultUp                   // reliability layer: uplink transfer
-	cmFaultSrv                  // reliability layer: server staging
-	cmFaultDown                 // reliability layer: downlink transfer
-	cmFaultTimeout              // attempt failed; wait out the timeout
-	cmFaultExpired              // timeout fired; give up or back off
-	cmAir                       // sort broadcast items by next delivery
-	cmAirWait                   // wait for the current item's slot
-	cmAirRecv                   // receive and cache the current item
-	cmDone                      // finish the query record; loop to cmArrive
+	cmArrive    uint8 = iota // draw next arrival; wait for it
+	cmQuery                  // generate the query
+	cmProbe                  // probe the local caches
+	cmLocalDone              // local holds paid; split air/pull/peer
+	cmPeerUp                 // cooperative lookup: probe frame on the uplink
+	cmPeerDown               // cooperative lookup: batched reply downlink
+	cmRemote                 // peer stage settled; decide the server trip
+	cmAttempt                // server round trip: arm one attempt
+	cmUp                     // server round trip: uplink transfer
+	cmSrv                    // server round trip: server staging
+	cmDown                   // server round trip: downlink transfer
+	cmTimeout                // attempt failed; wait out the timeout
+	cmExpired                // timeout fired; give up or back off
+	cmAir                    // sort broadcast items by next delivery
+	cmAirWait                // wait for the current item's slot
+	cmAirRecv                // receive and cache the current item
+	cmDone                   // finish the query record; loop to cmArrive
 )
 
 // clientMachine is one mobile host's execution state. All state that must
@@ -59,9 +57,8 @@ type clientMachine struct {
 	call server.RequestCall
 	send network.SendState
 
-	// Shed closures are bound once so SendDeferredStep never allocates.
-	shedPlainFn  func(float64) int
-	shedFaultyFn func(float64) int
+	// The shed closure is bound once so SendDeferredStep never allocates.
+	shedFn func(float64) int
 
 	scheduled float64
 	connected bool
@@ -77,11 +74,11 @@ type clientMachine struct {
 	reqBytes   int
 	items      []server.ReplyItem
 	replyBytes int
+	rxPending  bool // the reply's receive energy waits on the frame's fate
 
-	attempt   int
-	retries   int
-	deadline  float64
-	delivered int
+	attempt  int
+	retries  int
+	deadline float64
 }
 
 // Start spawns the client's simulation machine.
@@ -91,16 +88,16 @@ func (c *Client) Start() *sim.Machine {
 
 func (c *Client) newMachine() *clientMachine {
 	cm := &clientMachine{c: c, call: c.srv.NewCall()}
-	cm.shedPlainFn = cm.shedPlain
-	cm.shedFaultyFn = cm.shedFaulty
+	cm.shedFn = cm.shedReply
 	return cm
 }
 
-// shed applies the timeout heuristic (§5.3) at the moment a reply reaches
-// the head of the downlink queue: one that queued beyond the threshold
-// sheds its prefetched items, shortening the transfer the whole cell is
-// waiting behind. It returns the wire size of what is left.
-func (cm *clientMachine) shed(waited float64) int {
+// shedReply is the downlink's deferred-size hook, run when the reply
+// reaches the head of the downlink queue. It applies the timeout heuristic
+// (§5.3): a reply that queued beyond the threshold sheds its prefetched
+// items, shortening the transfer the whole cell is waiting behind. It
+// records and returns the wire size of what is left.
+func (cm *clientMachine) shedReply(waited float64) int {
 	c := cm.c
 	if c.shedThreshold > 0 && waited > c.shedThreshold {
 		kept := c.scratchKept[:0]
@@ -113,22 +110,18 @@ func (cm *clientMachine) shed(waited float64) int {
 		c.scratchKept = kept
 		cm.items = kept
 	}
-	return server.WireSizeItems(cm.items)
-}
-
-// shedPlain is the perfect-channel downlink's deferred-size hook: shed,
-// account the receive energy, record the reply size.
-func (cm *clientMachine) shedPlain(waited float64) int {
-	cm.replyBytes = cm.shed(waited)
-	cm.c.n.RadioEnergy += network.RxEnergy(cm.replyBytes)
+	cm.replyBytes = server.WireSizeItems(cm.items)
+	// A lossless downlink (nil fault model) delivers every frame, so its
+	// receive energy is charged here, at transfer start; a lossy one is
+	// charged after the transfer, by the frame's fate (cmDown). Charging
+	// the lossless reply at arrival instead would reorder this client's
+	// RadioEnergy sum against the IRB-report and peer-serve charges that
+	// land during the transfer, and move the pinned fingerprints.
+	cm.rxPending = c.downFaults != nil
+	if !cm.rxPending {
+		c.n.RadioEnergy += network.RxEnergy(cm.replyBytes)
+	}
 	return cm.replyBytes
-}
-
-// shedFaulty is the reliability layer's hook: same shedding, but the
-// energy is charged by the caller according to the frame's fate.
-func (cm *clientMachine) shedFaulty(waited float64) int {
-	cm.delivered = cm.shed(waited)
-	return cm.delivered
 }
 
 // Step is the client's open-loop query pump.
@@ -277,7 +270,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				return false
 			}
 			c.n.RadioEnergy += network.TxEnergy(c.peerProbeBytes)
-			if transmit(c.upFaults, m.Now()) != network.FrameDelivered {
+			if c.upFaults.Transmit(m.Now()) != network.FrameDelivered {
 				c.abortPeerFetch(cm.need)
 				cm.pc = cmRemote
 				continue
@@ -288,7 +281,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if !c.down.SendStep(m, &cm.send, c.peerReplyBytes) {
 				return false
 			}
-			outcome := transmit(c.downFaults, m.Now())
+			outcome := c.downFaults.Transmit(m.Now())
 			if outcome != network.FrameLost {
 				// The frame was received (and, if corrupted, rejected after
 				// the fact): the radio energy is spent either way.
@@ -316,23 +309,37 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			}
 			cm.reqBytes = cm.req.WireSize()
 			cm.rec.RequestBytes = cm.reqBytes
-			if c.faulted() {
-				cm.attempt = 0
-				cm.retries = 0
-				cm.pc = cmFaultAttempt
-				continue
-			}
-			cm.pc = cmUpSend
+			cm.attempt = 0
+			cm.retries = 0
+			cm.pc = cmAttempt
 
-		// Perfect channel: existent list upstream, server processing, reply
-		// downstream, then cache the returned items.
-		case cmUpSend:
+		// The server round trip: the existent list upstream, server
+		// processing, the reply downstream, then the returned items cached.
+		// It is attempted up to 1+MaxRetries times; a frame lost or
+		// corrupted on either channel costs the attempt, the client waits
+		// out the remainder of its timeout, backs off exponentially with
+		// jitter, and retransmits. The whole request is retried, so a reply
+		// lost downstream makes the server process (and possibly update)
+		// the same query again — retransmission is not idempotent, just
+		// like a real stateless datagram exchange. When every attempt fails
+		// the query is served from stale cache copies via serveDegraded. A
+		// lossless channel (nil fault model) delivers every frame, so its
+		// one attempt never reaches the timeout or backoff phases.
+		case cmAttempt:
+			cm.deadline = m.Now() + c.requestTimeout(cm.reqBytes)
+			cm.pc = cmUp
+
+		case cmUp:
 			if !c.up.SendStep(m, &cm.send, cm.reqBytes) {
 				return false
 			}
 			c.n.RadioEnergy += network.TxEnergy(cm.reqBytes)
-			cm.call.Begin(cm.req)
-			cm.pc = cmSrv
+			if c.upFaults.Transmit(m.Now()) == network.FrameDelivered {
+				cm.call.Begin(cm.req)
+				cm.pc = cmSrv
+				continue
+			}
+			cm.pc = cmTimeout
 
 		case cmSrv:
 			rep, done := cm.call.Step(m)
@@ -343,78 +350,36 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			cm.pc = cmDown
 
 		case cmDown:
-			if !c.down.SendDeferredStep(m, &cm.send, cm.shedPlainFn) {
+			if !c.down.SendDeferredStep(m, &cm.send, cm.shedFn) {
 				return false
 			}
-			c.installReply(m.Now(), cm.need, cm.items)
-			cm.rec.ReplyBytes = cm.replyBytes
-			cm.pc = cmAir
-
-		// Reliability layer: the round trip is attempted up to 1+MaxRetries
-		// times; frames lost or corrupted on either channel cost the
-		// attempt, the client waits out the remainder of its timeout, backs
-		// off exponentially with jitter, and retransmits. The whole request
-		// is retried, so a reply lost downstream makes the server process
-		// (and possibly update) the same query again — retransmission is
-		// not idempotent, just like a real stateless datagram exchange.
-		// When every attempt fails the query is served from stale cache
-		// copies via serveDegraded.
-		case cmFaultAttempt:
-			cm.deadline = m.Now() + c.requestTimeout(cm.reqBytes)
-			cm.pc = cmFaultUp
-
-		case cmFaultUp:
-			if !c.up.SendStep(m, &cm.send, cm.reqBytes) {
-				return false
+			outcome := c.downFaults.Transmit(m.Now())
+			if outcome != network.FrameLost && cm.rxPending {
+				// The frame was received in full (and, if corrupted,
+				// rejected by the CRC check after the fact): the radio
+				// energy is spent either way.
+				c.n.RadioEnergy += network.RxEnergy(cm.replyBytes)
 			}
-			c.n.RadioEnergy += network.TxEnergy(cm.reqBytes)
-			if transmit(c.upFaults, m.Now()) == network.FrameDelivered {
-				cm.call.Begin(cm.req)
-				cm.pc = cmFaultSrv
-				continue
-			}
-			cm.pc = cmFaultTimeout
-
-		case cmFaultSrv:
-			rep, done := cm.call.Step(m)
-			if !done {
-				return false
-			}
-			cm.items = rep.Items
-			cm.delivered = 0
-			cm.pc = cmFaultDown
-
-		case cmFaultDown:
-			if !c.down.SendDeferredStep(m, &cm.send, cm.shedFaultyFn) {
-				return false
-			}
-			switch transmit(c.downFaults, m.Now()) {
-			case network.FrameDelivered:
-				c.n.RadioEnergy += network.RxEnergy(cm.delivered)
-				c.replyEstimate = cm.delivered
+			if outcome == network.FrameDelivered {
+				c.replyEstimate = cm.replyBytes
 				c.installReply(m.Now(), cm.need, cm.items)
-				cm.rec.ReplyBytes = cm.delivered
+				cm.rec.ReplyBytes = cm.replyBytes
 				cm.rec.Retries = cm.retries
 				cm.pc = cmAir
 				continue
-			case network.FrameCorrupted:
-				// The frame arrived and was received in full before the CRC
-				// check rejected it: the radio energy is spent.
-				c.n.RadioEnergy += network.RxEnergy(cm.delivered)
 			}
-			// FrameLost: nothing arrived, nothing received.
-			cm.pc = cmFaultTimeout
+			cm.pc = cmTimeout
 
-		case cmFaultTimeout:
+		case cmTimeout:
 			// The attempt failed somewhere; the client detects it when its
 			// timeout expires (or immediately, if the exchange already
 			// overran the timeout while queueing).
-			cm.pc = cmFaultExpired
+			cm.pc = cmExpired
 			if m.Now() < cm.deadline && m.HoldUntil(cm.deadline) {
 				return false
 			}
 
-		case cmFaultExpired:
+		case cmExpired:
 			c.m.RecordTimeout(m.Now())
 			if cm.attempt >= c.retry.MaxRetries {
 				cm.rec.ReplyBytes = 0
@@ -431,7 +396,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				backoff = backoffMax
 			}
 			cm.attempt++
-			cm.pc = cmFaultAttempt
+			cm.pc = cmAttempt
 			// Jitter in [0.5, 1.5)× the nominal delay decorrelates the
 			// retransmissions of clients that lost frames in the same burst.
 			m.Hold(backoff * (0.5 + c.retryRnd.Float64()))

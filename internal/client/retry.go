@@ -2,18 +2,18 @@ package client
 
 import (
 	"repro/internal/core"
-	"repro/internal/network"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // This file is the client half of the unreliable-channel model (DESIGN.md
-// §9): when fault models are attached to the wireless channels, every
-// remote round trip runs through a timeout/retransmission loop with
-// exponential backoff, and a query whose retries are exhausted degrades to
-// serving whatever cached copies the client holds — stale or not — exactly
-// as disconnected operation (§5.6) would. With no fault models attached,
-// none of this code runs and the round trip is the untouched §4 flow.
+// §9): every server round trip runs through a timeout/retransmission loop
+// with exponential backoff, and a query whose retries are exhausted
+// degrades to serving whatever cached copies the client holds — stale or
+// not — exactly as disconnected operation (§5.6) would. On a lossless
+// channel (no fault models attached) every frame is delivered, so the
+// first attempt always succeeds: the timeout is armed but never waited
+// on, nothing is retried, and the round trip is the §4 flow.
 
 // Reliability-layer defaults and constants. The timeout is derived from
 // message sizes and the channel bandwidth rather than fixed, so it adapts to
@@ -56,17 +56,6 @@ func (r RetryConfig) withDefaults() RetryConfig {
 		r.BackoffBase = DefaultBackoffBase
 	}
 	return r
-}
-
-// faulted reports whether the reliability layer is active.
-func (c *Client) faulted() bool { return c.upFaults != nil || c.downFaults != nil }
-
-// transmit judges one frame on a possibly-perfect channel direction.
-func transmit(m *network.FaultModel, now float64) network.FaultOutcome {
-	if m == nil {
-		return network.FrameDelivered
-	}
-	return m.Transmit(now)
 }
 
 // requestTimeout derives the per-request timeout from the request size, the

@@ -744,11 +744,7 @@ func startIRBBroadcaster(k *sim.Kernel, cfg Config, window *broadcast.UpdateWind
 				if !schedules[i].Connected(now) {
 					continue
 				}
-				outcome := network.FrameDelivered
-				if faults != nil {
-					outcome = faults.Transmit(now)
-				}
-				switch outcome {
+				switch faults.Transmit(now) {
 				case network.FrameDelivered:
 					cl.ApplyIRBroadcast(now, items, size)
 				case network.FrameCorrupted:

@@ -18,17 +18,17 @@ const exp10DefaultDays = 0.5
 // exp10QuickDays is the -quick horizon, sized for the CI smoke.
 const exp10QuickDays = 0.05
 
-// exp10Scheme is one coherence regime under comparison: the paper's lazy
-// lease baseline (the control column), server-push invalidation reports
-// over a broadcast downlink, and cooperative peer caching on top of
-// leases.
-type exp10Scheme struct {
+// coherenceScheme is one coherence regime under comparison. Exp10 runs
+// all of coherenceSchemes — the paper's lazy lease baseline (the control
+// column), server-push invalidation reports over a broadcast downlink,
+// and cooperative peer caching on top of leases; Exp11 runs the first two.
+type coherenceScheme struct {
 	name  string
 	apply func(*Config)
 }
 
-func exp10Schemes() []exp10Scheme {
-	return []exp10Scheme{
+func coherenceSchemes() []coherenceScheme {
+	return []coherenceScheme{
 		{"lease", func(c *Config) {}},
 		{"irb", func(c *Config) { c.Coherence = coherence.IRBroadcastStrategy }},
 		{"coop", func(c *Config) { c.CoopPeers = 3 }},
@@ -97,7 +97,7 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 		"Experiment #10 — coherence schemes under frame loss (HC, single cell)",
 		"scheme", "loss %", "hit %", "resp (s)", "err %", "access err %", "revals", "peer hit %")
 	rep.Tables = append(rep.Tables, tblL)
-	for _, sch := range exp10Schemes() {
+	for _, sch := range coherenceSchemes() {
 		for _, loss := range losses {
 			loss := loss
 			cfg := merge(base, func(c *Config) {
@@ -120,7 +120,7 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 		"Experiment #10 — coherence schemes across fleet sizes (HC, SM engine)",
 		"scheme", "clients x cells", "hit %", "resp (s)", "err %", "IR MB", "peer hit %")
 	rep.Tables = append(rep.Tables, tblF)
-	for _, sch := range exp10Schemes() {
+	for _, sch := range coherenceSchemes() {
 		for _, fl := range fleets {
 			clientsN, cells := fl[0], fl[1]
 			cfg := merge(base, func(c *Config) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -17,20 +16,6 @@ const exp11DefaultDays = 0.25
 
 // exp11QuickDays is the -quick horizon, sized for the CI smoke.
 const exp11QuickDays = 0.05
-
-// exp11Scheme is one coherence regime in the at-scale comparison: the
-// paper's lazy lease baseline and broadcast invalidation reports.
-type exp11Scheme struct {
-	name  string
-	apply func(*Config)
-}
-
-func exp11Schemes() []exp11Scheme {
-	return []exp11Scheme{
-		{"lease", func(c *Config) {}},
-		{"irb", func(c *Config) { c.Coherence = coherence.IRBroadcastStrategy }},
-	}
-}
 
 // Exp11 — beyond the paper: database size x server buffer with a real
 // persistent tier behind the buffer pool. The paper fixes the database at
@@ -58,7 +43,7 @@ func Exp11(base Config) *Report {
 	return exp11(base,
 		[]int{10_000, 100_000, 1_000_000},
 		[]float64{0.01, 0.05, 0.25},
-		exp11Schemes(), true)
+		coherenceSchemes()[:2], true)
 }
 
 // Exp11Quick runs a sparser grid (two small sizes, two ratios, leases
@@ -74,10 +59,10 @@ func Exp11Quick(base Config) *Report {
 	return exp11(base,
 		[]int{2000, 10_000},
 		[]float64{0.05, 0.25},
-		exp11Schemes()[:1], false)
+		coherenceSchemes()[:1], false)
 }
 
-func exp11(base Config, sizes []int, ratios []float64, schemes []exp11Scheme, withTier bool) *Report {
+func exp11(base Config, sizes []int, ratios []float64, schemes []coherenceScheme, withTier bool) *Report {
 	rep := &Report{Name: "exp11"}
 
 	// One tier root serves the whole sweep: Run gives every config its own

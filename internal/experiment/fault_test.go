@@ -55,7 +55,8 @@ func TestExp7TablesDeterministic(t *testing.T) {
 }
 
 // With the fault model disabled the reliability layer must be completely
-// inert: no retries, no timeouts, no lost frames, no degraded reads.
+// inert: no retries, no timeouts, no lost frames, no degraded reads — and,
+// since every round trip runs the retry loop, its settings change nothing.
 func TestPerfectChannelHasNoFaultActivity(t *testing.T) {
 	res := Run(faultCfg(0))
 	if res.FramesLost != 0 || res.FramesCorrupted != 0 || res.Retries != 0 ||
@@ -66,6 +67,17 @@ func TestPerfectChannelHasNoFaultActivity(t *testing.T) {
 	// reads), so it must agree with the components it is defined over.
 	if res.AccessErrorRate < res.ErrorRate-1e-9 {
 		t.Fatalf("AccessErrorRate %v < ErrorRate %v", res.AccessErrorRate, res.ErrorRate)
+	}
+	want := renderSansConfig(res)
+	for _, retries := range []int{-1, 0, 5} {
+		for _, backoff := range []float64{0, 7} {
+			cfg := faultCfg(0)
+			cfg.RetryMax, cfg.RetryBackoff = retries, backoff
+			if got := renderSansConfig(Run(cfg)); got != want {
+				t.Errorf("RetryMax %d, RetryBackoff %g moved a lossless run:\n%s\nvs\n%s",
+					retries, backoff, got, want)
+			}
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // per-day schedule (Experiment #6); real mobile links also drop and corrupt
 // individual frames. The model is deterministic in (config, seed, virtual
 // time) so faulted experiment tables are byte-for-byte reproducible, and it
-// is entirely additive: with a disabled config no FaultModel is built and
-// every transmission path is untouched.
+// is entirely additive: with a disabled config no FaultModel is built, and
+// the nil model delivers every frame without drawing from any stream.
 //
 // Three failure processes compose per transmitted frame (DESIGN.md §9):
 //
@@ -137,7 +137,7 @@ type FaultModel struct {
 // NewFaultModel builds a model for one channel direction. streamID keys
 // the direction's RNG substream so the uplink and downlink draw
 // independently from the same root seed. Returns nil for a disabled
-// config, which callers treat as a perfect channel.
+// config: the nil model is a perfect channel.
 func NewFaultModel(cfg FaultConfig, streamID uint64) *FaultModel {
 	cfg.validate()
 	if !cfg.Enabled() {
@@ -178,8 +178,12 @@ func (m *FaultModel) advance(now float64) {
 
 // Transmit judges one frame sent at virtual time now and updates the
 // counters. The frame occupies its channel regardless of the outcome; the
-// caller decides what a loss or corruption means end to end.
+// caller decides what a loss or corruption means end to end. A nil model
+// (perfect channel) delivers every frame and counts nothing.
 func (m *FaultModel) Transmit(now float64) FaultOutcome {
+	if m == nil {
+		return FrameDelivered
+	}
 	m.advance(now)
 	loss := m.cfg.LossProb
 	if m.bad {

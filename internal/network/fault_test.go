@@ -27,8 +27,13 @@ func TestDisabledConfigBuildsNoModel(t *testing.T) {
 	if m := NewFaultModel(FaultConfig{Seed: 1}, 1); m != nil {
 		t.Fatal("disabled config must build no model")
 	}
-	// A nil model reports zero stats rather than panicking.
-	if s := (*FaultModel)(nil).Stats(); s != (FaultStats{}) {
+	// A nil model is a perfect channel: it delivers every frame and
+	// reports zero stats rather than panicking.
+	var m *FaultModel
+	if o := m.Transmit(1); o != FrameDelivered {
+		t.Fatalf("nil model Transmit = %v, want delivered", o)
+	}
+	if s := m.Stats(); s != (FaultStats{}) {
 		t.Fatalf("nil model stats = %+v", s)
 	}
 }
