@@ -206,6 +206,13 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 	}
 	for c.usedBytes+incoming > c.capacityBytes {
 		over := c.usedBytes + incoming - c.capacityBytes
+		// An attribute frees ItemCost (AttrSize + EntryOverhead) bytes, so
+		// this asks for about 1.56× the evictions needed; only a prefix of
+		// the victims is evicted. The count is behavioural, not just a
+		// buffer size: clock re-marks every victim it returns and random
+		// draws a sample of this size, so dividing by ItemCost instead
+		// changes which items they evict (TestCacheMatchesMapTwin fails on
+		// clock/798) and every golden built on them.
 		want := over/oodb.AttrSize + 1
 		if want > 1024 {
 			want = 1024

@@ -24,10 +24,11 @@ import (
 // cyclic pattern of Experiment #4.
 //
 // Indexing: badness sign·(now − last), single class keyed by sign·last, so
-// the heap root is the victim and the bound is exact; the search rarely
-// descends past the root's equal-key ties. Multiplying by ±1 is exact, so
-// MRU's scores equal its reference twin's last − now (up to the sign of a
-// zero, which compares equal).
+// the lowest key is the victim and the bound is exact; the search rarely
+// visits past its equal-key ties. LRU's key is the access time, so its class
+// is an arrival run; MRU's falls with time, so its class is a heap.
+// Multiplying by ±1 is exact, so MRU's scores equal its reference twin's
+// last − now (up to the sign of a zero, which compares equal).
 type recency struct {
 	victimCore[lruState]
 	sign float64
@@ -41,14 +42,18 @@ func NewMRU() Policy { return newRecency(-1, "mru") }
 
 func newRecency(sign float64, name string) *recency {
 	p := &recency{sign: sign}
-	p.init(p, 1, name)
+	o := byHeap
+	if sign > 0 {
+		o = byArrival
+	}
+	p.init(p, name, o)
 	return p
 }
 
 func (p *recency) enter(_ oodb.Item, now float64) lruState { return lruState{last: now} }
 
 func (p *recency) place(slot int32) {
-	p.classes[0].heap.update(slot, p.sign*p.t.states[slot].last)
+	p.classes[0].update(slot, p.sign*p.t.states[slot].last)
 }
 
 func (p *recency) touch(slot int32, now float64) {
@@ -85,13 +90,14 @@ func (p *recency) cutoff(_ int, now, best float64) float64 {
 //     current query would be a prime (infinite-distance) victim for the
 //     same query's later insertions.
 //
-// Indexing: two class heaps over the same slots. Items with fewer than k
-// references ("infinite" class, badness ≈ +inf) are keyed by last access;
-// items with a full ring ("finite" class) are keyed by the k-th last
-// access. Both keys give bit-exact bounds. CRP protection is a property of
-// `now`, not the key, so it is handled at evaluation time: a protected
-// item's exact badness (≈ −inf) simply loses to any candidate, while the
-// class bound still upper-bounds it, keeping the pruning sound.
+// Indexing: two classes over the same slots. Items with fewer than k
+// references ("infinite" class, badness ≈ +inf) are keyed by last access,
+// an arrival run; items with a full ring ("finite" class) are keyed by the
+// k-th last access, a heap. Both keys give bit-exact bounds. CRP
+// protection is a property of `now`, not the key, so it is handled at
+// evaluation time: a protected item's exact badness (≈ −inf) simply loses
+// to any candidate, while the class bound still upper-bounds it, keeping
+// the pruning sound.
 type lruK struct {
 	victimCore[int32] // slot state = index into arena
 
@@ -101,8 +107,8 @@ type lruK struct {
 	history oodb.ItemIndex // retained information: item -> arena index
 }
 
-// LRU-k's class heaps: fewer than k references, keyed by last access, and
-// a full ring, keyed by the k-th last access.
+// LRU-k's classes: fewer than k references, keyed by last access, and a
+// full ring, keyed by the k-th last access.
 const lruKShort, lruKFull = 0, 1
 
 // NewLRUK returns the LRU-k policy with the default correlated reference
@@ -119,7 +125,7 @@ func NewLRUKCRP(k int, crp float64) Policy {
 		panic("replacement: LRU-k correlated period must be >= 0")
 	}
 	p := &lruK{k: k, crp: crp}
-	p.init(p, 2, fmt.Sprintf("lru-%d", k))
+	p.init(p, fmt.Sprintf("lru-%d", k), byArrival, byHeap)
 	return p
 }
 
@@ -141,10 +147,10 @@ func (p *lruK) enter(it oodb.Item, now float64) int32 {
 func (p *lruK) place(slot int32) {
 	s := &p.arena[p.t.states[slot]]
 	if kth, ok := s.ring.kth(); ok {
-		p.classes[lruKShort].heap.remove(slot)
-		p.classes[lruKFull].heap.update(slot, kth)
+		p.classes[lruKShort].remove(slot)
+		p.classes[lruKFull].update(slot, kth)
 	} else {
-		p.classes[lruKShort].heap.update(slot, s.last)
+		p.classes[lruKShort].update(slot, s.last)
 	}
 }
 
@@ -194,7 +200,7 @@ func NewLRD(interval float64) Policy {
 		panic("replacement: LRD interval must be positive")
 	}
 	p := &lrd{interval: interval}
-	p.init(p, 1, "lrd")
+	p.init(p, "lrd", byHeap)
 	return p
 }
 
@@ -204,7 +210,7 @@ func (p *lrd) enter(_ oodb.Item, now float64) lrdState {
 
 func (p *lrd) place(slot int32) {
 	s := &p.t.states[slot]
-	p.classes[0].heap.update(slot, math.Log2(s.refs)+s.lastAged/p.interval)
+	p.classes[0].update(slot, math.Log2(s.refs)+s.lastAged/p.interval)
 }
 
 func (p *lrd) touch(slot int32, now float64) {
@@ -234,7 +240,8 @@ func (p *lrd) cutoff(_ int, now, best float64) float64 {
 // --------------------------------------------------------------- FIFO ----
 
 // fifo evicts in insertion order, ignoring accesses. Single class keyed by
-// the insertion sequence number: the heap root is always the victim.
+// the insertion sequence number, an arrival run whose front is always the
+// victim.
 type fifo struct {
 	victimCore[fifoState]
 	n uint64
@@ -243,7 +250,7 @@ type fifo struct {
 // NewFIFO returns the first-in-first-out baseline.
 func NewFIFO() Policy {
 	p := &fifo{}
-	p.init(p, 1, "fifo")
+	p.init(p, "fifo", byArrival)
 	return p
 }
 
@@ -253,7 +260,7 @@ func (p *fifo) enter(oodb.Item, float64) fifoState {
 }
 
 func (p *fifo) place(slot int32) {
-	p.classes[0].heap.update(slot, float64(p.t.states[slot].seq))
+	p.classes[0].update(slot, float64(p.t.states[slot].seq))
 }
 
 func (p *fifo) touch(int32, float64) {}

@@ -8,10 +8,10 @@ package replacement
 // interval since the last access (see the package comment).
 //
 // The open interval makes the scores time-varying, so unlike LRU these
-// heaps cannot rank items outright. Instead each class keys on the
+// classes cannot rank items outright. Instead each class keys on the
 // time-invariant part of the score — the `now` term is common to the whole
 // class and moves every item's score in lockstep — and the bound-pruned
-// search folds `now` back in at eviction time, visiting only the heap
+// search folds `now` back in at eviction time, visiting only the key
 // prefix whose bound can still beat the current best. Scoring formulas
 // live in states.go, shared with the reference scans in
 // reference_test.go.
@@ -24,9 +24,10 @@ import (
 	"repro/internal/stats"
 )
 
-// The class heaps of Mean and EWMA: settled items (at least one recorded
-// duration) and fresh ones (a single access, scored by the open interval
-// and keyed by last access, so their bound now − key is exact).
+// The classes of Mean and EWMA: settled items (at least one recorded
+// duration), a heap, and fresh ones (a single access, scored by the open
+// interval and keyed by last access, so their bound now − key is exact),
+// an arrival run.
 const settled, fresh = 0, 1
 
 // ---------------------------------------------------------------- Mean ----
@@ -50,7 +51,7 @@ type meanPolicy struct {
 // NewMean returns the mean replacement scheme.
 func NewMean() Policy {
 	p := &meanPolicy{}
-	p.init(p, 2, "mean")
+	p.init(p, "mean", byHeap, byArrival)
 	return p
 }
 
@@ -59,11 +60,11 @@ func (p *meanPolicy) enter(_ oodb.Item, now float64) meanState { return meanStat
 func (p *meanPolicy) place(slot int32) {
 	s := &p.t.states[slot]
 	if s.n == 0 {
-		p.classes[fresh].heap.update(slot, s.last)
+		p.classes[fresh].update(slot, s.last)
 		return
 	}
-	p.classes[fresh].heap.remove(slot) // no-op once settled
-	p.classes[settled].heap.update(slot, -s.mean)
+	p.classes[fresh].remove(slot) // no-op once settled
+	p.classes[settled].update(slot, -s.mean)
 }
 
 func (p *meanPolicy) touch(slot int32, now float64) {
@@ -109,7 +110,7 @@ func NewWindow(w int) Policy {
 		panic("replacement: window size must be >= 1")
 	}
 	p := &windowPolicy{w: w}
-	p.init(p, 1, fmt.Sprintf("win-%d", w))
+	p.init(p, fmt.Sprintf("win-%d", w), byHeap)
 	return p
 }
 
@@ -131,7 +132,7 @@ func (p *windowPolicy) place(slot int32) {
 	if s.win.Count() == s.win.Size() {
 		k += s.win.Oldest()
 	}
-	p.classes[0].heap.update(slot, k)
+	p.classes[0].update(slot, k)
 }
 
 func (p *windowPolicy) touch(slot int32, now float64) {
@@ -185,7 +186,7 @@ func NewEWMA(alpha float64) Policy {
 		panic("replacement: EWMA alpha must be in [0,1)")
 	}
 	p := &ewmaPolicy{alpha: alpha}
-	p.init(p, 2, fmt.Sprintf("ewma-%g", alpha))
+	p.init(p, fmt.Sprintf("ewma-%g", alpha), byHeap, byArrival)
 	return p
 }
 
@@ -194,11 +195,11 @@ func (p *ewmaPolicy) enter(_ oodb.Item, now float64) ewmaState { return ewmaStat
 func (p *ewmaPolicy) place(slot int32) {
 	s := &p.t.states[slot]
 	if s.n == 0 {
-		p.classes[fresh].heap.update(slot, s.last)
+		p.classes[fresh].update(slot, s.last)
 		return
 	}
-	p.classes[fresh].heap.remove(slot) // no-op once settled
-	p.classes[settled].heap.update(slot, (1-p.alpha)*s.last-p.alpha*s.value)
+	p.classes[fresh].remove(slot) // no-op once settled
+	p.classes[settled].update(slot, (1-p.alpha)*s.last-p.alpha*s.value)
 }
 
 func (p *ewmaPolicy) touch(slot int32, now float64) {

@@ -45,8 +45,9 @@ func FuzzParse(f *testing.F) {
 // requiring identical victim choices throughout. Each byte encodes one
 // operation on a small item universe: insert, access, remove, or a victim
 // request (Victim plus eviction, or a bulk Victims(now, k) compared whole).
-// Time advances by the low bits so the fuzzer can produce exact ties (zero
-// gaps) as well as long idle spans.
+// The low bits step time by 0, 1 or 2, or back by 1, so the fuzzer can
+// produce exact ties (zero gaps), long idle spans and a clock that steps
+// backwards, as the live store's can.
 func FuzzDifferentialTrace(f *testing.F) {
 	f.Add(0, []byte{})
 	f.Add(1, []byte{0x00, 0x41, 0x82, 0xc3, 0x04, 0x45})
@@ -75,7 +76,7 @@ func FuzzDifferentialTrace(f *testing.F) {
 		resident := make(map[oodb.Item]bool)
 		for _, b := range trace {
 			it := oodb.ObjectItem(oodb.OID(int(b>>2) % universe))
-			now += float64(b & 0x03) // 0 keeps time still: exact ties
+			now += [4]float64{0, 1, 2, -1}[b&0x03] // 0 keeps time still: exact ties
 			switch op := b >> 6; op {
 			case 0:
 				opt.OnInsert(it, now)

@@ -2,8 +2,12 @@ package replacement
 
 // This file is the shared victim-selection engine behind the optimized
 // replacement policies: a slot table holding item state in flat value
-// slices, plus per-class binary min-heaps of (key, slot) entries, searched
+// slices, plus per-class containers of (key, slot) entries, searched
 // lowest keys first until n candidates are held and then pruned by a bound.
+// A class (slotClass) keeps its entries in one of two orders, chosen by
+// what its key is: a class keyed by an arrival or access time is an
+// arrival run, sorted by key, which entries join at the tail and leave
+// near the front without sifting; every other class is a binary min-heap.
 // The search reproduces the reference scan's victim choice — including its
 // tie-breaking by scan position — without visiting every resident item.
 // victimCore is the one skeleton: it implements every Policy method of an
@@ -13,7 +17,7 @@ package replacement
 // in reference_test.go):
 //
 //   - Each policy partitions its slots into one or more classes and stores,
-//     per slot, a float64 heap key whose ascending order weakly refines the
+//     per slot, a float64 key whose ascending order weakly refines the
 //     class's descending badness: key(a) < key(b) must imply
 //     badness(a, now) >= badness(b, now) for every query time now, under
 //     the exact floating-point evaluation the reference uses. Keys never
@@ -24,11 +28,12 @@ package replacement
 //     slot in the class whose key is >= the argument and monotone
 //     non-increasing in key; inexact bounds build their own safety padding
 //     in (they are compared against the running best with no extra slack).
-//     Once the selection is full, the search prunes a subtree exactly
-//     when its root's bound falls strictly below the current best, so bound
-//     ties are always visited. The engine never evaluates the bound itself,
-//     only its inversion indexed.cutoff; the bounds are written out beside
-//     TestBoundSoundness, which checks both against eval.
+//     Once the selection is full, the search prunes a heap subtree, or
+//     ends a run, exactly when the next key's bound falls strictly below
+//     the current best, so bound ties are always visited. The engine never
+//     evaluates the bound itself, only its inversion indexed.cutoff; the
+//     bounds are written out beside TestBoundSoundness, which checks both
+//     against eval.
 //   - Visited slots are scored with indexed.eval, which evaluates the
 //     *exact* reference badness formula (states.go) — one formula per
 //     policy, whatever the slot's class — so candidates are compared by
@@ -42,7 +47,7 @@ package replacement
 
 import (
 	"math"
-	"slices"
+	"sort"
 
 	"repro/internal/oodb"
 )
@@ -91,13 +96,41 @@ func (t *slotTable[S]) remove(slot int32) (moved int32) {
 	return moved
 }
 
-// slotHeap is a binary min-heap of (key, slot) entries, keys inline so a
-// sift compares both children from adjacent memory, ties broken by slot id.
-// pos maps slot ids (grown via grow) to positions; an absent slot (pos < 0)
-// lets a policy spread its slots over several class heaps sharing one id space.
-type slotHeap struct {
-	ent []heapEnt // heap array
-	pos []int32   // slot id -> position in ent, or -1
+// order is how a class keeps its entries. It follows from what the class's
+// key is: byArrival for an arrival or access time, which entries mostly
+// join in key order, byHeap for anything else.
+type order bool
+
+const (
+	byHeap    order = false
+	byArrival order = true
+)
+
+// slotClass holds one class's (key, slot) entries, keys inline, in the
+// class's order. pos maps slot ids (grown via grow) to positions in ent; an
+// absent slot (pos < 0) lets a policy spread its slots over several classes
+// sharing one id space.
+//
+// A heap is a binary min-heap, ties broken by slot id, whose inline keys
+// let a sift compare both children from adjacent memory; sweepBias counts
+// how many upcoming searches should use the flat sweep instead of the DFS
+// (see victimCore.searchHeap).
+//
+// A run keeps ent[head:] sorted by key. Arrival keys almost always come at
+// or above the tail, an append; a smaller one goes in by binary search plus
+// a shift, so order never depends on a monotone clock. Removal leaves a
+// tombstone (slot -1, key kept, so the run stays sorted) and head skips
+// leading ones. An append that finds the array full compacts it instead of
+// growing it when at least a quarter of it is dead. Equal keys need no slot
+// order, since the search visits every entry at its cutoff key, so a
+// rename is a relabel, and a run has no sweep mode.
+type slotClass struct {
+	order     order
+	ent       []heapEnt
+	pos       []int32 // slot id -> position in ent, or -1
+	head      int     // run: ent[:head] are tombstones
+	dead      int     // run: tombstones in ent
+	sweepBias int32   // heap: searches left in sweep mode
 }
 
 type heapEnt struct {
@@ -110,109 +143,169 @@ func (a heapEnt) less(b heapEnt) bool {
 }
 
 // grow makes room for slot ids < n.
-func (h *slotHeap) grow(n int) {
-	for len(h.pos) < n {
-		h.pos = append(h.pos, -1)
+func (c *slotClass) grow(n int) {
+	for len(c.pos) < n {
+		c.pos = append(c.pos, -1)
 	}
 }
 
-// update rewrites slot's key, pushing the slot if absent.
-func (h *slotHeap) update(slot int32, key float64) {
+// update rewrites slot's key, adding the slot if absent.
+func (c *slotClass) update(slot int32, key float64) {
 	e := heapEnt{key: key, slot: slot}
-	i := h.pos[slot]
+	i := c.pos[slot]
+	if c.order == byArrival {
+		if i < 0 || key != c.ent[i].key {
+			c.remove(slot)
+			c.push(e)
+		}
+		return
+	}
 	switch {
 	case i < 0:
-		h.ent = append(h.ent, e)
-		h.up(int32(len(h.ent)-1), e)
-	case key < h.ent[i].key:
-		h.up(i, e)
-	case key > h.ent[i].key:
-		h.down(i, e)
+		c.ent = append(c.ent, e)
+		c.up(int32(len(c.ent)-1), e)
+	case key < c.ent[i].key:
+		c.up(i, e)
+	case key > c.ent[i].key:
+		c.down(i, e)
 	}
 }
 
-// remove drops slot from the heap; absent slots are a no-op so policies can
-// blindly clear a slot from every class heap.
-func (h *slotHeap) remove(slot int32) {
-	i := h.pos[slot]
+// remove drops slot from the class; absent slots are a no-op so policies
+// can blindly clear a slot from every class.
+func (c *slotClass) remove(slot int32) {
+	i := c.pos[slot]
 	if i < 0 {
 		return
 	}
-	h.pos[slot] = -1
-	last := int32(len(h.ent) - 1)
-	e := h.ent[last]
-	h.ent = h.ent[:last]
+	c.pos[slot] = -1
+	if c.order == byArrival {
+		c.ent[i].slot = -1
+		c.dead++
+		for c.head < len(c.ent) && c.ent[c.head].slot < 0 {
+			c.head++
+		}
+		if c.head == len(c.ent) {
+			c.ent, c.head, c.dead = c.ent[:0], 0, 0
+		}
+		return
+	}
+	last := int32(len(c.ent) - 1)
+	e := c.ent[last]
+	c.ent = c.ent[:last]
 	if i != last {
-		h.fix(i, e)
+		c.fix(i, e)
 	}
 }
 
 // rename re-labels slot id from as to (the slot table swap-moved an item
-// into a freed slot). The key is unchanged but the slot tie-break changes,
-// so the entry is re-sifted. Absent slots are a no-op.
-func (h *slotHeap) rename(from, to int32) {
-	i := h.pos[from]
+// into a freed slot). In a heap the slot tie-break changes, so the entry is
+// re-sifted. Absent slots are a no-op.
+func (c *slotClass) rename(from, to int32) {
+	i := c.pos[from]
 	if i < 0 {
 		return
 	}
-	h.pos[from] = -1
-	h.fix(i, heapEnt{key: h.ent[i].key, slot: to})
+	c.pos[from] = -1
+	if c.order == byArrival {
+		c.ent[i].slot = to
+		c.pos[to] = i
+		return
+	}
+	c.fix(i, heapEnt{key: c.ent[i].key, slot: to})
+}
+
+// push adds e to a run: appended at or above the tail, else shifted into
+// place after the entries with keys no larger.
+func (c *slotClass) push(e heapEnt) {
+	if len(c.ent) == cap(c.ent) && 4*c.dead >= cap(c.ent) {
+		c.compact()
+	}
+	n := len(c.ent)
+	c.ent = append(c.ent, e)
+	i := n
+	if n > c.head && e.key < c.ent[n-1].key {
+		i = c.head + sort.Search(n-c.head, func(j int) bool { return c.ent[c.head+j].key > e.key })
+		copy(c.ent[i+1:], c.ent[i:n])
+		c.ent[i] = e
+		for j := i + 1; j <= n; j++ {
+			if s := c.ent[j].slot; s >= 0 {
+				c.pos[s] = int32(j)
+			}
+		}
+	}
+	c.pos[e.slot] = int32(i)
+}
+
+// compact drops a run's tombstones in place, moving the live entries to
+// the front. It never reallocates: with caches that evict on every insert,
+// shrinking and regrowing small arrays cost far more memory in garbage
+// than the capacity it returned.
+func (c *slotClass) compact() {
+	live := c.ent[:0]
+	for _, e := range c.ent[c.head:] {
+		if e.slot >= 0 {
+			c.pos[e.slot] = int32(len(live))
+			live = append(live, e)
+		}
+	}
+	c.ent, c.head, c.dead = live, 0, 0
 }
 
 // fix places e into the hole at i, sifting whichever way the order needs.
-func (h *slotHeap) fix(i int32, e heapEnt) {
-	if i > 0 && e.less(h.ent[(i-1)/2]) {
-		h.up(i, e)
+func (c *slotClass) fix(i int32, e heapEnt) {
+	if i > 0 && e.less(c.ent[(i-1)/2]) {
+		c.up(i, e)
 	} else {
-		h.down(i, e)
+		c.down(i, e)
 	}
 }
 
 // up moves the hole at i toward the root until e fits, then stores e.
-func (h *slotHeap) up(i int32, e heapEnt) {
+func (c *slotClass) up(i int32, e heapEnt) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.less(h.ent[p]) {
+		if !e.less(c.ent[p]) {
 			break
 		}
-		h.ent[i] = h.ent[p]
-		h.pos[h.ent[i].slot] = i
+		c.ent[i] = c.ent[p]
+		c.pos[c.ent[i].slot] = i
 		i = p
 	}
-	h.ent[i] = e
-	h.pos[e.slot] = i
+	c.ent[i] = e
+	c.pos[e.slot] = i
 }
 
 // down moves the hole at i toward the leaves until e fits, then stores e.
-func (h *slotHeap) down(i int32, e heapEnt) {
-	n := int32(len(h.ent))
+func (c *slotClass) down(i int32, e heapEnt) {
+	n := int32(len(c.ent))
 	for {
-		c := 2*i + 1
-		if c >= n {
+		k := 2*i + 1
+		if k >= n {
 			break
 		}
-		if r := c + 1; r < n && h.ent[r].less(h.ent[c]) {
-			c = r
+		if r := k + 1; r < n && c.ent[r].less(c.ent[k]) {
+			k = r
 		}
-		if !h.ent[c].less(e) {
+		if !c.ent[k].less(e) {
 			break
 		}
-		h.ent[i] = h.ent[c]
-		h.pos[h.ent[i].slot] = i
-		i = c
+		c.ent[i] = c.ent[k]
+		c.pos[c.ent[i].slot] = i
+		i = k
 	}
-	h.ent[i] = e
-	h.pos[e.slot] = i
+	c.ent[i] = e
+	c.pos[e.slot] = i
 }
 
-// frontPush adds heap position i to front, a min-heap of positions of h
+// frontPush adds heap position i to front, a min-heap of positions of c
 // ordered by their entries.
-func (h *slotHeap) frontPush(front []int32, i int32) []int32 {
+func (c *slotClass) frontPush(front []int32, i int32) []int32 {
 	front = append(front, i)
 	j := len(front) - 1
 	for j > 0 {
 		p := (j - 1) / 2
-		if !h.ent[i].less(h.ent[front[p]]) {
+		if !c.ent[i].less(c.ent[front[p]]) {
 			break
 		}
 		front[j] = front[p]
@@ -224,24 +317,24 @@ func (h *slotHeap) frontPush(front []int32, i int32) []int32 {
 
 // frontDown replaces front's root, whose entry is no larger than i's, with
 // position i and restores the order.
-func (h *slotHeap) frontDown(front []int32, i int32) []int32 {
+func (c *slotClass) frontDown(front []int32, i int32) []int32 {
 	j, n := 0, len(front)
 	if n == 0 {
 		return front
 	}
 	for {
-		c := 2*j + 1
-		if c >= n {
+		k := 2*j + 1
+		if k >= n {
 			break
 		}
-		if r := c + 1; r < n && h.ent[front[r]].less(h.ent[front[c]]) {
-			c = r
+		if r := k + 1; r < n && c.ent[front[r]].less(c.ent[front[k]]) {
+			k = r
 		}
-		if !h.ent[front[c]].less(h.ent[i]) {
+		if !c.ent[front[k]].less(c.ent[i]) {
 			break
 		}
-		front[j] = front[c]
-		j = c
+		front[j] = front[k]
+		j = k
 	}
 	front[j] = i
 	return front
@@ -255,7 +348,7 @@ type indexed[S any] interface {
 	// enter returns the state of an item entering the table at time now,
 	// which counts as its first access.
 	enter(it oodb.Item, now float64) S
-	// place keys slot into its class heap from its current state.
+	// place keys slot into its class from its current state.
 	place(slot int32)
 	// touch records an access to slot at time now and re-keys it.
 	touch(slot int32, now float64)
@@ -265,7 +358,7 @@ type indexed[S any] interface {
 	eval(slot int32, now float64) float64
 	// cutoff inverts class's badness bound into key space: it returns a key
 	// threshold such that B(key, now) >= best implies
-	// key <= cutoff(class, now, best). The search prunes subtrees by
+	// key <= cutoff(class, now, best). The search prunes by
 	// comparing cached keys against the cutoff — one float compare per node
 	// instead of re-deriving the bound — and recomputes the cutoff only when
 	// the weakest retained score changes. A cutoff may be loose upward
@@ -349,25 +442,17 @@ func (sw *selectWorst) siftDown(i int) {
 }
 
 // extractInto writes the candidates into out in the reference's worst-first
-// order (score descending, slot ascending). len(out) == len(sw.cands).
+// order (score descending, slot ascending) by popping the full heap's
+// weakest root into out from the back. len(out) == len(sw.cands) == sw.n.
 func (sw *selectWorst) extractInto(items []oodb.Item, out []oodb.Item) {
-	slices.SortFunc(sw.cands, func(a, b victimCand) int {
-		if candWeaker(b, a) {
-			return -1
+	for k := len(sw.cands) - 1; k >= 0; k-- {
+		out[k] = items[sw.cands[0].slot]
+		sw.cands[0] = sw.cands[k]
+		sw.cands = sw.cands[:k]
+		if k > 0 {
+			sw.siftDown(0)
 		}
-		return 1
-	})
-	for i, c := range sw.cands {
-		out[i] = items[c.slot]
 	}
-}
-
-// classHeap is one class's heap plus the adaptive search state: sweepBias
-// counts how many upcoming searches should use the flat sweep instead of
-// the DFS (see victimCore.search).
-type classHeap struct {
-	heap      slotHeap
-	sweepBias int32
 }
 
 // sweepRun is how many searches run as flat sweeps after a DFS failed to
@@ -377,31 +462,33 @@ type classHeap struct {
 const sweepRun = 15
 
 // victimCore is the one skeleton of the indexed policies: the slot table,
-// the class heaps and the search scratch, and every Policy method. A
-// policy embeds it and calls init at construction with itself as the
-// hooks.
+// the classes and the search scratch, and every Policy method. A policy
+// embeds it and calls init at construction with itself as the hooks.
 type victimCore[S any] struct {
 	h       indexed[S]
 	name    string
 	t       slotTable[S]
-	classes []classHeap
+	classes []slotClass
 	stack   []int32
 	cands   []victimCand
 	out     []oodb.Item // scratch returned by Victims
 }
 
-// init wires the policy's hooks and name and gives it classes class
-// heaps.
-func (c *victimCore[S]) init(h indexed[S], classes int, name string) {
+// init wires the policy's hooks and name and gives it one class per
+// order, class i kept in orders[i].
+func (c *victimCore[S]) init(h indexed[S], name string, orders ...order) {
 	c.h, c.name = h, name
-	c.classes = make([]classHeap, classes)
+	c.classes = make([]slotClass, len(orders))
+	for i, o := range orders {
+		c.classes[i].order = o
+	}
 }
 
 // Name identifies the policy (e.g. "ewma-0.5").
 func (c *victimCore[S]) Name() string { return c.name }
 
 // OnInsert touches a tracked item; otherwise it enters the table and is
-// placed in its class heap.
+// placed in its class.
 func (c *victimCore[S]) OnInsert(it oodb.Item, now float64) {
 	if slot, ok := c.t.lookup(it); ok {
 		c.h.touch(slot, now)
@@ -409,7 +496,7 @@ func (c *victimCore[S]) OnInsert(it oodb.Item, now float64) {
 	}
 	slot := c.t.add(it, c.h.enter(it, now))
 	for i := range c.classes {
-		c.classes[i].heap.grow(len(c.t.items))
+		c.classes[i].grow(len(c.t.items))
 	}
 	c.h.place(slot)
 }
@@ -431,7 +518,8 @@ func (c *victimCore[S]) Victim(now float64) (oodb.Item, bool) {
 
 // Victims returns up to n items ordered worst-first, in scratch the next
 // Victim or Victims call overwrites: every class searches into one
-// selection heap.
+// selection heap, the runs first, whose exact arrival order fills the
+// selection from the likeliest victims and so tightens the heaps' cutoffs.
 func (c *victimCore[S]) Victims(now float64, n int) []oodb.Item {
 	n = min(n, len(c.t.items))
 	if n <= 0 {
@@ -439,7 +527,14 @@ func (c *victimCore[S]) Victims(now float64, n int) []oodb.Item {
 	}
 	sw := selectWorst{cands: c.cands[:0], n: n}
 	for i := range c.classes {
-		c.search(i, now, &sw)
+		if c.classes[i].order == byArrival {
+			c.searchRun(i, now, &sw)
+		}
+	}
+	for i := range c.classes {
+		if c.classes[i].order == byHeap {
+			c.searchHeap(i, now, &sw)
+		}
 	}
 	if cap(c.out) < len(sw.cands) {
 		c.out = make([]oodb.Item, len(sw.cands))
@@ -460,20 +555,43 @@ func (c *victimCore[S]) Remove(it oodb.Item) {
 // Len returns the number of tracked items.
 func (c *victimCore[S]) Len() int { return len(c.t.items) }
 
-// removeSlot untracks a slot from every class heap and the table, keeping
-// heap slot labels aligned with the table's swap-move.
+// removeSlot untracks a slot from every class and the table, keeping
+// class slot labels aligned with the table's swap-move.
 func (c *victimCore[S]) removeSlot(slot int32) {
 	for i := range c.classes {
-		c.classes[i].heap.remove(slot)
+		c.classes[i].remove(slot)
 	}
 	if moved := c.t.remove(slot); moved >= 0 {
 		for i := range c.classes {
-			c.classes[i].heap.rename(moved, slot)
+			c.classes[i].rename(moved, slot)
 		}
 	}
 }
 
-// search offers class ci's candidates to the selection. While the
+// searchRun offers run class ci's candidates to the selection in ascending
+// key order: every entry while the selection holds fewer than n, then
+// entries up to the cutoff derived from the weakest retained candidate
+// (keys at the cutoff are visited, preserving reference tie-breaks). The
+// run is sorted, so the first key above the cutoff ends the search.
+func (c *victimCore[S]) searchRun(ci int, now float64, sw *selectWorst) {
+	r, hk := &c.classes[ci], c.h
+	cut, weakest := math.Inf(1), math.Inf(1)
+	for _, e := range r.ent[r.head:] {
+		if sw.full() {
+			if w := sw.cands[0].score; w != weakest {
+				weakest, cut = w, hk.cutoff(ci, now, w)
+			}
+			if e.key > cut {
+				return
+			}
+		}
+		if e.slot >= 0 {
+			sw.offer(victimCand{slot: e.slot, score: hk.eval(e.slot, now)})
+		}
+	}
+}
+
+// searchHeap offers heap class ci's candidates to the selection. While the
 // selection holds fewer than n, it visits slots in ascending key order,
 // popping heap positions from a frontier min-heap seeded with the root.
 // Then it walks depth-first from the remaining frontier, pruning a subtree
@@ -488,15 +606,14 @@ func (c *victimCore[S]) removeSlot(slot int32) {
 // Every mode offers into the same selection under the same total order
 // (score desc, slot asc), so visit order never changes which victims are
 // selected, only how many slots are visited.
-func (c *victimCore[S]) search(ci int, now float64, sw *selectWorst) {
-	ch, hk := &c.classes[ci], c.h
-	h := &ch.heap
+func (c *victimCore[S]) searchHeap(ci int, now float64, sw *selectWorst) {
+	h, hk := &c.classes[ci], c.h
 	n := int32(len(h.ent))
 	if n == 0 {
 		return
 	}
-	if ch.sweepBias > 0 {
-		ch.sweepBias--
+	if h.sweepBias > 0 {
+		h.sweepBias--
 		for _, e := range h.ent {
 			sw.offer(victimCand{slot: e.slot, score: hk.eval(e.slot, now)})
 		}
@@ -547,6 +664,6 @@ func (c *victimCore[S]) search(ci int, now float64, sw *selectWorst) {
 	}
 	c.stack = stack
 	if visited*2 >= n {
-		ch.sweepBias = sweepRun
+		h.sweepBias = sweepRun
 	}
 }

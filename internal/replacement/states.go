@@ -124,10 +124,19 @@ type lrdState struct {
 	lastAged float64
 }
 
+// age moves the count to now: halved once per interval boundary passed
+// since lastAged, which ends within one interval at or before now. A clock
+// that stepped back to before lastAged un-ages it, doubling once per
+// boundary, so the count at now depends only on the access history, never
+// on which earlier evaluations aged it further.
 func (s *lrdState) age(now, interval float64) {
 	for now-s.lastAged >= interval {
 		s.refs /= 2
 		s.lastAged += interval
+	}
+	for now < s.lastAged {
+		s.refs *= 2
+		s.lastAged -= interval
 	}
 }
 
