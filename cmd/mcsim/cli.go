@@ -311,6 +311,9 @@ func printManifestSummary(dir string, man report.Manifest) {
 	fmt.Printf("  seed         %d\n", man.Seed)
 	fmt.Printf("  environment  %s, git %s\n", man.GoVersion, man.GitRevision)
 	fmt.Printf("  wall time    %.1fs\n", man.WallSeconds)
+	if man.PeakRSSMB > 0 {
+		fmt.Printf("  peak RSS     %.0f MB\n", man.PeakRSSMB)
+	}
 	fmt.Printf("  samples      %d every %gs across %d series\n",
 		man.Samples, man.IntervalS, len(man.Series))
 	if man.TraceRows > 0 {

@@ -19,7 +19,8 @@ const exp9DefaultDays = 0.01
 // plus the per-object workload heat vector. At the paper's ratios a
 // million clients would need ~145 GB; capping the database at 500 objects
 // and the client caches at 10 storage + 4 memory-buffer objects keeps the
-// fleet within one box (~60 GB at 10^6 clients) while preserving the
+// fleet within one box (a fleet holds only the cells it is running: ~4 GB
+// at 10^6 clients on two workers, EXPERIMENTS.md #9) while preserving the
 // structure under study — per-cell channel contention, backbone relaying,
 // and cache coherence. The price is a storage cache covering 2% of the
 // database instead of the paper's 20%, so hit ratios sit well below the

@@ -89,10 +89,13 @@ func (c Config) cellFaultConfig(cell int) network.FaultConfig {
 }
 
 // cellOutcome is the raw measurement state one cell hands back for the
-// deterministic cell-order merge.
+// deterministic cell-order merge. It holds values only: nothing in it
+// reaches the cell's kernel, clients, servers or caches, so a finished
+// cell's world is garbage before the merge, and a fleet's footprint is the
+// cells it is running plus these per-client counters.
 type cellOutcome struct {
-	clients []*client.Client
-	metrics []*metrics.Client
+	counters []client.Counters
+	metrics  []*metrics.Client
 
 	upUtil, downUtil float64
 	downWait         float64
@@ -250,7 +253,7 @@ func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
 	k.Drain()
 
 	out := cellOutcome{
-		clients:   clients,
+		counters:  make([]client.Counters, len(clients)),
 		metrics:   ms,
 		upUtil:    up.Utilization(),
 		downUtil:  down.Utilization(),
@@ -259,6 +262,9 @@ func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
 		upStats:   upFaults.Stats(),
 		downStats: downFaults.Stats(),
 		events:    k.Steps(),
+	}
+	for i, cl := range clients {
+		out.counters[i] = cl.Counters()
 	}
 	if irb != nil {
 		out.irReports, out.irBytes = irb.reports, irb.reportBytes
@@ -307,7 +313,7 @@ func mergeCells(cfg Config, outs []cellOutcome) Result {
 	for _, out := range outs {
 		for i, m := range out.metrics {
 			agg.Merge(m)
-			n := out.clients[i].Counters()
+			n := out.counters[i]
 			res.ItemsShed += n.ShedItems
 			res.CacheDrops += n.CacheDrops
 			res.BroadcastReads += n.BroadcastReads

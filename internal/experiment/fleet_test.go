@@ -2,11 +2,18 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // fleetCfg is the smallest config that exercises cross-cell relaying.
@@ -15,6 +22,67 @@ func fleetCfg() Config {
 	cfg.NumClients = 8
 	cfg.Cells = 4
 	return cfg
+}
+
+// TestCellOutcomeHoldsNoWorld: a finished cell hands back values. Nothing
+// reachable from its outcome — through pointers, slices, maps, interfaces
+// and structs — may reach the cell's kernel, clients, servers or caches,
+// or every finished cell's whole world stays live until the merge.
+func TestCellOutcomeHoldsNoWorld(t *testing.T) {
+	world := map[reflect.Type]bool{
+		reflect.TypeOf((*sim.Kernel)(nil)):    true,
+		reflect.TypeOf((*client.Client)(nil)): true,
+		reflect.TypeOf((*server.Server)(nil)): true,
+		reflect.TypeOf((*core.Cache)(nil)):    true,
+	}
+	type visit struct {
+		ptr uintptr
+		typ reflect.Type
+	}
+	fleet := fleetCfg()
+	fleet.RelayObjects = 20 // relay caches are core.Caches too
+	for _, cfg := range []Config{smallCfg(), fleet} {
+		cfg = Defaults(cfg)
+		schedules := workload.BuildSchedules(workload.DisconnectConfig{
+			NumClients: cfg.NumClients,
+			Days:       int(math.Ceil(cfg.Days)),
+			Seed:       cfg.Seed,
+		})
+		out := runCell(cfg, 0, schedules)
+		seen := map[visit]bool{}
+		var walk func(v reflect.Value, path string)
+		walk = func(v reflect.Value, path string) {
+			if world[v.Type()] && !v.IsNil() {
+				t.Fatalf("%d-cell outcome reaches a %v at %s", cfg.cells(), v.Type(), path)
+			}
+			switch v.Kind() {
+			case reflect.Pointer:
+				if v.IsNil() || seen[visit{v.Pointer(), v.Type()}] {
+					return
+				}
+				seen[visit{v.Pointer(), v.Type()}] = true
+				walk(v.Elem(), path)
+			case reflect.Interface:
+				if !v.IsNil() {
+					walk(v.Elem(), path)
+				}
+			case reflect.Struct:
+				for i := 0; i < v.NumField(); i++ {
+					walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+				}
+			case reflect.Slice, reflect.Array:
+				for i := 0; i < v.Len(); i++ {
+					walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+				}
+			case reflect.Map:
+				for it := v.MapRange(); it.Next(); {
+					walk(it.Key(), path+"[key]")
+					walk(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key()))
+				}
+			}
+		}
+		walk(reflect.ValueOf(out), "cellOutcome")
+	}
 }
 
 // TestCellsZeroAndOneIdentical: Cells is "zero means default" like every

@@ -33,20 +33,28 @@ type remotePart struct {
 }
 
 // contactCall serves one client request at a cell's contact server. One
-// call is owned by one client and reused across its queries; the
-// part/forward/item buffers are recycled, which is safe because a client
-// consumes each reply before issuing its next request.
+// call is owned by one client and reused across its queries. It keeps only
+// the collected reply, which the client holds until it installs it; the
+// processing state is a contactScratch taken from the home node's free
+// list for the request in flight.
 type contactCall struct {
 	cs  *ContactServer
 	req server.Request
 	pc  uint8
+	st  *contactScratch // nil between requests
 
+	items []server.ReplyItem // backing for the collected reply
+	out   server.Reply
+}
+
+// contactScratch is the processing state of one request in flight at a
+// contact server. Its buffers are recycled across requests and clients:
+// each is consumed before the request that filled it completes.
+type contactScratch struct {
 	call server.Call       // one server sub-call, re-bound per partition
 	send network.SendState // one backbone transfer at a time
 
 	parts   []remotePart
-	items   []server.ReplyItem // backing for the collected reply
-	out     server.Reply
 	o       int // current remote node in the fcNext loop
 	served  []server.ReplyItem
 	fwdBuf  []workload.ReadOp // relay-filtered forwards (never aliases parts)
@@ -74,38 +82,45 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 	for {
 		switch cc.pc {
 		case fcStart:
-			// Split the request by owning node.
-			if cap(cc.parts) < len(c.nodes) {
-				cc.parts = make([]remotePart, len(c.nodes))
+			var st *contactScratch
+			if k := len(cs.home.free); k > 0 {
+				st, cs.home.free = cs.home.free[k-1], cs.home.free[:k-1]
+			} else {
+				st = &contactScratch{}
 			}
-			cc.parts = cc.parts[:len(c.nodes)]
-			for i := range cc.parts {
-				cc.parts[i].accesses = cc.parts[i].accesses[:0]
-				cc.parts[i].need = cc.parts[i].need[:0]
+			cc.st = st
+			// Split the request by owning node.
+			if cap(st.parts) < len(c.nodes) {
+				st.parts = make([]remotePart, len(c.nodes))
+			}
+			st.parts = st.parts[:len(c.nodes)]
+			for i := range st.parts {
+				st.parts[i].accesses = st.parts[i].accesses[:0]
+				st.parts[i].need = st.parts[i].need[:0]
 			}
 			for _, rd := range cc.req.Accesses {
 				o := c.Owner(rd.OID)
-				cc.parts[o].accesses = append(cc.parts[o].accesses, rd)
+				st.parts[o].accesses = append(st.parts[o].accesses, rd)
 			}
 			for _, rd := range cc.req.Need {
 				o := c.Owner(rd.OID)
-				cc.parts[o].need = append(cc.parts[o].need, rd)
+				st.parts[o].need = append(st.parts[o].need, rd)
 			}
 			cc.out = server.Reply{Items: cc.items[:0]}
-			cc.o = 0
+			st.o = 0
 			// Home partition: evaluated exactly as the single-server system.
 			homeReq := cc.req
-			homeReq.Accesses = cc.parts[cs.home.id].accesses
-			homeReq.Need = cc.parts[cs.home.id].need
+			homeReq.Accesses = st.parts[cs.home.id].accesses
+			homeReq.Need = st.parts[cs.home.id].need
 			if len(homeReq.Accesses) > 0 || len(homeReq.Need) > 0 {
-				cc.call.Reset(cs.home.srv, homeReq)
+				st.call.Reset(cs.home.srv, homeReq)
 				cc.pc = fcHome
 				continue
 			}
 			cc.pc = fcNext
 
 		case fcHome:
-			rep, done := cc.call.Step(m)
+			rep, done := cc.st.call.Step(m)
 			if !done {
 				return server.Reply{}, false
 			}
@@ -113,19 +128,22 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 			cc.pc = fcNext
 
 		case fcNext:
-			for cc.o < len(c.nodes) {
-				if cc.o == cs.home.id {
-					cc.o++
+			st := cc.st
+			for st.o < len(c.nodes) {
+				if st.o == cs.home.id {
+					st.o++
 					continue
 				}
-				pt := &cc.parts[cc.o]
+				pt := &st.parts[st.o]
 				if len(pt.accesses) == 0 && len(pt.need) == 0 {
-					cc.o++
+					st.o++
 					continue
 				}
 				break
 			}
-			if cc.o >= len(c.nodes) {
+			if st.o >= len(c.nodes) {
+				cs.home.free = append(cs.home.free, st)
+				cc.st = nil
 				cc.items = cc.out.Items
 				cc.pc = fcStart
 				return cc.out, true
@@ -134,17 +152,17 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 			// forwarding only the rest. Prefetch decisions stay with the
 			// owner, so the relay only answers exact reads.
 			home := cs.home
-			need := cc.parts[cc.o].need
+			need := st.parts[st.o].need
 			now := m.Now()
-			cc.served = cc.served[:0]
+			st.served = st.served[:0]
 			forward := need
 			if home.relay != nil {
-				cc.fwdBuf = cc.fwdBuf[:0]
+				st.fwdBuf = st.fwdBuf[:0]
 				for _, rd := range need {
 					it := core.CoverItem(cc.req.Granularity, rd.OID, rd.Attr)
-					if e, st := home.relay.Lookup(it, now); st == core.Hit {
+					if e, hit := home.relay.Lookup(it, now); hit == core.Hit {
 						home.relayHits++
-						cc.served = append(cc.served, server.ReplyItem{
+						st.served = append(st.served, server.ReplyItem{
 							Item:    it,
 							Version: e.Version,
 							Refresh: e.ExpiresAt - now,
@@ -152,58 +170,60 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 						continue
 					}
 					home.relayMisses++
-					cc.fwdBuf = append(cc.fwdBuf, rd)
+					st.fwdBuf = append(st.fwdBuf, rd)
 				}
-				forward = cc.fwdBuf
+				forward = st.fwdBuf
 			}
 			// The owner must still see every access for its update model
 			// and heat tracking, even when the relay answered the reads.
-			cc.forward = forward
+			st.forward = forward
 			home.relayed += uint64(len(forward))
 			cc.pc = fcLink
 			m.Hold(c.latency)
 			return server.Reply{}, false
 
 		case fcLink:
-			link := cs.home.links[cc.o]
-			bytes := network.RequestSize(len(cc.parts[cc.o].accesses) - len(cc.forward))
-			if !link.SendStep(m, &cc.send, bytes) {
+			st := cc.st
+			link := cs.home.links[st.o]
+			bytes := network.RequestSize(len(st.parts[st.o].accesses) - len(st.forward))
+			if !link.SendStep(m, &st.send, bytes) {
 				return server.Reply{}, false
 			}
 			remoteReq := cc.req
-			remoteReq.Accesses = cc.parts[cc.o].accesses
-			remoteReq.Need = cc.forward
-			cc.call.Reset(c.nodes[cc.o].srv, remoteReq)
+			remoteReq.Accesses = st.parts[st.o].accesses
+			remoteReq.Need = st.forward
+			st.call.Reset(c.nodes[st.o].srv, remoteReq)
 			cc.pc = fcRemote
 
 		case fcRemote:
-			rep, done := cc.call.Step(m)
+			rep, done := cc.st.call.Step(m)
 			if !done {
 				return server.Reply{}, false
 			}
-			cc.rep = rep
+			cc.st.rep = rep
 			cc.pc = fcBack
 			m.Hold(c.latency)
 			return server.Reply{}, false
 
 		case fcBack:
-			back := c.nodes[cc.o].links[cs.home.id]
-			if !back.SendStep(m, &cc.send, cc.rep.WireSize()) {
+			st := cc.st
+			back := c.nodes[st.o].links[cs.home.id]
+			if !back.SendStep(m, &st.send, st.rep.WireSize()) {
 				return server.Reply{}, false
 			}
 			// Fill the relay cache with what came back (leases included).
 			home := cs.home
-			if home.relay != nil && len(cc.rep.Items) > 0 {
+			if home.relay != nil && len(st.rep.Items) > 0 {
 				now := m.Now()
-				cc.batch = cc.batch[:0]
-				for _, item := range cc.rep.Items {
-					cc.batch = append(cc.batch, core.BatchEntry{Item: item.Item, Entry: item.Entry(now)})
+				st.batch = st.batch[:0]
+				for _, item := range st.rep.Items {
+					st.batch = append(st.batch, core.BatchEntry{Item: item.Item, Entry: item.Entry(now)})
 				}
-				home.relay.InsertBatch(cc.batch, now)
+				home.relay.InsertBatch(st.batch, now)
 			}
-			cc.out.Items = append(cc.out.Items, cc.served...)
-			cc.out.Items = append(cc.out.Items, cc.rep.Items...)
-			cc.o++
+			cc.out.Items = append(cc.out.Items, st.served...)
+			cc.out.Items = append(cc.out.Items, st.rep.Items...)
+			st.o++
 			cc.pc = fcNext
 		}
 	}

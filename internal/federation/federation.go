@@ -78,6 +78,11 @@ type node struct {
 	relayHits   uint64
 	relayMisses uint64
 	relayed     uint64 // reads forwarded to remote owners
+
+	// free holds the processing state of finished contact requests: a
+	// client has at most one request in flight, so the list is bounded by
+	// the requests in flight at once, not by the clients.
+	free []*contactScratch
 }
 
 // New builds a cluster. Each node gets its own disk, memory buffer,

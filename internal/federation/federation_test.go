@@ -299,3 +299,48 @@ func TestUpdatesApplyAtOwner(t *testing.T) {
 		t.Fatal("update accounting not split across owners")
 	}
 }
+
+// TestContactScratchIsPerRequestInFlight: the contact server's processing
+// state comes from the home node's free list for one request and goes back
+// when the reply is ready, so one caller's sequential requests leave
+// exactly one pooled scratch. The collected reply is not part of it: a
+// caller's reply stays intact while another caller's requests run through
+// the same pooled scratch, until the caller's own next Begin.
+func TestContactScratchIsPerRequestInFlight(t *testing.T) {
+	k, _, c := newCluster(t, 2, 10)
+	a, b := c.Contact(0).NewCall(), c.Contact(0).NewCall()
+	// OIDs 1 and 3 are home (node 0), 60 and 90 remote (node 1).
+	reqA := server.Request{ClientID: 1, Granularity: core.HybridCaching,
+		Accesses: readsOn(1, 60), Need: readsOn(1, 60)}
+	reqB := server.Request{ClientID: 2, Granularity: core.AttributeCaching,
+		Accesses: readsOn(3, 90), Need: readsOn(3, 90)}
+
+	var held, snapshot []server.ReplyItem
+	armed := false
+	keep := func(m *sim.Machine) bool {
+		if !armed {
+			armed = true
+			a.Begin(reqA)
+		}
+		rep, done := a.Step(m)
+		if done {
+			held = rep.Items // aliased, not copied
+			snapshot = append([]server.ReplyItem(nil), rep.Items...)
+		}
+		return done
+	}
+	ops := []op{keep}
+	for i := 0; i < 5; i++ {
+		ops = append(ops, request(b, reqB, nil))
+	}
+	exec(k, ops...)
+	if len(snapshot) != 2 || !reflect.DeepEqual(held, snapshot) {
+		t.Fatalf("caller A's reply changed under caller B's requests:\n%+v\nwant\n%+v", held, snapshot)
+	}
+	if n := len(c.nodes[0].free); n != 1 {
+		t.Fatalf("%d pooled scratches after sequential requests, want 1", n)
+	}
+	if n := len(c.nodes[1].free); n != 0 {
+		t.Fatalf("remote node pooled %d scratches; the pool is the home node's", n)
+	}
+}

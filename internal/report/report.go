@@ -3,17 +3,17 @@
 // per-query trace — into two artifacts:
 //
 //   - manifest.json: everything needed to reproduce the run (full config,
-//     seed, git revision, go version, wall time, SHA-256 hashes of the
-//     rendered tables, the reproduce command).
+//     seed, git revision, go version, wall time, peak RSS, SHA-256 hashes
+//     of the rendered tables, the reproduce command).
 //   - report.md: a self-contained Markdown report with paper-figure-style
 //     tables and inline SVG timelines (channel utilization, hit-ratio
 //     convergence over warm-up, cache occupancy and eviction rate, error
 //     rate against frame loss, refresh-time quantiles).
 //
 // The Markdown body is byte-deterministic in (Config, Seed): environment
-// facts (wall time, git revision, go version) live only in the manifest,
-// series are iterated in registration order, and every float is rendered
-// with one fixed format. Rerunning the same seed reproduces report.md
+// facts (wall time, peak RSS, git revision, go version) live only in the
+// manifest, series are iterated in registration order, and every float is
+// rendered with one fixed format. Rerunning the same seed reproduces report.md
 // exactly — the property the golden-file test pins and the manifest's
 // "reproduce" command relies on. See docs/OBSERVABILITY.md.
 package report
@@ -43,8 +43,9 @@ type TableHash struct {
 }
 
 // Manifest records how a report was produced. Everything a rerun needs is
-// here; the environment facts (git revision, go version, wall time) are
-// deliberately kept out of report.md so its bytes stay reproducible.
+// here; the environment facts (git revision, go version, wall time, peak
+// RSS) are deliberately kept out of report.md so its bytes stay
+// reproducible.
 type Manifest struct {
 	// Experiment names what ran (e.g. "exp1", "run").
 	Experiment string `json:"experiment"`
@@ -69,6 +70,11 @@ type Manifest struct {
 	GoVersion string `json:"go_version"`
 	// WallSeconds is the real time the run took (not virtual time).
 	WallSeconds float64 `json:"wall_seconds"`
+	// PeakRSSMB is the process's peak resident set size in MB when the
+	// manifest was stamped: VmHWM from /proc/self/status, 0 where that is
+	// unavailable. It covers everything the process ran, so a sweep's
+	// largest run sets it, not just the instrumented re-run.
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 	// Config is the instrumented run's full (defaulted) configuration.
 	Config experiment.Config `json:"config"`
 	// Tables hashes every rendered experiment table.
@@ -94,6 +100,17 @@ func GitRevision() string {
 	return strings.TrimSpace(string(out))
 }
 
+// peakRSSMB returns the process's peak resident set size in MB (VmHWM), or
+// 0 where /proc/self/status does not report it.
+func peakRSSMB() float64 {
+	raw, _ := os.ReadFile("/proc/self/status") // unreadable off Linux: 0
+	var kb float64
+	if _, rest, ok := strings.Cut(string(raw), "VmHWM:"); ok {
+		_, _ = fmt.Sscanf(rest, "%f kB", &kb) // a malformed line leaves 0
+	}
+	return kb / 1024
+}
+
 // NewManifest assembles a manifest for one instrumented run: environment
 // stamped, tables hashed, series listed. WallSeconds is left for the caller
 // to fill once the run has finished.
@@ -104,6 +121,7 @@ func NewManifest(exp, command string, cfg experiment.Config, rep *experiment.Rep
 		Seed:        cfg.Seed,
 		GitRevision: GitRevision(),
 		GoVersion:   runtime.Version(),
+		PeakRSSMB:   peakRSSMB(),
 		Config:      cfg,
 		Series:      reg.SeriesNames(),
 		Samples:     reg.Samples(),

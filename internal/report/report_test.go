@@ -112,6 +112,14 @@ func TestWriteFiles(t *testing.T) {
 	if man.GoVersion == "" || man.GitRevision == "" || man.Seed != 7 {
 		t.Fatalf("manifest incomplete: %+v", man)
 	}
+	// Peak RSS is an environment fact: stamped where /proc reports it,
+	// never rendered into report.md.
+	if _, err := os.Stat("/proc/self/status"); err == nil && man.PeakRSSMB <= 0 {
+		t.Fatalf("peak_rss_mb = %v on a host with /proc", man.PeakRSSMB)
+	}
+	if !strings.Contains(string(mj), `"peak_rss_mb"`) || strings.Contains(string(Markdown(in)), "peak_rss") {
+		t.Fatal("peak RSS must be in manifest.json and only there")
+	}
 	if len(man.Tables) != 1 || len(man.Tables[0].SHA256) != 64 {
 		t.Fatalf("table hashes malformed: %+v", man.Tables)
 	}

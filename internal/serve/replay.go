@@ -231,6 +231,7 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 				baseURL: rc.BaseURL, httpc: httpc,
 				speedup: speedup, horizon: horizon, warmup: warmup,
 				start: start, agg: &agg, httpCalls: &httpCalls,
+				group: new(workload.Grouping),
 			}, out.m, &out.rt, &out.stales, &out.writes, &out.remote, &out.local, &out.maxLag)
 			if out.err != nil {
 				cancel() // one failing client aborts the replay
@@ -299,7 +300,8 @@ func fetchStats(httpc *http.Client, baseURL string) (Stats, error) {
 	return st, nil
 }
 
-// replayEnv bundles the immutable per-client replay context.
+// replayEnv bundles the per-client replay context: immutable but for the
+// client's Grouping, which is reused across its queries.
 type replayEnv struct {
 	cfg       experiment.Config
 	db        *oodb.Database
@@ -312,6 +314,7 @@ type replayEnv struct {
 	start     time.Time
 	agg       *liveAggregate
 	httpCalls *uint64
+	group     *workload.Grouping
 }
 
 // replayClient runs one client's open-loop query stream to the horizon in
@@ -398,7 +401,7 @@ func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
 }
 
 // applyUpdates runs the simulated server's update model for one query over
-// the shared workload.Grouping: a U-probability coin per distinct accessed
+// the client's workload.Grouping: a U-probability coin per distinct accessed
 // object, and one write event covering the attributes the query read on each
 // object that comes up. The coin stream is the client's private update
 // substream — same distribution as the simulator's shared server stream,
@@ -406,8 +409,7 @@ func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
 func (env replayEnv) applyUpdates(q *workload.Query, w experiment.ClientWorkload,
 	measured bool, writes *uint64) error {
 
-	var group workload.Grouping
-	for _, oid := range group.Objects(q.Reads, nil) {
+	for _, oid := range env.group.Objects(q.Reads, nil) {
 		if !w.UpdateStream.Bool(env.cfg.UpdateProb) {
 			continue
 		}

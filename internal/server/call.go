@@ -1,6 +1,9 @@
 package server
 
-import "repro/internal/sim"
+import (
+	"repro/internal/core"
+	"repro/internal/sim"
+)
 
 // This file is the server's request path. Evaluating a request takes
 // simulated time — a memory hold per buffered object, a disk
@@ -34,8 +37,8 @@ type Call struct {
 	srv *Server
 	req Request
 	pc  uint8
-	idx int // cursor into sc.order during staging
-	sc  *reqScratch
+	idx int        // cursor into sc.order during staging
+	sc  reqScratch // the reply's items alias sc.items until the next request
 }
 
 // Call phases. The staging loop re-enters at the phase recorded before
@@ -48,7 +51,8 @@ const (
 	callDiskDone              // disk read finished → release, buffer, next
 )
 
-// NewCall returns a reusable resumable call bound to this server.
+// NewCall returns a reusable resumable call bound to this server. The call
+// owns its request buffers; of a client, the server keeps only HC heat.
 func (s *Server) NewCall() RequestCall { return &Call{srv: s} }
 
 // Begin arms the call for one request against the bound server.
@@ -80,18 +84,14 @@ func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 				panic("server: request with invalid granularity")
 			}
 			s.queriesServed++
-			s.recordHeat(c.req)
-			sc := s.scratch[c.req.ClientID]
-			if sc == nil {
-				sc = &reqScratch{}
-				s.scratch[c.req.ClientID] = sc
+			if c.req.Granularity == core.HybridCaching {
+				s.recordHeat(c.req) // its one reader is HC's prefetchSet
 			}
 			// Stage every object the query evaluates over. The server must
 			// read each qualified object to evaluate predicates and project
 			// attributes, whether or not the client ended up needing it
 			// shipped.
-			sc.order = s.group.Objects(c.req.Accesses, sc.order[:0])
-			c.sc = sc
+			c.sc.order = s.group.Objects(c.req.Accesses, c.sc.order[:0])
 			c.idx = 0
 			c.pc = callStage
 
@@ -101,7 +101,7 @@ func (c *Call) Step(m *sim.Machine) (Reply, bool) {
 				// by the query is updated with probability U; all attributes
 				// the query selected on that object are modified.
 				s.applyUpdates(m.Now(), c.req, c.sc.order)
-				rep := s.assembleReply(c.req, c.sc)
+				rep := s.assembleReply(c.req, &c.sc)
 				c.pc = callStart
 				return rep, true
 			}

@@ -148,13 +148,12 @@ type Server struct {
 	updateRnd     *rng.Stream
 	prefetchKappa float64
 
-	heat map[int]*clientHeat // per-client attribute access profile
+	// heat is the attribute access profile of every client that has sent
+	// an HC request, indexed by ClientID-heatLo. A cell's clients hold a
+	// dense ID range, so the table spans the lowest to the highest ID seen.
+	heat   []clientHeat
+	heatLo int
 
-	// scratch holds per-client request buffers. Each client has at most one
-	// outstanding request, but a Call waits at disk/memory holds, so buffers
-	// that live across a wait (the staging order, the reply items) must not
-	// be shared between clients.
-	scratch map[int]*reqScratch
 	// group collects distinct-OID orders; it is only touched between waits,
 	// so clients share it, and an order needed across a wait is kept as the
 	// returned slice.
@@ -194,7 +193,9 @@ type Server struct {
 	writeLog func(it oodb.Item, now float64)
 }
 
-// reqScratch is one client's reusable request-processing storage.
+// reqScratch is one Call's reusable request-processing storage. A Call
+// waits at disk/memory holds, so buffers that live across a wait (the
+// staging order, the reply items) belong to the call, not the server.
 type reqScratch struct {
 	order     []oodb.OID  // distinct accessed OIDs, first-seen order
 	needOrder []oodb.OID  // distinct needed OIDs, first-seen order
@@ -233,8 +234,6 @@ func New(cfg Config) *Server {
 		updateRnd:     rng.Derive(cfg.Seed, 0x5e7e7),
 		prefetchKappa: kappa,
 		store:         cfg.Storage,
-		heat:          make(map[int]*clientHeat),
-		scratch:       make(map[int]*reqScratch),
 	}
 }
 
@@ -370,14 +369,24 @@ func (s *Server) replyItem(it oodb.Item, now float64, prefetched bool) ReplyItem
 	return ReplyItem{Item: it, Version: version, Refresh: rt, Prefetched: prefetched}
 }
 
-// recordHeat folds the query's attribute accesses into the client's heat
-// profile.
+// recordHeat folds an HC query's attribute accesses into the client's
+// heat profile.
 func (s *Server) recordHeat(req Request) {
-	h := s.heat[req.ClientID]
-	if h == nil {
-		h = &clientHeat{}
-		s.heat[req.ClientID] = h
+	id := req.ClientID
+	switch {
+	case len(s.heat) == 0:
+		s.heat, s.heatLo = make([]clientHeat, 1), id
+	case id < s.heatLo:
+		// Grow downwards by at least the table's length, so clients
+		// arriving in any ID order cost amortized O(1) each.
+		lo := min(id, max(0, s.heatLo-len(s.heat)))
+		grown := make([]clientHeat, s.heatLo-lo+len(s.heat))
+		copy(grown[s.heatLo-lo:], s.heat)
+		s.heat, s.heatLo = grown, lo
+	case id-s.heatLo >= len(s.heat):
+		s.heat = append(s.heat, make([]clientHeat, id-s.heatLo+1-len(s.heat))...)
 	}
+	h := &s.heat[id-s.heatLo]
 	for _, rd := range req.Accesses {
 		if rd.Attr < oodb.NumPrimAttrs {
 			h.counts[rd.Attr]++
@@ -391,10 +400,11 @@ func (s *Server) recordHeat(req Request) {
 // attribute rates. With no (or too little) history the set is empty — HC
 // degenerates gracefully to AC until the profile stabilizes.
 func (s *Server) prefetchSet(clientID int) []oodb.AttrID {
-	h := s.heat[clientID]
-	if h == nil || h.total < prefetchMinSamples {
+	i := clientID - s.heatLo
+	if i < 0 || i >= len(s.heat) || s.heat[i].total < prefetchMinSamples {
 		return nil
 	}
+	h := &s.heat[i]
 	var mu float64
 	var rates [oodb.NumPrimAttrs]float64
 	for i, c := range h.counts {

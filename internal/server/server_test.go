@@ -351,6 +351,39 @@ func TestHeatIsolatedPerClient(t *testing.T) {
 	}
 }
 
+// TestHeatOnlyForHC: attribute heat has one reader, HC's prefetchSet, so
+// requests at every other granularity leave no heat state behind, and the
+// HC clients of a cell share one dense table rather than a map.
+func TestHeatOnlyForHC(t *testing.T) {
+	k, s := newTestServer(t, Config{})
+	var acc []workload.ReadOp
+	for i := 0; i < 200; i++ {
+		acc = append(acc, workload.ReadOp{OID: oodb.OID(i % 20), Attr: 0})
+	}
+	for _, g := range []core.Granularity{core.AttributeCaching, core.ObjectCaching, core.NoCache} {
+		serve(k, s, Request{ClientID: 1, Granularity: g, Accesses: acc, Need: acc[:3]})
+	}
+	if s.heat != nil {
+		t.Fatalf("non-HC requests left heat for %d clients", len(s.heat))
+	}
+	if set := s.prefetchSet(1); set != nil {
+		t.Fatalf("prefetch set %v from non-HC requests", set)
+	}
+	// HC clients arriving in descending ID order still land in one table
+	// spanning their IDs, each with its own profile.
+	for id := 9; id >= 5; id-- {
+		serve(k, s, Request{ClientID: id, Granularity: core.HybridCaching, Accesses: acc[:100+id]})
+	}
+	if s.heatLo > 5 || s.heatLo+len(s.heat) < 10 {
+		t.Fatalf("heat table spans [%d,%d), want [5,10) covered", s.heatLo, s.heatLo+len(s.heat))
+	}
+	for id := 5; id <= 9; id++ {
+		if h := s.heat[id-s.heatLo]; h.total != uint64(100+id) {
+			t.Fatalf("client %d heat total %d, want %d", id, h.total, 100+id)
+		}
+	}
+}
+
 func TestValidationPanics(t *testing.T) {
 	cases := []func(){
 		func() { New(Config{}) },

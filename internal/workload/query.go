@@ -182,25 +182,35 @@ func (g *QueryGen) pickAttrs(r *rng.Stream) []oodb.AttrID {
 // Grouping regroups a query's flat read list by object: the distinct objects
 // in first-seen order — the order the server stages them, flips their update
 // coins and lays out a reply in — and, through AttrsOf, each object's write
-// event under the update model. The zero value is ready; its tables are
-// reused across calls, so only the latest collected order is current.
+// event under the update model. The zero value is ready; its table is
+// indexed by OID (OIDs are dense below the database size) and reused across
+// calls, so only the latest collected order is current.
 type Grouping struct {
-	stamp map[oodb.OID]uint64 // stamp[oid] == gen: oid is in the current order
-	idx   map[oodb.OID]int32
-	gen   uint64
+	slots []groupSlot
+	gen   uint32
+}
+
+// groupSlot is one OID's entry: gen == Grouping.gen marks it as in the
+// current order, at position idx.
+type groupSlot struct {
+	gen uint32
+	idx int32
 }
 
 // Objects appends the distinct objects of reads to out in first-seen order.
 func (g *Grouping) Objects(reads []ReadOp, out []oodb.OID) []oodb.OID {
-	if g.stamp == nil {
-		g.stamp = make(map[oodb.OID]uint64)
-		g.idx = make(map[oodb.OID]int32)
-	}
 	g.gen++
+	if g.gen == 0 { // wrapped: no stale stamp may equal a reissued gen
+		clear(g.slots)
+		g.gen = 1
+	}
 	for _, rd := range reads {
-		if g.stamp[rd.OID] != g.gen {
-			g.stamp[rd.OID] = g.gen
-			g.idx[rd.OID] = int32(len(out))
+		if int(rd.OID) >= len(g.slots) {
+			g.slots = append(g.slots, make([]groupSlot, int(rd.OID)+1-len(g.slots))...)
+		}
+		if sl := &g.slots[rd.OID]; sl.gen != g.gen {
+			sl.gen = g.gen
+			sl.idx = int32(len(out))
 			out = append(out, rd.OID)
 		}
 	}
@@ -209,7 +219,7 @@ func (g *Grouping) Objects(reads []ReadOp, out []oodb.OID) []oodb.OID {
 
 // Index returns the position of oid, one of the latest Objects call's reads,
 // in what that call appended.
-func (g *Grouping) Index(oid oodb.OID) int32 { return g.idx[oid] }
+func (g *Grouping) Index(oid oodb.OID) int32 { return g.slots[oid].idx }
 
 // AttrsOf appends the distinct attributes reads touch on oid to out, in
 // first-occurrence order.

@@ -634,6 +634,13 @@ func TestGroupingObjectsAndAttrs(t *testing.T) {
 	if objs := g.Objects(reads[4:], nil); !reflect.DeepEqual(objs, []oodb.OID{7, 4}) || g.Index(4) != 1 {
 		t.Fatalf("a later call returned %v with Index(4) = %d", objs, g.Index(4))
 	}
+	// The generation stamp wraps: a slot stamped by the last generation
+	// before the wrap must not read as part of the first one after it.
+	g.gen = math.MaxUint32 - 1
+	g.Objects(reads[:1], nil) // stamps OID 9 with MaxUint32
+	if objs := g.Objects(reads, nil); !reflect.DeepEqual(objs, []oodb.OID{9, 4, 7}) || g.gen != 1 {
+		t.Fatalf("after the stamp wrapped: Objects = %v at gen %d", objs, g.gen)
+	}
 	for oid, want := range map[oodb.OID][]oodb.AttrID{9: {2, 5}, 4: {0, 3}, 7: {1}, 8: nil} {
 		if got := AttrsOf(reads, oid, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("AttrsOf(%d) = %v, want first-occurrence order %v", oid, got, want)
