@@ -351,9 +351,10 @@ func containsItem(items []oodb.Item, it oodb.Item) bool {
 }
 
 // installReply caches a delivered reply's items and records the served
-// reads.
-func (c *Client) installReply(now float64, need []workload.ReadOp, items []server.ReplyItem) {
-	for _, item := range items {
+// reads as fetched.
+func (cm *clientMachine) installReply(now float64) {
+	c := cm.c
+	for _, item := range cm.items {
 		entry := item.Entry(now)
 		switch c.coherenceMode {
 		case coherence.InvalidationReportStrategy, coherence.IRBroadcastStrategy:
@@ -366,11 +367,7 @@ func (c *Client) installReply(now float64, need []workload.ReadOp, items []serve
 		c.local.Stage(item.Item, entry, item.Prefetched)
 	}
 	c.local.Commit(now)
-
-	// Remote reads are served fresh: accesses that are neither hits nor
-	// errors.
-	for range need {
-		c.m.RecordAccess(now, false)
-		c.m.RecordError(now, false)
+	for range cm.need {
+		cm.record(metrics.Outcome{Kind: metrics.Fetched})
 	}
 }

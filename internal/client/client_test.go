@@ -611,6 +611,37 @@ func TestTracerReceivesConsistentRecords(t *testing.T) {
 	}
 }
 
+// TestWarmupGatesReadsByIssueTime: a query issued just before the warm-up
+// horizon and served after it has neither its query nor its reads counted,
+// so the reads of the records issued at or after warm-up are exactly the
+// client's accesses.
+func TestWarmupGatesReadsByIssueTime(t *testing.T) {
+	const warmup = 100.0
+	r := newRig(t, core.AttributeCaching, 0)
+	r.m.Warmup = warmup
+	collector := &trace.Collector{}
+	r.client.tracer = collector
+	r.exec(
+		hold(warmup-1e-3),
+		r.ask(query(0, 1, 2, 3)), // three misses: served after warm-up
+		r.ask(query(1, 1, 2, 3)),
+	)
+	first := collector.Records[0]
+	if first.IssuedAt >= warmup || first.CompletedAt <= warmup {
+		t.Fatalf("first query does not straddle the warm-up horizon: %+v", first)
+	}
+	reads := 0
+	for _, rec := range collector.Records {
+		if rec.IssuedAt >= warmup {
+			reads += rec.Reads
+		}
+	}
+	if uint64(reads) != r.m.Accesses() || r.m.HitRatio() != 1 {
+		t.Fatalf("records issued after warm-up hold %d reads; the client counted %d accesses, hit ratio %v",
+			reads, r.m.Accesses(), r.m.HitRatio())
+	}
+}
+
 // --- broadcast dissemination -------------------------------------------
 
 func newBroadcastRig(t *testing.T) (*rig, *broadcast.Program) {

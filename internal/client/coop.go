@@ -2,9 +2,9 @@ package client
 
 import (
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/oodb"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -110,19 +110,14 @@ func (c *Client) planPeerFetch(now float64, need []workload.ReadOp) bool {
 }
 
 // commitPeerFetch lands a successful exchange: records each staged read
-// against the metrics and the error oracle, installs the copies, charges
-// the serving peers' transmit energy, and returns need with the served
-// reads removed. Reads still left over are peer misses bound for the
-// server.
-func (c *Client) commitPeerFetch(now float64, need []workload.ReadOp, rec *trace.QueryRecord) []workload.ReadOp {
+// as a peer read checked against the error oracle, installs the copies,
+// charges the serving peers' transmit energy, and removes the served reads
+// from the query's need list. Reads still left over are peer misses bound
+// for the server.
+func (cm *clientMachine) commitPeerFetch(now float64) {
+	c := cm.c
 	for _, g := range c.peerGot {
-		isErr := c.oracle.IsError(g.item, g.entry.Version)
-		c.m.RecordAccess(now, false)
-		c.m.RecordError(now, isErr)
-		c.n.PeerHits++
-		if isErr {
-			rec.Errors++
-		}
+		cm.record(metrics.Outcome{Kind: metrics.FromPeer, Error: c.oracle.IsError(g.item, g.entry.Version)})
 		if g.newItem {
 			c.local.Stage(g.item, g.entry, false)
 			c.peers[g.src].n.RadioEnergy += network.TxEnergy(network.ReplyEntrySize(g.item))
@@ -130,18 +125,18 @@ func (c *Client) commitPeerFetch(now float64, need []workload.ReadOp, rec *trace
 	}
 	c.local.Commit(now)
 	// Compact need in place: peerGot holds readIdx in ascending order.
-	out := need[:0]
+	out := cm.need[:0]
 	gi := 0
-	for i := range need {
+	for i := range cm.need {
 		if gi < len(c.peerGot) && int(c.peerGot[gi].readIdx) == i {
 			gi++
 			continue
 		}
-		out = append(out, need[i])
+		out = append(out, cm.need[i])
 	}
 	c.peerGot = c.peerGot[:0]
 	c.n.PeerMisses += uint64(len(out))
-	return out
+	cm.need = out
 }
 
 // abortPeerFetch discards the staged plan after a lost or corrupted

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/oodb"
 	"repro/internal/server"
@@ -62,7 +63,6 @@ type clientMachine struct {
 
 	scheduled float64
 	connected bool
-	existent  int
 	remote    bool
 	peerRadio bool
 	rec       trace.QueryRecord
@@ -124,6 +124,20 @@ func (cm *clientMachine) shedReply(waited float64) int {
 	return cm.replyBytes
 }
 
+// record counts one read's outcome, against the query in flight: the
+// client's one call site for the metrics and the query record, and for
+// its per-read broadcast and peer tallies.
+func (cm *clientMachine) record(o metrics.Outcome) {
+	cm.c.m.Read(cm.scheduled, o)
+	cm.rec.Count(o)
+	switch o.Kind {
+	case metrics.FromAir:
+		cm.c.n.BroadcastReads++
+	case metrics.FromPeer:
+		cm.c.n.PeerHits++
+	}
+}
+
 // Step is the client's open-loop query pump.
 func (cm *clientMachine) Step(m *sim.Machine) {
 	c := cm.c
@@ -164,7 +178,6 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			q := &c.scratchQuery
 			cm.connected = c.sched.Connected(m.Now())
 			need := c.scratchNeed[:0]
-			cm.existent = 0
 			cm.rec = trace.QueryRecord{
 				ClientID:     c.id,
 				Index:        q.Index,
@@ -175,47 +188,25 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			localDelay := 0.0
 			for _, rd := range q.Reads {
 				item := core.CoverItem(c.granularity, rd.OID, rd.Attr)
-				now := m.Now()
-				entry, state, fromStorage := c.local.Probe(item, now)
+				entry, state, fromStorage := c.local.Probe(item, m.Now())
 				switch {
 				case fromStorage:
 					localDelay += diskSecPerByte * float64(item.Size())
 				case state != core.Miss:
 					localDelay += memSecPerByte * float64(item.Size())
 				}
-				switch {
-				case state == core.Hit:
-					// Served by a locally unexpired item: a cache hit. The
-					// read may still be erroneous if a write landed inside
-					// the lease.
-					isErr := c.oracle.IsError(item, entry.Version)
-					c.m.RecordAccess(now, true)
-					c.m.RecordError(now, isErr)
-					cm.existent++
-					cm.rec.Hits++
-					if isErr {
-						cm.rec.Errors++
-					}
-				case state == core.Stale && !cm.connected:
-					// Disconnected operation (§5.6): continue on the expired
-					// copy. Not a hit (the item is expired), frequently an
-					// error.
-					isErr := c.oracle.IsError(item, entry.Version)
-					c.m.RecordAccess(now, false)
-					c.m.RecordError(now, isErr)
-					cm.rec.Stale++
-					if isErr {
-						cm.rec.Errors++
-					}
-				case !cm.connected:
-					// Disconnected miss: the read is unsatisfiable.
-					c.m.RecordAccess(now, false)
-					c.m.RecordUnavailable(now)
-					cm.rec.Unavailable++
-				default:
-					// Connected miss or expired copy: fetch from the server.
+				o, fetch := metrics.Classify(state, cm.connected)
+				if fetch {
 					need = append(need, rd)
+					continue
 				}
+				if o.Kind != metrics.Unavailable {
+					// A hit may still be an error if a write landed inside
+					// the lease; an expired copy served while disconnected
+					// frequently is.
+					o.Error = c.oracle.IsError(item, entry.Version)
+				}
+				cm.record(o)
 			}
 			cm.need = need
 			cm.pc = cmLocalDone
@@ -239,9 +230,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 						if !containsItem(fromAir, item) {
 							fromAir = append(fromAir, item)
 						}
-						c.n.BroadcastReads++
-						c.m.RecordAccess(m.Now(), false)
-						c.m.RecordError(m.Now(), false)
+						cm.record(metrics.Outcome{Kind: metrics.FromAir})
 						continue
 					}
 					pull = append(pull, rd)
@@ -290,7 +279,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if outcome != network.FrameDelivered {
 				c.abortPeerFetch(cm.need)
 			} else {
-				cm.need = c.commitPeerFetch(m.Now(), cm.need, &cm.rec)
+				cm.commitPeerFetch(m.Now())
 			}
 			cm.pc = cmRemote
 
@@ -305,7 +294,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				Granularity:     c.granularity,
 				Accesses:        c.scratchQuery.Reads,
 				Need:            cm.need,
-				ExistentEntries: cm.existent,
+				ExistentEntries: cm.rec.Hits,
 			}
 			cm.reqBytes = cm.req.WireSize()
 			cm.rec.RequestBytes = cm.reqBytes
@@ -362,7 +351,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			}
 			if outcome == network.FrameDelivered {
 				c.replyEstimate = cm.replyBytes
-				c.installReply(m.Now(), cm.need, cm.items)
+				cm.installReply(m.Now())
 				cm.rec.ReplyBytes = cm.replyBytes
 				cm.rec.Retries = cm.retries
 				cm.pc = cmAir
@@ -385,7 +374,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				cm.rec.ReplyBytes = 0
 				cm.rec.Retries = cm.retries
 				cm.rec.TimedOut = true
-				c.serveDegraded(m.Now(), cm.need, &cm.rec)
+				cm.serveDegraded()
 				cm.pc = cmAir
 				continue
 			}

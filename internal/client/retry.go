@@ -2,8 +2,7 @@ package client
 
 import (
 	"repro/internal/core"
-	"repro/internal/trace"
-	"repro/internal/workload"
+	"repro/internal/metrics"
 )
 
 // This file is the client half of the unreliable-channel model (DESIGN.md
@@ -72,24 +71,15 @@ func (c *Client) requestTimeout(reqBytes int) float64 {
 // degradation half of the reliability layer: the lease β already encodes
 // how much staleness the client tolerates, and these copies carry exactly
 // the leases that policy produced (see DESIGN.md §9.3).
-func (c *Client) serveDegraded(now float64, need []workload.ReadOp, rec *trace.QueryRecord) {
-	for _, rd := range need {
+func (cm *clientMachine) serveDegraded() {
+	c := cm.c
+	for _, rd := range cm.need {
 		item := core.CoverItem(c.granularity, rd.OID, rd.Attr)
 		entry, found := c.local.Peek(item)
 		if !found {
-			c.m.RecordAccess(now, false)
-			c.m.RecordUnavailable(now)
-			rec.Unavailable++
+			cm.record(metrics.Outcome{Kind: metrics.Unavailable})
 			continue
 		}
-		isErr := c.oracle.IsError(item, entry.Version)
-		c.m.RecordAccess(now, false)
-		c.m.RecordError(now, isErr)
-		c.m.RecordDegraded(now)
-		rec.Stale++
-		rec.Degraded++
-		if isErr {
-			rec.Errors++
-		}
+		cm.record(metrics.Outcome{Kind: metrics.Degraded, Error: c.oracle.IsError(item, entry.Version)})
 	}
 }

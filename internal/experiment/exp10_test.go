@@ -50,9 +50,9 @@ func TestIRBroadcastMissedUnderBursts(t *testing.T) {
 }
 
 // TestCooperativeAccounting sanity-checks the peer-hit bookkeeping on a
-// plain run: cooperation must serve some reads from peers, every peer-
-// served read must also be counted as a query hit source (RecordAccess),
-// and disabling cooperation must zero the counters.
+// plain run: cooperation must serve some reads from peers (each counted
+// once, as a metrics.FromPeer outcome: an access that is not a hit), and
+// disabling cooperation must zero the counters.
 func TestCooperativeAccounting(t *testing.T) {
 	cfg := Config{
 		Seed: 5, Days: 0.1, NumClients: 8,

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -266,33 +267,15 @@ func TestScenarioRunMatchesConfigRun(t *testing.T) {
 // Config it accepts builds and runs without reaching a constructor
 // assertion (or, as SharedHotProb = 1 over a pool smaller than a query once
 // did, never finishing). Values are drawn around every bound Validate
-// mirrors; most draws are rejected, the rest must run.
+// mirrors; most draws are rejected, the rest must run and keep the
+// accounting identities (checkAccounting).
 func TestValidatedConfigsRun(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	pick := func(xs ...int) int { return xs[r.Intn(len(xs))] }
 	pickF := func(xs ...float64) float64 { return xs[r.Intn(len(xs))] }
 	ran := 0
 	for i := 0; i < 1000; i++ {
-		cfg := Config{
-			Seed: uint64(i), Days: pickF(0.002, 0.01),
-			NumObjects: pick(0, 2, 19, 20, 21, 40, 66, 67, 100), NumClients: pick(0, 1, 2, 5),
-			Granularity:    core.Granularity(pick(0, 1, 2, 3)),
-			StorageObjects: pick(0, 0, 1, 3), MemBufferObjects: pick(0, 0, 1),
-			ServerBufferRatio: pickF(0, 0, 0.01, 1),
-			QueryKind:         workload.Kind(pick(0, 1)), Heat: HeatKind(pick(0, 1, 2)),
-			CSHChangeEvery: pick(0, 1, 5), Arrival: ArrivalKind(pick(0, 1)),
-			AttrsPerObj: pick(0, 1, 9), AttrSkewTheta: pickF(0, 0.5),
-			UpdateProb: pickF(0, 0.5, 1), Beta: pickF(-1, 0, 1), ShedThreshold: pickF(0, 0.5),
-			PrefetchKappa: pickF(0, -2, 2),
-			Coherence:     coherence.Strategy(pick(0, 1, 2, 3)),
-			FixedLease:    pickF(0, 0, 5), IRWindow: pickF(0, 10, 100),
-			CoopPeers: pick(0, 0, 2), SharedHotObjects: pick(0, 0, 1, 3, 20),
-			SharedHotProb: pickF(0, 0.5, 1), BroadcastAttrs: pick(0, 0, 1, 9),
-			DisconnectedClients: pick(0, 0, 1, 2), DisconnectHours: pickF(0, 1, 24),
-			LossRate: pickF(0, 0, 0.2, 1), CorruptRate: pickF(0, 0, 0.1),
-			BurstFraction: pickF(0, 0, 0.5),
-			RetryMax:      pick(0, -1, 2), Cells: pick(0, 1, 2, 3), RelayObjects: pick(0, 5),
-		}
+		cfg := drawConfig(uint64(i), pick, pickF)
 		if cfg.Validate() != nil {
 			continue
 		}
@@ -303,11 +286,126 @@ func TestValidatedConfigsRun(t *testing.T) {
 					t.Fatalf("validated config panicked: %v\n%+v", rec, cfg)
 				}
 			}()
-			Run(cfg)
+			checkAccounting(t, cfg)
 		}()
 	}
 	t.Logf("%d of the drawn configs validated and ran", ran)
 	if ran < 100 {
 		t.Fatalf("only %d of the drawn configs validated; the draw no longer probes Run", ran)
+	}
+}
+
+// drawConfig draws a Config around every bound Validate mirrors.
+func drawConfig(seed uint64, pick func(...int) int, pickF func(...float64) float64) Config {
+	return Config{
+		Seed: seed, Days: pickF(0.002, 0.01),
+		NumObjects: pick(0, 2, 19, 20, 21, 40, 66, 67, 100), NumClients: pick(0, 1, 2, 5),
+		Granularity:    core.Granularity(pick(0, 1, 2, 3)),
+		StorageObjects: pick(0, 0, 1, 3), MemBufferObjects: pick(0, 0, 1),
+		ServerBufferRatio: pickF(0, 0, 0.01, 1),
+		QueryKind:         workload.Kind(pick(0, 1)), Heat: HeatKind(pick(0, 1, 2)),
+		CSHChangeEvery: pick(0, 1, 5), Arrival: ArrivalKind(pick(0, 1)),
+		AttrsPerObj: pick(0, 1, 9), AttrSkewTheta: pickF(0, 0.5),
+		UpdateProb: pickF(0, 0.5, 1), Beta: pickF(-1, 0, 1), ShedThreshold: pickF(0, 0.5),
+		PrefetchKappa: pickF(0, -2, 2),
+		Coherence:     coherence.Strategy(pick(0, 1, 2, 3)),
+		FixedLease:    pickF(0, 0, 5), IRWindow: pickF(0, 10, 100),
+		CoopPeers: pick(0, 0, 2), SharedHotObjects: pick(0, 0, 1, 3, 20),
+		SharedHotProb: pickF(0, 0.5, 1), BroadcastAttrs: pick(0, 0, 1, 9),
+		DisconnectedClients: pick(0, 0, 1, 2), DisconnectHours: pickF(0, 1, 24),
+		LossRate: pickF(0, 0, 0.2, 1), CorruptRate: pickF(0, 0, 0.1),
+		BurstFraction: pickF(0, 0, 0.5),
+		RetryMax:      pick(0, -1, 2), Cells: pick(0, 1, 2, 3), RelayObjects: pick(0, 5),
+	}
+}
+
+// FuzzRun draws a small Config (at most 3 clients over at most 0.005 days,
+// half the time with a warm-up) from the fuzzer's bytes and, when Validate
+// accepts it, requires the run to keep the accounting identities.
+func FuzzRun(f *testing.F) {
+	f.Add([]byte{})
+	// Valid warm-up draws: a lossy channel with disconnections, a
+	// disconnected fleet, broadcast in a fleet, cooperative caching.
+	f.Add([]byte{5, 3, 5, 0, 5, 0, 1, 3, 1, 2, 0, 3, 1, 0, 1, 2, 4, 0, 4, 4, 0, 1, 4, 2, 3, 3, 3, 2, 2, 4, 2, 5, 4, 2, 3, 3})
+	f.Add([]byte{0, 3, 0, 0, 3, 1, 2, 3, 0, 1, 2, 2, 2, 2, 3, 1, 2, 0, 4, 0, 0, 0, 1, 2, 0, 3, 1, 0, 5, 0, 1, 2, 5, 2, 2, 1})
+	f.Add([]byte{3, 3, 5, 0, 1, 1, 3, 1, 4, 3, 2, 4, 5, 3, 4, 4, 0, 5, 2, 3, 0, 1, 4, 4, 3, 4, 3, 1, 4, 3, 1, 2, 4, 5, 2, 5})
+	f.Add([]byte{3, 0, 0, 2, 3, 3, 2, 3, 5, 2, 2, 3, 2, 5, 1, 0, 1, 4, 0, 0, 2, 5, 0, 5, 0, 2, 0, 0, 1, 1, 5, 1, 2, 1, 2, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		}
+		pick := func(xs ...int) int { return xs[next(len(xs))] }
+		pickF := func(xs ...float64) float64 { return xs[next(len(xs))] }
+		cfg := drawConfig(uint64(next(256)), pick, pickF)
+		cfg.NumClients = 1 + next(3)
+		cfg.Days = pickF(0.002, 0.005)
+		cfg.WarmupDays = pickF(0, 0.001)
+		if cfg.Validate() != nil {
+			return
+		}
+		checkAccounting(t, cfg)
+	})
+}
+
+// checkAccounting runs cfg with a trace collector and checks that the query
+// records issued at or after the warm-up horizon add up to the Result: the
+// hit ratio, the error rate (over served reads), the unavailable and
+// degraded read counts. Errors occur only on fresh-hit, stale, degraded or
+// peer reads. A second run of the same config renders the same Result and
+// the same records.
+func checkAccounting(t testing.TB, cfg Config) {
+	t.Helper()
+	tr := &trace.Collector{}
+	cfg.Tracer = tr
+	res := Run(cfg)
+	warmup := res.Config.WarmupDays * workload.SecondsPerDay
+	var reads, hits, stale, unavailable, errs, degraded int
+	for _, r := range tr.Records {
+		if r.IssuedAt < warmup {
+			continue
+		}
+		reads += r.Reads
+		hits += r.Hits
+		stale += r.Stale
+		unavailable += r.Unavailable
+		errs += r.Errors
+		degraded += r.Degraded
+		if cfg.CoopPeers == 0 && r.Errors > r.Hits+r.Stale {
+			t.Fatalf("query %+v: more errors than hit and stale reads without peers\n%+v", r, cfg)
+		}
+	}
+	ratio := func(num, denom int) float64 {
+		if denom == 0 {
+			return 0
+		}
+		return float64(num) / float64(denom)
+	}
+	if got := ratio(hits, reads); got != res.HitRatio {
+		t.Fatalf("records: %d hits / %d reads = %v; Result.HitRatio %v\n%+v", hits, reads, got, res.HitRatio, cfg)
+	}
+	if got := ratio(errs, reads-unavailable); got != res.ErrorRate {
+		t.Fatalf("records: %d errors / %d served reads = %v; Result.ErrorRate %v\n%+v",
+			errs, reads-unavailable, got, res.ErrorRate, cfg)
+	}
+	if uint64(unavailable) != res.Unavailable || uint64(degraded) != res.DegradedReads {
+		t.Fatalf("records: %d unavailable, %d degraded; Result %d, %d\n%+v",
+			unavailable, degraded, res.Unavailable, res.DegradedReads, cfg)
+	}
+	if uint64(errs) > uint64(hits+stale)+res.PeerHits {
+		t.Fatalf("records: %d errors > %d hits + %d stale + %d peer reads\n%+v",
+			errs, hits, stale, res.PeerHits, cfg)
+	}
+	records := tr.Records
+	tr.Records = nil
+	if again := Run(cfg); fmt.Sprintf("%+v", again) != fmt.Sprintf("%+v", res) {
+		t.Fatalf("a second run rendered differently:\n%+v\nvs\n%+v", again, res)
+	}
+	if !reflect.DeepEqual(tr.Records, records) {
+		t.Fatalf("a second run traced different records\n%+v", cfg)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -17,6 +18,43 @@ const hoursPerDay = 24
 // secondsPerHour converts simulation time to day buckets.
 const secondsPerHour = 3600.0
 
+// OutcomeKind says how one read was served.
+type OutcomeKind uint8
+
+// The read outcomes (DESIGN.md §2.1). Only a fresh hit is a hit; every read
+// but an unavailable one is served; a fetched or air read is never an error.
+const (
+	FreshHit    OutcomeKind = iota // a local copy inside its lease
+	StaleServed                    // an expired local copy, served while disconnected (§5.6)
+	Unavailable                    // no local copy and no server to ask
+	Fetched                        // fetched from the server
+	FromAir                        // answered from the broadcast channel
+	FromPeer                       // a cell peer's valid copy
+	Degraded                       // a local copy served after retry exhaustion (DESIGN.md §9.3)
+)
+
+// Outcome is one read's outcome: its kind, and whether the perfect-knowledge
+// oracle found the served copy out of date.
+type Outcome struct {
+	Kind  OutcomeKind
+	Error bool
+}
+
+// Classify turns a local probe into the read's outcome, or reports fetch
+// for a connected miss or expired copy (Fetched, unless the air, a peer or
+// degradation serves it). The caller sets Error for a served copy.
+func Classify(state core.LookupState, connected bool) (o Outcome, fetch bool) {
+	switch {
+	case state == core.Hit:
+		return Outcome{Kind: FreshHit}, false
+	case connected:
+		return Outcome{Kind: Fetched}, true
+	case state == core.Stale:
+		return Outcome{Kind: StaleServed}, false
+	}
+	return Outcome{Kind: Unavailable}, false
+}
+
 // Client accumulates one mobile client's measurements. Observations before
 // the warm-up horizon are discarded so steady-state numbers are not skewed
 // by the initially cold cache (set Warmup to 0 to keep everything, as the
@@ -24,8 +62,8 @@ const secondsPerHour = 3600.0
 type Client struct {
 	Warmup float64
 
-	hits   stats.Ratio // local accesses satisfied by an unexpired item
-	errors stats.Ratio // reads that violated coherence (oracle-checked)
+	hits   stats.Ratio // reads served by a locally unexpired item, over all reads
+	errors stats.Ratio // reads that violated coherence, over served reads
 	resp   stats.Welford
 
 	queriesIssued       uint64
@@ -42,32 +80,22 @@ type Client struct {
 	hourly [hoursPerDay]stats.Welford // response times by hour of day
 }
 
-// RecordAccess records one attribute read: hit says whether it was served
-// by a locally valid (unexpired) item.
-func (c *Client) RecordAccess(now float64, hit bool) {
-	if now < c.Warmup {
+// Read counts one read's outcome, gated like RecordQuery by its query's
+// issue time. Every read is an access; the error rate divides by served
+// reads (all but unavailable ones), §5's "percentage of read errors".
+func (c *Client) Read(issuedAt float64, o Outcome) {
+	if issuedAt < c.Warmup {
 		return
 	}
-	c.hits.Add(hit)
-}
-
-// RecordError records whether a read violated coherence. Every read gets a
-// call so the error denominator is total reads, matching §5's "percentage
-// of read errors the clients encountered".
-func (c *Client) RecordError(now float64, isError bool) {
-	if now < c.Warmup {
+	c.hits.Add(o.Kind == FreshHit)
+	switch o.Kind {
+	case Unavailable:
+		c.readsUnavailable++
 		return
+	case Degraded:
+		c.degradedReads++
 	}
-	c.errors.Add(isError)
-}
-
-// RecordUnavailable counts a read that could not be satisfied at all
-// (disconnected, not cached).
-func (c *Client) RecordUnavailable(now float64) {
-	if now < c.Warmup {
-		return
-	}
-	c.readsUnavailable++
+	c.errors.Add(o.Error)
 }
 
 // RecordRetry counts one retransmission issued by the reliability layer.
@@ -84,15 +112,6 @@ func (c *Client) RecordTimeout(now float64) {
 		return
 	}
 	c.timeouts++
-}
-
-// RecordDegraded counts one read served from a stale cached copy after the
-// reliability layer exhausted its retries.
-func (c *Client) RecordDegraded(now float64) {
-	if now < c.Warmup {
-		return
-	}
-	c.degradedReads++
 }
 
 // RecordQuery records one completed query.
@@ -120,7 +139,7 @@ func (c *Client) RecordQuery(issuedAt, completedAt float64, remote, disconnected
 // HitRatio returns the fraction of reads served by locally valid items.
 func (c *Client) HitRatio() float64 { return c.hits.Value() }
 
-// ErrorRate returns the fraction of reads that violated coherence.
+// ErrorRate returns the fraction of served reads that violated coherence.
 func (c *Client) ErrorRate() float64 { return c.errors.Value() }
 
 // MeanResponse returns the mean query response time in seconds.

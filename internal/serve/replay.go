@@ -182,20 +182,14 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 	var agg liveAggregate
 	var httpCalls uint64
 	if rc.Reg.Enabled() {
-		rc.Reg.Gauge("clients.hit_ratio", func() float64 {
-			reads := atomic.LoadUint64(&agg.reads)
-			if reads == 0 {
-				return 0
+		perRead := func(n *uint64) func() float64 {
+			return func() float64 {
+				r := stats.Ratio{Num: atomic.LoadUint64(n), Denom: atomic.LoadUint64(&agg.reads)}
+				return r.Value()
 			}
-			return float64(atomic.LoadUint64(&agg.hits)) / float64(reads)
-		})
-		rc.Reg.Gauge("clients.error_rate", func() float64 {
-			reads := atomic.LoadUint64(&agg.reads)
-			if reads == 0 {
-				return 0
-			}
-			return float64(atomic.LoadUint64(&agg.errors)) / float64(reads)
-		})
+		}
+		rc.Reg.Gauge("clients.hit_ratio", perRead(&agg.hits))
+		rc.Reg.Gauge("clients.error_rate", perRead(&agg.errors))
 		rc.Reg.Gauge("clients.accesses", func() float64 {
 			return float64(atomic.LoadUint64(&agg.reads))
 		})
@@ -206,16 +200,6 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type clientOutcome struct {
-		m      *metrics.Client
-		rt     stats.Welford
-		stales uint64
-		writes uint64
-		remote uint64
-		local  uint64
-		maxLag float64
-		err    error
-	}
 	outcomes := make([]clientOutcome, cfg.NumClients)
 	start := time.Now()
 
@@ -225,14 +209,14 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 		go func(id int) {
 			defer wg.Done()
 			out := &outcomes[id]
-			out.m = &metrics.Client{Warmup: warmup}
+			out.m = metrics.Client{Warmup: warmup}
 			out.err = replayClient(ctx, replayEnv{
 				cfg: cfg, db: db, id: id,
 				baseURL: rc.BaseURL, httpc: httpc,
 				speedup: speedup, horizon: horizon, warmup: warmup,
 				start: start, agg: &agg, httpCalls: &httpCalls,
 				group: new(workload.Grouping),
-			}, out.m, &out.rt, &out.stales, &out.writes, &out.remote, &out.local, &out.maxLag)
+			}, out)
 			if out.err != nil {
 				cancel() // one failing client aborts the replay
 			}
@@ -242,7 +226,6 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 
 	lr := LiveResult{Config: cfg, Speedup: speedup, WallSeconds: time.Since(start).Seconds()}
 	var pooled metrics.Aggregate
-	var rt stats.Welford
 	for i := range outcomes {
 		out := &outcomes[i]
 		if out.err != nil && ctx.Err() == nil {
@@ -251,20 +234,19 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 		if out.err != nil {
 			return lr, fmt.Errorf("serve: replay client %d: %w", i, out.err)
 		}
-		pooled.Merge(out.m)
-		rt.Merge(&out.rt)
+		pooled.Merge(&out.m)
 		lr.Stales += out.stales
 		lr.Writes += out.writes
-		lr.QueriesRemote += out.remote
-		lr.QueriesLocal += out.local
 		if out.maxLag > lr.MaxLagVirtual {
 			lr.MaxLagVirtual = out.maxLag
 		}
 	}
 	lr.HitRatio = pooled.HitRatio()
 	lr.ErrorRate = pooled.ErrorRate()
-	lr.MeanRT = rt.Mean()
+	lr.MeanRT = pooled.MeanResponse()
 	lr.Queries = pooled.Issued
+	lr.QueriesLocal = pooled.Local
+	lr.QueriesRemote = pooled.Remote
 	lr.Reads = pooled.Hits.Denom
 	lr.Hits = pooled.Hits.Num
 	lr.Errors = pooled.Errs.Num
@@ -300,6 +282,16 @@ func fetchStats(httpc *http.Client, baseURL string) (Stats, error) {
 	return st, nil
 }
 
+// clientOutcome is one replayed client's measurements. The query counters
+// and the read counts live in m, gated at the same warm-up as the rest.
+type clientOutcome struct {
+	m      metrics.Client // response time is the HTTP service time
+	stales uint64         // post-warmup probes that found an expired copy
+	writes uint64         // post-warmup update events applied
+	maxLag float64
+	err    error
+}
+
 // replayEnv bundles the per-client replay context: immutable but for the
 // client's Grouping, which is reused across its queries.
 type replayEnv struct {
@@ -320,13 +312,23 @@ type replayEnv struct {
 // replayClient runs one client's open-loop query stream to the horizon in
 // the simulated client's order: arrival draw, pacing wait, query draw, probe
 // reads, update model, fetch needs.
-func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
-	rt *stats.Welford, stales, writes, remote, local *uint64, maxLag *float64) error {
-
+func replayClient(ctx context.Context, env replayEnv, out *clientOutcome) error {
 	w := experiment.NewClientWorkload(env.cfg, env.db, env.id)
 	var q workload.Query
 	need := make([]workload.ReadOp, 0, 64)
 	scheduled := 0.0
+	// record counts one read's outcome, as the simulated client does, and
+	// feeds the live gauges.
+	record := func(o metrics.Outcome) {
+		out.m.Read(scheduled, o)
+		atomic.AddUint64(&env.agg.reads, 1)
+		if o.Kind == metrics.FreshHit {
+			atomic.AddUint64(&env.agg.hits, 1)
+		}
+		if o.Error {
+			atomic.AddUint64(&env.agg.errors, 1)
+		}
+	}
 	for {
 		scheduled = w.Arrival.Next(w.Stream, scheduled)
 		if scheduled >= env.horizon {
@@ -335,8 +337,8 @@ func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
 		if err := paceUntil(ctx, env.start, scheduled/env.speedup); err != nil {
 			return err
 		}
-		if lag := time.Since(env.start).Seconds()*env.speedup - scheduled; lag > *maxLag {
-			*maxLag = lag
+		if lag := time.Since(env.start).Seconds()*env.speedup - scheduled; lag > out.maxLag {
+			out.maxLag = lag
 		}
 		w.Gen.NextInto(w.Stream, &q)
 
@@ -350,18 +352,15 @@ func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
 			}, &resp); err != nil {
 				return err
 			}
-			if resp.State == core.Hit.String() {
-				m.RecordAccess(scheduled, true)
-				m.RecordError(scheduled, resp.Error)
-				atomic.AddUint64(&env.agg.reads, 1)
-				atomic.AddUint64(&env.agg.hits, 1)
-				if resp.Error {
-					atomic.AddUint64(&env.agg.errors, 1)
-				}
+			state := probeStates[resp.State]
+			o, fetch := metrics.Classify(state, true)
+			if !fetch {
+				o.Error = resp.Error
+				record(o)
 				continue
 			}
-			if resp.State == core.Stale.String() && measured {
-				*stales++
+			if state == core.Stale && measured {
+				out.stales++
 			}
 			need = append(need, rd)
 		}
@@ -372,7 +371,7 @@ func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
 			// attributes the query read on an updated object are written
 			// as one event.
 			if env.cfg.UpdateProb > 0 {
-				if err := env.applyUpdates(&q, w, measured, writes); err != nil {
+				if err := env.applyUpdates(&q, w, measured, &out.writes); err != nil {
 					return err
 				}
 			}
@@ -381,24 +380,17 @@ func replayClient(ctx context.Context, env replayEnv, m *metrics.Client,
 				return err
 			}
 			for range need {
-				m.RecordAccess(scheduled, false)
-				m.RecordError(scheduled, false)
-				atomic.AddUint64(&env.agg.reads, 1)
+				record(metrics.Outcome{Kind: metrics.Fetched})
 			}
-			if measured {
-				*remote++
-			}
-		} else if measured {
-			*local++
 		}
 
-		elapsed := time.Since(t0).Seconds()
-		m.RecordQuery(scheduled, scheduled+elapsed, len(need) > 0, false)
-		if measured {
-			rt.Add(elapsed)
-		}
+		out.m.RecordQuery(scheduled, scheduled+time.Since(t0).Seconds(), len(need) > 0, false)
 	}
 }
+
+// probeStates decodes a ReadResponse's probe state; "miss" is the zero
+// core.Miss.
+var probeStates = map[string]core.LookupState{core.Hit.String(): core.Hit, core.Stale.String(): core.Stale}
 
 // applyUpdates runs the simulated server's update model for one query over
 // the client's workload.Grouping: a U-probability coin per distinct accessed

@@ -7,14 +7,17 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // TestTwinExactSequence drives the simulated client and the live store from
 // one workload stream on one clock and requires the identical per-query
-// (reads, hits) sequence. The simulator runs first; the live side replays its
-// probe instant (the arrival, or the previous completion for a query that
+// outcome sequence: each live read is classified and counted as the
+// simulated client counts its own (metrics.Classify, QueryRecord.Count), and
+// the (reads, hits, stale, unavailable, errors) of every query must match.
+// The simulator runs first; the live side replays its probe instant (the arrival, or the previous completion for a query that
 // queued behind it) and its install instant (the completion) from the trace,
 // so the only things left to differ are the order in which probes and
 // installs touch the two cache levels and what an install grants.
@@ -80,18 +83,22 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 				i, q.Index, scheduled, rec.Index, rec.IssuedAt)
 		}
 		now = max(rec.IssuedAt, completed)
-		hits := 0
+		// The live query's record, counted the way the simulated client
+		// counts its own: one Classify and one Count per read.
+		live := trace.QueryRecord{Reads: len(q.Reads)}
 		need = need[:0]
 		for _, rd := range q.Reads {
 			res, err := st.Read(0, rd.OID, rd.Attr, ModeProbe)
 			if err != nil {
 				t.Fatalf("query %d: probe: %v", i, err)
 			}
-			if res.State == core.Hit {
-				hits++
-			} else {
+			o, fetch := metrics.Classify(res.State, true)
+			if fetch {
 				need = append(need, rd)
+				continue
 			}
+			o.Error = res.Error
+			live.Count(o)
 		}
 		completed = rec.CompletedAt
 		now = completed
@@ -99,10 +106,13 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 			if _, err := st.Fetch(0, need); err != nil {
 				t.Fatalf("query %d: fetch: %v", i, err)
 			}
+			for range need {
+				live.Count(metrics.Outcome{Kind: metrics.Fetched})
+			}
 		}
-		if len(q.Reads) != rec.Reads || hits != rec.Hits {
-			t.Fatalf("query %d diverged: live (reads %d, hits %d), simulator (reads %d, hits %d)",
-				i, len(q.Reads), hits, rec.Reads, rec.Hits)
+		if outcomes(live) != outcomes(rec) {
+			t.Fatalf("query %d diverged: live (reads, hits, stale, unavailable, errors) %v, simulator %v",
+				i, outcomes(live), outcomes(rec))
 		}
 	}
 	stats := st.Stats()
@@ -110,6 +120,12 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 		t.Fatalf("over %d queries: %d evictions, %d hits, %d expired copies; the run must exercise all three",
 			len(tr.Records), stats.Evictions, stats.Hits, stats.Stales)
 	}
+}
+
+// outcomes is the part of a query record the twin compares: its read
+// count and what Count made of its reads' outcomes.
+func outcomes(r trace.QueryRecord) [5]int {
+	return [5]int{r.Reads, r.Hits, r.Stale, r.Unavailable, r.Errors}
 }
 
 // storeConfig maps a (defaulted) simulation config onto the live store: the

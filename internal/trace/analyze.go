@@ -73,19 +73,15 @@ func Analyze(records []QueryRecord) *Analysis {
 }
 
 // HitRatio returns hits/reads.
-func (a *Analysis) HitRatio() float64 {
-	if a.Reads == 0 {
-		return 0
-	}
-	return float64(a.Hits) / float64(a.Reads)
-}
+func (a *Analysis) HitRatio() float64 { return ratio(a.Hits, a.Reads) }
 
-// ErrorRate returns errors/reads.
-func (a *Analysis) ErrorRate() float64 {
-	if a.Reads == 0 {
-		return 0
-	}
-	return float64(a.Errors) / float64(a.Reads)
+// ErrorRate returns errors over served reads (reads minus unavailable), as
+// metrics.Client does, so mctrace prints the error rate mcsim does.
+func (a *Analysis) ErrorRate() float64 { return ratio(a.Errors, a.Reads-a.Unavailable) }
+
+func ratio(num, denom int) float64 {
+	r := stats.Ratio{Num: uint64(num), Denom: uint64(denom)}
+	return r.Value()
 }
 
 // WriteReport renders a human-readable summary.

@@ -10,6 +10,8 @@ import (
 	"io"
 	"strconv"
 	"sync"
+
+	"repro/internal/metrics"
 )
 
 // QueryRecord describes one completed client query.
@@ -32,6 +34,25 @@ type QueryRecord struct {
 	Retries  int  // retransmissions the round trip needed
 	Degraded int  // reads served from stale copies after retry exhaustion
 	TimedOut bool // the round trip exhausted its retries entirely
+}
+
+// Count adds one read's outcome to the record (Reads is set when the
+// record is made; a fetched or air read adds nothing).
+func (r *QueryRecord) Count(o metrics.Outcome) {
+	switch o.Kind {
+	case metrics.FreshHit:
+		r.Hits++
+	case metrics.StaleServed:
+		r.Stale++
+	case metrics.Degraded:
+		r.Stale++
+		r.Degraded++
+	case metrics.Unavailable:
+		r.Unavailable++
+	}
+	if o.Error {
+		r.Errors++
+	}
 }
 
 // ResponseTime returns the query's response time.

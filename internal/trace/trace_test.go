@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func sample() QueryRecord {
@@ -132,7 +134,8 @@ func TestAnalyze(t *testing.T) {
 	if a.HitRatio() != 0.5 {
 		t.Fatalf("HitRatio = %v", a.HitRatio())
 	}
-	if a.ErrorRate() != 1.0/30 {
+	// Errors over served reads: 30 reads, 2 of them unavailable.
+	if a.ErrorRate() != 1.0/28 {
 		t.Fatalf("ErrorRate = %v", a.ErrorRate())
 	}
 	if a.Response.Mean() != 3 {
@@ -155,6 +158,23 @@ func TestAnalyze(t *testing.T) {
 	// The chart lists each non-empty response-time bucket, bar included.
 	if n := len(a.ResponseHist.Buckets()); n == 0 || strings.Count(report.String(), " #") != n {
 		t.Fatalf("chart shows %d bars for %d non-empty buckets:\n%s", strings.Count(report.String(), " #"), n, report.String())
+	}
+}
+
+func TestCountOutcomes(t *testing.T) {
+	rec := QueryRecord{Reads: 9}
+	for _, o := range []metrics.Outcome{
+		{Kind: metrics.FreshHit}, {Kind: metrics.FreshHit, Error: true},
+		{Kind: metrics.StaleServed, Error: true}, {Kind: metrics.Unavailable},
+		{Kind: metrics.Fetched}, {Kind: metrics.FromAir},
+		{Kind: metrics.FromPeer, Error: true}, {Kind: metrics.Degraded},
+		{Kind: metrics.Degraded, Error: true},
+	} {
+		rec.Count(o)
+	}
+	want := QueryRecord{Reads: 9, Hits: 2, Stale: 3, Unavailable: 1, Errors: 4, Degraded: 2}
+	if rec != want {
+		t.Fatalf("counted %+v, want %+v", rec, want)
 	}
 }
 
