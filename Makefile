@@ -64,10 +64,13 @@ goldens:
 		echo "ok $$m"; \
 	done
 
-# Build and run every program under examples/ (~20 s); each must exit 0.
+# Build and run every program under examples/ (~25 s); each must exit 0
+# and print exactly its recorded examples/<name>/output.txt.
 examples:
+	out=$$(mktemp) && trap 'rm -f $$out' EXIT && \
 	for d in examples/*/; do \
-		$(GO) run ./$$d > /dev/null || exit 1; \
+		$(GO) run ./$$d > $$out || exit 1; \
+		diff -u $${d}output.txt $$out || exit 1; \
 		echo "ok $$d"; \
 	done
 
