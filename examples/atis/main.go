@@ -110,9 +110,9 @@ func runATIS(g core.Granularity) (hit, resp, errRate float64, downBytes uint64) 
 	k.RunAll()
 	k.Drain()
 
-	var agg metrics.Aggregate
+	var pool metrics.Account
 	for _, m := range clientMetrics {
-		agg.Merge(m)
+		pool.Add(&m.Account)
 	}
-	return agg.HitRatio(), agg.MeanResponse(), agg.ErrorRate(), down.BytesSent()
+	return pool.HitRatio(), pool.MeanResponse(), pool.ErrorRate(), down.BytesSent()
 }

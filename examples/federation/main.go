@@ -105,9 +105,9 @@ func run(relayObjects int) (hit, resp, relayHitRatio float64, relayed uint64) {
 	k.RunAll()
 	k.Drain()
 
-	var agg metrics.Aggregate
+	var pool metrics.Account
 	for _, m := range clientMetrics {
-		agg.Merge(m)
+		pool.Add(&m.Account)
 	}
 	var hits, misses uint64
 	for i := 0; i < numServers; i++ {
@@ -119,5 +119,5 @@ func run(relayObjects int) (hit, resp, relayHitRatio float64, relayed uint64) {
 	if hits+misses > 0 {
 		relayHitRatio = float64(hits) / float64(hits+misses)
 	}
-	return agg.HitRatio(), agg.MeanResponse(), relayHitRatio, relayed
+	return pool.HitRatio(), pool.MeanResponse(), relayHitRatio, relayed
 }

@@ -75,7 +75,8 @@ type Config struct {
 	// Schedule holds the client's disconnection windows (nil = always
 	// connected).
 	Schedule *network.Schedule
-	// Metrics receives the measurements (required).
+	// Metrics is the client's account: every read, query, event and joule
+	// it tallies (required).
 	Metrics *metrics.Client
 	// Seed drives the client's random draws.
 	Seed uint64
@@ -119,19 +120,6 @@ type Config struct {
 	Broadcast *broadcast.Program
 }
 
-// Counters is a client's cumulative event tally.
-type Counters struct {
-	ShedItems      uint64  // prefetched items shed by the timeout heuristic
-	CacheDrops     uint64  // whole-cache discards after missed invalidation reports
-	BroadcastReads uint64  // reads answered from the broadcast channel
-	IRBReports     uint64  // IR-over-broadcast reports received
-	IRBMissed      uint64  // report frames lost to channel faults while tuned in
-	ForcedRevals   uint64  // whole-cache lease voids after unrecoverable report gaps
-	PeerHits       uint64  // reads served from a peer's cache
-	PeerMisses     uint64  // connected local misses that still went to the server
-	RadioEnergy    float64 // Joules the radio spent transmitting and receiving (§2's battery cost)
-}
-
 // Client is one simulated mobile host.
 type Client struct {
 	id          int
@@ -151,7 +139,6 @@ type Client struct {
 	horizon float64
 
 	shedThreshold float64
-	n             Counters
 
 	coherenceMode coherence.Strategy
 	fixedLease    float64
@@ -276,15 +263,15 @@ func (c *Client) Register(reg *obs.Registry, prefix string) {
 	if !reg.Enabled() {
 		return
 	}
-	reg.Gauge(prefix+".energy_j", func() float64 { return c.n.RadioEnergy })
+	reg.Gauge(prefix+".energy_j", func() float64 { return c.m.RadioEnergy })
 	if c.coherenceMode == coherence.IRBroadcastStrategy {
-		reg.Gauge(prefix+".ir_reports", func() float64 { return float64(c.n.IRBReports) })
-		reg.Gauge(prefix+".ir_missed", func() float64 { return float64(c.n.IRBMissed) })
-		reg.Gauge(prefix+".forced_reval", func() float64 { return float64(c.n.ForcedRevals) })
+		reg.Gauge(prefix+".ir_reports", func() float64 { return float64(c.m.Events[metrics.IRReport]) })
+		reg.Gauge(prefix+".ir_missed", func() float64 { return float64(c.m.Events[metrics.IRMiss]) })
+		reg.Gauge(prefix+".forced_reval", func() float64 { return float64(c.m.Events[metrics.ForcedReval]) })
 	}
 	if c.peerScan > 0 {
-		reg.Gauge(prefix+".peer_hits", func() float64 { return float64(c.n.PeerHits) })
-		reg.Gauge(prefix+".peer_misses", func() float64 { return float64(c.n.PeerMisses) })
+		reg.Gauge(prefix+".peer_hits", func() float64 { return float64(c.m.Peer) })
+		reg.Gauge(prefix+".peer_misses", func() float64 { return float64(c.m.Events[metrics.PeerMiss]) })
 	}
 	st := c.local.Storage()
 	if st == nil {
@@ -301,9 +288,6 @@ func (c *Client) Register(reg *obs.Registry, prefix string) {
 		return st.ValidFraction(c.kernel.Now())
 	})
 }
-
-// Counters returns the client's event tally so far.
-func (c *Client) Counters() Counters { return c.n }
 
 // ApplyInvalidationReport delivers broadcast report number seq to the
 // client (invalidation-report coherence only). A client that saw the
@@ -326,7 +310,7 @@ func (c *Client) ApplyInvalidationReport(now float64, seq uint64) {
 	}
 	if !contiguous {
 		c.local.Clear()
-		c.n.CacheDrops++
+		c.m.Note(now, metrics.CacheDrop, 1)
 		return
 	}
 	// Incremental invalidation: drop exactly the changed items.

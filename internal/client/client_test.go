@@ -124,16 +124,15 @@ func TestMissThenHit(t *testing.T) {
 		r.ask(query(0, 1, 2, 3)),
 		r.ask(query(1, 1, 2, 3)),
 	)
-	if r.m.Accesses() != 6 {
-		t.Fatalf("accesses = %d, want 6", r.m.Accesses())
+	if r.m.Total() != 6 {
+		t.Fatalf("accesses = %d, want 6", r.m.Total())
 	}
 	// First query: 3 misses; second: 3 hits.
 	if hr := r.m.HitRatio(); hr != 0.5 {
 		t.Fatalf("hit ratio = %v, want 0.5", hr)
 	}
-	issued, local, remote, _ := r.m.Queries()
-	if issued != 2 || remote != 1 || local != 1 {
-		t.Fatalf("queries = %d/%d/%d", issued, local, remote)
+	if r.m.Queries != 2 || r.m.Remote != 1 || r.m.Local != 1 {
+		t.Fatalf("queries = %d/%d/%d", r.m.Queries, r.m.Local, r.m.Remote)
 	}
 	if r.up.Messages() != 1 || r.down.Messages() != 1 {
 		t.Fatalf("channel messages = %d/%d, want 1/1", r.up.Messages(), r.down.Messages())
@@ -175,7 +174,7 @@ func TestNCMemoryBufferEvicts(t *testing.T) {
 	}
 	// Object 1 was evicted (LRU): this is a miss.
 	r.exec(append(ops, r.ask(query(40, 1)))...)
-	if r.m.Errors() != 0 {
+	if r.m.Errors != 0 {
 		t.Fatal("errors in read-only run")
 	}
 	// 41 installs into 30 entries: objects 12..40 and the re-fetched 1 remain.
@@ -198,13 +197,13 @@ func TestResponseTimeDominatedByWireless(t *testing.T) {
 		t.Fatalf("remote response %v suspiciously fast", rt)
 	}
 	r2 := newRig(t, core.AttributeCaching, 0)
+	collector := &trace.Collector{}
+	r2.client.tracer = collector
 	r2.exec(
 		r2.ask(query(0, 1)),
 		r2.ask(query(1, 1)),
 	)
-	var agg metrics.Aggregate
-	agg.Merge(r2.m)
-	if agg.Resp.Variance() == 0 {
+	if miss, hit := collector.Records[0], collector.Records[1]; hit.ResponseTime() >= miss.ResponseTime() {
 		t.Fatal("local hit should be much faster than remote miss")
 	}
 }
@@ -252,12 +251,11 @@ func TestDisconnectedMissUnavailable(t *testing.T) {
 	sched.AddOutage(network.Outage{Start: 0, End: 1000})
 	r.client.sched = sched
 	r.exec(r.ask(query(0, 1, 2)))
-	if r.m.Unavailable() != 2 {
-		t.Fatalf("unavailable = %d, want 2", r.m.Unavailable())
+	if r.m.Unavailable != 2 {
+		t.Fatalf("unavailable = %d, want 2", r.m.Unavailable)
 	}
-	_, _, remote, disc := r.m.Queries()
-	if remote != 0 || disc != 1 {
-		t.Fatalf("remote=%d disc=%d", remote, disc)
+	if r.m.Remote != 0 || r.m.Disconnected != 1 {
+		t.Fatalf("remote=%d disc=%d", r.m.Remote, r.m.Disconnected)
 	}
 	if r.up.Messages() != 0 {
 		t.Fatal("disconnected client sent a message")
@@ -279,16 +277,16 @@ func TestDisconnectedServesStale(t *testing.T) {
 	r.client.sched = sched
 	// A foreign write makes the stale copy erroneous.
 	r.db.Write(1, 0)
-	errsBefore := r.m.Errors()
+	errsBefore := r.m.Errors
 	r.exec(
 		hold(1e5), // let the lease lapse
 		r.ask(query(99, 1)),
 	)
-	if r.m.Unavailable() != 0 {
+	if r.m.Unavailable != 0 {
 		t.Fatalf("cached stale read counted unavailable")
 	}
-	if r.m.Errors() != errsBefore+1 {
-		t.Fatalf("stale disconnected read not flagged as error (errors=%d)", r.m.Errors())
+	if r.m.Errors != errsBefore+1 {
+		t.Fatalf("stale disconnected read not flagged as error (errors=%d)", r.m.Errors)
 	}
 }
 
@@ -298,15 +296,15 @@ func TestErrorsRequireForeignWrite(t *testing.T) {
 		r.ask(query(0, 1)),
 		r.ask(query(1, 1)),
 	)
-	if r.m.Errors() != 0 {
-		t.Fatalf("read-only run produced %d errors", r.m.Errors())
+	if r.m.Errors != 0 {
+		t.Fatalf("read-only run produced %d errors", r.m.Errors)
 	}
 	// Foreign write; lease is infinite (no write history at fetch time) so
 	// the next read is a hit AND an error.
 	r.db.Write(1, 0)
 	r.exec(r.ask(query(2, 1)))
-	if r.m.Errors() != 1 {
-		t.Fatalf("errors = %d, want 1", r.m.Errors())
+	if r.m.Errors != 1 {
+		t.Fatalf("errors = %d, want 1", r.m.Errors)
 	}
 }
 
@@ -337,7 +335,7 @@ func TestLeaseExpiryForcesRefresh(t *testing.T) {
 	}
 	// Far beyond the ~100s lease: the cached copy must be stale, so the
 	// read goes remote (not a hit).
-	hits := func() uint64 { return uint64(float64(r.m.Accesses())*r.m.HitRatio() + 0.5) }
+	hits := func() uint64 { return r.m.Hits }
 	var hitsB, hitsA uint64
 	r.exec(append(ops,
 		hold(10000),
@@ -355,11 +353,10 @@ func TestRunLoopIssuesQueries(t *testing.T) {
 	r.client.horizon = 20000
 	r.client.Start()
 	r.k.RunAll()
-	issued, _, _, _ := r.m.Queries()
-	if issued == 0 {
+	if r.m.Queries == 0 {
 		t.Fatal("no queries issued by run loop")
 	}
-	if r.m.Accesses() == 0 {
+	if r.m.Total() == 0 {
 		t.Fatal("no accesses recorded")
 	}
 	if r.k.LiveMachines() != 0 {
@@ -440,7 +437,7 @@ func TestDeterministicReplay(t *testing.T) {
 		r.client.horizon = 50000
 		r.client.Start()
 		r.k.RunAll()
-		return r.m.HitRatio(), r.m.MeanResponse(), r.m.Accesses()
+		return r.m.HitRatio(), r.m.MeanResponse(), r.m.Total()
 	}
 	h1, rt1, a1 := runOnce()
 	h2, rt2, a2 := runOnce()
@@ -496,8 +493,8 @@ func TestIRIncrementalInvalidation(t *testing.T) {
 	if !r.client.Store().Contains(oodb.AttrItem(2, 0)) {
 		t.Fatal("contiguous report dropped the cache")
 	}
-	if r.client.Counters().CacheDrops != 0 {
-		t.Fatalf("CacheDrops = %d", r.client.Counters().CacheDrops)
+	if r.m.Events[metrics.CacheDrop] != 0 {
+		t.Fatalf("CacheDrops = %d", r.m.Events[metrics.CacheDrop])
 	}
 }
 
@@ -518,8 +515,8 @@ func TestIRMissedReportDropsCache(t *testing.T) {
 			t.Fatalf("a copy of object %d survived the missed report", oid)
 		}
 	}
-	if r.client.Counters().CacheDrops != 1 {
-		t.Fatalf("CacheDrops = %d, want 1", r.client.Counters().CacheDrops)
+	if r.m.Events[metrics.CacheDrop] != 1 {
+		t.Fatalf("CacheDrops = %d, want 1", r.m.Events[metrics.CacheDrop])
 	}
 }
 
@@ -536,8 +533,8 @@ func TestIRReportToLeaseClientPanics(t *testing.T) {
 func TestShedThresholdDisabledByDefault(t *testing.T) {
 	r := newRig(t, core.HybridCaching, 0)
 	r.exec(r.ask(query(0, 1, 2, 3)))
-	if r.client.Counters().ShedItems != 0 {
-		t.Fatalf("ShedItems = %d with heuristic disabled", r.client.Counters().ShedItems)
+	if r.m.Events[metrics.ShedItem] != 0 {
+		t.Fatalf("ShedItems = %d with heuristic disabled", r.m.Events[metrics.ShedItem])
 	}
 }
 
@@ -636,9 +633,9 @@ func TestWarmupGatesReadsByIssueTime(t *testing.T) {
 			reads += rec.Reads
 		}
 	}
-	if uint64(reads) != r.m.Accesses() || r.m.HitRatio() != 1 {
+	if uint64(reads) != r.m.Total() || r.m.HitRatio() != 1 {
 		t.Fatalf("records issued after warm-up hold %d reads; the client counted %d accesses, hit ratio %v",
-			reads, r.m.Accesses(), r.m.HitRatio())
+			reads, r.m.Total(), r.m.HitRatio())
 	}
 }
 
@@ -666,8 +663,8 @@ func TestBroadcastServesCoveredReads(t *testing.T) {
 		// Object 1 attr 0 is on the air; object 50 is not.
 		r.ask(query(0, 1, 50)),
 	)
-	if r.client.Counters().BroadcastReads != 1 {
-		t.Fatalf("BroadcastReads = %d, want 1", r.client.Counters().BroadcastReads)
+	if r.m.Air != 1 {
+		t.Fatalf("BroadcastReads = %d, want 1", r.m.Air)
 	}
 	if !r.client.Store().Contains(oodb.AttrItem(1, 0)) {
 		t.Fatal("broadcast item not cached")
@@ -689,12 +686,12 @@ func TestBroadcastOnlyQuerySendsNothing(t *testing.T) {
 		t.Fatalf("broadcast-covered query used point-to-point channels (%d/%d)",
 			r.up.Messages(), r.down.Messages())
 	}
-	if r.client.Counters().BroadcastReads != 3 {
-		t.Fatalf("BroadcastReads = %d", r.client.Counters().BroadcastReads)
+	if r.m.Air != 3 {
+		t.Fatalf("BroadcastReads = %d", r.m.Air)
 	}
 	// Subsequent identical reads hit the cache within the lease.
 	r.exec(r.ask(query(1, 1, 2, 3)))
-	if r.client.Counters().BroadcastReads != 3 {
+	if r.m.Air != 3 {
 		t.Fatal("cached broadcast items re-fetched from the air")
 	}
 }
@@ -713,10 +710,10 @@ func TestBroadcastIgnoredWhileDisconnected(t *testing.T) {
 	sched.AddOutage(network.Outage{Start: 0, End: 1e6})
 	r.client.sched = sched
 	r.exec(r.ask(query(0, 1)))
-	if r.client.Counters().BroadcastReads != 0 {
+	if r.m.Air != 0 {
 		t.Fatal("disconnected client read from the air")
 	}
-	if r.m.Unavailable() != 1 {
-		t.Fatalf("unavailable = %d", r.m.Unavailable())
+	if r.m.Unavailable != 1 {
+		t.Fatalf("unavailable = %d", r.m.Unavailable)
 	}
 }

@@ -120,7 +120,7 @@ func (cm *clientMachine) commitPeerFetch(now float64) {
 		cm.record(metrics.Outcome{Kind: metrics.FromPeer, Error: c.oracle.IsError(g.item, g.entry.Version)})
 		if g.newItem {
 			c.local.Stage(g.item, g.entry, false)
-			c.peers[g.src].n.RadioEnergy += network.TxEnergy(network.ReplyEntrySize(g.item))
+			c.peers[g.src].m.Spend(now, network.TxEnergy(network.ReplyEntrySize(g.item)))
 		}
 	}
 	c.local.Commit(now)
@@ -135,13 +135,13 @@ func (cm *clientMachine) commitPeerFetch(now float64) {
 		out = append(out, cm.need[i])
 	}
 	c.peerGot = c.peerGot[:0]
-	c.n.PeerMisses += uint64(len(out))
+	c.m.Note(now, metrics.PeerMiss, uint64(len(out)))
 	cm.need = out
 }
 
 // abortPeerFetch discards the staged plan after a lost or corrupted
 // exchange frame; every read falls back to the server path.
-func (c *Client) abortPeerFetch(need []workload.ReadOp) {
+func (c *Client) abortPeerFetch(now float64, need []workload.ReadOp) {
 	c.peerGot = c.peerGot[:0]
-	c.n.PeerMisses += uint64(len(need))
+	c.m.Note(now, metrics.PeerMiss, uint64(len(need)))
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/oodb"
 )
@@ -39,8 +40,8 @@ func (c *Client) ApplyIRBroadcast(now float64, items []oodb.Item, wireBytes int)
 	if c.coherenceMode != coherence.IRBroadcastStrategy {
 		panic("client: IR-over-broadcast report delivered to a non-irb client")
 	}
-	c.n.RadioEnergy += network.RxEnergy(wireBytes)
-	c.n.IRBReports++
+	c.m.Spend(now, network.RxEnergy(wireBytes))
+	c.m.Note(now, metrics.IRReport, 1)
 	if now-c.irLastGood > c.irWindow+irSlack {
 		// The report's window does not reach back to the last report this
 		// client saw: writes in the gap are unrecoverable, revalidate.
@@ -70,9 +71,9 @@ func (c *Client) MissIRBroadcast(now, period float64, rxBytes int) {
 		panic("client: IR-over-broadcast miss delivered to a non-irb client")
 	}
 	if rxBytes > 0 {
-		c.n.RadioEnergy += network.RxEnergy(rxBytes)
+		c.m.Spend(now, network.RxEnergy(rxBytes))
 	}
-	c.n.IRBMissed++
+	c.m.Note(now, metrics.IRMiss, 1)
 	if now-c.irLastGood+period > c.irWindow+irSlack {
 		c.forceRevalidate(now)
 		// Every lease is voided, so staleness is bounded from here on; the
@@ -84,6 +85,6 @@ func (c *Client) MissIRBroadcast(now, period float64, rxBytes int) {
 // forceRevalidate voids every cached lease in place: the copies survive for
 // disconnected or degraded serving, but must be revalidated at the server.
 func (c *Client) forceRevalidate(now float64) {
-	c.n.ForcedRevals++
+	c.m.Note(now, metrics.ForcedReval, 1)
 	c.local.VoidLeases(now)
 }

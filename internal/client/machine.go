@@ -106,7 +106,7 @@ func (cm *clientMachine) shedReply(waited float64) int {
 				kept = append(kept, it)
 			}
 		}
-		c.n.ShedItems += uint64(len(cm.items) - len(kept))
+		c.m.Note(c.kernel.Now(), metrics.ShedItem, uint64(len(cm.items)-len(kept)))
 		c.scratchKept = kept
 		cm.items = kept
 	}
@@ -119,23 +119,16 @@ func (cm *clientMachine) shedReply(waited float64) int {
 	// land during the transfer, and move the pinned fingerprints.
 	cm.rxPending = c.downFaults != nil
 	if !cm.rxPending {
-		c.n.RadioEnergy += network.RxEnergy(cm.replyBytes)
+		c.m.Spend(c.kernel.Now(), network.RxEnergy(cm.replyBytes))
 	}
 	return cm.replyBytes
 }
 
-// record counts one read's outcome, against the query in flight: the
-// client's one call site for the metrics and the query record, and for
-// its per-read broadcast and peer tallies.
+// record counts one read's outcome, against the query in flight, in the
+// client's account and in the query record.
 func (cm *clientMachine) record(o metrics.Outcome) {
 	cm.c.m.Read(cm.scheduled, o)
 	cm.rec.Count(o)
-	switch o.Kind {
-	case metrics.FromAir:
-		cm.c.n.BroadcastReads++
-	case metrics.FromPeer:
-		cm.c.n.PeerHits++
-	}
 }
 
 // Step is the client's open-loop query pump.
@@ -250,7 +243,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 					cm.pc = cmPeerUp
 					continue
 				}
-				c.n.PeerMisses += uint64(len(cm.need))
+				c.m.Note(m.Now(), metrics.PeerMiss, uint64(len(cm.need)))
 			}
 			cm.pc = cmRemote
 
@@ -258,9 +251,9 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if !c.up.SendStep(m, &cm.send, c.peerProbeBytes) {
 				return false
 			}
-			c.n.RadioEnergy += network.TxEnergy(c.peerProbeBytes)
+			c.m.Spend(m.Now(), network.TxEnergy(c.peerProbeBytes))
 			if c.upFaults.Transmit(m.Now()) != network.FrameDelivered {
-				c.abortPeerFetch(cm.need)
+				c.abortPeerFetch(m.Now(), cm.need)
 				cm.pc = cmRemote
 				continue
 			}
@@ -274,10 +267,10 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if outcome != network.FrameLost {
 				// The frame was received (and, if corrupted, rejected after
 				// the fact): the radio energy is spent either way.
-				c.n.RadioEnergy += network.RxEnergy(c.peerReplyBytes)
+				c.m.Spend(m.Now(), network.RxEnergy(c.peerReplyBytes))
 			}
 			if outcome != network.FrameDelivered {
-				c.abortPeerFetch(cm.need)
+				c.abortPeerFetch(m.Now(), cm.need)
 			} else {
 				cm.commitPeerFetch(m.Now())
 			}
@@ -294,7 +287,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				Granularity:     c.granularity,
 				Accesses:        c.scratchQuery.Reads,
 				Need:            cm.need,
-				ExistentEntries: cm.rec.Hits,
+				ExistentEntries: int(cm.rec.Hits),
 			}
 			cm.reqBytes = cm.req.WireSize()
 			cm.rec.RequestBytes = cm.reqBytes
@@ -322,7 +315,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			if !c.up.SendStep(m, &cm.send, cm.reqBytes) {
 				return false
 			}
-			c.n.RadioEnergy += network.TxEnergy(cm.reqBytes)
+			c.m.Spend(m.Now(), network.TxEnergy(cm.reqBytes))
 			if c.upFaults.Transmit(m.Now()) == network.FrameDelivered {
 				cm.call.Begin(cm.req)
 				cm.pc = cmSrv
@@ -347,7 +340,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				// The frame was received in full (and, if corrupted,
 				// rejected by the CRC check after the fact): the radio
 				// energy is spent either way.
-				c.n.RadioEnergy += network.RxEnergy(cm.replyBytes)
+				c.m.Spend(m.Now(), network.RxEnergy(cm.replyBytes))
 			}
 			if outcome == network.FrameDelivered {
 				c.replyEstimate = cm.replyBytes
@@ -369,7 +362,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 			}
 
 		case cmExpired:
-			c.m.RecordTimeout(m.Now())
+			c.m.Note(m.Now(), metrics.Timeout, 1)
 			if cm.attempt >= c.retry.MaxRetries {
 				cm.rec.ReplyBytes = 0
 				cm.rec.Retries = cm.retries
@@ -379,7 +372,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				continue
 			}
 			cm.retries++
-			c.m.RecordRetry(m.Now())
+			c.m.Note(m.Now(), metrics.Retry, 1)
 			backoff := c.retry.BackoffBase * math.Pow(2, float64(cm.attempt))
 			if backoff > backoffMax {
 				backoff = backoffMax
@@ -419,7 +412,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 
 		case cmAirRecv:
 			item := cm.fromAir[cm.airIdx]
-			c.n.RadioEnergy += network.RxEnergy(c.bcast.SlotBytes())
+			c.m.Spend(m.Now(), network.RxEnergy(c.bcast.SlotBytes()))
 			entry := core.Entry{
 				Version:   c.oracle.CurrentVersion(item),
 				ExpiresAt: m.Now() + c.bcast.Cycle(),

@@ -92,10 +92,9 @@ func (c Config) cellFaultConfig(cell int) network.FaultConfig {
 // deterministic cell-order merge. It holds values only: nothing in it
 // reaches the cell's kernel, clients, servers or caches, so a finished
 // cell's world is garbage before the merge, and a fleet's footprint is the
-// cells it is running plus these per-client counters.
+// cells it is running plus these per-client accounts.
 type cellOutcome struct {
-	counters []client.Counters
-	metrics  []*metrics.Client
+	accounts []*metrics.Client
 
 	upUtil, downUtil float64
 	downWait         float64
@@ -253,8 +252,7 @@ func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
 	k.Drain()
 
 	out := cellOutcome{
-		counters:  make([]client.Counters, len(clients)),
-		metrics:   ms,
+		accounts:  ms,
 		upUtil:    up.Utilization(),
 		downUtil:  down.Utilization(),
 		downWait:  down.MeanWait(),
@@ -262,9 +260,6 @@ func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
 		upStats:   upFaults.Stats(),
 		downStats: downFaults.Stats(),
 		events:    k.Steps(),
-	}
-	for i, cl := range clients {
-		out.counters[i] = cl.Counters()
 	}
 	if irb != nil {
 		out.irReports, out.irBytes = irb.reports, irb.reportBytes
@@ -296,38 +291,27 @@ func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
 }
 
 // mergeCells folds the per-cell outcomes, in cell order, into one Result:
-// pooled client metrics, message-weighted downlink wait, and counter sums
-// with ratios recomputed from the merged numerators and denominators. The
-// pooled server figures reproduce a single server's own bit for bit: the
-// server probes its buffer at exactly the one site that counts a hit or a
-// disk read, so BufferHits/(BufferHits+DiskReads) is its buffer's hit
-// ratio, and a mean over one value is that value.
+// the client accounts pooled in client order, message-weighted downlink
+// wait, and counter sums with ratios recomputed from the merged numerators
+// and denominators. The pooled server figures reproduce a single server's
+// own bit for bit: the server probes its buffer at exactly the one site
+// that counts a hit or a disk read, so BufferHits/(BufferHits+DiskReads) is
+// its buffer's hit ratio, and a mean over one value is that value.
 func mergeCells(cfg Config, outs []cellOutcome) Result {
-	var agg metrics.Aggregate
-	var energy float64
+	var pool metrics.Account
 	var upUtil, downUtil, waitSum float64
 	var downMsgs uint64
 	var diskSum float64
 	var diskN int
 	res := Result{Config: cfg, PerClient: make([]PerClient, 0, cfg.NumClients)}
 	for _, out := range outs {
-		for i, m := range out.metrics {
-			agg.Merge(m)
-			n := out.counters[i]
-			res.ItemsShed += n.ShedItems
-			res.CacheDrops += n.CacheDrops
-			res.BroadcastReads += n.BroadcastReads
-			res.IRMissed += n.IRBMissed
-			res.ForcedRevals += n.ForcedRevals
-			res.PeerHits += n.PeerHits
-			res.PeerMisses += n.PeerMisses
-			energy += n.RadioEnergy
-			issued, _, _, _ := m.Queries()
+		for _, m := range out.accounts {
+			pool.Add(&m.Account)
 			res.PerClient = append(res.PerClient, PerClient{
 				HitRatio:     m.HitRatio(),
 				ErrorRate:    m.ErrorRate(),
 				MeanResponse: m.MeanResponse(),
-				Queries:      issued,
+				Queries:      m.Queries,
 			})
 		}
 		upUtil += out.upUtil
@@ -354,13 +338,13 @@ func mergeCells(cfg Config, outs []cellOutcome) Result {
 	res.Server.DiskUtilization = diskSum / float64(diskN)
 	res.StorageTier = outs[0].tier // set on single-server runs only
 
-	res.HitRatio = agg.HitRatio()
-	res.MeanResponse = agg.MeanResponse()
-	res.ErrorRate = agg.ErrorRate()
-	res.QueriesIssued = agg.Issued
-	res.QueriesLocal = agg.Local
-	res.QueriesRemote = agg.Remote
-	res.Unavailable = agg.Unavail
+	res.HitRatio = pool.HitRatio()
+	res.MeanResponse = pool.MeanResponse()
+	res.ErrorRate = pool.ErrorRate()
+	res.QueriesIssued = pool.Queries
+	res.QueriesLocal = pool.Local
+	res.QueriesRemote = pool.Remote
+	res.Unavailable = pool.Unavailable
 	cells := float64(len(outs))
 	res.UplinkUtilization = upUtil / cells
 	res.DownlinkUtilization = downUtil / cells
@@ -372,15 +356,22 @@ func mergeCells(cfg Config, outs []cellOutcome) Result {
 	case downMsgs > 0:
 		res.DownlinkMeanWait = waitSum / float64(downMsgs)
 	}
-	if agg.Hits.Denom > 0 {
-		res.AccessErrorRate = float64(agg.Errs.Num+agg.Unavail) / float64(agg.Hits.Denom)
+	if reads := pool.Total(); reads > 0 {
+		res.AccessErrorRate = float64(pool.Errors+pool.Unavailable) / float64(reads)
 	}
-	res.Retries = agg.Retries
-	res.Timeouts = agg.Timeouts
-	res.DegradedReads = agg.Degraded
-	res.HourlyResponse, res.HourlyQueries = agg.HourlyResponse()
-	if agg.Issued > 0 {
-		res.RadioEnergyPerQuery = energy / float64(agg.Issued)
+	res.Retries = pool.Events[metrics.Retry]
+	res.Timeouts = pool.Events[metrics.Timeout]
+	res.DegradedReads = pool.Degraded
+	res.ItemsShed = pool.Events[metrics.ShedItem]
+	res.CacheDrops = pool.Events[metrics.CacheDrop]
+	res.BroadcastReads = pool.Air
+	res.IRMissed = pool.Events[metrics.IRMiss]
+	res.ForcedRevals = pool.Events[metrics.ForcedReval]
+	res.PeerHits = pool.Peer
+	res.PeerMisses = pool.Events[metrics.PeerMiss]
+	res.HourlyResponse, res.HourlyQueries = pool.HourlyResponse()
+	if pool.Queries > 0 {
+		res.RadioEnergyPerQuery = pool.RadioEnergy / float64(pool.Queries)
 	}
 	return res
 }

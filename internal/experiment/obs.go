@@ -16,10 +16,10 @@ import (
 // client aggregates, then per-client detail — so manifests and reports are
 // byte-stable across runs of the same config.
 //
-// The aggregate gauges recompute the pooled metrics each sampler tick by
-// merging every client's accumulator, exactly as the end-of-run Result
-// does; sampled over virtual time they become the convergence curves
-// (hit-ratio warm-up, error-rate settling) a report plots.
+// The pooled gauges fold every client's account each sampler tick, in
+// client order, exactly as the end-of-run Result does; sampled over
+// virtual time they become the convergence curves (hit-ratio warm-up,
+// error-rate settling) a report plots.
 func registerObservables(cfg Config, srv *server.Server, up, down *network.Channel,
 	upFaults, downFaults *network.FaultModel, program *broadcast.Program,
 	clients []*client.Client, ms []*metrics.Client) {
@@ -29,37 +29,30 @@ func registerObservables(cfg Config, srv *server.Server, up, down *network.Chann
 	down.Register(reg, "downlink")
 	upFaults.Register(reg, "uplink.faults")
 	downFaults.Register(reg, "downlink.faults")
-	// sum registers a gauge totalling one counter across the cell's
-	// clients, in client order.
-	sum := func(name string, counter func(client.Counters) float64) {
+	// pooled registers a gauge reading one figure of the cell's pooled
+	// account.
+	pooled := func(name string, figure func(a *metrics.Account) float64) {
 		reg.Gauge(name, func() float64 {
-			var total float64
-			for _, cl := range clients {
-				total += counter(cl.Counters())
+			var a metrics.Account
+			for _, m := range ms {
+				a.Add(&m.Account)
 			}
-			return total
+			return figure(&a)
 		})
 	}
 	if program != nil {
 		program.Register(reg, "broadcast")
-		sum("broadcast.air_reads", func(n client.Counters) float64 { return float64(n.BroadcastReads) })
+		pooled("broadcast.air_reads", func(a *metrics.Account) float64 { return float64(a.Air) })
 	}
 	srv.Register(reg)
 
-	pooled := func() metrics.Aggregate {
-		var a metrics.Aggregate
-		for _, m := range ms {
-			a.Merge(m)
-		}
-		return a
-	}
-	reg.Gauge("clients.hit_ratio", func() float64 { a := pooled(); return a.HitRatio() })
-	reg.Gauge("clients.error_rate", func() float64 { a := pooled(); return a.ErrorRate() })
-	reg.Gauge("clients.mean_response_s", func() float64 { a := pooled(); return a.MeanResponse() })
-	reg.Gauge("clients.queries", func() float64 { a := pooled(); return float64(a.Issued) })
-	reg.Gauge("clients.retries", func() float64 { a := pooled(); return float64(a.Retries) })
-	reg.Gauge("clients.timeouts", func() float64 { a := pooled(); return float64(a.Timeouts) })
-	reg.Gauge("clients.degraded_reads", func() float64 { a := pooled(); return float64(a.Degraded) })
+	pooled("clients.hit_ratio", (*metrics.Account).HitRatio)
+	pooled("clients.error_rate", (*metrics.Account).ErrorRate)
+	pooled("clients.mean_response_s", (*metrics.Account).MeanResponse)
+	pooled("clients.queries", func(a *metrics.Account) float64 { return float64(a.Queries) })
+	pooled("clients.retries", func(a *metrics.Account) float64 { return float64(a.Events[metrics.Retry]) })
+	pooled("clients.timeouts", func(a *metrics.Account) float64 { return float64(a.Events[metrics.Timeout]) })
+	pooled("clients.degraded_reads", func(a *metrics.Account) float64 { return float64(a.Degraded) })
 
 	// Cache health pooled across the cell (clients share one policy per
 	// run, so this is the "occupancy and eviction rate per policy" view).
@@ -94,15 +87,15 @@ func registerObservables(cfg Config, srv *server.Server, up, down *network.Chann
 		}
 		return total
 	})
-	sum("clients.energy_j", func(n client.Counters) float64 { return n.RadioEnergy })
+	pooled("clients.energy_j", func(a *metrics.Account) float64 { return a.RadioEnergy })
 	if cfg.Coherence == coherence.IRBroadcastStrategy {
-		sum("clients.ir_reports", func(n client.Counters) float64 { return float64(n.IRBReports) })
-		sum("clients.ir_missed", func(n client.Counters) float64 { return float64(n.IRBMissed) })
-		sum("clients.forced_reval", func(n client.Counters) float64 { return float64(n.ForcedRevals) })
+		pooled("clients.ir_reports", func(a *metrics.Account) float64 { return float64(a.Events[metrics.IRReport]) })
+		pooled("clients.ir_missed", func(a *metrics.Account) float64 { return float64(a.Events[metrics.IRMiss]) })
+		pooled("clients.forced_reval", func(a *metrics.Account) float64 { return float64(a.Events[metrics.ForcedReval]) })
 	}
 	if cfg.CoopPeers > 0 {
-		sum("clients.peer_hits", func(n client.Counters) float64 { return float64(n.PeerHits) })
-		sum("clients.peer_misses", func(n client.Counters) float64 { return float64(n.PeerMisses) })
+		pooled("clients.peer_hits", func(a *metrics.Account) float64 { return float64(a.Peer) })
+		pooled("clients.peer_misses", func(a *metrics.Account) float64 { return float64(a.Events[metrics.PeerMiss]) })
 	}
 
 	// Per-client detail: convergence and cache series for each mobile host

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -352,11 +353,34 @@ func FuzzRun(f *testing.F) {
 	})
 }
 
-// checkAccounting runs cfg with a trace collector and checks that the query
-// records issued at or after the warm-up horizon add up to the Result: the
-// hit ratio, the error rate (over served reads), the unavailable and
-// degraded read counts. Errors occur only on fresh-hit, stale, degraded or
-// peer reads. A second run of the same config renders the same Result and
+// TestWarmupGatesEnergyByEventTime: radio energy is counted on the
+// account's one warm-up window, by the time it is spent, so energy per
+// query divides post-warm-up joules by post-warm-up queries. As the warm-up
+// grows the cache is warmer over what is measured, so the figure must not
+// rise; charging the whole run's energy to the measured queries made it
+// double by a half-day warm-up.
+func TestWarmupGatesEnergyByEventTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three one-day runs")
+	}
+	prev := math.Inf(1)
+	for _, warmup := range []float64{0, 0.25, 0.5} {
+		res := Run(Config{Seed: 1, Days: 1, WarmupDays: warmup, Granularity: core.HybridCaching, UpdateProb: 0.1})
+		t.Logf("warm-up %v days: %.3f J/query, hit ratio %.3f", warmup, res.RadioEnergyPerQuery, res.HitRatio)
+		if res.RadioEnergyPerQuery <= 0 || res.RadioEnergyPerQuery > prev {
+			t.Fatalf("warm-up %v days: %.3f J per query, after %.3f at a shorter warm-up",
+				warmup, res.RadioEnergyPerQuery, prev)
+		}
+		prev = res.RadioEnergyPerQuery
+	}
+}
+
+// checkAccounting runs cfg with a trace collector and checks that each
+// query record's outcome counts sum to its reads, with errors only on
+// fresh-hit, stale, degraded or peer reads, and that the records issued at
+// or after the warm-up horizon add up to the Result: the hit ratio, the
+// error rate (over served reads), the unavailable, degraded, air and peer
+// read counts. A second run of the same config renders the same Result and
 // the same records.
 func checkAccounting(t testing.TB, cfg Config) {
 	t.Helper()
@@ -364,41 +388,29 @@ func checkAccounting(t testing.TB, cfg Config) {
 	cfg.Tracer = tr
 	res := Run(cfg)
 	warmup := res.Config.WarmupDays * workload.SecondsPerDay
-	var reads, hits, stale, unavailable, errs, degraded int
+	var pool metrics.ReadCounts
 	for _, r := range tr.Records {
-		if r.IssuedAt < warmup {
-			continue
+		if r.Total() != uint64(r.Reads) {
+			t.Fatalf("query %+v: outcome counts sum to %d, not its %d reads\n%+v", r, r.Total(), r.Reads, cfg)
 		}
-		reads += r.Reads
-		hits += r.Hits
-		stale += r.Stale
-		unavailable += r.Unavailable
-		errs += r.Errors
-		degraded += r.Degraded
-		if cfg.CoopPeers == 0 && r.Errors > r.Hits+r.Stale {
-			t.Fatalf("query %+v: more errors than hit and stale reads without peers\n%+v", r, cfg)
+		if r.Errors > r.Hits+r.Stale+r.Peer {
+			t.Fatalf("query %+v: more errors than hit, stale and peer reads\n%+v", r, cfg)
+		}
+		if r.IssuedAt >= warmup {
+			pool.Add(r.ReadCounts)
 		}
 	}
-	ratio := func(num, denom int) float64 {
-		if denom == 0 {
-			return 0
-		}
-		return float64(num) / float64(denom)
+	if got := pool.HitRatio(); got != res.HitRatio {
+		t.Fatalf("records: %d hits / %d reads = %v; Result.HitRatio %v\n%+v", pool.Hits, pool.Total(), got, res.HitRatio, cfg)
 	}
-	if got := ratio(hits, reads); got != res.HitRatio {
-		t.Fatalf("records: %d hits / %d reads = %v; Result.HitRatio %v\n%+v", hits, reads, got, res.HitRatio, cfg)
-	}
-	if got := ratio(errs, reads-unavailable); got != res.ErrorRate {
+	if got := pool.ErrorRate(); got != res.ErrorRate {
 		t.Fatalf("records: %d errors / %d served reads = %v; Result.ErrorRate %v\n%+v",
-			errs, reads-unavailable, got, res.ErrorRate, cfg)
+			pool.Errors, pool.Total()-pool.Unavailable, got, res.ErrorRate, cfg)
 	}
-	if uint64(unavailable) != res.Unavailable || uint64(degraded) != res.DegradedReads {
-		t.Fatalf("records: %d unavailable, %d degraded; Result %d, %d\n%+v",
-			unavailable, degraded, res.Unavailable, res.DegradedReads, cfg)
-	}
-	if uint64(errs) > uint64(hits+stale)+res.PeerHits {
-		t.Fatalf("records: %d errors > %d hits + %d stale + %d peer reads\n%+v",
-			errs, hits, stale, res.PeerHits, cfg)
+	got := [4]uint64{pool.Unavailable, pool.Degraded, pool.Air, pool.Peer}
+	want := [4]uint64{res.Unavailable, res.DegradedReads, res.BroadcastReads, res.PeerHits}
+	if got != want {
+		t.Fatalf("records: (unavailable, degraded, air, peer) reads %v; Result %v\n%+v", got, want, cfg)
 	}
 	records := tr.Records
 	tr.Records = nil

@@ -1,10 +1,10 @@
-// Package metrics collects the three performance metrics of §5 — average
-// cache hit ratio, average response time, and error rate — plus supporting
-// counters, per client and aggregated across clients.
+// Package metrics keeps each client's account: the three performance
+// metrics of §5 — average cache hit ratio, average response time, and
+// error rate — and every counter behind them, per client and pooled
+// across clients.
 package metrics
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -55,63 +55,157 @@ func Classify(state core.LookupState, connected bool) (o Outcome, fetch bool) {
 	return Outcome{Kind: Unavailable}, false
 }
 
-// Client accumulates one mobile client's measurements. Observations before
-// the warm-up horizon are discarded so steady-state numbers are not skewed
-// by the initially cold cache (set Warmup to 0 to keep everything, as the
-// paper's 4-day averages effectively do).
-type Client struct {
-	Warmup float64
+// ReadCounts counts reads by outcome. Every read lands in exactly one of
+// Hits, Stale, Unavailable, Fetched, Air and Peer; Degraded (of Stale) and
+// Errors (of the served reads) are sub-counts.
+type ReadCounts struct {
+	Hits        uint64 // fresh hits
+	Stale       uint64 // expired local copies served, degraded ones included
+	Degraded    uint64 // stale copies served after retry exhaustion
+	Unavailable uint64 // reads with no copy and no server to ask
+	Fetched     uint64 // reads fetched from the server
+	Air         uint64 // reads answered from the broadcast channel
+	Peer        uint64 // reads served from a cell peer's cache
+	Errors      uint64 // served reads whose copy was out of date
+}
 
-	hits   stats.Ratio // reads served by a locally unexpired item, over all reads
-	errors stats.Ratio // reads that violated coherence, over served reads
+// Count adds one read's outcome: the one place an outcome becomes counts.
+func (r *ReadCounts) Count(o Outcome) {
+	switch o.Kind {
+	case FreshHit:
+		r.Hits++
+	case StaleServed:
+		r.Stale++
+	case Degraded:
+		r.Stale++
+		r.Degraded++
+	case Unavailable:
+		r.Unavailable++
+	case Fetched:
+		r.Fetched++
+	case FromAir:
+		r.Air++
+	case FromPeer:
+		r.Peer++
+	}
+	if o.Error {
+		r.Errors++
+	}
+}
+
+// Add folds o's counts into r.
+func (r *ReadCounts) Add(o ReadCounts) {
+	r.Hits += o.Hits
+	r.Stale += o.Stale
+	r.Degraded += o.Degraded
+	r.Unavailable += o.Unavailable
+	r.Fetched += o.Fetched
+	r.Air += o.Air
+	r.Peer += o.Peer
+	r.Errors += o.Errors
+}
+
+// Total returns the number of reads counted.
+func (r *ReadCounts) Total() uint64 {
+	return r.Hits + r.Stale + r.Unavailable + r.Fetched + r.Air + r.Peer
+}
+
+// HitRatio returns the fraction of reads that were fresh hits.
+func (r *ReadCounts) HitRatio() float64 { return ratio(r.Hits, r.Total()) }
+
+// ErrorRate returns the fraction of served reads (all but unavailable
+// ones) that were errors: §5's "percentage of read errors".
+func (r *ReadCounts) ErrorRate() float64 { return ratio(r.Errors, r.Total()-r.Unavailable) }
+
+// ratio returns num/denom, 0 when empty.
+func ratio(num, denom uint64) float64 {
+	if denom == 0 {
+		return 0
+	}
+	return float64(num) / float64(denom)
+}
+
+// Event is a client event the account tallies.
+type Event uint8
+
+// The client events.
+const (
+	Retry       Event = iota // a retransmission issued (DESIGN.md §9)
+	Timeout                  // a request attempt that ended in a timeout
+	ShedItem                 // a prefetched item shed by the timeout heuristic (§5.3)
+	CacheDrop                // a whole-cache discard after a missed invalidation report
+	IRReport                 // an IR-over-broadcast report received
+	IRMiss                   // a report frame lost to channel faults while tuned in
+	ForcedReval              // a whole-cache lease void after an unrecoverable report gap
+	PeerMiss                 // a connected local miss that still went to the server
+	numEvents
+)
+
+// Account is one client's tally, or a pool of clients' folded by Add: its
+// reads by outcome, its queries and their response times, its events, and
+// the energy its radio spent.
+type Account struct {
+	ReadCounts
+
+	Queries      uint64 // queries issued
+	Local        uint64 // queries served fully from the cache
+	Remote       uint64 // queries that needed a server round trip
+	Disconnected uint64 // queries issued while disconnected
+
+	Events      [numEvents]uint64 // indexed by Event
+	RadioEnergy float64           // Joules spent transmitting and receiving (§2's battery cost)
+
 	resp   stats.Welford
-
-	queriesIssued       uint64
-	queriesLocal        uint64 // fully served from cache
-	queriesRemote       uint64 // required a round trip
-	queriesDisconnected uint64 // issued while disconnected
-	readsUnavailable    uint64 // reads unsatisfiable during disconnection
-
-	// Reliability-layer counters (unreliable channels, DESIGN.md §9).
-	retries       uint64 // retransmissions issued
-	timeouts      uint64 // request attempts that ended in a timeout
-	degradedReads uint64 // reads served from stale copies after retry exhaustion
-
 	hourly [hoursPerDay]stats.Welford // response times by hour of day
 }
 
-// Read counts one read's outcome, gated like RecordQuery by its query's
-// issue time. Every read is an access; the error rate divides by served
-// reads (all but unavailable ones), §5's "percentage of read errors".
+// Add folds o into a. Pooling clients in a fixed order gives the same
+// float sums and Welford merges every time.
+func (a *Account) Add(o *Account) {
+	a.ReadCounts.Add(o.ReadCounts)
+	a.Queries += o.Queries
+	a.Local += o.Local
+	a.Remote += o.Remote
+	a.Disconnected += o.Disconnected
+	for e := range o.Events {
+		a.Events[e] += o.Events[e]
+	}
+	a.RadioEnergy += o.RadioEnergy
+	a.resp.Merge(&o.resp)
+	for h := range o.hourly {
+		a.hourly[h].Merge(&o.hourly[h])
+	}
+}
+
+// MeanResponse returns the mean query response time in seconds.
+func (a *Account) MeanResponse() float64 { return a.resp.Mean() }
+
+// HourlyResponse returns the mean response time and query count per hour
+// of day.
+func (a *Account) HourlyResponse() (mean [hoursPerDay]float64, count [hoursPerDay]uint64) {
+	for h := range a.hourly {
+		mean[h] = a.hourly[h].Mean()
+		count[h] = a.hourly[h].Count()
+	}
+	return mean, count
+}
+
+// Client is one client's account behind the warm-up gate: what happens
+// before Warmup is discarded, so steady-state numbers are not skewed by the
+// initially cold cache (0 keeps everything, as the paper's 4-day averages
+// effectively do). A read and its query are gated by the query's issue
+// time, an event and radio energy by the time they happen.
+type Client struct {
+	Warmup float64
+	Account
+}
+
+// Read counts one read's outcome.
 func (c *Client) Read(issuedAt float64, o Outcome) {
 	if issuedAt < c.Warmup {
 		return
 	}
-	c.hits.Add(o.Kind == FreshHit)
-	switch o.Kind {
-	case Unavailable:
-		c.readsUnavailable++
-		return
-	case Degraded:
-		c.degradedReads++
-	}
-	c.errors.Add(o.Error)
-}
-
-// RecordRetry counts one retransmission issued by the reliability layer.
-func (c *Client) RecordRetry(now float64) {
-	if now < c.Warmup {
-		return
-	}
-	c.retries++
-}
-
-// RecordTimeout counts one request attempt that ended in a timeout.
-func (c *Client) RecordTimeout(now float64) {
-	if now < c.Warmup {
-		return
-	}
-	c.timeouts++
+	c.Count(o)
 }
 
 // RecordQuery records one completed query.
@@ -119,14 +213,14 @@ func (c *Client) RecordQuery(issuedAt, completedAt float64, remote, disconnected
 	if issuedAt < c.Warmup {
 		return
 	}
-	c.queriesIssued++
+	c.Queries++
 	if remote {
-		c.queriesRemote++
+		c.Remote++
 	} else {
-		c.queriesLocal++
+		c.Local++
 	}
 	if disconnected {
-		c.queriesDisconnected++
+		c.Disconnected++
 	}
 	rt := completedAt - issuedAt
 	c.resp.Add(rt)
@@ -136,28 +230,21 @@ func (c *Client) RecordQuery(issuedAt, completedAt float64, remote, disconnected
 	}
 }
 
-// HitRatio returns the fraction of reads served by locally valid items.
-func (c *Client) HitRatio() float64 { return c.hits.Value() }
-
-// ErrorRate returns the fraction of served reads that violated coherence.
-func (c *Client) ErrorRate() float64 { return c.errors.Value() }
-
-// MeanResponse returns the mean query response time in seconds.
-func (c *Client) MeanResponse() float64 { return c.resp.Mean() }
-
-// Queries returns (issued, local, remote, disconnected) query counts.
-func (c *Client) Queries() (issued, local, remote, disconnected uint64) {
-	return c.queriesIssued, c.queriesLocal, c.queriesRemote, c.queriesDisconnected
+// Note counts n occurrences of event e at time now.
+func (c *Client) Note(now float64, e Event, n uint64) {
+	if now < c.Warmup {
+		return
+	}
+	c.Events[e] += n
 }
 
-// Unavailable returns the number of unsatisfiable reads.
-func (c *Client) Unavailable() uint64 { return c.readsUnavailable }
-
-// Accesses returns the total number of recorded reads.
-func (c *Client) Accesses() uint64 { return c.hits.Denom }
-
-// Errors returns the absolute number of erroneous reads.
-func (c *Client) Errors() uint64 { return c.errors.Num }
+// Spend charges the radio joules of energy at time now.
+func (c *Client) Spend(now, joules float64) {
+	if now < c.Warmup {
+		return
+	}
+	c.RadioEnergy += joules
+}
 
 // Register wires the client's running metrics into an observability
 // registry under the given series prefix. Sampled over virtual time these
@@ -171,67 +258,8 @@ func (c *Client) Register(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+".hit_ratio", c.HitRatio)
 	reg.Gauge(prefix+".error_rate", c.ErrorRate)
 	reg.Gauge(prefix+".mean_response_s", c.MeanResponse)
-	reg.Gauge(prefix+".accesses", func() float64 { return float64(c.Accesses()) })
-	reg.Gauge(prefix+".retries", func() float64 { return float64(c.retries) })
-	reg.Gauge(prefix+".timeouts", func() float64 { return float64(c.timeouts) })
-	reg.Gauge(prefix+".degraded_reads", func() float64 { return float64(c.degradedReads) })
-}
-
-// Aggregate is the across-clients average the paper reports.
-type Aggregate struct {
-	Hits    stats.Ratio
-	Errs    stats.Ratio
-	Resp    stats.Welford
-	Issued  uint64
-	Local   uint64
-	Remote  uint64
-	Unavail uint64
-
-	Retries  uint64
-	Timeouts uint64
-	Degraded uint64
-
-	hourly [hoursPerDay]stats.Welford
-}
-
-// Merge folds one client's measurements into the aggregate.
-func (a *Aggregate) Merge(c *Client) {
-	a.Hits.Merge(c.hits)
-	a.Errs.Merge(c.errors)
-	a.Resp.Merge(&c.resp)
-	a.Issued += c.queriesIssued
-	a.Local += c.queriesLocal
-	a.Remote += c.queriesRemote
-	a.Unavail += c.readsUnavailable
-	a.Retries += c.retries
-	a.Timeouts += c.timeouts
-	a.Degraded += c.degradedReads
-	for h := range c.hourly {
-		a.hourly[h].Merge(&c.hourly[h])
-	}
-}
-
-// HourlyResponse returns the pooled mean response time and query count per
-// hour of day.
-func (a *Aggregate) HourlyResponse() (mean [24]float64, count [24]uint64) {
-	for h := range a.hourly {
-		mean[h] = a.hourly[h].Mean()
-		count[h] = a.hourly[h].Count()
-	}
-	return mean, count
-}
-
-// HitRatio returns the pooled hit ratio across clients.
-func (a *Aggregate) HitRatio() float64 { return a.Hits.Value() }
-
-// ErrorRate returns the pooled error rate across clients.
-func (a *Aggregate) ErrorRate() float64 { return a.Errs.Value() }
-
-// MeanResponse returns the pooled mean response time.
-func (a *Aggregate) MeanResponse() float64 { return a.Resp.Mean() }
-
-// String formats the aggregate as a table-ready fragment.
-func (a *Aggregate) String() string {
-	return fmt.Sprintf("hit=%.1f%% resp=%.3fs err=%.2f%% queries=%d",
-		100*a.HitRatio(), a.MeanResponse(), 100*a.ErrorRate(), a.Issued)
+	reg.Gauge(prefix+".accesses", func() float64 { return float64(c.Total()) })
+	reg.Gauge(prefix+".retries", func() float64 { return float64(c.Events[Retry]) })
+	reg.Gauge(prefix+".timeouts", func() float64 { return float64(c.Events[Timeout]) })
+	reg.Gauge(prefix+".degraded_reads", func() float64 { return float64(c.Degraded) })
 }

@@ -15,42 +15,47 @@ func TestClientBasics(t *testing.T) {
 	if hr := c.HitRatio(); math.Abs(hr-2.0/3) > 1e-12 {
 		t.Fatalf("HitRatio = %v", hr)
 	}
-	if c.Accesses() != 3 {
-		t.Fatalf("Accesses = %d", c.Accesses())
+	if c.Total() != 3 {
+		t.Fatalf("Total = %d", c.Total())
 	}
 	if er := c.ErrorRate(); er != 1.0/3 {
 		t.Fatalf("ErrorRate = %v", er)
 	}
-	if c.Errors() != 1 {
-		t.Fatalf("Errors = %d", c.Errors())
+	if c.Errors != 1 {
+		t.Fatalf("Errors = %d", c.Errors)
 	}
 }
 
 // TestReadCountsEachOutcome pins the outcome → counter mapping: every read
-// is an access, only a fresh hit is a hit, an unavailable read gets no
-// error sample, a degraded read is counted as degraded.
+// lands in exactly one outcome class, only a fresh hit is a hit, an
+// unavailable read is not served, a degraded read is a stale one too.
 func TestReadCountsEachOutcome(t *testing.T) {
 	cases := []struct {
-		o                               Outcome
-		hits, errs, errDenom, unav, deg uint64
+		o    Outcome
+		want ReadCounts
 	}{
-		{Outcome{Kind: FreshHit}, 1, 0, 1, 0, 0},
-		{Outcome{Kind: FreshHit, Error: true}, 1, 1, 1, 0, 0},
-		{Outcome{Kind: StaleServed, Error: true}, 0, 1, 1, 0, 0},
-		{Outcome{Kind: Unavailable}, 0, 0, 0, 1, 0},
-		{Outcome{Kind: Fetched}, 0, 0, 1, 0, 0},
-		{Outcome{Kind: FromAir}, 0, 0, 1, 0, 0},
-		{Outcome{Kind: FromPeer, Error: true}, 0, 1, 1, 0, 0},
-		{Outcome{Kind: Degraded, Error: true}, 0, 1, 1, 0, 1},
-		{Outcome{Kind: Degraded}, 0, 0, 1, 0, 1},
+		{Outcome{Kind: FreshHit}, ReadCounts{Hits: 1}},
+		{Outcome{Kind: FreshHit, Error: true}, ReadCounts{Hits: 1, Errors: 1}},
+		{Outcome{Kind: StaleServed, Error: true}, ReadCounts{Stale: 1, Errors: 1}},
+		{Outcome{Kind: Unavailable}, ReadCounts{Unavailable: 1}},
+		{Outcome{Kind: Fetched}, ReadCounts{Fetched: 1}},
+		{Outcome{Kind: FromAir}, ReadCounts{Air: 1}},
+		{Outcome{Kind: FromPeer, Error: true}, ReadCounts{Peer: 1, Errors: 1}},
+		{Outcome{Kind: Degraded, Error: true}, ReadCounts{Stale: 1, Degraded: 1, Errors: 1}},
+		{Outcome{Kind: Degraded}, ReadCounts{Stale: 1, Degraded: 1}},
 	}
 	for _, tc := range cases {
 		var c Client
 		c.Read(0, tc.o)
-		got := [6]uint64{c.hits.Denom, c.hits.Num, c.errors.Num, c.errors.Denom, c.readsUnavailable, c.degradedReads}
-		want := [6]uint64{1, tc.hits, tc.errs, tc.errDenom, tc.unav, tc.deg}
-		if got != want {
-			t.Errorf("%+v: (accesses, hits, errors, error samples, unavailable, degraded) = %v, want %v", tc.o, got, want)
+		if c.ReadCounts != tc.want || c.Total() != 1 {
+			t.Errorf("%+v: counted %+v (total %d), want %+v", tc.o, c.ReadCounts, c.Total(), tc.want)
+		}
+		served := uint64(1)
+		if tc.o.Kind == Unavailable {
+			served = 0
+		}
+		if c.Total()-c.Unavailable != served {
+			t.Errorf("%+v: %d served reads, want %d", tc.o, c.Total()-c.Unavailable, served)
 		}
 	}
 }
@@ -85,39 +90,49 @@ func TestClientQueries(t *testing.T) {
 	if mr := c.MeanResponse(); math.Abs(mr-1.5) > 1e-12 {
 		t.Fatalf("MeanResponse = %v", mr)
 	}
-	issued, local, remote, disc := c.Queries()
-	if issued != 2 || local != 1 || remote != 1 || disc != 1 {
-		t.Fatalf("Queries = %d,%d,%d,%d", issued, local, remote, disc)
+	if c.Queries != 2 || c.Local != 1 || c.Remote != 1 || c.Disconnected != 1 {
+		t.Fatalf("Queries = %d,%d,%d,%d", c.Queries, c.Local, c.Remote, c.Disconnected)
 	}
 	if c.resp.Count() != 2 {
 		t.Fatal("response estimator not populated")
 	}
 }
 
+// TestWarmupDiscards pins the one window: a read and its query are gated
+// by the query's issue time, an event and radio energy by the time they
+// happen.
 func TestWarmupDiscards(t *testing.T) {
 	c := Client{Warmup: 100}
 	c.Read(50, Outcome{Kind: FreshHit, Error: true})
 	c.Read(50, Outcome{Kind: Unavailable})
 	c.Read(50, Outcome{Kind: Degraded})
+	c.Read(50, Outcome{Kind: FromAir})
+	c.Read(50, Outcome{Kind: FromPeer})
 	c.RecordQuery(50, 60, true, false)
-	if c.Accesses() != 0 || c.Errors() != 0 || c.Unavailable() != 0 || c.degradedReads != 0 {
-		t.Fatal("pre-warmup observations recorded")
+	for e := Event(0); e < numEvents; e++ {
+		c.Note(99, e, 3)
 	}
-	issued, _, _, _ := c.Queries()
-	if issued != 0 {
-		t.Fatal("pre-warmup query recorded")
+	c.Spend(99, 2.5)
+	if c.Account != (Account{}) {
+		t.Fatalf("pre-warmup observations recorded: %+v", c.Account)
 	}
 	c.Read(100, Outcome{Kind: FreshHit})
-	if c.Accesses() != 1 {
+	if c.Total() != 1 {
 		t.Fatal("post-warmup observation dropped")
 	}
 	// A query issued pre-warmup but completing after is discarded too, and
 	// so are its reads: Read is gated by the query's issue time.
 	c.RecordQuery(99, 200, true, false)
 	c.Read(99, Outcome{Kind: Fetched})
-	issued, _, _, _ = c.Queries()
-	if issued != 0 || c.Accesses() != 1 {
+	if c.Queries != 0 || c.Total() != 1 {
 		t.Fatal("straddling query recorded")
+	}
+	// An event or a joule at or after the warm-up counts, whatever the
+	// query in flight.
+	c.Note(100, ShedItem, 4)
+	c.Spend(100, 1.5)
+	if c.Events[ShedItem] != 4 || c.RadioEnergy != 1.5 {
+		t.Fatalf("post-warmup events dropped: %v, %v J", c.Events, c.RadioEnergy)
 	}
 }
 
@@ -125,24 +140,29 @@ func TestUnavailable(t *testing.T) {
 	var c Client
 	c.Read(1, Outcome{Kind: Unavailable})
 	c.Read(2, Outcome{Kind: Unavailable})
-	if c.Unavailable() != 2 || c.Accesses() != 2 || c.errors.Denom != 0 {
-		t.Fatalf("Unavailable = %d, Accesses = %d, error samples = %d",
-			c.Unavailable(), c.Accesses(), c.errors.Denom)
+	if c.Unavailable != 2 || c.Total() != 2 || c.ErrorRate() != 0 {
+		t.Fatalf("Unavailable = %d, Total = %d, ErrorRate = %v",
+			c.Unavailable, c.Total(), c.ErrorRate())
 	}
 }
 
 func TestAggregateMerge(t *testing.T) {
-	var a Aggregate
+	var a Account
 	var c1, c2 Client
 	c1.Read(0, Outcome{Kind: FreshHit})
 	c1.Read(0, Outcome{Kind: FreshHit})
 	c1.RecordQuery(0, 1, true, false)
+	c1.Note(0, Retry, 2)
+	c1.Spend(0, 0.25)
 	c2.Read(0, Outcome{Kind: StaleServed, Error: true})
 	c2.Read(0, Outcome{Kind: Degraded, Error: true})
 	c2.RecordQuery(0, 3, false, false)
 	c2.Read(0, Outcome{Kind: Unavailable})
-	a.Merge(&c1)
-	a.Merge(&c2)
+	c2.Note(0, Retry, 1)
+	c2.Note(0, PeerMiss, 5)
+	c2.Spend(0, 0.5)
+	a.Add(&c1.Account)
+	a.Add(&c2.Account)
 	if hr := a.HitRatio(); hr != 0.4 {
 		t.Fatalf("aggregate HitRatio = %v", hr)
 	}
@@ -152,16 +172,16 @@ func TestAggregateMerge(t *testing.T) {
 	if mr := a.MeanResponse(); mr != 2 {
 		t.Fatalf("aggregate MeanResponse = %v", mr)
 	}
-	if a.Issued != 2 || a.Local != 1 || a.Remote != 1 || a.Unavail != 1 || a.Degraded != 1 {
+	if a.Queries != 2 || a.Local != 1 || a.Remote != 1 || a.Unavailable != 1 || a.Degraded != 1 {
 		t.Fatalf("aggregate counters wrong: %+v", a)
 	}
-	if a.String() == "" {
-		t.Fatal("empty String")
+	if a.Events[Retry] != 3 || a.Events[PeerMiss] != 5 || a.RadioEnergy != 0.75 {
+		t.Fatalf("aggregate events wrong: %v, %v J", a.Events, a.RadioEnergy)
 	}
 }
 
 func TestEmptyAggregates(t *testing.T) {
-	var a Aggregate
+	var a Account
 	if a.HitRatio() != 0 || a.ErrorRate() != 0 || a.MeanResponse() != 0 {
 		t.Fatal("empty aggregate not zero")
 	}
@@ -176,9 +196,7 @@ func TestHourlyResponseBuckets(t *testing.T) {
 	c.RecordQuery(0, 2, true, false)          // hour 0, rt 2
 	c.RecordQuery(3600, 3604, true, false)    // hour 1, rt 4
 	c.RecordQuery(90000, 90001, false, false) // next day 01:00, rt 1
-	var a Aggregate
-	a.Merge(&c)
-	mean, count := a.HourlyResponse()
+	mean, count := c.HourlyResponse()
 	if count[0] != 1 || mean[0] != 2 {
 		t.Fatalf("hour 0: mean=%v count=%d", mean[0], count[0])
 	}
@@ -193,12 +211,12 @@ func TestHourlyResponseBuckets(t *testing.T) {
 }
 
 func TestAggregateHourly(t *testing.T) {
-	var a Aggregate
+	var a Account
 	var c1, c2 Client
 	c1.RecordQuery(0, 10, true, false)
 	c2.RecordQuery(100, 120, true, false)
-	a.Merge(&c1)
-	a.Merge(&c2)
+	a.Add(&c1.Account)
+	a.Add(&c2.Account)
 	mean, count := a.HourlyResponse()
 	if count[0] != 2 || mean[0] != 15 {
 		t.Fatalf("aggregate hour 0: mean=%v count=%d", mean[0], count[0])

@@ -8,6 +8,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/obs"
 )
 
 // hitRatioTolerance bounds the sim-vs-live hit-ratio gap the end-to-end
@@ -37,7 +38,9 @@ func e2eConfig() experiment.Config {
 // TestLiveReplayMatchesSimulator is the tentpole's acceptance test: boot
 // the HTTP service on a loopback port, replay the same scenario the
 // simulator runs, and require the live hit ratio to land within
-// hitRatioTolerance of the simulated one.
+// hitRatioTolerance of the simulated one. The replay's live read gauges
+// must end on LiveResult's figures: they count on the same warm-up
+// window, not the warm-up's reads too.
 func TestLiveReplayMatchesSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock replay")
@@ -60,13 +63,27 @@ func TestLiveReplayMatchesSimulator(t *testing.T) {
 	go svc.Serve()
 	defer svc.Shutdown(0)
 
+	reg := obs.New(60)
 	live, err := Replay(context.Background(), ReplayConfig{
 		BaseURL: "http://" + addr,
 		Config:  cfg,
 		Speedup: 1500, // 0.06 days ~ 3.5s of wall time
+		Reg:     reg,
 	})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
+	}
+	// One more sample, taken after every client has finished, reads the
+	// gauges' final values.
+	reg.Attach(finalTick{}, 0)
+	for name, want := range map[string]float64{
+		"clients.accesses":   float64(live.Reads),
+		"clients.hit_ratio":  live.HitRatio,
+		"clients.error_rate": live.ErrorRate,
+	} {
+		if _, got := reg.Series(name).Last(); got != want {
+			t.Errorf("%s gauge ends at %v; LiveResult has %v", name, got, want)
+		}
 	}
 	sim := experiment.Run(cfg)
 
@@ -124,3 +141,9 @@ func TestReplayRejectsBadTarget(t *testing.T) {
 		t.Fatal("unsupported config accepted")
 	}
 }
+
+// finalTick is an obs.Ticker that runs one sampler tick at once.
+type finalTick struct{}
+
+func (finalTick) Now() float64               { return 0 }
+func (finalTick) After(_ float64, fn func()) { fn() }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/oodb"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -149,9 +148,11 @@ func (lr LiveResult) Result() experiment.Result {
 	}
 }
 
-// liveAggregate is the shared live-counter block the obs gauges read.
-type liveAggregate struct {
-	reads, hits, errors uint64
+// liveReads is the replay's shared read account the obs gauges read:
+// every client's reads, on the clients' warm-up window.
+type liveReads struct {
+	mu sync.Mutex
+	m  metrics.Client
 }
 
 // Replay runs the workload against a live service and blocks until the
@@ -179,20 +180,19 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 	horizon := cfg.Horizon()
 	warmup := cfg.WarmupDays * workload.SecondsPerDay
 
-	var agg liveAggregate
+	live := &liveReads{m: metrics.Client{Warmup: warmup}}
 	var httpCalls uint64
 	if rc.Reg.Enabled() {
-		perRead := func(n *uint64) func() float64 {
+		figure := func(f func(r *metrics.ReadCounts) float64) func() float64 {
 			return func() float64 {
-				r := stats.Ratio{Num: atomic.LoadUint64(n), Denom: atomic.LoadUint64(&agg.reads)}
-				return r.Value()
+				live.mu.Lock()
+				defer live.mu.Unlock()
+				return f(&live.m.ReadCounts)
 			}
 		}
-		rc.Reg.Gauge("clients.hit_ratio", perRead(&agg.hits))
-		rc.Reg.Gauge("clients.error_rate", perRead(&agg.errors))
-		rc.Reg.Gauge("clients.accesses", func() float64 {
-			return float64(atomic.LoadUint64(&agg.reads))
-		})
+		rc.Reg.Gauge("clients.hit_ratio", figure((*metrics.ReadCounts).HitRatio))
+		rc.Reg.Gauge("clients.error_rate", figure((*metrics.ReadCounts).ErrorRate))
+		rc.Reg.Gauge("clients.accesses", figure(func(r *metrics.ReadCounts) float64 { return float64(r.Total()) }))
 	}
 	ticker := AttachWallClock(rc.Reg, speedup, horizon)
 	defer ticker.Stop()
@@ -214,7 +214,7 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 				cfg: cfg, db: db, id: id,
 				baseURL: rc.BaseURL, httpc: httpc,
 				speedup: speedup, horizon: horizon, warmup: warmup,
-				start: start, agg: &agg, httpCalls: &httpCalls,
+				start: start, live: live, httpCalls: &httpCalls,
 				group: new(workload.Grouping),
 			}, out)
 			if out.err != nil {
@@ -225,7 +225,7 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 	wg.Wait()
 
 	lr := LiveResult{Config: cfg, Speedup: speedup, WallSeconds: time.Since(start).Seconds()}
-	var pooled metrics.Aggregate
+	var pool metrics.Account
 	for i := range outcomes {
 		out := &outcomes[i]
 		if out.err != nil && ctx.Err() == nil {
@@ -234,22 +234,22 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 		if out.err != nil {
 			return lr, fmt.Errorf("serve: replay client %d: %w", i, out.err)
 		}
-		pooled.Merge(&out.m)
+		pool.Add(&out.m.Account)
 		lr.Stales += out.stales
 		lr.Writes += out.writes
 		if out.maxLag > lr.MaxLagVirtual {
 			lr.MaxLagVirtual = out.maxLag
 		}
 	}
-	lr.HitRatio = pooled.HitRatio()
-	lr.ErrorRate = pooled.ErrorRate()
-	lr.MeanRT = pooled.MeanResponse()
-	lr.Queries = pooled.Issued
-	lr.QueriesLocal = pooled.Local
-	lr.QueriesRemote = pooled.Remote
-	lr.Reads = pooled.Hits.Denom
-	lr.Hits = pooled.Hits.Num
-	lr.Errors = pooled.Errs.Num
+	lr.HitRatio = pool.HitRatio()
+	lr.ErrorRate = pool.ErrorRate()
+	lr.MeanRT = pool.MeanResponse()
+	lr.Queries = pool.Queries
+	lr.QueriesLocal = pool.Local
+	lr.QueriesRemote = pool.Remote
+	lr.Reads = pool.Total()
+	lr.Hits = pool.Hits
+	lr.Errors = pool.Errors
 	lr.HTTPCalls = atomic.LoadUint64(&httpCalls)
 	if lr.Reads > 0 {
 		lr.StaleRate = float64(lr.Stales) / float64(lr.Reads)
@@ -304,7 +304,7 @@ type replayEnv struct {
 	horizon   float64
 	warmup    float64
 	start     time.Time
-	agg       *liveAggregate
+	live      *liveReads
 	httpCalls *uint64
 	group     *workload.Grouping
 }
@@ -317,17 +317,13 @@ func replayClient(ctx context.Context, env replayEnv, out *clientOutcome) error 
 	var q workload.Query
 	need := make([]workload.ReadOp, 0, 64)
 	scheduled := 0.0
-	// record counts one read's outcome, as the simulated client does, and
-	// feeds the live gauges.
+	// record counts one read's outcome, as the simulated client does, in
+	// the client's account and in the one the live gauges read.
 	record := func(o metrics.Outcome) {
 		out.m.Read(scheduled, o)
-		atomic.AddUint64(&env.agg.reads, 1)
-		if o.Kind == metrics.FreshHit {
-			atomic.AddUint64(&env.agg.hits, 1)
-		}
-		if o.Error {
-			atomic.AddUint64(&env.agg.errors, 1)
-		}
+		env.live.mu.Lock()
+		env.live.m.Read(scheduled, o)
+		env.live.mu.Unlock()
 	}
 	for {
 		scheduled = w.Arrival.Next(w.Stream, scheduled)

@@ -15,8 +15,8 @@ import (
 // TestTwinExactSequence drives the simulated client and the live store from
 // one workload stream on one clock and requires the identical per-query
 // outcome sequence: each live read is classified and counted as the
-// simulated client counts its own (metrics.Classify, QueryRecord.Count), and
-// the (reads, hits, stale, unavailable, errors) of every query must match.
+// simulated client counts its own (metrics.Classify, ReadCounts.Count), and
+// every query's read count and outcome counts must match.
 // The simulator runs first; the live side replays its probe instant (the arrival, or the previous completion for a query that
 // queued behind it) and its install instant (the completion) from the trace,
 // so the only things left to differ are the order in which probes and
@@ -110,9 +110,9 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 				live.Count(metrics.Outcome{Kind: metrics.Fetched})
 			}
 		}
-		if outcomes(live) != outcomes(rec) {
-			t.Fatalf("query %d diverged: live (reads, hits, stale, unavailable, errors) %v, simulator %v",
-				i, outcomes(live), outcomes(rec))
+		if live.Reads != rec.Reads || live.ReadCounts != rec.ReadCounts {
+			t.Fatalf("query %d diverged: live %d reads %+v, simulator %d reads %+v",
+				i, live.Reads, live.ReadCounts, rec.Reads, rec.ReadCounts)
 		}
 	}
 	stats := st.Stats()
@@ -120,12 +120,6 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 		t.Fatalf("over %d queries: %d evictions, %d hits, %d expired copies; the run must exercise all three",
 			len(tr.Records), stats.Evictions, stats.Hits, stats.Stales)
 	}
-}
-
-// outcomes is the part of a query record the twin compares: its read
-// count and what Count made of its reads' outcomes.
-func outcomes(r trace.QueryRecord) [5]int {
-	return [5]int{r.Reads, r.Hits, r.Stale, r.Unavailable, r.Errors}
 }
 
 // storeConfig maps a (defaulted) simulation config onto the live store: the

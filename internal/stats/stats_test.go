@@ -247,29 +247,6 @@ func TestSummaryAddAfterSortedQuery(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Fatal("empty ratio not 0")
-	}
-	r.Add(true)
-	r.Add(false)
-	r.Add(true)
-	r.Add(false)
-	if r.Num != 2 || r.Denom != 4 {
-		t.Fatalf("counts %d/%d", r.Num, r.Denom)
-	}
-	if r.Value() != 0.5 {
-		t.Fatalf("Value %v", r.Value())
-	}
-	var o Ratio
-	o.Add(true)
-	r.Merge(o)
-	if r.Num != 3 || r.Denom != 5 {
-		t.Fatalf("after merge %d/%d", r.Num, r.Denom)
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	var s Summary
 	s.Add(1)

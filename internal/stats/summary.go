@@ -116,31 +116,3 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g p50=%.4g p95=%.4g max=%.4g",
 		s.Count(), s.Mean(), s.Std(), s.Percentile(50), s.Percentile(95), s.Max())
 }
-
-// Ratio is a hit/miss style counter pair with a convenience percentage.
-type Ratio struct {
-	Num   uint64
-	Denom uint64
-}
-
-// Add increments the denominator, and the numerator when hit is true.
-func (r *Ratio) Add(hit bool) {
-	if hit {
-		r.Num++
-	}
-	r.Denom++
-}
-
-// Value returns Num/Denom (0 when empty).
-func (r *Ratio) Value() float64 {
-	if r.Denom == 0 {
-		return 0
-	}
-	return float64(r.Num) / float64(r.Denom)
-}
-
-// Merge adds another ratio's counts.
-func (r *Ratio) Merge(o Ratio) {
-	r.Num += o.Num
-	r.Denom += o.Denom
-}

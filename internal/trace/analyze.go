@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -17,13 +18,9 @@ import (
 // CSV trace): the run-level metrics plus per-client and per-hour
 // breakdowns.
 type Analysis struct {
-	Queries     int
-	Reads       int
-	Hits        int
-	Stale       int
-	Unavailable int
-	Errors      int
-	Remote      int
+	Queries int
+	metrics.ReadCounts
+	Remote int
 
 	Response stats.Summary
 	// ResponseHist buckets response times logarithmically from 10 ms to
@@ -45,11 +42,7 @@ func Analyze(records []QueryRecord) *Analysis {
 	}
 	for _, r := range records {
 		a.Queries++
-		a.Reads += r.Reads
-		a.Hits += r.Hits
-		a.Stale += r.Stale
-		a.Unavailable += r.Unavailable
-		a.Errors += r.Errors
+		a.Add(r.ReadCounts)
 		if r.Remote {
 			a.Remote++
 		}
@@ -72,23 +65,11 @@ func Analyze(records []QueryRecord) *Analysis {
 	return a
 }
 
-// HitRatio returns hits/reads.
-func (a *Analysis) HitRatio() float64 { return ratio(a.Hits, a.Reads) }
-
-// ErrorRate returns errors over served reads (reads minus unavailable), as
-// metrics.Client does, so mctrace prints the error rate mcsim does.
-func (a *Analysis) ErrorRate() float64 { return ratio(a.Errors, a.Reads-a.Unavailable) }
-
-func ratio(num, denom int) float64 {
-	r := stats.Ratio{Num: uint64(num), Denom: uint64(denom)}
-	return r.Value()
-}
-
 // WriteReport renders a human-readable summary.
 func (a *Analysis) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "queries        %d (%d remote)\n", a.Queries, a.Remote)
 	fmt.Fprintf(w, "reads          %d  hit %.1f%%  stale %d  unavailable %d  err %.2f%%\n",
-		a.Reads, 100*a.HitRatio(), a.Stale, a.Unavailable, 100*a.ErrorRate())
+		a.Total(), 100*a.HitRatio(), a.Stale, a.Unavailable, 100*a.ErrorRate())
 	fmt.Fprintf(w, "response       mean %.3fs  p50 %.3fs  p95 %.3fs  p99 %.3fs  max %.3fs\n",
 		a.Response.Mean(), a.Response.Percentile(50), a.Response.Percentile(95),
 		a.Response.Percentile(99), a.Response.Max())
@@ -197,16 +178,24 @@ func parseRow(row []string) (QueryRecord, error) {
 		v, err = strconv.ParseBool(s)
 		return v
 	}
+	getu := func(s string) uint64 {
+		if err != nil {
+			return 0
+		}
+		var v uint64
+		v, err = strconv.ParseUint(s, 10, 64)
+		return v
+	}
 	rec.ClientID = geti(row[0])
-	idx := geti(row[1])
+	rec.Index = getu(row[1])
 	rec.IssuedAt = getf(row[2])
 	rec.CompletedAt = getf(row[3])
 	_ = getf(row[4]) // response_s is derived; ignored on read
 	rec.Reads = geti(row[5])
-	rec.Hits = geti(row[6])
-	rec.Stale = geti(row[7])
-	rec.Unavailable = geti(row[8])
-	rec.Errors = geti(row[9])
+	rec.Hits = getu(row[6])
+	rec.Stale = getu(row[7])
+	rec.Unavailable = getu(row[8])
+	rec.Errors = getu(row[9])
 	rec.Remote = getb(row[10])
 	rec.Disconnected = getb(row[11])
 	rec.RequestBytes = geti(row[12])
@@ -214,6 +203,13 @@ func parseRow(row []string) (QueryRecord, error) {
 	if err != nil {
 		return rec, err
 	}
-	rec.Index = uint64(idx)
+	// The CSV does not split the reads served over the air: a parsed
+	// record counts every read that is not a hit, stale or unavailable as
+	// fetched, which keeps its counts summing to Reads.
+	local := rec.Hits + rec.Stale + rec.Unavailable
+	if rec.Reads < 0 || uint64(rec.Reads) < local {
+		return rec, fmt.Errorf("%d reads, fewer than its %d hit, stale and unavailable ones", rec.Reads, local)
+	}
+	rec.Fetched = uint64(rec.Reads) - local
 	return rec, nil
 }

@@ -14,17 +14,16 @@ import (
 	"repro/internal/metrics"
 )
 
-// QueryRecord describes one completed client query.
+// QueryRecord describes one completed client query. Its read counts are
+// the per-read outcomes counted by ReadCounts.Count; Reads is set when the
+// record is made, so the counts of a finished record sum to it.
 type QueryRecord struct {
-	ClientID     int
-	Index        uint64  // client-local query sequence number
-	IssuedAt     float64 // scheduled arrival (virtual seconds)
-	CompletedAt  float64
-	Reads        int // attribute reads performed
-	Hits         int // reads served by locally valid items
-	Stale        int // reads served from expired items (disconnected)
-	Unavailable  int // reads not servable at all
-	Errors       int // reads that violated coherence
+	ClientID    int
+	Index       uint64  // client-local query sequence number
+	IssuedAt    float64 // scheduled arrival (virtual seconds)
+	CompletedAt float64
+	Reads       int // attribute reads performed
+	metrics.ReadCounts
 	Remote       bool
 	Disconnected bool
 	RequestBytes int
@@ -32,27 +31,7 @@ type QueryRecord struct {
 	// Reliability-layer fields (unreliable channels, DESIGN.md §9); all
 	// zero when no fault model is attached.
 	Retries  int  // retransmissions the round trip needed
-	Degraded int  // reads served from stale copies after retry exhaustion
 	TimedOut bool // the round trip exhausted its retries entirely
-}
-
-// Count adds one read's outcome to the record (Reads is set when the
-// record is made; a fetched or air read adds nothing).
-func (r *QueryRecord) Count(o metrics.Outcome) {
-	switch o.Kind {
-	case metrics.FreshHit:
-		r.Hits++
-	case metrics.StaleServed:
-		r.Stale++
-	case metrics.Degraded:
-		r.Stale++
-		r.Degraded++
-	case metrics.Unavailable:
-		r.Unavailable++
-	}
-	if o.Error {
-		r.Errors++
-	}
 }
 
 // ResponseTime returns the query's response time.
@@ -123,16 +102,16 @@ func (t *CSVTracer) Query(r QueryRecord) {
 		fmt.Sprintf("%.3f", r.CompletedAt),
 		fmt.Sprintf("%.4f", r.ResponseTime()),
 		strconv.Itoa(r.Reads),
-		strconv.Itoa(r.Hits),
-		strconv.Itoa(r.Stale),
-		strconv.Itoa(r.Unavailable),
-		strconv.Itoa(r.Errors),
+		strconv.FormatUint(r.Hits, 10),
+		strconv.FormatUint(r.Stale, 10),
+		strconv.FormatUint(r.Unavailable, 10),
+		strconv.FormatUint(r.Errors, 10),
 		strconv.FormatBool(r.Remote),
 		strconv.FormatBool(r.Disconnected),
 		strconv.Itoa(r.RequestBytes),
 		strconv.Itoa(r.ReplyBytes),
 		strconv.Itoa(r.Retries),
-		strconv.Itoa(r.Degraded),
+		strconv.FormatUint(r.Degraded, 10),
 		strconv.FormatBool(r.TimedOut),
 	}
 	t.err = t.w.Write(row)

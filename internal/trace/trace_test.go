@@ -12,7 +12,7 @@ import (
 func sample() QueryRecord {
 	return QueryRecord{
 		ClientID: 3, Index: 7, IssuedAt: 100, CompletedAt: 102.5,
-		Reads: 60, Hits: 40, Stale: 2, Unavailable: 1, Errors: 3,
+		Reads: 60, ReadCounts: metrics.ReadCounts{Hits: 40, Stale: 2, Unavailable: 1, Fetched: 17, Errors: 3},
 		Remote: true, Disconnected: false,
 		RequestBytes: 27, ReplyBytes: 512,
 	}
@@ -88,7 +88,7 @@ func TestRoundTripCSV(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewCSV(&buf)
 	recs := []QueryRecord{sample(), {ClientID: 1, Index: 2, IssuedAt: 7200,
-		CompletedAt: 7201, Reads: 10, Hits: 10}}
+		CompletedAt: 7201, Reads: 10, ReadCounts: metrics.ReadCounts{Hits: 10}}}
 	for _, r := range recs {
 		tr.Query(r)
 	}
@@ -115,6 +115,9 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(head + "\n1,2,x,4,5,6,7,8,9,10,true,false,1,2\n")); err == nil {
 		t.Fatal("bad float accepted")
 	}
+	if _, err := ReadCSV(strings.NewReader(head + "\n1,2,3,4,5,6,7,8,9,10,true,false,1,2,0,0,false\n")); err == nil {
+		t.Fatal("a row with more outcomes than reads accepted")
+	}
 	recs, err := ReadCSV(strings.NewReader(""))
 	if err != nil || recs != nil {
 		t.Fatalf("empty input: %v, %v", recs, err)
@@ -123,12 +126,13 @@ func TestReadCSVErrors(t *testing.T) {
 
 func TestAnalyze(t *testing.T) {
 	recs := []QueryRecord{
-		{ClientID: 0, IssuedAt: 0, CompletedAt: 2, Reads: 10, Hits: 5, Errors: 1, Remote: true, RequestBytes: 100, ReplyBytes: 400},
-		{ClientID: 0, IssuedAt: 3600, CompletedAt: 3601, Reads: 10, Hits: 10},
-		{ClientID: 1, IssuedAt: 10, CompletedAt: 16, Reads: 10, Hits: 0, Unavailable: 2, Stale: 1, Disconnected: true},
+		{ClientID: 0, IssuedAt: 0, CompletedAt: 2, Reads: 10, ReadCounts: metrics.ReadCounts{Hits: 5, Fetched: 3, Air: 1, Peer: 1, Errors: 1},
+			Remote: true, RequestBytes: 100, ReplyBytes: 400},
+		{ClientID: 0, IssuedAt: 3600, CompletedAt: 3601, Reads: 10, ReadCounts: metrics.ReadCounts{Hits: 10}},
+		{ClientID: 1, IssuedAt: 10, CompletedAt: 16, Reads: 10, ReadCounts: metrics.ReadCounts{Unavailable: 2, Stale: 8}, Disconnected: true},
 	}
 	a := Analyze(recs)
-	if a.Queries != 3 || a.Reads != 30 || a.Hits != 15 || a.Remote != 1 {
+	if a.Queries != 3 || a.Total() != 30 || a.Hits != 15 || a.Remote != 1 {
 		t.Fatalf("counts: %+v", a)
 	}
 	if a.HitRatio() != 0.5 {
@@ -172,8 +176,9 @@ func TestCountOutcomes(t *testing.T) {
 	} {
 		rec.Count(o)
 	}
-	want := QueryRecord{Reads: 9, Hits: 2, Stale: 3, Unavailable: 1, Errors: 4, Degraded: 2}
-	if rec != want {
+	want := QueryRecord{Reads: 9, ReadCounts: metrics.ReadCounts{
+		Hits: 2, Stale: 3, Degraded: 2, Unavailable: 1, Fetched: 1, Air: 1, Peer: 1, Errors: 4}}
+	if rec != want || rec.Total() != uint64(rec.Reads) {
 		t.Fatalf("counted %+v, want %+v", rec, want)
 	}
 }
