@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race lintdocs deadcode benchharness verify fuzz goldens examples loc bench benchguard pairs clean
+.PHONY: build vet test race lintdocs deadcode benchharness verify fuzz goldens goldens-full examples loc bench benchguard pairs clean
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,13 @@ goldens:
 		$(GO) run ./cmd/mcsim run -config $$m > /dev/null || exit 1; \
 		echo "ok $$m"; \
 	done
+
+# Regenerate the full-scale record (Table 1 and Experiments 1-6 at paper
+# scale, ~8 min on 2 CPUs) and diff it against experiments_full.txt,
+# ignoring only the timing lines; not in CI. scripts/goldens_full.sh -update
+# re-records it.
+goldens-full:
+	scripts/goldens_full.sh
 
 # Build and run every program under examples/ (~25 s); each must exit 0
 # and print exactly its recorded examples/<name>/output.txt.

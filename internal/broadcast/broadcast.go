@@ -129,11 +129,12 @@ func (p *Program) Register(reg *obs.Registry, prefix string) {
 // UpdateWindow accumulates a server's write stream for the windowed
 // IR-over-broadcast coherence scheme: each invalidation report at time T
 // carries the distinct items written during the trailing window (T−W, T].
-// The log is a chronological queue trimmed on every report, so memory is
-// bounded by the write rate times the window, not by the run length.
+// The log is a chronological queue trimmed on every report and compacted
+// once its expired prefix is half of it, so memory is bounded by the write
+// rate times the window, not by the run length.
 type UpdateWindow struct {
 	window float64
-	events []updateEvent // chronological; head trimmed on Report
+	events []updateEvent // chronological; events[:head] expired
 	head   int
 	seen   oodb.ItemIndex // scratch for per-report dedup
 	items  []oodb.Item    // scratch for the returned report
@@ -166,12 +167,11 @@ func (w *UpdateWindow) Observe(it oodb.Item, now float64) {
 func (w *UpdateWindow) Report(now float64) []oodb.Item {
 	cutoff := now - w.window
 	for w.head < len(w.events) && w.events[w.head].at <= cutoff {
-		w.events[w.head] = updateEvent{}
 		w.head++
 	}
-	if w.head == len(w.events) {
-		w.events = w.events[:0]
-		w.head = 0
+	if 2*w.head >= len(w.events) {
+		n := copy(w.events, w.events[w.head:])
+		w.events, w.head = w.events[:n], 0
 	}
 	w.items = w.items[:0]
 	w.seen.Reset()

@@ -69,6 +69,26 @@ func TestUpdateWindowTrims(t *testing.T) {
 	}
 }
 
+// Under continuous writes the window never empties, yet the log stays
+// within a small multiple of the events the window holds: one write per
+// second for 10^5 s, a report every 10 s, a 100 s window.
+func TestUpdateWindowBoundedUnderSteadyWrites(t *testing.T) {
+	const window, every, horizon = 100, 10, 100_000
+	w := NewUpdateWindow(window)
+	for now := 1; now <= horizon; now++ {
+		w.Observe(oodb.AttrItem(oodb.OID(now%50), 0), float64(now))
+		if now%every != 0 {
+			continue
+		}
+		if got := w.Report(float64(now)); now >= window && len(got) != 50 {
+			t.Fatalf("report at %d names %d items, want 50", now, len(got))
+		}
+		if c := cap(w.events); c > 4*window {
+			t.Fatalf("at %d s the log holds capacity for %d events, want <= %d", now, c, 4*window)
+		}
+	}
+}
+
 func TestReportBytes(t *testing.T) {
 	if got := ReportBytes(0); got != network.HeaderSize {
 		t.Fatalf("ReportBytes(0) = %d, want bare header %d", got, network.HeaderSize)

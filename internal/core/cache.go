@@ -66,17 +66,20 @@ func (s LookupState) String() string {
 // so AC/HC fit many more entries than OC.
 //
 // Residents live in two parallel slices (items[i] holds the key of
-// slots[i]) located through an oodb.ItemIndex; removal moves the last
-// resident into the hole.
+// slots[i]) located through an oodb.ItemIndex, the only item → slot index:
+// the replacement policy is its slot core, told of every insert, access and
+// removal by slot id. Removal moves the last resident into the hole, and
+// the core mirrors the move.
 type Cache struct {
 	capacityBytes int
 	usedBytes     int
 	index         oodb.ItemIndex
 	items         []oodb.Item
 	slots         []Entry
-	policy        replacement.Policy
+	policy        replacement.SlotCore
 
 	seen    oodb.ItemIndex // InsertBatch's de-duplication scratch
+	victims []oodb.Item    // InsertBatch's victims, mapped from the core's slots
 	evicted []oodb.Item    // scratch returned by Insert and InsertBatch
 
 	insertions uint64
@@ -85,6 +88,8 @@ type Cache struct {
 }
 
 // NewCache builds a storage cache with the given byte capacity and policy.
+// The cache takes the policy over (replacement.Slots): it must track no
+// items, and nothing else may call it afterwards.
 func NewCache(capacityBytes int, policy replacement.Policy) *Cache {
 	if capacityBytes <= 0 {
 		panic("core: cache capacity must be positive")
@@ -92,7 +97,7 @@ func NewCache(capacityBytes int, policy replacement.Policy) *Cache {
 	if policy == nil {
 		panic("core: cache requires a replacement policy")
 	}
-	return &Cache{capacityBytes: capacityBytes, policy: policy}
+	return &Cache{capacityBytes: capacityBytes, policy: replacement.Slots(policy)}
 }
 
 // Lookup probes the cache for item at time now. Resident items — valid or
@@ -106,7 +111,7 @@ func (c *Cache) Lookup(it oodb.Item, now float64) (*Entry, LookupState) {
 		return nil, Miss
 	}
 	e := &c.slots[i]
-	c.policy.OnAccess(it, now)
+	c.policy.Touch(i, now)
 	if !e.ValidAt(now) {
 		return e, Stale
 	}
@@ -160,23 +165,23 @@ func (c *Cache) insert(it oodb.Item, e Entry, now float64) {
 		if !ok {
 			panic("core: cache over budget with no victim available")
 		}
+		c.index.Delete(c.items[victim].Key())
 		c.evict(victim)
 	}
 	c.index.Set(it.Key(), int32(len(c.items)))
 	c.items = append(c.items, it)
 	c.slots = append(c.slots, e)
 	c.usedBytes += size
-	c.policy.OnInsert(it, now)
+	c.policy.Insert(it, now)
 	c.insertions++
 }
 
-// evict removes a victim the policy named and records it in c.evicted.
-func (c *Cache) evict(victim oodb.Item) {
-	if !c.Remove(victim) {
-		panic(fmt.Sprintf("core: removing non-resident item %v", victim))
-	}
+// evict removes the resident in slot i, whose key the caller has deleted
+// from the index, and records it in c.evicted.
+func (c *Cache) evict(i int32) {
 	c.evictions++
-	c.evicted = append(c.evicted, victim)
+	c.evicted = append(c.evicted, c.items[i])
+	c.removeAt(i)
 }
 
 // BatchEntry pairs an item with its metadata for InsertBatch.
@@ -217,19 +222,26 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 		if want > 1024 {
 			want = 1024
 		}
-		victims := c.policy.Victims(now, want)
-		if len(victims) == 0 {
+		c.victims = c.victims[:0]
+		for _, slot := range c.policy.Victims(now, want) {
+			c.victims = append(c.victims, c.items[slot])
+		}
+		if len(c.victims) == 0 {
 			// The batch alone exceeds the whole cache: nothing left to
 			// bulk-evict. The per-item phase below will evict earlier
 			// batch items as later ones insert.
 			break
 		}
 		progress := false
-		for _, v := range victims {
+		for _, v := range c.victims {
 			if c.usedBytes+incoming <= c.capacityBytes {
 				break
 			}
-			c.evict(v)
+			i, ok := c.index.Delete(v.Key())
+			if !ok {
+				panic(fmt.Sprintf("core: removing non-resident item %v", v))
+			}
+			c.evict(i)
 			progress = true
 		}
 		if !progress {
@@ -248,18 +260,24 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 // whether it was resident.
 func (c *Cache) Remove(it oodb.Item) bool {
 	i, ok := c.index.Delete(it.Key())
-	if !ok {
-		return false
+	if ok {
+		c.removeAt(i)
 	}
+	return ok
+}
+
+// removeAt drops the resident in slot i, whose key the caller has deleted
+// from the index, by moving the last resident into the hole; the policy's
+// core mirrors the move.
+func (c *Cache) removeAt(i int32) {
+	c.usedBytes -= ItemCost(c.items[i])
 	last := int32(len(c.items) - 1)
 	if i != last {
 		c.items[i], c.slots[i] = c.items[last], c.slots[last]
 		c.index.Set(c.items[i].Key(), i)
 	}
 	c.items, c.slots = c.items[:last], c.slots[:last]
-	c.usedBytes -= ItemCost(it)
-	c.policy.Remove(it)
-	return true
+	c.policy.Remove(i)
 }
 
 // ForEach visits every resident item in unspecified order; fn returning
@@ -275,11 +293,10 @@ func (c *Cache) ForEach(fn func(it oodb.Item, e *Entry) bool) {
 
 // Clear drops every resident item (e.g. a client discarding a cache it can
 // no longer trust after missing invalidation reports). Eviction counters
-// are not advanced; replacement state is fully reset.
+// are not advanced; the policy forgets every resident, keeping only what
+// outlives residency (SlotCore.Reset).
 func (c *Cache) Clear() {
-	for _, it := range c.items {
-		c.policy.Remove(it)
-	}
+	c.policy.Reset()
 	c.index.Reset()
 	c.items, c.slots = c.items[:0], c.slots[:0]
 	c.usedBytes = 0

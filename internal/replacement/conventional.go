@@ -1,8 +1,8 @@
 package replacement
 
 // Optimized conventional policies (LRU, MRU, LRU-k, LRD, FIFO on the
-// indexed victim-selection engine in indexed.go; CLOCK and Random on its
-// slot table). Scoring formulas live in states.go, shared with the
+// indexed victim-selection engine in indexed.go; CLOCK and Random on slot
+// ids alone). Scoring formulas live in states.go, shared with the
 // reference scan implementations in reference_test.go; the differential
 // tests require both to emit bit-identical victim sequences.
 
@@ -40,29 +40,29 @@ func NewLRU() Policy { return newRecency(1, "lru") }
 // NewMRU returns the most-recently-used policy.
 func NewMRU() Policy { return newRecency(-1, "mru") }
 
-func newRecency(sign float64, name string) *recency {
+func newRecency(sign float64, name string) Policy {
 	p := &recency{sign: sign}
 	o := byHeap
 	if sign > 0 {
 		o = byArrival
 	}
 	p.init(p, name, o)
-	return p
+	return &keyed{core: p}
 }
 
 func (p *recency) enter(_ oodb.Item, now float64) lruState { return lruState{last: now} }
 
 func (p *recency) place(slot int32) {
-	p.classes[0].update(slot, p.sign*p.t.states[slot].last)
+	p.classes[0].update(slot, p.sign*p.states[slot].last)
 }
 
 func (p *recency) touch(slot int32, now float64) {
-	p.t.states[slot].last = now
+	p.states[slot].last = now
 	p.place(slot)
 }
 
 func (p *recency) eval(slot int32, now float64) float64 {
-	return p.sign * lruBadness(&p.t.states[slot], now)
+	return p.sign * lruBadness(&p.states[slot], now)
 }
 
 func (p *recency) cutoff(_ int, now, best float64) float64 {
@@ -126,7 +126,7 @@ func NewLRUKCRP(k int, crp float64) Policy {
 	}
 	p := &lruK{k: k, crp: crp}
 	p.init(p, fmt.Sprintf("lru-%d", k), byArrival, byHeap)
-	return p
+	return &keyed{core: p}
 }
 
 // enter records the access in the item's retained history, creating one
@@ -145,7 +145,7 @@ func (p *lruK) enter(it oodb.Item, now float64) int32 {
 // place keys a slot by its history, moving it to the full class once its
 // ring fills (rings never empty, so the reverse transition cannot happen).
 func (p *lruK) place(slot int32) {
-	s := &p.arena[p.t.states[slot]]
+	s := &p.arena[p.states[slot]]
 	if kth, ok := s.ring.kth(); ok {
 		p.classes[lruKShort].remove(slot)
 		p.classes[lruKFull].update(slot, kth)
@@ -155,12 +155,12 @@ func (p *lruK) place(slot int32) {
 }
 
 func (p *lruK) touch(slot int32, now float64) {
-	p.arena[p.t.states[slot]].record(p.crp, now)
+	p.arena[p.states[slot]].record(p.crp, now)
 	p.place(slot)
 }
 
 func (p *lruK) eval(slot int32, now float64) float64 {
-	return lruKBadness(&p.arena[p.t.states[slot]], p.crp, now)
+	return lruKBadness(&p.arena[p.states[slot]], p.crp, now)
 }
 
 func (p *lruK) cutoff(class int, now, best float64) float64 {
@@ -201,7 +201,7 @@ func NewLRD(interval float64) Policy {
 	}
 	p := &lrd{interval: interval}
 	p.init(p, "lrd", byHeap)
-	return p
+	return &keyed{core: p}
 }
 
 func (p *lrd) enter(_ oodb.Item, now float64) lrdState {
@@ -209,19 +209,19 @@ func (p *lrd) enter(_ oodb.Item, now float64) lrdState {
 }
 
 func (p *lrd) place(slot int32) {
-	s := &p.t.states[slot]
+	s := &p.states[slot]
 	p.classes[0].update(slot, math.Log2(s.refs)+s.lastAged/p.interval)
 }
 
 func (p *lrd) touch(slot int32, now float64) {
-	s := &p.t.states[slot]
+	s := &p.states[slot]
 	s.age(now, p.interval)
 	s.refs++
 	p.place(slot)
 }
 
 func (p *lrd) eval(slot int32, now float64) float64 {
-	return lrdBadness(&p.t.states[slot], p.interval, now)
+	return lrdBadness(&p.states[slot], p.interval, now)
 }
 
 func (p *lrd) cutoff(_ int, now, best float64) float64 {
@@ -251,7 +251,7 @@ type fifo struct {
 func NewFIFO() Policy {
 	p := &fifo{}
 	p.init(p, "fifo", byArrival)
-	return p
+	return &keyed{core: p}
 }
 
 func (p *fifo) enter(oodb.Item, float64) fifoState {
@@ -260,12 +260,12 @@ func (p *fifo) enter(oodb.Item, float64) fifoState {
 }
 
 func (p *fifo) place(slot int32) {
-	p.classes[0].update(slot, float64(p.t.states[slot].seq))
+	p.classes[0].update(slot, float64(p.states[slot].seq))
 }
 
 func (p *fifo) touch(int32, float64) {}
 
-func (p *fifo) eval(slot int32, _ float64) float64 { return fifoBadness(&p.t.states[slot]) }
+func (p *fifo) eval(slot int32, _ float64) float64 { return fifoBadness(&p.states[slot]) }
 
 func (p *fifo) cutoff(_ int, now, best float64) float64 { return padCutoff(-best, now, best) }
 
@@ -273,13 +273,13 @@ func (p *fifo) cutoff(_ int, now, best float64) float64 { return padCutoff(-best
 
 // clock implements the second-chance approximation of LRU: items sit on a
 // circular list with a referenced bit; the hand clears bits until it finds
-// an unreferenced item. The list is the slot table's item order, and each
-// slot's state holds its reference bit (swap-moved with it on removal).
+// an unreferenced item. The list is the slot order, and each slot's state
+// holds its reference bit (swap-moved with it on removal).
 type clock struct {
-	t    slotTable[clockState]
-	hand int
-	gen  uint64
-	out  []oodb.Item // scratch returned by Victims
+	states []clockState
+	hand   int
+	gen    uint64
+	out    []int32 // scratch returned by Victims
 }
 
 type clockState struct {
@@ -288,34 +288,26 @@ type clockState struct {
 }
 
 // NewClock returns the CLOCK (second chance) baseline.
-func NewClock() Policy { return &clock{} }
+func NewClock() Policy { return &keyed{core: &clock{}} }
 
 func (p *clock) Name() string { return "clock" }
 
-func (p *clock) OnInsert(it oodb.Item, now float64) {
-	if i, ok := p.t.lookup(it); ok {
-		p.t.states[i].ref = true
-		return
-	}
-	p.t.add(it, clockState{ref: true})
+func (p *clock) Insert(_ oodb.Item, _ float64) {
+	p.states = append(p.states, clockState{ref: true})
 }
 
-func (p *clock) OnAccess(it oodb.Item, now float64) {
-	i, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
-	p.t.states[i].ref = true
-}
+func (p *clock) Touch(slot int32, _ float64) { p.states[slot].ref = true }
 
 // sweep advances the hand, clearing reference bits, to the first
-// unreferenced slot and returns its state. The table must not be empty.
+// unreferenced slot and returns its state. There must be a resident.
 // Each step either clears a set bit (finitely many) or returns, so at most
-// len(items)+1 steps run.
+// Len()+1 steps run.
 func (p *clock) sweep() *clockState {
 	for {
-		if p.hand >= len(p.t.items) {
+		if p.hand >= len(p.states) {
 			p.hand = 0
 		}
-		s := &p.t.states[p.hand]
+		s := &p.states[p.hand]
 		if !s.ref {
 			return s
 		}
@@ -324,23 +316,23 @@ func (p *clock) sweep() *clockState {
 	}
 }
 
-// Victim leaves the hand on the victim (the caller's Remove compacts the
+// Victim leaves the hand on the victim (the owner's Remove compacts the
 // slot).
-func (p *clock) Victim(now float64) (oodb.Item, bool) {
-	if len(p.t.items) == 0 {
-		return oodb.Item{}, false
+func (p *clock) Victim(float64) (int32, bool) {
+	if len(p.states) == 0 {
+		return -1, false
 	}
 	p.sweep()
-	return p.t.items[p.hand], true
+	return int32(p.hand), true
 }
 
 // Victims collects up to n victims in one continuous hand rotation rather
 // than n restarted sweeps. Each victim is re-marked referenced so the
-// rotation passes over it (callers evict the returned items anyway); a
-// position stamp detects the wrap where every remaining item was already
+// rotation passes over it (callers evict the returned slots anyway); a
+// position stamp detects the wrap where every remaining slot was already
 // selected this call, which is where the n-sweep version's seen-set broke.
-func (p *clock) Victims(now float64, n int) []oodb.Item {
-	n = min(n, len(p.t.items))
+func (p *clock) Victims(_ float64, n int) []int32 {
+	n = min(n, len(p.states))
 	if n <= 0 {
 		return nil
 	}
@@ -349,10 +341,10 @@ func (p *clock) Victims(now float64, n int) []oodb.Item {
 	for len(out) < n {
 		s := p.sweep()
 		if s.stamp == p.gen {
-			break // wrapped onto an item already selected this call
+			break // wrapped onto a slot already selected this call
 		}
 		s.stamp = p.gen
-		out = append(out, p.t.items[p.hand])
+		out = append(out, int32(p.hand))
 		s.ref = true
 		p.hand++
 	}
@@ -360,25 +352,27 @@ func (p *clock) Victims(now float64, n int) []oodb.Item {
 	return out
 }
 
-func (p *clock) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.t.remove(slot)
-		if p.hand > len(p.t.items) {
-			p.hand = 0
-		}
+func (p *clock) Remove(slot int32) {
+	last := len(p.states) - 1
+	p.states[slot] = p.states[last]
+	p.states = p.states[:last]
+	if p.hand > last {
+		p.hand = 0
 	}
 }
 
-func (p *clock) Len() int { return len(p.t.items) }
+func (p *clock) Reset() { p.states, p.hand = p.states[:0], 0 }
+
+func (p *clock) Len() int { return len(p.states) }
 
 // ------------------------------------------------------------- Random ----
 
-// random evicts a uniformly random resident item: the stream draws indexes
-// into the slot table's item order.
+// random evicts a uniformly random resident item: the stream draws slot
+// ids, so the residents need no state beyond their count.
 type random struct {
-	t   slotTable[struct{}]
+	n   int
 	rnd *rng.Stream
-	out []oodb.Item // scratch returned by Victims
+	out []int32 // scratch returned by Victims
 }
 
 // NewRandom returns the random-replacement baseline using the given stream.
@@ -386,45 +380,36 @@ func NewRandom(rnd *rng.Stream) Policy {
 	if rnd == nil {
 		panic("replacement: NewRandom requires a stream")
 	}
-	return &random{rnd: rnd}
+	return &keyed{core: &random{rnd: rnd}}
 }
 
 func (p *random) Name() string { return "random" }
 
-func (p *random) OnInsert(it oodb.Item, now float64) {
-	if _, ok := p.t.lookup(it); !ok {
-		p.t.add(it, struct{}{})
+func (p *random) Insert(oodb.Item, float64) { p.n++ }
+
+func (p *random) Touch(int32, float64) {}
+
+func (p *random) Victim(float64) (int32, bool) {
+	if p.n == 0 {
+		return -1, false
 	}
+	return int32(p.rnd.Intn(p.n)), true
 }
 
-func (p *random) OnAccess(it oodb.Item, now float64) {
-	_, ok := p.t.lookup(it)
-	mustTracked(p, ok, it)
-}
-
-func (p *random) Victim(now float64) (oodb.Item, bool) {
-	if len(p.t.items) == 0 {
-		return oodb.Item{}, false
-	}
-	return p.t.items[p.rnd.Intn(len(p.t.items))], true
-}
-
-func (p *random) Victims(now float64, n int) []oodb.Item {
-	n = min(n, len(p.t.items))
+func (p *random) Victims(_ float64, n int) []int32 {
+	n = min(n, p.n)
 	if n <= 0 {
 		return nil
 	}
 	p.out = p.out[:0]
-	for _, j := range p.rnd.Sample(len(p.t.items), n) {
-		p.out = append(p.out, p.t.items[j])
+	for _, j := range p.rnd.Sample(p.n, n) {
+		p.out = append(p.out, int32(j))
 	}
 	return p.out
 }
 
-func (p *random) Remove(it oodb.Item) {
-	if slot, ok := p.t.lookup(it); ok {
-		p.t.remove(slot)
-	}
-}
+func (p *random) Remove(int32) { p.n-- }
 
-func (p *random) Len() int { return len(p.t.items) }
+func (p *random) Reset() { p.n = 0 }
+
+func (p *random) Len() int { return p.n }

@@ -257,6 +257,10 @@ func TestDifferentialBatchTies(t *testing.T) {
 // slotClasses exposes an indexed policy's classes to the tests.
 func (c *victimCore[S]) slotClasses() []slotClass { return c.classes }
 
+// coreOf returns the slot core behind an item-keyed policy, residents and
+// all (Slots only hands over an empty one).
+func coreOf(p Policy) SlotCore { return p.(*keyed).core }
+
 // entries returns the class's live (key, slot) entries: a run's, without
 // its tombstones, in key order; a heap's in heap order.
 func (c *slotClass) entries() []heapEnt {
@@ -295,7 +299,7 @@ func TestSweepModeVictims(t *testing.T) {
 			factory, _ := Parse(spec)
 			opt := factory()
 			ref, _ := newReferencePolicy(spec)
-			classes := opt.(interface{ slotClasses() []slotClass }).slotClasses()
+			classes := coreOf(opt).(interface{ slotClasses() []slotClass }).slotClasses()
 			now := 0.0
 			for i := 0; i < 40; i++ {
 				if i%3 != 0 {
@@ -457,7 +461,7 @@ func (p *ewmaPolicy) bound(class int, key, now float64) float64 {
 
 func checkBounds(t *testing.T, p Policy, now float64) {
 	t.Helper()
-	bp := p.(boundedPolicy)
+	bp := coreOf(p).(boundedPolicy)
 	classes := bp.slotClasses()
 	for ci := range classes {
 		ents := classes[ci].entries()
@@ -681,10 +685,11 @@ func (c *evalCounter[S]) eval(slot int32, now float64) float64 {
 // per requested victim here.
 func TestSearchVisitsNearN(t *testing.T) {
 	const n, rounds = 44, 300
-	p := NewEWMA(0.5).(*ewmaPolicy)
+	pol := NewEWMA(0.5)
+	p := coreOf(pol).(*ewmaPolicy)
 	cnt := &evalCounter[ewmaState]{indexed: p}
 	p.h = cnt
-	b := newBulkTrace(1, p)
+	b := newBulkTrace(1, pol)
 	cnt.evals = 0
 	for round := 0; round < rounds; round++ {
 		b.replace(b.victims(n)[0])
@@ -765,7 +770,7 @@ func TestRunFootprint(t *testing.T) {
 		t.Run(spec, func(t *testing.T) {
 			factory, _ := Parse(spec)
 			p := factory()
-			classes := p.(interface{ slotClasses() []slotClass }).slotClasses()
+			classes := coreOf(p).(interface{ slotClasses() []slotClass }).slotClasses()
 			b := newBulkTrace(1, p)
 			// The setup's fill puts every resident in each run class.
 			peak := make([]int, len(classes))

@@ -52,13 +52,13 @@ type meanPolicy struct {
 func NewMean() Policy {
 	p := &meanPolicy{}
 	p.init(p, "mean", byHeap, byArrival)
-	return p
+	return &keyed{core: p}
 }
 
 func (p *meanPolicy) enter(_ oodb.Item, now float64) meanState { return meanState{last: now} }
 
 func (p *meanPolicy) place(slot int32) {
-	s := &p.t.states[slot]
+	s := &p.states[slot]
 	if s.n == 0 {
 		p.classes[fresh].update(slot, s.last)
 		return
@@ -68,12 +68,12 @@ func (p *meanPolicy) place(slot int32) {
 }
 
 func (p *meanPolicy) touch(slot int32, now float64) {
-	p.t.states[slot].record(now)
+	p.states[slot].record(now)
 	p.place(slot)
 }
 
 func (p *meanPolicy) eval(slot int32, now float64) float64 {
-	return meanBadness(&p.t.states[slot], now)
+	return meanBadness(&p.states[slot], now)
 }
 
 func (p *meanPolicy) cutoff(class int, now, best float64) float64 {
@@ -111,7 +111,7 @@ func NewWindow(w int) Policy {
 	}
 	p := &windowPolicy{w: w}
 	p.init(p, fmt.Sprintf("win-%d", w), byHeap)
-	return p
+	return &keyed{core: p}
 }
 
 // enter gives the item a recycled window buffer when one is free.
@@ -127,7 +127,7 @@ func (p *windowPolicy) enter(_ oodb.Item, now float64) winState {
 }
 
 func (p *windowPolicy) place(slot int32) {
-	s := &p.t.states[slot]
+	s := &p.states[slot]
 	k := s.last - s.win.Mean()*float64(s.win.Count())
 	if s.win.Count() == s.win.Size() {
 		k += s.win.Oldest()
@@ -136,12 +136,12 @@ func (p *windowPolicy) place(slot int32) {
 }
 
 func (p *windowPolicy) touch(slot int32, now float64) {
-	p.t.states[slot].record(now)
+	p.states[slot].record(now)
 	p.place(slot)
 }
 
 func (p *windowPolicy) eval(slot int32, now float64) float64 {
-	return windowBadness(&p.t.states[slot], p.w, now)
+	return windowBadness(&p.states[slot], p.w, now)
 }
 
 func (p *windowPolicy) cutoff(_ int, now, best float64) float64 {
@@ -153,14 +153,22 @@ func (p *windowPolicy) cutoff(_ int, now, best float64) float64 {
 	return padCutoff(k, now, best)
 }
 
-// Remove is victimCore.Remove plus recycling the item's window buffer.
-func (p *windowPolicy) Remove(it oodb.Item) {
-	slot, ok := p.t.lookup(it)
-	if !ok {
-		return
+// Remove is victimCore.Remove plus recycling the slot's window buffer.
+func (p *windowPolicy) Remove(slot int32) {
+	win := p.states[slot].win // value copy owns the buffer after removal
+	p.victimCore.Remove(slot)
+	p.recycle(win)
+}
+
+// Reset is victimCore.Reset plus recycling every window buffer.
+func (p *windowPolicy) Reset() {
+	for _, s := range p.states {
+		p.recycle(s.win)
 	}
-	win := p.t.states[slot].win // value copy owns the buffer after removal
-	p.removeSlot(slot)
+	p.victimCore.Reset()
+}
+
+func (p *windowPolicy) recycle(win stats.Window) {
 	win.Reset()
 	p.free = append(p.free, win)
 }
@@ -187,13 +195,13 @@ func NewEWMA(alpha float64) Policy {
 	}
 	p := &ewmaPolicy{alpha: alpha}
 	p.init(p, fmt.Sprintf("ewma-%g", alpha), byHeap, byArrival)
-	return p
+	return &keyed{core: p}
 }
 
 func (p *ewmaPolicy) enter(_ oodb.Item, now float64) ewmaState { return ewmaState{last: now} }
 
 func (p *ewmaPolicy) place(slot int32) {
-	s := &p.t.states[slot]
+	s := &p.states[slot]
 	if s.n == 0 {
 		p.classes[fresh].update(slot, s.last)
 		return
@@ -203,12 +211,12 @@ func (p *ewmaPolicy) place(slot int32) {
 }
 
 func (p *ewmaPolicy) touch(slot int32, now float64) {
-	p.t.states[slot].record(p.alpha, now)
+	p.states[slot].record(p.alpha, now)
 	p.place(slot)
 }
 
 func (p *ewmaPolicy) eval(slot int32, now float64) float64 {
-	return ewmaBadness(&p.t.states[slot], p.alpha, now)
+	return ewmaBadness(&p.states[slot], p.alpha, now)
 }
 
 func (p *ewmaPolicy) cutoff(class int, now, best float64) float64 {

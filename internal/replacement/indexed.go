@@ -1,8 +1,8 @@
 package replacement
 
 // This file is the shared victim-selection engine behind the optimized
-// replacement policies: a slot table holding item state in flat value
-// slices, plus per-class containers of (key, slot) entries, searched
+// replacement policies: per-slot state in a flat value slice, plus
+// per-class containers of (key, slot) entries, searched
 // lowest keys first until n candidates are held and then pruned by a bound.
 // A class (slotClass) keeps its entries in one of two orders, chosen by
 // what its key is: a class keyed by an arrival or access time is an
@@ -10,7 +10,7 @@ package replacement
 // near the front without sifting; every other class is a binary min-heap.
 // The search reproduces the reference scan's victim choice — including its
 // tie-breaking by scan position — without visiting every resident item.
-// victimCore is the one skeleton: it implements every Policy method of an
+// victimCore is the one skeleton: it implements every SlotCore method of an
 // indexed policy, which supplies only the hook set in indexed.
 //
 // Correctness contract (differentially tested against the reference scan
@@ -40,9 +40,10 @@ package replacement
 //     reference semantics even where keys or bounds are approximate.
 //   - Badness ties resolve exactly like the reference scan: Victim is the
 //     first of Victims(now, 1), and one selection heap ranks candidates by
-//     the reference's (score desc, slot asc) total order. Slot indices evolve
-//     exactly like the reference's scan positions — removal swap-moves the
-//     last slot into the hole — so tie-breaks stay aligned between the two
+//     the reference's (score desc, slot asc) total order. Slot ids are the
+//     owner's (core.Cache's, or the item-keyed adapter's) and evolve exactly
+//     like the reference's scan positions — removal swap-moves the last slot
+//     into the hole — so tie-breaks stay aligned between the two
 //     implementations.
 
 import (
@@ -51,50 +52,6 @@ import (
 
 	"repro/internal/oodb"
 )
-
-// slotTable tracks items and their per-item state in flat parallel slices
-// ([]S values, not []*S pointers), located through an oodb.ItemIndex. Every
-// policy keeps its residents in one, clock and random included. The zero
-// value is an empty table.
-type slotTable[S any] struct {
-	items  []oodb.Item
-	states []S
-	index  oodb.ItemIndex
-}
-
-func (t *slotTable[S]) lookup(it oodb.Item) (int32, bool) {
-	return t.index.Get(it.Key())
-}
-
-// add tracks an item lookup has just reported absent, returning its slot.
-func (t *slotTable[S]) add(it oodb.Item, s S) int32 {
-	slot := int32(len(t.items))
-	t.index.Set(it.Key(), slot)
-	t.items = append(t.items, it)
-	t.states = append(t.states, s)
-	return slot
-}
-
-// remove untracks the item in slot by moving the last slot into the hole
-// (the reference's swap-remove, so slot order keeps matching the reference
-// scan's positions). It returns the old slot id of the moved item, or -1.
-func (t *slotTable[S]) remove(slot int32) (moved int32) {
-	it := t.items[slot]
-	last := int32(len(t.items) - 1)
-	moved = -1
-	if slot != last {
-		t.items[slot] = t.items[last]
-		t.states[slot] = t.states[last]
-		t.index.Set(t.items[slot].Key(), slot)
-		moved = last
-	}
-	var zero S
-	t.items = t.items[:last]
-	t.states[last] = zero
-	t.states = t.states[:last]
-	t.index.Delete(it.Key())
-	return moved
-}
 
 // order is how a class keeps its entries. It follows from what the class's
 // key is: byArrival for an arrival or access time, which entries mostly
@@ -198,7 +155,7 @@ func (c *slotClass) remove(slot int32) {
 	}
 }
 
-// rename re-labels slot id from as to (the slot table swap-moved an item
+// rename re-labels slot id from as to (the owner swap-moved a resident
 // into a freed slot). In a heap the slot tie-break changes, so the entry is
 // re-sifted. Absent slots are a no-op.
 func (c *slotClass) rename(from, to int32) {
@@ -213,6 +170,14 @@ func (c *slotClass) rename(from, to int32) {
 		return
 	}
 	c.fix(i, heapEnt{key: c.ent[i].key, slot: to})
+}
+
+// reset empties the class, keeping its arrays and sweep mode.
+func (c *slotClass) reset() {
+	for i := range c.pos {
+		c.pos[i] = -1
+	}
+	c.ent, c.head, c.dead = c.ent[:0], 0, 0
 }
 
 // push adds e to a run: appended at or above the tail, else shifted into
@@ -441,12 +406,13 @@ func (sw *selectWorst) siftDown(i int) {
 	sw.cands[i] = c
 }
 
-// extractInto writes the candidates into out in the reference's worst-first
-// order (score descending, slot ascending) by popping the full heap's
-// weakest root into out from the back. len(out) == len(sw.cands) == sw.n.
-func (sw *selectWorst) extractInto(items []oodb.Item, out []oodb.Item) {
+// extractInto writes the candidates' slots into out in the reference's
+// worst-first order (score descending, slot ascending) by popping the full
+// heap's weakest root into out from the back.
+// len(out) == len(sw.cands) == sw.n.
+func (sw *selectWorst) extractInto(out []int32) {
 	for k := len(sw.cands) - 1; k >= 0; k-- {
-		out[k] = items[sw.cands[0].slot]
+		out[k] = sw.cands[0].slot
 		sw.cands[0] = sw.cands[k]
 		sw.cands = sw.cands[:k]
 		if k > 0 {
@@ -461,17 +427,17 @@ func (sw *selectWorst) extractInto(items []oodb.Item, out []oodb.Item) {
 // working again.
 const sweepRun = 15
 
-// victimCore is the one skeleton of the indexed policies: the slot table,
-// the classes and the search scratch, and every Policy method. A policy
-// embeds it and calls init at construction with itself as the hooks.
+// victimCore is the one skeleton of the indexed policies: the per-slot
+// states, the classes and the search scratch, and every SlotCore method. A
+// policy embeds it and calls init at construction with itself as the hooks.
 type victimCore[S any] struct {
 	h       indexed[S]
 	name    string
-	t       slotTable[S]
+	states  []S
 	classes []slotClass
 	stack   []int32
 	cands   []victimCand
-	out     []oodb.Item // scratch returned by Victims
+	out     []int32 // scratch returned by Victims
 }
 
 // init wires the policy's hooks and name and gives it one class per
@@ -487,41 +453,33 @@ func (c *victimCore[S]) init(h indexed[S], name string, orders ...order) {
 // Name identifies the policy (e.g. "ewma-0.5").
 func (c *victimCore[S]) Name() string { return c.name }
 
-// OnInsert touches a tracked item; otherwise it enters the table and is
-// placed in its class.
-func (c *victimCore[S]) OnInsert(it oodb.Item, now float64) {
-	if slot, ok := c.t.lookup(it); ok {
-		c.h.touch(slot, now)
-		return
-	}
-	slot := c.t.add(it, c.h.enter(it, now))
+// Insert enters a new resident at slot Len() and places it in its class.
+func (c *victimCore[S]) Insert(it oodb.Item, now float64) {
+	slot := int32(len(c.states))
+	c.states = append(c.states, c.h.enter(it, now))
 	for i := range c.classes {
-		c.classes[i].grow(len(c.t.items))
+		c.classes[i].grow(len(c.states))
 	}
 	c.h.place(slot)
 }
 
-// OnAccess touches a resident item; an untracked one panics.
-func (c *victimCore[S]) OnAccess(it oodb.Item, now float64) {
-	slot, ok := c.t.lookup(it)
-	mustTracked(c, ok, it)
-	c.h.touch(slot, now)
-}
+// Touch records an access to slot.
+func (c *victimCore[S]) Touch(slot int32, now float64) { c.h.touch(slot, now) }
 
-// Victim returns the single worst item: the first of Victims(now, 1).
-func (c *victimCore[S]) Victim(now float64) (oodb.Item, bool) {
+// Victim returns the single worst slot: the first of Victims(now, 1).
+func (c *victimCore[S]) Victim(now float64) (int32, bool) {
 	if v := c.Victims(now, 1); len(v) == 1 {
 		return v[0], true
 	}
-	return oodb.Item{}, false
+	return -1, false
 }
 
-// Victims returns up to n items ordered worst-first, in scratch the next
+// Victims returns up to n slots ordered worst-first, in scratch the next
 // Victim or Victims call overwrites: every class searches into one
 // selection heap, the runs first, whose exact arrival order fills the
 // selection from the likeliest victims and so tightens the heaps' cutoffs.
-func (c *victimCore[S]) Victims(now float64, n int) []oodb.Item {
-	n = min(n, len(c.t.items))
+func (c *victimCore[S]) Victims(now float64, n int) []int32 {
+	n = min(n, len(c.states))
 	if n <= 0 {
 		return nil
 	}
@@ -537,36 +495,43 @@ func (c *victimCore[S]) Victims(now float64, n int) []oodb.Item {
 		}
 	}
 	if cap(c.out) < len(sw.cands) {
-		c.out = make([]oodb.Item, len(sw.cands))
+		c.out = make([]int32, len(sw.cands))
 	}
 	c.out = c.out[:len(sw.cands)]
-	sw.extractInto(c.t.items, c.out)
+	sw.extractInto(c.out)
 	c.cands = sw.cands[:0]
 	return c.out
 }
 
-// Remove forgets an item; untracked items are a no-op.
-func (c *victimCore[S]) Remove(it oodb.Item) {
-	if slot, ok := c.t.lookup(it); ok {
-		c.removeSlot(slot)
-	}
-}
-
-// Len returns the number of tracked items.
-func (c *victimCore[S]) Len() int { return len(c.t.items) }
-
-// removeSlot untracks a slot from every class and the table, keeping
-// class slot labels aligned with the table's swap-move.
-func (c *victimCore[S]) removeSlot(slot int32) {
+// Remove untracks slot from every class and moves the last slot's state
+// into the hole, relabelling it in the classes.
+func (c *victimCore[S]) Remove(slot int32) {
 	for i := range c.classes {
 		c.classes[i].remove(slot)
 	}
-	if moved := c.t.remove(slot); moved >= 0 {
+	last := int32(len(c.states) - 1)
+	if slot != last {
+		c.states[slot] = c.states[last]
 		for i := range c.classes {
-			c.classes[i].rename(moved, slot)
+			c.classes[i].rename(last, slot)
 		}
 	}
+	var zero S
+	c.states[last] = zero
+	c.states = c.states[:last]
 }
+
+// Reset forgets every resident.
+func (c *victimCore[S]) Reset() {
+	for i := range c.classes {
+		c.classes[i].reset()
+	}
+	clear(c.states)
+	c.states = c.states[:0]
+}
+
+// Len returns the number of residents.
+func (c *victimCore[S]) Len() int { return len(c.states) }
 
 // searchRun offers run class ci's candidates to the selection in ascending
 // key order: every entry while the selection holds fewer than n, then

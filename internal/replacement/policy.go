@@ -32,8 +32,10 @@ import (
 )
 
 // Policy ranks the items resident in a client's storage cache and selects
-// eviction victims. Implementations are not safe for concurrent use; the
-// simulator runs one process at a time.
+// eviction victims, addressed by item. Every constructor here returns a
+// SlotCore behind an item → slot table; core.Cache unwraps it with Slots
+// and keeps the table itself. Implementations are not safe for concurrent
+// use; the simulator runs one process at a time.
 type Policy interface {
 	// Name identifies the policy (e.g. "ewma-0.5") in tables and logs.
 	Name() string
@@ -62,6 +64,118 @@ type Policy interface {
 
 // Factory builds a fresh policy instance; each simulated client owns one.
 type Factory func() Policy
+
+// SlotCore is a policy's replacement state for the residents of one cache,
+// addressed by slot id. Its owner keeps the only item → slot index and
+// numbers its residents 0..Len()-1 in the order it holds them: it inserts
+// at slot Len() and removes by moving the last slot into the hole, and the
+// core mirrors both moves, so its tie-breaks by slot follow the owner's
+// order. Every policy is a slot core; core.Cache drives one directly.
+type SlotCore interface {
+	// Name identifies the policy (e.g. "ewma-0.5").
+	Name() string
+	// Insert registers a new resident at slot Len(); now is the insertion
+	// time, which also counts as its first access.
+	Insert(it oodb.Item, now float64)
+	// Touch records an access to slot at time now.
+	Touch(slot int32, now float64)
+	// Victim returns the slot that should be evicted next, without removing
+	// it. ok is false when there are no residents.
+	Victim(now float64) (slot int32, ok bool)
+	// Victims returns up to n slots ordered worst-first, selected in one
+	// search, without removing them. The slice is core-owned scratch,
+	// valid until the next Victim or Victims call. Every Remove moves a
+	// slot, so the owner maps the slots to its items before the first.
+	Victims(now float64, n int) []int32
+	// Remove forgets slot and renumbers the last slot to it.
+	Remove(slot int32)
+	// Reset forgets every resident. What outlives residency stays: LRU-k's
+	// retained history, FIFO's sequence, the random stream.
+	Reset()
+	// Len returns the number of residents.
+	Len() int
+}
+
+// Slots returns the slot core of a policy built by this package, for an
+// owner that keeps its own item → slot index; the owner takes the policy
+// over, so it must track no items yet.
+func Slots(p Policy) SlotCore {
+	k, ok := p.(*keyed)
+	if !ok {
+		panic(fmt.Sprintf("replacement: policy %s has no slot core", p.Name()))
+	}
+	if len(k.items) != 0 {
+		panic(fmt.Sprintf("replacement/%s: policy already tracks %d items", p.Name(), len(k.items)))
+	}
+	return k.core
+}
+
+// keyed is the item-keyed Policy every constructor returns: a slot core
+// behind the same item → slot table a cache keeps (an oodb.ItemIndex and
+// the items in slot order), with no policy logic of its own.
+type keyed struct {
+	core  SlotCore
+	index oodb.ItemIndex
+	items []oodb.Item
+	out   []oodb.Item // scratch returned by Victims
+}
+
+func (p *keyed) Name() string { return p.core.Name() }
+
+func (p *keyed) OnInsert(it oodb.Item, now float64) {
+	if slot, ok := p.index.Get(it.Key()); ok {
+		p.core.Touch(slot, now)
+		return
+	}
+	p.index.Set(it.Key(), int32(len(p.items)))
+	p.items = append(p.items, it)
+	p.core.Insert(it, now)
+}
+
+func (p *keyed) OnAccess(it oodb.Item, now float64) {
+	slot, ok := p.index.Get(it.Key())
+	mustTracked(p, ok, it)
+	p.core.Touch(slot, now)
+}
+
+func (p *keyed) Victim(now float64) (oodb.Item, bool) {
+	slot, ok := p.core.Victim(now)
+	if !ok {
+		return oodb.Item{}, false
+	}
+	return p.items[slot], true
+}
+
+func (p *keyed) Victims(now float64, n int) []oodb.Item {
+	slots := p.core.Victims(now, n)
+	if len(slots) == 0 {
+		return nil
+	}
+	p.out = p.out[:0]
+	for _, slot := range slots {
+		p.out = append(p.out, p.items[slot])
+	}
+	return p.out
+}
+
+// Remove moves the last item into the removed one's slot, as the core does.
+func (p *keyed) Remove(it oodb.Item) {
+	slot, ok := p.index.Delete(it.Key())
+	if !ok {
+		return
+	}
+	last := int32(len(p.items) - 1)
+	if slot != last {
+		p.items[slot] = p.items[last]
+		p.index.Set(p.items[slot].Key(), slot)
+	}
+	p.items = p.items[:last]
+	p.core.Remove(slot)
+}
+
+// Len is the core's: once Slots has handed the core to a cache, the
+// cache's residents.
+func (p *keyed) Len() int { return p.core.Len() }
 
 // mustTracked takes the policy, not its name: Name formats a string for the
 // parameterized policies, which only the panic path should pay for.

@@ -196,15 +196,16 @@ func TestLRUKValidation(t *testing.T) {
 }
 
 func TestLRUKCorrelatedReferencesCollapse(t *testing.T) {
-	p := NewLRUKCRP(2, 100).(*lruK)
-	p.OnInsert(obj(1), 0)
-	p.OnAccess(obj(1), 10) // correlated: within 100s of the last access
+	pol := NewLRUKCRP(2, 100)
+	p := coreOf(pol).(*lruK)
+	pol.OnInsert(obj(1), 0)
+	pol.OnAccess(obj(1), 10) // correlated: within 100s of the last access
 	idx, _ := p.history.Get(obj(1).Key())
 	s := &p.arena[idx]
 	if s.ring.n != 1 {
 		t.Fatalf("correlated access pushed a reference: n=%d", s.ring.n)
 	}
-	p.OnAccess(obj(1), 200) // uncorrelated
+	pol.OnAccess(obj(1), 200) // uncorrelated
 	if s.ring.n != 2 {
 		t.Fatalf("uncorrelated access not recorded: n=%d", s.ring.n)
 	}
