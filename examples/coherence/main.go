@@ -8,8 +8,8 @@
 // duration"), then disconnects some clients to show the invalidation
 // reports' failure mode (cache drops after missed reports).
 //
-// Scenarios are composed from a shared option slice plus per-case extras
-// (see docs/API.md for the full option catalog).
+// Each case copies one base experiment.Config and sets its own fields;
+// every field is documented on Config (see docs/API.md).
 //
 //	go run ./examples/coherence
 package main
@@ -25,21 +25,20 @@ import (
 )
 
 func main() {
-	base := []experiment.Option{
-		experiment.WithSeed(21),
-		experiment.WithHorizonDays(1),
-		experiment.WithGranularity(core.HybridCaching),
-		experiment.WithPolicy("ewma-0.5"),
-		experiment.WithQueryKind(workload.Associative),
-		experiment.WithHeat(experiment.SkewedHeat),
-		experiment.WithUpdateProb(0.3), // write-heavy enough for coherence to matter
+	base := experiment.Config{
+		Seed:        21,
+		Days:        1,
+		Granularity: core.HybridCaching,
+		Policy:      "ewma-0.5",
+		QueryKind:   workload.Associative,
+		Heat:        experiment.SkewedHeat,
+		UpdateProb:  0.3, // write-heavy enough for coherence to matter
 	}
-	run := func(extra ...experiment.Option) experiment.Result {
-		sc, err := experiment.New(append(append([]experiment.Option{}, base...), extra...)...)
-		if err != nil {
+	run := func(cfg experiment.Config) experiment.Result {
+		if err := cfg.Validate(); err != nil {
 			log.Fatal(err)
 		}
-		return sc.Run()
+		return experiment.Run(cfg)
 	}
 
 	fmt.Println("== picking a lease duration (all clients connected, U=0.3) ==")
@@ -47,12 +46,11 @@ func main() {
 	show := func(name string, res experiment.Result) {
 		fmt.Printf("%-16s  %8.1f  %8.2f\n", name, 100*res.HitRatio, 100*res.ErrorRate)
 	}
-	show("adaptive RT", run())
+	show("adaptive RT", run(base))
 	for _, lease := range []float64{60, 600, 6000} {
-		show(fmt.Sprintf("fixed %gs", lease), run(
-			experiment.WithCoherence(coherence.FixedLeaseStrategy),
-			experiment.WithFixedLease(lease),
-		))
+		cfg := base
+		cfg.Coherence, cfg.FixedLease = coherence.FixedLeaseStrategy, lease
+		show(fmt.Sprintf("fixed %gs", lease), run(cfg))
 	}
 	fmt.Println("\nshort fixed leases kill the hit ratio; long ones leak errors.")
 	fmt.Println("the adaptive estimate tracks each item's own write rate.")
@@ -66,10 +64,10 @@ func main() {
 		{"adaptive leases", coherence.LeaseStrategy},
 		{"invalidation rpts", coherence.InvalidationReportStrategy},
 	} {
-		res := run(
-			experiment.WithCoherence(c.strat),
-			experiment.WithDisconnection(4, 6),
-		)
+		cfg := base
+		cfg.Coherence = c.strat
+		cfg.DisconnectedClients, cfg.DisconnectHours = 4, 6
+		res := run(cfg)
 		fmt.Printf("%-20s  %8.1f  %8.2f  %12d\n",
 			c.name, 100*res.HitRatio, 100*res.ErrorRate, res.CacheDrops)
 	}

@@ -13,7 +13,7 @@
 //   - the contact servers' relay cache absorbs repeated remote reads,
 //     cutting backbone traffic without touching client behaviour.
 //
-//	go run ./examples/fleet
+//     go run ./examples/fleet
 package main
 
 import (
@@ -30,17 +30,13 @@ func main() {
 	fmt.Printf("%5s  %8s  %10s  %8s  %12s\n",
 		"cells", "hit %", "resp (s)", "err %", "backbone MB")
 	for _, cells := range []int{1, 2, 4, 8} {
-		sc, err := experiment.New(
-			experiment.WithLabel(fmt.Sprintf("fleet/cells=%d", cells)),
-			experiment.WithSeed(11),
-			experiment.WithHorizonDays(0.25),
-			experiment.WithClients(clients),
-			experiment.WithCells(cells),
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := sc.Run()
+		res := run(experiment.Config{
+			Label:      fmt.Sprintf("fleet/cells=%d", cells),
+			Seed:       11,
+			Days:       0.25,
+			NumClients: clients,
+			Cells:      cells,
+		})
 		fmt.Printf("%5d  %8.1f  %10.3f  %8.2f  %12.2f\n",
 			cells, 100*res.HitRatio, res.MeanResponse,
 			100*res.ErrorRate, float64(res.BackboneBytes)/1e6)
@@ -52,17 +48,14 @@ func main() {
 	fmt.Println("\n== relay cache on the widest fleet ==")
 	fmt.Printf("%10s  %12s  %12s\n", "relay objs", "backbone MB", "relay hit %")
 	for _, relay := range []int{0, 200} {
-		sc, err := experiment.New(
-			experiment.WithLabel(fmt.Sprintf("fleet/relay=%d", relay)),
-			experiment.WithSeed(11),
-			experiment.WithHorizonDays(0.25),
-			experiment.WithFleet(clients, 8),
-			experiment.WithRelayCache(relay),
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := sc.Run()
+		res := run(experiment.Config{
+			Label:        fmt.Sprintf("fleet/relay=%d", relay),
+			Seed:         11,
+			Days:         0.25,
+			NumClients:   clients,
+			Cells:        8,
+			RelayObjects: relay,
+		})
 		hit := "-"
 		if probes := res.RelayHits + res.RelayMisses; probes > 0 {
 			hit = fmt.Sprintf("%.1f", 100*float64(res.RelayHits)/float64(probes))
@@ -72,6 +65,14 @@ func main() {
 
 	// Invalid combinations fail fast with named errors — no silent
 	// zero-value patching:
-	_, err := experiment.New(experiment.WithFleet(4, 8))
-	fmt.Printf("\nWithFleet(4, 8): %v\n", err)
+	err := experiment.Config{NumClients: 4, Cells: 8}.Validate()
+	fmt.Printf("\nConfig{NumClients: 4, Cells: 8}: %v\n", err)
+}
+
+// run validates cfg and runs it.
+func run(cfg experiment.Config) experiment.Result {
+	if err := cfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	return experiment.Run(cfg)
 }

@@ -5,8 +5,9 @@
 // conventional LRU/LRU-k/LRD, and the classical FIFO/CLOCK/Random
 // baselines — on both a stable and a changing hot set.
 //
-// Each run is an experiment.New scenario; WithPolicy validates the spec
-// string up front, so a typo fails with ErrBadSpec before anything runs.
+// Each run is an experiment.Config literal; Config.Validate parses the
+// policy spec up front, so a typo fails with ErrBadSpec before anything
+// runs.
 //
 //	go run ./examples/policies
 package main
@@ -55,19 +56,19 @@ func main() {
 }
 
 func hitRatio(policy string, heat experiment.HeatKind) float64 {
-	sc, err := experiment.New(
-		experiment.WithSeed(5),
-		experiment.WithHorizonDays(2),
-		experiment.WithClients(1),
-		experiment.WithGranularity(core.HybridCaching),
-		experiment.WithPolicy(policy),
-		experiment.WithQueryKind(workload.Associative),
-		experiment.WithHeat(heat),
-		experiment.WithCSHChangeEvery(300),
-		experiment.WithUpdateProb(0), // read-only: the policies' best case (Figure 3)
-	)
-	if err != nil {
+	cfg := experiment.Config{
+		Seed:           5,
+		Days:           2,
+		NumClients:     1,
+		Granularity:    core.HybridCaching,
+		Policy:         policy,
+		QueryKind:      workload.Associative,
+		Heat:           heat,
+		CSHChangeEvery: 300,
+		UpdateProb:     0, // read-only: the policies' best case (Figure 3)
+	}
+	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	return sc.Run().HitRatio
+	return experiment.Run(cfg).HitRatio
 }

@@ -1,8 +1,9 @@
 // Quickstart: run one simulated day of the mobile caching system with the
 // paper's defaults (hybrid caching, EWMA-0.5 replacement, lease-based
-// coherence) and print the three §5 metrics. Scenarios are built with
-// experiment.New and validating functional options — invalid combinations
-// are rejected with named errors before anything runs (see docs/API.md).
+// coherence) and print the three §5 metrics. A run is an experiment.Config
+// literal (unset fields keep the paper's Table 1 defaults), checked by
+// Config.Validate — invalid combinations are rejected with named errors
+// before anything runs (see docs/API.md) — and executed by experiment.Run.
 //
 //	go run ./examples/quickstart
 package main
@@ -17,23 +18,23 @@ import (
 )
 
 func main() {
-	sc, err := experiment.New(
-		experiment.WithLabel("quickstart"),
-		experiment.WithSeed(42),
-		experiment.WithHorizonDays(1),
-		experiment.WithGranularity(core.HybridCaching),
-		experiment.WithPolicy("ewma-0.5"),
-		experiment.WithQueryKind(workload.Associative),
-		experiment.WithHeat(experiment.SkewedHeat),
-		experiment.WithUpdateProb(0.1),
-	)
-	if err != nil {
+	cfg := experiment.Config{
+		Label:       "quickstart",
+		Seed:        42,
+		Days:        1,
+		Granularity: core.HybridCaching,
+		Policy:      "ewma-0.5",
+		QueryKind:   workload.Associative,
+		Heat:        experiment.SkewedHeat,
+		UpdateProb:  0.1,
+	}
+	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("simulating 1 day: 10 mobile clients, 2000-object OODB,")
 	fmt.Println("two 19.2 Kbps wireless channels, hybrid caching, EWMA-0.5...")
-	res := sc.Run()
+	res := experiment.Run(cfg)
 
 	fmt.Printf("\n  cache hit ratio  %6.1f%%\n", 100*res.HitRatio)
 	fmt.Printf("  response time    %6.3f s\n", res.MeanResponse)
@@ -42,20 +43,12 @@ func main() {
 	fmt.Printf("  downlink load    %5.1f%%\n", 100*res.DownlinkUtilization)
 
 	// The headline of the paper: storage caching versus no caching.
-	nc, err := experiment.New(
-		experiment.WithLabel("quickstart-nc"),
-		experiment.WithSeed(42),
-		experiment.WithHorizonDays(1),
-		experiment.WithGranularity(core.NoCache),
-		experiment.WithPolicy("ewma-0.5"),
-		experiment.WithQueryKind(workload.Associative),
-		experiment.WithHeat(experiment.SkewedHeat),
-		experiment.WithUpdateProb(0.1),
-	)
-	if err != nil {
+	nc := cfg
+	nc.Label, nc.Granularity = "quickstart-nc", core.NoCache
+	if err := nc.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	base := nc.Run()
+	base := experiment.Run(nc)
 	fmt.Printf("\nwithout storage caching (NC): hit %.1f%%, response %.3fs —\n",
 		100*base.HitRatio, base.MeanResponse)
 	fmt.Printf("mobile caching cuts response time by %.1fx.\n",

@@ -25,22 +25,23 @@ import (
 )
 
 func main() {
-	base := []experiment.Option{
-		experiment.WithSeed(99),
-		experiment.WithHorizonDays(2),
-		experiment.WithGranularity(core.HybridCaching),
-		experiment.WithPolicy("ewma-0.5"),
-		experiment.WithQueryKind(workload.Associative),
-		experiment.WithHeat(experiment.SkewedHeat),
-		experiment.WithUpdateProb(0.1),
+	base := experiment.Config{
+		Seed:        99,
+		Days:        2,
+		Granularity: core.HybridCaching,
+		Policy:      "ewma-0.5",
+		QueryKind:   workload.Associative,
+		Heat:        experiment.SkewedHeat,
+		UpdateProb:  0.1,
 	}
-	run := func(extra ...experiment.Option) experiment.Result {
-		sc, err := experiment.New(append(append([]experiment.Option{}, base...), extra...)...)
-		if err != nil {
+	run := func(cfg experiment.Config) experiment.Result {
+		if err := cfg.Validate(); err != nil {
 			log.Fatal(err)
 		}
-		return sc.Run()
+		return experiment.Run(cfg)
 	}
+	bursty := base
+	bursty.Arrival = experiment.BurstyArrival
 
 	fmt.Println("== arrival patterns: steady Poisson vs commuter bursts ==")
 	fmt.Printf("%-8s  %8s  %10s  %14s  %10s\n",
@@ -48,7 +49,9 @@ func main() {
 	for _, a := range []experiment.ArrivalKind{
 		experiment.PoissonArrival, experiment.BurstyArrival,
 	} {
-		res := run(experiment.WithArrival(a))
+		cfg := base
+		cfg.Arrival = a
+		res := run(cfg)
 		fmt.Printf("%-8s  %8.1f  %10.3f  %14.1f  %9.3fs\n",
 			res.Config.Arrival, 100*res.HitRatio, res.MeanResponse,
 			100*res.DownlinkUtilization, res.DownlinkMeanWait)
@@ -56,7 +59,7 @@ func main() {
 	fmt.Println("\nsame average load — but the bursts queue up behind the downlink.")
 
 	fmt.Println("\n== response time by hour of day (Bursty) ==")
-	res := run(experiment.WithArrival(experiment.BurstyArrival))
+	res := run(bursty)
 	for h := 0; h < 24; h += 3 {
 		for hh := h; hh < h+3; hh++ {
 			marker := "  "
@@ -73,10 +76,9 @@ func main() {
 	fmt.Println("\n== commuter disconnections (Bursty arrivals, 4 of 10 offline) ==")
 	fmt.Printf("%-10s  %8s  %8s  %12s\n", "outage (h)", "hit %", "err %", "unavailable")
 	for _, hours := range []float64{0, 2, 5, 8} {
-		res := run(
-			experiment.WithArrival(experiment.BurstyArrival),
-			experiment.WithDisconnection(4, hours),
-		)
+		cfg := bursty
+		cfg.DisconnectedClients, cfg.DisconnectHours = 4, hours
+		res := run(cfg)
 		fmt.Printf("%-10g  %8.1f  %8.2f  %12d\n",
 			hours, 100*res.HitRatio, 100*res.ErrorRate, res.Unavailable)
 	}

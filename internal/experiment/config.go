@@ -4,6 +4,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -293,14 +294,29 @@ func Defaults(cfg Config) Config {
 	return cfg
 }
 
+// Named validation errors. Every Config.Validate failure wraps one of
+// these, so callers branch with errors.Is instead of string matching.
+var (
+	// ErrOutOfRange marks a field whose value lies outside its domain
+	// (negative counts, probabilities beyond [0,1], unknown enum values).
+	ErrOutOfRange = errors.New("experiment: option value out of range")
+	// ErrConflict marks two fields (or one field against a default) that
+	// cannot hold at once — e.g. broadcast without a shared pool, more
+	// cells than clients, invalidation reports on a partitioned fleet.
+	ErrConflict = errors.New("experiment: conflicting options")
+	// ErrBadSpec marks an unparseable specification string, such as an
+	// unknown replacement-policy spec.
+	ErrBadSpec = errors.New("experiment: unparseable specification")
+)
+
 // Validate reports whether Run can execute c: every field inside its
 // domain (zero keeps meaning "default", exactly as Defaults reads it) and
 // every combination consistent once the defaults are filled in. It is the
-// one validator under every entry point — New, Run, RunBatch, the Exp*
-// sweeps, and mcsim's flag and manifest paths — and it mirrors the bounds
-// the substrate constructors assert (server.New, workload.BuildSchedules,
-// the heat models, network.NewFaultModel), so no Config it accepts reaches
-// one of their panics. Errors wrap ErrOutOfRange (one field outside its
+// one validator under every entry point — Run, RunBatch, the Exp* sweeps,
+// mcsim's flag and manifest paths, and New — and it mirrors the bounds the
+// substrate constructors assert (server.New, workload.BuildSchedules, the
+// heat models, network.NewFaultModel), so no Config it accepts reaches one
+// of their panics. Errors wrap ErrOutOfRange (one field outside its
 // domain), ErrConflict (fields that cannot hold at once, defaults
 // included), or ErrBadSpec (an unparseable policy spec or storage DSN).
 func (c Config) Validate() error {

@@ -96,74 +96,75 @@ func TestScenarioCoherenceNames(t *testing.T) {
 	}
 }
 
+// TestScenarioOptionsApply pins the option shim bench/ compiles against:
+// each kept option sets exactly its Config field(s), so New(opts).Config()
+// is Defaults of the literal with the same fields set.
 func TestScenarioOptionsApply(t *testing.T) {
-	sc, err := New(
-		WithLabel("opts"),
-		WithSeed(7),
-		WithFleet(100, 4),
-		WithObjects(800),
-		WithHorizonDays(0.5),
-		WithGranularity(core.AttributeCaching),
-		WithPolicy("lru-3"),
-		WithQueryKind(workload.Navigational),
-		WithHeat(ChangingSkewedHeat),
-		WithCSHChangeEvery(300),
-		WithArrival(BurstyArrival),
-		WithUpdateProb(0.3),
-		WithCoherence(coherence.FixedLeaseStrategy),
-		WithFixedLease(60),
-		WithLoss(0.1),
-		WithRelayCache(50),
-	)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		opts []Option
+		want Config
+	}{
+		{"WithSeed", []Option{WithSeed(7)}, Config{Seed: 7}},
+		{"WithHorizonDays", []Option{WithHorizonDays(0.5)}, Config{Days: 0.5}},
+		{"WithObjects", []Option{WithObjects(800)}, Config{NumObjects: 800}},
+		{"WithClients", []Option{WithClients(50)}, Config{NumClients: 50}},
+		{"WithFleet", []Option{WithFleet(100, 4)}, Config{NumClients: 100, Cells: 4}},
+		{"WithGranularity", []Option{WithGranularity(core.AttributeCaching)}, Config{Granularity: core.AttributeCaching}},
+		{"WithPolicy", []Option{WithPolicy("lru-3")}, Config{Policy: "lru-3"}},
+		{"WithClientCache", []Option{WithClientCache(100, 10)}, Config{StorageObjects: 100, MemBufferObjects: 10}},
+		{"WithQueryKind", []Option{WithQueryKind(workload.Navigational)}, Config{QueryKind: workload.Navigational}},
+		{"WithUpdateProb", []Option{WithUpdateProb(0.3)}, Config{UpdateProb: 0.3}},
+		{"WithCoherence enum", []Option{WithCoherence(coherence.IRBroadcastStrategy)}, Config{Coherence: coherence.IRBroadcastStrategy}},
+		{"WithCoherence name", []Option{WithCoherence("fixed")}, Config{Coherence: coherence.FixedLeaseStrategy}},
+		// Cooperation needs caching clients, and the default is NC.
+		{"WithCooperative", []Option{WithCooperative(3), WithGranularity(core.HybridCaching)},
+			Config{CoopPeers: 3, Granularity: core.HybridCaching}},
+		{"WithLoss", []Option{WithLoss(0.1)}, Config{LossRate: 0.1}},
 	}
-	cfg := sc.Config()
-	if cfg.NumClients != 100 || cfg.Cells != 4 || cfg.NumObjects != 800 ||
-		cfg.Granularity != core.AttributeCaching || cfg.Policy != "lru-3" ||
-		cfg.QueryKind != workload.Navigational || cfg.Heat != ChangingSkewedHeat ||
-		cfg.CSHChangeEvery != 300 || cfg.Arrival != BurstyArrival ||
-		cfg.UpdateProb != 0.3 || cfg.Coherence != coherence.FixedLeaseStrategy ||
-		cfg.FixedLease != 60 || cfg.LossRate != 0.1 || cfg.RelayObjects != 50 {
-		t.Fatalf("options not applied: %+v", cfg)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := New(c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sc.Config(), Defaults(c.want); !reflect.DeepEqual(got, want) {
+				t.Fatalf("got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 
 // TestScenarioValidationErrors pins the named-error contract: every
-// rejected option combination, and every rejected Config, wraps exactly the
-// sentinel a caller would branch on with errors.Is.
+// rejected Config, and the one error the option shim adds (a coherence
+// name that does not parse), wraps exactly the sentinel a caller would
+// branch on with errors.Is.
 func TestScenarioValidationErrors(t *testing.T) {
-	opts := func(opts ...Option) error {
-		_, err := New(opts...)
-		return err
-	}
+	_, gossip := New(WithCoherence("gossip"))
 	cases := []struct {
 		name string
 		err  error
 		want error
 	}{
-		{"negative horizon", opts(WithHorizonDays(-1)), ErrOutOfRange},
-		{"zero clients", opts(WithClients(0)), ErrOutOfRange},
-		{"probability above 1", opts(WithUpdateProb(1.5)), ErrOutOfRange},
-		{"loss above 1", opts(WithLoss(2)), ErrOutOfRange},
-		{"unknown granularity", opts(WithGranularity(core.Granularity(99))), ErrOutOfRange},
-		{"unknown heat", opts(WithHeat(HeatKind(42))), ErrOutOfRange},
-		{"unknown coherence", opts(WithCoherence(coherence.Strategy(9))), ErrOutOfRange},
-		{"unknown coherence name", opts(WithCoherence("gossip")), ErrOutOfRange},
+		{"negative horizon", Config{Days: -1}.Validate(), ErrOutOfRange},
+		{"probability above 1", Config{UpdateProb: 1.5}.Validate(), ErrOutOfRange},
+		{"loss above 1", Config{LossRate: 2}.Validate(), ErrOutOfRange},
+		{"unknown granularity", Config{Granularity: core.Granularity(99)}.Validate(), ErrOutOfRange},
+		{"unknown heat", Config{Heat: HeatKind(42)}.Validate(), ErrOutOfRange},
+		{"unknown coherence", Config{Coherence: coherence.Strategy(9)}.Validate(), ErrOutOfRange},
+		{"unknown coherence name", gossip, ErrOutOfRange},
 		{"config negative ir window", Config{IRWindow: -1}.Validate(), ErrOutOfRange},
-		{"negative cooperation", opts(WithCooperative(-1)), ErrOutOfRange},
+		{"negative cooperation", Config{CoopPeers: -1}.Validate(), ErrOutOfRange},
 		{"ir window under report interval",
 			Config{Coherence: coherence.IRBroadcastStrategy, IRWindow: 30}.Validate(), ErrConflict},
-		{"cooperation without caching", opts(
-			WithGranularity(core.NoCache), WithCooperative(3)), ErrConflict},
-		{"bad policy spec", opts(WithPolicy("no-such-policy")), ErrBadSpec},
-		{"more cells than clients", opts(WithFleet(4, 8)), ErrConflict},
-		{"cells exceed default fleet", opts(WithCells(64)), ErrConflict},
-		{"clients contradict fleet", opts(WithFleet(100, 4), WithClients(50)), ErrConflict},
+		{"cooperation without caching", Config{Granularity: core.NoCache, CoopPeers: 3}.Validate(), ErrConflict},
+		{"bad policy spec", Config{Policy: "no-such-policy"}.Validate(), ErrBadSpec},
+		{"more cells than clients", Config{NumClients: 4, Cells: 8}.Validate(), ErrConflict},
+		{"cells exceed default fleet", Config{Cells: 64}.Validate(), ErrConflict},
 		{"broadcast without shared pool", Config{BroadcastAttrs: 2}.Validate(), ErrConflict},
-		{"ir on a fleet", opts(
-			WithFleet(100, 4), WithCoherence(coherence.InvalidationReportStrategy)), ErrConflict},
-		{"disconnect more than fleet", opts(WithDisconnection(20, 1)), ErrConflict},
+		{"ir on a fleet", Config{NumClients: 100, Cells: 4,
+			Coherence: coherence.InvalidationReportStrategy}.Validate(), ErrConflict},
+		{"disconnect more than fleet", Config{DisconnectedClients: 20, DisconnectHours: 1}.Validate(), ErrConflict},
 
 		{"config update prob", Config{UpdateProb: 1.5}.Validate(), ErrOutOfRange},
 		{"config negative days", Config{Days: -1}.Validate(), ErrOutOfRange},

@@ -110,16 +110,11 @@ func TestStorageScenarioOptions(t *testing.T) {
 		t.Fatalf("ratio not folded into the buffer: %d", cfg.ServerBufferObjects())
 	}
 
-	opts := func(opts ...Option) error {
-		_, err := New(opts...)
-		return err
-	}
 	cases := []struct {
 		name string
 		err  error
 		want error
 	}{
-		{"zero size", opts(WithObjects(0)), ErrOutOfRange},
 		{"ratio above 1", Config{ServerBufferRatio: 1.5}.Validate(), ErrOutOfRange},
 		{"bad DSN", Config{StorageDSN: "redis:/d"}.Validate(), ErrBadSpec},
 		{"storage on a fleet", Config{NumClients: 100, Cells: 4, StorageDSN: "file:/tmp/tier"}.Validate(), ErrConflict},

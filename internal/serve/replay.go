@@ -1,5 +1,5 @@
 // replay.go is the load-generator engine behind cmd/mcload: it replays an
-// experiment.Scenario workload — the exact per-client RNG substreams,
+// experiment.Config workload — the exact per-client RNG substreams,
 // hot/cold heat distributions, and arrival schedules the simulator would
 // run — over real sockets against a live mccached, under time compression,
 // and measures the same hit/stale/error ratios the simulator reports. The
@@ -175,6 +175,17 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 		MaxIdleConns:        cfg.NumClients + 2,
 		MaxIdleConnsPerHost: cfg.NumClients + 2,
 	}}
+	// The ratios are the workload's own only on a store that starts empty:
+	// sessions, versions and write histories left by an earlier run carry
+	// over into them.
+	st, err := fetchStats(httpc, rc.BaseURL)
+	if err != nil {
+		return LiveResult{}, err
+	}
+	if st.Sessions != 0 || st.Reads != 0 || st.Writes != 0 || st.Fetches != 0 {
+		return LiveResult{}, fmt.Errorf("serve: %s already holds state (sessions %d, reads %d, writes %d, fetches %d); replay against a freshly started server",
+			rc.BaseURL, st.Sessions, st.Reads, st.Writes, st.Fetches)
+	}
 
 	db := experiment.NewDatabase(cfg)
 	horizon := cfg.Horizon()

@@ -3,7 +3,7 @@
 // (internal/coherence), and pluggable replacement (internal/replacement) —
 // behind a transport-agnostic Store interface driven by the wall clock
 // instead of the simulation clock. cmd/mccached exposes a Store over
-// HTTP/JSON; cmd/mcload replays experiment.Scenario workloads against it
+// HTTP/JSON; cmd/mcload replays experiment.Config workloads against it
 // over real sockets, making the simulator the deterministic twin of a live
 // service (docs/SERVING.md).
 //

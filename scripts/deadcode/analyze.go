@@ -11,6 +11,7 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -103,7 +104,50 @@ func Analyze(root string) ([]Finding, error) {
 		}
 		return nil, errors.New(strings.Join(msgs, "\n"))
 	}
-	return l.findings(paths), nil
+	return append(l.findings(paths), l.shimUses()...), nil
+}
+
+// shimDir is the package whose option layer — New, Option, Scenario and
+// the With* options — is kept only because bench/ compiles against it
+// (ROADMAP item 17 deletes it). Everything else builds a Config literal.
+const shimDir = "internal/experiment"
+
+// shimUses returns every use of shimDir's option layer outside bench/ and
+// the files that declare and test it (shimDir/scenario*.go), so a second
+// front door does not grow back.
+func (l *loader) shimUses() []Finding {
+	var u *unit
+	for _, c := range l.units {
+		if c.dir == filepath.Join(l.root, shimDir) {
+			u = c
+		}
+	}
+	if u == nil || u.pkg == nil {
+		return nil
+	}
+	var out []Finding
+	seen := map[token.Pos]bool{} // a package's test build re-checks its non-test files
+	for _, name := range u.pkg.Scope().Names() {
+		if name != "New" && name != "Option" && name != "Scenario" && !strings.HasPrefix(name, "With") {
+			continue
+		}
+		for _, at := range l.uses[u.pkg.Scope().Lookup(name).Pos()] {
+			if seen[at] {
+				continue
+			}
+			seen[at] = true
+			pos := l.fset.Position(at)
+			rel, _ := filepath.Rel(l.root, pos.Filename)
+			rel = filepath.ToSlash(rel)
+			if dir, file := path.Split(rel); strings.HasPrefix(rel, "bench/") ||
+				(dir == shimDir+"/" && strings.HasPrefix(file, "scenario")) {
+				continue
+			}
+			out = append(out, Finding{Name: path.Base(shimDir) + "." + name + " (bench/-only option shim)", File: rel, Line: pos.Line})
+		}
+	}
+	sortFindings(out)
+	return out
 }
 
 // load parses every package directory below root, skipping testdata and
@@ -266,13 +310,18 @@ func (l *loader) findings(paths []string) []Finding {
 		rel, _ := filepath.Rel(l.root, at.Filename)
 		out = append(out, Finding{Name: c.name, File: filepath.ToSlash(rel), Line: at.Line})
 	}
+	sortFindings(out)
+	return out
+}
+
+// sortFindings orders findings by file, then line.
+func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
 			return out[i].File < out[j].File
 		}
 		return out[i].Line < out[j].Line
 	})
-	return out
 }
 
 // collect registers u's package-level declarations and the methods of its

@@ -5,6 +5,10 @@ import (
 	"fmt"
 
 	"fixture/internal/a"
+	"fixture/internal/experiment"
 )
 
-func main() { fmt.Println(a.New(), a.Kind(1), a.NewInts().Run(), a.NewStrings().Run()) }
+func main() {
+	fmt.Println(a.New(), a.Kind(1), a.NewInts().Run(), a.NewStrings().Run())
+	fmt.Println(experiment.Run(), experiment.New())
+}

@@ -37,8 +37,8 @@ done < <(go list -f '{{.Dir}}' ./...)
 
 # Exported-identifier gate for the public API surfaces: internal/obs and
 # internal/report (the registry/report API other tools build on),
-# internal/experiment (the Scenario/option constructor and the fleet
-# engine, the repo's front door), internal/broadcast plus
+# internal/experiment (Config, its one validator and the fleet engine,
+# the repo's front door), internal/broadcast plus
 # internal/coherence (the scheme catalog docs/COHERENCE.md documents), and
 # the live serving layer — internal/serve and the mccached/mcload binaries
 # (the endpoint catalog docs/SERVING.md documents) — and internal/storage,
