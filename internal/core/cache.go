@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/oodb"
 	"repro/internal/replacement"
@@ -78,9 +79,10 @@ type Cache struct {
 	slots         []Entry
 	policy        replacement.SlotCore
 
-	seen    oodb.ItemIndex // InsertBatch's de-duplication scratch
-	victims []oodb.Item    // InsertBatch's victims, mapped from the core's slots
-	evicted []oodb.Item    // scratch returned by Insert and InsertBatch
+	fresh   []bool      // InsertBatch: batch[j] is the first copy of a new item
+	news    []uint64    // InsertBatch's new items as key<<batchBits | position
+	victims []oodb.Item // InsertBatch's victims, mapped from the core's slots
+	evicted []oodb.Item // scratch returned by Insert and InsertBatch
 
 	insertions uint64
 	evictions  uint64
@@ -155,11 +157,17 @@ func (c *Cache) insert(it oodb.Item, e Entry, now float64) {
 		c.slots[i] = e
 		return
 	}
-	size := ItemCost(it)
-	if size > c.capacityBytes {
+	if ItemCost(it) > c.capacityBytes {
 		c.rejected++
 		return
 	}
+	c.add(it, e, now)
+}
+
+// add makes it resident in a new slot, evicting policy victims until it
+// fits. it must be absent and fit the whole cache.
+func (c *Cache) add(it oodb.Item, e Entry, now float64) {
+	size := ItemCost(it)
 	for c.usedBytes+size > c.capacityBytes {
 		victim, ok := c.policy.Victim(now)
 		if !ok {
@@ -184,6 +192,10 @@ func (c *Cache) evict(i int32) {
 	c.removeAt(i)
 }
 
+// batchBits bounds InsertBatch's batch length (2^24 items): a new item's
+// position shares one sortable word with its key, which is below 2^40.
+const batchBits = 24
+
 // BatchEntry pairs an item with its metadata for InsertBatch.
 type BatchEntry struct {
 	Item  oodb.Item
@@ -198,16 +210,27 @@ type BatchEntry struct {
 // items in cache-owned scratch, valid until the next mutating call.
 func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 	c.evicted = c.evicted[:0]
-	// Bytes the batch will add: new, cacheable, de-duplicated items only.
+	if len(batch) >= 1<<batchBits {
+		panic(fmt.Sprintf("core: batch of %d items", len(batch)))
+	}
+	// Bytes the batch will add: new, cacheable items, each counted once.
+	// One probe finds the new items; sorting them by key, then position,
+	// puts each item's copies side by side with its first copy leading.
 	incoming := 0
-	c.seen.Reset()
-	for _, b := range batch {
-		key := b.Item.Key()
-		if _, dup := c.seen.Get(key); dup || c.Contains(b.Item) || ItemCost(b.Item) > c.capacityBytes {
-			continue
+	c.fresh, c.news = c.fresh[:0], c.news[:0]
+	for j, b := range batch {
+		c.fresh = append(c.fresh, false)
+		if ItemCost(b.Item) <= c.capacityBytes && !c.Contains(b.Item) {
+			c.news = append(c.news, b.Item.Key()<<batchBits|uint64(j))
 		}
-		c.seen.Set(key, 0)
-		incoming += ItemCost(b.Item)
+	}
+	slices.Sort(c.news)
+	for k, n := range c.news {
+		if k == 0 || c.news[k-1]>>batchBits != n>>batchBits {
+			j := n & (1<<batchBits - 1)
+			c.fresh[j] = true
+			incoming += ItemCost(batch[j].Item)
+		}
 	}
 	for c.usedBytes+incoming > c.capacityBytes {
 		over := c.usedBytes + incoming - c.capacityBytes
@@ -248,10 +271,17 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 			panic("core: bulk eviction made no progress")
 		}
 	}
-	// Insert; Insert itself copes with any residual corner cases (e.g. a
-	// batch item that was just selected as a victim).
-	for _, b := range batch {
-		c.insert(b.Item, b.Entry, now)
+	// The first copy of a new item takes its slot without another lookup:
+	// bulk eviction cannot have touched it, as its victims were resident.
+	// The rest are refreshes, or the corner cases insert copes with (a
+	// resident batch item just selected as a victim, an item larger than
+	// the cache).
+	for j, b := range batch {
+		if c.fresh[j] {
+			c.add(b.Item, b.Entry, now)
+		} else {
+			c.insert(b.Item, b.Entry, now)
+		}
 	}
 	return c.evicted
 }

@@ -8,8 +8,9 @@ import "math/bits"
 func (it Item) Key() uint64 { return uint64(it.OID)<<8 | uint64(it.Attr) }
 
 // Key returns the ItemIndex key of a bare object id (tables keyed by OID
-// alone, such as the server's buffer pool).
-func (o OID) Key() uint64 { return uint64(o) }
+// alone, such as the server's buffer pool): the key of its whole-object
+// item, so every key the program makes has the Item.Key layout.
+func (o OID) Key() uint64 { return ObjectItem(o).Key() }
 
 // ItemIndex maps item keys (Item.Key, OID.Key) to int32 slots: the lookup
 // table under every per-access structure that keeps its state in flat
@@ -18,13 +19,22 @@ func (o OID) Key() uint64 { return uint64(o) }
 // the probe chain back over the hole instead of leaving a tombstone, so a
 // cache that evicts on every insert never degrades or needs a rehash. Keys
 // and slots sit in separate slices, so a probe reads 8-byte keys only (most
-// probes on the install path are misses) and a cell costs 12 bytes. Keys
-// must be below 2^64-1. The zero value is an empty index.
+// probes on the install path are misses) and a cell costs 12 bytes, 20
+// with its share of the mask below. Keys must be below 2^64-1. The zero
+// value is an empty index.
+//
+// Most lookups miss, so before it hashes the index consults an exact
+// presence mask: one 16-bit word per object id below 4 × cells, one bit
+// for each attribute 0..NumAttrs-1 and one for WholeObject. A clear bit
+// answers Get and Delete from that one word. A key with another low byte,
+// or an object id beyond the span, always takes the hash path. The span
+// keeps the mask (2 bytes × 4 per cell) no larger than the keys array.
 type ItemIndex struct {
-	keys  []uint64 // key+1, so zero means empty
-	slots []int32  // slots[i] belongs to keys[i]
-	n     int
-	shift uint8 // 64 - log2(len(keys))
+	keys    []uint64 // key+1, so zero means empty
+	slots   []int32  // slots[i] belongs to keys[i]
+	present []uint16 // presence mask of object ids below 4*len(keys)
+	n       int
+	shift   uint8 // 64 - log2(len(keys))
 }
 
 const minIndexCells = 8
@@ -34,12 +44,24 @@ func (x *ItemIndex) home(stored uint64) int {
 	return int((stored * 0x9E3779B97F4A7C15) >> x.shift)
 }
 
+// maskBit returns the mask word and bit number of key, and whether key
+// lies in the mask's domain. The bit is the low byte plus one, so
+// WholeObject (0xFF) wraps to bit 0 and attribute a takes bit a+1.
+func (x *ItemIndex) maskBit(key uint64) (word uint64, bit uint8, in bool) {
+	word, bit = key>>8, uint8(key+1)
+	return word, bit, word < uint64(len(x.present)) && bit <= NumAttrs
+}
+
 // Len returns the number of keys present.
 func (x *ItemIndex) Len() int { return x.n }
 
 // Get returns the slot stored under key.
 func (x *ItemIndex) Get(key uint64) (int32, bool) {
-	if len(x.keys) == 0 {
+	if word, bit, in := x.maskBit(key); in {
+		if x.present[word]>>bit&1 == 0 {
+			return 0, false
+		}
+	} else if len(x.keys) == 0 {
 		return 0, false
 	}
 	stored, mask := key+1, len(x.keys)-1
@@ -64,6 +86,9 @@ func (x *ItemIndex) Set(key uint64, slot int32) {
 		case 0:
 			x.keys[i] = stored
 			x.n++
+			if word, bit, in := x.maskBit(key); in {
+				x.present[word] |= 1 << bit
+			}
 			fallthrough
 		case stored:
 			x.slots[i] = slot
@@ -74,7 +99,12 @@ func (x *ItemIndex) Set(key uint64, slot int32) {
 
 // Delete removes key, returning the slot it held.
 func (x *ItemIndex) Delete(key uint64) (int32, bool) {
-	if len(x.keys) == 0 {
+	word, bit, in := x.maskBit(key)
+	if in {
+		if x.present[word]>>bit&1 == 0 {
+			return 0, false
+		}
+	} else if len(x.keys) == 0 {
 		return 0, false
 	}
 	stored, mask := key+1, len(x.keys)-1
@@ -97,6 +127,9 @@ func (x *ItemIndex) Delete(key uint64) (int32, bool) {
 	}
 	x.keys[i] = 0
 	x.n--
+	if in {
+		x.present[word] &^= 1 << bit
+	}
 	return slot, true
 }
 
@@ -105,20 +138,20 @@ func (x *ItemIndex) Reset() {
 	if x.n == 0 {
 		return
 	}
-	for i := range x.keys {
-		x.keys[i] = 0
-	}
+	clear(x.keys)
+	clear(x.present)
 	x.n = 0
 }
 
-// grow doubles the table (or allocates the first one) and re-inserts.
+// grow doubles the table (or allocates the first one) and re-inserts,
+// rebuilding the mask over the doubled span.
 func (x *ItemIndex) grow() {
 	oldKeys, oldSlots := x.keys, x.slots
 	size := 2 * len(oldKeys)
 	if size < minIndexCells {
 		size = minIndexCells
 	}
-	x.keys, x.slots = make([]uint64, size), make([]int32, size)
+	x.keys, x.slots, x.present = make([]uint64, size), make([]int32, size), make([]uint16, 4*size)
 	x.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
 	for j, k := range oldKeys {
@@ -130,5 +163,8 @@ func (x *ItemIndex) grow() {
 			i = (i + 1) & mask
 		}
 		x.keys[i], x.slots[i] = k, oldSlots[j]
+		if word, bit, in := x.maskBit(k - 1); in {
+			x.present[word] |= 1 << bit
+		}
 	}
 }

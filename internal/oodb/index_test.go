@@ -9,9 +9,12 @@ import (
 // indexUniverse is the key population of the model and fuzz tests: OIDs
 // counted up from 0 and down from MaxUint32 alternately, and for each the
 // whole-object item next to attribute 0, so packed keys that differ only in
-// the low byte or only in the top bits all meet in one table.
+// the low byte or only in the top bits all meet in one table. The low OIDs
+// lie inside the presence mask's span and the high ones beyond it, and the
+// low bytes NumAttrs and WholeObject-1 name no attribute: both kinds must
+// keep answering through the hash path.
 func indexUniverse(n int) []Item {
-	attrs := []AttrID{0, 1, NumAttrs - 1, WholeObject}
+	attrs := []AttrID{0, 1, NumAttrs - 1, WholeObject, NumAttrs, WholeObject - 1}
 	items := make([]Item, 0, n+len(attrs))
 	for i := 0; len(items) < n; i++ {
 		oid := OID(i / 2)
@@ -26,17 +29,27 @@ func indexUniverse(n int) []Item {
 }
 
 // indexModel drives an ItemIndex and the runtime's map through the same
-// operations and fails on the first disagreement.
+// operations and fails on the first disagreement. After each Set, Delete
+// and Reset it also checks the presence mask against the map: the touched
+// object's bits, or every universe key when the table was reset or grew
+// (which rebuilds the mask).
 type indexModel struct {
-	t     testing.TB
-	x     ItemIndex
-	model map[Item]int32
+	t        testing.TB
+	x        ItemIndex
+	model    map[Item]int32
+	universe []Item
 }
 
 func (m *indexModel) set(it Item, slot int32) {
+	cells := len(m.x.keys)
 	m.x.Set(it.Key(), slot)
 	m.model[it] = slot
 	m.checkLen()
+	if len(m.x.keys) != cells {
+		m.checkMask(m.universe)
+	} else {
+		m.checkObject(it.OID)
+	}
 }
 
 func (m *indexModel) get(it Item) {
@@ -55,6 +68,7 @@ func (m *indexModel) delete(it Item) {
 		m.t.Fatalf("Delete(%v) = %d,%v; map had %d,%v", it, got, ok, want, wantOK)
 	}
 	m.checkLen()
+	m.checkObject(it.OID)
 }
 
 func (m *indexModel) reset() {
@@ -63,6 +77,7 @@ func (m *indexModel) reset() {
 		delete(m.model, it)
 	}
 	m.checkLen()
+	m.checkMask(m.universe)
 }
 
 func (m *indexModel) checkLen() {
@@ -71,12 +86,40 @@ func (m *indexModel) checkLen() {
 	}
 }
 
+// checkMask fails unless, for every item inside the mask's domain, its
+// mask bit equals its presence in the map.
+func (m *indexModel) checkMask(items []Item) {
+	for _, it := range items {
+		word, bit, ok := m.x.maskBit(it.Key())
+		if !ok {
+			continue
+		}
+		_, want := m.model[it]
+		if got := m.x.present[word]>>bit&1 != 0; got != want {
+			m.t.Fatalf("mask bit of %v = %v; map has it: %v", it, got, want)
+		}
+	}
+}
+
+// checkObject checks the mask bit of every attribute and the whole object
+// of oid.
+func (m *indexModel) checkObject(oid OID) {
+	var items [NumAttrs + 1]Item
+	for a := range items[:NumAttrs] {
+		items[a] = AttrItem(oid, AttrID(a))
+	}
+	items[NumAttrs] = ObjectItem(oid)
+	m.checkMask(items[:])
+}
+
 // checkAll looks every universe item up: a key the backward shift stranded
-// behind a hole, or a stale copy it left, shows here.
+// behind a hole, or a stale copy it left, shows here; so does a mask bit
+// out of step with the map.
 func (m *indexModel) checkAll(universe []Item) {
 	for _, it := range universe {
 		m.get(it)
 	}
+	m.checkMask(universe)
 }
 
 // TestItemIndexMatchesMap runs random Set/Get/Delete/Reset streams at three
@@ -90,7 +133,7 @@ func TestItemIndexMatchesMap(t *testing.T) {
 	}{{3, 200_000}, {80, 400_000}, {3200, 600_000}} {
 		universe := indexUniverse(2 * tc.occupancy)
 		rnd := rand.New(rand.NewSource(int64(tc.occupancy)))
-		m := &indexModel{t: t, model: map[Item]int32{}}
+		m := &indexModel{t: t, model: map[Item]int32{}, universe: universe}
 		for op := 0; op < tc.ops; op++ {
 			it := universe[rnd.Intn(len(universe))]
 			switch r := rnd.Intn(100_000); {
@@ -134,7 +177,7 @@ func keysHomedAt(t testing.TB, cell, n int) []Item {
 func TestItemIndexShiftWrapsTableEnd(t *testing.T) {
 	chain := keysHomedAt(t, 7, 4)
 	for victim := range chain {
-		m := &indexModel{t: t, model: map[Item]int32{}}
+		m := &indexModel{t: t, model: map[Item]int32{}, universe: chain}
 		for i, it := range chain {
 			m.set(it, int32(i))
 		}
@@ -156,7 +199,7 @@ func TestItemIndexShiftWrapsTableEnd(t *testing.T) {
 // it, then checks every key and that the chain still deletes cleanly.
 func TestItemIndexGrowsMidChain(t *testing.T) {
 	chain := keysHomedAt(t, 6, 7) // the 7th Set passes 3/4 of 8 cells
-	m := &indexModel{t: t, model: map[Item]int32{}}
+	m := &indexModel{t: t, model: map[Item]int32{}, universe: chain}
 	for i, it := range chain {
 		m.set(it, int32(i))
 		m.checkAll(chain)
@@ -177,15 +220,32 @@ func TestItemIndexBoundaryKeys(t *testing.T) {
 		AttrItem(0, 0), ObjectItem(0),
 		AttrItem(math.MaxUint32, 0), ObjectItem(math.MaxUint32),
 	}
-	m := &indexModel{t: t, model: map[Item]int32{}}
+	m := &indexModel{t: t, model: map[Item]int32{}, universe: items}
 	for i, it := range items {
 		m.set(it, int32(i))
 	}
 	m.checkAll(items)
 	m.delete(ObjectItem(0))
 	m.checkAll(items)
-	if OID(7).Key() != 7 {
-		t.Fatalf("OID(7).Key() = %d", OID(7).Key())
+	if OID(7).Key() != ObjectItem(7).Key() {
+		t.Fatalf("OID(7).Key() = %d, ObjectItem(7).Key() = %d", OID(7).Key(), ObjectItem(7).Key())
+	}
+}
+
+// TestItemIndexMaskFootprint: at every size an index grows through, its
+// presence mask takes no more bytes than its keys array, and it spans the
+// 2 000 objects of the paper's database once the table has 512 cells (a
+// memory buffer's).
+func TestItemIndexMaskFootprint(t *testing.T) {
+	var x ItemIndex
+	for i := 0; i < 20_000; i++ {
+		x.Set(AttrItem(OID(i/NumAttrs), AttrID(i%NumAttrs)).Key(), int32(i))
+		if 2*len(x.present) > 8*len(x.keys) {
+			t.Fatalf("%d keys: mask %d B > keys %d B", x.Len(), 2*len(x.present), 8*len(x.keys))
+		}
+		if len(x.keys) >= 512 && len(x.present) < DefaultNumObjects {
+			t.Fatalf("%d cells span %d objects", len(x.keys), len(x.present))
+		}
 	}
 }
 
@@ -223,7 +283,8 @@ func TestItemIndexZeroValueAndReset(t *testing.T) {
 
 // FuzzItemIndex replays a byte stream as index operations against the map
 // model: two bytes an operation, the first picking Set/Delete/Get (or
-// Reset, rarely), the second a key out of 256. The small universe keeps
+// Reset, rarely), the second a key out of 256; after each the whole
+// universe's mask bits must match the map. The small universe keeps
 // chains long and tables small, so wraps and mid-chain growth are common.
 func FuzzItemIndex(f *testing.F) {
 	universe := indexUniverse(256)
@@ -264,7 +325,7 @@ func FuzzItemIndex(f *testing.F) {
 		[2]byte{opReset, 0}, [2]byte{opGet, pos[ObjectItem(0)]})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := &indexModel{t: t, model: map[Item]int32{}}
+		m := &indexModel{t: t, model: map[Item]int32{}, universe: universe}
 		for i := 0; i+1 < len(data); i += 2 {
 			it := universe[data[i+1]]
 			switch data[i] % 4 {
@@ -281,6 +342,7 @@ func FuzzItemIndex(f *testing.F) {
 					m.get(it)
 				}
 			}
+			m.checkMask(universe)
 		}
 		m.checkAll(universe)
 	})
@@ -289,10 +351,42 @@ func FuzzItemIndex(f *testing.F) {
 // BenchmarkItemIndexChurn is the cache's steady state in one table: over
 // 3200 resident items (a paper-size HC cache), look a resident up, delete
 // it, and insert a new item — against the two Go maps it replaced or could
-// have been replaced by.
+// have been replaced by. index-miss is the common probe under the paper's
+// invalidation schemes, an item the client does not hold, which the
+// presence mask answers without hashing.
 func BenchmarkItemIndexChurn(b *testing.B) {
 	const resident = 3200
 	item := func(i int) Item { return AttrItem(OID(i/NumAttrs), AttrID(i%NumAttrs)) }
+	b.Run("index-miss", func(b *testing.B) {
+		// Sixteen tables, as many clients' caches, each holding the even
+		// attributes of objects 0..objects-1. Each op looks up, in the next
+		// table, an odd attribute of a resident object and an attribute of
+		// an object past them, in an order that defeats prefetching: the
+		// keys arrays then miss the CPU caches, as they do in a simulation.
+		const tables, half, probes = 16, NumAttrs / 2, 4096
+		const objects = (resident + half - 1) / half
+		x := make([]ItemIndex, tables)
+		for t := range x {
+			for i := 0; i < resident; i++ {
+				x[t].Set(AttrItem(OID(i/half), AttrID(2*(i%half))).Key(), int32(i))
+			}
+		}
+		var keys [2 * probes]uint64
+		for i := 0; i < probes; i++ {
+			r := i * 7919
+			keys[2*i] = AttrItem(OID(r%objects), AttrID(2*(r%half)+1)).Key()
+			keys[2*i+1] = AttrItem(OID(objects+r%(DefaultNumObjects-objects)), AttrID(r%NumAttrs)).Key()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t, k := &x[i%tables], 2*(i%probes)
+			_, hit := t.Get(keys[k])
+			_, hit2 := t.Get(keys[k+1])
+			if hit || hit2 {
+				b.Fatalf("op %d found an absent item", i)
+			}
+		}
+	})
 	b.Run("index", func(b *testing.B) {
 		var x ItemIndex
 		for i := 0; i < resident; i++ {

@@ -45,10 +45,15 @@ func newSkewed(numObjects int, r *rng.Stream) *skewedHeat {
 	if numObjects < 2 {
 		panic("workload: heat model needs at least 2 objects")
 	}
-	h := &skewedHeat{}
 	hotCount := int(float64(numObjects)*HotFraction + 0.5)
 	if hotCount < 1 {
 		hotCount = 1
+	}
+	// Every client keeps its own model, so the two sets are sized exactly
+	// rather than grown by append.
+	h := &skewedHeat{
+		hot:  make([]oodb.OID, 0, hotCount),
+		cold: make([]oodb.OID, 0, numObjects-hotCount),
 	}
 	isHot := make([]bool, numObjects)
 	for _, idx := range r.Sample(numObjects, hotCount) {
