@@ -286,7 +286,7 @@ func BenchmarkAblationTimeoutHeuristic(b *testing.B) {
 // and without disconnection (the scenario that motivates leases).
 func BenchmarkAblationCoherenceStrategy(b *testing.B) {
 	for _, strat := range []coherence.Strategy{
-		coherence.LeaseStrategy, coherence.InvalidationReportStrategy,
+		coherence.LeaseStrategy, coherence.IRBroadcastStrategy,
 	} {
 		for _, disc := range []int{0, 5} {
 			b.Run(fmt.Sprintf("%s/V=%d", strat, disc), func(b *testing.B) {
@@ -301,7 +301,7 @@ func BenchmarkAblationCoherenceStrategy(b *testing.B) {
 				}
 				b.ReportMetric(100*res.HitRatio, "hit%")
 				b.ReportMetric(100*res.ErrorRate, "err%")
-				b.ReportMetric(float64(res.CacheDrops), "drops")
+				b.ReportMetric(float64(res.ForcedRevals), "revals")
 			})
 		}
 	}

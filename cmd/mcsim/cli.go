@@ -51,7 +51,7 @@ func bindRun(fs *flag.FlagSet, cfg *experiment.Config) (parseEnums func() error)
 	arrival := fs.String("arrival", "poisson", "arrival pattern: poisson|bursty")
 	fs.Float64Var(&cfg.UpdateProb, "update", 0.1, "update probability U")
 	fs.Float64Var(&cfg.Beta, "beta", 0, "coherence staleness tolerance beta")
-	strategy := fs.String("coherence", "lease", "coherence strategy: lease|fixed|ir|irb")
+	strategy := fs.String("coherence", "lease", "coherence strategy: lease|fixed|irb")
 	fs.Float64Var(&cfg.FixedLease, "lease", 0, "fixed-lease duration in seconds (with -coherence fixed)")
 	fs.Float64Var(&cfg.IRWindow, "irwindow", 0, "broadcast-IR history window in seconds (with -coherence irb; 0 = 5 report intervals)")
 	fs.IntVar(&cfg.CoopPeers, "coop", 0, "cooperative caching: peers scanned per local miss (0 = off)")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -61,6 +62,38 @@ func TestSimOptsFleetFlags(t *testing.T) {
 func TestSimOptsBadCoherence(t *testing.T) {
 	if _, err := flagConfig("-coherence", "psychic"); err == nil || !strings.Contains(err.Error(), "coherence") {
 		t.Fatalf("bad coherence accepted: %v", err)
+	}
+}
+
+// TestDocsCoherenceSpellings: every `-coherence a|b|...` the user docs
+// (README.md, DESIGN.md, docs/*.md) show must name strategies
+// coherence.Parse accepts, so a retired spelling cannot linger in them.
+func TestDocsCoherenceSpellings(t *testing.T) {
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "../../README.md", "../../DESIGN.md")
+	flagUse := regexp.MustCompile(`-coherence[ =]+([a-z][a-z|-]*)`)
+	uses := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range flagUse.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1], "|") {
+					uses++
+					if _, err := coherence.Parse(name); err != nil {
+						t.Errorf("%s:%d: %q: %v", filepath.Base(doc), i+1, m[0], err)
+					}
+				}
+			}
+		}
+	}
+	if uses == 0 {
+		t.Fatal("no -coherence spelling found in the docs; the scan is vacuous")
 	}
 }
 
@@ -289,6 +322,7 @@ func TestCLIExitPaths(t *testing.T) {
 		{"-run", 2, "usage:"},
 		{"run -engine sm", 2, "flag provided but not defined"},
 		{"run -heat warm", 1, "unknown heat"},
+		{"run -coherence ir", 1, `coherence: unknown strategy "ir"`},
 	}
 	for _, c := range cases {
 		t.Run(c.argv, func(t *testing.T) {

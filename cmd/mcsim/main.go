@@ -149,9 +149,6 @@ func printResult(res experiment.Result) {
 	if res.ItemsShed > 0 {
 		fmt.Printf("shed items     %d (timeout heuristic)\n", res.ItemsShed)
 	}
-	if res.CacheDrops > 0 {
-		fmt.Printf("cache drops    %d (missed invalidation reports)\n", res.CacheDrops)
-	}
 	if res.IRReports > 0 {
 		fmt.Printf("IR broadcast   %d reports (%.2f MB on air), %d missed, %d forced revalidations\n",
 			res.IRReports, float64(res.IRReportBytes)/1e6, res.IRMissed, res.ForcedRevals)

@@ -6,7 +6,9 @@
 // The run sweeps the fixed lease length to show §2's point that no single
 // duration works ("it is difficult to determine an appropriate refresh
 // duration"), then disconnects some clients to show the invalidation
-// reports' failure mode (cache drops after missed reports).
+// reports' failure mode: a client back from an outage longer than the
+// report window has missed writes it cannot name, and must revalidate
+// everything it cached.
 //
 // Each case copies one base experiment.Config and sets its own fields;
 // every field is documented on Config (see docs/API.md).
@@ -56,20 +58,20 @@ func main() {
 	fmt.Println("the adaptive estimate tracks each item's own write rate.")
 
 	fmt.Println("\n== disconnection (4 of 10 clients offline 6h/day) ==")
-	fmt.Printf("%-20s  %8s  %8s  %12s\n", "strategy", "hit %", "err %", "cache drops")
+	fmt.Printf("%-20s  %8s  %8s  %14s\n", "strategy", "hit %", "err %", "forced revals")
 	for _, c := range []struct {
 		name  string
 		strat coherence.Strategy
 	}{
 		{"adaptive leases", coherence.LeaseStrategy},
-		{"invalidation rpts", coherence.InvalidationReportStrategy},
+		{"invalidation rpts", coherence.IRBroadcastStrategy},
 	} {
 		cfg := base
 		cfg.Coherence = c.strat
 		cfg.DisconnectedClients, cfg.DisconnectHours = 4, 6
 		res := run(cfg)
-		fmt.Printf("%-20s  %8.1f  %8.2f  %12d\n",
-			c.name, 100*res.HitRatio, 100*res.ErrorRate, res.CacheDrops)
+		fmt.Printf("%-20s  %8.1f  %8.2f  %14d\n",
+			c.name, 100*res.HitRatio, 100*res.ErrorRate, res.ForcedRevals)
 	}
 	fmt.Println("\na client that misses reports cannot trust anything it cached —")
 	fmt.Println("leases need no channel at all, which is why the paper pulls.")

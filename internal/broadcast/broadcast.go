@@ -193,8 +193,7 @@ func (w *UpdateWindow) Report(now float64) []oodb.Item {
 }
 
 // ReportBytes returns the wire size of an invalidation report naming n
-// items: one frame header plus an (OID, attribute-ref) pair per item —
-// the same framing the point-to-point invalidation reports use.
+// items: one frame header plus an (OID, attribute-ref) pair per item.
 func ReportBytes(n int) int {
 	return network.HeaderSize + n*(network.OIDSize+network.AttrRefSize)
 }

@@ -55,9 +55,6 @@ func NewLRU[K Key, V any](capacity int) *LRU[K, V] {
 	return &LRU[K, V]{capacity: capacity, head: none, tail: none, free: none}
 }
 
-// Len returns the number of cached entries.
-func (l *LRU[K, V]) Len() int { return l.index.Len() }
-
 // Get looks up key, promoting it to most-recently-used on a hit.
 func (l *LRU[K, V]) Get(key K) (V, bool) {
 	if i, ok := l.index.Get(key.Key()); ok {
@@ -129,15 +126,6 @@ func (l *LRU[K, V]) recycle(i int32) {
 	l.unlink(i)
 	l.nodes[i] = node[K, V]{next: l.free}
 	l.free = i
-}
-
-// Keys returns all keys ordered from most to least recently used.
-func (l *LRU[K, V]) Keys() []K {
-	keys := make([]K, 0, l.Len())
-	for i := l.head; i != none; i = l.nodes[i].next {
-		keys = append(keys, l.nodes[i].key)
-	}
-	return keys
 }
 
 // Clear removes all entries, preserving hit/miss counters.

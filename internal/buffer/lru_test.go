@@ -11,6 +11,18 @@ import (
 // oid keys every test buffer, as the server's buffer pool is keyed.
 type oid = oodb.OID
 
+// Len and Keys are the tests' view of the buffer: the number of cached
+// entries, and the keys ordered from most to least recently used.
+func (l *LRU[K, V]) Len() int { return l.index.Len() }
+
+func (l *LRU[K, V]) Keys() []K {
+	keys := make([]K, 0, l.Len())
+	for i := l.head; i != none; i = l.nodes[i].next {
+		keys = append(keys, l.nodes[i].key)
+	}
+	return keys
+}
+
 func TestPutGet(t *testing.T) {
 	l := NewLRU[oid, string](2)
 	l.Put(1, "a")

@@ -87,10 +87,9 @@ type Config struct {
 	// many seconds, its prefetched items are shed before delivery.
 	ShedThreshold float64
 	// Coherence selects the coherence strategy: the paper's adaptive
-	// leases (default), the original fixed-duration Leases scheme, or the
-	// broadcast invalidation-report baseline. Under the report strategy
-	// cached entries never expire on their own; validity is maintained by
-	// ApplyInvalidationReport.
+	// leases (default), the original fixed-duration Leases scheme, or
+	// broadcast invalidation reports. Under reports cached entries never
+	// expire on their own; validity is maintained by ApplyIRBroadcast.
 	Coherence coherence.Strategy
 	// FixedLease is the refresh duration for FixedLeaseStrategy
 	// (coherence.DefaultFixedLease if zero).
@@ -144,8 +143,6 @@ type Client struct {
 	fixedLease    float64
 	tracer        trace.Tracer
 	bcast         *broadcast.Program
-	irLastSeq     uint64
-	irSynced      bool // whether the client saw the previous report
 
 	// IR-over-broadcast state (IRBroadcastStrategy): the window each report
 	// covers and the time of the last successfully received report.
@@ -289,40 +286,6 @@ func (c *Client) Register(reg *obs.Registry, prefix string) {
 	})
 }
 
-// ApplyInvalidationReport delivers broadcast report number seq to the
-// client (invalidation-report coherence only). A client that saw the
-// previous report invalidates exactly the items whose base versions
-// changed; a client that missed one or more reports cannot tell which of
-// its items are stale and drops its entire cache — the failure mode that
-// motivates the paper's pull-based leases (§2).
-//
-// The harness must call this only while the client is connected.
-func (c *Client) ApplyInvalidationReport(now float64, seq uint64) {
-	if c.coherenceMode != coherence.InvalidationReportStrategy {
-		panic("client: invalidation report delivered to a lease-coherence client")
-	}
-	contiguous := c.irSynced && seq == c.irLastSeq+1
-	first := !c.irSynced
-	c.irLastSeq = seq
-	c.irSynced = true
-	if first {
-		contiguous = true // an empty cache has nothing to miss
-	}
-	if !contiguous {
-		c.local.Clear()
-		c.m.Note(now, metrics.CacheDrop, 1)
-		return
-	}
-	// Incremental invalidation: drop exactly the changed items.
-	c.local.RemoveStale(c.oracle.IsError)
-}
-
-// reportCoherence reports whether the strategy maintains validity through
-// invalidation reports (cached entries carry no lease of their own).
-func reportCoherence(s coherence.Strategy) bool {
-	return s == coherence.InvalidationReportStrategy || s == coherence.IRBroadcastStrategy
-}
-
 // containsItem reports whether items holds it; the slices involved are a
 // handful of entries, where a linear scan beats allocating a set.
 func containsItem(items []oodb.Item, it oodb.Item) bool {
@@ -341,7 +304,7 @@ func (cm *clientMachine) installReply(now float64) {
 	for _, item := range cm.items {
 		entry := item.Entry(now)
 		switch c.coherenceMode {
-		case coherence.InvalidationReportStrategy, coherence.IRBroadcastStrategy:
+		case coherence.IRBroadcastStrategy:
 			// Validity is maintained by broadcast reports, not leases.
 			entry.ExpiresAt = coherence.NoExpiry
 		case coherence.FixedLeaseStrategy:

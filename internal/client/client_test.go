@@ -449,18 +449,21 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// --- invalidation-report coherence -----------------------------------
+// --- invalidation-report coherence (irb) -----------------------------
+
+// irWindow is the report window of newIRRig's client.
+const irWindow = 300
 
 func newIRRig(t *testing.T) *rig {
 	t.Helper()
 	r := newRig(t, core.AttributeCaching, 0)
-	// Rebuild the client in invalidation-report mode.
+	// Rebuild the client under IR-over-broadcast coherence.
 	r.client = New(Config{
 		ID: 0, Kernel: r.k, Server: r.srv, Up: r.up, Down: r.down,
 		Granularity: core.AttributeCaching, Policy: replacement.NewLRU(),
 		Gen: r.client.gen, Arrival: workload.NewPoisson(0.01),
 		Metrics: r.m, Seed: 1, Horizon: 1e6,
-		Coherence: coherence.InvalidationReportStrategy,
+		Coherence: coherence.IRBroadcastStrategy, IRWindow: irWindow,
 	})
 	return r
 }
@@ -477,57 +480,79 @@ func TestIREntriesNeverExpire(t *testing.T) {
 	}
 }
 
+// A report inside the window removes exactly the items it names, from
+// both levels, whatever the oracle knows: the write to (2, 0) goes
+// unreported and its copy stays.
 func TestIRIncrementalInvalidation(t *testing.T) {
 	r := newIRRig(t)
-	r.exec(r.ask(query(0, 1, 2)))
-	// A foreign write lands on (1, 0); report 1 then report 2 arrive.
+	r.exec(r.ask(query(0, 1, 2, 3)))
 	r.db.Write(1, 0)
-	r.client.ApplyInvalidationReport(100, 1)
-	if r.client.Store().Contains(oodb.AttrItem(1, 0)) {
-		t.Fatal("stale item survived the invalidation report")
+	r.db.Write(2, 0)
+	named := []oodb.Item{oodb.AttrItem(1, 0), oodb.AttrItem(3, 1), oodb.AttrItem(9, 0)}
+	r.client.ApplyIRBroadcast(100, named, 64)
+	if _, ok := r.client.local.Peek(oodb.AttrItem(1, 0)); ok {
+		t.Fatal("a reported item survived the report")
 	}
-	if !r.client.Store().Contains(oodb.AttrItem(2, 0)) {
-		t.Fatal("clean item was invalidated")
+	for _, oid := range []oodb.OID{2, 3} {
+		if _, ok := r.client.local.Peek(oodb.AttrItem(oid, 0)); !ok {
+			t.Fatalf("unreported item (%d, 0) was invalidated", oid)
+		}
 	}
-	r.client.ApplyInvalidationReport(160, 2)
-	if !r.client.Store().Contains(oodb.AttrItem(2, 0)) {
-		t.Fatal("contiguous report dropped the cache")
+	r.client.ApplyIRBroadcast(160, nil, 16)
+	if r.client.Store().Len() != 2 {
+		t.Fatalf("an empty report changed the cache: %d items, want 2", r.client.Store().Len())
 	}
-	if r.m.Events[metrics.CacheDrop] != 0 {
-		t.Fatalf("CacheDrops = %d", r.m.Events[metrics.CacheDrop])
+	if got := r.m.Events[metrics.IRReport]; got != 2 {
+		t.Fatalf("IRReports = %d, want 2", got)
+	}
+	if got := r.m.Events[metrics.ForcedReval]; got != 0 {
+		t.Fatalf("ForcedRevals = %d inside the window", got)
 	}
 }
 
-func TestIRMissedReportDropsCache(t *testing.T) {
+// A gap longer than the window voids every lease once but keeps the
+// copies, for disconnected and degraded serving.
+func TestIRReportGapVoidsLeases(t *testing.T) {
 	r := newIRRig(t)
 	r.exec(r.ask(query(0, 1, 2, 3)))
-	r.client.ApplyInvalidationReport(60, 1)
-	if r.client.Store().Len() == 0 {
-		t.Fatal("first report should not drop anything")
+	r.client.ApplyIRBroadcast(60, nil, 16)
+	// The reports of a whole window are missed (disconnected).
+	now := 60 + irWindow + 1.0
+	r.client.ApplyIRBroadcast(now, nil, 16)
+	if got := r.m.Events[metrics.ForcedReval]; got != 1 {
+		t.Fatalf("ForcedRevals = %d, want 1", got)
 	}
-	// Report 2 missed (disconnected); report 3 arrives.
-	r.client.ApplyInvalidationReport(180, 3)
-	if r.client.Store().Len() != 0 {
-		t.Fatalf("cache not dropped after missed report: %d items", r.client.Store().Len())
+	if r.client.Store().Len() != 3 {
+		t.Fatalf("the gap dropped copies: %d items, want 3", r.client.Store().Len())
 	}
 	for oid := oodb.OID(1); oid <= 3; oid++ {
-		if _, ok := r.client.local.Peek(oodb.AttrItem(oid, 0)); ok {
-			t.Fatalf("a copy of object %d survived the missed report", oid)
+		e, ok := r.client.local.Peek(oodb.AttrItem(oid, 0))
+		if !ok || e.ValidAt(now) {
+			t.Fatalf("object %d after the gap: cached %v, lease valid %v; want an expired copy", oid, ok, ok && e.ValidAt(now))
 		}
 	}
-	if r.m.Events[metrics.CacheDrop] != 1 {
-		t.Fatalf("CacheDrops = %d, want 1", r.m.Events[metrics.CacheDrop])
+	// The next report inside the window revalidates nothing more.
+	r.client.ApplyIRBroadcast(now+60, nil, 16)
+	if got := r.m.Events[metrics.ForcedReval]; got != 1 {
+		t.Fatalf("ForcedRevals = %d after a report inside the window, want 1", got)
 	}
 }
 
 func TestIRReportToLeaseClientPanics(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("report to lease client did not panic")
-		}
-	}()
-	r.client.ApplyInvalidationReport(10, 1)
+	for name, deliver := range map[string]func(){
+		"report": func() { r.client.ApplyIRBroadcast(10, nil, 16) },
+		"miss":   func() { r.client.MissIRBroadcast(10, 60, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s delivered to a lease client did not panic", name)
+				}
+			}()
+			deliver()
+		}()
+	}
 }
 
 func TestShedThresholdDisabledByDefault(t *testing.T) {

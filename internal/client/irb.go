@@ -23,9 +23,8 @@ import (
 // client can no longer bound its staleness and *force-revalidates*: every
 // cached lease is voided in place, so the copies survive for disconnected
 // operation but must be revalidated against the server before counting as
-// hits again. This is the graceful middle ground between the paper's
-// lazy leases and the legacy InvalidationReportStrategy, which drops the
-// whole cache on a missed report.
+// hits again. Every decision here reads only what the reports carry and
+// when they arrived; the oracle only counts the errors that result.
 
 // irSlack absorbs floating-point drift when a report lands exactly one
 // window after the previous one.

@@ -418,7 +418,7 @@ func (cm *clientMachine) processQuery(m *sim.Machine) bool {
 				ExpiresAt: m.Now() + c.bcast.Cycle(),
 				FetchedAt: m.Now(),
 			}
-			if reportCoherence(c.coherenceMode) {
+			if c.coherenceMode == coherence.IRBroadcastStrategy {
 				entry.ExpiresAt = coherence.NoExpiry
 			}
 			c.local.Put(item, entry, m.Now())

@@ -32,37 +32,32 @@ import (
 // read-only workloads.
 const NoExpiry = math.MaxFloat64
 
-// Strategy selects the coherence scheme a client runs.
+// Strategy selects the coherence scheme a client runs. Manifests store it
+// as a number, so the values are fixed: 1, the retired reliable
+// invalidation-report scheme, names no strategy.
 type Strategy int
 
 const (
 	// LeaseStrategy is the paper's lazy pull-based scheme: items carry
 	// adaptive refresh times and are re-validated on demand.
-	LeaseStrategy Strategy = iota
-	// InvalidationReportStrategy is the broadcast baseline of [2]
-	// (Barbará & Imieliński) the paper argues against: the server
-	// periodically broadcasts which items changed; connected clients
-	// invalidate, and a client that misses a report can no longer trust
-	// any cached item and must drop its cache. Implemented as a
-	// comparison point for the disconnection experiments.
-	InvalidationReportStrategy
+	LeaseStrategy Strategy = 0
 	// FixedLeaseStrategy is the original Leases scheme [7] with a single
 	// pre-specified refresh duration for every item — the baseline whose
 	// weakness ("it is difficult to determine an appropriate refresh
 	// duration", §2) motivates the paper's adaptive per-item estimate.
-	FixedLeaseStrategy
-	// IRBroadcastStrategy is the windowed invalidation-report scheme of
-	// Barbará & Imieliński's broadcasting-timestamps variant: every report
-	// period the server pushes, over a dedicated downlink broadcast
-	// channel, the set of items written during the trailing report window.
+	FixedLeaseStrategy Strategy = 2
+	// IRBroadcastStrategy is the broadcast baseline of [2] the paper
+	// argues against, in Barbará & Imieliński's windowed
+	// broadcasting-timestamps variant: every report period the server
+	// pushes, over a dedicated downlink broadcast channel, the set of
+	// items written during the trailing report window.
 	// A client whose silence gap fits inside the window reconciles
 	// incrementally; a client that slept through more than one window (or
 	// lost the report frame to channel faults) can no longer bound its
 	// staleness and must force-revalidate every cached item on next use.
-	// Unlike InvalidationReportStrategy it works across fleet cells (one
-	// broadcaster per cell) and degrades gracefully: forced revalidation
-	// keeps the cache contents, only their leases are voided.
-	IRBroadcastStrategy
+	// It runs one broadcaster per fleet cell, and forced revalidation
+	// keeps the cache contents: only their leases are voided.
+	IRBroadcastStrategy Strategy = 3
 )
 
 // String renders the strategy name.
@@ -70,8 +65,6 @@ func (s Strategy) String() string {
 	switch s {
 	case LeaseStrategy:
 		return "lease"
-	case InvalidationReportStrategy:
-		return "invalidation-report"
 	case FixedLeaseStrategy:
 		return "fixed-lease"
 	case IRBroadcastStrategy:
@@ -83,19 +76,17 @@ func (s Strategy) String() string {
 
 // Parse maps a CLI/option spelling to a Strategy. Accepted names are the
 // String() forms plus the short CLI aliases: "lease", "fixed"/"fixed-lease",
-// "ir"/"invalidation-report", and "irb"/"ir-broadcast".
+// and "irb"/"ir-broadcast".
 func Parse(name string) (Strategy, error) {
 	switch name {
 	case "lease":
 		return LeaseStrategy, nil
-	case "ir", "invalidation-report":
-		return InvalidationReportStrategy, nil
 	case "fixed", "fixed-lease":
 		return FixedLeaseStrategy, nil
 	case "irb", "ir-broadcast":
 		return IRBroadcastStrategy, nil
 	}
-	return 0, fmt.Errorf("coherence: unknown strategy %q (want lease|fixed|ir|irb)", name)
+	return 0, fmt.Errorf("coherence: unknown strategy %q (want lease|fixed|irb)", name)
 }
 
 // DefaultReportInterval is the invalidation-report broadcast period in

@@ -239,8 +239,6 @@ func TestParse(t *testing.T) {
 		ok   bool
 	}{
 		{"lease", LeaseStrategy, true},
-		{"ir", InvalidationReportStrategy, true},
-		{"invalidation-report", InvalidationReportStrategy, true},
 		{"fixed", FixedLeaseStrategy, true},
 		{"fixed-lease", FixedLeaseStrategy, true},
 		{"irb", IRBroadcastStrategy, true},
@@ -248,6 +246,8 @@ func TestParse(t *testing.T) {
 		{"", 0, false},
 		{"LEASE", 0, false},
 		{"broadcast", 0, false},
+		{"ir", 0, false},                  // the retired reliable scheme
+		{"invalidation-report", 0, false}, // and its long spelling
 	}
 	for _, tc := range cases {
 		got, err := Parse(tc.name)
@@ -255,8 +255,7 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
 		}
 	}
-	for _, s := range []Strategy{LeaseStrategy, InvalidationReportStrategy,
-		FixedLeaseStrategy, IRBroadcastStrategy} {
+	for _, s := range []Strategy{LeaseStrategy, FixedLeaseStrategy, IRBroadcastStrategy} {
 		if got, err := Parse(s.String()); err != nil || got != s {
 			t.Errorf("Parse(%q) does not round-trip %v", s.String(), s)
 		}

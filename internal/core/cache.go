@@ -321,17 +321,6 @@ func (c *Cache) ForEach(fn func(it oodb.Item, e *Entry) bool) {
 	}
 }
 
-// Clear drops every resident item (e.g. a client discarding a cache it can
-// no longer trust after missing invalidation reports). Eviction counters
-// are not advanced; the policy forgets every resident, keeping only what
-// outlives residency (SlotCore.Reset).
-func (c *Cache) Clear() {
-	c.policy.Reset()
-	c.index.Reset()
-	c.items, c.slots = c.items[:0], c.slots[:0]
-	c.usedBytes = 0
-}
-
 // Len returns the number of resident items.
 func (c *Cache) Len() int { return len(c.items) }
 

@@ -422,23 +422,6 @@ func TestForEach(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := newObjCache(4)
-	c.Insert(obj(1), fresh(0), 0)
-	c.Insert(obj(2), fresh(0), 0)
-	c.Clear()
-	if c.Len() != 0 || c.UsedBytes() != 0 {
-		t.Fatalf("after Clear: len=%d used=%d", c.Len(), c.UsedBytes())
-	}
-	// Still fully usable, and the policy state was reset too.
-	if ev := c.Insert(obj(3), fresh(1), 1); len(ev) != 0 {
-		t.Fatalf("insert after Clear evicted %v", ev)
-	}
-	if !c.Contains(obj(3)) {
-		t.Fatal("insert after Clear failed")
-	}
-}
-
 // Property: InsertBatch and sequential Inserts reach the same resident-set
 // size and byte usage for identical inputs (the victim *sets* may differ in
 // edge cases, but accounting must agree).

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/buffer"
 	"repro/internal/oodb"
 	"repro/internal/replacement"
@@ -18,7 +16,6 @@ type Hierarchy struct {
 	store *Cache // nil under NC
 	mem   *buffer.LRU[oodb.Item, Entry]
 	batch []BatchEntry // the reply being installed: Stage appends, Commit drains
-	stale []oodb.Item  // RemoveStale scratch
 }
 
 // NewHierarchy builds the hierarchy for granularity g: a storage cache of
@@ -119,51 +116,11 @@ func (h *Hierarchy) Refresh(it oodb.Item, e Entry) bool {
 	return held
 }
 
-// Remove drops item from both levels, reporting whether either held it. An
-// invalidation report mostly names items this client does not cache, and the
-// inlined residency check is cheaper than a removal that finds nothing.
+// Remove drops item from both levels, reporting whether either held it.
 func (h *Hierarchy) Remove(it oodb.Item) bool {
-	inStore := h.store != nil && h.store.Contains(it) && h.store.Remove(it)
-	inMem := h.mem.Contains(it) && h.mem.Remove(it)
+	inStore := h.store != nil && h.store.Remove(it)
+	inMem := h.mem.Remove(it)
 	return inStore || inMem
-}
-
-// RemoveStale drops every copy whose (item, version) isStale reports. Removal
-// order shapes the replacement policy's scan positions and hence later
-// tie-breaks, so the storage cache's stale set goes in (OID, Attr) order.
-func (h *Hierarchy) RemoveStale(isStale func(it oodb.Item, version uint64) bool) {
-	if h.store != nil {
-		stale := h.stale[:0]
-		h.store.ForEach(func(it oodb.Item, e *Entry) bool {
-			if isStale(it, e.Version) {
-				stale = append(stale, it)
-			}
-			return true
-		})
-		sort.Slice(stale, func(i, j int) bool {
-			if stale[i].OID != stale[j].OID {
-				return stale[i].OID < stale[j].OID
-			}
-			return stale[i].Attr < stale[j].Attr
-		})
-		for _, it := range stale {
-			h.store.Remove(it)
-		}
-		h.stale = stale[:0]
-	}
-	for _, it := range h.mem.Keys() {
-		if e, ok := h.mem.Peek(it); ok && isStale(it, e.Version) {
-			h.mem.Remove(it)
-		}
-	}
-}
-
-// Clear drops every copy from both levels.
-func (h *Hierarchy) Clear() {
-	if h.store != nil {
-		h.store.Clear()
-	}
-	h.mem.Clear()
 }
 
 // VoidLeases expires every lease at time now: storage entries keep their

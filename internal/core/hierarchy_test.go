@@ -240,25 +240,34 @@ func TestHierarchyVoidLeasesKeepsBytes(t *testing.T) {
 	}
 }
 
-func TestHierarchyRemoveStaleAndClear(t *testing.T) {
+func TestHierarchyRemove(t *testing.T) {
 	// obj(1) is evicted from the two-slot storage and survives in the
-	// buffer; stale copies go from both levels, clean ones stay.
+	// buffer alone, obj(3) is held by both levels, and the prefetched
+	// obj(4) by storage alone. Remove finds each wherever it is, and a
+	// second Remove, like one of an item never cached, finds nothing and
+	// leaves the rest in place.
 	h := NewHierarchy(ObjectCaching, 2*objCost(), replacement.NewLRU(), 4)
 	install(h, 0,
-		BatchEntry{Item: obj(1), Entry: Entry{Version: 1, ExpiresAt: 100}},
-		BatchEntry{Item: obj(2), Entry: Entry{Version: 1, ExpiresAt: 100}},
-		BatchEntry{Item: obj(3), Entry: Entry{Version: 2, ExpiresAt: 100}})
-	h.RemoveStale(func(_ oodb.Item, version uint64) bool { return version < 2 })
-	for i, want := range map[int]bool{1: false, 2: false, 3: true} {
-		if _, ok := h.Peek(obj(i)); ok != want {
-			t.Fatalf("after RemoveStale obj(%d) cached = %v, want %v", i, ok, want)
+		BatchEntry{Item: obj(1), Entry: leased(100)},
+		BatchEntry{Item: obj(2), Entry: leased(100)},
+		BatchEntry{Item: obj(3), Entry: leased(100)})
+	h.Stage(obj(4), leased(100), true)
+	h.Commit(1)
+	for _, i := range []int{1, 3, 4} {
+		if !h.Remove(obj(i)) {
+			t.Fatalf("Remove(obj(%d)) found no copy", i)
+		}
+		if _, ok := h.Peek(obj(i)); ok {
+			t.Fatalf("obj(%d) still cached after Remove", i)
+		}
+		if h.Remove(obj(i)) {
+			t.Fatalf("second Remove(obj(%d)) found a copy", i)
 		}
 	}
-	if h.Storage().Len() != 1 || !h.Storage().Contains(obj(3)) {
-		t.Fatalf("storage after RemoveStale holds %d items, want obj(3) alone", h.Storage().Len())
+	if h.Remove(obj(9)) {
+		t.Fatal("Remove of an item never cached found a copy")
 	}
-	h.Clear()
-	if _, ok := h.Peek(obj(3)); ok || h.Storage().Len() != 0 {
-		t.Fatal("Clear left a copy behind")
+	if _, ok := h.Peek(obj(2)); !ok || h.Storage().Len() != 0 {
+		t.Fatalf("after the removals: obj(2) cached = %v, storage holds %d items, want obj(2) in the buffer alone", ok, h.Storage().Len())
 	}
 }

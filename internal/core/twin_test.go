@@ -134,14 +134,6 @@ func (c *mapCache) removeResident(it oodb.Item) {
 	c.policy.Remove(it)
 }
 
-func (c *mapCache) Clear() {
-	for it := range c.entries {
-		c.policy.Remove(it)
-		delete(c.entries, it)
-	}
-	c.usedBytes = 0
-}
-
 // twinSpecs holds one spec of every policy replacement.Parse accepts.
 var twinSpecs = []string{"lru", "mru", "fifo", "lru-3", "lrd", "mean", "win-10", "ewma-0.5", "clock", "random:7"}
 
@@ -153,8 +145,8 @@ type twinSource interface {
 
 // runTwin builds a Cache and its map twin over spec, each from its own
 // Parse call (so random:seed draws one stream on both sides), drives them
-// through ops operations drawn from src — Insert, InsertBatch, Lookup,
-// Remove and Clear — and requires the same evicted lists, lookup results,
+// through ops operations drawn from src — Insert, InsertBatch, Lookup and
+// Remove — and requires the same evicted lists, lookup results,
 // residency, sizes and counters after every operation.
 func runTwin(t testing.TB, spec string, capacity, ops int, src twinSource) {
 	t.Helper()
@@ -199,14 +191,11 @@ func runTwin(t testing.TB, spec string, capacity, ops int, src twinSource) {
 			if gs != ws || (ge == nil) != (we == nil) || (ge != nil && *ge != *we) {
 				t.Fatalf("%s: Lookup(%v) = %v,%v, twin %v,%v", what, it, ge, gs, we, ws)
 			}
-		case r < 99:
+		default:
 			it := item()
 			if got, want := c.Remove(it), twin.Remove(it); got != want {
 				t.Fatalf("%s: Remove(%v) = %v, twin %v", what, it, got, want)
 			}
-		default:
-			c.Clear()
-			twin.Clear()
 		}
 		if c.Len() != len(twin.entries) || c.UsedBytes() != twin.usedBytes ||
 			c.insertions != twin.insertions || c.evictions != twin.evictions || c.rejected != twin.rejected {

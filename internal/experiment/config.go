@@ -151,7 +151,7 @@ type Config struct {
 	ShedThreshold float64
 
 	// Coherence selects the coherence strategy (default: the paper's
-	// leases). The invalidation-report baselines broadcast every
+	// leases). Invalidation reports are broadcast every
 	// coherence.DefaultReportInterval seconds. FixedLease is the lease
 	// duration under FixedLeaseStrategy (default
 	// coherence.DefaultFixedLease) and may be set under no other strategy.
@@ -371,6 +371,11 @@ func (c Config) Validate() error {
 	if _, err := replacement.Parse(d.Policy); err != nil {
 		return bad(ErrBadSpec, "Policy %q: %v", c.Policy, err)
 	}
+	if _, err := coherence.Parse(c.Coherence.String()); err != nil {
+		// A value inside the range that names no strategy: 1, the retired
+		// reliable invalidation-report scheme.
+		return bad(ErrBadSpec, "Coherence %d names no strategy (want lease|fixed|irb)", int(c.Coherence))
+	}
 	if c.StorageDSN != "" {
 		if _, err := storage.ParseDSN(c.StorageDSN); err != nil {
 			return bad(ErrBadSpec, "StorageDSN %q: %v", c.StorageDSN, err)
@@ -400,8 +405,6 @@ func (c Config) Validate() error {
 		return bad(ErrConflict, "Cells %d exceeds the %d-client fleet", c.Cells, d.NumClients)
 	case c.DisconnectedClients > d.NumClients:
 		return bad(ErrConflict, "DisconnectedClients %d of a %d-client fleet", c.DisconnectedClients, d.NumClients)
-	case c.Cells > 1 && c.Coherence == coherence.InvalidationReportStrategy:
-		return bad(ErrConflict, "invalidation reports are one cell-wide broadcast, undefined for Cells %d", c.Cells)
 	case c.Cells > 1 && c.StorageDSN != "":
 		return bad(ErrConflict, "StorageDSN %q models one origin server, undefined for Cells %d", c.StorageDSN, c.Cells)
 	case d.IRWindow < coherence.DefaultReportInterval:
@@ -444,7 +447,6 @@ type Result struct {
 	DownlinkUtilization float64
 	DownlinkMeanWait    float64
 	ItemsShed           uint64 // prefetched items dropped by the timeout heuristic
-	CacheDrops          uint64 // whole-cache discards after missed invalidation reports
 	BroadcastReads      uint64 // reads answered from the broadcast channel
 
 	// Reliability-layer measurements (zero on perfect channels).
@@ -646,7 +648,7 @@ func buildClients(env clientEnv, lo, hi int) ([]*client.Client, []*metrics.Clien
 	return clients, clientMetrics
 }
 
-// reporter is the loop both invalidation-report broadcasters share: every
+// reporter is the invalidation-report broadcaster's loop: every
 // interval seconds, until the horizon, it calls report for the frame's
 // wire size, pays for the frame's airtime on ch, and then calls deliver at
 // the time the frame has been received.
@@ -691,35 +693,6 @@ func (r *reporter) Step(m *sim.Machine) {
 			r.pc = rpWait
 		}
 	}
-}
-
-// startBroadcaster spawns the invalidation-report broadcast machine: every
-// coherence.DefaultReportInterval seconds the server pushes a report over
-// the shared downlink (header plus one item reference per update since the
-// previous report) and every *connected* client applies it; disconnected
-// clients miss it and will drop their caches on the next report they do
-// receive.
-func startBroadcaster(k *sim.Kernel, cfg Config, srv *server.Server,
-	down *network.Channel, clients []*client.Client, schedules []*network.Schedule) {
-
-	var seq, lastUpdates uint64
-	k.SpawnMachine("ir-broadcast", &reporter{
-		interval: coherence.DefaultReportInterval, horizon: cfg.Horizon(), ch: down,
-		report: func(float64) int {
-			seq++
-			updates := srv.Stats().UpdatesApplied
-			delta := int(updates - lastUpdates)
-			lastUpdates = updates
-			return network.HeaderSize + delta*(network.OIDSize+network.AttrRefSize)
-		},
-		deliver: func(now float64) {
-			for i, cl := range clients {
-				if schedules[i].Connected(now) {
-					cl.ApplyInvalidationReport(now, seq)
-				}
-			}
-		},
-	})
 }
 
 // irbState carries an IR-over-broadcast broadcaster's run totals for the

@@ -205,11 +205,6 @@ func runCell(cfg Config, cell int, schedules []*network.Schedule) cellOutcome {
 		policy:     policyFactory,
 	}, lo, hi)
 
-	// Legacy invalidation reports ride the one shared downlink of the
-	// single-server system; Validate rejects them on a partitioned fleet.
-	if cfg.Coherence == coherence.InvalidationReportStrategy {
-		startBroadcaster(k, cfg, nodes[0], down, clients, schedules)
-	}
 	// IR-over-broadcast runs one broadcaster per cell: it watches writes
 	// applied on every node in the kernel (exactly what the cell's oracle
 	// sees) and reports to the cell's clients over a dedicated broadcast
@@ -363,7 +358,6 @@ func mergeCells(cfg Config, outs []cellOutcome) Result {
 	res.Timeouts = pool.Events[metrics.Timeout]
 	res.DegradedReads = pool.Degraded
 	res.ItemsShed = pool.Events[metrics.ShedItem]
-	res.CacheDrops = pool.Events[metrics.CacheDrop]
 	res.BroadcastReads = pool.Air
 	res.IRMissed = pool.Events[metrics.IRMiss]
 	res.ForcedRevals = pool.Events[metrics.ForcedReval]

@@ -143,7 +143,7 @@ func TestNoGoroutineLeakPerConfig(t *testing.T) {
 		"cyclic":       func(c *Config) { c.Heat = CyclicHeat },
 		"bursty":       func(c *Config) { c.Arrival = BurstyArrival },
 		"fixed-lease":  func(c *Config) { c.Coherence = coherence.FixedLeaseStrategy; c.FixedLease = 60 },
-		"invalidation": func(c *Config) { c.Coherence = coherence.InvalidationReportStrategy },
+		"invalidation": func(c *Config) { c.Coherence = coherence.IRBroadcastStrategy },
 		"disconnect":   func(c *Config) { c.DisconnectedClients = 1; c.DisconnectHours = 1 },
 		"shed":         func(c *Config) { c.ShedThreshold = 2 },
 		"broadcast": func(c *Config) {

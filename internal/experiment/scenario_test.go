@@ -64,8 +64,8 @@ func TestParseEnumSpellings(t *testing.T) {
 }
 
 // TestScenarioCoherenceNames: WithCoherence accepts strategy names as well
-// as enum values, and the broadcast-IR strategy composes with fleets (only
-// the legacy point-to-point IR scheme is cell-bound).
+// as enum values, the broadcast-IR strategy composes with fleets, and the
+// retired "ir" spelling is refused.
 func TestScenarioCoherenceNames(t *testing.T) {
 	sc, err := New(
 		WithCoherence("irb"),
@@ -83,7 +83,6 @@ func TestScenarioCoherenceNames(t *testing.T) {
 	for name, want := range map[string]coherence.Strategy{
 		"lease": coherence.LeaseStrategy,
 		"fixed": coherence.FixedLeaseStrategy,
-		"ir":    coherence.InvalidationReportStrategy,
 		"irb":   coherence.IRBroadcastStrategy,
 	} {
 		sc, err := New(WithCoherence(name))
@@ -93,6 +92,9 @@ func TestScenarioCoherenceNames(t *testing.T) {
 		if got := sc.Config().Coherence; got != want {
 			t.Fatalf("WithCoherence(%q) = %v, want %v", name, got, want)
 		}
+	}
+	if _, err := New(WithCoherence("ir")); err == nil {
+		t.Fatal(`WithCoherence("ir") accepted the retired scheme`)
 	}
 }
 
@@ -162,8 +164,7 @@ func TestScenarioValidationErrors(t *testing.T) {
 		{"more cells than clients", Config{NumClients: 4, Cells: 8}.Validate(), ErrConflict},
 		{"cells exceed default fleet", Config{Cells: 64}.Validate(), ErrConflict},
 		{"broadcast without shared pool", Config{BroadcastAttrs: 2}.Validate(), ErrConflict},
-		{"ir on a fleet", Config{NumClients: 100, Cells: 4,
-			Coherence: coherence.InvalidationReportStrategy}.Validate(), ErrConflict},
+		{"retired ir coherence", Config{Coherence: 1}.Validate(), ErrBadSpec},
 		{"disconnect more than fleet", Config{DisconnectedClients: 20, DisconnectHours: 1}.Validate(), ErrConflict},
 
 		{"config update prob", Config{UpdateProb: 1.5}.Validate(), ErrOutOfRange},

@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"repro/internal/broadcast"
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -334,11 +335,11 @@ func TestShapeTimeoutHeuristic(t *testing.T) {
 	}
 }
 
-// Coherence strategies (§2's argument for pull-based leases): the
-// invalidation-report baseline achieves lower error rates while everyone
-// is connected (staleness bounded by the report interval), but a client
-// that misses reports must drop its cache, so under disconnection leases
-// keep far more reads answerable.
+// Coherence strategies (§2's argument for pull-based leases): invalidation
+// reports achieve lower error rates while everyone is connected (staleness
+// bounded by the report interval), but a client that sleeps through more
+// than a report window cannot tell which copies went stale and must
+// revalidate all of them. Lease clients never need to.
 func TestShapeLeaseVsInvalidationReport(t *testing.T) {
 	run := func(strategy coherence.Strategy, disconnected int) Result {
 		cfg := shapeCfg()
@@ -349,25 +350,25 @@ func TestShapeLeaseVsInvalidationReport(t *testing.T) {
 		cfg.DisconnectHours = 6
 		return Run(cfg)
 	}
-	// Connected: IR bounds staleness tighter than leases.
+	// Connected: reports bound staleness tighter than leases.
 	leaseConn := run(coherence.LeaseStrategy, 0)
-	irConn := run(coherence.InvalidationReportStrategy, 0)
+	irConn := run(coherence.IRBroadcastStrategy, 0)
 	if irConn.ErrorRate >= leaseConn.ErrorRate {
-		t.Errorf("connected: IR err %.4f >= lease err %.4f",
+		t.Errorf("connected: irb err %.4f >= lease err %.4f",
 			irConn.ErrorRate, leaseConn.ErrorRate)
 	}
-	if irConn.CacheDrops != 0 {
-		t.Errorf("connected IR run dropped caches %d times", irConn.CacheDrops)
+	if irConn.ForcedRevals != 0 {
+		t.Errorf("connected irb run force-revalidated %d times", irConn.ForcedRevals)
 	}
-	// Disconnected: IR clients miss reports and must discard their caches;
-	// lease clients never do. The dropped caches cost extra round trips.
+	// Disconnected: irb clients outlive the report window and must
+	// revalidate everything they hold; lease clients never do.
 	leaseDisc := run(coherence.LeaseStrategy, 4)
-	irDisc := run(coherence.InvalidationReportStrategy, 4)
-	if leaseDisc.CacheDrops != 0 {
-		t.Errorf("lease coherence dropped caches %d times", leaseDisc.CacheDrops)
+	irDisc := run(coherence.IRBroadcastStrategy, 4)
+	if leaseDisc.ForcedRevals != 0 {
+		t.Errorf("lease coherence force-revalidated %d times", leaseDisc.ForcedRevals)
 	}
-	if irDisc.CacheDrops == 0 {
-		t.Error("disconnected IR clients never dropped their caches")
+	if irDisc.ForcedRevals == 0 {
+		t.Error("disconnected irb clients never force-revalidated")
 	}
 }
 
@@ -568,9 +569,10 @@ func TestOptimalBoundValidation(t *testing.T) {
 	OptimalBound(cfg)
 }
 
-// The invalidation-report broadcaster charges the shared downlink for its
-// reports: with updates flowing, IR runs ship strictly more downlink
-// messages than lease runs of the same workload.
+// The invalidation-report broadcaster pays for its reports on its own
+// broadcast downlink: with updates flowing, an irb run pushes a report
+// every period plus its airtime, naming written items, while a lease run
+// of the same workload pushes none and errs more.
 func TestIRBroadcasterUsesDownlink(t *testing.T) {
 	run := func(strategy coherence.Strategy) Result {
 		cfg := shapeCfg()
@@ -580,19 +582,22 @@ func TestIRBroadcasterUsesDownlink(t *testing.T) {
 		return Run(cfg)
 	}
 	lease := run(coherence.LeaseStrategy)
-	ir := run(coherence.InvalidationReportStrategy)
-	// Same query load; the reports are extra downlink traffic. Utilization
-	// may shift either way (IR clients refetch less), so compare message
-	// counts via the server-side stats proxy: total queries are equal, so
-	// any large downlink delta comes from reports.
+	ir := run(coherence.IRBroadcastStrategy)
 	if ir.QueriesIssued == 0 || lease.QueriesIssued == 0 {
 		t.Fatal("no queries issued")
 	}
-	if ir.CacheDrops != 0 {
-		t.Fatalf("connected IR run dropped caches %d times", ir.CacheDrops)
+	if lease.IRReports != 0 || lease.IRReportBytes != 0 {
+		t.Fatalf("lease run broadcast %d reports (%d bytes)", lease.IRReports, lease.IRReportBytes)
+	}
+	periods := uint64(shapeCfg().Horizon() / coherence.DefaultReportInterval)
+	if ir.IRReports < periods/2 || ir.IRReports > periods {
+		t.Fatalf("irb run broadcast %d reports over %d report periods", ir.IRReports, periods)
+	}
+	if empty := ir.IRReports * uint64(broadcast.ReportBytes(0)); ir.IRReportBytes <= empty {
+		t.Fatalf("irb reports carried %d bytes, no more than %d empty frames", ir.IRReportBytes, empty)
 	}
 	if ir.ErrorRate >= lease.ErrorRate {
-		t.Errorf("IR err %.4f >= lease err %.4f with %gs reports", ir.ErrorRate, lease.ErrorRate,
+		t.Errorf("irb err %.4f >= lease err %.4f with %gs reports", ir.ErrorRate, lease.ErrorRate,
 			coherence.DefaultReportInterval)
 	}
 }

@@ -133,7 +133,6 @@ const (
 	Retry       Event = iota // a retransmission issued (DESIGN.md §9)
 	Timeout                  // a request attempt that ended in a timeout
 	ShedItem                 // a prefetched item shed by the timeout heuristic (§5.3)
-	CacheDrop                // a whole-cache discard after a missed invalidation report
 	IRReport                 // an IR-over-broadcast report received
 	IRMiss                   // a report frame lost to channel faults while tuned in
 	ForcedReval              // a whole-cache lease void after an unrecoverable report gap

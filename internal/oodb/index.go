@@ -19,20 +19,23 @@ func (o OID) Key() uint64 { return ObjectItem(o).Key() }
 // the probe chain back over the hole instead of leaving a tombstone, so a
 // cache that evicts on every insert never degrades or needs a rehash. Keys
 // and slots sit in separate slices, so a probe reads 8-byte keys only (most
-// probes on the install path are misses) and a cell costs 12 bytes, 20
-// with its share of the mask below. Keys must be below 2^64-1. The zero
-// value is an empty index.
+// probes on the install path are misses) and a cell costs 12 bytes, plus
+// its share of the mask below. Keys must be below 2^64-1. The zero value
+// is an empty index.
 //
 // Most lookups miss, so before it hashes the index consults an exact
-// presence mask: one 16-bit word per object id below 4 × cells, one bit
-// for each attribute 0..NumAttrs-1 and one for WholeObject. A clear bit
-// answers Get and Delete from that one word. A key with another low byte,
-// or an object id beyond the span, always takes the hash path. The span
-// keeps the mask (2 bytes × 4 per cell) no larger than the keys array.
+// presence mask over the object ids below its span, 4 × cells: one 16-bit
+// word per id, one bit for each attribute 0..NumAttrs-1 and one for
+// WholeObject. The mask is allocated only up to the highest id it has
+// held, so an id between its end and the span is absent by construction.
+// Either way a miss costs one comparison and at most one word, without
+// hashing. A key with another low byte, or an object id beyond the span,
+// always takes the hash path. The span keeps the mask (2 bytes × 4 per
+// cell) no larger than the keys array.
 type ItemIndex struct {
 	keys    []uint64 // key+1, so zero means empty
 	slots   []int32  // slots[i] belongs to keys[i]
-	present []uint16 // presence mask of object ids below 4*len(keys)
+	present []uint16 // presence mask, up to the highest object id held below the span
 	n       int
 	shift   uint8 // 64 - log2(len(keys))
 }
@@ -44,12 +47,37 @@ func (x *ItemIndex) home(stored uint64) int {
 	return int((stored * 0x9E3779B97F4A7C15) >> x.shift)
 }
 
-// maskBit returns the mask word and bit number of key, and whether key
-// lies in the mask's domain. The bit is the low byte plus one, so
-// WholeObject (0xFF) wraps to bit 0 and attribute a takes bit a+1.
+// maskBit returns the mask word and bit number of key, and whether the
+// mask holds that bit. The bit is the low byte plus one, so WholeObject
+// (0xFF) wraps to bit 0 and attribute a takes bit a+1.
 func (x *ItemIndex) maskBit(key uint64) (word uint64, bit uint8, in bool) {
 	word, bit = key>>8, uint8(key+1)
 	return word, bit, word < uint64(len(x.present)) && bit <= NumAttrs
+}
+
+// spanned reports whether (word, bit) lies in the mask's domain, the
+// object ids below the span, whether or not the mask reaches it yet.
+func (x *ItemIndex) spanned(word uint64, bit uint8) bool {
+	return word < 4*uint64(len(x.keys)) && bit <= NumAttrs
+}
+
+// mark sets the mask bit of a key in the span, first extending the mask
+// to reach its word; other keys have no bit. The mask grows by at least a
+// quarter at a time, never past the span.
+func (x *ItemIndex) mark(key uint64) {
+	word, bit := key>>8, uint8(key+1)
+	if !x.spanned(word, bit) {
+		return
+	}
+	if n := int(word) + 1; n > len(x.present) {
+		if n > cap(x.present) {
+			p := make([]uint16, n, min(max(n, cap(x.present)*5/4), 4*len(x.keys)))
+			copy(p, x.present)
+			x.present = p
+		}
+		x.present = x.present[:n]
+	}
+	x.present[word] |= 1 << bit
 }
 
 // Len returns the number of keys present.
@@ -61,8 +89,8 @@ func (x *ItemIndex) Get(key uint64) (int32, bool) {
 		if x.present[word]>>bit&1 == 0 {
 			return 0, false
 		}
-	} else if len(x.keys) == 0 {
-		return 0, false
+	} else if len(x.keys) == 0 || x.spanned(word, bit) {
+		return 0, false // past the mask's end: absent by construction
 	}
 	stored, mask := key+1, len(x.keys)-1
 	for i := x.home(stored); ; i = (i + 1) & mask {
@@ -86,9 +114,7 @@ func (x *ItemIndex) Set(key uint64, slot int32) {
 		case 0:
 			x.keys[i] = stored
 			x.n++
-			if word, bit, in := x.maskBit(key); in {
-				x.present[word] |= 1 << bit
-			}
+			x.mark(key)
 			fallthrough
 		case stored:
 			x.slots[i] = slot
@@ -104,7 +130,7 @@ func (x *ItemIndex) Delete(key uint64) (int32, bool) {
 		if x.present[word]>>bit&1 == 0 {
 			return 0, false
 		}
-	} else if len(x.keys) == 0 {
+	} else if len(x.keys) == 0 || x.spanned(word, bit) {
 		return 0, false
 	}
 	stored, mask := key+1, len(x.keys)-1
@@ -144,14 +170,14 @@ func (x *ItemIndex) Reset() {
 }
 
 // grow doubles the table (or allocates the first one) and re-inserts,
-// rebuilding the mask over the doubled span.
+// marking the keys the doubled span brings into the mask's domain.
 func (x *ItemIndex) grow() {
 	oldKeys, oldSlots := x.keys, x.slots
 	size := 2 * len(oldKeys)
 	if size < minIndexCells {
 		size = minIndexCells
 	}
-	x.keys, x.slots, x.present = make([]uint64, size), make([]int32, size), make([]uint16, 4*size)
+	x.keys, x.slots = make([]uint64, size), make([]int32, size)
 	x.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
 	for j, k := range oldKeys {
@@ -163,8 +189,6 @@ func (x *ItemIndex) grow() {
 			i = (i + 1) & mask
 		}
 		x.keys[i], x.slots[i] = k, oldSlots[j]
-		if word, bit, in := x.maskBit(k - 1); in {
-			x.present[word] |= 1 << bit
-		}
+		x.mark(k - 1)
 	}
 }

@@ -233,19 +233,28 @@ func TestItemIndexBoundaryKeys(t *testing.T) {
 }
 
 // TestItemIndexMaskFootprint: at every size an index grows through, its
-// presence mask takes no more bytes than its keys array, and it spans the
-// 2 000 objects of the paper's database once the table has 512 cells (a
-// memory buffer's).
+// presence mask reaches exactly the highest object id it holds below the
+// span and takes no more bytes than its keys array. A Table-1 storage
+// cache's 8 192-cell index over the 2 000-object database, filled in
+// random order, carries 4 KB of mask, not the span's 64 KB.
 func TestItemIndexMaskFootprint(t *testing.T) {
 	var x ItemIndex
 	for i := 0; i < 20_000; i++ {
-		x.Set(AttrItem(OID(i/NumAttrs), AttrID(i%NumAttrs)).Key(), int32(i))
-		if 2*len(x.present) > 8*len(x.keys) {
-			t.Fatalf("%d keys: mask %d B > keys %d B", x.Len(), 2*len(x.present), 8*len(x.keys))
+		oid := OID(i / NumAttrs)
+		x.Set(AttrItem(oid, AttrID(i%NumAttrs)).Key(), int32(i))
+		if 2*cap(x.present) > 8*len(x.keys) {
+			t.Fatalf("%d keys: mask %d B > keys %d B", x.Len(), 2*cap(x.present), 8*len(x.keys))
 		}
-		if len(x.keys) >= 512 && len(x.present) < DefaultNumObjects {
-			t.Fatalf("%d cells span %d objects", len(x.keys), len(x.present))
+		if int(oid) < 4*len(x.keys) && len(x.present) != int(oid)+1 {
+			t.Fatalf("%d keys up to object %d: mask of %d words", x.Len(), oid, len(x.present))
 		}
+	}
+	var y ItemIndex
+	for i, k := range rand.New(rand.NewSource(1)).Perm(DefaultNumObjects * NumAttrs)[:4000] {
+		y.Set(AttrItem(OID(k/NumAttrs), AttrID(k%NumAttrs)).Key(), int32(i))
+	}
+	if len(y.keys) != 8192 || len(y.present) != DefaultNumObjects || cap(y.present) > DefaultNumObjects*5/4 {
+		t.Fatalf("%d cells over %d objects: mask of %d words, capacity %d", len(y.keys), DefaultNumObjects, len(y.present), cap(y.present))
 	}
 }
 

@@ -361,8 +361,6 @@ func (p *clock) Remove(slot int32) {
 	}
 }
 
-func (p *clock) Reset() { p.states, p.hand = p.states[:0], 0 }
-
 func (p *clock) Len() int { return len(p.states) }
 
 // ------------------------------------------------------------- Random ----
@@ -409,7 +407,5 @@ func (p *random) Victims(_ float64, n int) []int32 {
 }
 
 func (p *random) Remove(int32) { p.n-- }
-
-func (p *random) Reset() { p.n = 0 }
 
 func (p *random) Len() int { return p.n }

@@ -160,14 +160,6 @@ func (p *windowPolicy) Remove(slot int32) {
 	p.recycle(win)
 }
 
-// Reset is victimCore.Reset plus recycling every window buffer.
-func (p *windowPolicy) Reset() {
-	for _, s := range p.states {
-		p.recycle(s.win)
-	}
-	p.victimCore.Reset()
-}
-
 func (p *windowPolicy) recycle(win stats.Window) {
 	win.Reset()
 	p.free = append(p.free, win)

@@ -172,14 +172,6 @@ func (c *slotClass) rename(from, to int32) {
 	c.fix(i, heapEnt{key: c.ent[i].key, slot: to})
 }
 
-// reset empties the class, keeping its arrays and sweep mode.
-func (c *slotClass) reset() {
-	for i := range c.pos {
-		c.pos[i] = -1
-	}
-	c.ent, c.head, c.dead = c.ent[:0], 0, 0
-}
-
 // push adds e to a run: appended at or above the tail, else shifted into
 // place after the entries with keys no larger.
 func (c *slotClass) push(e heapEnt) {
@@ -519,15 +511,6 @@ func (c *victimCore[S]) Remove(slot int32) {
 	var zero S
 	c.states[last] = zero
 	c.states = c.states[:last]
-}
-
-// Reset forgets every resident.
-func (c *victimCore[S]) Reset() {
-	for i := range c.classes {
-		c.classes[i].reset()
-	}
-	clear(c.states)
-	c.states = c.states[:0]
 }
 
 // Len returns the number of residents.

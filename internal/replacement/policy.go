@@ -89,9 +89,6 @@ type SlotCore interface {
 	Victims(now float64, n int) []int32
 	// Remove forgets slot and renumbers the last slot to it.
 	Remove(slot int32)
-	// Reset forgets every resident. What outlives residency stays: LRU-k's
-	// retained history, FIFO's sequence, the random stream.
-	Reset()
 	// Len returns the number of residents.
 	Len() int
 }

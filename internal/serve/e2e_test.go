@@ -138,7 +138,7 @@ func TestValidateLiveRejections(t *testing.T) {
 		mod  func(*experiment.Config)
 	}{
 		{"nc granularity", func(c *experiment.Config) { c.Granularity = core.NoCache }},
-		{"invalidation coherence", func(c *experiment.Config) { c.Coherence = coherence.InvalidationReportStrategy }},
+		{"invalidation coherence", func(c *experiment.Config) { c.Coherence = coherence.IRBroadcastStrategy }},
 		{"multi-cell", func(c *experiment.Config) { c.Cells = 4 }},
 		{"disconnection", func(c *experiment.Config) { c.DisconnectedClients = 1 }},
 		{"lossy channel", func(c *experiment.Config) { c.LossRate = 0.1 }},
