@@ -16,9 +16,11 @@ test:
 # federation mirror), the live serving layer (concurrent HTTP handlers over
 # shared sessions), and the storage engine (group-commit leaders and the
 # background compactor against concurrent readers) are the places
-# concurrency lives; keep them race-clean.
+# concurrency lives; keep them race-clean. The client cache core is here
+# too: a cell's hierarchies share one install scratch (core.Scratch), which
+# is safe only within one goroutine and must never cross to another.
 race:
-	$(GO) test -race ./internal/experiment ./internal/sim ./internal/client ./internal/federation ./internal/serve ./internal/storage
+	$(GO) test -race ./internal/core ./internal/experiment ./internal/sim ./internal/client ./internal/federation ./internal/serve ./internal/storage
 
 # Docs gate: every package must carry a package comment.
 lintdocs:

@@ -69,6 +69,7 @@ func runATIS(g core.Granularity) (hit, resp, errRate float64, downBytes uint64) 
 
 	horizon := simDays * workload.SecondsPerDay
 	clientMetrics := make([]*metrics.Client, numTourists)
+	scratch := new(core.Scratch) // the tourists all run on one kernel
 	for i := 0; i < numTourists; i++ {
 		// Each tourist has their own neighbourhood of favourite hotels
 		// (per-client skewed heat) and queries name/city/vacancy-style
@@ -101,6 +102,7 @@ func runATIS(g core.Granularity) (hit, resp, errRate float64, downBytes uint64) 
 			Gen:          gen,
 			Arrival:      workload.NewPoisson(0.02), // eager tourists
 			Metrics:      m,
+			Scratch:      scratch,
 			Seed:         rng.Derive(seed, 100+uint64(i)).Uint64(),
 			Horizon:      horizon,
 		})

@@ -68,6 +68,7 @@ func run(relayObjects int) (hit, resp, relayHitRatio float64, relayed uint64) {
 
 	horizon := simDays * workload.SecondsPerDay
 	clientMetrics := make([]*metrics.Client, 0, numServers*perCell)
+	scratch := new(core.Scratch) // every cell runs on the one kernel
 	for cell := 0; cell < numServers; cell++ {
 		up := network.NewChannel(k, fmt.Sprintf("up-%d", cell), network.WirelessBandwidthBps)
 		down := network.NewChannel(k, fmt.Sprintf("down-%d", cell), network.WirelessBandwidthBps)
@@ -95,6 +96,7 @@ func run(relayObjects int) (hit, resp, relayHitRatio float64, relayed uint64) {
 				Gen:         gen,
 				Arrival:     workload.NewPoisson(0.01),
 				Metrics:     m,
+				Scratch:     scratch,
 				Seed:        rng.Derive(seed, 1000+uint64(id)).Uint64(),
 				Horizon:     horizon,
 			})

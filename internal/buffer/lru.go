@@ -25,7 +25,8 @@ type Key interface {
 // keys so callers can attach metadata (versions, expiry). Entries are nodes
 // of one slice, doubly linked by position and located through an
 // oodb.ItemIndex; removed nodes wait on a free list, so a buffer at capacity
-// allocates nothing. The zero value is not usable; construct with NewLRU.
+// allocates nothing, and the slice stops growing at capacity nodes. The zero
+// value is not usable; construct with NewLRU.
 type LRU[K Key, V any] struct {
 	capacity int
 	index    oodb.ItemIndex
@@ -102,7 +103,7 @@ func (l *LRU[K, V]) Put(key K, value V) (evictedKey K, evictedValue V, evicted b
 		l.free = l.nodes[i].next
 	} else {
 		i = int32(len(l.nodes))
-		l.nodes = append(l.nodes, node[K, V]{})
+		l.nodes = oodb.AppendCapped(l.nodes, l.capacity, node[K, V]{})
 	}
 	l.nodes[i].key, l.nodes[i].value = key, value
 	l.index.Set(key.Key(), i)

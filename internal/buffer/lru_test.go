@@ -239,6 +239,27 @@ func TestNoAllocsAtCapacity(t *testing.T) {
 	}
 }
 
+// The node slice stops growing at the buffer's capacity, however entries
+// churn through it (a capacity that is no power of two, so growth by
+// doubling alone would pass it), and a full buffer allocates nothing.
+func TestNodesStopAtCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 3, 77, 500} {
+		l := NewLRU[oid, int](capacity)
+		for k := oid(0); k < oid(20*capacity); k++ {
+			l.Put(k%oid(3*capacity), 0)
+			if k%5 == 0 {
+				l.Remove(k / 2)
+			}
+		}
+		if l.index.Len() != capacity {
+			t.Fatalf("capacity %d: holds %d entries after the churn", capacity, l.index.Len())
+		}
+		if cap(l.nodes) > capacity {
+			t.Fatalf("capacity %d: %d nodes allocated", capacity, cap(l.nodes))
+		}
+	}
+}
+
 // naiveLRU is a reference model for property testing.
 type naiveLRU struct {
 	cap  int

@@ -69,6 +69,10 @@ type Config struct {
 	StorageBytes int
 	// MemBufferObjects overrides the memory buffer size when non-zero.
 	MemBufferObjects int
+	// Scratch is the install working memory the client's cache hierarchy
+	// shares with every client run on the same goroutine, such as the
+	// clients of one kernel (required).
+	Scratch *core.Scratch
 	// Gen produces the client's queries; Arrival schedules them.
 	Gen     *workload.QueryGen
 	Arrival workload.Arrival
@@ -180,8 +184,8 @@ func New(cfg Config) *Client {
 	if cfg.Kernel == nil || cfg.Server == nil || cfg.Up == nil || cfg.Down == nil {
 		panic("client: Config requires Kernel, Server, Up, Down")
 	}
-	if cfg.Gen == nil || cfg.Arrival == nil || cfg.Metrics == nil {
-		panic("client: Config requires Gen, Arrival, Metrics")
+	if cfg.Gen == nil || cfg.Arrival == nil || cfg.Metrics == nil || cfg.Scratch == nil {
+		panic("client: Config requires Gen, Arrival, Metrics, Scratch")
 	}
 	if !cfg.Granularity.Valid() {
 		panic("client: invalid granularity")
@@ -226,7 +230,7 @@ func New(cfg Config) *Client {
 		up:            cfg.Up,
 		down:          cfg.Down,
 		granularity:   cfg.Granularity,
-		local:         core.NewHierarchy(cfg.Granularity, storageBytes, cfg.Policy, memObjs),
+		local:         core.NewHierarchy(cfg.Granularity, storageBytes, cfg.Policy, memObjs, cfg.Scratch),
 		gen:           cfg.Gen,
 		arrival:       cfg.Arrival,
 		sched:         sched,

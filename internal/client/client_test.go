@@ -48,7 +48,7 @@ func newRig(t *testing.T, g core.Granularity, updateProb float64) *rig {
 		ID: 0, Kernel: k, Server: srv, Up: up, Down: down,
 		Granularity: g, Policy: pol,
 		Gen: gen, Arrival: workload.NewPoisson(0.01),
-		Metrics: m, Seed: 1, Horizon: 1e6,
+		Scratch: new(core.Scratch), Metrics: m, Seed: 1, Horizon: 1e6,
 	})
 	return &rig{k: k, db: db, srv: srv, up: up, down: down, m: m, client: c}
 }
@@ -371,7 +371,7 @@ func TestValidation(t *testing.T) {
 		Kernel: r.k, Server: r.srv, Up: r.up, Down: r.down,
 		Granularity: core.AttributeCaching, Policy: replacement.NewLRU(),
 		Gen: gen, Arrival: workload.NewPoisson(1),
-		Metrics: &metrics.Client{}, Horizon: 10,
+		Scratch: new(core.Scratch), Metrics: &metrics.Client{}, Horizon: 10,
 	}
 	mutations := []func(c *Config){
 		func(c *Config) { c.Kernel = nil },
@@ -380,6 +380,7 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.Gen = nil },
 		func(c *Config) { c.Arrival = nil },
 		func(c *Config) { c.Metrics = nil },
+		func(c *Config) { c.Scratch = nil },
 		func(c *Config) { c.Granularity = core.Granularity(9) },
 		func(c *Config) { c.Horizon = 0 },
 		func(c *Config) { c.Policy = nil },
@@ -408,7 +409,7 @@ func TestMemBufferSizedByGranularity(t *testing.T) {
 			Granularity: g, Policy: replacement.NewLRU(),
 			StorageBytes: core.ItemCost(core.CoverItem(g, 0, 0)),
 			Gen:          r.client.gen, Arrival: workload.NewPoisson(0.01),
-			Metrics: r.m, Seed: 1, Horizon: 1e6,
+			Scratch: new(core.Scratch), Metrics: r.m, Seed: 1, Horizon: 1e6,
 		})
 		oids := make([]int, 40)
 		for i := range oids {
@@ -462,7 +463,7 @@ func newIRRig(t *testing.T) *rig {
 		ID: 0, Kernel: r.k, Server: r.srv, Up: r.up, Down: r.down,
 		Granularity: core.AttributeCaching, Policy: replacement.NewLRU(),
 		Gen: r.client.gen, Arrival: workload.NewPoisson(0.01),
-		Metrics: r.m, Seed: 1, Horizon: 1e6,
+		Scratch: new(core.Scratch), Metrics: r.m, Seed: 1, Horizon: 1e6,
 		Coherence: coherence.IRBroadcastStrategy, IRWindow: irWindow,
 	})
 	return r
@@ -569,7 +570,7 @@ func TestFixedLeaseStrategy(t *testing.T) {
 		ID: 0, Kernel: r.k, Server: r.srv, Up: r.up, Down: r.down,
 		Granularity: core.AttributeCaching, Policy: replacement.NewLRU(),
 		Gen: r.client.gen, Arrival: workload.NewPoisson(0.01),
-		Metrics: r.m, Seed: 1, Horizon: 1e6,
+		Scratch: new(core.Scratch), Metrics: r.m, Seed: 1, Horizon: 1e6,
 		Coherence: coherence.FixedLeaseStrategy, FixedLease: 50,
 	})
 	r.exec(r.ask(query(0, 1)))
@@ -594,7 +595,7 @@ func TestFixedLeaseValidation(t *testing.T) {
 		ID: 0, Kernel: r.k, Server: r.srv, Up: r.up, Down: r.down,
 		Granularity: core.AttributeCaching, Policy: replacement.NewLRU(),
 		Gen: r.client.gen, Arrival: workload.NewPoisson(0.01),
-		Metrics: &metrics.Client{}, Seed: 1, Horizon: 1e6,
+		Scratch: new(core.Scratch), Metrics: &metrics.Client{}, Seed: 1, Horizon: 1e6,
 		Coherence: coherence.FixedLeaseStrategy, FixedLease: -5,
 	})
 }
@@ -676,7 +677,7 @@ func newBroadcastRig(t *testing.T) (*rig, *broadcast.Program) {
 		ID: 0, Kernel: r.k, Server: r.srv, Up: r.up, Down: r.down,
 		Granularity: core.AttributeCaching, Policy: replacement.NewLRU(),
 		Gen: r.client.gen, Arrival: workload.NewPoisson(0.01),
-		Metrics: r.m, Seed: 1, Horizon: 1e6,
+		Scratch: new(core.Scratch), Metrics: r.m, Seed: 1, Horizon: 1e6,
 		Broadcast: prog,
 	})
 	return r, prog

@@ -70,36 +70,69 @@ func (s LookupState) String() string {
 // slots[i]) located through an oodb.ItemIndex, the only item → slot index:
 // the replacement policy is its slot core, told of every insert, access and
 // removal by slot id. Removal moves the last resident into the hole, and
-// the core mirrors the move.
+// the core mirrors the move. No per-slot array, the core's included, grows
+// past maxSlots, the most residents the budget admits (but for a quarter
+// more as tombstone room in the core's arrival runs).
+//
+// What lives only for one install — InsertBatch's working sets, the
+// victim search's, the evicted items returned — is in a Scratch, which
+// the caches of one goroutine may share.
 type Cache struct {
 	capacityBytes int
 	usedBytes     int
+	maxSlots      int
 	index         oodb.ItemIndex
 	items         []oodb.Item
 	slots         []Entry
 	policy        replacement.SlotCore
-
-	fresh   []bool      // InsertBatch: batch[j] is the first copy of a new item
-	news    []uint64    // InsertBatch's new items as key<<batchBits | position
-	victims []oodb.Item // InsertBatch's victims, mapped from the core's slots
-	evicted []oodb.Item // scratch returned by Insert and InsertBatch
+	s             *Scratch
 
 	insertions uint64
 	evictions  uint64
 	rejected   uint64
 }
 
-// NewCache builds a storage cache with the given byte capacity and policy.
-// The cache takes the policy over (replacement.Slots): it must track no
-// items, and nothing else may call it afterwards.
+// Scratch is the working memory of one install: a Hierarchy's staged
+// reply, a Cache's batch bookkeeping and the evicted items it returns, and
+// its replacement core's victim search. A Hierarchy or Cache uses it only
+// inside one call, so every hierarchy driven from one goroutine can share
+// one — the simulator shares one per cell, whose clients all run on one
+// kernel goroutine — and a slice a call returns from it is valid until the
+// next mutating call on any hierarchy sharing it. It must never be shared
+// across goroutines. The zero value is ready to use.
+type Scratch struct {
+	batch   []BatchEntry // Hierarchy: the reply being installed
+	fresh   []bool       // InsertBatch: batch[j] is the first copy of a new item
+	news    []uint64     // InsertBatch's new items as key<<batchBits | position
+	victims []oodb.Item  // InsertBatch's victims, mapped from the core's slots
+	evicted []oodb.Item  // returned by Insert and InsertBatch
+	search  replacement.Scratch
+}
+
+// NewCache builds a storage cache with the given byte capacity and policy,
+// and a scratch of its own. The cache takes the policy over
+// (replacement.Slots): it must track no items, and nothing else may call it
+// afterwards.
 func NewCache(capacityBytes int, policy replacement.Policy) *Cache {
+	return newCache(capacityBytes, policy, new(Scratch))
+}
+
+// newCache is NewCache working in s.
+func newCache(capacityBytes int, policy replacement.Policy, s *Scratch) *Cache {
 	if capacityBytes <= 0 {
 		panic("core: cache capacity must be positive")
 	}
 	if policy == nil {
 		panic("core: cache requires a replacement policy")
 	}
-	return &Cache{capacityBytes: capacityBytes, policy: replacement.Slots(policy)}
+	// An attribute is the smallest item, so no budget holds more of them.
+	maxSlots := capacityBytes / ItemCost(oodb.AttrItem(0, 0))
+	return &Cache{
+		capacityBytes: capacityBytes,
+		maxSlots:      maxSlots,
+		policy:        replacement.Slots(policy, &s.search, maxSlots),
+		s:             s,
+	}
 }
 
 // Lookup probes the cache for item at time now. Resident items — valid or
@@ -138,20 +171,21 @@ func (c *Cache) Contains(it oodb.Item) bool {
 
 // Insert caches (or refreshes) item with the given metadata, evicting
 // victims as needed to respect the byte budget. It returns the evicted
-// items in cache-owned scratch, valid until the next mutating call. Items
-// larger than the whole cache are rejected (never cached).
+// items in the cache's Scratch, valid until the next mutating call on
+// anything sharing it. Items larger than the whole cache are rejected
+// (never cached).
 //
 // A refresh of a resident item only updates its metadata: the access was
 // already recorded by the Lookup that discovered the miss/staleness, and a
 // server-initiated prefetch of an already-resident item is not a client
 // access at all.
 func (c *Cache) Insert(it oodb.Item, e Entry, now float64) []oodb.Item {
-	c.evicted = c.evicted[:0]
+	c.s.evicted = c.s.evicted[:0]
 	c.insert(it, e, now)
-	return c.evicted
+	return c.s.evicted
 }
 
-// insert is Insert appending its victims to c.evicted.
+// insert is Insert appending its victims to the scratch's evicted.
 func (c *Cache) insert(it oodb.Item, e Entry, now float64) {
 	if i, ok := c.index.Get(it.Key()); ok {
 		c.slots[i] = e
@@ -177,18 +211,18 @@ func (c *Cache) add(it oodb.Item, e Entry, now float64) {
 		c.evict(victim)
 	}
 	c.index.Set(it.Key(), int32(len(c.items)))
-	c.items = append(c.items, it)
-	c.slots = append(c.slots, e)
+	c.items = oodb.AppendCapped(c.items, c.maxSlots, it)
+	c.slots = oodb.AppendCapped(c.slots, c.maxSlots, e)
 	c.usedBytes += size
 	c.policy.Insert(it, now)
 	c.insertions++
 }
 
 // evict removes the resident in slot i, whose key the caller has deleted
-// from the index, and records it in c.evicted.
+// from the index, and records it in the scratch's evicted.
 func (c *Cache) evict(i int32) {
 	c.evictions++
-	c.evicted = append(c.evicted, c.items[i])
+	c.s.evicted = append(c.s.evicted, c.items[i])
 	c.removeAt(i)
 }
 
@@ -207,9 +241,11 @@ type BatchEntry struct {
 // before inserting, which is what keeps large replies (OC objects, HC
 // prefetch sets) affordable; the set of evicted items matches what repeated
 // single Inserts would have chosen at the same instant. Returns all evicted
-// items in cache-owned scratch, valid until the next mutating call.
+// items in the cache's Scratch, valid until the next mutating call on
+// anything sharing it. batch may be the Scratch's own staged reply.
 func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
-	c.evicted = c.evicted[:0]
+	s := c.s
+	s.evicted = s.evicted[:0]
 	if len(batch) >= 1<<batchBits {
 		panic(fmt.Sprintf("core: batch of %d items", len(batch)))
 	}
@@ -217,18 +253,18 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 	// One probe finds the new items; sorting them by key, then position,
 	// puts each item's copies side by side with its first copy leading.
 	incoming := 0
-	c.fresh, c.news = c.fresh[:0], c.news[:0]
+	s.fresh, s.news = s.fresh[:0], s.news[:0]
 	for j, b := range batch {
-		c.fresh = append(c.fresh, false)
+		s.fresh = append(s.fresh, false)
 		if ItemCost(b.Item) <= c.capacityBytes && !c.Contains(b.Item) {
-			c.news = append(c.news, b.Item.Key()<<batchBits|uint64(j))
+			s.news = append(s.news, b.Item.Key()<<batchBits|uint64(j))
 		}
 	}
-	slices.Sort(c.news)
-	for k, n := range c.news {
-		if k == 0 || c.news[k-1]>>batchBits != n>>batchBits {
+	slices.Sort(s.news)
+	for k, n := range s.news {
+		if k == 0 || s.news[k-1]>>batchBits != n>>batchBits {
 			j := n & (1<<batchBits - 1)
-			c.fresh[j] = true
+			s.fresh[j] = true
 			incoming += ItemCost(batch[j].Item)
 		}
 	}
@@ -245,18 +281,18 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 		if want > 1024 {
 			want = 1024
 		}
-		c.victims = c.victims[:0]
+		s.victims = s.victims[:0]
 		for _, slot := range c.policy.Victims(now, want) {
-			c.victims = append(c.victims, c.items[slot])
+			s.victims = append(s.victims, c.items[slot])
 		}
-		if len(c.victims) == 0 {
+		if len(s.victims) == 0 {
 			// The batch alone exceeds the whole cache: nothing left to
 			// bulk-evict. The per-item phase below will evict earlier
 			// batch items as later ones insert.
 			break
 		}
 		progress := false
-		for _, v := range c.victims {
+		for _, v := range s.victims {
 			if c.usedBytes+incoming <= c.capacityBytes {
 				break
 			}
@@ -277,13 +313,13 @@ func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 	// resident batch item just selected as a victim, an item larger than
 	// the cache).
 	for j, b := range batch {
-		if c.fresh[j] {
+		if s.fresh[j] {
 			c.add(b.Item, b.Entry, now)
 		} else {
 			c.insert(b.Item, b.Entry, now)
 		}
 	}
-	return c.evicted
+	return s.evicted
 }
 
 // Remove drops item from the cache (explicit invalidation), reporting

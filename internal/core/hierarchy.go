@@ -12,19 +12,23 @@ import (
 // per-client session are both this type, so the order in which a probe
 // touches the levels and an install fills them is written once. It takes no
 // locks and reads no clock: callers serialize access and pass the time in.
+// It holds only what it caches: an install's working memory is the Scratch
+// its caller hands it, shared by every hierarchy the caller drives from one
+// goroutine.
 type Hierarchy struct {
 	store *Cache // nil under NC
 	mem   *buffer.LRU[oodb.Item, Entry]
-	batch []BatchEntry // the reply being installed: Stage appends, Commit drains
+	s     *Scratch // batch: the reply being installed; Stage appends, Commit drains
 }
 
 // NewHierarchy builds the hierarchy for granularity g: a storage cache of
 // storageBytes under policy (none under NC) and a memory buffer of memObjects
-// objects' worth of entries — proportionally more under attribute items.
-func NewHierarchy(g Granularity, storageBytes int, policy replacement.Policy, memObjects int) *Hierarchy {
-	h := &Hierarchy{}
+// objects' worth of entries — proportionally more under attribute items. It
+// installs in s, which must not be used from another goroutine.
+func NewHierarchy(g Granularity, storageBytes int, policy replacement.Policy, memObjects int, s *Scratch) *Hierarchy {
+	h := &Hierarchy{s: s}
 	if g != NoCache {
-		h.store = NewCache(storageBytes, policy)
+		h.store = newCache(storageBytes, policy, s)
 	}
 	if g.UsesAttributeItems() {
 		memObjects = memObjects * oodb.ObjectSize / oodb.AttrSize
@@ -74,8 +78,10 @@ func (h *Hierarchy) Peek(it oodb.Item) (Entry, bool) {
 // Stage adds one item of a delivered reply to the install Commit finishes.
 // An item the client asked for was just consumed and enters the memory buffer
 // at once; a storageOnly one (a prefetch) stays out, so it cannot flush it.
+// The reply is staged in the Scratch, so no other hierarchy sharing it may
+// Stage or Commit before this one's Commit.
 func (h *Hierarchy) Stage(it oodb.Item, e Entry, storageOnly bool) {
-	h.batch = append(h.batch, BatchEntry{Item: it, Entry: e})
+	h.s.batch = append(h.s.batch, BatchEntry{Item: it, Entry: e})
 	if !storageOnly {
 		h.mem.Put(it, e)
 	}
@@ -85,9 +91,9 @@ func (h *Hierarchy) Stage(it oodb.Item, e Entry, storageOnly bool) {
 // batch so that its victims are selected in bulk.
 func (h *Hierarchy) Commit(now float64) {
 	if h.store != nil {
-		h.store.InsertBatch(h.batch, now)
+		h.store.InsertBatch(h.s.batch, now)
 	}
-	h.batch = h.batch[:0]
+	h.s.batch = h.s.batch[:0]
 }
 
 // Put caches a single consumed item in both levels at time now, evicting one

@@ -93,7 +93,7 @@ func TestHierarchyAgainstMaps(t *testing.T) {
 				policy = replacement.NewLRU()
 				model.store = map[oodb.Item]Entry{}
 			}
-			h := NewHierarchy(g, universe*objCost(), policy, memCap)
+			h := NewHierarchy(g, universe*objCost(), policy, memCap, new(Scratch))
 			if (h.Storage() == nil) != (g == NoCache) {
 				t.Fatalf("Storage() nil = %v under %v", h.Storage() == nil, g)
 			}
@@ -170,7 +170,7 @@ func install(h *Hierarchy, now float64, batch ...BatchEntry) {
 }
 
 func TestHierarchyMemoryOnlySurvivor(t *testing.T) {
-	h := NewHierarchy(ObjectCaching, 2*objCost(), replacement.NewLRU(), 4)
+	h := NewHierarchy(ObjectCaching, 2*objCost(), replacement.NewLRU(), 4, new(Scratch))
 	install(h, 0,
 		BatchEntry{Item: obj(1), Entry: leased(100)},
 		BatchEntry{Item: obj(2), Entry: leased(100)},
@@ -200,7 +200,7 @@ func TestHierarchyMemoryOnlySurvivor(t *testing.T) {
 func TestHierarchyMemorySizedByGranularity(t *testing.T) {
 	// One storage slot, so every other copy lives in the buffer alone.
 	survivors := func(g Granularity, n int) int {
-		h := NewHierarchy(g, ItemCost(CoverItem(g, 0, 0)), replacement.NewLRU(), 2)
+		h := NewHierarchy(g, ItemCost(CoverItem(g, 0, 0)), replacement.NewLRU(), 2, new(Scratch))
 		kept := 0
 		for i := 0; i < n; i++ {
 			h.Put(CoverItem(g, oodb.OID(i), 0), fresh(0), 0)
@@ -221,7 +221,7 @@ func TestHierarchyMemorySizedByGranularity(t *testing.T) {
 }
 
 func TestHierarchyVoidLeasesKeepsBytes(t *testing.T) {
-	h := NewHierarchy(ObjectCaching, 4*objCost(), replacement.NewLRU(), 4)
+	h := NewHierarchy(ObjectCaching, 4*objCost(), replacement.NewLRU(), 4, new(Scratch))
 	install(h, 0,
 		BatchEntry{Item: obj(1), Entry: leased(100)},
 		BatchEntry{Item: obj(2), Entry: leased(3)})
@@ -246,7 +246,7 @@ func TestHierarchyRemove(t *testing.T) {
 	// obj(4) by storage alone. Remove finds each wherever it is, and a
 	// second Remove, like one of an item never cached, finds nothing and
 	// leaves the rest in place.
-	h := NewHierarchy(ObjectCaching, 2*objCost(), replacement.NewLRU(), 4)
+	h := NewHierarchy(ObjectCaching, 2*objCost(), replacement.NewLRU(), 4, new(Scratch))
 	install(h, 0,
 		BatchEntry{Item: obj(1), Entry: leased(100)},
 		BatchEntry{Item: obj(2), Entry: leased(100)},

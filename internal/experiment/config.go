@@ -589,9 +589,11 @@ type clientEnv struct {
 // buildClients constructs and starts the mobile clients with global IDs in
 // [lo, hi). Clients keep their fleet-global ID in every RNG derivation and
 // schedule lookup, so a client's private streams do not depend on how the
-// fleet is sliced into cells.
+// fleet is sliced into cells. They all run on env.kernel's goroutine, so
+// they share one install scratch.
 func buildClients(env clientEnv, lo, hi int) ([]*client.Client, []*metrics.Client) {
 	cfg := env.cfg
+	scratch := new(core.Scratch)
 	clients := make([]*client.Client, 0, hi-lo)
 	clientMetrics := make([]*metrics.Client, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -616,6 +618,7 @@ func buildClients(env clientEnv, lo, hi int) ([]*client.Client, []*metrics.Clien
 			Policy:           pol,
 			StorageBytes:     cfg.StorageObjects * core.ItemCost(oodb.ObjectItem(0)),
 			MemBufferObjects: cfg.MemBufferObjects,
+			Scratch:          scratch,
 			Gen:              gen,
 			Arrival:          arrival,
 			Schedule:         env.schedules[i],

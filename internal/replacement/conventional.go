@@ -9,6 +9,7 @@ package replacement
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/oodb"
 	"repro/internal/rng"
@@ -276,10 +277,11 @@ func (p *fifo) cutoff(_ int, now, best float64) float64 { return padCutoff(-best
 // an unreferenced item. The list is the slot order, and each slot's state
 // holds its reference bit (swap-moved with it on removal).
 type clock struct {
-	states []clockState
-	hand   int
-	gen    uint64
-	out    []int32 // scratch returned by Victims
+	states   []clockState
+	hand     int
+	gen      uint64
+	s        *Scratch
+	maxSlots int // states grow no larger
 }
 
 type clockState struct {
@@ -288,12 +290,12 @@ type clockState struct {
 }
 
 // NewClock returns the CLOCK (second chance) baseline.
-func NewClock() Policy { return &keyed{core: &clock{}} }
+func NewClock() Policy { return &keyed{core: &clock{s: new(Scratch), maxSlots: math.MaxInt32}} }
 
 func (p *clock) Name() string { return "clock" }
 
 func (p *clock) Insert(_ oodb.Item, _ float64) {
-	p.states = append(p.states, clockState{ref: true})
+	p.states = oodb.AppendCapped(p.states, p.maxSlots, clockState{ref: true})
 }
 
 func (p *clock) Touch(slot int32, _ float64) { p.states[slot].ref = true }
@@ -337,7 +339,7 @@ func (p *clock) Victims(_ float64, n int) []int32 {
 		return nil
 	}
 	p.gen++
-	out := p.out[:0]
+	out := p.s.out[:0]
 	for len(out) < n {
 		s := p.sweep()
 		if s.stamp == p.gen {
@@ -348,7 +350,7 @@ func (p *clock) Victims(_ float64, n int) []int32 {
 		s.ref = true
 		p.hand++
 	}
-	p.out = out
+	p.s.out = out
 	return out
 }
 
@@ -363,6 +365,8 @@ func (p *clock) Remove(slot int32) {
 
 func (p *clock) Len() int { return len(p.states) }
 
+func (p *clock) share(s *Scratch, maxSlots int) { p.s, p.maxSlots = s, maxSlots }
+
 // ------------------------------------------------------------- Random ----
 
 // random evicts a uniformly random resident item: the stream draws slot
@@ -370,7 +374,7 @@ func (p *clock) Len() int { return len(p.states) }
 type random struct {
 	n   int
 	rnd *rng.Stream
-	out []int32 // scratch returned by Victims
+	s   *Scratch
 }
 
 // NewRandom returns the random-replacement baseline using the given stream.
@@ -378,7 +382,7 @@ func NewRandom(rnd *rng.Stream) Policy {
 	if rnd == nil {
 		panic("replacement: NewRandom requires a stream")
 	}
-	return &keyed{core: &random{rnd: rnd}}
+	return &keyed{core: &random{rnd: rnd, s: new(Scratch)}}
 }
 
 func (p *random) Name() string { return "random" }
@@ -399,13 +403,17 @@ func (p *random) Victims(_ float64, n int) []int32 {
 	if n <= 0 {
 		return nil
 	}
-	p.out = p.out[:0]
-	for _, j := range p.rnd.Sample(p.n, n) {
-		p.out = append(p.out, int32(j))
+	s := p.s
+	s.idx, s.pick = slices.Grow(s.idx[:0], p.n), slices.Grow(s.pick[:0], n)
+	s.out = s.out[:0]
+	for _, j := range p.rnd.SampleInto(p.n, n, s.idx, s.pick) {
+		s.out = append(s.out, int32(j))
 	}
-	return p.out
+	return s.out
 }
 
 func (p *random) Remove(int32) { p.n-- }
 
 func (p *random) Len() int { return p.n }
+
+func (p *random) share(s *Scratch, _ int) { p.s = s }

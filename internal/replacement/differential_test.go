@@ -797,3 +797,32 @@ func TestRunFootprint(t *testing.T) {
 		})
 	}
 }
+
+// TestRunCompactsRarelyAtLimit holds an owner's full slot limit of
+// residents in one arrival run (LRU: every resident is there) and touches
+// them at random, each touch a tombstone plus an append. A run stopped
+// exactly at the limit would compact on every append; with a quarter of
+// the limit as tombstone room it compacts at most once per limit/4.
+func TestRunCompactsRarelyAtLimit(t *testing.T) {
+	const limit, touches = 80, 8000
+	c := Slots(NewLRU(), new(Scratch), limit).(*recency)
+	for i := 0; i < limit; i++ {
+		c.Insert(oodb.ObjectItem(oodb.OID(i)), float64(i))
+	}
+	run := &c.classes[0]
+	rnd := rand.New(rand.NewSource(1))
+	compactions := 0
+	for i := 0; i < touches; i++ {
+		n := len(run.ent)
+		c.Touch(int32(rnd.Intn(limit)), float64(limit+i))
+		if len(run.ent) <= n { // an append grows it by one; a compaction does not
+			compactions++
+		}
+	}
+	if most := touches/(limit/4) + 1; compactions > most {
+		t.Fatalf("%d compactions in %d touches of a full run, want at most %d", compactions, touches, most)
+	}
+	if cap(run.ent) > limit+limit/4 {
+		t.Fatalf("cap(ent) = %d, past the limit of %d plus a quarter", cap(run.ent), limit)
+	}
+}

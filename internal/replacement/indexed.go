@@ -78,13 +78,18 @@ const (
 // a shift, so order never depends on a monotone clock. Removal leaves a
 // tombstone (slot -1, key kept, so the run stays sorted) and head skips
 // leading ones. An append that finds the array full compacts it instead of
-// growing it when at least a quarter of it is dead. Equal keys need no slot
+// growing it when at least a quarter of it is dead, or when it has reached
+// the owner's slot limit plus a quarter: a run never holds two live entries
+// for one slot, so a full run at that size is at least a fifth tombstones,
+// and a run that holds every resident still compacts only once per
+// limit/4 appends, not on every one. Equal keys need no slot
 // order, since the search visits every entry at its cutoff key, so a
 // rename is a relabel, and a run has no sweep mode.
 type slotClass struct {
 	order     order
 	ent       []heapEnt
 	pos       []int32 // slot id -> position in ent, or -1
+	maxSlots  int     // the owner's slot limit: pos and a heap's ent grow no larger
 	head      int     // run: ent[:head] are tombstones
 	dead      int     // run: tombstones in ent
 	sweepBias int32   // heap: searches left in sweep mode
@@ -102,7 +107,7 @@ func (a heapEnt) less(b heapEnt) bool {
 // grow makes room for slot ids < n.
 func (c *slotClass) grow(n int) {
 	for len(c.pos) < n {
-		c.pos = append(c.pos, -1)
+		c.pos = oodb.AppendCapped(c.pos, c.maxSlots, -1)
 	}
 }
 
@@ -119,7 +124,7 @@ func (c *slotClass) update(slot int32, key float64) {
 	}
 	switch {
 	case i < 0:
-		c.ent = append(c.ent, e)
+		c.ent = oodb.AppendCapped(c.ent, c.maxSlots, e)
 		c.up(int32(len(c.ent)-1), e)
 	case key < c.ent[i].key:
 		c.up(i, e)
@@ -175,11 +180,12 @@ func (c *slotClass) rename(from, to int32) {
 // push adds e to a run: appended at or above the tail, else shifted into
 // place after the entries with keys no larger.
 func (c *slotClass) push(e heapEnt) {
-	if len(c.ent) == cap(c.ent) && 4*c.dead >= cap(c.ent) {
+	limit := c.maxSlots + c.maxSlots/4 // tombstone room, see slotClass
+	if len(c.ent) == cap(c.ent) && (4*c.dead >= cap(c.ent) || len(c.ent) >= limit) {
 		c.compact()
 	}
 	n := len(c.ent)
-	c.ent = append(c.ent, e)
+	c.ent = oodb.AppendCapped(c.ent, limit, e)
 	i := n
 	if n > c.head && e.key < c.ent[n-1].key {
 		i = c.head + sort.Search(n-c.head, func(j int) bool { return c.ent[c.head+j].key > e.key })
@@ -347,6 +353,20 @@ func candWeaker(a, b victimCand) bool {
 	return a.slot > b.slot
 }
 
+// Scratch is a victim search's working memory: the selection heap, the
+// heap walk's frontier, and the slots Victims returns. A slot core uses it
+// only inside one Victim or Victims call, so every core driven from one
+// goroutine can share one, handed over by Slots; a Victims result then
+// lives until the next search by any core that shares the scratch. It must
+// never be shared across goroutines. The zero value is ready to use.
+type Scratch struct {
+	cands []victimCand
+	stack []int32
+	out   []int32
+	idx   []int // random: the sample's index table
+	pick  []int // random: the sampled slots
+}
+
 // selectWorst accumulates the n worst slots under the reference total
 // order. It appends the first n candidates unordered, then heapifies once:
 // from then on the root of cands is the weakest retained candidate. Because
@@ -420,25 +440,34 @@ func (sw *selectWorst) extractInto(out []int32) {
 const sweepRun = 15
 
 // victimCore is the one skeleton of the indexed policies: the per-slot
-// states, the classes and the search scratch, and every SlotCore method. A
+// states, the classes, the search scratch, and every SlotCore method. A
 // policy embeds it and calls init at construction with itself as the hooks.
 type victimCore[S any] struct {
-	h       indexed[S]
-	name    string
-	states  []S
-	classes []slotClass
-	stack   []int32
-	cands   []victimCand
-	out     []int32 // scratch returned by Victims
+	h        indexed[S]
+	name     string
+	states   []S
+	classes  []slotClass
+	s        *Scratch
+	maxSlots int // states grow no larger
 }
 
 // init wires the policy's hooks and name and gives it one class per
-// order, class i kept in orders[i].
+// order, class i kept in orders[i], and a scratch of its own with no slot
+// limit beyond the int32 slot ids: the item-keyed adapter's, until Slots
+// hands the core to an owner.
 func (c *victimCore[S]) init(h indexed[S], name string, orders ...order) {
 	c.h, c.name = h, name
 	c.classes = make([]slotClass, len(orders))
 	for i, o := range orders {
 		c.classes[i].order = o
+	}
+	c.share(new(Scratch), math.MaxInt32)
+}
+
+func (c *victimCore[S]) share(s *Scratch, maxSlots int) {
+	c.s, c.maxSlots = s, maxSlots
+	for i := range c.classes {
+		c.classes[i].maxSlots = maxSlots
 	}
 }
 
@@ -448,7 +477,7 @@ func (c *victimCore[S]) Name() string { return c.name }
 // Insert enters a new resident at slot Len() and places it in its class.
 func (c *victimCore[S]) Insert(it oodb.Item, now float64) {
 	slot := int32(len(c.states))
-	c.states = append(c.states, c.h.enter(it, now))
+	c.states = oodb.AppendCapped(c.states, c.maxSlots, c.h.enter(it, now))
 	for i := range c.classes {
 		c.classes[i].grow(len(c.states))
 	}
@@ -467,7 +496,7 @@ func (c *victimCore[S]) Victim(now float64) (int32, bool) {
 }
 
 // Victims returns up to n slots ordered worst-first, in scratch the next
-// Victim or Victims call overwrites: every class searches into one
+// search by any core sharing it overwrites: every class searches into one
 // selection heap, the runs first, whose exact arrival order fills the
 // selection from the likeliest victims and so tightens the heaps' cutoffs.
 func (c *victimCore[S]) Victims(now float64, n int) []int32 {
@@ -475,7 +504,8 @@ func (c *victimCore[S]) Victims(now float64, n int) []int32 {
 	if n <= 0 {
 		return nil
 	}
-	sw := selectWorst{cands: c.cands[:0], n: n}
+	s := c.s
+	sw := selectWorst{cands: s.cands[:0], n: n}
 	for i := range c.classes {
 		if c.classes[i].order == byArrival {
 			c.searchRun(i, now, &sw)
@@ -486,13 +516,13 @@ func (c *victimCore[S]) Victims(now float64, n int) []int32 {
 			c.searchHeap(i, now, &sw)
 		}
 	}
-	if cap(c.out) < len(sw.cands) {
-		c.out = make([]int32, len(sw.cands))
+	if cap(s.out) < len(sw.cands) {
+		s.out = make([]int32, len(sw.cands))
 	}
-	c.out = c.out[:len(sw.cands)]
-	sw.extractInto(c.out)
-	c.cands = sw.cands[:0]
-	return c.out
+	s.out = s.out[:len(sw.cands)]
+	sw.extractInto(s.out)
+	s.cands = sw.cands[:0]
+	return s.out
 }
 
 // Remove untracks slot from every class and moves the last slot's state
@@ -568,7 +598,7 @@ func (c *victimCore[S]) searchHeap(ci int, now float64, sw *selectWorst) {
 		return
 	}
 	visited := int32(0)
-	front := append(c.stack[:0], 0)
+	front := append(c.s.stack[:0], 0)
 	for len(front) > 0 && !sw.full() {
 		i := front[0]
 		visited++
@@ -610,7 +640,7 @@ func (c *victimCore[S]) searchHeap(ci int, now float64, sw *selectWorst) {
 			}
 		}
 	}
-	c.stack = stack
+	c.s.stack = stack
 	if visited*2 >= n {
 		h.sweepBias = sweepRun
 	}

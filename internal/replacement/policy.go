@@ -83,20 +83,28 @@ type SlotCore interface {
 	// it. ok is false when there are no residents.
 	Victim(now float64) (slot int32, ok bool)
 	// Victims returns up to n slots ordered worst-first, selected in one
-	// search, without removing them. The slice is core-owned scratch,
-	// valid until the next Victim or Victims call. Every Remove moves a
-	// slot, so the owner maps the slots to its items before the first.
+	// search, without removing them. The slice lives in the core's
+	// Scratch, valid until the next Victim or Victims call on any core
+	// sharing it. Every Remove moves a slot, so the owner maps the slots
+	// to its items before the first.
 	Victims(now float64, n int) []int32
 	// Remove forgets slot and renumbers the last slot to it.
 	Remove(slot int32)
 	// Len returns the number of residents.
 	Len() int
+
+	// share makes s the core's search scratch and caps its per-slot
+	// arrays at maxSlots residents.
+	share(s *Scratch, maxSlots int)
 }
 
 // Slots returns the slot core of a policy built by this package, for an
 // owner that keeps its own item → slot index; the owner takes the policy
-// over, so it must track no items yet.
-func Slots(p Policy) SlotCore {
+// over, so it must track no items yet. The core searches in s, which the
+// owner may share with every core it drives from the same goroutine, and
+// its per-slot arrays stop growing at maxSlots, the most residents the
+// owner can hold.
+func Slots(p Policy, s *Scratch, maxSlots int) SlotCore {
 	k, ok := p.(*keyed)
 	if !ok {
 		panic(fmt.Sprintf("replacement: policy %s has no slot core", p.Name()))
@@ -104,6 +112,7 @@ func Slots(p Policy) SlotCore {
 	if len(k.items) != 0 {
 		panic(fmt.Sprintf("replacement/%s: policy already tracks %d items", p.Name(), len(k.items)))
 	}
+	k.core.share(s, maxSlots)
 	return k.core
 }
 

@@ -127,7 +127,8 @@ func (m *Memory) session(clientID int) *session {
 	defer m.mu.Unlock()
 	s := m.sessions[clientID]
 	if s == nil {
-		s = &session{local: core.NewHierarchy(m.gran, m.storeBytes, m.factory(), m.memObjects)}
+		// Sessions run concurrently, each under its own lock: one scratch each.
+		s = &session{local: core.NewHierarchy(m.gran, m.storeBytes, m.factory(), m.memObjects, new(core.Scratch))}
 		m.sessions[clientID] = s
 	}
 	return s
