@@ -17,7 +17,7 @@ package broadcast
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/network"
 	"repro/internal/obs"
@@ -51,10 +51,9 @@ func New(items []oodb.Item, bandwidthBps, start float64) *Program {
 	// schedule stays strictly periodic (simple flat disk).
 	maxBytes := 0
 	for i, it := range p.items {
-		if _, dup := p.slotOf.Get(it.Key()); dup {
+		if !p.slotOf.Set(it.Key(), int32(i)) {
 			panic(fmt.Sprintf("broadcast: duplicate item %v in program", it))
 		}
-		p.slotOf.Set(it.Key(), int32(i))
 		if b := network.ReplyEntrySize(it); b > maxBytes {
 			maxBytes = b
 		}
@@ -137,6 +136,7 @@ type UpdateWindow struct {
 	events []updateEvent // chronological; events[:head] expired
 	head   int
 	seen   oodb.ItemIndex // scratch for per-report dedup
+	keys   []uint64       // scratch: the report's distinct item keys
 	items  []oodb.Item    // scratch for the returned report
 }
 
@@ -173,22 +173,20 @@ func (w *UpdateWindow) Report(now float64) []oodb.Item {
 		n := copy(w.events, w.events[w.head:])
 		w.events, w.head = w.events[:n], 0
 	}
-	w.items = w.items[:0]
+	// Item.Key order is (OID, Attr) order, as the attribute is the key's
+	// low byte: the distinct items are sorted as keys.
+	w.keys = w.keys[:0]
 	w.seen.Reset()
 	for _, ev := range w.events[w.head:] {
-		if _, dup := w.seen.Get(ev.item.Key()); dup {
-			continue
+		if w.seen.Set(ev.item.Key(), 0) {
+			w.keys = append(w.keys, ev.item.Key())
 		}
-		w.seen.Set(ev.item.Key(), 0)
-		w.items = append(w.items, ev.item)
 	}
-	sort.Slice(w.items, func(i, j int) bool {
-		a, b := w.items[i], w.items[j]
-		if a.OID != b.OID {
-			return a.OID < b.OID
-		}
-		return a.Attr < b.Attr
-	})
+	slices.Sort(w.keys)
+	w.items = w.items[:0]
+	for _, k := range w.keys {
+		w.items = append(w.items, oodb.Item{OID: oodb.OID(k >> 8), Attr: oodb.AttrID(k)})
+	}
 	return w.items
 }
 

@@ -83,6 +83,21 @@ func (l *LRU[K, V]) Contains(key K) bool {
 	return ok
 }
 
+// GetOrPut is Get, except that a miss also puts value under key as Put
+// would, without looking key up a second time. It returns the value
+// cached before the call and whether there was one.
+func (l *LRU[K, V]) GetOrPut(key K, value V) (V, bool) {
+	if i, ok := l.index.Get(key.Key()); ok {
+		l.hits++
+		l.moveToFront(i)
+		return l.nodes[i].value, true
+	}
+	l.misses++
+	l.add(key, value)
+	var zero V
+	return zero, false
+}
+
 // Put inserts or updates key, promoting it to most-recently-used. If the
 // cache overflows, the least-recently-used entry is evicted and returned
 // with evicted=true.
@@ -92,6 +107,11 @@ func (l *LRU[K, V]) Put(key K, value V) (evictedKey K, evictedValue V, evicted b
 		l.moveToFront(i)
 		return evictedKey, evictedValue, false
 	}
+	return l.add(key, value)
+}
+
+// add is Put of an absent key.
+func (l *LRU[K, V]) add(key K, value V) (evictedKey K, evictedValue V, evicted bool) {
 	if l.index.Len() == l.capacity {
 		victim := &l.nodes[l.tail]
 		evictedKey, evictedValue, evicted = victim.key, victim.value, true
@@ -138,6 +158,9 @@ func (l *LRU[K, V]) Clear() {
 	l.nodes = l.nodes[:0]
 	l.head, l.tail, l.free = none, none, none
 }
+
+// Capacity returns the most entries the cache holds.
+func (l *LRU[K, V]) Capacity() int { return l.capacity }
 
 // HitRatio returns hits/(hits+misses) over all Get calls (0 when none).
 func (l *LRU[K, V]) HitRatio() float64 {

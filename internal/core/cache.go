@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/oodb"
 	"repro/internal/replacement"
@@ -81,6 +80,7 @@ type Cache struct {
 	capacityBytes int
 	usedBytes     int
 	maxSlots      int
+	objects       int // residents that are whole objects
 	index         oodb.ItemIndex
 	items         []oodb.Item
 	slots         []Entry
@@ -101,11 +101,12 @@ type Cache struct {
 // next mutating call on any hierarchy sharing it. It must never be shared
 // across goroutines. The zero value is ready to use.
 type Scratch struct {
-	batch   []BatchEntry // Hierarchy: the reply being installed
-	fresh   []bool       // InsertBatch: batch[j] is the first copy of a new item
-	news    []uint64     // InsertBatch's new items as key<<batchBits | position
-	victims []oodb.Item  // InsertBatch's victims, mapped from the core's slots
-	evicted []oodb.Item  // returned by Insert and InsertBatch
+	batch   []BatchEntry   // Hierarchy: the reply being installed
+	mem     []int32        // Hierarchy: positions in batch bound for the memory buffer
+	fresh   []bool         // InsertBatch: batch[j] is the first copy of a new item
+	seen    oodb.ItemIndex // the items of one pass over a batch, each once
+	victims []oodb.Item    // InsertBatch's victims, mapped from the core's slots
+	evicted []oodb.Item    // returned by Insert and InsertBatch
 	search  replacement.Scratch
 }
 
@@ -214,6 +215,9 @@ func (c *Cache) add(it oodb.Item, e Entry, now float64) {
 	c.items = oodb.AppendCapped(c.items, c.maxSlots, it)
 	c.slots = oodb.AppendCapped(c.slots, c.maxSlots, e)
 	c.usedBytes += size
+	if it.IsObject() {
+		c.objects++
+	}
 	c.policy.Insert(it, now)
 	c.insertions++
 }
@@ -225,10 +229,6 @@ func (c *Cache) evict(i int32) {
 	c.s.evicted = append(c.s.evicted, c.items[i])
 	c.removeAt(i)
 }
-
-// batchBits bounds InsertBatch's batch length (2^24 items): a new item's
-// position shares one sortable word with its key, which is below 2^40.
-const batchBits = 24
 
 // BatchEntry pairs an item with its metadata for InsertBatch.
 type BatchEntry struct {
@@ -246,40 +246,35 @@ type BatchEntry struct {
 func (c *Cache) InsertBatch(batch []BatchEntry, now float64) []oodb.Item {
 	s := c.s
 	s.evicted = s.evicted[:0]
-	if len(batch) >= 1<<batchBits {
-		panic(fmt.Sprintf("core: batch of %d items", len(batch)))
-	}
 	// Bytes the batch will add: new, cacheable items, each counted once.
-	// One probe finds the new items; sorting them by key, then position,
-	// puts each item's copies side by side with its first copy leading.
+	// A probe of the cache finds the new items, and the scratch's set of
+	// the batch's new items marks the first copy of each.
 	incoming := 0
-	s.fresh, s.news = s.fresh[:0], s.news[:0]
-	for j, b := range batch {
-		s.fresh = append(s.fresh, false)
-		if ItemCost(b.Item) <= c.capacityBytes && !c.Contains(b.Item) {
-			s.news = append(s.news, b.Item.Key()<<batchBits|uint64(j))
+	s.fresh = s.fresh[:0]
+	s.seen.Reset()
+	for _, b := range batch {
+		fresh := ItemCost(b.Item) <= c.capacityBytes && !c.Contains(b.Item) && s.seen.Set(b.Item.Key(), 0)
+		if fresh {
+			incoming += ItemCost(b.Item)
 		}
-	}
-	slices.Sort(s.news)
-	for k, n := range s.news {
-		if k == 0 || s.news[k-1]>>batchBits != n>>batchBits {
-			j := n & (1<<batchBits - 1)
-			s.fresh[j] = true
-			incoming += ItemCost(batch[j].Item)
-		}
+		s.fresh = append(s.fresh, fresh)
 	}
 	for c.usedBytes+incoming > c.capacityBytes {
 		over := c.usedBytes + incoming - c.capacityBytes
 		// An attribute frees ItemCost (AttrSize + EntryOverhead) bytes, so
-		// this asks for about 1.56× the evictions needed; only a prefix of
-		// the victims is evicted. The count is behavioural, not just a
-		// buffer size: clock re-marks every victim it returns and random
-		// draws a sample of this size, so dividing by ItemCost instead
-		// changes which items they evict (TestCacheMatchesMapTwin fails on
-		// clock/798) and every golden built on them.
-		want := over/oodb.AttrSize + 1
-		if want > 1024 {
-			want = 1024
+		// this asks for about 1.56× the evictions needed. For an unranked
+		// core the count is behavioural, not just a buffer size: clock
+		// re-marks every victim it returns and random draws a sample of
+		// this size, so dividing by ItemCost instead changes which items
+		// they evict (TestCacheMatchesMapTwin fails on clock/798) and every
+		// golden built on them.
+		want := min(over/oodb.AttrSize+1, 1024)
+		if c.policy.Ranked() {
+			// A ranked core's victims are a prefix of that request's, and
+			// each frees at least the cheapest resident's cost: this many
+			// suffice, and when the residents cost alike all are evicted.
+			least := c.leastCost()
+			want = min(want, (over+least-1)/least)
 		}
 		s.victims = s.victims[:0]
 		for _, slot := range c.policy.Victims(now, want) {
@@ -337,6 +332,9 @@ func (c *Cache) Remove(it oodb.Item) bool {
 // core mirrors the move.
 func (c *Cache) removeAt(i int32) {
 	c.usedBytes -= ItemCost(c.items[i])
+	if c.items[i].IsObject() {
+		c.objects--
+	}
 	last := int32(len(c.items) - 1)
 	if i != last {
 		c.items[i], c.slots[i] = c.items[last], c.slots[last]
@@ -355,6 +353,15 @@ func (c *Cache) ForEach(fn func(it oodb.Item, e *Entry) bool) {
 			return
 		}
 	}
+}
+
+// leastCost returns the smallest ItemCost of a resident: an attribute's,
+// unless every resident is a whole object.
+func (c *Cache) leastCost() int {
+	if c.objects < len(c.items) {
+		return ItemCost(oodb.AttrItem(0, 0))
+	}
+	return ItemCost(oodb.ObjectItem(0))
 }
 
 // Len returns the number of resident items.

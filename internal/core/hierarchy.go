@@ -48,11 +48,8 @@ func (h *Hierarchy) Storage() *Cache { return h.store }
 func (h *Hierarchy) Probe(it oodb.Item, now float64) (e Entry, st LookupState, fromStorage bool) {
 	if h.store != nil {
 		if p, st := h.store.Lookup(it, now); st != Miss {
-			if _, inMem := h.mem.Get(it); inMem {
-				return *p, st, false
-			}
-			h.mem.Put(it, *p)
-			return *p, st, true
+			_, inMem := h.mem.GetOrPut(it, *p)
+			return *p, st, !inMem
 		}
 	}
 	if e, ok := h.mem.Get(it); ok {
@@ -76,24 +73,51 @@ func (h *Hierarchy) Peek(it oodb.Item) (Entry, bool) {
 }
 
 // Stage adds one item of a delivered reply to the install Commit finishes.
-// An item the client asked for was just consumed and enters the memory buffer
-// at once; a storageOnly one (a prefetch) stays out, so it cannot flush it.
-// The reply is staged in the Scratch, so no other hierarchy sharing it may
-// Stage or Commit before this one's Commit.
+// An item the client asked for was just consumed and enters the memory
+// buffer too; a storageOnly one (a prefetch) stays out, so it cannot flush
+// it. The reply is staged in the Scratch, so no other hierarchy sharing it
+// may Stage or Commit before this one's Commit.
 func (h *Hierarchy) Stage(it oodb.Item, e Entry, storageOnly bool) {
-	h.s.batch = append(h.s.batch, BatchEntry{Item: it, Entry: e})
 	if !storageOnly {
-		h.mem.Put(it, e)
+		h.s.mem = append(h.s.mem, int32(len(h.s.batch)))
 	}
+	h.s.batch = append(h.s.batch, BatchEntry{Item: it, Entry: e})
 }
 
-// Commit installs the staged reply in the storage cache at time now, as one
-// batch so that its victims are selected in bulk.
+// Commit installs the staged reply at time now: its consumed items in the
+// memory buffer, and all of it in the storage cache as one batch, so that
+// its victims are selected in bulk.
 func (h *Hierarchy) Commit(now float64) {
+	h.fill()
 	if h.store != nil {
 		h.store.InsertBatch(h.s.batch, now)
 	}
-	h.s.batch = h.s.batch[:0]
+	h.s.batch, h.s.mem = h.s.batch[:0], h.s.mem[:0]
+}
+
+// fill leaves the memory buffer as one Put of each staged consumed item,
+// in staging order, would: the last copy of each of the newest items, up
+// to the buffer's capacity, at the front, newest first, ahead of what the
+// buffer held before and the reply does not replace. Only those copies
+// are put, oldest first; when they fill the buffer, nothing it held
+// before survives, so it is emptied first and no put evicts.
+func (h *Hierarchy) fill() {
+	s := h.s
+	s.seen.Reset()
+	k := len(s.mem)
+	for i := len(s.mem) - 1; i >= 0 && len(s.mem)-k < h.mem.Capacity(); i-- {
+		if s.seen.Set(s.batch[s.mem[i]].Item.Key(), 0) {
+			k--
+			s.mem[k] = s.mem[i]
+		}
+	}
+	kept := s.mem[k:]
+	if len(kept) == h.mem.Capacity() {
+		h.mem.Clear()
+	}
+	for _, j := range kept {
+		h.mem.Put(s.batch[j].Item, s.batch[j].Entry)
+	}
 }
 
 // Put caches a single consumed item in both levels at time now, evicting one

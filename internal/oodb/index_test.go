@@ -41,11 +41,11 @@ type indexModel struct {
 }
 
 func (m *indexModel) set(it Item, slot int32) {
-	cells := len(m.x.keys)
+	cells := len(m.x.cells)
 	m.x.Set(it.Key(), slot)
 	m.model[it] = slot
 	m.checkLen()
-	if len(m.x.keys) != cells {
+	if len(m.x.cells) != cells {
 		m.checkMask(m.universe)
 	} else {
 		m.checkObject(it.OID)
@@ -181,8 +181,8 @@ func TestItemIndexShiftWrapsTableEnd(t *testing.T) {
 		for i, it := range chain {
 			m.set(it, int32(i))
 		}
-		if len(m.x.keys) != 8 {
-			t.Fatalf("table grew to %d cells; the chain no longer wraps", len(m.x.keys))
+		if len(m.x.cells) != 8 {
+			t.Fatalf("table grew to %d cells; the chain no longer wraps", len(m.x.cells))
 		}
 		m.delete(chain[victim])
 		m.checkAll(chain)
@@ -204,8 +204,8 @@ func TestItemIndexGrowsMidChain(t *testing.T) {
 		m.set(it, int32(i))
 		m.checkAll(chain)
 	}
-	if len(m.x.keys) != 16 {
-		t.Fatalf("cells = %d after 7 keys, want 16", len(m.x.keys))
+	if len(m.x.cells) != 16 {
+		t.Fatalf("cells = %d after 7 keys, want 16", len(m.x.cells))
 	}
 	for _, it := range chain {
 		m.delete(it)
@@ -242,10 +242,10 @@ func TestItemIndexMaskFootprint(t *testing.T) {
 	for i := 0; i < 20_000; i++ {
 		oid := OID(i / NumAttrs)
 		x.Set(AttrItem(oid, AttrID(i%NumAttrs)).Key(), int32(i))
-		if 2*cap(x.present) > 8*len(x.keys) {
-			t.Fatalf("%d keys: mask %d B > keys %d B", x.Len(), 2*cap(x.present), 8*len(x.keys))
+		if 2*cap(x.present) > 8*len(x.cells) {
+			t.Fatalf("%d keys: mask %d B > keys %d B", x.Len(), 2*cap(x.present), 8*len(x.cells))
 		}
-		if int(oid) < 4*len(x.keys) && len(x.present) != int(oid)+1 {
+		if int(oid) < 4*len(x.cells) && len(x.present) != int(oid)+1 {
 			t.Fatalf("%d keys up to object %d: mask of %d words", x.Len(), oid, len(x.present))
 		}
 	}
@@ -253,8 +253,60 @@ func TestItemIndexMaskFootprint(t *testing.T) {
 	for i, k := range rand.New(rand.NewSource(1)).Perm(DefaultNumObjects * NumAttrs)[:4000] {
 		y.Set(AttrItem(OID(k/NumAttrs), AttrID(k%NumAttrs)).Key(), int32(i))
 	}
-	if len(y.keys) != 8192 || len(y.present) != DefaultNumObjects || cap(y.present) > DefaultNumObjects*5/4 {
-		t.Fatalf("%d cells over %d objects: mask of %d words, capacity %d", len(y.keys), DefaultNumObjects, len(y.present), cap(y.present))
+	if len(y.cells) != 8192 || len(y.present) != DefaultNumObjects || cap(y.present) > DefaultNumObjects*5/4 {
+		t.Fatalf("%d cells over %d objects: mask of %d words, capacity %d", len(y.cells), DefaultNumObjects, len(y.present), cap(y.present))
+	}
+}
+
+// TestItemIndexBytesPerKey: at every key count up to 2^16, the table takes
+// no more bytes than the layout it replaced, parallel 8-byte key and
+// 4-byte slot arrays grown by doubling at 3/4 load from 8 cells. (The mask
+// follows the cell count under both, and TestItemIndexMaskFootprint bounds
+// it.)
+func TestItemIndexBytesPerKey(t *testing.T) {
+	var x ItemIndex
+	old := 0
+	for i := 0; i < 1<<16; i++ {
+		if (i+1)*4 > old*3 {
+			old = max(2*old, minIndexCells)
+		}
+		x.Set(AttrItem(OID(i/NumAttrs), AttrID(i%NumAttrs)).Key(), int32(i))
+		if got, was := 8*cap(x.cells), 12*old; got > was {
+			t.Fatalf("%d keys: %d table bytes, %d before (%.1f per key, was %.1f)",
+				x.Len(), got, was, float64(got)/float64(x.Len()), float64(was)/float64(x.Len()))
+		}
+	}
+}
+
+// TestItemIndexSlotRange: a cell holds slots 0..MaxIndexSlot and keys below
+// MaxIndexKey exactly; Set panics on a slot or key it cannot hold instead
+// of truncating it.
+func TestItemIndexSlotRange(t *testing.T) {
+	var x ItemIndex
+	top := ObjectItem(math.MaxUint32).Key()
+	x.Set(top, MaxIndexSlot)
+	x.Set(0, 0)
+	if s, ok := x.Get(top); !ok || s != MaxIndexSlot {
+		t.Fatalf("Get(top) = %d,%v, want %d", s, ok, MaxIndexSlot)
+	}
+	if s, ok := x.Get(0); !ok || s != 0 {
+		t.Fatalf("Get(0) = %d,%v", s, ok)
+	}
+	for _, c := range []struct {
+		key  uint64
+		slot int32
+	}{{1, MaxIndexSlot + 1}, {2, -1}, {MaxIndexKey, 0}, {math.MaxUint64, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Set(%#x, %d) did not panic", c.key, c.slot)
+				}
+			}()
+			x.Set(c.key, c.slot)
+		}()
+	}
+	if x.Len() != 2 {
+		t.Fatalf("Len = %d after refused Sets, want 2", x.Len())
 	}
 }
 
@@ -272,10 +324,10 @@ func TestItemIndexZeroValueAndReset(t *testing.T) {
 	for k := uint64(0); k < 100; k++ {
 		x.Set(k, int32(k))
 	}
-	cells := len(x.keys)
+	cells := len(x.cells)
 	x.Reset()
-	if x.Len() != 0 || len(x.keys) != cells {
-		t.Fatalf("after Reset: Len %d, %d cells (had %d)", x.Len(), len(x.keys), cells)
+	if x.Len() != 0 || len(x.cells) != cells {
+		t.Fatalf("after Reset: Len %d, %d cells (had %d)", x.Len(), len(x.cells), cells)
 	}
 	if _, ok := x.Get(5); ok {
 		t.Fatal("key survived Reset")

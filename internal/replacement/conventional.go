@@ -354,6 +354,10 @@ func (p *clock) Victims(_ float64, n int) []int32 {
 	return out
 }
 
+// Ranked is false: Victims re-marks each slot it returns, so the hand's
+// path, and every later choice, depends on n.
+func (p *clock) Ranked() bool { return false }
+
 func (p *clock) Remove(slot int32) {
 	last := len(p.states) - 1
 	p.states[slot] = p.states[last]
@@ -411,6 +415,9 @@ func (p *random) Victims(_ float64, n int) []int32 {
 	}
 	return s.out
 }
+
+// Ranked is false: a sample of n draws differently from one of m.
+func (p *random) Ranked() bool { return false }
 
 func (p *random) Remove(int32) { p.n-- }
 

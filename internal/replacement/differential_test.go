@@ -826,3 +826,85 @@ func TestRunCompactsRarelyAtLimit(t *testing.T) {
 		t.Fatalf("cap(ent) = %d, past the limit of %d plus a quarter", cap(run.ent), limit)
 	}
 }
+
+// TestEvaluationsPerEvictedVictim records what ranking exactly the victims
+// an install evicts saves the search, on EWMA cores shaped like sim_paper's
+// cache (about 3 080 attribute residents, 44 evictions an install) and
+// sim_fleet's (77 residents, 49 evictions). Each round evicts k victims
+// and inserts k new residents; one core is asked for k, the other for the
+// count a cache used to ask for, k·(AttrSize+48)/AttrSize + 1 (48 being
+// core.EntryOverhead). Both evict the same prefix, so the two stay in step.
+func TestEvaluationsPerEvictedVictim(t *testing.T) {
+	for _, shape := range []struct {
+		name          string
+		residents, k  int
+		rounds, touch int
+	}{{"sim_paper", 3080, 44, 300, 64}, {"sim_fleet", 77, 49, 3000, 8}} {
+		var evals [2]int
+		var cnts [2]*evalCounter[ewmaState]
+		var ps [2]Policy
+		for i := range ps {
+			ps[i] = NewEWMA(0.5)
+			p := coreOf(ps[i]).(*ewmaPolicy)
+			cnts[i] = &evalCounter[ewmaState]{indexed: p}
+			p.h = cnts[i]
+		}
+		rnd := rand.New(rand.NewSource(3))
+		live, next, now := []oodb.Item{}, 0, 0.0
+		insert := func() {
+			it := obj(next)
+			next++
+			live = append(live, it)
+			for _, p := range ps {
+				p.OnInsert(it, now)
+			}
+		}
+		for len(live) < shape.residents {
+			now += rnd.Float64()
+			insert()
+		}
+		legacy := shape.k*(oodb.AttrSize+48)/oodb.AttrSize + 1
+		for round := 0; round < shape.rounds; round++ {
+			for h := rnd.Intn(shape.touch); h > 0; h-- {
+				now += rnd.Float64()
+				it := live[rnd.Intn(len(live))]
+				for _, p := range ps {
+					p.OnAccess(it, now)
+				}
+			}
+			now += rnd.ExpFloat64() * 10
+			before := [2]int{cnts[0].evals, cnts[1].evals}
+			exact := append([]oodb.Item(nil), ps[0].Victims(now, shape.k)...)
+			old := ps[1].Victims(now, legacy)[:shape.k]
+			for i := range exact {
+				if exact[i] != old[i] {
+					t.Fatalf("%s round %d: victim %d is %v, the old request's %v", shape.name, round, i, exact[i], old[i])
+				}
+			}
+			for i := range evals {
+				evals[i] += cnts[i].evals - before[i]
+			}
+			for _, it := range exact {
+				for _, p := range ps {
+					p.Remove(it)
+				}
+				for j, x := range live {
+					if x == it {
+						live[j] = live[len(live)-1]
+						live = live[:len(live)-1]
+						break
+					}
+				}
+			}
+			for range exact {
+				insert()
+			}
+		}
+		evicted := float64(shape.k * shape.rounds)
+		t.Logf("%s: %.2f evaluations per evicted victim (the old request: %.2f)",
+			shape.name, float64(evals[0])/evicted, float64(evals[1])/evicted)
+		if evals[0] > evals[1] {
+			t.Errorf("%s: exact requests evaluated %d slots, the old ones %d", shape.name, evals[0], evals[1])
+		}
+	}
+}

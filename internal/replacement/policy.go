@@ -88,6 +88,13 @@ type SlotCore interface {
 	// sharing it. Every Remove moves a slot, so the owner maps the slots
 	// to its items before the first.
 	Victims(now float64, n int) []int32
+	// Ranked reports whether Victims ranks the residents: whether
+	// Victims(now, n) is always the first n of Victims(now, m) for m > n.
+	// The owner of a ranked core asks for no more victims than it will
+	// evict. An unranked core's choice depends on n (clock re-marks every
+	// victim it returns, random draws a sample of n), so the size of its
+	// owner's request is part of the policy's behaviour.
+	Ranked() bool
 	// Remove forgets slot and renumbers the last slot to it.
 	Remove(slot int32)
 	// Len returns the number of residents.

@@ -7,6 +7,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/oodb"
 	"repro/internal/rng"
@@ -29,10 +31,13 @@ type HeatModel interface {
 
 // skewedHeat implements the SH pattern: a fixed random 20% hot set receives
 // 80% of accesses. Each client instantiates its own model (with its own
-// seed) so hot sets differ across clients, as §4 requires.
+// seed) so hot sets differ across clients, as §4 requires. The cold set,
+// the hot set's complement, is not stored: its k-th object in ascending
+// order is found from the hot set's ascending copy.
 type skewedHeat struct {
-	hot  []oodb.OID // hot set, selection order
-	cold []oodb.OID // complement, ascending
+	hot    []oodb.OID // hot set, selection order
+	ranked []oodb.OID // hot set, ascending
+	cold   int        // objects outside the hot set
 }
 
 // NewSkewedHeat builds an SH model over numObjects objects using seed to
@@ -49,42 +54,33 @@ func newSkewed(numObjects int, r *rng.Stream) *skewedHeat {
 	if hotCount < 1 {
 		hotCount = 1
 	}
-	// Every client keeps its own model, so the two sets are sized exactly
+	// Every client keeps its own model, so the hot set is sized exactly
 	// rather than grown by append.
-	h := &skewedHeat{
-		hot:  make([]oodb.OID, 0, hotCount),
-		cold: make([]oodb.OID, 0, numObjects-hotCount),
-	}
-	isHot := make([]bool, numObjects)
+	h := &skewedHeat{hot: make([]oodb.OID, 0, hotCount), cold: numObjects - hotCount}
 	for _, idx := range r.Sample(numObjects, hotCount) {
 		h.hot = append(h.hot, oodb.OID(idx))
-		isHot[idx] = true
 	}
-	for i, hot := range isHot {
-		if !hot {
-			h.cold = append(h.cold, oodb.OID(i))
-		}
-	}
+	h.ranked = slices.Clone(h.hot)
+	slices.Sort(h.ranked)
 	return h
 }
 
-func (h *skewedHeat) PickInto(r *rng.Stream, n int, _ uint64, buf []oodb.OID) []oodb.OID {
-	return pickSkewed(r, n, h.hot, h.cold, buf)
+// coldAt returns the k-th cold object in ascending order. Below ranked[j]
+// lie ranked[j]-j cold objects, so the answer is k plus the number of hot
+// objects j with ranked[j]-j <= k.
+func (h *skewedHeat) coldAt(k int) oodb.OID {
+	j := sort.Search(len(h.ranked), func(j int) bool { return int(h.ranked[j])-j > k })
+	return oodb.OID(k + j)
 }
 
-// pickSkewed draws n distinct OIDs, each independently from the hot set
-// with probability HotAccessProb, uniform within its set, appending into
-// buf[:0]. Dedup is a linear scan over the (small) result, which consumes
-// no randomness, so the draw sequence matches the original map-based
-// implementation exactly.
-func pickSkewed(r *rng.Stream, n int, hot, cold, buf []oodb.OID) []oodb.OID {
-	if n > len(hot)+len(cold) {
+func (h *skewedHeat) PickInto(r *rng.Stream, n int, _ uint64, buf []oodb.OID) []oodb.OID {
+	if n > len(h.hot)+h.cold {
 		panic(fmt.Sprintf("workload: query selectivity %d exceeds population %d",
-			n, len(hot)+len(cold)))
+			n, len(h.hot)+h.cold))
 	}
 	out := buf[:0]
 	for len(out) < n {
-		oid := pickOneSkewed(r, hot, cold)
+		oid := h.pickOne(r)
 		if !containsOID(out, oid) {
 			out = append(out, oid)
 		}
@@ -92,18 +88,17 @@ func pickSkewed(r *rng.Stream, n int, hot, cold, buf []oodb.OID) []oodb.OID {
 	return out
 }
 
-// pickOneSkewed performs a single skewed draw (one Bool, one Intn).
-func pickOneSkewed(r *rng.Stream, hot, cold []oodb.OID) oodb.OID {
-	var pool []oodb.OID
-	if r.Bool(HotAccessProb) && len(hot) > 0 {
-		pool = hot
-	} else {
-		pool = cold
+// pickOne performs a single skewed draw (one Bool, one Intn): from the hot
+// set with probability HotAccessProb, else from the cold set, uniform
+// within the set, and from the hot set whenever the cold one is empty.
+// Dedup of a query's draws is a linear scan over the (small) result, which
+// consumes no randomness, so the draw sequence matches the original
+// map-based implementation exactly.
+func (h *skewedHeat) pickOne(r *rng.Stream) oodb.OID {
+	if (r.Bool(HotAccessProb) && len(h.hot) > 0) || h.cold == 0 {
+		return h.hot[r.Intn(len(h.hot))]
 	}
-	if len(pool) == 0 {
-		pool = hot
-	}
-	return pool[r.Intn(len(pool))]
+	return h.coldAt(r.Intn(h.cold))
 }
 
 func containsOID(s []oodb.OID, oid oodb.OID) bool {
@@ -294,7 +289,7 @@ func (h *sharedSkewedHeat) PickInto(r *rng.Stream, n int, _ uint64, buf []oodb.O
 		if r.Bool(h.shareProb) {
 			oid = h.shared[r.Intn(len(h.shared))]
 		} else {
-			oid = pickOneSkewed(r, h.private.hot, h.private.cold)
+			oid = h.private.pickOne(r)
 		}
 		if !containsOID(out, oid) {
 			out = append(out, oid)

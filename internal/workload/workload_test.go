@@ -15,8 +15,8 @@ func TestSkewedHeatSetSizes(t *testing.T) {
 	if len(h.hot) != 400 {
 		t.Fatalf("hot set size %d, want 400 (20%% of 2000)", len(h.hot))
 	}
-	if len(h.cold) != 1600 {
-		t.Fatalf("cold set size %d, want 1600", len(h.cold))
+	if h.cold != 1600 {
+		t.Fatalf("cold set size %d, want 1600", h.cold)
 	}
 	for _, oid := range h.hot {
 		if int(oid) >= 2000 {
@@ -644,6 +644,45 @@ func TestGroupingObjectsAndAttrs(t *testing.T) {
 	for oid, want := range map[oodb.OID][]oodb.AttrID{9: {2, 5}, 4: {0, 3}, 7: {1}, 8: nil} {
 		if got := AttrsOf(reads, oid, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("AttrsOf(%d) = %v, want first-occurrence order %v", oid, got, want)
+		}
+	}
+}
+
+// TestSkewedColdByRank: the cold set drawn by rank from the hot set's
+// ascending copy is the explicit complement the model used to store, and
+// a model's draws equal draws from the two explicit lists.
+func TestSkewedColdByRank(t *testing.T) {
+	for _, n := range []int{2, 3, 10, 500, 2000} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			h := NewSkewedHeat(n, seed).(*skewedHeat)
+			hot := hotSet(h)
+			var cold []oodb.OID
+			for i := 0; i < n; i++ {
+				if !hot[oodb.OID(i)] {
+					cold = append(cold, oodb.OID(i))
+				}
+			}
+			if h.cold != len(cold) {
+				t.Fatalf("n=%d seed %d: %d cold, want %d", n, seed, h.cold, len(cold))
+			}
+			for k, want := range cold {
+				if got := h.coldAt(k); got != want {
+					t.Fatalf("n=%d seed %d: cold object %d is %d, want %d", n, seed, k, got, want)
+				}
+			}
+			a, b := rng.New(seed), rng.New(seed)
+			for i := 0; i < 1000; i++ {
+				pool := cold
+				if b.Bool(HotAccessProb) && len(h.hot) > 0 {
+					pool = h.hot
+				}
+				if len(pool) == 0 {
+					pool = h.hot
+				}
+				if got, want := h.pickOne(a), pool[b.Intn(len(pool))]; got != want {
+					t.Fatalf("n=%d seed %d draw %d: %d, explicit lists give %d", n, seed, i, got, want)
+				}
+			}
 		}
 	}
 }

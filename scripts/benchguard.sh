@@ -8,8 +8,10 @@
 #            the tight hold loop, resource contention, and the
 #            spawn/finish path)            vs BENCH_kernel.json
 #   model    the per-access model path: a touch and a full eviction cycle
-#            of the indexed lru and ewma-0.5 policies, and the item index
-#            under them (with the Go-map baselines it is read against)
+#            of the indexed lru and ewma-0.5 policies, the item index
+#            under them (with the Go-map baselines it is read against),
+#            a reply installed into a full cache and into a full
+#            hierarchy (cache and memory buffer), and the LRU buffer
 #                                          vs BENCH_model.json
 #   storage  the persistence engine (point reads, group-committed
 #            inserts serial and 8-way, a four-record commit unit,
@@ -110,6 +112,8 @@ guard BENCH_kernel.json "$BENCH_TIME" \
 guard BENCH_model.json "$BENCH_MODEL_TIME" \
     ./internal/replacement '^BenchmarkModelAccess$/^(lru|ewma-0.5)$/^opt$' \
     ./internal/replacement '^BenchmarkModelEvictionHeavy$/^(lru|ewma-0.5)$//^opt$' \
-    ./internal/oodb '^BenchmarkItemIndexChurn$'
+    ./internal/oodb '^BenchmarkItemIndexChurn$' \
+    ./internal/core '^Benchmark(CacheInsertBatch|HierarchyCommit)$' \
+    ./internal/buffer '^BenchmarkLRUPutGet$'
 guard BENCH_storage.json "$BENCH_STORAGE_TIME" \
     ./internal/storage '^BenchmarkStorage(Get|Insert|Apply|Recover)$'
