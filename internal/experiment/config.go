@@ -328,7 +328,7 @@ func (c Config) Validate() error {
 		name   string
 		v, max float64
 	}{
-		{"NumObjects", float64(c.NumObjects), inf},
+		{"NumObjects", float64(c.NumObjects), oodb.MaxIndexedObjects},
 		{"NumClients", float64(c.NumClients), inf},
 		{"Days", c.Days, inf},
 		{"WarmupDays", c.WarmupDays, inf},

@@ -143,6 +143,7 @@ func TestValidateLiveRejections(t *testing.T) {
 		{"disconnection", func(c *experiment.Config) { c.DisconnectedClients = 1 }},
 		{"lossy channel", func(c *experiment.Config) { c.LossRate = 0.1 }},
 		{"cooperative", func(c *experiment.Config) { c.CoopPeers = 2 }},
+		{"objects past the index", func(c *experiment.Config) { c.NumObjects = oodb.MaxIndexedObjects + 1 }},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -62,6 +62,10 @@ func TestOpenBackendNames(t *testing.T) {
 	if _, err := Open("memory:stuff", Config{Granularity: core.ObjectCaching}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("memory backend with operands = %v, want ErrBadRequest", err)
 	}
+	big := Config{Granularity: core.ObjectCaching, NumObjects: oodb.MaxIndexedObjects + 1, Policy: "lru-2"}
+	if _, err := Open("memory", big); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("database past the item index = %v, want ErrBadRequest", err)
+	}
 	if _, err := Open("file:", Config{Granularity: core.ObjectCaching}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("file backend without path = %v, want ErrBadRequest", err)
 	}

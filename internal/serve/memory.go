@@ -78,6 +78,11 @@ func NewMemory(cfg Config) (*Memory, error) {
 		MemBufferObjects: cfg.MemBufferObjects,
 	})
 	cfg.NumObjects, cfg.Policy = d.NumObjects, d.Policy
+	if cfg.NumObjects > oodb.MaxIndexedObjects {
+		// A session's LRU-k numbers every item it has seen in an ItemIndex.
+		return nil, fmt.Errorf("%w: %d objects, more than the %d an item index numbers",
+			ErrBadRequest, cfg.NumObjects, oodb.MaxIndexedObjects)
+	}
 	cfg.StorageObjects, cfg.MemBufferObjects = d.StorageObjects, d.MemBufferObjects
 	factory, err := replacement.Parse(cfg.Policy)
 	if err != nil {

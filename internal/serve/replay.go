@@ -63,6 +63,10 @@ func ValidateLive(cfg experiment.Config) error {
 	if cfg.CoopPeers > 0 || cfg.BroadcastAttrs > 0 || cfg.ShedThreshold > 0 {
 		return fmt.Errorf("%w: cooperative/broadcast/shedding have no live counterpart", ErrUnsupported)
 	}
+	if cfg.NumObjects > oodb.MaxIndexedObjects {
+		return fmt.Errorf("%w: %d objects, more than the %d a session's item index numbers",
+			experiment.ErrOutOfRange, cfg.NumObjects, oodb.MaxIndexedObjects)
+	}
 	return nil
 }
 
