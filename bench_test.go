@@ -20,6 +20,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -276,7 +277,7 @@ func BenchmarkAblationTimeoutHeuristic(b *testing.B) {
 			}
 			b.ReportMetric(100*res.HitRatio, "hit%")
 			b.ReportMetric(res.MeanResponse, "resp_s")
-			b.ReportMetric(float64(res.ItemsShed), "shed")
+			b.ReportMetric(float64(res.Account.Events[metrics.ShedItem]), "shed")
 		})
 	}
 }
@@ -359,7 +360,7 @@ func BenchmarkExtensionBroadcast(b *testing.B) {
 			b.ReportMetric(100*res.HitRatio, "hit%")
 			b.ReportMetric(res.MeanResponse, "resp_s")
 			b.ReportMetric(100*res.DownlinkUtilization, "down%")
-			b.ReportMetric(float64(res.BroadcastReads), "air_reads")
+			b.ReportMetric(float64(res.Account.Air), "air_reads")
 		})
 	}
 }

@@ -213,12 +213,13 @@ func command(o loadOpts, cfg experiment.Config) string {
 func printLive(lr serve.LiveResult) {
 	fmt.Printf("live replay    %s days at %gx (%.1fs wall, max lag %.1f virtual s)\n",
 		fnum(lr.Config.Days), lr.Speedup, lr.WallSeconds, lr.MaxLagVirtual)
-	fmt.Printf("hit ratio      %6.2f%%\n", 100*lr.HitRatio)
+	a := &lr.Account
+	fmt.Printf("hit ratio      %6.2f%%\n", 100*a.HitRatio())
 	fmt.Printf("stale rate     %6.2f%%\n", 100*lr.StaleRate)
-	fmt.Printf("error rate     %6.2f%%\n", 100*lr.ErrorRate)
-	fmt.Printf("mean RT        %.4fs wall per query\n", lr.MeanRT)
-	fmt.Printf("queries        %d (local %d, remote %d)\n", lr.Queries, lr.QueriesLocal, lr.QueriesRemote)
-	fmt.Printf("reads          %d (%d hits, %d stale, %d errors)\n", lr.Reads, lr.Hits, lr.Stales, lr.Errors)
+	fmt.Printf("error rate     %6.2f%%\n", 100*a.ErrorRate())
+	fmt.Printf("mean RT        %.4fs wall per query\n", a.MeanResponse())
+	fmt.Printf("queries        %d (local %d, remote %d)\n", a.Queries, a.Local, a.Remote)
+	fmt.Printf("reads          %d (%d hits, %d stale, %d errors)\n", a.Total(), a.Hits, lr.Stales, a.Errors)
 	fmt.Printf("updates        %d events over %d HTTP calls\n", lr.Writes, lr.HTTPCalls)
 	if lr.Backend != "" {
 		fmt.Printf("backend        %s (%s", lr.Backend, lr.BackendDSN)
@@ -236,11 +237,12 @@ func printDiff(sim experiment.Result, live serve.LiveResult) {
 	row := func(name string, s, l float64) {
 		fmt.Printf("%-14s %10.4f %10.4f %+10.4f\n", name, s, l, l-s)
 	}
-	row("hit ratio", sim.HitRatio, live.HitRatio)
-	row("error rate", sim.ErrorRate, live.ErrorRate)
-	fmt.Printf("%-14s %10d %10d %+10d\n", "queries", sim.QueriesIssued, live.Queries,
-		int64(live.Queries)-int64(sim.QueriesIssued))
-	fmt.Printf("%-14s %10.4f %10.4f      (n/a)\n", "mean RT s", sim.MeanResponse, live.MeanRT)
+	sa, la := &sim.Account, &live.Account
+	row("hit ratio", sa.HitRatio(), la.HitRatio())
+	row("error rate", sa.ErrorRate(), la.ErrorRate())
+	fmt.Printf("%-14s %10d %10d %+10d\n", "queries", sa.Queries, la.Queries,
+		int64(la.Queries)-int64(sa.Queries))
+	fmt.Printf("%-14s %10.4f %10.4f      (n/a)\n", "mean RT s", sa.MeanResponse(), la.MeanResponse())
 	fmt.Printf("note: simulated RT is channel-bound virtual time; live RT is wall-clock HTTP time.\n")
 }
 

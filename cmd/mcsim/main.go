@@ -67,6 +67,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -117,12 +118,13 @@ func printResult(res experiment.Result) {
 		res.Config, res.Config.HeatName(), res.Config.Arrival,
 		res.Config.Beta, res.Config.UpdateProb,
 		res.Config.DisconnectedClients, res.Config.DisconnectHours)
+	a := &res.Account
 	fmt.Printf("hit ratio      %6.2f%%\n", 100*res.HitRatio)
 	fmt.Printf("response time  %6.3fs\n", res.MeanResponse)
 	fmt.Printf("error rate     %6.2f%%\n", 100*res.ErrorRate)
 	fmt.Printf("queries        %d (local %d, remote %d)\n",
 		res.QueriesIssued, res.QueriesLocal, res.QueriesRemote)
-	fmt.Printf("unavailable    %d reads\n", res.Unavailable)
+	fmt.Printf("unavailable    %d reads\n", a.Unavailable)
 	fmt.Printf("channels       up %.1f%%, down %.1f%% utilized; down wait %.3fs\n",
 		100*res.UplinkUtilization, 100*res.DownlinkUtilization, res.DownlinkMeanWait)
 	fmt.Printf("server         %d queries, %d disk reads, buffer hit %.1f%%, %d updates\n",
@@ -142,16 +144,16 @@ func printResult(res experiment.Result) {
 				res.RelayHits, res.RelayMisses, res.RelayedReads)
 		}
 	}
-	fmt.Printf("radio energy   %.3f J/query\n", res.RadioEnergyPerQuery)
-	if res.BroadcastReads > 0 {
-		fmt.Printf("air reads      %d (broadcast channel)\n", res.BroadcastReads)
+	fmt.Printf("radio energy   %.3f J/query\n", a.EnergyPerQuery())
+	if a.Air > 0 {
+		fmt.Printf("air reads      %d (broadcast channel)\n", a.Air)
 	}
-	if res.ItemsShed > 0 {
-		fmt.Printf("shed items     %d (timeout heuristic)\n", res.ItemsShed)
+	if shed := a.Events[metrics.ShedItem]; shed > 0 {
+		fmt.Printf("shed items     %d (timeout heuristic)\n", shed)
 	}
 	if res.IRReports > 0 {
 		fmt.Printf("IR broadcast   %d reports (%.2f MB on air), %d missed, %d forced revalidations\n",
-			res.IRReports, float64(res.IRReportBytes)/1e6, res.IRMissed, res.ForcedRevals)
+			res.IRReports, float64(res.IRReportBytes)/1e6, a.Events[metrics.IRMiss], res.ForcedRevals)
 	}
 	if res.PeerHits+res.PeerMisses > 0 {
 		fmt.Printf("cooperation    %d peer-served reads, %d fell through to the server\n",
@@ -161,7 +163,7 @@ func printResult(res experiment.Result) {
 		fmt.Printf("channel faults %d frames lost, %d corrupted\n",
 			res.FramesLost, res.FramesCorrupted)
 		fmt.Printf("reliability    %d retries, %d timeouts, %d degraded reads; access errors %.2f%%\n",
-			res.Retries, res.Timeouts, res.DegradedReads, 100*res.AccessErrorRate)
+			res.Retries, a.Events[metrics.Timeout], res.DegradedReads, 100*a.AccessErrorRate())
 	}
 }
 

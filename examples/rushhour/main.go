@@ -60,6 +60,7 @@ func main() {
 
 	fmt.Println("\n== response time by hour of day (Bursty) ==")
 	res := run(bursty)
+	meanRT, queries := res.Account.HourlyResponse()
 	for h := 0; h < 24; h += 3 {
 		for hh := h; hh < h+3; hh++ {
 			marker := "  "
@@ -67,7 +68,7 @@ func main() {
 				marker = "* " // burst period
 			}
 			fmt.Printf("%s%02d:00 %7.2fs (%4d queries)   ", marker, hh,
-				res.HourlyResponse[hh], res.HourlyQueries[hh])
+				meanRT[hh], queries[hh])
 		}
 		fmt.Println()
 	}
@@ -80,7 +81,7 @@ func main() {
 		cfg.DisconnectedClients, cfg.DisconnectHours = 4, hours
 		res := run(cfg)
 		fmt.Printf("%-10g  %8.1f  %8.2f  %12d\n",
-			hours, 100*res.HitRatio, 100*res.ErrorRate, res.Unavailable)
+			hours, 100*res.HitRatio, 100*res.ErrorRate, res.Account.Unavailable)
 	}
 	fmt.Println("\nlonger outages mean more reads served from expired cache entries:")
 	fmt.Println("availability stays high, coherence errors grow — the paper's")

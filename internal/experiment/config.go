@@ -434,6 +434,13 @@ func (c Config) String() string {
 type Result struct {
 	Config Config
 
+	// Account is the clients' accounts pooled in client order, each behind
+	// its warm-up gate: every read, query, event and joule measured.
+	// setAccount reads eleven of the fields below off it: the three
+	// ratios, the query counts, Retries, DegradedReads, ForcedRevals,
+	// PeerHits and PeerMisses.
+	Account metrics.Account
+
 	HitRatio     float64
 	MeanResponse float64
 	ErrorRate    float64
@@ -441,33 +448,16 @@ type Result struct {
 	QueriesIssued uint64
 	QueriesLocal  uint64
 	QueriesRemote uint64
-	Unavailable   uint64
 
 	UplinkUtilization   float64
 	DownlinkUtilization float64
 	DownlinkMeanWait    float64
-	ItemsShed           uint64 // prefetched items dropped by the timeout heuristic
-	BroadcastReads      uint64 // reads answered from the broadcast channel
 
 	// Reliability-layer measurements (zero on perfect channels).
-	// AccessErrorRate is the fraction of reads not served correctly:
-	// coherence violations plus unavailable reads — the metric Experiment
-	// #7 sweeps against the frame-loss rate.
-	AccessErrorRate float64
 	Retries         uint64 // retransmissions issued across all clients
-	Timeouts        uint64 // request attempts that ended in a timeout
 	DegradedReads   uint64 // reads served from stale copies after retry exhaustion
 	FramesLost      uint64 // frames dropped by the channel fault models
 	FramesCorrupted uint64 // frames rejected by the receiver CRC
-
-	// HourlyResponse / HourlyQueries profile mean response time and load
-	// by hour of the simulated day (Bursty analysis).
-	HourlyResponse [24]float64
-	HourlyQueries  [24]uint64
-
-	// RadioEnergyPerQuery is the mean Joules a client's radio spent per
-	// query (transmit + receive).
-	RadioEnergyPerQuery float64
 
 	Server server.Stats
 
@@ -494,12 +484,36 @@ type Result struct {
 	// across cells in a fleet run).
 	IRReports     uint64 // reports pushed on the dedicated broadcast channel
 	IRReportBytes uint64 // cumulative report wire bytes
-	IRMissed      uint64 // report frames clients lost to channel faults
 	ForcedRevals  uint64 // whole-cache lease voids after unrecoverable report gaps
 
 	// Cooperative-lookup measurements (CoopPeers > 0 only).
 	PeerHits   uint64 // reads served from a peer's cache
 	PeerMisses uint64 // connected local misses that still went to the server
+}
+
+// AccountResult returns the Result of a run on cfg whose pooled client
+// account is a: the account and the figures read off it, every other
+// measurement zero. A live replay reports through it.
+func AccountResult(cfg Config, a metrics.Account) Result {
+	r := Result{Config: cfg}
+	r.setAccount(a)
+	return r
+}
+
+// setAccount stores the pooled account and the eleven figures read off it.
+func (r *Result) setAccount(a metrics.Account) {
+	r.Account = a
+	r.HitRatio = a.HitRatio()
+	r.MeanResponse = a.MeanResponse()
+	r.ErrorRate = a.ErrorRate()
+	r.QueriesIssued = a.Queries
+	r.QueriesLocal = a.Local
+	r.QueriesRemote = a.Remote
+	r.Retries = a.Events[metrics.Retry]
+	r.DegradedReads = a.Degraded
+	r.ForcedRevals = a.Events[metrics.ForcedReval]
+	r.PeerHits = a.Peer
+	r.PeerMisses = a.Events[metrics.PeerMiss]
 }
 
 // TierStats is the persistent storage tier's end-of-run snapshot. Gets,

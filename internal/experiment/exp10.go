@@ -108,7 +108,7 @@ func exp10(base Config, losses []float64, fleets [][2]int) *Report {
 			})
 			b.add(cfg, func(res Result) {
 				tblL.Add(sch.name, pct(loss), pct(res.HitRatio), secs(res.MeanResponse),
-					pct(res.ErrorRate), pct(res.AccessErrorRate), revals(res), peerPct(res))
+					pct(res.ErrorRate), pct(res.Account.AccessErrorRate()), revals(res), peerPct(res))
 			})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // TestExp10ParallelInvariance pins the determinism guarantee for the new
@@ -41,7 +42,7 @@ func TestIRBroadcastMissedUnderBursts(t *testing.T) {
 	if res.IRReportBytes == 0 {
 		t.Fatal("reports were broadcast but no air bytes accounted")
 	}
-	if res.IRMissed == 0 {
+	if res.Account.Events[metrics.IRMiss] == 0 {
 		t.Fatal("burst outages dropped no report receptions — the edge case did not occur")
 	}
 	if res.ForcedRevals == 0 {

@@ -356,7 +356,7 @@ func exp7(base Config, losses []float64, strategies []coherence.Strategy,
 				})
 				li := li
 				b.add(cfg, func(res Result) {
-					rowE[1+li] = fmt.Sprintf("%.2f", 100*res.AccessErrorRate)
+					rowE[1+li] = fmt.Sprintf("%.2f", 100*res.Account.AccessErrorRate())
 					rowR[1+li] = secs(res.MeanResponse)
 				})
 			}
@@ -396,7 +396,7 @@ func exp7(base Config, losses []float64, strategies []coherence.Strategy,
 				})
 				si := si
 				b.add(cfg, func(res Result) {
-					row[1+2*si] = fmt.Sprintf("%.2f", 100*res.AccessErrorRate)
+					row[1+2*si] = fmt.Sprintf("%.2f", 100*res.Account.AccessErrorRate())
 					row[2+2*si] = secs(res.MeanResponse)
 				})
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // Tests for the unreliable-channel model (Experiment #7): seeded
@@ -60,13 +61,13 @@ func TestExp7TablesDeterministic(t *testing.T) {
 func TestPerfectChannelHasNoFaultActivity(t *testing.T) {
 	res := Run(faultCfg(0))
 	if res.FramesLost != 0 || res.FramesCorrupted != 0 || res.Retries != 0 ||
-		res.Timeouts != 0 || res.DegradedReads != 0 {
+		res.Account.Events[metrics.Timeout] != 0 || res.DegradedReads != 0 {
 		t.Fatalf("perfect channel recorded fault activity: %+v", res)
 	}
 	// AccessErrorRate still reflects coherence errors (+ any unavailable
 	// reads), so it must agree with the components it is defined over.
-	if res.AccessErrorRate < res.ErrorRate-1e-9 {
-		t.Fatalf("AccessErrorRate %v < ErrorRate %v", res.AccessErrorRate, res.ErrorRate)
+	if res.Account.AccessErrorRate() < res.ErrorRate-1e-9 {
+		t.Fatalf("AccessErrorRate %v < ErrorRate %v", res.Account.AccessErrorRate(), res.ErrorRate)
 	}
 	want := renderSansConfig(res)
 	for _, retries := range []int{-1, 0, 5} {
@@ -109,12 +110,12 @@ func TestShapeAccessErrorsUnderLoss(t *testing.T) {
 	hcClean := run(core.HybridCaching, 0)
 	hcLossy := run(core.HybridCaching, 0.3)
 
-	if ncLossy.AccessErrorRate <= ncClean.AccessErrorRate {
+	if ncLossy.Account.AccessErrorRate() <= ncClean.Account.AccessErrorRate() {
 		t.Fatalf("NC access errors did not rise with loss: %.4f vs %.4f",
-			ncLossy.AccessErrorRate, ncClean.AccessErrorRate)
+			ncLossy.Account.AccessErrorRate(), ncClean.Account.AccessErrorRate())
 	}
-	ncJump := ncLossy.AccessErrorRate - ncClean.AccessErrorRate
-	hcJump := hcLossy.AccessErrorRate - hcClean.AccessErrorRate
+	ncJump := ncLossy.Account.AccessErrorRate() - ncClean.Account.AccessErrorRate()
+	hcJump := hcLossy.Account.AccessErrorRate() - hcClean.Account.AccessErrorRate()
 	if hcJump >= ncJump {
 		t.Fatalf("HC degraded faster than NC under loss: ΔHC=%.4f ΔNC=%.4f",
 			hcJump, ncJump)
@@ -129,7 +130,7 @@ func TestDegradedServingUnderHeavyLoss(t *testing.T) {
 	cfg.BurstFraction = 0.3
 	cfg.MeanBadSeconds = 60
 	res := Run(cfg)
-	if res.Timeouts == 0 {
+	if res.Account.Events[metrics.Timeout] == 0 {
 		t.Fatalf("burst outages produced no timeouts: %+v", res)
 	}
 	if res.DegradedReads == 0 {

@@ -333,13 +333,7 @@ func mergeCells(cfg Config, outs []cellOutcome) Result {
 	res.Server.DiskUtilization = diskSum / float64(diskN)
 	res.StorageTier = outs[0].tier // set on single-server runs only
 
-	res.HitRatio = pool.HitRatio()
-	res.MeanResponse = pool.MeanResponse()
-	res.ErrorRate = pool.ErrorRate()
-	res.QueriesIssued = pool.Queries
-	res.QueriesLocal = pool.Local
-	res.QueriesRemote = pool.Remote
-	res.Unavailable = pool.Unavailable
+	res.setAccount(pool)
 	cells := float64(len(outs))
 	res.UplinkUtilization = upUtil / cells
 	res.DownlinkUtilization = downUtil / cells
@@ -350,22 +344,6 @@ func mergeCells(cfg Config, outs []cellOutcome) Result {
 		res.DownlinkMeanWait = outs[0].downWait
 	case downMsgs > 0:
 		res.DownlinkMeanWait = waitSum / float64(downMsgs)
-	}
-	if reads := pool.Total(); reads > 0 {
-		res.AccessErrorRate = float64(pool.Errors+pool.Unavailable) / float64(reads)
-	}
-	res.Retries = pool.Events[metrics.Retry]
-	res.Timeouts = pool.Events[metrics.Timeout]
-	res.DegradedReads = pool.Degraded
-	res.ItemsShed = pool.Events[metrics.ShedItem]
-	res.BroadcastReads = pool.Air
-	res.IRMissed = pool.Events[metrics.IRMiss]
-	res.ForcedRevals = pool.Events[metrics.ForcedReval]
-	res.PeerHits = pool.Peer
-	res.PeerMisses = pool.Events[metrics.PeerMiss]
-	res.HourlyResponse, res.HourlyQueries = pool.HourlyResponse()
-	if pool.Queries > 0 {
-		res.RadioEnergyPerQuery = pool.RadioEnergy / float64(pool.Queries)
 	}
 	return res
 }

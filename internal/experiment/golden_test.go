@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -192,7 +193,7 @@ func runGolden(t *testing.T, cfg Config) goldenHashes {
 	if res.QueriesIssued == 0 {
 		t.Fatal("golden run issued no queries — the scenario is vacuous")
 	}
-	if cfg.DisconnectedClients > 0 && res.Unavailable == 0 {
+	if cfg.DisconnectedClients > 0 && res.Account.Unavailable == 0 {
 		t.Fatal("golden run disconnects clients but no read was unavailable — the horizon ends before the first outage")
 	}
 	return goldenHashes{
@@ -211,11 +212,25 @@ type goldenField struct {
 // run's input, not its outcome.
 var goldenExcluded = []string{"Config"}
 
+// goldenAccountLines are the lines that render Result.Account: the eleven
+// fields setAccount reads off it, and the nine that read the account
+// itself. A figure the account gains reaches the hash only through a new
+// line.
+var goldenAccountLines = []string{
+	"HitRatio", "MeanResponse", "ErrorRate", "QueriesIssued", "QueriesLocal",
+	"QueriesRemote", "Retries", "DegradedReads", "ForcedRevals", "PeerHits",
+	"PeerMisses",
+	"Unavailable", "ItemsShed", "BroadcastReads", "AccessErrorRate", "Timeouts",
+	"HourlyResponse", "HourlyQueries", "RadioEnergyPerQuery", "IRMissed",
+}
+
 // goldenFields is the lockstep's projection of a Result: every outcome
-// field by name, in declaration order. The list is explicit, so a field
-// can leave Result without moving the other fingerprints;
+// line by name, in the order the fingerprints were recorded. The list is
+// explicit, so a field can leave Result, or move into Result.Account,
+// without moving the other fingerprints;
 // TestGoldenFieldsCoverResult keeps a new field from escaping the hash.
 func goldenFields(r Result) []goldenField {
+	hourlyMean, hourlyQueries := r.Account.HourlyResponse()
 	return []goldenField{
 		{"HitRatio", r.HitRatio},
 		{"MeanResponse", r.MeanResponse},
@@ -223,25 +238,25 @@ func goldenFields(r Result) []goldenField {
 		{"QueriesIssued", r.QueriesIssued},
 		{"QueriesLocal", r.QueriesLocal},
 		{"QueriesRemote", r.QueriesRemote},
-		{"Unavailable", r.Unavailable},
+		{"Unavailable", r.Account.Unavailable},
 		{"UplinkUtilization", r.UplinkUtilization},
 		{"DownlinkUtilization", r.DownlinkUtilization},
 		{"DownlinkMeanWait", r.DownlinkMeanWait},
-		{"ItemsShed", r.ItemsShed},
+		{"ItemsShed", r.Account.Events[metrics.ShedItem]},
 		// CacheDrops left Result with the reliable invalidation-report
 		// scheme, the only code that set it. Every run recorded it as 0,
 		// so the line stays and no other fingerprint moves.
 		{"CacheDrops", uint64(0)},
-		{"BroadcastReads", r.BroadcastReads},
-		{"AccessErrorRate", r.AccessErrorRate},
+		{"BroadcastReads", r.Account.Air},
+		{"AccessErrorRate", r.Account.AccessErrorRate()},
 		{"Retries", r.Retries},
-		{"Timeouts", r.Timeouts},
+		{"Timeouts", r.Account.Events[metrics.Timeout]},
 		{"DegradedReads", r.DegradedReads},
 		{"FramesLost", r.FramesLost},
 		{"FramesCorrupted", r.FramesCorrupted},
-		{"HourlyResponse", r.HourlyResponse},
-		{"HourlyQueries", r.HourlyQueries},
-		{"RadioEnergyPerQuery", r.RadioEnergyPerQuery},
+		{"HourlyResponse", hourlyMean},
+		{"HourlyQueries", hourlyQueries},
+		{"RadioEnergyPerQuery", r.Account.EnergyPerQuery()},
 		{"Server", r.Server},
 		{"StorageTier", r.StorageTier},
 		{"PerClient", r.PerClient},
@@ -253,7 +268,7 @@ func goldenFields(r Result) []goldenField {
 		{"RelayedReads", r.RelayedReads},
 		{"IRReports", r.IRReports},
 		{"IRReportBytes", r.IRReportBytes},
-		{"IRMissed", r.IRMissed},
+		{"IRMissed", r.Account.Events[metrics.IRMiss]},
 		{"ForcedRevals", r.ForcedRevals},
 		{"PeerHits", r.PeerHits},
 		{"PeerMisses", r.PeerMisses},
@@ -270,8 +285,8 @@ func renderSansConfig(res Result) string {
 }
 
 // TestGoldenFieldsCoverResult requires every Result field to be rendered
-// by goldenFields or listed in goldenExcluded, and no name to be rendered
-// twice.
+// by goldenFields or listed in goldenExcluded, Account through every line
+// goldenAccountLines names, and no name to be rendered twice.
 func TestGoldenFieldsCoverResult(t *testing.T) {
 	covered := make(map[string]bool)
 	for _, name := range goldenExcluded {
@@ -283,6 +298,12 @@ func TestGoldenFieldsCoverResult(t *testing.T) {
 		}
 		covered[f.name] = true
 	}
+	for _, name := range goldenAccountLines {
+		if !covered[name] {
+			t.Errorf("Account line %s is not rendered by goldenFields", name)
+		}
+	}
+	covered["Account"] = true
 	rt := reflect.TypeOf(Result{})
 	for i := 0; i < rt.NumField(); i++ {
 		if name := rt.Field(i).Name; !covered[name] {

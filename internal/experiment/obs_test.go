@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -53,22 +54,14 @@ func TestObsDoesNotPerturbOutcomes(t *testing.T) {
 	instr := Run(cfg)
 
 	type outcomes struct {
-		HitRatio, MeanResponse, ErrorRate, AccessErrorRate float64
-		Issued, Local, Remote, Unavail                     uint64
-		Retries, Timeouts, Degraded                        uint64
-		Lost, Corrupted                                    uint64
-		ServerQueries, DiskReads, Updates                  uint64
+		Account                           metrics.Account
+		Lost, Corrupted                   uint64
+		ServerQueries, DiskReads, Updates uint64
 	}
 	snap := func(r Result) outcomes {
 		return outcomes{
-			HitRatio: r.HitRatio, MeanResponse: r.MeanResponse,
-			ErrorRate: r.ErrorRate, AccessErrorRate: r.AccessErrorRate,
-			Issued: r.QueriesIssued, Local: r.QueriesLocal,
-			Remote: r.QueriesRemote, Unavail: r.Unavailable,
-			Retries: r.Retries, Timeouts: r.Timeouts, Degraded: r.DegradedReads,
-			Lost: r.FramesLost, Corrupted: r.FramesCorrupted,
-			ServerQueries: r.Server.QueriesServed, DiskReads: r.Server.DiskReads,
-			Updates: r.Server.UpdatesApplied,
+			r.Account, r.FramesLost, r.FramesCorrupted,
+			r.Server.QueriesServed, r.Server.DiskReads, r.Server.UpdatesApplied,
 		}
 	}
 	if got, want := snap(instr), snap(plain); got != want {

@@ -351,6 +351,33 @@ func FuzzRun(f *testing.F) {
 	})
 }
 
+// TestNoUpdatesNoErrors is the oracle's first metamorphic property: with
+// no updates no copy can go out of date, so a run on any config Validate
+// accepts — lossy channels, disconnections, broadcast, peers, fleets —
+// serves no read in error.
+func TestNoUpdatesNoErrors(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	pick := func(xs ...int) int { return xs[r.Intn(len(xs))] }
+	pickF := func(xs ...float64) float64 { return xs[r.Intn(len(xs))] }
+	ran := 0
+	for i := 0; i < 3000; i++ {
+		cfg := drawConfig(uint64(i), pick, pickF)
+		cfg.UpdateProb = 0
+		cfg.Days = pickF(0.02, 0.05)
+		if cfg.Validate() != nil {
+			continue
+		}
+		ran++
+		if res := Run(cfg); res.ErrorRate != 0 || res.Account.Errors != 0 {
+			t.Fatalf("no updates, yet %d errors (error rate %v)\n%+v", res.Account.Errors, res.ErrorRate, cfg)
+		}
+	}
+	t.Logf("%d of the drawn configs validated and ran", ran)
+	if ran < 100 {
+		t.Fatalf("only %d of the drawn configs validated; the draw no longer probes Run", ran)
+	}
+}
+
 // TestWarmupGatesEnergyByEventTime: radio energy is counted on the
 // account's one warm-up window, by the time it is spent, so energy per
 // query divides post-warm-up joules by post-warm-up queries. As the warm-up
@@ -364,12 +391,12 @@ func TestWarmupGatesEnergyByEventTime(t *testing.T) {
 	prev := math.Inf(1)
 	for _, warmup := range []float64{0, 0.25, 0.5} {
 		res := Run(Config{Seed: 1, Days: 1, WarmupDays: warmup, Granularity: core.HybridCaching, UpdateProb: 0.1})
-		t.Logf("warm-up %v days: %.3f J/query, hit ratio %.3f", warmup, res.RadioEnergyPerQuery, res.HitRatio)
-		if res.RadioEnergyPerQuery <= 0 || res.RadioEnergyPerQuery > prev {
+		t.Logf("warm-up %v days: %.3f J/query, hit ratio %.3f", warmup, res.Account.EnergyPerQuery(), res.HitRatio)
+		if res.Account.EnergyPerQuery() <= 0 || res.Account.EnergyPerQuery() > prev {
 			t.Fatalf("warm-up %v days: %.3f J per query, after %.3f at a shorter warm-up",
-				warmup, res.RadioEnergyPerQuery, prev)
+				warmup, res.Account.EnergyPerQuery(), prev)
 		}
-		prev = res.RadioEnergyPerQuery
+		prev = res.Account.EnergyPerQuery()
 	}
 }
 
@@ -377,8 +404,7 @@ func TestWarmupGatesEnergyByEventTime(t *testing.T) {
 // query record's outcome counts sum to its reads, with errors only on
 // fresh-hit, stale, degraded or peer reads, and that the records issued at
 // or after the warm-up horizon add up to the Result: the hit ratio, the
-// error rate (over served reads), the unavailable, degraded, air and peer
-// read counts. A second run of the same config renders the same Result and
+// error rate (over served reads), and every read count of Result.Account. A second run of the same config renders the same Result and
 // the same records.
 func checkAccounting(t testing.TB, cfg Config) {
 	t.Helper()
@@ -405,10 +431,8 @@ func checkAccounting(t testing.TB, cfg Config) {
 		t.Fatalf("records: %d errors / %d served reads = %v; Result.ErrorRate %v\n%+v",
 			pool.Errors, pool.Total()-pool.Unavailable, got, res.ErrorRate, cfg)
 	}
-	got := [4]uint64{pool.Unavailable, pool.Degraded, pool.Air, pool.Peer}
-	want := [4]uint64{res.Unavailable, res.DegradedReads, res.BroadcastReads, res.PeerHits}
-	if got != want {
-		t.Fatalf("records: (unavailable, degraded, air, peer) reads %v; Result %v\n%+v", got, want, cfg)
+	if pool != res.Account.ReadCounts {
+		t.Fatalf("records count reads %+v; Result.Account %+v\n%+v", pool, res.Account.ReadCounts, cfg)
 	}
 	records := tr.Records
 	tr.Records = nil

@@ -6,6 +6,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -231,14 +232,14 @@ func TestShapeDisconnectionErrors(t *testing.T) {
 // connectivity.
 func TestShapeUnavailability(t *testing.T) {
 	conn := runG(t, core.AttributeCaching, nil)
-	if conn.Unavailable != 0 {
-		t.Errorf("connected run had %d unavailable reads", conn.Unavailable)
+	if conn.Account.Unavailable != 0 {
+		t.Errorf("connected run had %d unavailable reads", conn.Account.Unavailable)
 	}
 	disc := runG(t, core.AttributeCaching, func(c *Config) {
 		c.DisconnectedClients = 3
 		c.DisconnectHours = 8
 	})
-	if disc.Unavailable == 0 {
+	if disc.Account.Unavailable == 0 {
 		t.Error("disconnected run had no unavailable reads")
 	}
 }
@@ -323,10 +324,10 @@ func TestShapeTimeoutHeuristic(t *testing.T) {
 	}
 	off := run(0)
 	on := run(5)
-	if off.ItemsShed != 0 {
-		t.Fatalf("heuristic disabled but %d items shed", off.ItemsShed)
+	if off.Account.Events[metrics.ShedItem] != 0 {
+		t.Fatalf("heuristic disabled but %d items shed", off.Account.Events[metrics.ShedItem])
 	}
-	if on.ItemsShed == 0 {
+	if on.Account.Events[metrics.ShedItem] == 0 {
 		t.Fatal("heuristic enabled but nothing shed under bursty NQ load")
 	}
 	if on.MeanResponse >= off.MeanResponse {
@@ -427,13 +428,14 @@ func TestHourlyProfileBursty(t *testing.T) {
 	cfg.Arrival = BurstyArrival
 	cfg.Days = 1
 	res := Run(cfg)
-	burst := res.HourlyQueries[8] // inside 07:00-10:00
-	quiet := res.HourlyQueries[3] // overnight
+	_, hourly := res.Account.HourlyResponse()
+	burst := hourly[8] // inside 07:00-10:00
+	quiet := hourly[3] // overnight
 	if burst <= 5*quiet {
 		t.Fatalf("burst hour %d queries vs quiet %d — no clustering", burst, quiet)
 	}
 	var total uint64
-	for _, n := range res.HourlyQueries {
+	for _, n := range hourly {
 		total += n
 	}
 	if total != res.QueriesIssued {
@@ -447,7 +449,8 @@ func TestHourlyProfileBursty(t *testing.T) {
 func TestShapeEnergyByGranularity(t *testing.T) {
 	energy := map[core.Granularity]float64{}
 	for _, g := range core.Granularities() {
-		energy[g] = runG(t, g, nil).RadioEnergyPerQuery
+		res := runG(t, g, nil)
+		energy[g] = res.Account.EnergyPerQuery()
 	}
 	if energy[core.ObjectCaching] <= energy[core.AttributeCaching] {
 		t.Errorf("OC energy %.3f <= AC energy %.3f", energy[core.ObjectCaching], energy[core.AttributeCaching])
@@ -477,10 +480,10 @@ func TestShapeBroadcastOffloadsDownlink(t *testing.T) {
 	}
 	off := run(0)
 	on := run(3)
-	if off.BroadcastReads != 0 {
-		t.Fatalf("broadcast disabled but %d reads from the air", off.BroadcastReads)
+	if off.Account.Air != 0 {
+		t.Fatalf("broadcast disabled but %d reads from the air", off.Account.Air)
 	}
-	if on.BroadcastReads == 0 {
+	if on.Account.Air == 0 {
 		t.Fatal("broadcast enabled but no reads from the air")
 	}
 	if on.DownlinkUtilization >= off.DownlinkUtilization {

@@ -179,6 +179,19 @@ func (a *Account) Add(o *Account) {
 // MeanResponse returns the mean query response time in seconds.
 func (a *Account) MeanResponse() float64 { return a.resp.Mean() }
 
+// AccessErrorRate returns the fraction of all reads not served correctly:
+// errors plus unavailable reads, the metric Experiment 7 sweeps against
+// frame loss.
+func (a *Account) AccessErrorRate() float64 { return ratio(a.Errors+a.Unavailable, a.Total()) }
+
+// EnergyPerQuery returns the mean radio Joules spent per query.
+func (a *Account) EnergyPerQuery() float64 {
+	if a.Queries == 0 {
+		return 0
+	}
+	return a.RadioEnergy / float64(a.Queries)
+}
+
 // HourlyResponse returns the mean response time and query count per hour
 // of day.
 func (a *Account) HourlyResponse() (mean [hoursPerDay]float64, count [hoursPerDay]uint64) {

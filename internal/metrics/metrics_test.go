@@ -178,11 +178,16 @@ func TestAggregateMerge(t *testing.T) {
 	if a.Events[Retry] != 3 || a.Events[PeerMiss] != 5 || a.RadioEnergy != 0.75 {
 		t.Fatalf("aggregate events wrong: %v, %v J", a.Events, a.RadioEnergy)
 	}
+	// Two errors and one unavailable read of five; 0.75 J over two queries.
+	if ae, e := a.AccessErrorRate(), a.EnergyPerQuery(); ae != 0.6 || e != 0.375 {
+		t.Fatalf("aggregate AccessErrorRate = %v, EnergyPerQuery = %v", ae, e)
+	}
 }
 
 func TestEmptyAggregates(t *testing.T) {
 	var a Account
-	if a.HitRatio() != 0 || a.ErrorRate() != 0 || a.MeanResponse() != 0 {
+	if a.HitRatio() != 0 || a.ErrorRate() != 0 || a.MeanResponse() != 0 ||
+		a.AccessErrorRate() != 0 || a.EnergyPerQuery() != 0 {
 		t.Fatal("empty aggregate not zero")
 	}
 	var c Client

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -240,13 +241,13 @@ func Markdown(in Input) []byte {
 	if r.FramesLost+r.FramesCorrupted > 0 {
 		fmt.Fprintf(&b, "| frames lost / corrupted | %d / %d |\n", r.FramesLost, r.FramesCorrupted)
 		fmt.Fprintf(&b, "| retries / timeouts / degraded reads | %d / %d / %d |\n",
-			r.Retries, r.Timeouts, r.DegradedReads)
+			r.Retries, r.Account.Events[metrics.Timeout], r.DegradedReads)
 	}
 	if r.IRReports > 0 {
 		fmt.Fprintf(&b, "| IR broadcasts | %d reports, %s MB on air |\n",
 			r.IRReports, fnum(float64(r.IRReportBytes)/1e6))
 		fmt.Fprintf(&b, "| IR missed / forced revalidations | %d / %d |\n",
-			r.IRMissed, r.ForcedRevals)
+			r.Account.Events[metrics.IRMiss], r.ForcedRevals)
 	}
 	if probes := r.PeerHits + r.PeerMisses; probes > 0 {
 		fmt.Fprintf(&b, "| peer-served reads | %d of %d cooperative lookups |\n",

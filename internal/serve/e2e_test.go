@@ -63,33 +63,35 @@ func TestLiveReplayMatchesSimulator(t *testing.T) {
 	// One more sample, taken after every client has finished, reads the
 	// gauges' final values.
 	reg.Attach(finalTick{}, 0)
+	la := &live.Account
 	for name, want := range map[string]float64{
-		"clients.accesses":   float64(live.Reads),
-		"clients.hit_ratio":  live.HitRatio,
-		"clients.error_rate": live.ErrorRate,
+		"clients.accesses":   float64(la.Total()),
+		"clients.hit_ratio":  la.HitRatio(),
+		"clients.error_rate": la.ErrorRate(),
 	} {
 		if _, got := reg.Series(name).Last(); got != want {
 			t.Errorf("%s gauge ends at %v; LiveResult has %v", name, got, want)
 		}
 	}
 	sim := experiment.Run(cfg)
+	sa := &sim.Account
 
-	t.Logf("sim: hit=%.4f err=%.4f queries=%d", sim.HitRatio, sim.ErrorRate, sim.QueriesIssued)
+	t.Logf("sim: hit=%.4f err=%.4f queries=%d", sa.HitRatio(), sa.ErrorRate(), sa.Queries)
 	t.Logf("live: hit=%.4f stale=%.4f err=%.4f queries=%d lag=%.1fvs wall=%.2fs",
-		live.HitRatio, live.StaleRate, live.ErrorRate, live.Queries, live.MaxLagVirtual, live.WallSeconds)
+		la.HitRatio(), live.StaleRate, la.ErrorRate(), la.Queries, live.MaxLagVirtual, live.WallSeconds)
 
-	if live.Queries == 0 || live.Reads == 0 {
+	if la.Queries == 0 || la.Total() == 0 {
 		t.Fatalf("replay issued no measured work: %+v", live)
 	}
-	if diff := math.Abs(live.HitRatio - sim.HitRatio); diff > hitRatioTolerance {
+	if diff := math.Abs(la.HitRatio() - sa.HitRatio()); diff > hitRatioTolerance {
 		t.Fatalf("live hit ratio %.4f vs simulated %.4f: |diff| %.4f exceeds tolerance %.2f",
-			live.HitRatio, sim.HitRatio, diff, hitRatioTolerance)
+			la.HitRatio(), sa.HitRatio(), diff, hitRatioTolerance)
 	}
 	// Coarser sanity on the error side: both should be small and of the
 	// same magnitude; an always-stale or never-expiring live store fails
 	// the hit-ratio gate long before this.
-	if live.ErrorRate > sim.ErrorRate+hitRatioTolerance {
-		t.Fatalf("live error rate %.4f vs simulated %.4f", live.ErrorRate, sim.ErrorRate)
+	if la.ErrorRate() > sa.ErrorRate()+hitRatioTolerance {
+		t.Fatalf("live error rate %.4f vs simulated %.4f", la.ErrorRate(), sa.ErrorRate())
 	}
 }
 

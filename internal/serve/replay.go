@@ -96,28 +96,20 @@ type LiveResult struct {
 	// WallSeconds is the real time the replay took.
 	WallSeconds float64
 
-	// HitRatio / StaleRate / ErrorRate are post-warmup read ratios; the
-	// stale rate counts probes that found an expired resident copy (all
-	// refetched — the live layer is always connected).
-	HitRatio  float64
-	StaleRate float64
-	ErrorRate float64
-	// MeanRT is the mean wall-clock HTTP service time per query, in real
-	// seconds (probe + write + fetch round trips; excludes pacing waits).
-	// Not comparable in magnitude to the simulator's channel-bound
-	// response times — see docs/SERVING.md.
-	MeanRT float64
+	// Account is the clients' accounts pooled in client order, each behind
+	// the warm-up gate: reads by outcome, queries local and remote. Its
+	// response times are wall-clock HTTP service times per query, in real
+	// seconds (probe + write + fetch round trips; excludes pacing waits),
+	// not comparable in magnitude to the simulator's channel-bound ones —
+	// see docs/SERVING.md.
+	Account metrics.Account
 
-	// Queries / QueriesLocal / QueriesRemote count post-warmup queries and
-	// whether they needed the origin.
-	Queries       uint64
-	QueriesLocal  uint64
-	QueriesRemote uint64
-	// Reads / Hits / Stales / Errors are post-warmup read counts.
-	Reads  uint64
-	Hits   uint64
-	Stales uint64
-	Errors uint64
+	// Stales counts post-warmup probes that found an expired resident
+	// copy (all refetched — the live layer is always connected, so these
+	// are Fetched reads, not Account.Stale); StaleRate is their share of
+	// the reads.
+	Stales    uint64
+	StaleRate float64
 	// Writes counts update events applied (post-warmup).
 	Writes uint64
 	// HTTPCalls counts requests issued (whole run, warm-up included).
@@ -141,15 +133,7 @@ type LiveResult struct {
 // so report.Write renders the same headline tables for both sides of a
 // sim-vs-live diff.
 func (lr LiveResult) Result() experiment.Result {
-	return experiment.Result{
-		Config:        lr.Config,
-		HitRatio:      lr.HitRatio,
-		MeanResponse:  lr.MeanRT,
-		ErrorRate:     lr.ErrorRate,
-		QueriesIssued: lr.Queries,
-		QueriesLocal:  lr.QueriesLocal,
-		QueriesRemote: lr.QueriesRemote,
-	}
+	return experiment.AccountResult(lr.Config, lr.Account)
 }
 
 // liveReads is the replay's shared read account the obs gauges read:
@@ -240,7 +224,6 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 	wg.Wait()
 
 	lr := LiveResult{Config: cfg, Speedup: speedup, WallSeconds: time.Since(start).Seconds()}
-	var pool metrics.Account
 	for i := range outcomes {
 		out := &outcomes[i]
 		if out.err != nil && ctx.Err() == nil {
@@ -249,25 +232,16 @@ func Replay(ctx context.Context, rc ReplayConfig) (LiveResult, error) {
 		if out.err != nil {
 			return lr, fmt.Errorf("serve: replay client %d: %w", i, out.err)
 		}
-		pool.Add(&out.m.Account)
+		lr.Account.Add(&out.m.Account)
 		lr.Stales += out.stales
 		lr.Writes += out.writes
 		if out.maxLag > lr.MaxLagVirtual {
 			lr.MaxLagVirtual = out.maxLag
 		}
 	}
-	lr.HitRatio = pool.HitRatio()
-	lr.ErrorRate = pool.ErrorRate()
-	lr.MeanRT = pool.MeanResponse()
-	lr.Queries = pool.Queries
-	lr.QueriesLocal = pool.Local
-	lr.QueriesRemote = pool.Remote
-	lr.Reads = pool.Total()
-	lr.Hits = pool.Hits
-	lr.Errors = pool.Errors
 	lr.HTTPCalls = atomic.LoadUint64(&httpCalls)
-	if lr.Reads > 0 {
-		lr.StaleRate = float64(lr.Stales) / float64(lr.Reads)
+	if reads := lr.Account.Total(); reads > 0 {
+		lr.StaleRate = float64(lr.Stales) / float64(reads)
 	}
 	// Identify the tier that served the run. Advisory: a service that
 	// vanished right after the replay leaves the identity fields empty

@@ -55,7 +55,7 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 		FixedLease:       600,
 		Tracer:           tr,
 	})
-	experiment.Run(cfg)
+	sim := experiment.Run(cfg)
 	if len(tr.Records) < 200 {
 		t.Fatalf("simulator completed %d queries; want >= 200", len(tr.Records))
 	}
@@ -74,6 +74,7 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 	w := experiment.NewClientWorkload(cfg, sc.DB, 0)
 	var q workload.Query
 	var need []workload.ReadOp
+	var pooled metrics.ReadCounts // every live read; the run has no warm-up
 	scheduled, completed := 0.0, 0.0
 	for i, rec := range tr.Records {
 		scheduled = w.Arrival.Next(w.Stream, scheduled)
@@ -114,6 +115,10 @@ func twinLeg(t *testing.T, gran core.Granularity, policy string) {
 			t.Fatalf("query %d diverged: live %d reads %+v, simulator %d reads %+v",
 				i, live.Reads, live.ReadCounts, rec.Reads, rec.ReadCounts)
 		}
+		pooled.Add(live.ReadCounts)
+	}
+	if pooled != sim.Account.ReadCounts {
+		t.Fatalf("live reads pool to %+v; the simulator's account holds %+v", pooled, sim.Account.ReadCounts)
 	}
 	stats := st.Stats()
 	if stats.Evictions == 0 || stats.Hits == 0 || stats.Stales == 0 {

@@ -200,6 +200,9 @@ func parseRow(row []string) (QueryRecord, error) {
 	rec.Disconnected = getb(row[11])
 	rec.RequestBytes = geti(row[12])
 	rec.ReplyBytes = geti(row[13])
+	rec.Retries = geti(row[14])
+	rec.Degraded = getu(row[15])
+	rec.TimedOut = getb(row[16])
 	if err != nil {
 		return rec, err
 	}
@@ -209,6 +212,9 @@ func parseRow(row []string) (QueryRecord, error) {
 	local := rec.Hits + rec.Stale + rec.Unavailable
 	if rec.Reads < 0 || uint64(rec.Reads) < local {
 		return rec, fmt.Errorf("%d reads, fewer than its %d hit, stale and unavailable ones", rec.Reads, local)
+	}
+	if rec.Degraded > rec.Stale {
+		return rec, fmt.Errorf("%d degraded reads, more than its %d stale ones", rec.Degraded, rec.Stale)
 	}
 	rec.Fetched = uint64(rec.Reads) - local
 	return rec, nil

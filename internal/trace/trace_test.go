@@ -12,9 +12,10 @@ import (
 func sample() QueryRecord {
 	return QueryRecord{
 		ClientID: 3, Index: 7, IssuedAt: 100, CompletedAt: 102.5,
-		Reads: 60, ReadCounts: metrics.ReadCounts{Hits: 40, Stale: 2, Unavailable: 1, Fetched: 17, Errors: 3},
+		Reads: 60, ReadCounts: metrics.ReadCounts{Hits: 40, Stale: 2, Degraded: 1, Unavailable: 1, Fetched: 17, Errors: 3},
 		Remote: true, Disconnected: false,
 		RequestBytes: 27, ReplyBytes: 512,
+		Retries: 3, TimedOut: true,
 	}
 }
 
@@ -117,6 +118,9 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader(head + "\n1,2,3,4,5,6,7,8,9,10,true,false,1,2,0,0,false\n")); err == nil {
 		t.Fatal("a row with more outcomes than reads accepted")
+	}
+	if _, err := ReadCSV(strings.NewReader(head + "\n1,2,3,4,5,10,1,1,0,0,true,false,1,2,0,2,false\n")); err == nil {
+		t.Fatal("a row with more degraded than stale reads accepted")
 	}
 	recs, err := ReadCSV(strings.NewReader(""))
 	if err != nil || recs != nil {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # livesmoke.sh — loopback live-replay smoke: build mccached and mcload, boot
 # the service on an ephemeral loopback port, replay the quick scenario
-# against it, and verify the report artifacts landed. A second leg reruns
+# against it, and verify the report artifacts landed and the report's
+# query counts match what mcload printed. A second leg reruns
 # the replay against the persistent file backend, restarts the service, and
 # verifies the recovered store still holds the replay's sessions and cache
 # state. CI runs this after the unit suites; run it locally as
@@ -56,11 +57,17 @@ stop() {
 
 boot memory
 "$workdir/mcload" -url "http://$addr" -quick -seed "$seed" -speedup 1500 \
-    -compare -report "$outdir"
+    -compare -report "$outdir" | tee "$workdir/mcload.out"
 
 for f in manifest.json report.md; do
     [ -s "$outdir/$f" ] || { echo "livesmoke: missing $outdir/$f" >&2; exit 1; }
 done
+# The report's headline is rendered from LiveResult.Result(): its query
+# counts must be the ones mcload printed from the replay's account.
+printed="$(sed -nE 's/^queries +([0-9]+) \(local ([0-9]+), remote ([0-9]+)\)$/\1 \2 \3/p' "$workdir/mcload.out")"
+reported="$(sed -nE 's/^\| queries issued \| ([0-9]+) \(([0-9]+) local, ([0-9]+) remote\) \|$/\1 \2 \3/p' "$outdir/report.md")"
+[ -n "$printed" ] && [ "$printed" = "$reported" ] \
+    || { echo "livesmoke: report.md queries '$reported', mcload printed '$printed'" >&2; exit 1; }
 grep -q '"live": true' "$outdir/manifest.json" \
     || { echo "livesmoke: manifest not flagged live" >&2; exit 1; }
 stop
