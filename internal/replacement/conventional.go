@@ -114,11 +114,11 @@ const lruKShort, lruKFull = 0, 1
 
 // NewLRUK returns the LRU-k policy with the default correlated reference
 // period. It panics if k < 1.
-func NewLRUK(k int) Policy { return NewLRUKCRP(k, DefaultCorrelatedPeriod) }
+func NewLRUK(k int) Policy { return newLRUK(k, DefaultCorrelatedPeriod) }
 
-// NewLRUKCRP returns LRU-k with an explicit correlated reference period
+// newLRUK returns LRU-k with an explicit correlated reference period
 // (0 disables reference collapsing and eviction protection).
-func NewLRUKCRP(k int, crp float64) Policy {
+func newLRUK(k int, crp float64) Policy {
 	if k < 1 {
 		panic("replacement: LRU-k requires k >= 1")
 	}

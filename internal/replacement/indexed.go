@@ -69,9 +69,7 @@ const (
 // sharing one id space.
 //
 // A heap is a binary min-heap, ties broken by slot id, whose inline keys
-// let a sift compare both children from adjacent memory; sweepBias counts
-// how many upcoming searches should use the flat sweep instead of the DFS
-// (see victimCore.searchHeap).
+// let a sift compare both children from adjacent memory.
 //
 // A run keeps ent[head:] sorted by key. Arrival keys almost always come at
 // or above the tail, an append; a smaller one goes in by binary search plus
@@ -84,15 +82,14 @@ const (
 // and a run that holds every resident still compacts only once per
 // limit/4 appends, not on every one. Equal keys need no slot
 // order, since the search visits every entry at its cutoff key, so a
-// rename is a relabel, and a run has no sweep mode.
+// rename is a relabel.
 type slotClass struct {
-	order     order
-	ent       []heapEnt
-	pos       []int32 // slot id -> position in ent, or -1
-	maxSlots  int     // the owner's slot limit: pos and a heap's ent grow no larger
-	head      int     // run: ent[:head] are tombstones
-	dead      int     // run: tombstones in ent
-	sweepBias int32   // heap: searches left in sweep mode
+	order    order
+	ent      []heapEnt
+	pos      []int32 // slot id -> position in ent, or -1
+	maxSlots int     // the owner's slot limit: pos and a heap's ent grow no larger
+	head     int     // run: ent[:head] are tombstones
+	dead     int     // run: tombstones in ent
 }
 
 type heapEnt struct {
@@ -433,12 +430,6 @@ func (sw *selectWorst) extractInto(out []int32) {
 	}
 }
 
-// sweepRun is how many searches run as flat sweeps after a DFS failed to
-// prune half the class, before the next DFS probe. High enough to amortize
-// the probe's overhead, low enough to notice quickly when pruning starts
-// working again.
-const sweepRun = 15
-
 // victimCore is the one skeleton of the indexed policies: the per-slot
 // states, the classes, the search scratch, and every SlotCore method. A
 // policy embeds it and calls init at construction with itself as the hooks.
@@ -578,33 +569,19 @@ func (c *victimCore[S]) searchRun(ci int, now float64, sw *selectWorst) {
 // Then it walks depth-first from the remaining frontier, pruning a subtree
 // when its root's key exceeds the cutoff derived from the weakest retained
 // candidate (keys at the cutoff are visited, preserving reference
-// tie-breaks); the cutoff changes only with the weakest score.
-//
-// When a search visits at least half the class anyway — heavy score ties
-// (e.g. LRD before any item has aged past an interval) or a request that
-// ranks every resident leave nothing to prune — a flat sweep is cheaper,
-// so the class is swept for the next sweepRun searches, then re-probed.
-// Every mode offers into the same selection under the same total order
-// (score desc, slot asc), so visit order never changes which victims are
-// selected, only how many slots are visited.
+// tie-breaks); the cutoff changes only with the weakest score. Both
+// phases offer into the one selection under its total order (score desc,
+// slot asc), so visit order never changes which victims are selected, only
+// how many slots are visited.
 func (c *victimCore[S]) searchHeap(ci int, now float64, sw *selectWorst) {
 	h, hk := &c.classes[ci], c.h
 	n := int32(len(h.ent))
 	if n == 0 {
 		return
 	}
-	if h.sweepBias > 0 {
-		h.sweepBias--
-		for _, e := range h.ent {
-			sw.offer(victimCand{slot: e.slot, score: hk.eval(e.slot, now)})
-		}
-		return
-	}
-	visited := int32(0)
 	front := append(c.s.stack[:0], 0)
 	for len(front) > 0 && !sw.full() {
 		i := front[0]
-		visited++
 		slot := h.ent[i].slot
 		sw.offer(victimCand{slot: slot, score: hk.eval(slot, now)})
 		l := 2*i + 1
@@ -630,7 +607,6 @@ func (c *victimCore[S]) searchHeap(ci int, now float64, sw *selectWorst) {
 		if e.key > cut {
 			continue // no slot in this subtree can beat the weakest retained
 		}
-		visited++
 		sw.offer(victimCand{slot: e.slot, score: hk.eval(e.slot, now)})
 		if sw.full() && sw.cands[0].score != weakest {
 			weakest = sw.cands[0].score
@@ -644,7 +620,4 @@ func (c *victimCore[S]) searchHeap(ci int, now float64, sw *selectWorst) {
 		}
 	}
 	c.s.stack = stack
-	if visited*2 >= n {
-		h.sweepBias = sweepRun
-	}
 }

@@ -130,7 +130,7 @@ func TestLRUVictim(t *testing.T) {
 }
 
 func TestLRUKPrefersShortHistory(t *testing.T) {
-	p := NewLRUKCRP(2, 0)
+	p := newLRUK(2, 0)
 	// obj(1): accesses at 0,1,2 -> 2nd most recent = 1
 	p.OnInsert(obj(1), 0)
 	p.OnAccess(obj(1), 1)
@@ -144,7 +144,7 @@ func TestLRUKPrefersShortHistory(t *testing.T) {
 }
 
 func TestLRUKUsesKthAccess(t *testing.T) {
-	p := NewLRUKCRP(2, 0)
+	p := newLRUK(2, 0)
 	// Both have >= 2 accesses. obj(1) kth (2nd last) = 0; obj(2) kth = 5.
 	p.OnInsert(obj(1), 0)
 	p.OnAccess(obj(1), 10) // recent last access, but old 2nd-last
@@ -167,7 +167,7 @@ func TestLRUKUsesKthAccess(t *testing.T) {
 }
 
 func TestLRUKInfiniteTieBreak(t *testing.T) {
-	p := NewLRUKCRP(3, 0)
+	p := newLRUK(3, 0)
 	p.OnInsert(obj(1), 0) // last access 0
 	p.OnInsert(obj(2), 5) // last access 5
 	v, _ := p.Victim(6)
@@ -191,12 +191,12 @@ func TestLRUKValidation(t *testing.T) {
 				t.Fatal("negative CRP did not panic")
 			}
 		}()
-		NewLRUKCRP(2, -1)
+		newLRUK(2, -1)
 	}()
 }
 
 func TestLRUKCorrelatedReferencesCollapse(t *testing.T) {
-	pol := NewLRUKCRP(2, 100)
+	pol := newLRUK(2, 100)
 	p := coreOf(pol).(*lruK)
 	pol.OnInsert(obj(1), 0)
 	pol.OnAccess(obj(1), 10) // correlated: within 100s of the last access
@@ -212,7 +212,7 @@ func TestLRUKCorrelatedReferencesCollapse(t *testing.T) {
 }
 
 func TestLRUKCRPProtectsRecent(t *testing.T) {
-	p := NewLRUKCRP(2, 100)
+	p := newLRUK(2, 100)
 	p.OnInsert(obj(1), 0)   // singleton, but old (unprotected at t=500)
 	p.OnInsert(obj(2), 450) // singleton, recent (protected at t=500)
 	v, _ := p.Victim(500)
@@ -222,7 +222,7 @@ func TestLRUKCRPProtectsRecent(t *testing.T) {
 }
 
 func TestLRUKRetainedHistory(t *testing.T) {
-	p := NewLRUKCRP(2, 0)
+	p := newLRUK(2, 0)
 	// obj(1) earns two references, is evicted, and returns: its k-distance
 	// must be finite immediately (retained history).
 	p.OnInsert(obj(1), 0)
@@ -575,7 +575,7 @@ func TestVictimsWorstFirst(t *testing.T) {
 	// times, so no ties).
 	factories := append(
 		parseAll(t, "lru", "mean", "win-3", "ewma-0.5", "fifo"),
-		func() Policy { return NewLRUKCRP(2, 0) },
+		func() Policy { return newLRUK(2, 0) },
 		// A long LRD interval keeps reference counts un-decayed (and
 		// therefore distinct) over this test's timeline.
 		func() Policy { return NewLRD(1e9) },

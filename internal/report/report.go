@@ -61,7 +61,8 @@ type Manifest struct {
 	// sockets (cmd/mcload against a running mccached) rather than the
 	// simulator; response times are then wall-clock HTTP service times and
 	// are not comparable to simulated channel-bound response times
-	// (docs/SERVING.md).
+	// (docs/SERVING.md), and report.md leaves out the channel utilization
+	// and server buffer rows, which a replay does not measure.
 	Live bool `json:"live,omitempty"`
 	// Seed is the root RNG seed of the instrumented run.
 	Seed uint64 `json:"seed"`
@@ -226,9 +227,11 @@ func Markdown(in Input) []byte {
 	fmt.Fprintf(&b, "| error rate | %s |\n", fnum(r.ErrorRate))
 	fmt.Fprintf(&b, "| queries issued | %d (%d local, %d remote) |\n",
 		r.QueriesIssued, r.QueriesLocal, r.QueriesRemote)
-	fmt.Fprintf(&b, "| uplink / downlink utilization | %s / %s |\n",
-		fnum(r.UplinkUtilization), fnum(r.DownlinkUtilization))
-	fmt.Fprintf(&b, "| server buffer hit ratio | %s |\n", fnum(r.Server.BufferHitRatio))
+	if !in.Manifest.Live { // a live replay measures neither
+		fmt.Fprintf(&b, "| uplink / downlink utilization | %s / %s |\n",
+			fnum(r.UplinkUtilization), fnum(r.DownlinkUtilization))
+		fmt.Fprintf(&b, "| server buffer hit ratio | %s |\n", fnum(r.Server.BufferHitRatio))
+	}
 	if cfg.Cells > 1 {
 		fmt.Fprintf(&b, "| fleet | %d cells, %d clients |\n", cfg.Cells, cfg.NumClients)
 		fmt.Fprintf(&b, "| backbone traffic | %s MB in %d messages |\n",

@@ -91,6 +91,25 @@ func TestMarkdownReproducible(t *testing.T) {
 	}
 }
 
+// TestLiveReportOmitsUnmeasuredRows: a live replay measures neither
+// channel utilization nor the server buffer, so its report must not print
+// them as zeros; a simulated run's report keeps both rows.
+func TestLiveReportOmitsUnmeasuredRows(t *testing.T) {
+	in := goldenInput()
+	for _, live := range []bool{false, true} {
+		in.Manifest.Live = live
+		md := string(Markdown(in))
+		for _, row := range []string{"| uplink / downlink utilization |", "| server buffer hit ratio |"} {
+			switch has := strings.Contains(md, row); {
+			case live && has:
+				t.Errorf("live report prints %q, which a replay does not measure", row)
+			case !live && !has:
+				t.Errorf("simulated report lacks %q", row)
+			}
+		}
+	}
+}
+
 // TestWriteFiles checks the on-disk artifact set: manifest.json (valid
 // JSON, environment stamped), report.md (equal to Markdown), trace.csv
 // (header plus one row per record).

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # livesmoke.sh — loopback live-replay smoke: build mccached and mcload, boot
 # the service on an ephemeral loopback port, replay the quick scenario
-# against it, and verify the report artifacts landed and the report's
-# query counts match what mcload printed. A second leg reruns
+# against it, and verify the report artifacts landed, the report's query
+# counts match what mcload printed, and it prints no row the replay does
+# not measure. A second leg reruns
 # the replay against the persistent file backend, restarts the service, and
 # verifies the recovered store still holds the replay's sessions and cache
 # state. CI runs this after the unit suites; run it locally as
@@ -68,6 +69,11 @@ printed="$(sed -nE 's/^queries +([0-9]+) \(local ([0-9]+), remote ([0-9]+)\)$/\1
 reported="$(sed -nE 's/^\| queries issued \| ([0-9]+) \(([0-9]+) local, ([0-9]+) remote\) \|$/\1 \2 \3/p' "$outdir/report.md")"
 [ -n "$printed" ] && [ "$printed" = "$reported" ] \
     || { echo "livesmoke: report.md queries '$reported', mcload printed '$printed'" >&2; exit 1; }
+# A replay measures neither channel utilization nor the server buffer, so
+# the report must not print them as zeros.
+if grep -E '^\| (uplink / downlink utilization|server buffer hit ratio) \|' "$outdir/report.md"; then
+    echo "livesmoke: report.md prints rows a live replay does not measure" >&2; exit 1
+fi
 grep -q '"live": true' "$outdir/manifest.json" \
     || { echo "livesmoke: manifest not flagged live" >&2; exit 1; }
 stop
